@@ -1,6 +1,8 @@
 // Benchmark harness: one benchmark per figure of the paper's evaluation
-// (§6, Figs. 6-15) plus the design-choice ablations of DESIGN.md and
-// micro-benchmarks of the state-management primitives.
+// (§6, Figs. 6-15) plus the design-choice ablations of
+// internal/experiments/ablations.go (each names the paper section whose
+// choice it isolates) and micro-benchmarks of the state-management
+// primitives.
 //
 // Figure benchmarks execute the corresponding experiment at reduced
 // (quick) scale per iteration and report key outcomes as custom metrics

@@ -207,83 +207,156 @@ func TestManagerBackupTarget(t *testing.T) {
 	}
 }
 
-func TestPlanReplaceScaleOut(t *testing.T) {
-	m, err := NewManager(wordQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := inst("count", 1)
-	host, _ := m.BackupTarget(victim)
-	if err := m.Backups().Store(host, mkCheckpoint(victim, 10)); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := m.PlanReplace(victim, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.NewInstances) != 2 || len(p.Checkpoints) != 2 || len(p.Ranges) != 2 {
-		t.Fatalf("plan = %+v", p)
-	}
-	// Fresh partition numbers.
-	if p.NewInstances[0].Part != 2 || p.NewInstances[1].Part != 3 {
-		t.Errorf("new instances = %v", p.NewInstances)
-	}
-	// State split: all keys preserved.
-	total := 0
-	for i, cp := range p.Checkpoints {
-		total += cp.Processing.Len()
-		for k := range cp.Processing.KV {
-			if !p.Ranges[i].Contains(k) {
-				t.Errorf("key %d outside range %v", k, p.Ranges[i])
+// TestPlanShapes: recovery (1→1), scale out (1→π) and merge (N→1) are
+// one plan shape built by one planner body, so one table checks the
+// invariants every shape shares.
+func TestPlanShapes(t *testing.T) {
+	up := inst("split", 1)
+	// seed gives the manager victims live partitions of count, each with a
+	// stored final checkpoint holding 6 keys, an acknowledgement position
+	// and one retained output tuple per key.
+	seed := func(t *testing.T, victims int) (*Manager, []plan.InstanceID) {
+		q := wordQuery()
+		q.Op("count").InitialParallelism = victims
+		m, err := NewManager(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts := m.Instances("count")
+		for i, v := range insts {
+			kr, _ := m.Routing("count").RangeOf(v)
+			cp := &state.Checkpoint{
+				Instance:   v,
+				Seq:        1,
+				Processing: state.NewProcessing(1),
+				Buffer:     state.NewBuffer(),
+				OutClock:   int64(100 * (i + 1)),
+				Acks:       map[plan.InstanceID]int64{up: int64(10 + i)},
+			}
+			for j := 0; j < 6; j++ {
+				k := kr.Lo + stream.Key(uint64(j)*(kr.Width()/6))
+				cp.Processing.KV[k] = []byte{byte(j)}
+				cp.Buffer.Append(inst("sink", 1), stream.Tuple{TS: int64(j + 1), Key: k})
+			}
+			host, _ := m.BackupTarget(v)
+			if err := m.Backups().Store(host, cp); err != nil {
+				t.Fatal(err)
 			}
 		}
+		return m, insts
 	}
-	if total != 10 {
-		t.Errorf("partitioned state holds %d keys, want 10", total)
+	cases := []struct {
+		name    string
+		victims int
+		plan    func(m *Manager, vs []plan.InstanceID) (*Transition, error)
+		pi      int
+	}{
+		{"recovery 1→1", 1, func(m *Manager, vs []plan.InstanceID) (*Transition, error) { return m.PlanRecovery(vs[0], 1) }, 1},
+		{"scale out 1→3", 1, func(m *Manager, vs []plan.InstanceID) (*Transition, error) { return m.PlanReplace(vs[0], 3) }, 3},
+		{"merge 2→1", 2, func(m *Manager, vs []plan.InstanceID) (*Transition, error) { return m.PlanMerge(vs) }, 1},
 	}
-	// Victim is gone; new instances live; routing updated.
-	if m.Live(victim) {
-		t.Error("victim still live")
-	}
-	for _, ni := range p.NewInstances {
-		if !m.Live(ni) {
-			t.Errorf("new instance %v not live", ni)
-		}
-		if _, _, ok := m.Backups().Latest(ni); !ok {
-			t.Errorf("no initial backup for %v", ni)
-		}
-	}
-	if _, _, ok := m.Backups().Latest(victim); ok {
-		t.Error("victim backup not released")
-	}
-	if got := m.Routing("count"); len(got.Targets()) != 2 {
-		t.Errorf("routing targets = %v", got.Targets())
-	}
-}
-
-func TestPlanReplaceRecoveryPi1(t *testing.T) {
-	m, err := NewManager(wordQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := inst("count", 1)
-	host, _ := m.BackupTarget(victim)
-	if err := m.Backups().Store(host, mkCheckpoint(victim, 5)); err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.PlanReplace(victim, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.NewInstances) != 1 {
-		t.Fatalf("recovery plan = %+v", p)
-	}
-	if p.Checkpoints[0].Processing.Len() != 5 {
-		t.Errorf("recovered state = %d keys", p.Checkpoints[0].Processing.Len())
-	}
-	if r, ok := p.Routing.RangeOf(p.NewInstances[0]); !ok || r != state.FullRange {
-		t.Errorf("recovered range = %v %v", r, ok)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, victims := seed(t, c.victims)
+			tp, err := c.plan(m, victims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tp.NewInstances) != c.pi || len(tp.Checkpoints) != c.pi {
+				t.Fatalf("plan = %+v", tp)
+			}
+			if tp.Merge() != (c.victims > 1) {
+				t.Errorf("Merge() = %v for %d victims", tp.Merge(), c.victims)
+			}
+			// The graph swapped victims for freshly numbered instances.
+			for _, v := range victims {
+				if m.Live(v) {
+					t.Errorf("victim %v still live", v)
+				}
+				if _, _, ok := m.Backups().Latest(v); ok {
+					t.Errorf("victim %v backup not released", v)
+				}
+			}
+			for i, ni := range tp.NewInstances {
+				if ni.Part != c.victims+i+1 || !m.Live(ni) {
+					t.Errorf("new instance %v: want fresh live partition %d", ni, c.victims+i+1)
+				}
+			}
+			if got := m.Parallelism("count"); got != c.pi {
+				t.Errorf("Parallelism = %d, want %d", got, c.pi)
+			}
+			// Routing still tiles the key space (NewRoutingFromEntries
+			// validates the tiling) and the manager installed it.
+			if _, err := state.NewRoutingFromEntries(tp.Routing.Entries()); err != nil {
+				t.Errorf("routing does not tile: %v", err)
+			}
+			if got := m.Routing("count"); len(got.Targets()) != c.pi || got.String() != tp.Routing.String() {
+				t.Errorf("manager routing = %v, plan routing = %v", got, tp.Routing)
+			}
+			// One stored checkpoint per new instance, holding exactly the
+			// keys of its range; no key lost.
+			keys := 0
+			for i, ni := range tp.NewInstances {
+				stored, _, ok := m.Backups().Latest(ni)
+				if !ok || stored != tp.Checkpoints[i] {
+					t.Errorf("no initial backup for %v", ni)
+				}
+				kr, ok := tp.Routing.RangeOf(ni)
+				if !ok {
+					t.Fatalf("%v has no routing entry", ni)
+				}
+				for k := range tp.Checkpoints[i].Processing.KV {
+					keys++
+					if !kr.Contains(k) {
+						t.Errorf("key %d outside %v's range %v", k, ni, kr)
+					}
+				}
+			}
+			if keys != 6*c.victims {
+				t.Errorf("plan holds %d keys, want %d", keys, 6*c.victims)
+			}
+			// Trims equal the victims' final acknowledgement positions.
+			if len(tp.Trims) != c.victims {
+				t.Fatalf("Trims = %v", tp.Trims)
+			}
+			for i, tr := range tp.Trims {
+				if want := (Trim{Up: up, Owner: victims[i], TS: int64(10 + i)}); tr != want {
+					t.Errorf("Trims[%d] = %v, want %v", i, tr, want)
+				}
+			}
+			// Watermark inheritance is the 1→1 shape's alone.
+			if c.victims == 1 && c.pi == 1 {
+				if len(tp.Inherit) != 1 || tp.Inherit[0] != (Inherit{Old: victims[0], New: tp.NewInstances[0]}) {
+					t.Errorf("Inherit = %v", tp.Inherit)
+				}
+			} else if len(tp.Inherit) != 0 {
+				t.Errorf("Inherit = %v for %d→%d", tp.Inherit, c.victims, c.pi)
+			}
+			// Every victim's retained output survives in the plan: a lone
+			// victim's with the first partition, merged victims' as legacy
+			// buffers under their ORIGINAL identities.
+			from := make(map[plan.InstanceID]int)
+			for _, cp := range tp.Checkpoints {
+				for r := range state.DownstreamReplay(cp, func(plan.OpID) *state.Routing { return nil }) {
+					from[r.From]++
+				}
+			}
+			want := map[plan.InstanceID]int{tp.NewInstances[0]: 6}
+			if c.victims > 1 {
+				want = map[plan.InstanceID]int{victims[0]: 6, victims[1]: 6}
+				if tp.Checkpoints[0].OutClock != 200 {
+					t.Errorf("merged OutClock = %d, want the victims' maximum", tp.Checkpoints[0].OutClock)
+				}
+			}
+			if len(from) != len(want) {
+				t.Errorf("replay senders = %v, want %v", from, want)
+			}
+			for id, n := range want {
+				if from[id] != n {
+					t.Errorf("replay from %v = %d tuples, want %d", id, from[id], n)
+				}
+			}
+		})
 	}
 }
 
@@ -353,41 +426,6 @@ func TestPlanReplaceMaxParallelism(t *testing.T) {
 	}
 }
 
-func TestPlanMergeScaleIn(t *testing.T) {
-	m, err := NewManager(wordQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := inst("count", 1)
-	host, _ := m.BackupTarget(victim)
-	if err := m.Backups().Store(host, mkCheckpoint(victim, 12)); err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.PlanReplace(victim, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Now merge the two partitions back.
-	mp, err := m.PlanMerge(p.NewInstances)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mp.Range != state.FullRange {
-		t.Errorf("merged range = %v", mp.Range)
-	}
-	if mp.Checkpoint.Processing.Len() != 12 {
-		t.Errorf("merged state = %d keys, want 12", mp.Checkpoint.Processing.Len())
-	}
-	if m.Parallelism("count") != 1 {
-		t.Errorf("parallelism after merge = %d", m.Parallelism("count"))
-	}
-	r := m.Routing("count")
-	if got := r.Lookup(0); got != mp.NewInstance {
-		t.Errorf("routing after merge → %v", got)
-	}
-}
-
 func TestPlanMergeGuards(t *testing.T) {
 	m, err := NewManager(wordQuery())
 	if err != nil {
@@ -398,6 +436,35 @@ func TestPlanMergeGuards(t *testing.T) {
 	}
 	if _, err := m.PlanMerge([]plan.InstanceID{inst("count", 1), inst("split", 1)}); err == nil {
 		t.Error("cross-operator merge accepted")
+	}
+	// ValidateMerge is the admission check every runtime runs before it
+	// stops a victim; PlanMerge enforces the same rules.
+	for name, victims := range map[string][]plan.InstanceID{
+		"single victim":    {inst("count", 1)},
+		"duplicate victim": {inst("count", 1), inst("count", 1)},
+		"dead sibling":     {inst("count", 1), inst("count", 9)},
+		"source":           {inst("src", 1), inst("src", 2)},
+		"unknown operator": {inst("nosuch", 1), inst("nosuch", 2)},
+	} {
+		if err := m.ValidateMerge(victims); err == nil {
+			t.Errorf("ValidateMerge accepted %s", name)
+		}
+	}
+}
+
+// TestValidateMergeAdjacency: victims must own adjacent key ranges.
+func TestValidateMergeAdjacency(t *testing.T) {
+	q := wordQuery()
+	q.Op("count").InitialParallelism = 3
+	m, err := NewManager(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ValidateMerge([]plan.InstanceID{inst("count", 1), inst("count", 3)}); err == nil {
+		t.Error("non-adjacent victims accepted")
+	}
+	if err := m.ValidateMerge([]plan.InstanceID{inst("count", 3), inst("count", 2)}); err != nil {
+		t.Errorf("adjacent victims in descending order rejected: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"seep/internal/plan"
 	"seep/internal/state"
+	"seep/internal/stream"
 )
 
 // ErrNoCheckpoint reports that replacement planning failed because the
@@ -23,40 +24,56 @@ type Splitter func(r state.KeyRange, pi int) []state.KeyRange
 // EvenSplitter is the default hash-partitioning splitter.
 func EvenSplitter(r state.KeyRange, pi int) []state.KeyRange { return r.SplitEven(pi) }
 
-// ReplacePlan is the outcome of planning scale-out-operator(o, π)
-// (Algorithm 3, lines 1-2 plus the Algorithm 2 state partitioning): the
-// data needed by a runtime to deploy new instances, restore state, update
-// routing and replay buffered tuples.
-type ReplacePlan struct {
-	// Victim is the instance being replaced (bottleneck or failed).
-	Victim plan.InstanceID
-	// NewInstances are the π replacement instances, freshly numbered.
-	NewInstances []plan.InstanceID
-	// Ranges[i] is the key interval owned by NewInstances[i].
-	Ranges []state.KeyRange
-	// Checkpoints[i] is the partitioned state for NewInstances[i],
-	// already re-backed-up in the store (Algorithm 2 line 8).
-	Checkpoints []*state.Checkpoint
-	// Routing is the updated routing table for the victim's logical
-	// operator, to be installed at every upstream instance.
-	Routing *state.Routing
+// Trim is one per-victim trim watermark of a transition: victim Owner's
+// final checkpoint reflects everything upstream instance Up sent it
+// through TS, so Up's retained output for Owner is trimmed through TS
+// BEFORE the buffers are repartitioned. That makes the replay set the
+// exact per-victim unprocessed remainder — which a merge depends on, as
+// its product's duplicate-detection watermark is the victims' minimum.
+type Trim struct {
+	Up, Owner plan.InstanceID
+	TS        int64
 }
 
-// MergePlan is the outcome of planning a scale-in: two or more sibling
-// instances collapse into one (§3.3 merge primitive).
-type MergePlan struct {
-	Victims     []plan.InstanceID
-	NewInstance plan.InstanceID
-	Range       state.KeyRange
-	Checkpoint  *state.Checkpoint
-	Routing     *state.Routing
-	// VictimCheckpoints are the per-victim checkpoints the merge was
-	// planned from, aligned with Victims. Runtimes replay each victim's
-	// buffered output under its original identity and trim upstream
-	// buffers to each victim's own acknowledgement watermark before
-	// repartitioning, which is what keeps the merge exactly-once.
-	VictimCheckpoints []*state.Checkpoint
+// Inherit renames a duplicate-detection watermark downstream: a lone
+// replacement of a lone victim re-emits a deterministic prefix of the
+// victim's output sequence, so receivers carry the victim's
+// acknowledgement position over to it.
+type Inherit struct {
+	Old, New plan.InstanceID
 }
+
+// Transition is the one plan shape for every topology change: N victims
+// of one logical operator are superseded by M freshly numbered instances.
+// 1→1 is failure recovery, 1→π scale out or parallel recovery (Algorithm
+// 3 lines 1-2 plus the Algorithm 2 state partitioning), N→1 the scale-in
+// merge of §3.3. Planning mutates the manager (graph, routing, backup
+// store); a runtime then executes the plan: reroute (install Routing,
+// apply Inherit and Trims, repartition and replay upstream buffers),
+// deploy each checkpoint, record.
+type Transition struct {
+	// Victims are the superseded instances (bottleneck, failed, or merged
+	// siblings).
+	Victims []plan.InstanceID
+	// NewInstances are the replacements.
+	NewInstances []plan.InstanceID
+	// Checkpoints[i] is the state NewInstances[i] restores, already stored
+	// as its initial backup (Algorithm 2 line 8). The victims' retained
+	// output rides in them: a lone victim's buffer with the first
+	// partition, several victims' buffers as Legacy under their original
+	// identities.
+	Checkpoints []*state.Checkpoint
+	// Routing is the updated routing table for the victims' logical
+	// operator, to be installed at every upstream instance.
+	Routing *state.Routing
+	// Trims are the victims' final acknowledgement positions.
+	Trims []Trim
+	// Inherit is set for the 1→1 shape only.
+	Inherit []Inherit
+}
+
+// Merge reports whether the transition is a scale in.
+func (t *Transition) Merge() bool { return len(t.Victims) > 1 }
 
 // Manager is the logically centralised query manager of §2.2/§5: it owns
 // the execution graph, the routing state of every logical operator, and
@@ -200,85 +217,115 @@ func (m *Manager) BackupTarget(o plan.InstanceID) (plan.InstanceID, error) {
 	return ChooseBackup(o, m.UpstreamInstances(o.Op))
 }
 
-// PlanReplace plans scale-out-operator(victim, π): it retrieves the
-// victim's backed-up checkpoint, partitions it over π new instances with
-// freshly numbered partitions, stores the partitioned checkpoints as
-// initial backups, and computes the updated routing table. The victim is
-// removed from the execution graph. π=1 is failure recovery; π≥2 is
-// scale out (or parallel recovery). The caller must then execute the
-// plan: deploy, restore, replay, and install routing upstream.
+// PlanReplace plans scale-out-operator(victim, π): π=1 replaces the
+// victim in place, π≥2 splits it. Planning fails with ErrNoCheckpoint
+// when a stateful victim has no backed-up checkpoint (its backup host
+// failed first); the caller must wait for a fresh backup (§4.3).
+func (m *Manager) PlanReplace(victim plan.InstanceID, pi int) (*Transition, error) {
+	return m.Plan([]plan.InstanceID{victim}, pi, false)
+}
+
+// PlanRecovery plans the replacement of a FAILED instance: PlanReplace
+// plus the empty-state fallback described at Plan.
+func (m *Manager) PlanRecovery(victim plan.InstanceID, pi int) (*Transition, error) {
+	return m.Plan([]plan.InstanceID{victim}, pi, true)
+}
+
+// PlanMerge plans a scale in: the victims (see ValidateMerge) collapse
+// into one new instance.
+func (m *Manager) PlanMerge(victims []plan.InstanceID) (*Transition, error) {
+	if err := mergeArity(victims); err != nil {
+		return nil, err
+	}
+	return m.Plan(victims, 1, false)
+}
+
+// Plan plans the transition victims → pi new instances: it retrieves the
+// victims' backed-up checkpoints, merges them when there are several,
+// partitions the result over pi freshly numbered instances covering the
+// victims' united key range, stores the parts as initial backups, and
+// computes the updated routing table. The victims leave the execution
+// graph.
 //
-// If the victim has no backed-up checkpoint (its backup host failed
-// first), planning fails and the caller must wait for a fresh backup
-// (§4.3 discussion).
-func (m *Manager) PlanReplace(victim plan.InstanceID, pi int) (*ReplacePlan, error) {
+// recovery adds one rule for a failed lone victim: when planning fails
+// solely because the victim has no backed-up checkpoint (it failed
+// before its first backup — or runs under a baseline mode that never
+// checkpoints), the operator restarts from empty state and upstream
+// replay rebuilds whatever is reconstructible. A victim that HAS a
+// checkpoint never reaches the fallback: planning errors for other
+// reasons (max parallelism, stale instance, ...) must not overwrite a
+// real backup with empty state.
+func (m *Manager) Plan(victims []plan.InstanceID, pi int, recovery bool) (*Transition, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if pi < 1 {
-		return nil, fmt.Errorf("core: replace %s with pi=%d", victim, pi)
+		return nil, fmt.Errorf("core: replace %v with pi=%d", victims, pi)
 	}
-	spec := m.query.Op(victim.Op)
-	if spec == nil {
-		return nil, fmt.Errorf("core: unknown operator %q", victim.Op)
+	spec, union, err := m.admit(victims)
+	if err != nil {
+		return nil, err
 	}
-	if spec.Role == plan.RoleSource || spec.Role == plan.RoleSink {
-		return nil, fmt.Errorf("core: cannot replace %s: sources and sinks are assumed reliable (§2.2)", victim)
+	op := victims[0].Op
+	if max := spec.MaxParallelism; max > 0 && m.graph.Parallelism(op)-len(victims)+pi > max {
+		return nil, fmt.Errorf("core: scale out of %v to %d exceeds max parallelism %d", victims, pi, max)
 	}
-	if max := spec.MaxParallelism; max > 0 && m.graph.Parallelism(victim.Op)-1+pi > max {
-		return nil, fmt.Errorf("core: scale out of %s to %d exceeds max parallelism %d", victim, pi, max)
-	}
-	if !m.graph.Live(victim) {
-		return nil, fmt.Errorf("core: instance %s is not live", victim)
-	}
-	cp, _, ok := m.backups.Latest(victim)
-	if !ok && spec.Role == plan.RoleStateful {
-		return nil, fmt.Errorf("core: %w for %s; retry after next backup", ErrNoCheckpoint, victim)
-	}
-	routing := m.routing[victim.Op]
-	kr, ok2 := routing.RangeOf(victim)
-	if !ok2 {
-		return nil, fmt.Errorf("core: %s has no routing entry", victim)
+	routing := m.routing[op]
+	inputs := len(m.query.Upstream(op))
+	cps := make([]*state.Checkpoint, len(victims))
+	for i, v := range victims {
+		cp, _, ok := m.backups.Latest(v)
+		if !ok {
+			if spec.Role == plan.RoleStateful && !(recovery && len(victims) == 1) {
+				return nil, fmt.Errorf("core: %w for %s; retry after next backup", ErrNoCheckpoint, v)
+			}
+			// Stateless victim, or the recovery fallback: empty state,
+			// fresh clocks.
+			cp = &state.Checkpoint{Instance: v, Seq: 1, Processing: state.NewProcessing(inputs), Buffer: state.NewBuffer()}
+		}
+		cps[i] = cp
 	}
 	split := m.Split
 	if split == nil {
 		split = EvenSplitter
 	}
-	ranges := split(kr, pi)
+	ranges := split(union, pi)
 	if len(ranges) != pi {
 		return nil, fmt.Errorf("core: splitter returned %d ranges for pi=%d", len(ranges), pi)
 	}
-	newInsts, err := m.graph.Replace(victim.Op, []plan.InstanceID{victim}, pi)
-	if err != nil {
-		return nil, err
-	}
-	var parts []*state.Checkpoint
-	if cp != nil {
-		parts, err = state.PartitionCheckpoint(cp, newInsts, ranges)
-	} else {
-		// Stateless victim: empty checkpoints, fresh clocks.
-		parts = make([]*state.Checkpoint, pi)
-		for i := range parts {
-			parts[i] = &state.Checkpoint{
-				Instance:   newInsts[i],
-				Seq:        1,
-				Processing: state.NewProcessing(len(m.query.Upstream(victim.Op))),
-				Buffer:     state.NewBuffer(),
-			}
+	base := cps[0]
+	if len(cps) > 1 {
+		if base, err = state.MergeCheckpoints(plan.InstanceID{Op: op}, cps...); err != nil {
+			return nil, err
 		}
 	}
+	// Everything that can fail on a well-formed request has been checked;
+	// from here on the manager is mutated.
+	newInsts, err := m.graph.Replace(op, victims, pi)
 	if err != nil {
-		// Roll back the graph change.
-		_, _ = m.graph.Replace(victim.Op, newInsts, 1)
 		return nil, err
 	}
-	newRouting, err := routing.ReplaceTarget(victim, newInsts, ranges)
+	parts, err := state.PartitionCheckpoint(base, newInsts, ranges)
+	if err != nil {
+		return nil, err
+	}
+	// Routing: drop every victim entry, add one per new instance.
+	var entries []state.RouteEntry
+	for _, e := range routing.Entries() {
+		if !containsInstance(victims, e.Target) {
+			entries = append(entries, e)
+		}
+	}
+	for i, ni := range newInsts {
+		entries = append(entries, state.RouteEntry{Target: ni, Range: ranges[i]})
+	}
+	newRouting, err := state.NewRoutingFromEntries(entries)
 	if err != nil {
 		return nil, err
 	}
 	// Algorithm 2 line 8: the partitioned state is stored as the initial
-	// backup of each new partition, then the old backup is released.
+	// backup of each new partition, then the old backups are released.
 	for i, p := range parts {
-		host, herr := ChooseBackup(newInsts[i], m.upstreamLocked(victim.Op))
+		host, herr := ChooseBackup(newInsts[i], m.upstreamLocked(op))
 		if herr != nil {
 			return nil, herr
 		}
@@ -286,56 +333,23 @@ func (m *Manager) PlanReplace(victim plan.InstanceID, pi int) (*ReplacePlan, err
 			return nil, serr
 		}
 	}
-	m.backups.Delete(victim)
-	m.routing[victim.Op] = newRouting
-	return &ReplacePlan{
-		Victim:       victim,
-		NewInstances: newInsts,
-		Ranges:       ranges,
-		Checkpoints:  parts,
-		Routing:      newRouting.Clone(),
-	}, nil
-}
-
-// PlanRecovery plans the replacement of a FAILED instance. It is
-// PlanReplace with one extra rule: when planning fails solely because
-// the victim has no backed-up checkpoint (it failed before its first
-// backup — or runs under a baseline mode that never checkpoints), an
-// empty checkpoint is stored at the backup host and planning retried,
-// so the operator restarts from empty state and upstream-buffer replay
-// rebuilds whatever is reconstructible. A victim that HAS a checkpoint
-// never reaches the fallback: planning errors for other reasons (max
-// parallelism, stale instance, ...) must not overwrite a real backup
-// with empty state.
-func (m *Manager) PlanRecovery(victim plan.InstanceID, pi int) (*ReplacePlan, error) {
-	rp, err := m.PlanReplace(victim, pi)
-	if err == nil {
-		return rp, nil
+	tp := &Transition{Victims: victims, NewInstances: newInsts, Checkpoints: parts, Routing: newRouting.Clone()}
+	for i, v := range victims {
+		m.backups.Delete(v)
+		ups := make([]plan.InstanceID, 0, len(cps[i].Acks))
+		for up := range cps[i].Acks {
+			ups = append(ups, up)
+		}
+		state.SortInstanceIDs(ups)
+		for _, up := range ups {
+			tp.Trims = append(tp.Trims, Trim{Up: up, Owner: v, TS: cps[i].Acks[up]})
+		}
 	}
-	if !errors.Is(err, ErrNoCheckpoint) {
-		return nil, err
+	if len(victims) == 1 && pi == 1 {
+		tp.Inherit = []Inherit{{Old: victims[0], New: newInsts[0]}}
 	}
-	empty := &state.Checkpoint{
-		Instance:   victim,
-		Seq:        ^uint64(0), // always newest
-		Processing: state.NewProcessing(len(m.Query().Upstream(victim.Op))),
-		Buffer:     state.NewBuffer(),
-	}
-	host, herr := m.BackupTarget(victim)
-	if herr != nil {
-		return nil, err
-	}
-	if serr := m.backups.Store(host, empty); serr != nil {
-		return nil, err
-	}
-	rp, rerr := m.PlanReplace(victim, pi)
-	if rerr != nil {
-		// Do not leave the always-newest sentinel behind: it would block
-		// every future real checkpoint of a still-live instance.
-		m.backups.Delete(victim)
-		return nil, rerr
-	}
-	return rp, nil
+	m.routing[op] = newRouting
+	return tp, nil
 }
 
 func (m *Manager) upstreamLocked(op plan.OpID) []plan.InstanceID {
@@ -346,93 +360,87 @@ func (m *Manager) upstreamLocked(op plan.OpID) []plan.InstanceID {
 	return out
 }
 
-// PlanMerge plans a scale-in: the victims (sibling partitions with
-// adjacent key ranges) are merged into one new instance. All victims
-// must have backed-up checkpoints.
-func (m *Manager) PlanMerge(victims []plan.InstanceID) (*MergePlan, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(victims) < 2 {
-		return nil, fmt.Errorf("core: merge needs at least two victims")
+func containsInstance(insts []plan.InstanceID, inst plan.InstanceID) bool {
+	for _, i := range insts {
+		if i == inst {
+			return true
+		}
 	}
-	op := victims[0].Op
-	routing := m.routing[op]
-	var cps []*state.Checkpoint
+	return false
+}
+
+// unionRange returns the key interval the victims own together; several
+// victims must own adjacent intervals.
+func unionRange(routing *state.Routing, victims []plan.InstanceID) (state.KeyRange, error) {
 	var union state.KeyRange
 	for i, v := range victims {
+		r, ok := routing.RangeOf(v)
+		switch {
+		case !ok:
+			return union, fmt.Errorf("core: %s has no routing entry", v)
+		case i == 0:
+			union = r
+		case union.Hi != stream.MaxKey && r.Lo == union.Hi+1:
+			union.Hi = r.Hi
+		case r.Hi != stream.MaxKey && union.Lo == r.Hi+1:
+			union.Lo = r.Lo
+		default:
+			return union, fmt.Errorf("core: victims' key ranges are not adjacent: %v and %v", union, r)
+		}
+	}
+	return union, nil
+}
+
+// ValidateMerge is the admission check for a scale in, run by every
+// runtime BEFORE it stops anything so a bad victim set is rejected with
+// zero side effects: at least two distinct live sibling partitions of
+// one replaceable operator, owning adjacent key ranges.
+func (m *Manager) ValidateMerge(victims []plan.InstanceID) error {
+	if err := mergeArity(victims); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, _, err := m.admit(victims)
+	return err
+}
+
+func mergeArity(victims []plan.InstanceID) error {
+	if len(victims) < 2 {
+		return fmt.Errorf("core: merge needs at least two victims, got %d", len(victims))
+	}
+	return nil
+}
+
+// admit checks a victim set of any size — distinct live instances of one
+// operator that is neither source nor sink, owning one contiguous key
+// interval — and returns the operator's spec and that interval. Caller
+// holds m.mu.
+func (m *Manager) admit(victims []plan.InstanceID) (*plan.OpSpec, state.KeyRange, error) {
+	if len(victims) == 0 {
+		return nil, state.KeyRange{}, fmt.Errorf("core: no victims")
+	}
+	op := victims[0].Op
+	spec := m.query.Op(op)
+	if spec == nil {
+		return nil, state.KeyRange{}, fmt.Errorf("core: unknown operator %q", op)
+	}
+	if spec.Role == plan.RoleSource || spec.Role == plan.RoleSink {
+		return nil, state.KeyRange{}, fmt.Errorf("core: cannot replace %v: sources and sinks are assumed reliable (§2.2)", victims)
+	}
+	for i, v := range victims {
 		if v.Op != op {
-			return nil, fmt.Errorf("core: merge across operators %q and %q", op, v.Op)
+			return nil, state.KeyRange{}, fmt.Errorf("core: victims across operators %q and %q", op, v.Op)
+		}
+		if containsInstance(victims[:i], v) {
+			return nil, state.KeyRange{}, fmt.Errorf("core: duplicate victim %s", v)
 		}
 		if !m.graph.Live(v) {
-			return nil, fmt.Errorf("core: instance %s is not live", v)
-		}
-		cp, _, ok := m.backups.Latest(v)
-		if !ok {
-			return nil, fmt.Errorf("core: no checkpoint for %s", v)
-		}
-		cps = append(cps, cp)
-		r, ok := routing.RangeOf(v)
-		if !ok {
-			return nil, fmt.Errorf("core: %s has no routing entry", v)
-		}
-		if i == 0 {
-			union = r
-		} else if r.Lo == union.Hi+1 {
-			union.Hi = r.Hi
-		} else if union.Lo == r.Hi+1 {
-			union.Lo = r.Lo
-		} else {
-			return nil, fmt.Errorf("core: victims' key ranges are not adjacent: %v and %v", union, r)
+			return nil, state.KeyRange{}, fmt.Errorf("core: instance %s is not live", v)
 		}
 	}
-	newInsts, err := m.graph.Replace(op, victims, 1)
-	if err != nil {
-		return nil, err
-	}
-	target := newInsts[0]
-	merged, err := state.MergeCheckpoints(target, cps...)
-	if err != nil {
-		return nil, err
-	}
-	// Rebuild the routing table: drop every victim entry, add one entry
-	// covering their united interval.
-	var entries []state.RouteEntry
-	for _, e := range routing.Entries() {
-		isVictim := false
-		for _, v := range victims {
-			if e.Target == v {
-				isVictim = true
-				break
-			}
-		}
-		if !isVictim {
-			entries = append(entries, e)
-		}
-	}
-	entries = append(entries, state.RouteEntry{Target: target, Range: union})
-	newRouting, err := state.NewRoutingFromEntries(entries)
-	if err != nil {
-		return nil, err
-	}
-	host, err := ChooseBackup(target, m.upstreamLocked(op))
-	if err != nil {
-		return nil, err
-	}
-	if err := m.backups.Store(host, merged); err != nil {
-		return nil, err
-	}
-	for _, v := range victims {
-		m.backups.Delete(v)
-	}
-	m.routing[op] = newRouting
-	return &MergePlan{
-		Victims:           victims,
-		NewInstance:       target,
-		Range:             union,
-		Checkpoint:        merged,
-		Routing:           newRouting.Clone(),
-		VictimCheckpoints: cps,
-	}, nil
+	union, err := unionRange(m.routing[op], victims)
+	return spec, union, err
 }
 
 // HandleHostFailure records that a VM hosting inst failed: backups stored

@@ -139,8 +139,11 @@ const (
 // acknowledgements and checkpoint ships arrive. Stages time out rather
 // than wedge the queue.
 type transition struct {
-	victim   plan.InstanceID
-	scaleOut bool
+	// victims are the instances a recovery, scale out or scale in
+	// supersedes (empty for deploy, start and reattach).
+	victims []plan.InstanceID
+	// scaling marks a ScaleOut/ScaleIn, as opposed to a failure recovery.
+	scaling  bool
 	seq      uint64
 	stage    int
 	waiting  int
@@ -152,22 +155,21 @@ type transition struct {
 	next       func()
 	done       chan error
 
-	// Merge transitions (scale in).
-	merge   bool
-	victims []plan.InstanceID
 	// reattach marks the reborn coordinator's reconciliation handshake:
 	// waiting counts MsgReattach inventories rather than MsgAck replies.
 	reattach bool
-	// retireSent/planned/mergedInst/newInsts track how far a scaling
-	// transition got, so any abort — worker death, stage timeout, a
-	// retire or reroute acknowledgement error — falls back to the
-	// normal recovery path for whatever the transition left behind
-	// instead of stranding stopped instances (see recoverAfterAbort).
+	// retireSent/planned/newInsts track how far a scaling transition got,
+	// so any abort — worker death, stage timeout, a retire or reroute
+	// acknowledgement error — falls back to the normal recovery path for
+	// whatever the transition left behind instead of stranding stopped
+	// instances (see recoverAfterAbort).
 	retireSent bool
 	planned    bool
-	mergedInst plan.InstanceID
 	newInsts   []plan.InstanceID
 }
+
+// merge reports whether the transition is a scale in.
+func (t *transition) merge() bool { return len(t.victims) > 1 }
 
 // ready reports whether the current stage's acknowledgements and
 // checkpoint ships have all arrived.
@@ -521,20 +523,13 @@ func (c *Coordinator) Deploy(q *plan.Query, workerAddrs []string) error {
 // sources), returning once every worker has acknowledged — callers may
 // inject immediately after.
 func (c *Coordinator) StartJob() error {
-	done := make(chan error, 1)
-	c.post(event{kind: evCall, fn: func() {
-		c.enqueueOp(func() { c.beginStart(done) })
-	}})
-	timer := time.NewTimer(2 * c.cfg.TransitionTimeout)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-timer.C:
-		return fmt.Errorf("dist: start timed out")
-	case <-c.quit:
-		return fmt.Errorf("dist: coordinator closed")
-	}
+	return c.await(2*c.cfg.TransitionTimeout, c.beginStart)
+}
+
+// await queues op behind any in-flight transition and waits for it to
+// answer done.
+func (c *Coordinator) await(timeout time.Duration, op func(done chan error)) error {
+	return c.call(timeout, func(done chan error) { c.enqueueOp(func() { op(done) }) })
 }
 
 func (c *Coordinator) beginStart(done chan error) {
@@ -610,49 +605,29 @@ func (c *Coordinator) Fail(inst plan.InstanceID) error {
 	})
 }
 
-// ScaleOut splits a live instance into pi partitions: barrier
-// checkpoint, retire, plan, reroute, deploy — the distributed
+// Journaled actions of a scaling transition.
+const (
+	actionScaleOut = "scale-out"
+	actionScaleIn  = "scale-in"
+)
+
+// ScaleOut splits a live instance into pi partitions — the distributed
 // Algorithm 3. Blocks until the transition completes.
 func (c *Coordinator) ScaleOut(victim plan.InstanceID, pi int) error {
-	done := make(chan error, 1)
-	c.post(event{kind: evCall, fn: func() {
-		c.enqueueOp(func() { c.beginScaleOut(victim, pi, done) })
-	}})
-	timer := time.NewTimer(4 * c.cfg.TransitionTimeout)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-timer.C:
-		return fmt.Errorf("dist: scale out of %s timed out", victim)
-	case <-c.quit:
-		return fmt.Errorf("dist: coordinator closed")
-	}
+	return c.await(4*c.cfg.TransitionTimeout, func(done chan error) {
+		c.beginScale([]plan.InstanceID{victim}, pi, actionScaleOut, done)
+	})
 }
 
 // ScaleIn merges sibling partitions with adjacent key ranges into one
-// instance: the distributed staged merge — final-retire every victim
-// (stop, capture, ship), plan the merge at the authoritative store,
-// reroute all workers (trimming to each victim's final watermark before
-// they repartition), deploy the merged instance. Blocks until the
-// transition completes. A worker death mid-merge aborts the transition
-// and falls back to the normal recovery path.
+// instance. Blocks until the transition completes. A worker death
+// mid-merge aborts the transition and falls back to the normal recovery
+// path.
 func (c *Coordinator) ScaleIn(victims []plan.InstanceID) error {
-	done := make(chan error, 1)
 	vs := append([]plan.InstanceID(nil), victims...)
-	c.post(event{kind: evCall, fn: func() {
-		c.enqueueOp(func() { c.beginScaleIn(vs, done) })
-	}})
-	timer := time.NewTimer(4 * c.cfg.TransitionTimeout)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-timer.C:
-		return fmt.Errorf("dist: scale in of %v timed out", victims)
-	case <-c.quit:
-		return fmt.Errorf("dist: coordinator closed")
-	}
+	return c.await(4*c.cfg.TransitionTimeout, func(done chan error) {
+		c.beginScale(vs, 1, actionScaleIn, done)
+	})
 }
 
 // Merges returns how many scale-in merges have completed.
@@ -900,7 +875,7 @@ func (c *Coordinator) armTimeout(t *transition) {
 	time.AfterFunc(c.cfg.TransitionTimeout, func() {
 		c.post(event{kind: evCall, fn: func() {
 			if c.trans == t && t.stage == stage {
-				c.finish(t, fmt.Errorf("dist: transition for %s timed out at stage %d", t.victim, stage))
+				c.finish(t, fmt.Errorf("dist: transition for %v timed out at stage %d", t.victims, stage))
 			}
 		}})
 	})
@@ -920,8 +895,8 @@ func (c *Coordinator) finish(t *transition, err error) {
 			return
 		}
 		c.pushErr("%v", err)
-		if t.scaleOut && c.det != nil {
-			c.det.Unmute(t.victim)
+		if t.scaling && !t.merge() && c.det != nil {
+			c.det.Unmute(t.victims[0])
 		}
 		// A scaling transition that failed after mutating the topology
 		// (victims final-retired, or a plan committed to the graph) must
@@ -951,18 +926,23 @@ func (c *Coordinator) finish(t *transition, err error) {
 // instance(s) with stored checkpoints — recover those instead.
 // Instances hosted by dead (or no) workers are skipped: onWorkerDown's
 // gather owns them. Recovery transitions themselves never re-enter
-// here (they are neither scaleOut nor merge), so a persistent failure
-// surfaces through Errors rather than looping.
+// here, so a persistent failure surfaces through Errors rather than
+// looping.
 func (c *Coordinator) recoverAfterAbort(t *transition) {
-	if !t.merge && !t.scaleOut {
-		return
+	var stranded []plan.InstanceID
+	switch {
+	case !t.scaling:
+	case t.planned:
+		stranded = t.newInsts
+	case t.retireSent:
+		stranded = t.victims
 	}
 	startedAt := c.nowMillis()
-	recoverInst := func(inst plan.InstanceID) {
+	for _, inst := range stranded {
 		addr := c.placement[inst]
 		ref := c.workers[addr]
 		if addr == "" || ref == nil || !ref.alive {
-			return
+			continue
 		}
 		c.enqueueOp(func() {
 			// Best-effort stop first: the instance may still be running
@@ -970,29 +950,9 @@ func (c *Coordinator) recoverAfterAbort(t *transition) {
 			// either way recovery replaces it from the store, and the
 			// worker's FIFO control queue sequences this retire before
 			// the recovery's reroute.
-			c.sendTo(addr, &Control{Kind: MsgRetire, Victim: inst})
+			c.sendTo(addr, &Control{Kind: MsgRetire, Victims: []plan.InstanceID{inst}})
 			c.beginRecover(inst, startedAt)
 		})
-	}
-	if t.planned {
-		if t.merge {
-			recoverInst(t.mergedInst)
-		} else {
-			for _, ni := range t.newInsts {
-				recoverInst(ni)
-			}
-		}
-		return
-	}
-	if !t.retireSent {
-		return
-	}
-	if t.merge {
-		for _, v := range t.victims {
-			recoverInst(v)
-		}
-	} else {
-		recoverInst(t.victim)
 	}
 }
 
@@ -1167,15 +1127,14 @@ func (c *Coordinator) onReports(reports []control.Report) {
 			c.det.Unmute(victim)
 			continue
 		}
-		v := victim
-		c.enqueueOp(func() { c.beginScaleOut(v, 2, nil) })
+		c.enqueueOp(func() { c.beginScale([]plan.InstanceID{victim}, 2, actionScaleOut, nil) })
 	}
 	if c.shrinker == nil {
 		return
 	}
 	for _, op := range c.shrinker.Observe(reports) {
 		if pair := c.adjacentPair(op, reports); pair != nil {
-			c.enqueueOp(func() { c.beginScaleIn(pair, nil) })
+			c.enqueueOp(func() { c.beginScale(pair, 1, actionScaleIn, nil) })
 		}
 		// Completed merges produce a fresh instance ID, so the operator
 		// can shrink again once its partitions idle anew.
@@ -1246,12 +1205,12 @@ func (c *Coordinator) gatherLost(addr string) {
 
 // beginRecover starts the replacement of an instance whose worker died.
 func (c *Coordinator) beginRecover(victim plan.InstanceID, startedAt int64) {
-	t := &transition{victim: victim, seq: c.nextSeq()}
+	t := &transition{victims: []plan.InstanceID{victim}, seq: c.nextSeq()}
 	c.trans = t
-	if !c.journal(&controlplane.Record{Kind: controlplane.RecIntent, Seq: t.seq, Action: "recover", Victims: []plan.InstanceID{victim}, Pi: c.cfg.RecoveryPi}) {
+	if !c.journal(&controlplane.Record{Kind: controlplane.RecIntent, Seq: t.seq, Action: "recover", Victims: t.victims, Pi: c.cfg.RecoveryPi}) {
 		return
 	}
-	c.continueReplace(t, victim, c.cfg.RecoveryPi, true, startedAt)
+	c.continueTransition(t, c.cfg.RecoveryPi, true, startedAt)
 }
 
 // abortMergeOnDown aborts an in-flight merge when any worker dies
@@ -1263,94 +1222,43 @@ func (c *Coordinator) beginRecover(victim plan.InstanceID, startedAt int64) {
 // everything the gather owns.
 func (c *Coordinator) abortMergeOnDown(addr string) {
 	t := c.trans
-	if t == nil || !t.merge {
+	if t == nil || !t.scaling || !t.merge() {
 		return
 	}
 	c.finish(t, fmt.Errorf("dist: merge of %v aborted: worker %s died", t.victims, addr))
 }
 
-// beginScaleOut starts the distributed Algorithm 3 on a live victim:
-// final-retire it (the worker stops the instance FIRST, then captures
-// and ships its final checkpoint, so nothing is emitted past the state
-// its replacements restore from and there is no post-checkpoint window),
-// then plan/reroute/deploy.
-func (c *Coordinator) beginScaleOut(victim plan.InstanceID, pi int, done chan error) {
-	t := &transition{victim: victim, scaleOut: true, seq: c.nextSeq(), done: done}
+// beginScale starts a scale out (one victim → pi) or a scale in (sibling
+// victims → one) on live victims: final-retire each — its worker stops
+// the instance FIRST, then captures and ships its final checkpoint, so
+// nothing is emitted past the state the replacements restore from and
+// there is no post-checkpoint window — then plan/reroute/deploy through
+// the one continuation.
+func (c *Coordinator) beginScale(victims []plan.InstanceID, pi int, action string, done chan error) {
+	t := &transition{victims: victims, scaling: true, seq: c.nextSeq(), done: done}
 	c.trans = t
 	startedAt := c.nowMillis()
-	addr := c.placement[victim]
-	if !c.mgr.Live(victim) || addr == "" {
-		c.finish(t, fmt.Errorf("dist: %s is not live", victim))
-		return
-	}
-	// Intent before the first retire: a crash anywhere past this point
-	// replays as an in-doubt transition and rolls back via recovery.
-	if !c.journal(&controlplane.Record{Kind: controlplane.RecIntent, Seq: t.seq, Action: "scale-out", Victims: []plan.InstanceID{victim}, Pi: pi}) {
-		return
-	}
-	if !c.sendTo(addr, &Control{Kind: MsgRetire, Seq: t.seq, Victim: victim, Final: true}) {
-		c.finish(t, fmt.Errorf("dist: retire %s: worker %s unreachable", victim, addr))
-		return
-	}
-	t.retireSent = true
-	t.awaitShips = map[plan.InstanceID]bool{victim: true}
-	t.waiting = 1
-	t.next = func() {
-		if len(t.ackErrs) > 0 {
-			c.finish(t, fmt.Errorf("dist: retire %s: %s", victim, strings.Join(t.ackErrs, "; ")))
+	if action == actionScaleIn {
+		if err := c.mgr.ValidateMerge(victims); err != nil {
+			c.finish(t, fmt.Errorf("dist: %w", err))
 			return
 		}
-		c.continueReplace(t, victim, pi, false, startedAt)
 	}
-	c.armTimeout(t)
-}
-
-// beginScaleIn starts the distributed merge of sibling partitions:
-// final-retire every victim (stop → capture → ship), plan the merge
-// against the freshly stored checkpoints, reroute all workers — each
-// trims its buffers to the victims' final watermarks before
-// repartitioning — and deploy the merged instance, whose checkpoint
-// carries the victims' buffers as legacy state under their original
-// identities.
-func (c *Coordinator) beginScaleIn(victims []plan.InstanceID, done chan error) {
-	t := &transition{merge: true, victims: victims, seq: c.nextSeq(), done: done}
-	if len(victims) > 0 {
-		t.victim = victims[0]
-	}
-	c.trans = t
-	startedAt := c.nowMillis()
-	if len(victims) < 2 {
-		c.finish(t, fmt.Errorf("dist: merge needs at least two victims, got %d", len(victims)))
-		return
-	}
-	seen := make(map[plan.InstanceID]bool, len(victims))
 	for _, v := range victims {
-		if v.Op != victims[0].Op {
-			c.finish(t, fmt.Errorf("dist: merge across operators %q and %q", victims[0].Op, v.Op))
-			return
-		}
-		if seen[v] {
-			c.finish(t, fmt.Errorf("dist: duplicate merge victim %s", v))
-			return
-		}
-		seen[v] = true
 		if !c.mgr.Live(v) || c.placement[v] == "" {
 			c.finish(t, fmt.Errorf("dist: %s is not live", v))
 			return
 		}
-		spec := c.q.Op(v.Op)
-		if spec == nil || spec.Role == plan.RoleSource || spec.Role == plan.RoleSink {
-			c.finish(t, fmt.Errorf("dist: %s cannot be merged", v))
-			return
-		}
 	}
-	if !c.journal(&controlplane.Record{Kind: controlplane.RecIntent, Seq: t.seq, Action: "scale-in", Victims: victims}) {
+	// Intent before the first retire: a crash anywhere past this point
+	// replays as an in-doubt transition and rolls back via recovery.
+	if !c.journal(&controlplane.Record{Kind: controlplane.RecIntent, Seq: t.seq, Action: action, Victims: victims, Pi: pi}) {
 		return
 	}
 	t.awaitShips = make(map[plan.InstanceID]bool, len(victims))
 	t.retireSent = true
 	for _, v := range victims {
-		if !c.sendTo(c.placement[v], &Control{Kind: MsgRetire, Seq: t.seq, Victim: v, Final: true}) {
+		if !c.sendTo(c.placement[v], &Control{Kind: MsgRetire, Seq: t.seq, Victims: []plan.InstanceID{v}, Final: true}) {
 			c.finish(t, fmt.Errorf("dist: retire %s: worker %s unreachable", v, c.placement[v]))
 			return
 		}
@@ -1359,148 +1267,30 @@ func (c *Coordinator) beginScaleIn(victims []plan.InstanceID, done chan error) {
 	}
 	t.next = func() {
 		if len(t.ackErrs) > 0 {
-			c.finish(t, fmt.Errorf("dist: retire for merge of %v: %s", victims, strings.Join(t.ackErrs, "; ")))
+			c.finish(t, fmt.Errorf("dist: retire for %s of %v: %s", action, victims, strings.Join(t.ackErrs, "; ")))
 			return
 		}
-		c.continueMerge(t, victims, startedAt)
+		c.continueTransition(t, pi, false, startedAt)
 	}
 	c.armTimeout(t)
 }
 
-// continueMerge plans the merge and drives reroute → deploy → record.
-func (c *Coordinator) continueMerge(t *transition, victims []plan.InstanceID, startedAt int64) {
-	mp, err := c.mgr.PlanMerge(victims)
+// continueTransition plans the transition once (core.Manager.Plan) and
+// drives reroute → deploy → record — shared by failure recovery, scale
+// out and scale in. Every worker applies the plan's trim watermarks and
+// watermark inheritance with the reroute; deploying only after all
+// reroute acknowledgements guarantees the replacements' re-emissions
+// meet renamed acknowledgement maps everywhere.
+func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, startedAt int64) {
+	tp, err := c.mgr.Plan(t.victims, pi, failure)
 	if err != nil {
-		c.finish(t, fmt.Errorf("dist: plan merge of %v: %w", victims, err))
+		c.finish(t, fmt.Errorf("dist: plan %v (pi=%d): %w", t.victims, pi, err))
 		return
 	}
 	t.planned = true
-	t.mergedInst = mp.NewInstance
-	addr := c.pickWorker()
-	if addr == "" {
-		c.finish(t, fmt.Errorf("dist: no live workers to host %s", mp.NewInstance))
-		return
-	}
-	c.placement[mp.NewInstance] = addr
-	for _, v := range victims {
-		delete(c.placement, v)
-		// The merged instance carries each victim's legacy buffer;
-		// acknowledgement trims addressed to the victims follow it.
-		c.legacyOwner[v] = mp.NewInstance
-	}
-	// Trim-to-watermark instructions: every worker trims its retained
-	// buffers to each victim's final acknowledgement position before
-	// repartitioning, so the replay set is the exact per-victim
-	// unprocessed remainder (the merged watermark is the victims'
-	// minimum).
-	var trims []TrimAck
-	for i, v := range victims {
-		cp := mp.VictimCheckpoints[i]
-		ups := make([]plan.InstanceID, 0, len(cp.Acks))
-		for up := range cp.Acks {
-			ups = append(ups, up)
-		}
-		state.SortInstanceIDs(ups)
-		for _, up := range ups {
-			trims = append(trims, TrimAck{Up: up, Owner: v, TS: cp.Acks[up]})
-		}
-	}
-	// Durable-file ordering: the merged checkpoint is on disk BEFORE the
-	// plan is journaled (replay recovers the product from that file),
-	// and the victims' files are deleted only after — a crash in between
-	// leaves stale files that replay's liveness sweep removes.
-	if c.dstore != nil {
-		if err := c.dstore.Persist(mp.Checkpoint); err != nil {
-			c.pushErr("dist: persist merged checkpoint for %s: %v", mp.NewInstance, err)
-		}
-	}
-	cpTrims := make([]controlplane.Trim, len(trims))
-	for i, tr := range trims {
-		cpTrims[i] = controlplane.Trim{Up: tr.Up, Owner: tr.Owner, TS: tr.TS}
-	}
-	if !c.journal(&controlplane.Record{Kind: controlplane.RecPlanned, Seq: t.seq, State: c.snapshotState(), Trims: cpTrims}) {
-		return
-	}
-	if c.dstore != nil {
-		for _, v := range victims {
-			c.dstore.Delete(v)
-		}
-	}
-	routingBlob := encodeRouting(mp.Routing)
-	ctl := &Control{
-		Kind:     MsgReroute,
-		Seq:      t.seq,
-		Op:       t.victim.Op,
-		Routing:  routingBlob,
-		New:      []Placement{{Inst: mp.NewInstance, Addr: addr}},
-		Victims:  victims,
-		TrimAcks: trims,
-	}
-	t.waiting = c.broadcast(ctl)
-	if t.waiting == 0 {
-		c.finish(t, fmt.Errorf("dist: reroute for merge of %v reached no workers", victims))
-		return
-	}
-	t.next = func() {
-		if len(t.ackErrs) > 0 {
-			c.finish(t, fmt.Errorf("dist: reroute for merge of %v: %s", victims, strings.Join(t.ackErrs, "; ")))
-			return
-		}
-		blob, err := encodeCheckpoint(mp.Checkpoint, c.codec)
-		if err != nil {
-			c.finish(t, fmt.Errorf("dist: encode merged checkpoint for %s: %w", mp.NewInstance, err))
-			return
-		}
-		if !c.sendTo(addr, &Control{Kind: MsgDeploy, Seq: t.seq, Routing: routingBlob, Checkpoint: blob}) {
-			c.finish(t, fmt.Errorf("dist: deploy for %s reached no workers", mp.NewInstance))
-			return
-		}
-		t.waiting = 1
-		t.next = func() {
-			if len(t.ackErrs) > 0 {
-				c.finish(t, fmt.Errorf("dist: deploy for %s: %s", mp.NewInstance, strings.Join(t.ackErrs, "; ")))
-				return
-			}
-			c.mu.Lock()
-			c.merges++
-			c.records = append(c.records, Record{
-				Victim:         t.victim,
-				Pi:             1,
-				Merge:          true,
-				StartedAt:      startedAt,
-				CompletedAt:    c.nowMillis(),
-				ReplayedTuples: t.replayed,
-			})
-			c.mu.Unlock()
-			// A fresh barrier ships a self-consistent checkpoint of the
-			// merge product, superseding the synthesized plan-time
-			// artifact in the store (fire-and-forget: the periodic
-			// checkpoint loop covers a miss).
-			if ref := c.workers[addr]; ref != nil && ref.alive {
-				_ = ref.peer.SendBarrier(mp.NewInstance)
-			}
-			c.finish(t, nil)
-		}
-	}
-	c.armTimeout(t)
-}
-
-// continueReplace plans the replacement and drives reroute → deploy →
-// record, shared by failure recovery and scale out.
-func (c *Coordinator) continueReplace(t *transition, victim plan.InstanceID, pi int, failure bool, startedAt int64) {
-	planFn := c.mgr.PlanReplace
-	if failure {
-		planFn = c.mgr.PlanRecovery
-	}
-	rp, err := planFn(victim, pi)
-	if err != nil {
-		c.finish(t, fmt.Errorf("dist: plan %s (pi=%d): %w", victim, pi, err))
-		return
-	}
-	t.planned = true
-	t.newInsts = rp.NewInstances
-	newPl := make([]Placement, len(rp.NewInstances))
-	for i, ni := range rp.NewInstances {
+	t.newInsts = tp.NewInstances
+	newPl := make([]Placement, len(tp.NewInstances))
+	for i, ni := range tp.NewInstances {
 		addr := c.pickWorker()
 		if addr == "" {
 			c.finish(t, fmt.Errorf("dist: no live workers to host %s", ni))
@@ -1509,58 +1299,62 @@ func (c *Coordinator) continueReplace(t *transition, victim plan.InstanceID, pi 
 		c.placement[ni] = addr
 		newPl[i] = Placement{Inst: ni, Addr: addr}
 	}
-	delete(c.placement, victim)
-	// Legacy buffers the victim carried follow its first replacement
-	// (state.PartitionCheckpoint assigns buffer state to the first
-	// partition), so trims addressed to retired merge victims keep
-	// resolving.
-	c.legacyOwner[victim] = rp.NewInstances[0]
-	// Durable-file ordering: replacement checkpoints on disk before the
-	// plan is journaled, victim file deleted after (replay's liveness
-	// sweep mops up a crash in between).
+	for _, v := range t.victims {
+		delete(c.placement, v)
+		// The victims' retained output — a lone victim's legacy buffers,
+		// merged victims' own buffers — rides with the first replacement
+		// (state.PartitionCheckpoint), so acknowledgement trims addressed
+		// to retired identities keep resolving.
+		c.legacyOwner[v] = tp.NewInstances[0]
+	}
+	// Durable-file ordering: replacement checkpoints on disk BEFORE the
+	// plan is journaled (replay recovers them from those files), victim
+	// files deleted only after — a crash in between leaves stale files
+	// that replay's liveness sweep removes.
 	if c.dstore != nil {
-		for i := range rp.NewInstances {
-			if err := c.dstore.Persist(rp.Checkpoints[i]); err != nil {
-				c.pushErr("dist: persist checkpoint for %s: %v", rp.NewInstances[i], err)
+		for _, cp := range tp.Checkpoints {
+			if err := c.dstore.Persist(cp); err != nil {
+				c.pushErr("dist: persist checkpoint for %s: %v", cp.Instance, err)
 			}
 		}
 	}
-	if !c.journal(&controlplane.Record{Kind: controlplane.RecPlanned, Seq: t.seq, State: c.snapshotState()}) {
+	trims := make([]controlplane.Trim, len(tp.Trims))
+	for i, tr := range tp.Trims {
+		trims[i] = controlplane.Trim(tr)
+	}
+	if !c.journal(&controlplane.Record{Kind: controlplane.RecPlanned, Seq: t.seq, State: c.snapshotState(), Trims: trims}) {
 		return
 	}
 	if c.dstore != nil {
-		c.dstore.Delete(victim)
+		for _, v := range t.victims {
+			c.dstore.Delete(v)
+		}
 	}
-	routingBlob := encodeRouting(rp.Routing)
-	ctl := &Control{
-		Kind:    MsgReroute,
-		Seq:     t.seq,
-		Op:      victim.Op,
-		Routing: routingBlob,
-		New:     newPl,
-		Victim:  victim,
-	}
-	if pi == 1 {
-		ctl.Inherit = []InheritPair{{Old: victim, New: rp.NewInstances[0]}}
-	}
-	t.waiting = c.broadcast(ctl)
+	routingBlob := encodeRouting(tp.Routing)
+	t.waiting = c.broadcast(&Control{
+		Kind:     MsgReroute,
+		Seq:      t.seq,
+		Op:       t.victims[0].Op,
+		Routing:  routingBlob,
+		New:      newPl,
+		Victims:  t.victims,
+		Inherit:  tp.Inherit,
+		TrimAcks: tp.Trims,
+	})
 	if t.waiting == 0 {
-		c.finish(t, fmt.Errorf("dist: reroute for %s reached no workers", victim))
+		c.finish(t, fmt.Errorf("dist: reroute for %v reached no workers", t.victims))
 		return
 	}
 	t.next = func() {
 		if len(t.ackErrs) > 0 {
-			c.finish(t, fmt.Errorf("dist: reroute for %s: %s", victim, strings.Join(t.ackErrs, "; ")))
+			c.finish(t, fmt.Errorf("dist: reroute for %v: %s", t.victims, strings.Join(t.ackErrs, "; ")))
 			return
 		}
-		// Every worker has the new routing and watermark inheritance;
-		// deploying now guarantees the replacements' re-emissions meet
-		// renamed acknowledgement maps everywhere.
 		sent := 0
-		for i, ni := range rp.NewInstances {
-			blob, err := encodeCheckpoint(rp.Checkpoints[i], c.codec)
+		for i, cp := range tp.Checkpoints {
+			blob, err := encodeCheckpoint(cp, c.codec)
 			if err != nil {
-				c.finish(t, fmt.Errorf("dist: encode checkpoint for %s: %w", ni, err))
+				c.finish(t, fmt.Errorf("dist: encode checkpoint for %s: %w", cp.Instance, err))
 				return
 			}
 			if c.sendTo(newPl[i].Addr, &Control{Kind: MsgDeploy, Seq: t.seq, Routing: routingBlob, Checkpoint: blob}) {
@@ -1568,25 +1362,38 @@ func (c *Coordinator) continueReplace(t *transition, victim plan.InstanceID, pi 
 			}
 		}
 		if sent == 0 {
-			c.finish(t, fmt.Errorf("dist: deploy for %s reached no workers", victim))
+			c.finish(t, fmt.Errorf("dist: deploy for %v reached no workers", t.victims))
 			return
 		}
 		t.waiting = sent
 		t.next = func() {
 			if len(t.ackErrs) > 0 {
-				c.finish(t, fmt.Errorf("dist: deploy for %s: %s", victim, strings.Join(t.ackErrs, "; ")))
+				c.finish(t, fmt.Errorf("dist: deploy for %v: %s", t.victims, strings.Join(t.ackErrs, "; ")))
 				return
 			}
 			c.mu.Lock()
+			if tp.Merge() {
+				c.merges++
+			}
 			c.records = append(c.records, Record{
-				Victim:         victim,
+				Victim:         t.victims[0],
 				Pi:             pi,
 				Failure:        failure,
+				Merge:          tp.Merge(),
 				StartedAt:      startedAt,
 				CompletedAt:    c.nowMillis(),
 				ReplayedTuples: t.replayed,
 			})
 			c.mu.Unlock()
+			if tp.Merge() {
+				// A fresh barrier ships a self-consistent checkpoint of the
+				// merge product, superseding the synthesized plan-time
+				// artifact in the store (fire-and-forget: the periodic
+				// checkpoint loop covers a miss).
+				if ref := c.workers[newPl[0].Addr]; ref != nil && ref.alive {
+					_ = ref.peer.SendBarrier(tp.NewInstances[0])
+				}
+			}
 			c.finish(t, nil)
 		}
 	}

@@ -17,8 +17,8 @@
 //     answers with acknowledgement trims to the upstream hosts.
 //   - Failure detection: the coordinator heartbeats every worker over
 //     the transport; a missed-heartbeat worker is declared down and its
-//     stateful instances recovered via core.Manager.PlanRecovery, the
-//     same code path the in-process runtimes use.
+//     stateful instances recovered via core.Manager.Plan, the same
+//     planner the in-process runtimes use.
 //   - Scaling: workers stream utilisation reports; the coordinator
 //     feeds them and the heartbeat events through ONE event loop into
 //     control.Detector, so scale-out and recovery decisions serialise.
@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"seep/internal/control"
+	"seep/internal/core"
 	"seep/internal/engine"
 	"seep/internal/plan"
 	"seep/internal/state"
@@ -50,15 +51,16 @@ const (
 	// MsgStop (coordinator → worker): stop the engine; the worker stays
 	// up for a future assignment.
 	MsgStop
-	// MsgReroute (coordinator → worker): install a new routing for one
-	// operator, inherit duplicate-detection watermarks, repartition and
-	// replay local upstream buffers.
+	// MsgReroute (coordinator → worker): the reroute step of a transition
+	// — install a new routing for one operator, inherit duplicate-
+	// detection watermarks, trim, repartition and replay local upstream
+	// buffers.
 	MsgReroute
 	// MsgDeploy (coordinator → worker): adopt a replacement instance
 	// from a partitioned checkpoint.
 	MsgDeploy
-	// MsgRetire (coordinator → worker): stop a locally hosted instance
-	// (scale-out victim after its pre-split barrier checkpoint).
+	// MsgRetire (coordinator → worker): stop the locally hosted Victims;
+	// with Final, stop → capture → ship (a scaling transition's victims).
 	MsgRetire
 	// MsgDie (coordinator → worker): crash-stop the whole worker (used
 	// by Job.Fail to model a VM failure).
@@ -107,25 +109,6 @@ func wireCodecFor(name string) uint8 {
 type Placement struct {
 	Inst plan.InstanceID
 	Addr string
-}
-
-// InheritPair renames a duplicate-detection watermark during π=1
-// recovery: tuples the dead instance already delivered stay deduplicated
-// when its replacement re-emits them.
-type InheritPair struct {
-	Old, New plan.InstanceID
-}
-
-// TrimAck instructs a worker to trim its local buffers retained for
-// Owner at upstream instance Up through TS, BEFORE repartitioning them.
-// Merges ship these with the reroute: the merged duplicate-detection
-// watermark is the victims' minimum, so the exactness of the replay set
-// rests on upstream buffers being trimmed to each victim's own final
-// watermark first.
-type TrimAck struct {
-	Up    plan.InstanceID
-	Owner plan.InstanceID
-	TS    int64
 }
 
 // WorkerStats is the worker-level counter snapshot piggybacked on
@@ -196,18 +179,20 @@ type Control struct {
 	// coordinator's frame.
 	CoordNow int64
 
-	// MsgReroute / MsgDeploy / MsgRetire / MsgShip.
+	// MsgReroute / MsgDeploy / MsgRetire / MsgShip. A reroute carries the
+	// worker-visible half of the transition's core.Transition plan.
 	Op         plan.OpID
 	Routing    []byte
 	New        []Placement
-	Inherit    []InheritPair
-	Victim     plan.InstanceID
 	Checkpoint []byte
-	// Victims lists every retired instance of a merge reroute (Victim
-	// alone covers the scale-out/recovery case).
+	// Victims are the instances a reroute supersedes, or a retire stops.
 	Victims []plan.InstanceID
-	// TrimAcks are applied before the reroute's repartition (merges).
-	TrimAcks []TrimAck
+	// Inherit renames duplicate-detection watermarks on every worker
+	// before the replacement deploys (1→1 transitions).
+	Inherit []core.Inherit
+	// TrimAcks are the victims' final watermarks, applied to local
+	// buffers before the reroute's repartition.
+	TrimAcks []core.Trim
 	// Final, on MsgRetire, asks the worker to stop the instance FIRST
 	// and ship its final checkpoint — the capture then reflects
 	// everything the instance ever processed and emitted, leaving no

@@ -259,7 +259,7 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 	}
 	for inst, addr := range hosted {
 		if c.placement[inst] != addr {
-			c.sendTo(addr, &Control{Kind: MsgRetire, Seq: 0, Victim: inst})
+			c.sendTo(addr, &Control{Kind: MsgRetire, Seq: 0, Victims: []plan.InstanceID{inst}})
 		}
 	}
 	for _, d := range rep.InDoubt {
@@ -281,9 +281,9 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 				newPl = append(newPl, Placement{Inst: inst, Addr: a})
 			}
 		}
-		trims := make([]TrimAck, len(d.Trims))
+		trims := make([]core.Trim, len(d.Trims))
 		for i, tr := range d.Trims {
-			trims[i] = TrimAck{Up: tr.Up, Owner: tr.Owner, TS: tr.TS}
+			trims[i] = core.Trim(tr)
 		}
 		c.broadcast(&Control{
 			Kind:     MsgReroute,

@@ -540,40 +540,22 @@ func (w *Worker) handleReroute(c *Control) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	victims := c.Victims
-	if len(victims) == 0 {
-		victims = []plan.InstanceID{c.Victim}
-	}
 	newInsts := make([]plan.InstanceID, len(c.New))
 	w.pmu.Lock()
 	for i, p := range c.New {
 		newInsts[i] = p.Inst
 		w.placement[p.Inst] = p.Addr
 	}
-	for _, v := range victims {
+	for _, v := range c.Victims {
 		delete(w.placement, v)
 	}
 	w.pmu.Unlock()
 	w.mu.Lock()
-	for _, v := range victims {
+	for _, v := range c.Victims {
 		w.retired[v] = true
 	}
 	w.mu.Unlock()
-	// Merge reroutes trim local buffers to each victim's final watermark
-	// BEFORE the repartition below: the merged duplicate-detection
-	// watermark is the victims' minimum, so the replay set must be the
-	// exact per-victim unprocessed remainder.
-	for _, ta := range c.TrimAcks {
-		eng.TrimUpstream(ta.Up, ta.Owner, ta.TS)
-	}
-	var inherit map[plan.InstanceID]plan.InstanceID
-	if len(c.Inherit) > 0 {
-		inherit = make(map[plan.InstanceID]plan.InstanceID, len(c.Inherit))
-		for _, p := range c.Inherit {
-			inherit[p.Old] = p.New
-		}
-	}
-	return eng.ApplyReroute(c.Op, routing, newInsts, inherit), nil
+	return eng.ApplyReroute(c.Op, routing, newInsts, c.Inherit, c.TrimAcks), nil
 }
 
 func (w *Worker) handleDeploy(c *Control) (int, error) {
@@ -606,24 +588,32 @@ func (w *Worker) handleRetire(c *Control) error {
 	if eng == nil {
 		return fmt.Errorf("dist: retire before assignment")
 	}
-	w.mu.Lock()
-	w.retired[c.Victim] = true
-	w.mu.Unlock()
-	w.pmu.Lock()
-	delete(w.placement, c.Victim)
-	w.pmu.Unlock()
-	if !c.Final {
-		return eng.Retire(c.Victim)
+	for _, v := range c.Victims {
+		w.mu.Lock()
+		w.retired[v] = true
+		w.mu.Unlock()
+		w.pmu.Lock()
+		delete(w.placement, v)
+		w.pmu.Unlock()
+		if !c.Final {
+			if err := eng.Retire(v); err != nil {
+				return err
+			}
+			continue
+		}
+		// Final retire: stop first, capture everything the instance ever
+		// processed, ship the capture to the coordinator's store. The
+		// transition plans from this checkpoint, so it has no
+		// post-checkpoint window.
+		cp, err := eng.RetireFinal(v)
+		if err != nil {
+			return err
+		}
+		if err := (&shipSink{w: w}).ShipFull(cp); err != nil {
+			return err
+		}
 	}
-	// Final retire: stop first, capture everything the instance ever
-	// processed, ship the capture to the coordinator's store. The
-	// transition (scale out or merge) plans from this checkpoint, so it
-	// has no post-checkpoint window.
-	cp, err := eng.RetireFinal(c.Victim)
-	if err != nil {
-		return err
-	}
-	return (&shipSink{w: w}).ShipFull(cp)
+	return nil
 }
 
 // ---- outbound paths ----

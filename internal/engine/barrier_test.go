@@ -89,8 +89,9 @@ func TestEngineCheckpointStreamInterleavingExact(t *testing.T) {
 }
 
 // TestEngineEpochAdvances pins the route-table snapshot lifecycle: the
-// epoch moves only on topology transitions (Start counts as the build,
-// scale out rebuilds), never on the data path.
+// epoch moves only on topology transitions (Start counts as the build;
+// a scale out rebuilds when the victim retires and again at the
+// reroute), never on the data path.
 func TestEngineEpochAdvances(t *testing.T) {
 	e := wordEngine(t, Config{CheckpointInterval: 50 * time.Millisecond})
 	before := e.Epoch()
@@ -111,7 +112,7 @@ func TestEngineEpochAdvances(t *testing.T) {
 	if err := e.ScaleOut(inst("count", 1), 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Epoch(); got != before+1 {
-		t.Errorf("epoch after scale out = %d, want %d", got, before+1)
+	if got := e.Epoch(); got != before+2 {
+		t.Errorf("epoch after scale out = %d, want %d (retire + reroute)", got, before+2)
 	}
 }

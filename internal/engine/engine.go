@@ -376,7 +376,7 @@ type Engine struct {
 	// observations across workers share one frame.
 	clockOffset atomic.Int64
 
-	// merges counts completed scale-in transitions (MergeInstances).
+	// merges counts completed scale-in transitions.
 	merges metrics.Counter
 
 	// creditStalls counts sender waits on any node's credit ledger.
@@ -489,8 +489,8 @@ func (e *Engine) newNode(inst plan.InstanceID, spec *plan.OpSpec) (*node, error)
 }
 
 // rebuildTopology recomputes the node-set and per-node route-table
-// snapshots under a fresh epoch. Invoked on New, Start and replace —
-// never on the data path.
+// snapshots under a fresh epoch. Invoked on New, Start and the steps of
+// a transition — never on the data path.
 //
 // seep:locks e.mu
 func (e *Engine) rebuildTopology() {

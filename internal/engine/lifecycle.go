@@ -124,14 +124,23 @@ func (e *Engine) checkpointNode(n *node) {
 	if cap.full == nil {
 		return
 	}
-	if err := e.mgr.Backups().Store(host, cap.full); err != nil {
+	if err := e.storeFull(host, cap.full); err != nil {
 		return
 	}
 	n.mu.Lock()
 	n.needFull = false
 	n.deltasSince = 0
 	n.mu.Unlock()
-	e.trimAcked(n.inst, cap.full.Acks)
+}
+
+// storeFull stores a full checkpoint in the in-process backup store and
+// trims the upstream buffers it acknowledges.
+func (e *Engine) storeFull(host plan.InstanceID, cp *state.Checkpoint) error {
+	if err := e.mgr.Backups().Store(host, cp); err != nil {
+		return err
+	}
+	e.trimAcked(cp.Instance, cp.Acks)
+	return nil
 }
 
 // requestCapture obtains a checkpoint capture from the node. On a
@@ -227,28 +236,10 @@ func (n *node) captureCheckpoint() *capture {
 }
 
 // trimAcked trims acknowledged tuples from upstream buffers after a
-// successful backup (Algorithm 1 line 4). Acknowledgements addressed to
-// a retired merge victim trim the legacy buffer its merge product
-// carries for it.
+// successful backup (Algorithm 1 line 4).
 func (e *Engine) trimAcked(inst plan.InstanceID, acks map[plan.InstanceID]int64) {
-	set := e.set.Load()
-	if set == nil {
-		return
-	}
 	for up, ts := range acks {
-		if un := set.byInst[up]; un != nil {
-			un.mu.Lock()
-			un.outBuf.TrimInstance(inst, ts)
-			un.mu.Unlock()
-			continue
-		}
-		if hn := set.legacyHosts[up]; hn != nil {
-			hn.mu.Lock()
-			if lb := hn.legacy[up]; lb != nil {
-				lb.TrimInstance(inst, ts)
-			}
-			hn.mu.Unlock()
-		}
+		e.TrimUpstream(up, inst, ts)
 	}
 }
 
@@ -302,256 +293,6 @@ func (e *Engine) Fail(inst plan.InstanceID) error {
 	n.stop()
 	e.mgr.HandleHostFailure(inst)
 	return nil
-}
-
-// Recover replaces a failed instance via the integrated scale-out
-// algorithm with parallelism pi (π=1 serial recovery, π≥2 parallel
-// recovery).
-func (e *Engine) Recover(inst plan.InstanceID, pi int) error {
-	return e.replace(inst, pi, true)
-}
-
-// ReplaceRecord documents one completed recovery or scale out — the
-// live counterpart of the simulator's RecoveryRecord. Times are
-// wall-clock milliseconds since Start.
-type ReplaceRecord struct {
-	Victim         plan.InstanceID
-	Pi             int
-	Failure        bool
-	StartedAt      int64
-	CompletedAt    int64
-	ReplayedTuples int
-	// Merge reports a scale-in transition: Victim is the first of the
-	// merged siblings and Pi is 1 (several instances collapsed to one).
-	Merge bool
-}
-
-// Recoveries returns the completed recovery/scale-out records, oldest
-// first — including scale-outs triggered by the scaling policy.
-func (e *Engine) Recoveries() []ReplaceRecord {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]ReplaceRecord, len(e.records))
-	copy(out, e.records)
-	return out
-}
-
-// ScaleOut splits a live instance into pi partitioned instances
-// (Algorithm 3). A fresh checkpoint is taken first so the replayed
-// window is small.
-func (e *Engine) ScaleOut(victim plan.InstanceID, pi int) error {
-	e.mu.RLock()
-	n := e.nodes[victim]
-	e.mu.RUnlock()
-	if n == nil || n.failed.Load() {
-		return fmt.Errorf("engine: %s is not live", victim)
-	}
-	e.checkpointNode(n)
-	return e.replace(victim, pi, false)
-}
-
-// replace executes Algorithm 3: plan (partition the backed-up checkpoint,
-// update the execution graph and routing), deploy replacement nodes,
-// restore state, switch routing, repartition upstream buffers, and
-// replay. The routing switch (an atomic route-table rebuild) and buffer
-// repartitioning happen under the engine write lock — the moral
-// equivalent of stopping the upstream operators (lines 9-14) — while
-// tuple replay rides the normal channels. Ordering matters: the new
-// route tables are installed BEFORE upstream buffers are repartitioned,
-// and emitters load the table inside their own node lock, so every
-// emitted tuple is either already buffered when its target's buffer
-// entry is repartitioned (and thus replayed under the new routing) or
-// routed with the new table.
-func (e *Engine) replace(victim plan.InstanceID, pi int, failure bool) error {
-	q := e.mgr.Query()
-	startedAt := e.NowMillis()
-	// Failure recovery may fall back to an empty checkpoint when the
-	// victim failed before its first backup (PlanRecovery); scale out of
-	// a live instance never does.
-	planFn := e.mgr.PlanReplace
-	if failure {
-		planFn = e.mgr.PlanRecovery
-	}
-	rp, err := planFn(victim, pi)
-	if err != nil {
-		return err
-	}
-	spec := q.Op(victim.Op)
-	replayed := 0
-
-	// Build replacement nodes and restore their state before exposing
-	// them to traffic.
-	newNodes := make([]*node, pi)
-	for i, inst := range rp.NewInstances {
-		nn, err := e.newNode(inst, spec)
-		if err != nil {
-			return err
-		}
-		if err := nn.restore(rp.Checkpoints[i]); err != nil {
-			return err
-		}
-		newNodes[i] = nn
-	}
-
-	e.mu.Lock()
-	select {
-	case <-e.stopAll:
-		// The engine is stopping: starting replacement goroutines now
-		// would leak past Stop's node snapshot.
-		e.mu.Unlock()
-		return fmt.Errorf("engine: stopping; %s not replaced", victim)
-	default:
-	}
-	old := e.nodes[victim]
-	if old != nil {
-		old.failed.Store(true)
-		delete(e.nodes, victim)
-	}
-	for _, nn := range newNodes {
-		e.nodes[nn.inst] = nn
-	}
-	e.routings[victim.Op] = rp.Routing
-	// Install the new epoch's route tables and node set before touching
-	// any upstream buffer (see the ordering argument above).
-	e.rebuildTopology()
-
-	// Downstream ack inheritance for deterministic π=1 replay (see
-	// DESIGN.md on duplicate detection across partitioned restarts).
-	if pi == 1 {
-		for _, dn := range e.nodes {
-			dn.mu.Lock()
-			if ts, ok := dn.acks[victim]; ok {
-				dn.acks[rp.NewInstances[0]] = ts
-				delete(dn.acks, victim)
-			}
-			dn.mu.Unlock()
-		}
-	}
-
-	// The victim's own buffered output replays to downstream operators
-	// (line 7). Those nodes are already running, so the replay rides
-	// their input channels — enqueued here, before the new nodes start,
-	// so it precedes anything the new instances emit themselves
-	// (channels are FIFO). replayQueue is only for the not-yet-started
-	// replacement nodes, whose goroutines do not exist yet. Legacy
-	// buffers the victim carried (it was a merge product) replay under
-	// their ORIGINAL owners' identities, against the duplicate-detection
-	// watermarks downstream still holds for those senders.
-	replayTo := make(map[*node][]delivery)
-	for i, nn := range newNodes {
-		cp := rp.Checkpoints[i]
-		replayed += e.collectDownstreamReplay(nn.inst, victim.Op, cp.Buffer, replayTo)
-		for _, owner := range state.LegacyOwners(cp.Legacy) {
-			replayed += e.collectDownstreamReplay(owner, victim.Op, cp.Legacy[owner], replayTo)
-		}
-	}
-	for tn, ds := range replayTo {
-		select {
-		case tn.in <- ds:
-		case <-tn.stopped:
-		}
-	}
-	// Upstream buffers: repartition under the new routing and queue the
-	// retained tuples for replay to the new instances (lines 9-14).
-	// Upstream legacy buffers (retired merge victims of the upstream
-	// operator) repartition and replay the same way, keeping the retired
-	// sender's identity so the replacements' restored watermarks match.
-	for _, upOp := range q.Upstream(victim.Op) {
-		input := q.InputIndex(upOp, victim.Op)
-		for _, upInst := range e.mgr.Instances(upOp) {
-			un := e.nodes[upInst]
-			if un == nil {
-				continue
-			}
-			un.mu.Lock()
-			un.outBuf.Repartition(victim.Op, rp.Routing)
-			for _, nn := range newNodes {
-				for _, t := range un.outBuf.Tuples(nn.inst) {
-					replayed++
-					nn.replayQueue = append(nn.replayQueue, delivery{
-						From:  upInst,
-						Input: input,
-						T:     t,
-					})
-				}
-			}
-			for _, owner := range state.LegacyOwners(un.legacy) {
-				if owner.Op != upOp {
-					continue
-				}
-				lb := un.legacy[owner]
-				lb.Repartition(victim.Op, rp.Routing)
-				for _, nn := range newNodes {
-					for _, t := range lb.Tuples(nn.inst) {
-						replayed++
-						nn.replayQueue = append(nn.replayQueue, delivery{
-							From:  owner,
-							Input: input,
-							T:     t,
-						})
-					}
-				}
-			}
-			un.mu.Unlock()
-		}
-	}
-
-	// Start the replacements: each consumes its replay queue first.
-	for _, nn := range newNodes {
-		e.startNode(nn)
-	}
-	// Record the transition (the live counterpart of the simulator's
-	// RecoveryRecord): for failure recovery the clock starts at Fail.
-	if t, ok := e.failedAt[victim]; ok {
-		startedAt = t
-		delete(e.failedAt, victim)
-	}
-	e.records = append(e.records, ReplaceRecord{
-		Victim:         victim,
-		Pi:             pi,
-		Failure:        failure,
-		StartedAt:      startedAt,
-		CompletedAt:    e.NowMillis(),
-		ReplayedTuples: replayed,
-	})
-	e.mu.Unlock()
-
-	// Stop the victim's goroutine after the switch (line 8); on failure
-	// it is already down.
-	if old != nil && !failure {
-		old.stop()
-	}
-	return nil
-}
-
-// collectDownstreamReplay routes one buffer's retained tuples to the
-// downstream nodes under the CURRENT routing state and appends them to
-// replayTo, attributed to `from` (the buffer's original emitter — a
-// replacement instance for its own checkpoint buffer, a retired merge
-// victim for a legacy buffer). Returns the number of tuples collected.
-//
-// seep:locks e.mu
-func (e *Engine) collectDownstreamReplay(from plan.InstanceID, srcOp plan.OpID, buf *state.Buffer, replayTo map[*node][]delivery) int {
-	if buf == nil {
-		return 0
-	}
-	q := e.mgr.Query()
-	n := 0
-	for _, target := range buf.Targets() {
-		r := e.routings[target.Op]
-		input := q.InputIndex(srcOp, target.Op)
-		for _, t := range buf.Tuples(target) {
-			to := target
-			if r != nil {
-				to = r.Lookup(t.Key)
-			}
-			if tn := e.nodes[to]; tn != nil {
-				n++
-				replayTo[tn] = append(replayTo[tn], delivery{From: from, Input: input, T: t})
-			}
-		}
-	}
-	return n
 }
 
 // sourceDriver injects generated tuples following a rate profile.

@@ -4,17 +4,14 @@ package engine
 // — route tables resolve each downstream instance either to a local
 // *node (the in-process zero-copy batch path) or to the Remote link
 // registered here. The coordinator drives topology transitions over the
-// wire through ApplyReroute / AdoptInstance / Retire, which are the
-// distributed decomposition of replace() in lifecycle.go: the same
-// ordering guarantees (route tables installed atomically with buffer
-// repartitioning, replays preceding fresh tuples per upstream sender,
-// ack inheritance before re-emissions arrive) hold, but each step runs
-// on the worker that owns the affected state, sequenced by the
-// coordinator.
+// wire through RetireFinal / ApplyReroute / AdoptInstance: the steps of
+// the one transition in transition.go, each run on the worker that owns
+// the affected state and sequenced by the coordinator.
 
 import (
 	"fmt"
 
+	"seep/internal/core"
 	"seep/internal/plan"
 	"seep/internal/state"
 )
@@ -54,11 +51,12 @@ func (e *Engine) DeliverLocal(to plan.InstanceID, ds []Delivery) bool {
 	}
 }
 
-// TrimUpstream applies an acknowledgement watermark received from the
-// coordinator: owner's checkpoint is safely stored, so the local node
-// hosting up may trim its retained output for owner through ts
-// (Algorithm 1 line 4, over the wire). When up is a retired merge
-// victim, the trim lands on the legacy buffer its merge product hosts.
+// TrimUpstream applies an acknowledgement watermark: owner's checkpoint
+// is safely stored, so the local node hosting up may trim its retained
+// output for owner through ts (Algorithm 1 line 4; in the distributed
+// runtime the watermark arrives from the coordinator over the wire).
+// When up is a retired merge victim, the trim lands on the legacy buffer
+// its merge product hosts.
 func (e *Engine) TrimUpstream(up, owner plan.InstanceID, ts int64) {
 	set := e.set.Load()
 	if set == nil {
@@ -79,197 +77,56 @@ func (e *Engine) TrimUpstream(up, owner plan.InstanceID, ts int64) {
 	}
 }
 
-// ApplyReroute installs a coordinator-planned routing change for op:
-// the victim's entries are replaced by newInsts. For every local
-// upstream node the new route table is swapped, the output buffer
-// repartitioned and the retained tuples for the new instances replayed
-// through the Remote link — all under that node's mutex, so a fresh
-// emission can never overtake its replayed predecessors on the link's
-// per-destination FIFO. inherit renames duplicate-detection watermarks
-// on local nodes (π=1 recovery), and must be applied on every worker
-// before the replacement instance starts re-emitting (the coordinator
-// sequences Deploy after all reroute acknowledgements). Returns the
-// number of tuples replayed from local buffers.
-func (e *Engine) ApplyReroute(op plan.OpID, routing *state.Routing, newInsts []plan.InstanceID, inherit map[plan.InstanceID]plan.InstanceID) int {
-	replayed := 0
+// ApplyReroute runs the reroute step of a coordinator-planned
+// transition on this worker (see rerouteLocked): replays leave through
+// the Remote link, whose per-destination FIFO keeps them ahead of fresh
+// emissions, and reach instances not yet deployed via the hosting
+// worker's stash. The coordinator sequences Deploy after every worker's
+// reroute acknowledgement. Returns the number of tuples replayed from
+// local buffers.
+func (e *Engine) ApplyReroute(op plan.OpID, routing *state.Routing, newInsts []plan.InstanceID, inherit []core.Inherit, trims []core.Trim) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.routings[op] = routing
-	if len(inherit) > 0 {
-		for _, dn := range e.nodes {
-			dn.mu.Lock()
-			for old, nw := range inherit {
-				if ts, ok := dn.acks[old]; ok {
-					dn.acks[nw] = ts
-					delete(dn.acks, old)
-				}
-			}
-			dn.mu.Unlock()
+	return e.rerouteLocked(op, routing, newInsts, inherit, trims, func(to plan.InstanceID, ds []Delivery) {
+		if e.remote != nil {
+			e.remote.Deliver(to, ds)
 		}
-	}
-	q := e.mgr.Query()
-	for _, upOp := range q.Upstream(op) {
-		input := q.InputIndex(upOp, op)
-		for _, un := range e.nodes {
-			if un.inst.Op != upOp {
-				continue
-			}
-			un.mu.Lock()
-			// Swap the table and repartition atomically with respect to
-			// this node's emissions: emitChunk loads the table under the
-			// same mutex, so every tuple is either retained before the
-			// repartition (and replayed below, ahead of anything emitted
-			// under the new table) or routed by the new table afterwards.
-			un.routes.Store(e.buildRoutes(un))
-			un.outBuf.Repartition(op, routing)
-			if e.remote != nil {
-				for _, ni := range newInsts {
-					tuples := un.outBuf.Tuples(ni)
-					if len(tuples) == 0 {
-						continue
-					}
-					ds := make([]Delivery, len(tuples))
-					for i, t := range tuples {
-						ds[i] = Delivery{From: un.inst, Input: input, T: t}
-					}
-					replayed += len(tuples)
-					e.remote.Deliver(ni, ds)
-				}
-				// Legacy buffers of retired upstream merge victims
-				// repartition and replay the same way, under the retired
-				// sender's identity.
-				for _, owner := range state.LegacyOwners(un.legacy) {
-					if owner.Op != upOp {
-						continue
-					}
-					lb := un.legacy[owner]
-					lb.Repartition(op, routing)
-					for _, ni := range newInsts {
-						tuples := lb.Tuples(ni)
-						if len(tuples) == 0 {
-							continue
-						}
-						ds := make([]Delivery, len(tuples))
-						for i, t := range tuples {
-							ds[i] = Delivery{From: owner, Input: input, T: t}
-						}
-						replayed += len(tuples)
-						e.remote.Deliver(ni, ds)
-					}
-				}
-			}
-			un.mu.Unlock()
-		}
-	}
-	// Refresh the node-set snapshot and every other table under a new
-	// epoch (downstream nodes of op are unaffected, but snapshots must
-	// agree on the epoch).
-	e.rebuildTopology()
-	return replayed
+	})
 }
 
-// AdoptInstance deploys a replacement instance planned elsewhere: the
-// node is built, restored from the partitioned checkpoint, handed the
-// stashed replay (tuples that arrived from upstream workers before the
-// deployment) and started. The checkpoint's own buffered output is
-// replayed downstream first — before the node processes anything — so
-// it precedes the instance's re-emissions, mirroring replace(). Returns
-// the number of tuples replayed downstream.
+// AdoptInstance runs the adopt step for a replacement instance planned
+// elsewhere (see adoptLocked): the node is built, restored from its
+// checkpoint, handed the stashed replay (tuples that arrived from
+// upstream workers before the deployment) and started. Returns the
+// number of tuples replayed.
 func (e *Engine) AdoptInstance(cp *state.Checkpoint, routing *state.Routing, replay []Delivery) (int, error) {
-	inst := cp.Instance
-	spec := e.mgr.Query().Op(inst.Op)
-	if spec == nil {
-		return 0, fmt.Errorf("engine: adopt %s: unknown operator", inst)
-	}
-	nn, err := e.newNode(inst, spec)
+	nn, err := e.buildReplacement(cp)
 	if err != nil {
 		return 0, err
 	}
-	if err := nn.restore(cp); err != nil {
-		return 0, err
-	}
 	nn.replayQueue = replay
-	replayed := 0
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	select {
 	case <-e.stopAll:
-		e.mu.Unlock()
-		return 0, fmt.Errorf("engine: stopping; %s not adopted", inst)
+		return 0, fmt.Errorf("engine: stopping; %s not adopted", nn.inst)
 	default:
 	}
-	if _, dup := e.nodes[inst]; dup {
-		e.mu.Unlock()
-		return 0, fmt.Errorf("engine: %s already hosted", inst)
+	if _, dup := e.nodes[nn.inst]; dup {
+		return 0, fmt.Errorf("engine: %s already hosted", nn.inst)
 	}
-	e.nodes[inst] = nn
+	e.nodes[nn.inst] = nn
 	if routing != nil {
-		e.routings[inst.Op] = routing
+		e.routings[nn.inst.Op] = routing
 	}
 	e.rebuildTopology()
-	// The victim's buffered output replays to downstream operators under
-	// the current routing (replace() line "the victim's own buffered
-	// output replays..."), enqueued before the new node starts so it
-	// precedes anything the instance emits itself. Legacy buffers the
-	// checkpoint carries (the instance is a merge product) replay under
-	// their original owners' identities.
-	// Remote batches must be single-sender: the wire batch frame carries
-	// one From, so remote replays group by (destination, sender).
-	type remoteKey struct {
-		to   plan.InstanceID
-		from plan.InstanceID
-	}
-	q := e.mgr.Query()
-	replayTo := make(map[*node][]Delivery)
-	remoteTo := make(map[remoteKey][]Delivery)
-	var remoteOrder []remoteKey
-	collect := func(from plan.InstanceID, buf *state.Buffer) {
-		for _, target := range buf.Targets() {
-			r := e.routings[target.Op]
-			input := q.InputIndex(inst.Op, target.Op)
-			for _, t := range buf.Tuples(target) {
-				to := target
-				if r != nil {
-					to = r.Lookup(t.Key)
-				}
-				d := Delivery{From: from, Input: input, T: t}
-				if tn := e.nodes[to]; tn != nil {
-					replayed++
-					replayTo[tn] = append(replayTo[tn], d)
-				} else if e.remote != nil {
-					replayed++
-					k := remoteKey{to: to, from: from}
-					if _, ok := remoteTo[k]; !ok {
-						remoteOrder = append(remoteOrder, k)
-					}
-					remoteTo[k] = append(remoteTo[k], d)
-				}
-			}
-		}
-	}
-	collect(inst, cp.Buffer)
-	for _, owner := range state.LegacyOwners(cp.Legacy) {
-		collect(owner, cp.Legacy[owner])
-	}
-	for tn, ds := range replayTo {
-		select {
-		case tn.in <- ds:
-		case <-tn.stopped:
-		}
-	}
-	for _, k := range remoteOrder {
-		e.remote.Deliver(k.to, remoteTo[k])
-	}
-	if e.started.Load() {
-		e.startNode(nn)
-	}
-	e.mu.Unlock()
-	return replayed + len(replay), nil
+	return e.adoptLocked(nn, cp) + len(replay), nil
 }
 
 // Retire stops a locally hosted instance and removes it from the
-// topology — the coordinator's counterpart of replace() stopping a
-// scale-out victim after the routing switch. The instance's retained
-// output buffer goes with it; its backed-up checkpoint is the
+// topology without capturing anything — the coordinator's best-effort
+// stop before it recovers an instance from the store. The instance's
+// retained output buffer goes with it; its backed-up checkpoint is the
 // authoritative copy.
 func (e *Engine) Retire(inst plan.InstanceID) error {
 	e.mu.Lock()
@@ -290,9 +147,9 @@ func (e *Engine) Retire(inst plan.InstanceID) error {
 // and stays retained upstream — then captures its final checkpoint once
 // the goroutine has exited and removes the node from the topology. The
 // capture reflects everything the instance ever processed and emitted,
-// so a transition planned from it (distributed scale out or merge) has
-// no post-checkpoint window to reconstruct. The caller ships the
-// returned checkpoint to the authoritative store.
+// so a transition planned from it has no post-checkpoint window to
+// reconstruct (rule 1 in transition.go). The caller ships the returned
+// checkpoint to the authoritative store.
 func (e *Engine) RetireFinal(inst plan.InstanceID) (*state.Checkpoint, error) {
 	e.mu.Lock()
 	n := e.nodes[inst]

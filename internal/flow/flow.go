@@ -5,10 +5,10 @@
 // per-tuple CPU cost and a backlog, and queueing, utilisation, scale-out
 // and VM-pool dynamics evolve in fixed ticks of virtual time.
 //
-// This is the substitution (documented in DESIGN.md) for the paper's
-// 50-VM Amazon EC2 runs of the Linear Road Benchmark at up to 600,000
-// tuples/s (≈1.2 G tuples over a 2000 s run), which are infeasible to
-// simulate tuple-by-tuple. The control plane driving the experiments —
+// This is the substitution for the paper's §6.1 50-VM Amazon EC2 runs
+// of the Linear Road Benchmark at up to 600,000 tuples/s (≈1.2 G tuples
+// over a 2000 s run), which are infeasible to simulate tuple-by-tuple.
+// The control plane driving the experiments —
 // control.Detector with the §5.1 policy, the VM pool of §5.2 — is the
 // same code used by the tuple-level simulator.
 package flow

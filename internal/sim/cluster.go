@@ -682,12 +682,12 @@ func (c *Cluster) ScaleOut(victim plan.InstanceID, pi int) error {
 	// buffers no longer cover.
 	if c.cfg.Mode == FTRSM {
 		c.checkpointNodeThen(n, func() {
-			c.executeReplace(victim, pi, started, false)
+			c.executeReplace([]plan.InstanceID{victim}, pi, started, false)
 		})
 		return nil
 	}
 	c.sim.After(c.cfg.NetDelayMillis+1, func() {
-		c.executeReplace(victim, pi, started, false)
+		c.executeReplace([]plan.InstanceID{victim}, pi, started, false)
 	})
 	return nil
 }
@@ -704,61 +704,59 @@ func (c *Cluster) recover(victim plan.InstanceID, failedAt Millis) {
 	case FTUpstreamBackup, FTSourceReplay:
 		c.executeReplaceBaseline(victim, failedAt)
 	default:
-		c.executeReplace(victim, c.cfg.RecoveryParallelism, failedAt, true)
+		c.executeReplace([]plan.InstanceID{victim}, c.cfg.RecoveryParallelism, failedAt, true)
 	}
 }
 
-// executeReplace runs the integrated fault-tolerant scale-out algorithm
-// (Algorithm 3) for both scale out and R+SM recovery.
-func (c *Cluster) executeReplace(victim plan.InstanceID, pi int, startedAt Millis, failure bool) {
-	// Failure recovery may fall back to an empty checkpoint when the
-	// victim failed before its first backup (PlanRecovery); scale out of
-	// a live instance never does.
-	planFn := c.mgr.PlanReplace
-	if failure {
-		planFn = c.mgr.PlanRecovery
-	}
-	rp, err := planFn(victim, pi)
+// executeReplace plans one transition (core.Manager.Plan — scale out,
+// R+SM recovery and scale in are one shape) and stages its execution in
+// virtual time: VM acquisition, checkpoint partitioning, state restore,
+// then the atomic switch-over.
+func (c *Cluster) executeReplace(victims []plan.InstanceID, pi int, startedAt Millis, failure bool) {
+	tp, err := c.mgr.Plan(victims, pi, failure)
 	if err != nil {
-		if !failure {
+		for _, v := range victims {
+			delete(c.scalingInProgress, v)
+		}
+		switch {
+		case len(victims) > 1:
+			// Merge victims are already stopped: recover each from its
+			// final checkpoint through the normal path, exactly as after
+			// a crash.
+			c.recoveryFailures = append(c.recoveryFailures, fmt.Sprintf("merge %v: %v", victims, err))
+			for _, v := range victims {
+				c.recover(v, c.sim.Now())
+			}
+		case failure:
+			// A recovery that cannot be planned is recorded, and the victim
+			// is unblocked so a later detection can retry.
+			c.recoveryFailures = append(c.recoveryFailures,
+				fmt.Sprintf("recover %s (pi=%d): %v", victims[0], pi, err))
+		case c.detector != nil:
 			// Scale out aborts cleanly; the victim continues processing
 			// unaffected (§4.3) and may be re-triggered later.
-			delete(c.scalingInProgress, victim)
-			if c.detector != nil {
-				c.detector.Unmute(victim)
-			}
-			return
+			c.detector.Unmute(victims[0])
 		}
-		// A recovery that cannot be planned is recorded, and the victim
-		// is unblocked so a later detection can retry.
-		c.recoveryFailures = append(c.recoveryFailures,
-			fmt.Sprintf("recover %s (pi=%d): %v", victim, pi, err))
-		delete(c.scalingInProgress, victim)
 		return
 	}
 	// Routing switches now: tuples emitted from here on are buffered
 	// toward (and later replayed to) the new instances.
-	c.routings[victim.Op] = rp.Routing
+	c.routings[victims[0].Op] = tp.Routing
 
-	// Acquire pi VMs from the pool.
 	vms := make([]*VM, 0, pi)
 	for i := 0; i < pi; i++ {
 		c.pool.Acquire(func(vm *VM) {
 			vms = append(vms, vm)
 			if len(vms) == pi {
-				c.finishReplace(rp, vms, startedAt, failure)
+				c.finishReplace(tp, vms, startedAt, failure)
 			}
 		})
 	}
 }
 
 // finishReplace restores state on the new VMs and replays buffers.
-func (c *Cluster) finishReplace(rp *core.ReplacePlan, vms []*VM, startedAt Millis, failure bool) {
-	pi := len(rp.NewInstances)
-	victim := rp.Victim
-	q := c.mgr.Query()
-	spec := q.Op(victim.Op)
-
+func (c *Cluster) finishReplace(tp *core.Transition, vms []*VM, startedAt Millis, failure bool) {
+	pi := len(tp.NewInstances)
 	// Splitting the checkpoint across π > 1 partitions costs extra
 	// coordination at the backup host before the restores can begin.
 	partitionDelay := Millis(pi-1) * c.cfg.PartitionFixedMillis
@@ -767,14 +765,13 @@ func (c *Cluster) finishReplace(rp *core.ReplacePlan, vms []*VM, startedAt Milli
 		// deserialisation proportional to the partition size, paid on
 		// the new VM.
 		restored := 0
-		for i := range rp.NewInstances {
-			cp := rp.Checkpoints[i]
+		for i, cp := range tp.Checkpoints {
 			costUnits := c.cfg.RestoreCostPerMB*float64(cp.Size())/(1<<20) +
 				float64(c.cfg.CoordFixedMillis)/1000.0
 			vms[i].Exec(costUnits, func() {
 				restored++
 				if restored == pi {
-					c.activateReplacements(rp, vms, startedAt, failure, spec, false)
+					c.activateReplacements(tp, vms, startedAt, failure)
 				}
 			})
 		}
@@ -782,142 +779,103 @@ func (c *Cluster) finishReplace(rp *core.ReplacePlan, vms []*VM, startedAt Milli
 }
 
 // activateReplacements is the atomic switch-over: register nodes, stop
-// the victim, fix downstream acknowledgement inheritance, replay the
-// victim's output buffer downstream and the upstream buffers to the new
-// instances (Algorithm 3 lines 6-14). With merge set the transition is
-// a scale in: acknowledgement inheritance is skipped (the victims'
-// output replays under their original identities from the merged
-// checkpoint's legacy buffers, matched by the watermarks downstream
-// already holds; the merged instance itself is a fresh sender).
-func (c *Cluster) activateReplacements(rp *core.ReplacePlan, vms []*VM, startedAt Millis, failure bool, spec *plan.OpSpec, merge bool) {
-	victim := rp.Victim
-	pi := len(rp.NewInstances)
+// the victims, fix downstream acknowledgement inheritance, replay the
+// victims' retained output downstream and the upstream buffers to the
+// new instances (Algorithm 3 lines 6-14; the exactly-once rules are
+// stated once, in engine/transition.go). The replay sets are the shared
+// enumerations of state/replay.go.
+func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt Millis, failure bool) {
+	op := tp.Victims[0].Op
+	spec := c.mgr.Query().Op(op)
 
-	// Stop the victim and release its VM (Algorithm 3 line 8). On
-	// failure recovery it is already dead.
-	if old := c.nodes[victim]; old != nil {
-		old.removed = true
-		delete(c.nodes, victim)
-	}
-	delete(c.scalingInProgress, victim)
-	if c.detector != nil {
-		c.detector.Forget(victim)
-	}
-
-	newNodes := make([]*Node, pi)
-	for i, inst := range rp.NewInstances {
-		var op operator.Operator
-		if f, ok := c.factories[inst.Op]; ok {
-			op = f()
+	// Stop the victims and release their VMs (Algorithm 3 line 8). On
+	// failure recovery the victim is already dead.
+	for _, v := range tp.Victims {
+		if old := c.nodes[v]; old != nil {
+			old.removed = true
+			delete(c.nodes, v)
 		}
-		n := newNode(c, inst, spec, vms[i], op)
-		if err := n.restore(rp.Checkpoints[i]); err != nil {
+		delete(c.scalingInProgress, v)
+		if c.detector != nil {
+			c.detector.Forget(v)
+		}
+		// Whatever retained output a victim had — its own buffer, legacy
+		// buffers it carried — lives with the first replacement now, so
+		// acknowledgement trims addressed to it follow.
+		c.legacyOwner[v] = tp.NewInstances[0]
+	}
+	if tp.Merge() {
+		c.merges++
+	}
+
+	newNodes := make([]*Node, len(tp.NewInstances))
+	for i, inst := range tp.NewInstances {
+		var impl operator.Operator
+		if f, ok := c.factories[op]; ok {
+			impl = f()
+		}
+		n := newNode(c, inst, spec, vms[i], impl)
+		if err := n.restore(tp.Checkpoints[i]); err != nil {
 			c.recoveryFailures = append(c.recoveryFailures, err.Error())
 		}
 		c.nodes[inst] = n
 		newNodes[i] = n
 	}
 
-	// Downstream duplicate detection: with pi == 1 the replacement
-	// re-emits a deterministic prefix of the victim's output sequence,
-	// so downstream nodes inherit the victim's acknowledgement position.
-	// With pi > 1 each partition's output sequence is fresh (the paper's
-	// per-stream clocks), so downstream starts clean and duplicate
-	// suppression is best-effort for the checkpoint-lag window. Merges
-	// never inherit: downstream keeps the per-victim watermarks, which
-	// the legacy replay below is matched against.
-	if pi == 1 && !merge {
+	// Downstream duplicate detection: a lone replacement of a lone
+	// victim inherits its acknowledgement position. With pi > 1 each
+	// partition's output sequence is fresh (the paper's per-stream
+	// clocks), so downstream starts clean and duplicate suppression is
+	// best-effort for the checkpoint-lag window.
+	for _, p := range tp.Inherit {
 		for _, dn := range c.nodes {
-			if ts, ok := dn.acks[victim]; ok {
-				dn.acks[rp.NewInstances[0]] = ts
-				delete(dn.acks, victim)
+			if ts, ok := dn.acks[p.Old]; ok {
+				dn.acks[p.New] = ts
+				delete(dn.acks, p.Old)
 			}
 		}
-		// Anything whose legacy buffer lived with the victim lives with
-		// its replacement now (PartitionCheckpoint hands legacy state to
-		// the first partition).
-		c.legacyOwner[victim] = rp.NewInstances[0]
-	}
-	if pi > 1 {
-		c.legacyOwner[victim] = rp.NewInstances[0]
 	}
 
 	tracker := &replayTracker{}
 	replayed := 0
-
-	// Replay the victim's own buffered output downstream (line 7), and
-	// any legacy buffers its checkpoint carried under their original
-	// owners' identities.
-	replayBuf := func(from plan.InstanceID, buf *state.Buffer) {
-		for _, target := range buf.Targets() {
-			for _, t := range buf.Tuples(target) {
-				// Re-route under current routing: the downstream set may
-				// itself have been repartitioned since the checkpoint.
-				r := c.routings[target.Op]
-				to := target
-				if r != nil {
-					to = r.Lookup(t.Key)
-				}
-				tracker.add(1)
-				replayed++
-				c.deliver(from, to, t, tracker)
-			}
+	send := func(r state.Replay) {
+		tracker.add(1)
+		replayed++
+		c.deliver(r.From, r.To, r.T, tracker)
+	}
+	routing := func(op plan.OpID) *state.Routing { return c.routings[op] }
+	for _, cp := range tp.Checkpoints {
+		for r := range state.DownstreamReplay(cp, routing) {
+			send(r)
 		}
 	}
-	for i, n := range newNodes {
-		cp := rp.Checkpoints[i]
-		replayBuf(n.inst, cp.Buffer)
-		for _, owner := range state.LegacyOwners(cp.Legacy) {
-			replayBuf(owner, cp.Legacy[owner])
-		}
-	}
-
-	// Upstream side (lines 9-14): repartition buffer state under the new
-	// routing and replay unacknowledged tuples to the new instances. The
-	// switch happens within one simulator event, which models the
-	// stop/update/restart of upstream operators as an atomic step; the
-	// disruption cost is carried by the replay itself. Upstream legacy
-	// buffers (retired merge victims of the upstream operator)
-	// repartition and replay the same way under the retired sender's
-	// identity.
-	for _, upOp := range c.mgr.Query().Upstream(victim.Op) {
+	// Upstream side (lines 9-14). The switch happens within one simulator
+	// event, which models the stop/update/restart of upstream operators
+	// as an atomic step; the disruption cost is carried by the replay
+	// itself.
+	for _, upOp := range c.mgr.Query().Upstream(op) {
 		for _, upInst := range c.mgr.Instances(upOp) {
 			un := c.nodes[upInst]
 			if un == nil {
 				continue
 			}
-			un.outBuf.Repartition(victim.Op, rp.Routing)
-			for _, newInst := range rp.NewInstances {
-				for _, t := range un.outBuf.Tuples(newInst) {
-					tracker.add(1)
-					replayed++
-					c.deliver(upInst, newInst, t, tracker)
-				}
+			un.outBuf.Repartition(op, tp.Routing)
+			for _, lb := range un.legacy {
+				lb.Repartition(op, tp.Routing)
 			}
-			for _, owner := range state.LegacyOwners(un.legacy) {
-				if owner.Op != upOp {
-					continue
-				}
-				lb := un.legacy[owner]
-				lb.Repartition(victim.Op, rp.Routing)
-				for _, newInst := range rp.NewInstances {
-					for _, t := range lb.Tuples(newInst) {
-						tracker.add(1)
-						replayed++
-						c.deliver(owner, newInst, t, tracker)
-					}
-				}
+			for r := range state.UpstreamReplay(upInst, un.outBuf, un.legacy, tp.NewInstances) {
+				send(r)
 			}
 		}
 	}
 
 	rec := RecoveryRecord{
-		Victim:         victim,
-		Pi:             pi,
+		Victim:         tp.Victims[0],
+		Pi:             len(tp.NewInstances),
 		Failure:        failure,
 		StartedAt:      startedAt,
 		ReplayedTuples: replayed,
-		Merge:          merge,
+		Merge:          tp.Merge(),
 	}
 	if replayed == 0 {
 		rec.CompletedAt = c.sim.Now()
@@ -974,7 +932,7 @@ func (c *Cluster) executeReplaceBaseline(victim plan.InstanceID, failedAt Millis
 	})
 }
 
-func (c *Cluster) activateBaseline(rp *core.ReplacePlan, vm *VM, victim plan.InstanceID, failedAt Millis, spec *plan.OpSpec) {
+func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.InstanceID, failedAt Millis, spec *plan.OpSpec) {
 	if old := c.nodes[victim]; old != nil {
 		old.removed = true
 		delete(c.nodes, victim)
@@ -1073,37 +1031,21 @@ func (c *Cluster) activateBaseline(rp *core.ReplacePlan, vm *VM, victim plan.Ins
 // ScaleIn merges sibling partitions with adjacent key ranges into one
 // instance — the merge primitive of §3.3 ("to scale in operators when
 // resources are under-utilised, the state of two operators can be
-// merged"). Victims must be live and checkpointed. The victims STOP
-// first, within this event, and their final checkpoints are taken from
-// the stopped state — so the captures reflect everything they ever
-// processed, tuples in flight drop and stay retained upstream for
-// replay, and the merge has no post-checkpoint window. The merged
-// instance is deployed on a pooled VM; its duplicate-detection
-// watermark is the victims' minimum, which is exact because the final
-// checkpoint ships trim upstream buffers to each victim's own
-// watermark before the repartition.
+// merged"). The victims STOP first, within this event, and their final
+// checkpoints are taken from the stopped state — so the captures reflect
+// everything they ever processed, tuples in flight drop and stay
+// retained upstream for replay, and the merge has no post-checkpoint
+// window. Once every capture has landed the transition is planned and
+// staged like any other.
 func (c *Cluster) ScaleIn(victims []plan.InstanceID) error {
-	if len(victims) < 2 {
-		return fmt.Errorf("sim: merge needs at least two victims, got %d", len(victims))
-	}
-	// Full validation BEFORE any victim stops: the same guards the live
-	// engine and the coordinator enforce, so Job.ScaleIn rejects bad
+	// Full validation BEFORE any victim stops, so Job.ScaleIn rejects bad
 	// victim sets with zero side effects on every substrate.
-	seenVictim := make(map[plan.InstanceID]bool, len(victims))
+	if err := c.mgr.ValidateMerge(victims); err != nil {
+		return err
+	}
 	for _, v := range victims {
-		if v.Op != victims[0].Op {
-			return fmt.Errorf("sim: merge across operators %q and %q", victims[0].Op, v.Op)
-		}
-		if seenVictim[v] {
-			return fmt.Errorf("sim: duplicate merge victim %s", v)
-		}
-		seenVictim[v] = true
-		n := c.nodes[v]
-		if n == nil || n.failed || n.removed {
+		if n := c.nodes[v]; n == nil || n.failed || n.removed {
 			return fmt.Errorf("sim: %s is not live", v)
-		}
-		if n.spec.Role == plan.RoleSource || n.spec.Role == plan.RoleSink {
-			return fmt.Errorf("sim: %s cannot be merged (sources and sinks are assumed reliable, §2.2)", v)
 		}
 		if c.scalingInProgress[v] {
 			return fmt.Errorf("sim: %s is being replaced", v)
@@ -1119,54 +1061,9 @@ func (c *Cluster) ScaleIn(victims []plan.InstanceID) error {
 		// is taken synchronously at this event, so it is final.
 		n.removed = true
 		c.checkpointNodeThen(n, func() {
-			pending--
-			if pending > 0 {
-				return
+			if pending--; pending == 0 {
+				c.executeReplace(victims, 1, started, false)
 			}
-			mp, err := c.mgr.PlanMerge(victims)
-			if err != nil {
-				// The victims are already stopped: recover each from its
-				// final checkpoint through the normal path, exactly as
-				// after a crash.
-				c.recoveryFailures = append(c.recoveryFailures,
-					fmt.Sprintf("merge %v: %v", victims, err))
-				for _, v := range victims {
-					delete(c.scalingInProgress, v)
-					victim := v
-					c.recover(victim, c.sim.Now())
-				}
-				return
-			}
-			for _, v := range victims {
-				// The merged instance carries each victim's legacy
-				// buffer; trims addressed to the victims follow it.
-				c.legacyOwner[v] = mp.NewInstance
-			}
-			c.routings[mp.NewInstance.Op] = mp.Routing
-			c.pool.Acquire(func(vm *VM) {
-				cost := c.cfg.RestoreCostPerMB*float64(mp.Checkpoint.Size())/(1<<20) +
-					float64(c.cfg.CoordFixedMillis)/1000.0
-				vm.Exec(cost, func() {
-					spec := c.mgr.Query().Op(mp.NewInstance.Op)
-					rp := &core.ReplacePlan{
-						Victim:       victims[0],
-						NewInstances: []plan.InstanceID{mp.NewInstance},
-						Ranges:       []state.KeyRange{mp.Range},
-						Checkpoints:  []*state.Checkpoint{mp.Checkpoint},
-						Routing:      mp.Routing,
-					}
-					// Remove all victims, then activate via the common path.
-					for _, v := range victims[1:] {
-						if old := c.nodes[v]; old != nil {
-							old.removed = true
-							delete(c.nodes, v)
-						}
-						delete(c.scalingInProgress, v)
-					}
-					c.merges++
-					c.activateReplacements(rp, []*VM{vm}, started, false, spec, true)
-				})
-			})
 		})
 	}
 	return nil

@@ -5,7 +5,7 @@
 // tuple-level dataflow runtime that executes real operator code under
 // virtual time.
 //
-// Substitution note (see DESIGN.md): the paper's experimental phenomena —
+// Substitution note for the §6 testbed: the paper's experimental phenomena —
 // bottleneck formation at a CPU threshold, checkpoint CPU cost delaying
 // tuple processing, provisioning delays, recovery replay time — are all
 // functions of rates, costs and delays. The simulator models exactly

@@ -254,35 +254,6 @@ func (r *Routing) Repartition(op plan.OpID, newInstances []plan.InstanceID, rang
 	return NewRoutingFromEntries(kept)
 }
 
-// ReplaceTarget rewrites the routing entries of a single instance: the
-// victim's key interval is handed to the given new instances with the
-// given sub-ranges. Entries for other instances — including sibling
-// partitions of the same logical operator — are untouched. This is the
-// fine-granularity repartitioning used when one bottleneck partition of
-// an already-parallelised operator is split (§4.1) or when one failed
-// partition is recovered (§4.2).
-func (r *Routing) ReplaceTarget(victim plan.InstanceID, newInstances []plan.InstanceID, ranges []KeyRange) (*Routing, error) {
-	if len(newInstances) != len(ranges) {
-		return nil, fmt.Errorf("state: %d instances for %d ranges", len(newInstances), len(ranges))
-	}
-	found := false
-	kept := make([]RouteEntry, 0, len(r.entries)+len(ranges))
-	for _, e := range r.entries {
-		if e.Target == victim {
-			found = true
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if !found {
-		return nil, fmt.Errorf("state: instance %s not present in routing", victim)
-	}
-	for i, id := range newInstances {
-		kept = append(kept, RouteEntry{Target: id, Range: ranges[i]})
-	}
-	return NewRoutingFromEntries(kept)
-}
-
 // String renders the routing table.
 func (r *Routing) String() string {
 	var sb strings.Builder

@@ -4,7 +4,7 @@
 // maintains a top-k dictionary of visited Wikipedia language versions; a
 // merger aggregates partial rankings when the reducer is partitioned.
 //
-// Substitution (DESIGN.md): the paper replays Wikipedia page-view
+// Substitution for the §6.1 input: the paper replays Wikipedia page-view
 // traces; we generate a synthetic trace with a Zipf-distributed language
 // field, which preserves the key skew and state shape that drive the
 // experiment.
