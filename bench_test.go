@@ -555,3 +555,57 @@ func BenchmarkWireCheckpointBytes(b *testing.B) {
 	b.ReportMetric(float64(deltaBytes), "delta-B")
 	b.ReportMetric(float64(fullBytes)/float64(deltaBytes), "full/delta-x")
 }
+
+// BenchmarkCheckpointShip is one full checkpoint's trip through the
+// codec and the backup host at steady-dist's shape — 100k int64 cells
+// plus the 25k tuples buffered over a 500 ms interval at 50k tuples/s:
+// encode at the worker, header-only store at the coordinator, and the
+// decode a later transition pays once. ns/op is per checkpoint; the
+// anchor in BENCH_checkpoint.json guards it (scripts/bench_guard.sh).
+// Per-tuple work in the buffer codec (the gob encoder per buffered tuple
+// this replaced) multiplies it several times over.
+func BenchmarkCheckpointShip(b *testing.B) {
+	const keys, buffered = 100_000, 25_000
+	codec := state.GobPayloadCodec{}
+	inst, host := plan.InstanceID{Op: "cnt", Part: 1}, plan.InstanceID{Op: "map", Part: 1}
+	s := state.NewStore()
+	v := state.NewValue[int64](s, "n", state.Int64Codec{})
+	for i := 0; i < keys; i++ {
+		v.Set(stream.Key(stream.Mix64(uint64(i))), int64(i))
+	}
+	kv, err := s.TakeCheckpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp := &state.Checkpoint{Instance: inst, Processing: state.NewProcessing(1), Buffer: state.NewBuffer(),
+		OutClock: buffered, Acks: map[plan.InstanceID]int64{host: buffered}}
+	cp.Processing.KV = kv
+	h := cp.Buffer.Handle(plan.InstanceID{Op: "sink", Part: 1})
+	for i := 0; i < buffered; i++ {
+		h.Append(stream.Tuple{TS: int64(i + 1), Key: stream.Key(stream.Mix64(uint64(i))), Born: int64(i / 50), Payload: int64(i) * 20_000})
+	}
+	store := core.NewBackupStore()
+	var bytes int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cp.Seq = uint64(i + 1)
+		blob, err := state.MarshalCheckpoint(cp, codec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hdr, err := state.DecodeCheckpointHeader(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := store.StoreEncoded(host, hdr, blob, codec); err != nil {
+			b.Fatal(err)
+		}
+		got, _, ok := store.Latest(inst)
+		if !ok || got.Buffer.Len() != buffered || got.Processing.Len() != keys {
+			b.Fatalf("stored checkpoint did not decode: %v", ok)
+		}
+		bytes = len(blob)
+	}
+	b.ReportMetric(float64(bytes), "blob-B")
+}

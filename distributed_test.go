@@ -3,6 +3,7 @@ package seep_test
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,5 +225,116 @@ func TestDistributedScaleOutThroughJob(t *testing.T) {
 		if n != 60 {
 			t.Errorf("total Count(%s) = %d, want 60", w, n)
 		}
+	}
+}
+
+// bigCounter keeps one managed int64 per key and forwards its input: the
+// bench's operator, so a checkpoint of it is as large as the key set.
+type bigCounter struct {
+	store *seep.StateStore
+	n     *seep.ValueState[int64]
+}
+
+func newBigCounter() seep.Operator {
+	s := seep.NewStateStore()
+	return &bigCounter{store: s, n: seep.NewValueState[int64](s, "n", seep.Int64Codec{})}
+}
+
+func (c *bigCounter) OnTuple(_ seep.Context, t seep.Tuple, emit seep.Emitter) {
+	c.n.Update(t.Key, func(v int64) int64 { return v + 1 })
+	emit(t.Key, t.Payload)
+}
+
+func (c *bigCounter) State() *seep.StateStore { return c.store }
+
+// TestDistributedLargeStateAtDefaultDetectDelay is the regression test
+// for false orphaning: with 100k keys every checkpoint ship is a
+// multi-megabyte blob, and a coordinator that decodes it inside its
+// event loop answers heartbeats late — at the default detection delay a
+// worker then declares the coordinator dead, goes orphan and stops
+// shipping checkpoints for good. Storing the ship's bytes keeps the loop
+// free: over ten checkpoint intervals under load no heartbeat is missed,
+// every interval's checkpoints keep arriving, and nothing is recovered.
+func TestDistributedLargeStateAtDefaultDetectDelay(t *testing.T) {
+	const (
+		keys      = 100_000
+		interval  = 250 * time.Millisecond
+		intervals = 12
+	)
+	topo, err := seep.NewTopology().
+		Source("src").
+		Stateless("map", func() seep.Operator { return seep.Passthrough() }).
+		Stateful("cnt", newBigCounter).
+		Sink("sink").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := seep.Distributed( // no WithDetectDelay: the default is under test
+		seep.WithWorkers(3),
+		seep.WithBatching(256, 2*time.Millisecond),
+		seep.WithCheckpointInterval(interval),
+	).Deploy(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived atomic.Int64
+	job.OnSink(func(seep.Tuple) { arrived.Add(1) })
+	job.Start()
+	defer job.Stop()
+
+	var sent int64
+	gen := func(i uint64) (seep.Key, any) { return seep.Key((i % keys) * 0x9E3779B97F4A7C15), int64(i) }
+	inject := func(n int) {
+		t.Helper()
+		if err := job.InjectBatch("src", n, gen); err != nil {
+			t.Fatal(err)
+		}
+		sent += int64(n)
+	}
+	inject(keys) // one cell per key before the clock starts
+	for deadline := time.Now().Add(30 * time.Second); arrived.Load() < sent; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("fill: %d of %d tuples at the sink", arrived.Load(), sent)
+		}
+	}
+
+	// A steady 10k tuples/s, so each checkpoint also carries the output
+	// buffered since the last acknowledgement.
+	before := job.MetricsSnapshot()
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	var mid seep.Metrics
+	for start := time.Now(); time.Since(start) < intervals*interval; <-tick.C {
+		inject(20)
+		if mid.ElapsedMillis == 0 && time.Since(start) >= intervals*interval/2 {
+			mid = job.MetricsSnapshot()
+		}
+	}
+	// Drain before the deferred Stop tears the links down.
+	for deadline := time.Now().Add(30 * time.Second); arrived.Load() < sent; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("drain: %d of %d tuples at the sink", arrived.Load(), sent)
+		}
+	}
+	after := job.MetricsSnapshot()
+
+	// Under the race detector a worker's checkpoint stall alone outlasts a
+	// heartbeat period; single misses are then expected, orphaning is not.
+	if n := after.Transport.HeartbeatMisses - before.Transport.HeartbeatMisses; n != 0 && !raceEnabled {
+		t.Errorf("%d heartbeat misses in %d checkpoint intervals at the default detection delay", n, intervals)
+	}
+	// An orphaned worker stops shipping: both halves of the run must see
+	// cnt's and map's checkpoint of (nearly) every interval.
+	for _, half := range []struct {
+		name     string
+		from, to seep.Metrics
+	}{{"first", before, mid}, {"second", mid, after}} {
+		if got := half.to.Checkpoints.Fulls - half.from.Checkpoints.Fulls; got < intervals/2 {
+			t.Errorf("%s half: %d checkpoints stored, want at least %d", half.name, got, intervals/2)
+		}
+	}
+	if len(after.Recoveries) != 0 || len(after.Errors) != 0 {
+		t.Errorf("recoveries %v, errors %v: want none", after.Recoveries, after.Errors)
 	}
 }

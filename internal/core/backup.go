@@ -9,7 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"seep/internal/plan"
@@ -32,20 +31,23 @@ func ChooseBackup(o plan.InstanceID, upstreams []plan.InstanceID) (plan.Instance
 		return plan.InstanceID{}, fmt.Errorf("core: no upstream operator to back up %s", o)
 	}
 	ups := append([]plan.InstanceID(nil), upstreams...)
-	sort.Slice(ups, func(i, j int) bool {
-		if ups[i].Op != ups[j].Op {
-			return ups[i].Op < ups[j].Op
-		}
-		return ups[i].Part < ups[j].Part
-	})
+	state.SortInstanceIDs(ups)
 	h := stream.KeyOfString(o.String())
 	return ups[uint64(h)%uint64(len(ups))], nil
 }
 
-// backupKey identifies a stored backup by its owner.
+// entry is one stored backup. A checkpoint shipped over the wire stays
+// the bytes it arrived as until a transition or a delta fold first needs
+// its state (checkpoint); exactly one of cp and blob is set.
 type entry struct {
 	host plan.InstanceID
-	cp   *state.Checkpoint
+	seq  uint64
+	// size is the footprint recorded when the entry was stored: the
+	// blob's length, or cp.Size() for a checkpoint stored decoded.
+	size  int
+	cp    *state.Checkpoint
+	blob  []byte
+	codec state.PayloadCodec
 }
 
 // BackupStore holds the checkpointed state of operators, attributed to
@@ -64,7 +66,8 @@ type BackupStore struct {
 }
 
 // ShipStats tallies checkpoint traffic into a backup store: how many
-// full checkpoints and deltas were accepted, and their serialised bytes.
+// full checkpoints and deltas were accepted, and their bytes (encoded
+// length for checkpoints stored encoded, Checkpoint.Size otherwise).
 // DeltaBytes versus the full-checkpoint bytes they replaced is the
 // measurable win of incremental checkpointing (§3.2).
 type ShipStats struct {
@@ -72,6 +75,9 @@ type ShipStats struct {
 	Deltas     uint64
 	FullBytes  uint64
 	DeltaBytes uint64
+	// Corrupt counts stored checkpoints dropped because their body did
+	// not decode when first needed.
+	Corrupt uint64
 }
 
 // NewBackupStore returns an empty store.
@@ -87,19 +93,57 @@ func (s *BackupStore) Store(host plan.InstanceID, cp *state.Checkpoint) error {
 	if err := cp.Validate(); err != nil {
 		return err
 	}
+	return s.put(cp.Instance, entry{host: host, seq: cp.Seq, size: cp.Size(), cp: cp})
+}
+
+// StoreEncoded is Store for a checkpoint still in wire form: h is blob's
+// header (state.DecodeCheckpointHeader) and the store keeps blob itself,
+// so a backup host pays for bytes, not for decoding state it may never
+// restore. codec decodes the body if a transition or delta ever asks.
+func (s *BackupStore) StoreEncoded(host plan.InstanceID, h state.CheckpointHeader, blob []byte, codec state.PayloadCodec) error {
+	return s.put(h.Instance, entry{host: host, seq: h.Seq, size: len(blob), blob: blob, codec: codec})
+}
+
+func (s *BackupStore) put(owner plan.InstanceID, e entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.byOwner[cp.Instance]; ok {
-		if old.host == host && old.cp.Seq > cp.Seq {
-			return fmt.Errorf("core: stale checkpoint seq %d < %d for %s", cp.Seq, old.cp.Seq, cp.Instance)
+	if old, ok := s.byOwner[owner]; ok {
+		if old.host == e.host && old.seq > e.seq {
+			return fmt.Errorf("core: stale checkpoint seq %d < %d for %s", e.seq, old.seq, owner)
 		}
-		s.bytes -= old.cp.Size()
+		s.bytes -= old.size
 	}
-	s.byOwner[cp.Instance] = entry{host: host, cp: cp}
-	s.bytes += cp.Size()
+	s.byOwner[owner] = e
+	s.bytes += e.size
 	s.ship.Fulls++
-	s.ship.FullBytes += uint64(cp.Size())
+	s.ship.FullBytes += uint64(e.size)
 	return nil
+}
+
+// checkpoint returns owner's entry with its checkpoint decoded, decoding
+// a stored blob on first use and keeping the result in its place. A body
+// that does not decode is dropped and counted, leaving the owner without
+// a backup — for a planner that is ErrNoCheckpoint, as if the ship had
+// never arrived. Caller holds s.mu.
+func (s *BackupStore) checkpoint(owner plan.InstanceID) (entry, bool) {
+	e, ok := s.byOwner[owner]
+	if !ok || e.cp != nil {
+		return e, ok
+	}
+	cp, err := state.DecodeCheckpoint(stream.NewDecoder(e.blob), e.codec)
+	if err != nil {
+		s.remove(owner, e)
+		s.ship.Corrupt++
+		return entry{}, false
+	}
+	e.cp, e.blob, e.codec = cp, nil, nil
+	s.byOwner[owner] = e
+	return e, true
+}
+
+func (s *BackupStore) remove(owner plan.InstanceID, e entry) {
+	s.bytes -= e.size
+	delete(s.byOwner, owner)
 }
 
 // ApplyDelta folds an incremental checkpoint into the stored base
@@ -125,8 +169,11 @@ func (s *BackupStore) ApplyDelta(host plan.InstanceID, dc *state.DeltaCheckpoint
 	if e.host != host {
 		return fmt.Errorf("%w: base for %s lives at %s, not %s", ErrNoBase, dc.Instance, e.host, host)
 	}
-	if e.cp.Seq != dc.Delta.Base {
-		return fmt.Errorf("%w: stored seq %d, delta base %d for %s", ErrNoBase, e.cp.Seq, dc.Delta.Base, dc.Instance)
+	if e.seq != dc.Delta.Base {
+		return fmt.Errorf("%w: stored seq %d, delta base %d for %s", ErrNoBase, e.seq, dc.Delta.Base, dc.Instance)
+	}
+	if e, ok = s.checkpoint(dc.Instance); !ok {
+		return fmt.Errorf("%w: stored base for %s does not decode", ErrNoBase, dc.Instance)
 	}
 	folded := &state.Checkpoint{
 		Instance:   dc.Instance,
@@ -140,8 +187,9 @@ func (s *BackupStore) ApplyDelta(host plan.InstanceID, dc *state.DeltaCheckpoint
 		Legacy: state.CloneLegacy(e.cp.Legacy),
 	}
 	dc.Delta.Apply(folded.Processing)
-	s.bytes += folded.Size() - e.cp.Size()
-	s.byOwner[dc.Instance] = entry{host: host, cp: folded}
+	size := folded.Size()
+	s.bytes += size - e.size
+	s.byOwner[dc.Instance] = entry{host: host, seq: folded.Seq, size: size, cp: folded}
 	s.ship.Deltas++
 	s.ship.DeltaBytes += uint64(dc.Size())
 	return nil
@@ -155,15 +203,12 @@ func (s *BackupStore) ShipStats() ShipStats {
 }
 
 // Latest returns the most recent checkpoint for owner and the host
-// storing it.
+// storing it. A checkpoint stored encoded is decoded here, once.
 func (s *BackupStore) Latest(owner plan.InstanceID) (*state.Checkpoint, plan.InstanceID, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.byOwner[owner]
-	if !ok {
-		return nil, plan.InstanceID{}, false
-	}
-	return e.cp, e.host, true
+	e, ok := s.checkpoint(owner)
+	return e.cp, e.host, ok
 }
 
 // Delete removes the backup of owner (delete-backup in Algorithm 1).
@@ -171,8 +216,7 @@ func (s *BackupStore) Delete(owner plan.InstanceID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.byOwner[owner]; ok {
-		s.bytes -= e.cp.Size()
-		delete(s.byOwner, owner)
+		s.remove(owner, e)
 	}
 }
 
@@ -186,17 +230,11 @@ func (s *BackupStore) DropHost(host plan.InstanceID) []plan.InstanceID {
 	var lost []plan.InstanceID
 	for owner, e := range s.byOwner {
 		if e.host == host {
-			s.bytes -= e.cp.Size()
-			delete(s.byOwner, owner)
+			s.remove(owner, e)
 			lost = append(lost, owner)
 		}
 	}
-	sort.Slice(lost, func(i, j int) bool {
-		if lost[i].Op != lost[j].Op {
-			return lost[i].Op < lost[j].Op
-		}
-		return lost[i].Part < lost[j].Part
-	})
+	state.SortInstanceIDs(lost)
 	return lost
 }
 
@@ -210,12 +248,7 @@ func (s *BackupStore) HostedBy(host plan.InstanceID) []plan.InstanceID {
 			out = append(out, owner)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Op != out[j].Op {
-			return out[i].Op < out[j].Op
-		}
-		return out[i].Part < out[j].Part
-	})
+	state.SortInstanceIDs(out)
 	return out
 }
 

@@ -76,28 +76,36 @@ func sanitize(s string) string {
 // write fails the in-memory store is not updated, so Latest never claims
 // durability it does not have.
 func (s *DurableStore) Store(host plan.InstanceID, cp *state.Checkpoint) error {
-	if err := s.Persist(cp); err != nil {
+	blob, err := state.MarshalCheckpoint(cp, s.codec)
+	if err != nil {
+		return err
+	}
+	if err := s.Persist(cp.Instance, blob); err != nil {
 		return err
 	}
 	return s.BackupStore.Store(host, cp)
 }
 
-// Persist writes the checkpoint to disk without touching the in-memory
-// store. The coordinator uses this for checkpoints the manager already
-// holds in memory (plan-time victim state) so the durable-file ordering
-// invariant — files on disk before the plan is journaled — holds.
-func (s *DurableStore) Persist(cp *state.Checkpoint) error {
-	if err := cp.Validate(); err != nil {
+// StoreEncoded is Store for a checkpoint in wire form (see
+// BackupStore.StoreEncoded): the bytes that arrived are the bytes
+// written and the bytes kept.
+func (s *DurableStore) StoreEncoded(host plan.InstanceID, h state.CheckpointHeader, blob []byte) error {
+	if err := s.Persist(h.Instance, blob); err != nil {
 		return err
 	}
-	e := stream.NewEncoder(cp.Size() + 256)
-	if err := state.EncodeCheckpoint(e, cp, s.codec); err != nil {
-		return err
-	}
+	return s.BackupStore.StoreEncoded(host, h, blob, s.codec)
+}
+
+// Persist writes owner's encoded checkpoint to disk without touching the
+// in-memory store. The coordinator uses this for checkpoints the manager
+// already holds in memory (plan-time replacement state, delta folds) so
+// the durable-file ordering invariant — files on disk before the plan is
+// journaled — holds.
+func (s *DurableStore) Persist(owner plan.InstanceID, blob []byte) error {
 	s.mu.Lock()
-	path := s.fileFor(cp.Instance)
+	path := s.fileFor(owner)
 	tmp := path + ".tmp"
-	err := os.WriteFile(tmp, e.Bytes(), 0o644)
+	err := os.WriteFile(tmp, blob, 0o644)
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
@@ -130,9 +138,11 @@ func (s *DurableStore) Load(owner plan.InstanceID) (*state.Checkpoint, error) {
 
 // LoadAll repopulates the in-memory store from every checkpoint file in
 // the directory, attributing each to the given host chooser (typically
-// Manager.BackupTarget). A file that cannot be read or decoded — torn
-// by a crash mid-write, or rotted on disk — is skipped and reported in
-// skipped rather than failing the whole recovery: losing one backup
+// Manager.BackupTarget). Files are stored as read (header checked, body
+// decoded when first needed). A file that cannot be read or whose
+// header or framing is bad — torn by a crash mid-write, rotted on disk,
+// or in a layout this build no longer reads — is skipped and reported
+// in skipped rather than failing the whole recovery: losing one backup
 // costs a replay from that instance's upstreams, losing the recovery
 // costs the job. Only a directory scan failure is fatal.
 func (s *DurableStore) LoadAll(hostFor func(owner plan.InstanceID) (plan.InstanceID, error)) (owners []plan.InstanceID, skipped []*CorruptCheckpointError, err error) {
@@ -149,19 +159,19 @@ func (s *DurableStore) LoadAll(hostFor func(owner plan.InstanceID) (plan.Instanc
 			skipped = append(skipped, &CorruptCheckpointError{File: ent.Name(), Err: err})
 			continue
 		}
-		cp, err := state.DecodeCheckpoint(stream.NewDecoder(b), s.codec)
+		h, err := state.DecodeCheckpointHeader(b)
 		if err != nil {
 			skipped = append(skipped, &CorruptCheckpointError{File: ent.Name(), Err: err})
 			continue
 		}
-		host, err := hostFor(cp.Instance)
+		host, err := hostFor(h.Instance)
 		if err != nil {
 			continue
 		}
-		if err := s.BackupStore.Store(host, cp); err != nil {
+		if err := s.BackupStore.StoreEncoded(host, h, b, s.codec); err != nil {
 			return owners, skipped, err
 		}
-		owners = append(owners, cp.Instance)
+		owners = append(owners, h.Instance)
 	}
 	return owners, skipped, nil
 }

@@ -463,7 +463,7 @@ func (c *Coordinator) snapshotState() *controlplane.State {
 		st.Instances = append(st.Instances, controlplane.OpInstances{Op: op, Insts: c.mgr.Instances(op)})
 		st.NextPart = append(st.NextPart, controlplane.OpPart{Op: op, Next: c.mgr.NextPart(op)})
 		if r := c.mgr.Routing(op); r != nil {
-			st.Routing = append(st.Routing, controlplane.OpRouting{Op: op, Blob: encodeRouting(r)})
+			st.Routing = append(st.Routing, controlplane.OpRouting{Op: op, Blob: state.MarshalRouting(r)})
 		}
 	}
 	for old, owner := range c.legacyOwner {
@@ -994,38 +994,47 @@ func (c *Coordinator) onControl(ctl *Control) {
 
 // storeShip stores a shipped checkpoint in the authoritative store and
 // sends the acknowledgement trims to the hosts of the acknowledged
-// upstream instances.
+// upstream instances. It reads the blob's header only: the state behind
+// it stays bytes until a transition restores from it, so the event loop
+// never spends a checkpoint's decode between two control messages.
 func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 	if c.mgr == nil {
 		return plan.InstanceID{}, false
 	}
-	cp, err := decodeCheckpoint(ctl.Checkpoint, c.codec)
+	h, err := state.DecodeCheckpointHeader(ctl.Checkpoint)
 	if err != nil {
 		c.pushErr("dist: bad checkpoint from %s: %v", ctl.From, err)
 		return plan.InstanceID{}, false
 	}
-	if !c.mgr.Live(cp.Instance) {
+	if !c.mgr.Live(h.Instance) {
 		// A ship racing the instance's replacement: the store must not
 		// resurrect a retired owner.
 		return plan.InstanceID{}, false
 	}
-	host, err := c.mgr.BackupTarget(cp.Instance)
+	host, err := c.mgr.BackupTarget(h.Instance)
 	if err != nil {
 		return plan.InstanceID{}, false
 	}
 	if c.dstore != nil {
-		if err := c.dstore.Store(host, cp); err != nil {
-			c.pushErr("dist: persist shipped checkpoint for %s: %v", cp.Instance, err)
+		if err := c.dstore.StoreEncoded(host, h, ctl.Checkpoint); err != nil {
+			c.pushErr("dist: persist shipped checkpoint for %s: %v", h.Instance, err)
 			return plan.InstanceID{}, false
 		}
-		if !c.journal(&controlplane.Record{Kind: controlplane.RecShip, Ship: &controlplane.ShipMark{Inst: cp.Instance, Seq: cp.Seq, Bytes: len(ctl.Checkpoint)}}) {
+		if !c.journal(&controlplane.Record{Kind: controlplane.RecShip, Ship: &controlplane.ShipMark{Inst: h.Instance, Seq: h.Seq, Bytes: len(ctl.Checkpoint)}}) {
 			return plan.InstanceID{}, false
 		}
 		c.maybeRotate()
-	} else if err := c.mgr.Backups().Store(host, cp); err != nil {
+	} else if err := c.mgr.Backups().StoreEncoded(host, h, ctl.Checkpoint, c.codec); err != nil {
 		return plan.InstanceID{}, false
 	}
-	for up, ts := range cp.Acks {
+	c.sendAcks(h.Instance, h.Acks)
+	return h.Instance, true
+}
+
+// sendAcks sends owner's acknowledgement trims to the hosts of the
+// acknowledged upstream instances.
+func (c *Coordinator) sendAcks(owner plan.InstanceID, acks map[plan.InstanceID]int64) {
+	for up, ts := range acks {
 		addr := c.placement[up]
 		if addr == "" {
 			// A retired merge victim: its retained output lives on as a
@@ -1037,9 +1046,8 @@ func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 		if ref == nil || !ref.alive {
 			continue
 		}
-		_ = ref.peer.SendAck(transport.Ack{Owner: cp.Instance, Up: up, TS: ts})
+		_ = ref.peer.SendAck(transport.Ack{Owner: owner, Up: up, TS: ts})
 	}
-	return cp.Instance, true
 }
 
 // storeDeltaShip folds an incremental checkpoint frame into the
@@ -1072,8 +1080,12 @@ func (c *Coordinator) storeDeltaShip(body []byte) {
 	if c.dstore != nil {
 		// Persist the folded result, so a recovered coordinator restores
 		// state through the delta, not just up to its base.
-		if folded, _, ok := c.mgr.Backups().Latest(dc.Instance); ok && folded != nil {
-			if err := c.dstore.Persist(folded); err != nil {
+		if folded, _, ok := c.mgr.Backups().Latest(dc.Instance); ok {
+			blob, err := state.MarshalCheckpoint(folded, c.codec)
+			if err == nil {
+				err = c.dstore.Persist(dc.Instance, blob)
+			}
+			if err != nil {
 				c.pushErr("dist: persist folded checkpoint for %s: %v", dc.Instance, err)
 				return
 			}
@@ -1083,17 +1095,7 @@ func (c *Coordinator) storeDeltaShip(body []byte) {
 			c.maybeRotate()
 		}
 	}
-	for up, ts := range dc.Acks {
-		addr := c.placement[up]
-		if addr == "" {
-			addr = c.legacyAddr(up)
-		}
-		ref := c.workers[addr]
-		if ref == nil || !ref.alive {
-			continue
-		}
-		_ = ref.peer.SendAck(transport.Ack{Owner: dc.Instance, Up: up, TS: ts})
-	}
+	c.sendAcks(dc.Instance, dc.Acks)
 }
 
 // legacyAddr resolves the worker hosting the legacy buffer of a retired
@@ -1310,10 +1312,17 @@ func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, st
 	// Durable-file ordering: replacement checkpoints on disk BEFORE the
 	// plan is journaled (replay recovers them from those files), victim
 	// files deleted only after — a crash in between leaves stale files
-	// that replay's liveness sweep removes.
-	if c.dstore != nil {
-		for _, cp := range tp.Checkpoints {
-			if err := c.dstore.Persist(cp); err != nil {
+	// that replay's liveness sweep removes. Each replacement is encoded
+	// once: the bytes of its durable file are the bytes of its MsgDeploy.
+	blobs := make([][]byte, len(tp.Checkpoints))
+	var encErr error
+	for i, cp := range tp.Checkpoints {
+		if blobs[i], err = state.MarshalCheckpoint(cp, c.codec); err != nil {
+			encErr = fmt.Errorf("dist: encode checkpoint for %s: %w", cp.Instance, err)
+			break
+		}
+		if c.dstore != nil {
+			if err := c.dstore.Persist(cp.Instance, blobs[i]); err != nil {
 				c.pushErr("dist: persist checkpoint for %s: %v", cp.Instance, err)
 			}
 		}
@@ -1330,7 +1339,7 @@ func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, st
 			c.dstore.Delete(v)
 		}
 	}
-	routingBlob := encodeRouting(tp.Routing)
+	routingBlob := state.MarshalRouting(tp.Routing)
 	t.waiting = c.broadcast(&Control{
 		Kind:     MsgReroute,
 		Seq:      t.seq,
@@ -1350,13 +1359,12 @@ func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, st
 			c.finish(t, fmt.Errorf("dist: reroute for %v: %s", t.victims, strings.Join(t.ackErrs, "; ")))
 			return
 		}
+		if encErr != nil {
+			c.finish(t, encErr)
+			return
+		}
 		sent := 0
-		for i, cp := range tp.Checkpoints {
-			blob, err := encodeCheckpoint(cp, c.codec)
-			if err != nil {
-				c.finish(t, fmt.Errorf("dist: encode checkpoint for %s: %w", cp.Instance, err))
-				return
-			}
+		for i, blob := range blobs {
 			if c.sendTo(newPl[i].Addr, &Control{Kind: MsgDeploy, Seq: t.seq, Routing: routingBlob, Checkpoint: blob}) {
 				sent++
 			}

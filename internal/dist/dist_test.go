@@ -1,7 +1,9 @@
 package dist_test
 
 import (
+	"encoding/gob"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -483,6 +485,107 @@ func TestDistributedDeltaCheckpointRecoveryExactCounts(t *testing.T) {
 		if got := counter.Count(w); got != 60 {
 			t.Errorf("Count(%s) = %d, want 60 (exactly once across failure with delta checkpoints)", w, got)
 		}
+	}
+	if errs := cl.coord.Errors(); len(errs) != 0 {
+		t.Errorf("Errors = %v", errs)
+	}
+}
+
+// shipWord is a payload type without a wire tag: it crosses the wire and
+// sits in checkpoints as a tag-0 blob of the configured PayloadCodec.
+type shipWord struct{ W string }
+
+func init() { gob.Register(shipWord{}) }
+
+// decodeCounter is the coordinator's PayloadCodec in
+// TestCoordinatorStoresShipsWithoutDecoding: a DecodePayload call means
+// the coordinator decoded a checkpoint body.
+type decodeCounter struct{ n atomic.Int64 }
+
+func (c *decodeCounter) EncodePayload(p any) ([]byte, error) {
+	return state.GobPayloadCodec{}.EncodePayload(p)
+}
+
+func (c *decodeCounter) DecodePayload(b []byte) (any, error) {
+	c.n.Add(1)
+	return state.GobPayloadCodec{}.DecodePayload(b)
+}
+
+// TestCoordinatorStoresShipsWithoutDecoding: the backup host stores a
+// shipped checkpoint as the bytes it arrived as. Under a steady stream
+// whose buffered tuples need the fallback codec, any number of ships
+// costs the coordinator zero payload decodes; the first recovery, which
+// restores from one of those checkpoints, decodes it.
+func TestCoordinatorStoresShipsWithoutDecoding(t *testing.T) {
+	q := plan.NewQuery()
+	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
+	q.AddOp(plan.OpSpec{ID: "wrap", Role: plan.RoleStateless})
+	q.AddOp(plan.OpSpec{ID: "sum", Role: plan.RoleStateful})
+	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
+	q.Connect("src", "wrap").Connect("wrap", "sum").Connect("sum", "sink")
+	reg := testRegistry{q: q, f: map[plan.OpID]operator.Factory{
+		"wrap": func() operator.Operator {
+			return operator.Map(func(t stream.Tuple) (stream.Key, any, bool) {
+				return t.Key, shipWord{W: t.Payload.(string)}, true
+			})
+		},
+		// sum is slower than the source, so a backlog stands between wrap
+		// and sum: whenever wrap checkpoints, whatever sum's last
+		// acknowledgement trimmed, unacknowledged output remains.
+		"sum": func() operator.Operator {
+			return operator.NewKeyedSum(0, func(v any) (float64, bool) {
+				time.Sleep(100 * time.Microsecond)
+				_, ok := v.(shipWord)
+				return 1, ok
+			})
+		},
+	}}
+	codec := &decodeCounter{}
+	cl := startClusterWith(t, reg, 3, func(c *dist.Config) { c.Codec = codec })
+	if err := cl.coord.StartJob(); err != nil {
+		t.Fatal(err)
+	}
+	src := plan.InstanceID{Op: "src", Part: 1}
+	eng := cl.hostOf(t, src).Engine()
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() { // 10k tuples/s; blocks on credits when sum falls behind
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+				_ = eng.InjectBatch(src, 20, parityGen)
+			}
+		}
+	}()
+	defer func() { // drain, so the cluster's teardown meets idle links
+		close(stop)
+		<-stopped
+		cl.quiesce(t, 300*time.Millisecond, 30*time.Second)
+	}()
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: timed out (errs=%v)", what, cl.coord.Errors())
+			}
+		}
+	}
+	backups := cl.coord.Manager().Backups()
+	waitFor("ten shipped checkpoints", func() bool { return backups.ShipStats().Fulls >= 10 })
+	if n := codec.n.Load(); n != 0 {
+		t.Fatalf("coordinator decoded %d payloads while storing %d ships", n, backups.ShipStats().Fulls)
+	}
+
+	victim := cl.coord.Manager().Instances("wrap")[0]
+	if err := cl.coord.Fail(victim); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("recovery", func() bool { return len(cl.coord.Records()) == 1 && cl.coord.Pending() == 0 })
+	if codec.n.Load() == 0 {
+		t.Error("recovery restored wrap without decoding its checkpoint's buffered tuples")
 	}
 	if errs := cl.coord.Errors(); len(errs) != 0 {
 		t.Errorf("Errors = %v", errs)

@@ -127,8 +127,9 @@ type WorkerStats struct {
 }
 
 // Control is the one wire struct for every control message; unused
-// fields stay zero. It is gob-encoded — checkpoints, routings and other
-// codec-dependent state travel as pre-encoded byte blobs.
+// fields stay zero. It is gob-encoded — routings and other
+// codec-dependent state travel as pre-encoded byte blobs, an encoded
+// checkpoint behind the gob message (encodeControl).
 type Control struct {
 	Kind MsgKind
 	// Seq correlates a request with its MsgAck.
@@ -214,43 +215,35 @@ type Control struct {
 	Stats   WorkerStats
 }
 
+// encodeControl gob-encodes c — except Checkpoint, the one field that
+// runs to megabytes: it travels raw behind the gob message, where gob
+// would have copied it twice on each side.
 func encodeControl(c *Control) ([]byte, error) {
+	head := *c
+	head.Checkpoint = nil
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+	buf.Grow(len(c.Checkpoint) + 512)
+	if err := gob.NewEncoder(&buf).Encode(&head); err != nil {
 		return nil, fmt.Errorf("dist: encode control: %w", err)
 	}
+	buf.Write(c.Checkpoint)
 	return buf.Bytes(), nil
 }
 
+// decodeControl reads a message written by encodeControl. Checkpoint
+// aliases b, which the caller must own.
 func decodeControl(b []byte) (*Control, error) {
 	var c Control
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
+	// gob reads a bytes.Reader (an io.ByteReader) message by message
+	// without buffering ahead, so what is left is the checkpoint.
+	r := bytes.NewReader(b)
+	if err := gob.NewDecoder(r).Decode(&c); err != nil {
 		return nil, fmt.Errorf("dist: decode control: %w", err)
 	}
-	return &c, nil
-}
-
-func encodeCheckpoint(cp *state.Checkpoint, codec state.PayloadCodec) ([]byte, error) {
-	e := stream.NewEncoder(256)
-	if err := state.EncodeCheckpoint(e, cp, codec); err != nil {
-		return nil, err
+	if r.Len() > 0 {
+		c.Checkpoint = b[len(b)-r.Len():]
 	}
-	// The encoder buffer is reused; the blob outlives this call.
-	out := make([]byte, len(e.Bytes()))
-	copy(out, e.Bytes())
-	return out, nil
-}
-
-func decodeCheckpoint(b []byte, codec state.PayloadCodec) (*state.Checkpoint, error) {
-	return state.DecodeCheckpoint(stream.NewDecoder(b), codec)
-}
-
-func encodeRouting(r *state.Routing) []byte {
-	e := stream.NewEncoder(64)
-	r.Encode(e)
-	out := make([]byte, len(e.Bytes()))
-	copy(out, e.Bytes())
-	return out
+	return &c, nil
 }
 
 func decodeRouting(b []byte) (*state.Routing, error) {

@@ -289,7 +289,7 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 			Kind:     MsgReroute,
 			Seq:      0,
 			Op:       op,
-			Routing:  encodeRouting(r),
+			Routing:  state.MarshalRouting(r),
 			New:      newPl,
 			Victims:  d.Victims,
 			TrimAcks: trims,

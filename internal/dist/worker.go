@@ -559,7 +559,7 @@ func (w *Worker) handleReroute(c *Control) (int, error) {
 }
 
 func (w *Worker) handleDeploy(c *Control) (int, error) {
-	cp, err := decodeCheckpoint(c.Checkpoint, w.codec)
+	cp, err := state.DecodeCheckpoint(stream.NewDecoder(c.Checkpoint), w.codec)
 	if err != nil {
 		return 0, err
 	}
@@ -626,7 +626,7 @@ func (w *Worker) handleRetire(c *Control) error {
 type shipSink struct{ w *Worker }
 
 func (s *shipSink) ShipFull(cp *state.Checkpoint) error {
-	blob, err := encodeCheckpoint(cp, s.w.codec)
+	blob, err := state.MarshalCheckpoint(cp, s.w.codec)
 	if err != nil {
 		return err
 	}

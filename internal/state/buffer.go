@@ -168,12 +168,7 @@ func (b *Buffer) Targets() []plan.InstanceID {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Op != out[j].Op {
-			return out[i].Op < out[j].Op
-		}
-		return out[i].Part < out[j].Part
-	})
+	SortInstanceIDs(out)
 	return out
 }
 

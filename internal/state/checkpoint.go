@@ -1,8 +1,9 @@
 package state
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"seep/internal/plan"
 	"seep/internal/stream"
@@ -52,11 +53,8 @@ type Checkpoint struct {
 // ordering convention shared by the wire codec, legacy-buffer replay
 // and the runtimes' deterministic iteration.
 func SortInstanceIDs(ids []plan.InstanceID) {
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Op != ids[j].Op {
-			return ids[i].Op < ids[j].Op
-		}
-		return ids[i].Part < ids[j].Part
+	slices.SortFunc(ids, func(a, b plan.InstanceID) int {
+		return cmp.Or(cmp.Compare(a.Op, b.Op), cmp.Compare(a.Part, b.Part))
 	})
 }
 

@@ -5,9 +5,8 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
-	"seep/internal/plan"
 	"seep/internal/stream"
 )
 
@@ -109,36 +108,23 @@ func encodeDeltaBody(e *stream.Encoder, dc *DeltaCheckpoint, codec PayloadCodec)
 	for k := range dl.Changed {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	e.Uint32(uint32(len(keys)))
 	for _, k := range keys {
 		e.Uvarint(uint64(k))
 		e.BytesV(dl.Changed[k])
 	}
-	del := append([]stream.Key(nil), dl.Deleted...)
-	sort.Slice(del, func(i, j int) bool { return del[i] < del[j] })
+	del := slices.Clone(dl.Deleted)
+	slices.Sort(del)
 	e.Uint32(uint32(len(del)))
 	for _, k := range del {
 		e.Uvarint(uint64(k))
 	}
-	buf := dc.Buffer
-	if buf == nil {
-		buf = NewBuffer()
-	}
-	if err := EncodeBuffer(e, buf, codec); err != nil {
+	if err := EncodeBuffer(e, dc.Buffer, codec); err != nil {
 		return err
 	}
 	e.Int64(dc.OutClock)
-	ids := make([]plan.InstanceID, 0, len(dc.Acks))
-	for id := range dc.Acks {
-		ids = append(ids, id)
-	}
-	SortInstanceIDs(ids)
-	e.Uint32(uint32(len(ids)))
-	for _, id := range ids {
-		encodeInstanceID(e, id)
-		e.Int64(dc.Acks[id])
-	}
+	encodeAcks(e, dc.Acks)
 	return nil
 }
 
@@ -189,23 +175,8 @@ func decodeDeltaBody(d *stream.Decoder, codec PayloadCodec) (*DeltaCheckpoint, e
 	}
 	dc.Buffer = buf
 	dc.OutClock = d.Int64()
-	nAcks := int(d.Uint32())
-	if err := d.Err(); err != nil {
+	if dc.Acks, err = decodeAcks(d); err != nil {
 		return nil, err
 	}
-	if nAcks < 0 || nAcks > d.Remaining()/12+1 {
-		return nil, fmt.Errorf("state: delta with %d acks exceeds body", nAcks)
-	}
-	if nAcks > 0 {
-		dc.Acks = make(map[plan.InstanceID]int64, nAcks)
-		for i := 0; i < nAcks; i++ {
-			id := decodeInstanceID(d)
-			ts := d.Int64()
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			dc.Acks[id] = ts
-		}
-	}
-	return dc, d.Err()
+	return dc, nil
 }

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"seep/internal/plan"
 	"seep/internal/stream"
+	"seep/internal/wirecodec"
 )
 
-// PayloadCodec serialises tuple payloads for durable checkpoints. Buffer
-// state retains whole tuples, so persisting a checkpoint needs to encode
+// PayloadCodec serialises tuple payloads whose concrete type has no
+// wire tag (wirecodec's tag-0 fallback), in checkpoints as on the wire.
+// Buffer state retains whole tuples, so encoding a checkpoint encodes
 // their payloads; processing-state values are already bytes.
-type PayloadCodec interface {
-	EncodePayload(payload any) ([]byte, error)
-	DecodePayload(b []byte) (any, error)
-}
+type PayloadCodec = wirecodec.PayloadCodec
 
 // StringPayloadCodec handles string payloads (e.g. the word frequency
 // workloads).
@@ -71,23 +71,55 @@ func decodeInstanceID(d *stream.Decoder) plan.InstanceID {
 	return plan.InstanceID{Op: plan.OpID(op), Part: part}
 }
 
-// EncodeBuffer serialises buffer state with the given payload codec.
+// encodeAcks writes an acknowledgement map in (Op, Part) order.
+func encodeAcks(e *stream.Encoder, acks map[plan.InstanceID]int64) {
+	ids := make([]plan.InstanceID, 0, len(acks))
+	for id := range acks {
+		ids = append(ids, id)
+	}
+	SortInstanceIDs(ids)
+	e.Uint32(uint32(len(ids)))
+	for _, id := range ids {
+		encodeInstanceID(e, id)
+		e.Int64(acks[id])
+	}
+}
+
+func decodeAcks(d *stream.Decoder) (map[plan.InstanceID]int64, error) {
+	n := int(d.Uint32())
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	// An entry costs at least 16 bytes (instance identifier + timestamp).
+	if n > d.Remaining()/16 {
+		return nil, fmt.Errorf("state: %d acknowledgements exceed the %d bytes left", n, d.Remaining())
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	acks := make(map[plan.InstanceID]int64, n)
+	for i := 0; i < n; i++ {
+		id := decodeInstanceID(d)
+		acks[id] = d.Int64()
+	}
+	return acks, d.Err()
+}
+
+// EncodeBuffer serialises buffer state: per downstream instance, its
+// retained tuples as one wirecodec run — the bytes a batch frame carries
+// them as. codec is the tag-0 fallback for unregistered payload types. A
+// nil buffer encodes as an empty one.
 func EncodeBuffer(e *stream.Encoder, b *Buffer, codec PayloadCodec) error {
+	if b == nil {
+		e.Uint32(0)
+		return nil
+	}
 	targets := b.Targets()
 	e.Uint32(uint32(len(targets)))
 	for _, target := range targets {
 		encodeInstanceID(e, target)
-		tuples := b.Tuples(target)
-		e.Uint32(uint32(len(tuples)))
-		for _, t := range tuples {
-			e.Int64(t.TS)
-			e.Key(t.Key)
-			e.Int64(t.Born)
-			pb, err := codec.EncodePayload(t.Payload)
-			if err != nil {
-				return fmt.Errorf("state: encode buffered tuple: %w", err)
-			}
-			e.Bytes32(pb)
+		if err := wirecodec.EncodeTuples(e, b.perTarget[target].live(), codec); err != nil {
+			return fmt.Errorf("state: encode buffered tuples for %s: %w", target, err)
 		}
 	}
 	return nil
@@ -97,39 +129,36 @@ func EncodeBuffer(e *stream.Encoder, b *Buffer, codec PayloadCodec) error {
 func DecodeBuffer(d *stream.Decoder, codec PayloadCodec) (*Buffer, error) {
 	b := NewBuffer()
 	nTargets := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
 	for i := 0; i < nTargets; i++ {
 		target := decodeInstanceID(d)
-		n := int(d.Uint32())
-		if err := d.Err(); err != nil {
-			return nil, err
+		tuples, err := wirecodec.DecodeTuples(d, codec)
+		if err != nil {
+			return nil, fmt.Errorf("state: decode buffered tuples for %s: %w", target, err)
 		}
-		for j := 0; j < n; j++ {
-			ts := d.Int64()
-			key := d.Key()
-			born := d.Int64()
-			pb := d.Bytes32()
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			payload, err := codec.DecodePayload(pb)
-			if err != nil {
-				return nil, fmt.Errorf("state: decode buffered tuple: %w", err)
-			}
-			b.Append(target, stream.Tuple{TS: ts, Key: key, Born: born, Payload: payload})
-		}
+		b.perTarget[target] = &targetBuf{buf: tuples}
 	}
-	return b, nil
+	return b, d.Err()
 }
 
-// checkpointMagic guards durable checkpoint files against foreign input.
-const checkpointMagic = uint32(0x53454550) // "SEEP"
+// checkpointMagic guards encoded checkpoints against foreign input and
+// names the layout; "SEP2" is the header-first one (its predecessor
+// "SEEP" interleaved state and bookkeeping and has no reader).
+const checkpointMagic = uint32(0x53455032)
 
-// EncodeCheckpoint serialises a full checkpoint — processing state,
-// buffer state, output clock and acknowledgement map — so it can be
-// persisted to external storage (§3.3's persist operation).
+// CheckpointHeader is the part of an encoded checkpoint a backup host
+// acts on — who it belongs to, whether it is newer, which upstream
+// buffers it lets trim — readable without decoding the state behind it.
+type CheckpointHeader struct {
+	Instance plan.InstanceID
+	Seq      uint64
+	OutClock int64
+	Acks     map[plan.InstanceID]int64
+}
+
+// EncodeCheckpoint serialises a full checkpoint so it can be shipped to
+// its backup host and persisted (§3.3's persist operation): the magic,
+// the CheckpointHeader fields, then three length-prefixed sections —
+// processing state, buffer state, legacy buffers.
 func EncodeCheckpoint(e *stream.Encoder, cp *Checkpoint, codec PayloadCodec) error {
 	if err := cp.Validate(); err != nil {
 		return err
@@ -137,35 +166,25 @@ func EncodeCheckpoint(e *stream.Encoder, cp *Checkpoint, codec PayloadCodec) err
 	e.Uint32(checkpointMagic)
 	encodeInstanceID(e, cp.Instance)
 	e.Uint64(cp.Seq)
+	e.Int64(cp.OutClock)
+	encodeAcks(e, cp.Acks)
+
+	mark := e.BeginSection()
 	cp.Processing.Encode(e)
-	buf := cp.Buffer
-	if buf == nil {
-		buf = NewBuffer()
-	}
-	if err := EncodeBuffer(e, buf, codec); err != nil {
+	e.EndSection(mark)
+
+	mark = e.BeginSection()
+	if err := EncodeBuffer(e, cp.Buffer, codec); err != nil {
 		return err
 	}
-	e.Int64(cp.OutClock)
-	e.Uint32(uint32(len(cp.Acks)))
-	// Deterministic order.
-	ids := make([]plan.InstanceID, 0, len(cp.Acks))
-	for id := range cp.Acks {
-		ids = append(ids, id)
-	}
-	SortInstanceIDs(ids)
-	for _, id := range ids {
-		encodeInstanceID(e, id)
-		e.Int64(cp.Acks[id])
-	}
+	e.EndSection(mark)
+
 	// Legacy buffers inherited through scale-in merges, keyed by the
 	// original sender. Owners with no live tuples are elided.
-	owners := make([]plan.InstanceID, 0, len(cp.Legacy))
-	for owner, b := range cp.Legacy {
-		if b != nil && b.Len() > 0 {
-			owners = append(owners, owner)
-		}
-	}
-	SortInstanceIDs(owners)
+	mark = e.BeginSection()
+	owners := slices.DeleteFunc(LegacyOwners(cp.Legacy), func(o plan.InstanceID) bool {
+		return cp.Legacy[o] == nil || cp.Legacy[o].Len() == 0
+	})
 	e.Uint32(uint32(len(owners)))
 	for _, owner := range owners {
 		encodeInstanceID(e, owner)
@@ -173,60 +192,91 @@ func EncodeCheckpoint(e *stream.Encoder, cp *Checkpoint, codec PayloadCodec) err
 			return err
 		}
 	}
+	e.EndSection(mark)
 	return nil
 }
 
-// DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint.
+// MarshalCheckpoint encodes cp into a buffer of its own, sized up front
+// so the encoder never regrows for processing state.
+func MarshalCheckpoint(cp *Checkpoint, codec PayloadCodec) ([]byte, error) {
+	e := stream.NewEncoder(cp.Size() + 4*cp.Processing.Len() + 256)
+	if err := EncodeCheckpoint(e, cp, codec); err != nil {
+		return nil, err
+	}
+	return e.Bytes(), nil
+}
+
+func decodeCheckpointHeader(d *stream.Decoder) (CheckpointHeader, error) {
+	var h CheckpointHeader
+	if magic := d.Uint32(); d.Err() == nil && magic != checkpointMagic {
+		return h, fmt.Errorf("state: not a checkpoint (magic %x)", magic)
+	}
+	h.Instance = decodeInstanceID(d)
+	h.Seq = d.Uint64()
+	h.OutClock = d.Int64()
+	acks, err := decodeAcks(d)
+	if err != nil {
+		return h, err
+	}
+	h.Acks = acks
+	if h.Instance.Op == "" {
+		return h, fmt.Errorf("state: checkpoint with empty instance")
+	}
+	return h, nil
+}
+
+// DecodeCheckpointHeader reads the header of an encoded checkpoint and
+// checks that the three sections behind it tile the rest of b exactly,
+// without reading into them: what a backup host does per stored
+// checkpoint. The body is DecodeCheckpoint's business, when a
+// transition needs it.
+func DecodeCheckpointHeader(b []byte) (CheckpointHeader, error) {
+	d := stream.NewDecoder(b)
+	h, err := decodeCheckpointHeader(d)
+	if err != nil {
+		return h, err
+	}
+	for i := 0; i < 3; i++ {
+		d.Section()
+	}
+	if err := d.Err(); err != nil {
+		return h, err
+	}
+	if d.Remaining() != 0 {
+		return h, fmt.Errorf("state: %d bytes after the checkpoint's last section", d.Remaining())
+	}
+	return h, nil
+}
+
+// DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint. On
+// any error no checkpoint is returned.
 func DecodeCheckpoint(d *stream.Decoder, codec PayloadCodec) (*Checkpoint, error) {
-	if magic := d.Uint32(); magic != checkpointMagic {
-		return nil, fmt.Errorf("state: not a checkpoint (magic %x)", magic)
-	}
-	cp := &Checkpoint{}
-	cp.Instance = decodeInstanceID(d)
-	cp.Seq = d.Uint64()
-	proc, err := DecodeProcessing(d)
+	h, err := decodeCheckpointHeader(d)
 	if err != nil {
 		return nil, err
 	}
-	cp.Processing = proc
-	buf, err := DecodeBuffer(d, codec)
-	if err != nil {
+	cp := &Checkpoint{Instance: h.Instance, Seq: h.Seq, OutClock: h.OutClock, Acks: h.Acks}
+	if cp.Processing, err = DecodeProcessing(d.Section()); err != nil {
 		return nil, err
 	}
-	cp.Buffer = buf
-	cp.OutClock = d.Int64()
-	nAcks := int(d.Uint32())
-	if err := d.Err(); err != nil {
+	if cp.Buffer, err = DecodeBuffer(d.Section(), codec); err != nil {
 		return nil, err
 	}
-	if nAcks > 0 {
-		cp.Acks = make(map[plan.InstanceID]int64, nAcks)
-		for i := 0; i < nAcks; i++ {
-			id := decodeInstanceID(d)
-			ts := d.Int64()
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			cp.Acks[id] = ts
+	ld := d.Section()
+	nLegacy := int(ld.Uint32())
+	for i := 0; i < nLegacy; i++ {
+		owner := decodeInstanceID(ld)
+		b, err := DecodeBuffer(ld, codec)
+		if err != nil {
+			return nil, err
 		}
-	}
-	nLegacy := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if nLegacy > 0 {
-		cp.Legacy = make(map[plan.InstanceID]*Buffer, nLegacy)
-		for i := 0; i < nLegacy; i++ {
-			owner := decodeInstanceID(d)
-			b, err := DecodeBuffer(d, codec)
-			if err != nil {
-				return nil, err
-			}
-			cp.Legacy[owner] = b
+		if cp.Legacy == nil {
+			cp.Legacy = make(map[plan.InstanceID]*Buffer)
 		}
+		cp.Legacy[owner] = b
 	}
-	if err := d.Err(); err != nil {
+	if err := ld.Err(); err != nil {
 		return nil, err
 	}
-	return cp, cp.Validate()
+	return cp, nil
 }

@@ -1,0 +1,348 @@
+package state
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"seep/internal/plan"
+	"seep/internal/stream"
+	"seep/internal/wirecodec"
+)
+
+// persistTagged has a wire tag; persistUntagged only gob knows, so it
+// takes the tag-0 fallback codec.
+type persistTagged struct{ A, B int64 }
+
+type persistUntagged struct{ S string }
+
+func init() {
+	gob.Register(persistUntagged{})
+	_, err := wirecodec.RegisterCodec(persistTagged{},
+		func(e *stream.Encoder, v any) error {
+			p := v.(persistTagged)
+			e.Varint(p.A)
+			e.Varint(p.B)
+			return nil
+		},
+		func(d *stream.Decoder) (any, error) {
+			p := persistTagged{A: d.Varint(), B: d.Varint()}
+			return p, d.Err()
+		})
+	if err != nil {
+		panic(err)
+	}
+}
+
+// randomPayload draws from every payload class the tuple codec knows:
+// builtin scalars, a registered type, an unregistered (fallback) type
+// and nil.
+func randomPayload(r *rand.Rand) any {
+	switch r.Intn(9) {
+	case 0:
+		return nil
+	case 1:
+		return r.Int63() - 1<<62
+	case 2:
+		return "s" + string(rune('a'+r.Intn(26)))
+	case 3:
+		return r.Float64()
+	case 4:
+		return r.Intn(2) == 0
+	case 5:
+		return []byte{byte(r.Intn(256)), 1}
+	case 6:
+		return r.Intn(1 << 20)
+	case 7:
+		return persistTagged{A: r.Int63n(1000), B: -r.Int63n(1000)}
+	default:
+		return persistUntagged{S: "u" + string(rune('a'+r.Intn(26)))}
+	}
+}
+
+func randomBuffer(r *rand.Rand, targets int) *Buffer {
+	b := NewBuffer()
+	for t := 0; t < targets; t++ {
+		target := plan.InstanceID{Op: "down", Part: t + 1}
+		ts := r.Int63n(1000)
+		for i, n := 0, r.Intn(40); i < n; i++ {
+			ts += 1 + r.Int63n(5)
+			b.Append(target, stream.Tuple{TS: ts, Key: stream.Key(r.Uint64()), Born: r.Int63n(1 << 40), Payload: randomPayload(r)})
+		}
+	}
+	return b
+}
+
+func randomCheckpoint(r *rand.Rand) *Checkpoint {
+	cp := &Checkpoint{
+		Instance:   plan.InstanceID{Op: "cnt", Part: 1 + r.Intn(9)},
+		Seq:        r.Uint64(),
+		Processing: NewProcessing(1 + r.Intn(3)),
+		OutClock:   r.Int63(),
+	}
+	for i := range cp.Processing.TS {
+		cp.Processing.TS[i] = r.Int63()
+	}
+	for i, n := 0, r.Intn(50); i < n; i++ {
+		v := make([]byte, r.Intn(12))
+		r.Read(v)
+		cp.Processing.KV[stream.Key(r.Uint64())] = v
+	}
+	if r.Intn(4) > 0 { // a nil buffer encodes as an empty one
+		cp.Buffer = randomBuffer(r, r.Intn(3))
+	}
+	for i, n := 0, r.Intn(3); i < n; i++ {
+		if cp.Acks == nil {
+			cp.Acks = map[plan.InstanceID]int64{}
+		}
+		cp.Acks[plan.InstanceID{Op: "up", Part: i}] = r.Int63()
+	}
+	for i, n := 0, r.Intn(3); i < n; i++ {
+		if cp.Legacy == nil {
+			cp.Legacy = map[plan.InstanceID]*Buffer{}
+		}
+		cp.Legacy[plan.InstanceID{Op: "cnt", Part: 20 + i}] = randomBuffer(r, 1+r.Intn(2))
+	}
+	return cp
+}
+
+// buffersEqual compares live tuples per target; empty targets and a nil
+// buffer count as absent.
+func buffersEqual(a, b *Buffer) bool {
+	if a == nil {
+		a = NewBuffer()
+	}
+	if b == nil {
+		b = NewBuffer()
+	}
+	ta, tb := a.Targets(), b.Targets()
+	if !reflect.DeepEqual(ta, tb) {
+		return false
+	}
+	for _, t := range ta {
+		if !reflect.DeepEqual(a.Tuples(t), b.Tuples(t)) {
+			return false
+		}
+	}
+	return true
+}
+
+func legacyEqual(a, b map[plan.InstanceID]*Buffer) bool {
+	a, b = CloneLegacy(a), CloneLegacy(b) // drops empty owners
+	if len(a) != len(b) {
+		return false
+	}
+	for owner, ba := range a {
+		if bb, ok := b[owner]; !ok || !buffersEqual(ba, bb) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCheckpointRoundTripProperty: any checkpoint — every payload class,
+// own and legacy buffers — survives encode → header → decode, the
+// header agrees with the body, and the encoding is deterministic.
+func TestCheckpointRoundTripProperty(t *testing.T) {
+	codec := GobPayloadCodec{}
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		cp := randomCheckpoint(r)
+		blob, err := MarshalCheckpoint(cp, codec)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		again, err := MarshalCheckpoint(cp, codec)
+		if err != nil || !bytes.Equal(blob, again) {
+			t.Fatalf("seed %d: encoding is not deterministic (%v)", seed, err)
+		}
+		h, err := DecodeCheckpointHeader(blob)
+		if err != nil {
+			t.Fatalf("seed %d: header: %v", seed, err)
+		}
+		got, err := DecodeCheckpoint(stream.NewDecoder(blob), codec)
+		if err != nil {
+			t.Fatalf("seed %d: decode: %v", seed, err)
+		}
+		if h.Instance != cp.Instance || h.Seq != cp.Seq || h.OutClock != cp.OutClock || !reflect.DeepEqual(h.Acks, cp.Acks) {
+			t.Fatalf("seed %d: header %+v does not describe %+v", seed, h, cp)
+		}
+		if got.Instance != cp.Instance || got.Seq != cp.Seq || got.OutClock != cp.OutClock || !reflect.DeepEqual(got.Acks, cp.Acks) {
+			t.Fatalf("seed %d: bookkeeping changed: %+v", seed, got)
+		}
+		if !got.Processing.Equal(cp.Processing) {
+			t.Fatalf("seed %d: processing state changed", seed)
+		}
+		if !buffersEqual(got.Buffer, cp.Buffer) || !legacyEqual(got.Legacy, cp.Legacy) {
+			t.Fatalf("seed %d: buffer state changed", seed)
+		}
+	}
+}
+
+// TestDeltaCheckpointRoundTripProperty: the delta wire form carries the
+// same buffer encoding, raw and compressed.
+func TestDeltaCheckpointRoundTripProperty(t *testing.T) {
+	codec := GobPayloadCodec{}
+	for seed := int64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		cp := randomCheckpoint(r)
+		dc := &DeltaCheckpoint{
+			Instance: cp.Instance,
+			Delta:    &Delta{Base: 3, Seq: 4, Changed: cp.Processing.KV, Deleted: []stream.Key{9, 2}, TS: cp.Processing.TS},
+			Buffer:   cp.Buffer,
+			OutClock: cp.OutClock,
+			Acks:     cp.Acks,
+		}
+		e := stream.NewEncoder(256)
+		if err := EncodeDeltaCheckpoint(e, dc, codec, seed%2 == 0); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		got, err := DecodeDeltaCheckpoint(stream.NewDecoder(e.Bytes()), codec)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !buffersEqual(got.Buffer, dc.Buffer) || !reflect.DeepEqual(got.Acks, dc.Acks) || got.OutClock != dc.OutClock {
+			t.Fatalf("seed %d: delta bookkeeping changed", seed)
+		}
+		if len(got.Delta.Changed) != len(dc.Delta.Changed) {
+			t.Fatalf("seed %d: %d changed keys, want %d", seed, len(got.Delta.Changed), len(dc.Delta.Changed))
+		}
+	}
+}
+
+// TestFallbackCodecOnlySeesUntaggedPayloads: tagged payloads never
+// touch the PayloadCodec, so swapping it (all WithPayloadCodec can do)
+// changes only tag-0 blobs — in checkpoints as on the wire.
+func TestFallbackCodecOnlySeesUntaggedPayloads(t *testing.T) {
+	cp := &Checkpoint{Instance: plan.InstanceID{Op: "map", Part: 1}, Seq: 1, Processing: NewProcessing(1), Buffer: NewBuffer()}
+	to := plan.InstanceID{Op: "cnt", Part: 1}
+	for i, p := range []any{int64(7), "x", nil, persistTagged{A: 1}, 3.5, true, []byte{1}, 9} {
+		cp.Buffer.Append(to, stream.Tuple{TS: int64(i + 1), Key: stream.Key(i), Payload: p})
+	}
+	codec := &countingCodec{}
+	blob, err := MarshalCheckpoint(cp, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(stream.NewDecoder(blob), codec); err != nil {
+		t.Fatal(err)
+	}
+	if codec.enc != 0 || codec.dec != 0 {
+		t.Fatalf("tagged payloads reached the fallback codec: %d encodes, %d decodes", codec.enc, codec.dec)
+	}
+	cp.Buffer.Append(to, stream.Tuple{TS: 100, Payload: persistUntagged{S: "u"}})
+	if blob, err = MarshalCheckpoint(cp, codec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(stream.NewDecoder(blob), codec); err != nil {
+		t.Fatal(err)
+	}
+	if codec.enc != 1 || codec.dec != 1 {
+		t.Fatalf("one untagged payload: %d encodes, %d decodes, want 1 and 1", codec.enc, codec.dec)
+	}
+}
+
+type countingCodec struct{ enc, dec int }
+
+func (c *countingCodec) EncodePayload(p any) ([]byte, error) {
+	c.enc++
+	return GobPayloadCodec{}.EncodePayload(p)
+}
+
+func (c *countingCodec) DecodePayload(b []byte) (any, error) {
+	c.dec++
+	return GobPayloadCodec{}.DecodePayload(b)
+}
+
+// TestOldCheckpointLayoutIsRejected: the previous layout's magic is
+// foreign input now, to the header reader and the decoder alike.
+func TestOldCheckpointLayoutIsRejected(t *testing.T) {
+	blob, err := MarshalCheckpoint(randomCheckpoint(rand.New(rand.NewSource(1))), GobPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob, 0x53454550) // "SEEP"
+	if _, err := DecodeCheckpointHeader(blob); err == nil {
+		t.Error("header reader accepted the old magic")
+	}
+	if cp, err := DecodeCheckpoint(stream.NewDecoder(blob), GobPayloadCodec{}); err == nil || cp != nil {
+		t.Errorf("decoder accepted the old magic: %v, %v", cp, err)
+	}
+}
+
+// bufferedInt64Checkpoint is the shape steady-dist ships twice a second:
+// keys int64 cells and buffered tuples with int64 payloads.
+func bufferedInt64Checkpoint(keys, buffered int) *Checkpoint {
+	cp := &Checkpoint{
+		Instance:   plan.InstanceID{Op: "cnt", Part: 1},
+		Seq:        1,
+		Processing: NewProcessing(1),
+		Buffer:     NewBuffer(),
+		Acks:       map[plan.InstanceID]int64{{Op: "map", Part: 1}: int64(buffered)},
+	}
+	for i := 0; i < keys; i++ {
+		cp.Processing.KV[stream.Key(stream.Mix64(uint64(i)))] = binary.LittleEndian.AppendUint64(nil, uint64(i))
+	}
+	h := cp.Buffer.Handle(plan.InstanceID{Op: "sink", Part: 1})
+	for i := 0; i < buffered; i++ {
+		h.Append(stream.Tuple{TS: int64(i + 1), Key: stream.Key(stream.Mix64(uint64(i))), Born: int64(i / 50), Payload: int64(i) * 1_000_003})
+	}
+	return cp
+}
+
+// TestEncodeCheckpointAllocsDoNotScaleWithTuples: buffered tuples are
+// appended to the one output buffer — no per-tuple encoder, blob or
+// copy (the per-tuple gob this replaced cost ≈ 20 allocations each).
+func TestEncodeCheckpointAllocsDoNotScaleWithTuples(t *testing.T) {
+	allocs := func(buffered int) float64 {
+		cp := bufferedInt64Checkpoint(1000, buffered)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := MarshalCheckpoint(cp, GobPayloadCodec{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(250), allocs(25_000)
+	if large > 16 || large > small+2 {
+		t.Fatalf("encoding allocates %.0f times with 25k buffered tuples, %.0f with 250: not O(1)", large, small)
+	}
+}
+
+// FuzzDecodeCheckpoint: truncated or garbled input is an error — never a
+// panic, never a partly filled checkpoint — from both readers, and what
+// does decode re-encodes.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	codec := GobPayloadCodec{}
+	for seed := int64(0); seed < 4; seed++ {
+		blob, err := MarshalCheckpoint(randomCheckpoint(rand.New(rand.NewSource(seed))), codec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		f.Add(blob[:11])
+	}
+	f.Add([]byte("not a checkpoint"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		h, herr := DecodeCheckpointHeader(b)
+		cp, err := DecodeCheckpoint(stream.NewDecoder(b), codec)
+		if err != nil {
+			if cp != nil {
+				t.Fatalf("error %v with a checkpoint installed", err)
+			}
+			return
+		}
+		if err := cp.Validate(); err != nil {
+			t.Fatalf("decoded an invalid checkpoint: %v", err)
+		}
+		if herr == nil && (h.Instance != cp.Instance || h.Seq != cp.Seq) {
+			t.Fatalf("header %+v disagrees with body %v/%d", h, cp.Instance, cp.Seq)
+		}
+		if _, err := MarshalCheckpoint(cp, codec); err != nil {
+			t.Fatalf("decoded checkpoint does not re-encode: %v", err)
+		}
+	})
+}

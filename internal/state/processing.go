@@ -12,7 +12,7 @@ package state
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"seep/internal/stream"
 )
@@ -77,7 +77,7 @@ func (p *Processing) Keys() []stream.Key {
 	for k := range p.KV {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -120,6 +120,10 @@ func DecodeProcessing(d *stream.Decoder) (*Processing, error) {
 	n := int(d.Uint32())
 	if err := d.Err(); err != nil {
 		return nil, err
+	}
+	// An entry costs at least 12 bytes (key + length prefix).
+	if n > d.Remaining()/12 {
+		return nil, fmt.Errorf("state: %d processing-state entries exceed the %d bytes left", n, d.Remaining())
 	}
 	p.KV = make(map[stream.Key][]byte, n)
 	for i := 0; i < n; i++ {

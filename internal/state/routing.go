@@ -279,6 +279,17 @@ func (r *Routing) Encode(e *stream.Encoder) {
 	}
 }
 
+// MarshalRouting encodes r into an exactly sized buffer of its own.
+func MarshalRouting(r *Routing) []byte {
+	n := 4
+	for _, en := range r.entries {
+		n += 24 + len(en.Target.Op)
+	}
+	e := stream.NewEncoder(n)
+	r.Encode(e)
+	return e.Bytes()
+}
+
 // DecodeRouting reads routing state written by Encode.
 func DecodeRouting(d *stream.Decoder) (*Routing, error) {
 	n := int(d.Uint32())

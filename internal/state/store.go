@@ -13,6 +13,7 @@ package state
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -675,6 +676,6 @@ func sortedKeys[V any](data map[stream.Key]V) []stream.Key {
 	for k := range data {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

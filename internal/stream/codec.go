@@ -116,6 +116,20 @@ func (e *Encoder) StringV(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// BeginSection reserves a 64-bit length prefix for bytes not written
+// yet and returns the mark EndSection needs; Decoder.Section reads the
+// pair back. A reader can skip a section without understanding it.
+func (e *Encoder) BeginSection() int {
+	e.Uint64(0)
+	return len(e.buf)
+}
+
+// EndSection fills the prefix reserved at mark with the number of bytes
+// encoded since.
+func (e *Encoder) EndSection(mark int) {
+	binary.LittleEndian.PutUint64(e.buf[mark-8:], uint64(len(e.buf)-mark))
+}
+
 // Key appends a partitioning key.
 func (e *Encoder) Key(k Key) { e.Uint64(uint64(k)) }
 
@@ -262,6 +276,20 @@ func (d *Decoder) BytesV() []byte {
 		return nil
 	}
 	return d.take(int(n))
+}
+
+// Section reads a length-prefixed section written between BeginSection
+// and EndSection and returns a decoder over exactly its bytes (aliasing
+// the buffer). After an error the returned decoder carries it.
+func (d *Decoder) Section() *Decoder {
+	n := d.Uint64()
+	if d.err == nil && n > uint64(d.Remaining()) {
+		d.err = fmt.Errorf("%w: section of length %d", ErrShortBuffer, n)
+	}
+	if d.err != nil {
+		return &Decoder{err: d.err}
+	}
+	return NewDecoder(d.take(int(n)))
 }
 
 // StringV reads a uvarint length-prefixed string. The first call

@@ -147,32 +147,14 @@ func decodeBatch(d *stream.Decoder, codec state.PayloadCodec) (Batch, error) {
 }
 
 // encodeBatchBin writes a batch in the compact binary layout: routing
-// header as before, then a uvarint tuple count and per-tuple records of
-// [varint ΔTS][key:8][varint ΔBorn][payload tag + body]. The timestamp
-// and birth columns are delta-encoded against the previous tuple —
-// batches are in emission order, so consecutive deltas are small and
-// usually cost one byte instead of eight. Keys stay fixed-width: they
-// are 64-bit hashes, so a varint would average nine-plus bytes AND a
-// ten-iteration decode loop per tuple. Payloads dispatch through the
-// wirecodec tag registry; codec is the tag-0 fallback for unregistered
-// types.
+// header as before, then the tuples as one wirecodec run — the same
+// bytes buffer state holds them as in a checkpoint. codec is the tag-0
+// fallback for unregistered payload types.
 func encodeBatchBin(e *stream.Encoder, b Batch, codec state.PayloadCodec) error {
 	encodeInstanceID(e, b.From)
 	encodeInstanceID(e, b.To)
 	e.Int32(int32(b.Input))
-	e.Uvarint(uint64(len(b.Tuples)))
-	var prevTS, prevBorn int64
-	for _, t := range b.Tuples {
-		e.Varint(t.TS - prevTS)
-		prevTS = t.TS
-		e.Key(t.Key)
-		e.Varint(t.Born - prevBorn)
-		prevBorn = t.Born
-		if err := wirecodec.EncodePayload(e, t.Payload, codec); err != nil {
-			return fmt.Errorf("transport: encode payload: %w", err)
-		}
-	}
-	return nil
+	return wirecodec.EncodeTuples(e, b.Tuples, codec)
 }
 
 func decodeBatchBin(d *stream.Decoder, codec state.PayloadCodec) (Batch, error) {
@@ -180,36 +162,9 @@ func decodeBatchBin(d *stream.Decoder, codec state.PayloadCodec) (Batch, error) 
 	b.From = decodeInstanceID(d)
 	b.To = decodeInstanceID(d)
 	b.Input = int(d.Int32())
-	n := int(d.Uvarint())
-	if err := d.Err(); err != nil {
-		return b, err
-	}
-	// A binary tuple record costs at least 11 bytes (two varints, the
-	// fixed-width key and a payload tag), so a sane count is bounded by
-	// the remaining body.
-	if n < 0 || n > d.Remaining()/11+1 {
-		return b, fmt.Errorf("transport: batch of %d tuples exceeds frame body", n)
-	}
-	b.Tuples = make([]stream.Tuple, 0, n)
-	var prevTS, prevBorn int64
-	for i := 0; i < n; i++ {
-		var t stream.Tuple
-		t.TS = prevTS + d.Varint()
-		prevTS = t.TS
-		t.Key = d.Key()
-		t.Born = prevBorn + d.Varint()
-		prevBorn = t.Born
-		payload, err := wirecodec.DecodePayload(d, codec)
-		if err != nil {
-			return b, fmt.Errorf("transport: decode payload: %w", err)
-		}
-		if err := d.Err(); err != nil {
-			return b, err
-		}
-		t.Payload = payload
-		b.Tuples = append(b.Tuples, t)
-	}
-	return b, nil
+	tuples, err := wirecodec.DecodeTuples(d, codec)
+	b.Tuples = tuples
+	return b, err
 }
 
 func encodeAck(e *stream.Encoder, a Ack) {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -12,6 +13,7 @@ import (
 	"seep/internal/plan"
 	"seep/internal/state"
 	"seep/internal/stream"
+	"seep/internal/wirecodec"
 )
 
 func randInstance(r *rand.Rand) plan.InstanceID {
@@ -64,6 +66,54 @@ func TestBatchFrameRoundTripProperty(t *testing.T) {
 				t.Fatalf("#%d tuple %d: %+v vs %+v", i, j, out.Tuples[j], in.Tuples[j])
 			}
 		}
+	}
+}
+
+// TestTupleRunIsOneEncoding: the tuple section of a binary batch frame
+// (type 8) and of a checkpoint's buffer section are the same bytes for
+// the same tuples — both are wirecodec.EncodeTuples, so a tuple has one
+// representation in flight and at rest.
+func TestTupleRunIsOneEncoding(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	codec := state.GobPayloadCodec{}
+	from, to := plan.InstanceID{Op: "map", Part: 1}, plan.InstanceID{Op: "cnt", Part: 2}
+	var tuples []stream.Tuple
+	ts := int64(100)
+	for i, p := range []any{int64(1) << 40, "word", nil, 2.5, true, []byte{9}, 7, uint16(3) /* tag 0 */} {
+		ts += r.Int63n(9)
+		tuples = append(tuples, stream.Tuple{TS: ts, Key: stream.Key(r.Uint64()), Born: int64(i), Payload: p})
+	}
+
+	run := stream.NewEncoder(64)
+	if err := wirecodec.EncodeTuples(run, tuples, codec); err != nil {
+		t.Fatal(err)
+	}
+
+	frame := stream.NewEncoder(64)
+	if err := encodeBatchBin(frame, Batch{From: from, To: to, Input: 1, Tuples: tuples}, codec); err != nil {
+		t.Fatal(err)
+	}
+	header := stream.NewEncoder(64)
+	encodeInstanceID(header, from)
+	encodeInstanceID(header, to)
+	header.Int32(1)
+	if got := frame.Bytes()[header.Len():]; !bytes.Equal(got, run.Bytes()) {
+		t.Errorf("frame tuple section differs from the tuple run:\n%x\n%x", got, run.Bytes())
+	}
+
+	buf := state.NewBuffer()
+	for _, tp := range tuples {
+		buf.Append(to, tp)
+	}
+	section := stream.NewEncoder(64)
+	if err := state.EncodeBuffer(section, buf, codec); err != nil {
+		t.Fatal(err)
+	}
+	prefix := stream.NewEncoder(16) // [targets:4][instance]
+	prefix.Uint32(1)
+	encodeInstanceID(prefix, to)
+	if got := section.Bytes()[prefix.Len():]; !bytes.Equal(got, run.Bytes()) {
+		t.Errorf("buffer section's tuples differ from the tuple run:\n%x\n%x", got, run.Bytes())
 	}
 }
 

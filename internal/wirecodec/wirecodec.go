@@ -1,12 +1,12 @@
-// Package wirecodec implements the compact binary payload encoding used
-// by the v2 batch frames: every tuple payload is a one-byte wire tag
-// followed by a tag-specific body. Common Go scalars have fixed builtin
-// tags; registered concrete types (seep.RegisterPayloadType, the
-// operator library's output types) get tags from a process-global
-// registry with hand-written or gob-backed codecs; anything else falls
-// back to tag 0 — the connection's configured PayloadCodec (gob by
-// default) — so an unregistered type costs compactness, never
-// correctness.
+// Package wirecodec implements the compact binary tuple encoding shared
+// by the v2 batch frames and by buffer state in checkpoints (tuples.go):
+// every tuple payload is a one-byte wire tag followed by a tag-specific
+// body. Common Go scalars have fixed builtin tags; registered concrete
+// types (seep.RegisterPayloadType, the operator library's output types)
+// get tags from a process-global registry with hand-written or
+// gob-backed codecs; anything else falls back to tag 0 — the caller's
+// configured PayloadCodec (gob by default) — so an unregistered type
+// costs compactness, never correctness.
 //
 // The registry is process-global for the same reason gob.Register is:
 // both ends of a connection live in different processes, so the tag
@@ -22,9 +22,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"seep/internal/state"
 	"seep/internal/stream"
 )
+
+// PayloadCodec is the tag-0 fallback: it serialises a payload whose
+// concrete type has no wire tag. state.PayloadCodec is this type.
+type PayloadCodec interface {
+	EncodePayload(payload any) ([]byte, error)
+	DecodePayload(b []byte) (any, error)
+}
 
 // Builtin wire tags. Tag 0 is the fallback: a uvarint length-prefixed
 // blob produced by the connection's configured PayloadCodec.
@@ -161,7 +167,7 @@ func gobDecode(d *stream.Decoder) (any, error) {
 // through the connection's fallback codec. A registered codec that fails
 // mid-payload is rolled back and retried through the fallback, so a
 // frame is never left with a half-written record.
-func EncodePayload(e *stream.Encoder, v any, fallback state.PayloadCodec) error {
+func EncodePayload(e *stream.Encoder, v any, fallback PayloadCodec) error {
 	switch p := v.(type) {
 	case string:
 		e.Uint8(TagString)
@@ -209,7 +215,7 @@ func EncodePayload(e *stream.Encoder, v any, fallback state.PayloadCodec) error 
 }
 
 // DecodePayload reads one tag-prefixed payload written by EncodePayload.
-func DecodePayload(d *stream.Decoder, fallback state.PayloadCodec) (any, error) {
+func DecodePayload(d *stream.Decoder, fallback PayloadCodec) (any, error) {
 	switch tag := d.Uint8(); tag {
 	case TagString:
 		return d.StringV(), d.Err()

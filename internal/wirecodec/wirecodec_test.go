@@ -1,4 +1,4 @@
-package wirecodec
+package wirecodec_test
 
 import (
 	"encoding/gob"
@@ -8,6 +8,7 @@ import (
 
 	"seep/internal/state"
 	"seep/internal/stream"
+	"seep/internal/wirecodec"
 )
 
 func init() {
@@ -56,11 +57,11 @@ func TestBuiltinRoundTrip(t *testing.T) {
 	}
 	for _, want := range cases {
 		e := stream.NewEncoder(32)
-		if err := EncodePayload(e, want, fallback); err != nil {
+		if err := wirecodec.EncodePayload(e, want, fallback); err != nil {
 			t.Fatalf("encode %#v: %v", want, err)
 		}
 		d := stream.NewDecoder(e.Bytes())
-		got, err := DecodePayload(d, fallback)
+		got, err := wirecodec.DecodePayload(d, fallback)
 		if err != nil {
 			t.Fatalf("decode %#v: %v", want, err)
 		}
@@ -79,23 +80,23 @@ func TestBuiltinRoundTrip(t *testing.T) {
 }
 
 func TestRegisterCodecRoundTrip(t *testing.T) {
-	tag, err := RegisterCodec(testPoint{}, encPoint, decPoint)
+	tag, err := wirecodec.RegisterCodec(testPoint{}, encPoint, decPoint)
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	if tag < FirstUserTag {
+	if tag < wirecodec.FirstUserTag {
 		t.Fatalf("assigned tag %d below FirstUserTag", tag)
 	}
 	fallback := state.GobPayloadCodec{}
 	e := stream.NewEncoder(32)
 	want := testPoint{X: -5, Y: 1 << 40}
-	if err := EncodePayload(e, want, fallback); err != nil {
+	if err := wirecodec.EncodePayload(e, want, fallback); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	if e.Bytes()[0] != tag {
 		t.Fatalf("wire tag byte = %d, want %d", e.Bytes()[0], tag)
 	}
-	got, err := DecodePayload(stream.NewDecoder(e.Bytes()), fallback)
+	got, err := wirecodec.DecodePayload(stream.NewDecoder(e.Bytes()), fallback)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -105,11 +106,11 @@ func TestRegisterCodecRoundTrip(t *testing.T) {
 }
 
 func TestRegisterDuplicate(t *testing.T) {
-	tag1, err := Register(testTagged{})
+	tag1, err := wirecodec.Register(testTagged{})
 	if err != nil {
 		t.Fatalf("first register: %v", err)
 	}
-	tag2, err := Register(testTagged{})
+	tag2, err := wirecodec.Register(testTagged{})
 	if err == nil {
 		t.Fatal("duplicate register: want error, got nil")
 	}
@@ -119,10 +120,10 @@ func TestRegisterDuplicate(t *testing.T) {
 }
 
 func TestRegisterNil(t *testing.T) {
-	if _, err := Register(nil); err == nil {
+	if _, err := wirecodec.Register(nil); err == nil {
 		t.Fatal("register nil: want error")
 	}
-	if _, err := RegisterCodec(testPoint{}, nil, nil); err == nil {
+	if _, err := wirecodec.RegisterCodec(testPoint{}, nil, nil); err == nil {
 		t.Fatal("register nil codec: want error")
 	}
 }
@@ -131,13 +132,13 @@ func TestUnregisteredFallsBack(t *testing.T) {
 	fallback := state.GobPayloadCodec{}
 	e := stream.NewEncoder(64)
 	want := testUnregistered{V: "via-gob"}
-	if err := EncodePayload(e, want, fallback); err != nil {
+	if err := wirecodec.EncodePayload(e, want, fallback); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if e.Bytes()[0] != TagFallback {
+	if e.Bytes()[0] != wirecodec.TagFallback {
 		t.Fatalf("wire tag byte = %d, want fallback 0", e.Bytes()[0])
 	}
-	got, err := DecodePayload(stream.NewDecoder(e.Bytes()), fallback)
+	got, err := wirecodec.DecodePayload(stream.NewDecoder(e.Bytes()), fallback)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -148,7 +149,7 @@ func TestUnregisteredFallsBack(t *testing.T) {
 
 func TestFailedCodecRollsBack(t *testing.T) {
 	type flaky struct{ S string }
-	_, err := RegisterCodec(flaky{},
+	_, err := wirecodec.RegisterCodec(flaky{},
 		func(e *stream.Encoder, v any) error {
 			e.Uint64(0xdead) // partial write that must be rolled back
 			return errors.New("boom")
@@ -161,15 +162,15 @@ func TestFailedCodecRollsBack(t *testing.T) {
 	e := stream.NewEncoder(64)
 	e.Uint8(0x77) // pre-existing content must survive the rollback
 	want := flaky{S: "recovered"}
-	if err := EncodePayload(e, want, fallback); err != nil {
+	if err := wirecodec.EncodePayload(e, want, fallback); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if e.Bytes()[0] != 0x77 || e.Bytes()[1] != TagFallback {
+	if e.Bytes()[0] != 0x77 || e.Bytes()[1] != wirecodec.TagFallback {
 		t.Fatalf("rollback failed: prefix bytes % x", e.Bytes()[:2])
 	}
 	d := stream.NewDecoder(e.Bytes())
 	d.Uint8()
-	got, err := DecodePayload(d, fallback)
+	got, err := wirecodec.DecodePayload(d, fallback)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestFailedCodecRollsBack(t *testing.T) {
 func TestDecodeUnknownTag(t *testing.T) {
 	e := stream.NewEncoder(4)
 	e.Uint8(255)
-	_, err := DecodePayload(stream.NewDecoder(e.Bytes()), state.GobPayloadCodec{})
+	_, err := wirecodec.DecodePayload(stream.NewDecoder(e.Bytes()), state.GobPayloadCodec{})
 	if err == nil || !strings.Contains(err.Error(), "unknown payload wire tag") {
 		t.Fatalf("want unknown-tag error, got %v", err)
 	}
@@ -190,13 +191,13 @@ func TestDecodeUnknownTag(t *testing.T) {
 func TestDecodeTruncated(t *testing.T) {
 	fallback := state.GobPayloadCodec{}
 	e := stream.NewEncoder(32)
-	if err := EncodePayload(e, "a longer string payload", fallback); err != nil {
+	if err := wirecodec.EncodePayload(e, "a longer string payload", fallback); err != nil {
 		t.Fatal(err)
 	}
 	full := e.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		d := stream.NewDecoder(full[:cut])
-		v, err := DecodePayload(d, fallback)
+		v, err := wirecodec.DecodePayload(d, fallback)
 		if err == nil && d.Err() == nil && v != "a longer string payload" {
 			t.Fatalf("truncated at %d: silently decoded %#v", cut, v)
 		}
@@ -205,13 +206,13 @@ func TestDecodeTruncated(t *testing.T) {
 
 func TestEncodeAnyRejectsUnregistered(t *testing.T) {
 	e := stream.NewEncoder(16)
-	if err := EncodeAny(e, testUnregistered{V: "x"}); err == nil {
+	if err := wirecodec.EncodeAny(e, testUnregistered{V: "x"}); err == nil {
 		t.Fatal("EncodeAny of unregistered type: want error")
 	}
-	if err := EncodeAny(e, "nested-ok"); err != nil {
+	if err := wirecodec.EncodeAny(e, "nested-ok"); err != nil {
 		t.Fatalf("EncodeAny builtin: %v", err)
 	}
-	got, err := DecodeAny(stream.NewDecoder(e.Bytes()))
+	got, err := wirecodec.DecodeAny(stream.NewDecoder(e.Bytes()))
 	if err != nil {
 		t.Fatalf("DecodeAny: %v", err)
 	}
@@ -227,7 +228,7 @@ func TestEncodeStringAllocFree(t *testing.T) {
 	var s any = "steady-state string payload"
 	allocs := testing.AllocsPerRun(100, func() {
 		e.Reset()
-		if err := EncodePayload(e, s, nil); err != nil {
+		if err := wirecodec.EncodePayload(e, s, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

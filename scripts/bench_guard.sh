@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Bench-regression guard: runs the two data-path anchor benchmarks and
-# fails if the best-of-N ns/op exceeds the recorded anchor by more than
-# 15%. Anchors are the ci_anchor sections next to the numbers they
-# guard: BENCH_transport.json (wire hop), BENCH_pipeline.json
-# (in-process engine path).
+# Bench-regression guard: runs the anchor benchmarks and fails if the
+# best-of-N ns/op exceeds the recorded anchor by more than 15%. Anchors
+# are the ci_anchor sections next to the numbers they guard:
+# BENCH_transport.json (wire hop), BENCH_pipeline.json (in-process
+# engine path), BENCH_checkpoint.json (one checkpoint's encode, store
+# and decode).
 # Best-of-N damps scheduler noise; a genuine regression shifts the whole
 # distribution, not just the tail.
 set -euo pipefail
@@ -15,13 +16,14 @@ anchor() { # file — the ci_anchor section's ns_per_op value
 
 transport_anchor=$(anchor BENCH_transport.json)
 engine_anchor=$(anchor BENCH_pipeline.json)
-if [ -z "$transport_anchor" ] || [ -z "$engine_anchor" ]; then
-  echo "bench_guard: missing anchors (transport='$transport_anchor' engine='$engine_anchor')" >&2
+ship_anchor=$(anchor BENCH_checkpoint.json)
+if [ -z "$transport_anchor" ] || [ -z "$engine_anchor" ] || [ -z "$ship_anchor" ]; then
+  echo "bench_guard: missing anchors (transport='$transport_anchor' engine='$engine_anchor' ship='$ship_anchor')" >&2
   exit 1
 fi
 
 out=$(go test . -run '^$' -benchtime=0.5s -count="${BENCH_COUNT:-3}" \
-  -bench 'BenchmarkTransportPipeline$|BenchmarkEnginePipeline/batch=256')
+  -bench 'BenchmarkTransportPipeline$|BenchmarkEnginePipeline/batch=256|BenchmarkCheckpointShip$')
 echo "$out"
 
 check() { # benchmark-name-prefix, anchor
@@ -40,3 +42,4 @@ check() { # benchmark-name-prefix, anchor
 
 check BenchmarkTransportPipeline "$transport_anchor"
 check BenchmarkEnginePipeline/batch=256 "$engine_anchor"
+check BenchmarkCheckpointShip "$ship_anchor"

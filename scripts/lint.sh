@@ -18,6 +18,12 @@ fi
 echo "== go vet"
 go vet ./...
 
+echo "== import direction"
+if go list -deps ./internal/wirecodec | grep -x 'seep/internal/state'; then
+  echo "internal/wirecodec must not depend on internal/state: state encodes buffered tuples with it" >&2
+  exit 1
+fi
+
 echo "== seep-lint (standalone)"
 go run ./cmd/seep-lint ./...
 
