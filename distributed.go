@@ -98,7 +98,6 @@ func (r *distRuntime) Deploy(t *Topology) (Job, error) {
 		ChannelBuffer:      cfg.channelBuffer,
 		QueueBound:         cfg.queueBound,
 		MemoryLimit:        cfg.memoryLimit,
-		WireCodec:          cfg.wireCodec,
 		Delta:              deltaPolicy,
 		DeltaCompress:      cfg.deltaCompress,
 		DetectDelay:        detect,
@@ -505,10 +504,10 @@ func (j *distJob) MetricsSnapshot() Metrics {
 }
 
 // RegisterPayloadType registers a concrete tuple-payload type for the
-// distributed runtime's wire codecs: the type gets a tag in the binary
-// framing's payload registry (encoded as a gob blob under that tag) and
-// is registered with encoding/gob for the legacy framing and the tag-0
-// fallback. It returns the assigned wire tag. Registering the same type
+// distributed runtime's wire codec: the type gets a tag in the batch
+// frame's payload registry (encoded as a gob blob under that tag) and
+// is registered with encoding/gob for the tag-0 fallback. It returns the
+// assigned wire tag. Registering the same type
 // twice returns the original tag and an error (instead of gob.Register's
 // panic on conflicting names). Every binary in the cluster (coordinator
 // and workers) must register the same types in the same order; the

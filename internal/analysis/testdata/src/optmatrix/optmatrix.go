@@ -45,7 +45,7 @@ func WithWorkers(n int) Option {
 func WithWire(name string) Option {
 	return func(c *runtimeConfig) {
 		c.wire = name
-		c.restrict("WithWireCodec", "", "dist") // want `c\.restrict registers "WithWireCodec" from inside WithWire`
+		c.restrict("WithWireFormat", "", "dist") // want `c\.restrict registers "WithWireFormat" from inside WithWire`
 	}
 }
 

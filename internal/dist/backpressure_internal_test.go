@@ -127,3 +127,36 @@ func TestLinkCreditTimeoutResyncsBudget(t *testing.T) {
 		t.Fatalf("CreditStalls = %d, want 1", got)
 	}
 }
+
+// Teardown ends a link through its done channel — the queue stays open,
+// so a sender racing the end of the job drops its message instead of
+// sending on a closed channel — and link refuses to create another one,
+// so a late sender cannot leave a writer goroutine behind.
+func TestLinkTeardown(t *testing.T) {
+	w, err := NewWorker("127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.link("127.0.0.1:1") != nil {
+		t.Error("link created before any assignment")
+	}
+	w.lmu.Lock()
+	w.links, w.linkCredits = make(map[string]*peerLink), 4 // what handleAssign arms
+	w.lmu.Unlock()
+	pl := w.link("127.0.0.1:1")
+	if pl == nil || w.link("127.0.0.1:1") != pl {
+		t.Fatal("link not created once per address")
+	}
+	w.Kill()
+	select {
+	case <-pl.done:
+	default:
+		t.Fatal("Kill left the link running")
+	}
+	for i := 0; i < 2*cap(pl.q); i++ {
+		pl.enqueue(linkMsg{}) // past the queue's capacity: must not block
+	}
+	if w.link("127.0.0.1:1") != nil {
+		t.Error("link re-created after teardown")
+	}
+}

@@ -37,10 +37,6 @@ type Config struct {
 	// MemoryLimit arms state spilling on every stateful instance past
 	// this many resident bytes (0: in-memory only).
 	MemoryLimit int64
-	// WireCodec selects the data-path batch framing: "" or "binary" for
-	// the compact binary tuple codec, "gob" to pin workers to the legacy
-	// gob framing (e.g. while a mixed-version fleet drains).
-	WireCodec string
 	// Delta, when enabled (FullEvery >= 2), makes workers ship
 	// incremental checkpoints between full snapshots; the coordinator
 	// folds them into its authoritative store. FullEvery is the epoch
@@ -795,7 +791,6 @@ func (c *Coordinator) startDeploy(q *plan.Query, addrs []string, done chan error
 		MemoryLimitBytes:  c.cfg.MemoryLimit,
 		StandbyAddr:       c.standbyAddr(),
 		DetectMillis:      c.cfg.DetectDelay.Milliseconds(),
-		WireCodec:         wireCodecFor(c.cfg.WireCodec),
 		DeltaFullEvery:    c.cfg.Delta.FullEvery,
 		DeltaMaxFraction:  c.cfg.Delta.MaxDeltaFraction,
 		DeltaCompress:     c.cfg.DeltaCompress,

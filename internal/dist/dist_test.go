@@ -394,43 +394,6 @@ func TestDistributedScaleInGuards(t *testing.T) {
 	}
 }
 
-// TestDistributedWordCountGobWireCodec pins the cluster to the legacy
-// gob framing via the negotiated codec byte in the job spec: counts must
-// stay exact and frames still flow, proving a fleet that cannot speak the
-// binary codec degrades to gob instead of corrupting the stream.
-func TestDistributedWordCountGobWireCodec(t *testing.T) {
-	reg := wordcountRegistry()
-	cl := startClusterWith(t, reg, 3, func(c *dist.Config) {
-		c.WireCodec = "gob"
-	})
-	if err := cl.coord.StartJob(); err != nil {
-		t.Fatal(err)
-	}
-
-	src := plan.InstanceID{Op: "src", Part: 1}
-	srcWorker := cl.hostOf(t, src)
-	if err := srcWorker.Engine().InjectBatch(src, 300, parityGen); err != nil {
-		t.Fatal(err)
-	}
-	cl.quiesce(t, 300*time.Millisecond, 10*time.Second)
-
-	count := cl.coord.Manager().Instances("count")[0]
-	counter := cl.counterOf(t, count)
-	for i := 0; i < 10; i++ {
-		w := fmt.Sprintf("w%02d", i)
-		if got := counter.Count(w); got != 30 {
-			t.Errorf("Count(%s) = %d, want 30 under gob framing", w, got)
-		}
-	}
-	var frames uint64
-	for _, w := range cl.workers {
-		frames += w.TransportStats().FramesSent
-	}
-	if frames == 0 {
-		t.Error("no frames crossed the wire under gob framing")
-	}
-}
-
 // TestDistributedDeltaCheckpointRecoveryExactCounts is the recovery
 // parity test with delta checkpoints shipping over the wire: kill the
 // worker hosting the stateful counter mid-stream and assert the exact

@@ -85,26 +85,6 @@ const (
 	MsgResume
 )
 
-// Wire-codec selectors carried in Control.WireCodec (MsgAssign). Zero
-// means unspecified and resolves to binary, so a job spec from an older
-// coordinator that predates the field still gets the compact framing on
-// new workers only when it opted in — older workers ignore the field
-// entirely and keep decoding both framings.
-const (
-	wireCodecUnspecified = uint8(0)
-	wireCodecBinary      = uint8(1)
-	wireCodecGob         = uint8(2)
-)
-
-// wireCodecFor maps the public option string ("", "binary", "gob") to
-// its wire selector.
-func wireCodecFor(name string) uint8 {
-	if name == "gob" {
-		return wireCodecGob
-	}
-	return wireCodecBinary
-}
-
 // Placement locates one instance on one worker (by listener address).
 type Placement struct {
 	Inst plan.InstanceID
@@ -160,12 +140,6 @@ type Control struct {
 	// detection window; the worker heartbeats its coordinator link at the
 	// same cadence the coordinator heartbeats workers.
 	DetectMillis int64
-	// WireCodec (MsgAssign) selects the data-path batch framing:
-	// 0 unspecified (binary), 1 binary, 2 legacy gob. Control messages
-	// stay gob either way, which is what lets a newer coordinator
-	// negotiate the framing with an older worker — gob tolerates fields
-	// the decoder does not know.
-	WireCodec uint8
 	// DeltaFullEvery / DeltaMaxFraction (MsgAssign) arm incremental
 	// checkpoint shipping on the worker's engine (state.DeltaPolicy);
 	// DeltaFullEvery below 2 disables it.

@@ -73,11 +73,8 @@ type Worker struct {
 	// shipped (or buffered) — reported in MsgReattach inventories.
 	lastBarrier atomic.Uint64
 
-	// legacyBatch pins the outbound data links to gob batch framing
-	// (MsgAssign negotiated WireCodec 2); deltaCompress flate-compresses
-	// delta-checkpoint frames. Both are set per assignment and read on
-	// link/ship paths without w.mu.
-	legacyBatch   atomic.Bool
+	// deltaCompress flate-compresses delta-checkpoint frames. Set per
+	// assignment and read on the ship path without w.mu.
 	deltaCompress atomic.Bool
 
 	// engPtr mirrors w.eng for the lock-free inbound data path; written
@@ -95,7 +92,10 @@ type Worker struct {
 	pmu       sync.RWMutex
 	placement map[plan.InstanceID]string
 
-	// lmu guards the outbound data links and their credit sizing.
+	// lmu guards the outbound data links and their credit sizing, both
+	// set by the assignment. links is nil outside a job (before
+	// assignment, after stop or kill), which is what makes link refuse
+	// to create one.
 	lmu         sync.Mutex
 	links       map[string]*peerLink
 	linkCredits int
@@ -117,7 +117,6 @@ func NewWorker(addr string, reg Registry, codec state.PayloadCodec) (*Worker, er
 		stash:     make(map[plan.InstanceID][]engine.Delivery),
 		retired:   make(map[plan.InstanceID]bool),
 		placement: make(map[plan.InstanceID]string),
-		links:     make(map[string]*peerLink),
 		ctrlQ:     make(chan *Control, 256),
 		died:      make(chan struct{}),
 	}
@@ -201,13 +200,7 @@ func (w *Worker) Kill() {
 	if eng != nil {
 		eng.Stop()
 	}
-	// Engine goroutines are gone, so no Deliver can race the teardown.
-	w.lmu.Lock()
-	for _, pl := range w.links {
-		close(pl.q)
-	}
-	w.links = make(map[string]*peerLink)
-	w.lmu.Unlock()
+	w.closeLinks()
 	close(w.died)
 }
 
@@ -243,7 +236,9 @@ func (w *Worker) grantCredit(b transport.Batch) {
 	if addr == "" || addr == w.self {
 		return
 	}
-	w.link(addr).enqueueCredit(transport.Credit{To: b.To, Grants: 1})
+	if pl := w.link(addr); pl != nil {
+		pl.enqueue(linkMsg{credit: transport.Credit{To: b.To, Grants: 1}, isCredit: true})
+	}
 }
 
 // onCredit refills the budget of the link carrying batches toward the
@@ -256,6 +251,9 @@ func (w *Worker) onCredit(c transport.Credit) {
 		return
 	}
 	pl := w.link(addr)
+	if pl == nil {
+		return
+	}
 	for i := uint32(0); i < c.Grants; i++ {
 		select {
 		case pl.credits <- struct{}{}:
@@ -412,12 +410,10 @@ func (w *Worker) handleAssign(c *Control) error {
 		return err
 	}
 	eng.SetRemote(&linkRouter{w: w})
-	w.legacyBatch.Store(c.WireCodec == wireCodecGob)
 	w.deltaCompress.Store(c.DeltaCompress)
 	// Mirror the engine's per-node credit sizing onto the outbound links:
 	// the remote half of an edge gets the same batch budget as a local
 	// edge would.
-	w.lmu.Lock()
 	qb := c.QueueBound
 	if qb <= 0 {
 		qb = c.ChannelBuffer
@@ -429,10 +425,7 @@ func (w *Worker) handleAssign(c *Control) error {
 	if bs <= 0 {
 		bs = 128
 	}
-	if w.linkCredits = qb / bs; w.linkCredits < 1 {
-		w.linkCredits = 1
-	}
-	w.lmu.Unlock()
+	linkCredits := max(qb/bs, 1)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -445,6 +438,10 @@ func (w *Worker) handleAssign(c *Control) error {
 		return fmt.Errorf("dist: worker already assigned")
 	}
 	w.setEngine(eng)
+	w.lmu.Lock()
+	w.links = make(map[string]*peerLink)
+	w.linkCredits = linkCredits
+	w.lmu.Unlock()
 	w.coord = coord
 	w.sources = sources
 	w.standby = c.StandbyAddr
@@ -519,13 +516,7 @@ func (w *Worker) handleStop() {
 	if eng != nil {
 		eng.Stop()
 	}
-	// Engine goroutines are gone; tear down the job's data links.
-	w.lmu.Lock()
-	for _, pl := range w.links {
-		close(pl.q)
-	}
-	w.links = make(map[string]*peerLink)
-	w.lmu.Unlock()
+	w.closeLinks()
 	if coord != nil {
 		coord.Close()
 	}
@@ -905,7 +896,9 @@ func (w *Worker) deliverRemote(to plan.InstanceID, ds []engine.Delivery) {
 	for i := range ds {
 		b.Tuples[i] = ds[i].T
 	}
-	w.link(addr).enqueue(b)
+	if pl := w.link(addr); pl != nil {
+		pl.enqueue(linkMsg{b: b})
+	}
 }
 
 // linkMsg is one unit of outbound link work: a data batch (credit-gated)
@@ -924,10 +917,14 @@ type linkMsg struct {
 // budget in batches: one credit is consumed per batch shipped and
 // refilled by frameCredit grants from the receiving host, so a slow
 // receiver stalls this sender instead of growing the remote queue.
+// Teardown closes done and never q: engine and listener goroutines may
+// still be enqueueing, and a send racing the end of the job is a dropped
+// message, not a send on a closed channel.
 type peerLink struct {
 	addr    string
 	q       chan linkMsg
 	credits chan struct{}
+	done    chan struct{}
 }
 
 // linkCreditTimeout is the liveness escape for a sender waiting on
@@ -937,18 +934,11 @@ type peerLink struct {
 // memory bounded even through a resync.
 const linkCreditTimeout = 2 * time.Second
 
-func (pl *peerLink) enqueue(b transport.Batch) {
-	defer func() {
-		// The queue closes when the worker is killed mid-flight; a send
-		// racing that teardown is a dropped batch, not a crash.
-		_ = recover()
-	}()
-	pl.q <- linkMsg{b: b}
-}
-
-func (pl *peerLink) enqueueCredit(c transport.Credit) {
-	defer func() { _ = recover() }()
-	pl.q <- linkMsg{credit: c, isCredit: true}
+func (pl *peerLink) enqueue(m linkMsg) {
+	select {
+	case pl.q <- m:
+	case <-pl.done:
+	}
 }
 
 // refill tops the budget back up to capacity (credit resync).
@@ -978,25 +968,38 @@ func (pl *peerLink) acquireCredit(w *Worker) {
 	case <-pl.credits:
 	case <-t.C:
 		pl.refill()
-	case <-w.died:
+	case <-pl.done:
 	}
 }
 
+// link returns the outbound link toward addr, creating it on first use;
+// nil once the job's links are torn down, so a late sender cannot leave
+// a writer goroutine behind.
 func (w *Worker) link(addr string) *peerLink {
 	w.lmu.Lock()
 	defer w.lmu.Unlock()
+	if w.links == nil {
+		return nil
+	}
 	if pl := w.links[addr]; pl != nil {
 		return pl
 	}
-	slots := w.linkCredits
-	if slots <= 0 {
-		slots = 32 // engine defaults: 4096-tuple queue / 128-tuple batches
-	}
-	pl := &peerLink{addr: addr, q: make(chan linkMsg, 256), credits: make(chan struct{}, slots)}
+	pl := &peerLink{addr: addr, q: make(chan linkMsg, 256), credits: make(chan struct{}, w.linkCredits), done: make(chan struct{})}
 	pl.refill()
 	w.links[addr] = pl
 	go w.runLink(pl)
 	return pl
+}
+
+// closeLinks ends the job's outbound links: their writers exit and
+// link refuses to create new ones until the next assignment.
+func (w *Worker) closeLinks() {
+	w.lmu.Lock()
+	for _, pl := range w.links {
+		close(pl.done)
+	}
+	w.links = nil
+	w.lmu.Unlock()
 }
 
 func (w *Worker) runLink(pl *peerLink) {
@@ -1015,23 +1018,40 @@ func (w *Worker) runLink(pl *peerLink) {
 		retryBackoff = 400 * time.Millisecond
 	)
 	var p *transport.Peer
+	defer func() {
+		if p != nil {
+			p.Close()
+		}
+	}()
 	var downUntil time.Time
-	for m := range pl.q {
+	for {
+		var m linkMsg
+		select {
+		case m = <-pl.q:
+		case <-pl.done:
+			return
+		}
 		if !m.isCredit {
 			pl.acquireCredit(w)
 		}
-		sent := false
+		// A message still unsent after maxAttempts is dropped: retention
+		// and recovery cover it.
 		for attempt := 0; attempt < maxAttempts; attempt++ {
 			if p == nil {
 				if wait := time.Until(downUntil); wait > 0 {
-					time.Sleep(wait)
+					t := time.NewTimer(wait)
+					select {
+					case <-t.C:
+					case <-pl.done:
+						t.Stop()
+						return
+					}
 				}
 				peer, err := transport.DialWith(pl.addr, w.codec, w.tm)
 				if err != nil {
 					downUntil = time.Now().Add(retryBackoff)
 					continue
 				}
-				peer.LegacyBatch = w.legacyBatch.Load()
 				p = peer
 			}
 			var err error
@@ -1048,13 +1068,8 @@ func (w *Worker) runLink(pl *peerLink) {
 				downUntil = time.Now().Add(retryBackoff)
 				continue
 			}
-			sent = true
 			break
 		}
-		_ = sent // dropped after maxAttempts: retention + recovery cover it
-	}
-	if p != nil {
-		p.Close()
 	}
 }
 

@@ -193,8 +193,8 @@ func (e *Engine) BackpressureSnapshot() BackpressureStats {
 			out.PeakQueueDepth = es.Peak
 		}
 		out.Edges[fmt.Sprintf("%s/%d", n.inst.Op, n.inst.Part)] = es
-		if n.store != nil {
-			out.Spill.Add(n.store.SpillStats())
+		if n.Store != nil {
+			out.Spill.Add(n.Store.SpillStats())
 		}
 	}
 	return out

@@ -261,23 +261,10 @@ type node struct {
 	// replayed tuples precede newly routed ones.
 	replayQueue []delivery
 
-	// store is the system-owned managed state of op (nil for stateless
-	// and legacy Stateful operators).
-	store *state.Store
-
 	// routes is the current route-table snapshot, loaded by the emit
 	// path without any engine lock.
 	routes atomic.Pointer[routeTable]
 
-	// mu guards the cross-goroutine state: acks (inherited during
-	// replacement), outBuf (trimmed by downstream checkpoints,
-	// repartitioned during scale out), tsVec/outClock (captured during
-	// restore), and the incremental-checkpoint bookkeeping
-	// (ckptSeq/deltasSince/needFull, shared between the node goroutine's
-	// barrier capture and the checkpoint loop's ship outcome). The data
-	// path takes it once per batch: one acquisition to dup-filter and
-	// ack a whole input batch, one to stamp/buffer/route a whole output
-	// batch.
 	// emitMu serialises whole emit passes (timestamp run + channel
 	// sends) when several goroutines emit through the same node — the
 	// source driver and concurrent InjectBatch callers. Stamping under
@@ -291,25 +278,17 @@ type node struct {
 	// stalled holder.
 	emitMu sync.Mutex
 
-	mu       sync.Mutex
-	acks     map[plan.InstanceID]int64
-	tsVec    stream.TSVector
-	outClock stream.Clock
-	outBuf   *state.Buffer
-	// legacy holds output buffers inherited from scale-in victims, keyed
-	// by the ORIGINAL emitting instance. Each is replayed and trimmed
-	// under the owner's identity — the victims stamped tuples from
-	// independent clocks, so folding them into outBuf would break the
-	// per-sender monotonicity duplicate detection relies on. Entries
-	// drain to empty as downstream checkpoints acknowledge them. Nil on
-	// every node that is not a merge product.
-	legacy  map[plan.InstanceID]*state.Buffer
-	ckptSeq uint64
-	// deltasSince counts deltas shipped since the last full checkpoint.
-	deltasSince int
-	// needFull forces the next checkpoint to be full: set initially, on
-	// restore, and whenever a delta fails to apply at the backup host.
-	needFull bool
+	// mu guards the embedded state bundle, which other goroutines reach:
+	// Acks (inherited during replacement), Buffer and Legacy (trimmed by
+	// downstream checkpoints, repartitioned during scale out),
+	// TS/OutClock (captured during restore), and Seq/NeedFull (shared
+	// between the node goroutine's barrier capture and the checkpoint
+	// loop's ship outcome). Store is nil on a stateless node. The data
+	// path takes mu once per batch: one acquisition to dup-filter and
+	// ack a whole input batch, one to stamp/buffer/route a whole output
+	// batch.
+	mu sync.Mutex
+	state.Instance
 
 	// Owned by the node goroutine: the output staging area and the
 	// reusable emitter bound to it (curBorn carries the lineage birth
@@ -465,24 +444,20 @@ func (e *Engine) newNode(inst plan.InstanceID, spec *plan.OpSpec) (*node, error)
 		inst:     inst,
 		spec:     spec,
 		op:       op,
-		store:    operator.StoreOf(op),
+		Instance: state.NewInstance(operator.StoreOf(op), len(e.mgr.Query().Upstream(inst.Op))),
 		in:       make(chan []delivery, e.cfg.channelSlots()),
 		ctrl:     make(chan ctrlMsg, 2),
-		acks:     make(map[plan.InstanceID]int64),
-		tsVec:    stream.NewTSVector(len(e.mgr.Query().Upstream(inst.Op))),
-		outBuf:   state.NewBuffer(),
-		needFull: true,
 		stopped:  make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	n.emitFn = func(k stream.Key, p any) { n.stage(k, p, n.curBorn) }
 	n.credits.init(e.cfg.creditSlots())
-	if e.cfg.MemoryLimit > 0 && n.store != nil {
-		if err := n.store.EnableSpill("", e.cfg.MemoryLimit); err != nil {
+	if e.cfg.MemoryLimit > 0 && n.Store != nil {
+		if err := n.Store.EnableSpill("", e.cfg.MemoryLimit); err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", inst, err)
 		}
 		e.spillMu.Lock()
-		e.spillStores = append(e.spillStores, n.store)
+		e.spillStores = append(e.spillStores, n.Store)
 		e.spillMu.Unlock()
 	}
 	return n, nil
@@ -521,7 +496,7 @@ func (e *Engine) rebuildTopology() {
 		}
 		n.mu.Lock()
 		n.routes.Store(e.buildRoutes(n))
-		for owner := range n.legacy {
+		for owner := range n.Legacy {
 			if set.legacyHosts == nil {
 				set.legacyHosts = make(map[plan.InstanceID]*node)
 			}
@@ -534,7 +509,7 @@ func (e *Engine) rebuildTopology() {
 
 // buildRoutes resolves one node's downstream fan-out against the
 // current routing state and node map. Both locks are required: the
-// buffer handles live inside n.outBuf, guarded by n.mu against
+// buffer handles live inside n.Buffer, guarded by n.mu against
 // concurrent trims, and holding n.mu across the whole build also lets
 // ApplyReroute swap a table atomically with buffer repartitioning.
 //
@@ -574,7 +549,7 @@ func (e *Engine) buildRoutes(n *node) *routeTable {
 				h.insts[i] = en.Target
 			}
 			if h.buffer {
-				h.handles[i] = n.outBuf.Handle(en.Target)
+				h.handles[i] = n.Buffer.Handle(en.Target)
 			}
 		}
 		rt.hops = append(rt.hops, h)
@@ -780,7 +755,7 @@ func (n *node) handleBatch(ds []delivery) {
 	kept := ds[:0]
 	for i := 0; i < len(ds); {
 		from := ds[i].From
-		wm := n.acks[from]
+		wm := n.Acks[from]
 		last := wm
 		j := i
 		for ; j < len(ds) && ds[j].From == from; j++ {
@@ -792,8 +767,8 @@ func (n *node) handleBatch(ds []delivery) {
 			kept = append(kept, ds[j])
 		}
 		if last > wm {
-			n.acks[from] = last
-			n.tsVec.Advance(ds[i].Input, last)
+			n.Acks[from] = last
+			n.TS.Advance(ds[i].Input, last)
 		}
 		i = j
 	}
@@ -928,7 +903,7 @@ func (n *node) emitChunk(chunk []staged) {
 		n.mu.Unlock()
 		return
 	}
-	base := n.outClock.NextN(len(chunk))
+	base := n.OutClock.NextN(len(chunk))
 	var sends []outSend
 	for hi := range rt.hops {
 		h := &rt.hops[hi]

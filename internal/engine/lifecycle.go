@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"seep/internal/operator"
 	"seep/internal/plan"
 	"seep/internal/state"
 	"seep/internal/stream"
@@ -26,9 +25,9 @@ import (
 // checkpoint loop, so the node stalls only for the capture itself.
 
 // capture is the node-side result of a checkpoint barrier: exactly one
-// of full/delta is set; both nil means the state failed to encode and
-// the checkpoint round is skipped (the previous backup is kept rather
-// than shipping partial state).
+// of full/delta is set. A nil capture means the node stopped or its
+// state failed to encode; the checkpoint round is skipped (the previous
+// backup is kept rather than shipping partial state).
 type capture struct {
 	full  *state.Checkpoint
 	delta *state.DeltaCheckpoint
@@ -52,85 +51,54 @@ func (e *Engine) checkpointAll() {
 
 // checkpointNode takes a consistent checkpoint of one node via a
 // barrier, stores it at its backup host and trims acknowledged tuples
-// from upstream buffers (Algorithm 1). Under an active DeltaPolicy,
-// managed-state nodes ship an incremental checkpoint — the keys dirtied
-// since the last one — whenever a base exists, the per-base delta
-// budget is not exhausted and the delta is small enough; any failure to
-// apply falls back to a full checkpoint, so a delta is never
-// load-bearing.
+// from upstream buffers (Algorithm 1). Whether the capture is a full or
+// an incremental checkpoint is state.Capture's decision; a capture the
+// backup host could not take (missing base, moved host, coordinator
+// unreachable) leaves the node owing a full checkpoint, and a refused
+// delta is re-captured as one at once — so a delta is never
+// load-bearing, and callers that need a fresh usable backup (ScaleOut)
+// are not left behind a stale one.
 func (e *Engine) checkpointNode(n *node) {
-	if e.cfg.Backup != nil {
-		// Distributed mode: the capture ships to the coordinator's
-		// authoritative store; acknowledgement trims come back over the
-		// wire (TrimUpstream), and the coordinator picks the backup
-		// host, so the engine's (possibly stale) local graph is never
-		// consulted.
+	// In distributed mode captures ship to the coordinator's authoritative
+	// store: acknowledgement trims come back over the wire (TrimUpstream)
+	// and the coordinator picks the backup host, so the engine's
+	// (possibly stale) local graph is never consulted.
+	sink := e.cfg.Backup
+	var host plan.InstanceID
+	if sink == nil {
+		var err error
+		if host, err = e.mgr.BackupTarget(n.inst); err != nil {
+			return
+		}
+	}
+	for range 2 {
 		cap := e.requestCapture(n)
 		if cap == nil {
 			return
 		}
-		if cap.delta != nil {
-			if err := e.cfg.Backup.ShipDelta(cap.delta); err == nil {
-				return
+		var err error
+		switch {
+		case sink != nil && cap.delta != nil:
+			err = sink.ShipDelta(cap.delta)
+		case sink != nil:
+			err = sink.ShipFull(cap.full)
+		case cap.delta != nil:
+			if err = e.mgr.Backups().ApplyDelta(host, cap.delta); err == nil {
+				e.trimAcked(n.inst, cap.delta.Acks)
 			}
-			// The sink could not take the delta (coordinator unreachable,
-			// orphaned worker): re-capture as a full checkpoint, mirroring
-			// the in-process fallback, so a delta is never load-bearing.
-			n.mu.Lock()
-			n.needFull = true
-			n.mu.Unlock()
-			cap = e.requestCapture(n)
-			if cap == nil {
-				return
-			}
+		default:
+			err = e.storeFull(host, cap.full)
 		}
-		if cap.full == nil {
-			return
-		}
-		if err := e.cfg.Backup.ShipFull(cap.full); err != nil {
+		if err == nil {
 			return
 		}
 		n.mu.Lock()
-		n.needFull = false
-		n.deltasSince = 0
+		n.NeedFull = true
 		n.mu.Unlock()
-		return
-	}
-	host, err := e.mgr.BackupTarget(n.inst)
-	if err != nil {
-		return
-	}
-	cap := e.requestCapture(n)
-	if cap == nil {
-		return
-	}
-	if cap.delta != nil {
-		if err := e.mgr.Backups().ApplyDelta(host, cap.delta); err == nil {
-			e.trimAcked(n.inst, cap.delta.Acks)
-			return
-		}
-		// The backup host could not fold the delta (missing base, moved
-		// host): force and ship a full checkpoint now, so callers that
-		// need a fresh usable backup (ScaleOut) are not left behind a
-		// stale one.
-		n.mu.Lock()
-		n.needFull = true
-		n.mu.Unlock()
-		cap = e.requestCapture(n)
-		if cap == nil {
+		if cap.full != nil {
 			return
 		}
 	}
-	if cap.full == nil {
-		return
-	}
-	if err := e.storeFull(host, cap.full); err != nil {
-		return
-	}
-	n.mu.Lock()
-	n.needFull = false
-	n.deltasSince = 0
-	n.mu.Unlock()
 }
 
 // storeFull stores a full checkpoint in the in-process backup store and
@@ -172,67 +140,17 @@ func (e *Engine) requestCapture(n *node) *capture {
 // Start). It clones the node bookkeeping under the narrow lock — the
 // lock is needed only against cross-goroutine trims and replacement,
 // never against processing, which is this same goroutine — and then
-// extracts operator state with no node lock held.
+// extracts operator state with no node lock held. Nil when the state
+// failed to encode.
 func (n *node) captureCheckpoint() *capture {
-	p := n.e.cfg.Delta
 	n.mu.Lock()
-	tryDelta := n.store != nil && p.Enabled() && !n.needFull && n.deltasSince < p.FullEvery-1
-	base := n.ckptSeq
-	n.ckptSeq++
-	seq := n.ckptSeq
-	tsVec := n.tsVec.Clone()
-	buf := n.outBuf.Clone()
-	clock := n.outClock.Last()
-	acks := state.CloneAcks(n.acks)
-	// Drop fully acknowledged legacy buffers before cloning: once
-	// downstream checkpoints have trimmed an inherited buffer to empty
-	// it can never be needed again.
-	for owner, lb := range n.legacy {
-		if lb.Len() == 0 {
-			delete(n.legacy, owner)
-		}
-	}
-	legacy := state.CloneLegacy(n.legacy)
+	c := n.BeginCheckpoint(n.inst)
 	n.mu.Unlock()
-
-	if tryDelta {
-		d, err := n.store.TakeDelta(tsVec, base, seq)
-		if err == nil && p.DeltaAllowed(d.Size(), n.store.LastFullSize()) {
-			n.mu.Lock()
-			n.deltasSince++
-			n.mu.Unlock()
-			return &capture{delta: &state.DeltaCheckpoint{
-				Instance: n.inst,
-				Delta:    d,
-				Buffer:   buf,
-				OutClock: clock,
-				Acks:     acks,
-			}}
-		}
-		// Delta unavailable or too large relative to the base: fall
-		// through to a full checkpoint with the same capture. The dirty
-		// set is consumed, but the full snapshot supersedes everything
-		// the delta held.
+	full, delta := c.Checkpoint(n.e.cfg.Delta)
+	if full == nil && delta == nil {
+		return nil
 	}
-
-	proc := state.NewProcessing(len(tsVec))
-	proc.TS = tsVec
-	if n.op != nil {
-		kv, err := operator.SnapshotState(n.op)
-		if err != nil {
-			return nil
-		}
-		proc.KV = kv
-	}
-	return &capture{full: &state.Checkpoint{
-		Instance:   n.inst,
-		Seq:        seq,
-		Processing: proc,
-		Buffer:     buf,
-		OutClock:   clock,
-		Acks:       acks,
-		Legacy:     legacy,
-	}}
+	return &capture{full: full, delta: delta}
 }
 
 // trimAcked trims acknowledged tuples from upstream buffers after a
@@ -241,35 +159,6 @@ func (e *Engine) trimAcked(inst plan.InstanceID, acks map[plan.InstanceID]int64)
 	for up, ts := range acks {
 		e.TrimUpstream(up, inst, ts)
 	}
-}
-
-// restore installs a checkpoint on a fresh node (restore-state). The
-// node must not be running: restore replaces the output buffer object,
-// invalidating any route-table handles into it, so it always precedes
-// the topology rebuild that re-resolves them.
-func (n *node) restore(cp *state.Checkpoint) error {
-	if n.op != nil {
-		if err := operator.RestoreState(n.op, cp.Processing.KV); err != nil {
-			return fmt.Errorf("engine: restore %s: %w", n.inst, err)
-		}
-	}
-	n.mu.Lock()
-	n.tsVec = cp.Processing.TS.Clone()
-	for len(n.tsVec) < len(n.e.mgr.Query().Upstream(n.inst.Op)) {
-		n.tsVec = append(n.tsVec, 0)
-	}
-	n.outBuf = cp.Buffer.Clone()
-	n.legacy = state.CloneLegacy(cp.Legacy)
-	n.outClock.Reset(cp.OutClock)
-	n.acks = state.CloneAcks(cp.Acks)
-	if n.acks == nil {
-		n.acks = make(map[plan.InstanceID]int64)
-	}
-	n.ckptSeq = cp.Seq
-	n.deltasSince = 0
-	n.needFull = true
-	n.mu.Unlock()
-	return nil
 }
 
 // Fail crash-stops the VM hosting an instance: the node stops processing
@@ -481,7 +370,7 @@ func (e *Engine) CheckpointFull(inst plan.InstanceID) error {
 		return fmt.Errorf("engine: %s is not live", inst)
 	}
 	n.mu.Lock()
-	n.needFull = true
+	n.NeedFull = true
 	n.mu.Unlock()
 	e.checkpointNode(n)
 	return nil

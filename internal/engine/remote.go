@@ -64,13 +64,13 @@ func (e *Engine) TrimUpstream(up, owner plan.InstanceID, ts int64) {
 	}
 	if n := set.byInst[up]; n != nil {
 		n.mu.Lock()
-		n.outBuf.TrimInstance(owner, ts)
+		n.Buffer.TrimInstance(owner, ts)
 		n.mu.Unlock()
 		return
 	}
 	if hn := set.legacyHosts[up]; hn != nil {
 		hn.mu.Lock()
-		if lb := hn.legacy[up]; lb != nil {
+		if lb := hn.Legacy[up]; lb != nil {
 			lb.TrimInstance(owner, ts)
 		}
 		hn.mu.Unlock()
@@ -165,7 +165,7 @@ func (e *Engine) RetireFinal(inst plan.InstanceID) (*state.Checkpoint, error) {
 		<-n.done
 	}
 	n.mu.Lock()
-	n.needFull = true // a delta cannot seed a transition
+	n.NeedFull = true // a delta cannot seed a transition
 	n.mu.Unlock()
 	cap := n.captureCheckpoint()
 	e.mu.Lock()

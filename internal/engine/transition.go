@@ -250,7 +250,13 @@ func (e *Engine) buildReplacement(cp *state.Checkpoint) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := nn.restore(cp); err != nil {
+	// restore-state. The node is not running yet: Restore replaces the
+	// output buffer object, invalidating any route-table handles into it,
+	// so it always precedes the topology rebuild that re-resolves them.
+	nn.mu.Lock()
+	err = nn.Restore(cp)
+	nn.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	return nn, nil
@@ -273,9 +279,9 @@ func (e *Engine) rerouteLocked(op plan.OpID, routing *state.Routing, newInsts []
 	for _, dn := range e.nodes {
 		dn.mu.Lock()
 		for _, p := range inherit {
-			if ts, ok := dn.acks[p.Old]; ok {
-				dn.acks[p.New] = ts
-				delete(dn.acks, p.Old)
+			if ts, ok := dn.Acks[p.Old]; ok {
+				dn.Acks[p.New] = ts
+				delete(dn.Acks, p.Old)
 			}
 		}
 		dn.mu.Unlock()
@@ -290,11 +296,11 @@ func (e *Engine) rerouteLocked(op plan.OpID, routing *state.Routing, newInsts []
 		}
 		un.mu.Lock()
 		un.routes.Store(e.buildRoutes(un))
-		un.outBuf.Repartition(op, routing)
-		for _, lb := range un.legacy {
+		un.Buffer.Repartition(op, routing)
+		for _, lb := range un.Legacy {
 			lb.Repartition(op, routing)
 		}
-		replayed += e.dispatchReplay(state.UpstreamReplay(un.inst, un.outBuf, un.legacy, newInsts), un.inst.Op, deliver)
+		replayed += e.dispatchReplay(state.UpstreamReplay(un.inst, un.Buffer, un.Legacy, newInsts), un.inst.Op, deliver)
 		un.mu.Unlock()
 	}
 	// Refresh the node-set snapshot and every other table under a new

@@ -1,8 +1,11 @@
 package lrb
 
 import (
+	"maps"
 	"testing"
+	"time"
 
+	"seep"
 	"seep/internal/operator"
 	"seep/internal/plan"
 	"seep/internal/sim"
@@ -98,5 +101,86 @@ func TestLRBSurvivesTollCalculatorFailure(t *testing.T) {
 	}
 	if c.DuplicatesDropped() == 0 {
 		t.Error("recovery replay should discard checkpointed duplicates")
+	}
+}
+
+// runLRBLive streams three bursts of position reports through the Live
+// runtime with incremental checkpoints armed, optionally crash-stopping
+// the toll calculator before the last burst, and returns every
+// vehicle's assessed balance and the job's final metrics.
+func runLRBLive(t *testing.T, fail bool) (map[int32]int64, seep.Metrics) {
+	t.Helper()
+	topo, err := Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := seep.Live(
+		seep.WithCheckpointInterval(20*time.Millisecond),
+		seep.WithIncrementalCheckpoints(8, 0.9),
+		seep.WithDetectDelay(50*time.Millisecond),
+	).Deploy(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Start()
+	defer job.Stop()
+	// Congested traffic (mean speed below the 40 mph toll threshold) so
+	// every vehicle accrues tolls; the benchmark generator's free-flowing
+	// roads almost never do.
+	var seq int32
+	next := func(uint64) (seep.Key, any) {
+		seq++
+		vid, seg := seq%500, seq%40
+		if seq%50 == 0 {
+			return VehicleKey(vid), Report{Type: TypeBalance, VID: vid, QID: seq}
+		}
+		return SegmentKey(0, 0, seg), Report{Type: TypePosition, VID: vid, Seg: seg, Speed: 10 + seq*7%50}
+	}
+	for burst := 0; burst < 3; burst++ {
+		if fail && burst == 2 {
+			if err := job.Fail(job.Instances("tollcalc")[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := job.InjectBatch("feeder", 4_000, next); err != nil {
+			t.Fatal(err)
+		}
+		job.Run(2 * time.Second)
+	}
+	balances := make(map[int32]int64)
+	for _, inst := range job.Instances("assessment") {
+		ta := job.OperatorOf(inst).(*TollAssessment)
+		for _, vid := range SortedVIDs(ta) {
+			balances[vid] = ta.Balance(vid)
+		}
+	}
+	return balances, job.MetricsSnapshot()
+}
+
+// TestLRBLiveDeltaCheckpointsSurviveFailure: on managed cells the LRB
+// operators checkpoint incrementally, and a toll calculator killed
+// mid-stream is restored through those deltas — every vehicle ends with
+// exactly the balance of the failure-free run.
+func TestLRBLiveDeltaCheckpointsSurviveFailure(t *testing.T) {
+	want, _ := runLRBLive(t, false)
+	got, m := runLRBLive(t, true)
+	if len(m.Errors) > 0 {
+		t.Fatalf("job errors: %v", m.Errors)
+	}
+	if len(m.Recoveries) != 1 || !m.Recoveries[0].Failure {
+		t.Fatalf("recoveries = %+v", m.Recoveries)
+	}
+	if m.Checkpoints.Deltas == 0 {
+		t.Errorf("no incremental checkpoints shipped: %+v", m.Checkpoints)
+	}
+	var tolled int64
+	for _, b := range want {
+		tolled += b
+	}
+	if tolled == 0 {
+		t.Fatal("the failure-free run assessed no tolls; the comparison would be vacuous")
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("balances after recovery differ from the failure-free run (%d vs %d vehicles)", len(got), len(want))
 	}
 }

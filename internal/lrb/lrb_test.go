@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"seep/internal/operator"
+	"seep/internal/state"
 	"seep/internal/stream"
 )
 
@@ -15,6 +16,19 @@ type sink struct {
 func (s *sink) emit(k stream.Key, p any) {
 	s.keys = append(s.keys, k)
 	s.payloads = append(s.payloads, p)
+}
+
+// roundTrip checkpoints one operator's managed state and restores it
+// into a fresh instance's store, as a recovery does.
+func roundTrip(t *testing.T, from, to *state.Store) {
+	t.Helper()
+	kv, err := from.TakeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := to.Restore(kv); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestGeneratorDeterministic(t *testing.T) {
@@ -167,9 +181,8 @@ func TestTollCalculatorSnapshotRestore(t *testing.T) {
 		r := Report{Type: TypePosition, VID: int32(i), XWay: 1, Seg: int32(i % 7), Speed: 20}
 		tc.OnTuple(operator.Context{}, stream.Tuple{Key: SegmentKey(1, 0, r.Seg), Payload: r}, s.emit)
 	}
-	kv := tc.SnapshotKV()
 	tc2 := NewTollCalculator()
-	tc2.RestoreKV(kv)
+	roundTrip(t, tc.State(), tc2.State())
 	if tc2.Segments() != tc.Segments() || tc2.CarsTotal() != tc.CarsTotal() {
 		t.Errorf("restore lost state: %d/%d segments, %d/%d cars",
 			tc2.Segments(), tc.Segments(), tc2.CarsTotal(), tc.CarsTotal())
@@ -208,9 +221,8 @@ func TestTollAssessmentSnapshotRestore(t *testing.T) {
 	for vid := int32(0); vid < 50; vid++ {
 		ta.OnTuple(operator.Context{}, stream.Tuple{Key: VehicleKey(vid), Payload: TollNotification{VID: vid, Toll: vid}}, s.emit)
 	}
-	kv := ta.SnapshotKV()
 	ta2 := NewTollAssessment()
-	ta2.RestoreKV(kv)
+	roundTrip(t, ta.State(), ta2.State())
 	for vid := int32(0); vid < 50; vid++ {
 		if ta2.Balance(vid) != int64(vid) {
 			t.Fatalf("Balance(%d) = %d after restore", vid, ta2.Balance(vid))
@@ -237,9 +249,8 @@ func TestCollectorAndBalanceAccount(t *testing.T) {
 	if ba.Answered() != 1 {
 		t.Errorf("Answered = %d", ba.Answered())
 	}
-	kv := ba.SnapshotKV()
 	ba2 := NewBalanceAccount()
-	ba2.RestoreKV(kv)
+	roundTrip(t, ba.State(), ba2.State())
 	if ba2.Answered() != 1 {
 		t.Error("balance account restore lost state")
 	}

@@ -1,11 +1,11 @@
 package lrb
 
 import (
-	"sort"
-	"sync"
+	"slices"
 
 	"seep/internal/operator"
 	"seep/internal/plan"
+	"seep/internal/state"
 	"seep/internal/stream"
 )
 
@@ -66,22 +66,55 @@ type segStats struct {
 
 // TollCalculator is the stateful heart of the LRB query ("the main
 // computational bottleneck", §6.1): it maintains per-segment traffic
-// statistics keyed by SegmentKey, detects accidents from stopped-vehicle
-// reports, and emits toll notifications. Balance queries pass through
-// unchanged (they are keyed for the downstream assessment operator).
+// statistics keyed by SegmentKey in a managed cell, detects accidents
+// from stopped-vehicle reports, and emits toll notifications. Balance
+// queries pass through unchanged (they are keyed for the downstream
+// assessment operator).
 type TollCalculator struct {
 	// AccidentThreshold is how many stopped reports flag an accident
 	// (4 in the benchmark; lower in small tests).
 	AccidentThreshold int32
 
-	mu    sync.Mutex
-	stats map[stream.Key]*segStats
+	store *state.Store
+	stats *state.Value[segStats]
+}
+
+// segStatsCodec is the compact fixed-layout cell codec of segStats.
+var segStatsCodec = state.CodecFunc[segStats]{
+	Enc: func(s segStats) ([]byte, error) {
+		e := stream.NewEncoder(40)
+		e.Int32(s.xway)
+		e.Int32(s.dir)
+		e.Int32(s.seg)
+		e.Float64(s.ewmaSpeed)
+		e.Int64(s.cars)
+		e.Int32(s.stoppedReports)
+		e.Bool(s.accident)
+		return e.Bytes(), nil
+	},
+	Dec: func(b []byte) (segStats, error) {
+		d := stream.NewDecoder(b)
+		s := segStats{
+			xway:           d.Int32(),
+			dir:            d.Int32(),
+			seg:            d.Int32(),
+			ewmaSpeed:      d.Float64(),
+			cars:           d.Int64(),
+			stoppedReports: d.Int32(),
+			accident:       d.Bool(),
+		}
+		return s, d.Err()
+	},
 }
 
 // NewTollCalculator returns a toll calculator with benchmark defaults.
 func NewTollCalculator() *TollCalculator {
-	return &TollCalculator{AccidentThreshold: 4, stats: make(map[stream.Key]*segStats)}
+	st := state.NewStore()
+	return &TollCalculator{AccidentThreshold: 4, store: st, stats: state.NewValue(st, "segments", segStatsCodec)}
 }
+
+// State implements operator.Managed.
+func (tc *TollCalculator) State() *state.Store { return tc.store }
 
 // OnTuple implements operator.Operator.
 func (tc *TollCalculator) OnTuple(_ operator.Context, t stream.Tuple, emit operator.Emitter) {
@@ -94,38 +127,34 @@ func (tc *TollCalculator) OnTuple(_ operator.Context, t stream.Tuple, emit opera
 		emit(VehicleKey(r.VID), r)
 		return
 	}
-	tc.mu.Lock()
-	s := tc.stats[t.Key]
-	if s == nil {
-		s = &segStats{xway: r.XWay, dir: r.Dir, seg: r.Seg, ewmaSpeed: float64(r.Speed)}
-		tc.stats[t.Key] = s
-	}
-	s.cars++
-	const alpha = 0.1
-	s.ewmaSpeed = (1-alpha)*s.ewmaSpeed + alpha*float64(r.Speed)
-	if r.Speed == 0 {
-		s.stoppedReports++
-		if s.stoppedReports >= tc.AccidentThreshold {
-			s.accident = true
+	s := tc.stats.Update(t.Key, func(s segStats) segStats {
+		if s.cars == 0 {
+			s = segStats{xway: r.XWay, dir: r.Dir, seg: r.Seg, ewmaSpeed: float64(r.Speed)}
 		}
-	} else if s.stoppedReports > 0 {
-		s.stoppedReports--
-		if s.stoppedReports == 0 {
-			s.accident = false
+		s.cars++
+		const alpha = 0.1
+		s.ewmaSpeed = (1-alpha)*s.ewmaSpeed + alpha*float64(r.Speed)
+		if r.Speed == 0 {
+			s.stoppedReports++
+			if s.stoppedReports >= tc.AccidentThreshold {
+				s.accident = true
+			}
+		} else if s.stoppedReports > 0 {
+			s.stoppedReports--
+			if s.stoppedReports == 0 {
+				s.accident = false
+			}
 		}
-	}
-	toll := tollFor(s)
-	accident := s.accident
-	tc.mu.Unlock()
-
+		return s
+	})
 	emit(VehicleKey(r.VID), TollNotification{
-		VID: r.VID, XWay: r.XWay, Seg: r.Seg, Toll: toll, Accident: accident,
+		VID: r.VID, XWay: r.XWay, Seg: r.Seg, Toll: tollFor(s), Accident: s.accident,
 	})
 }
 
 // tollFor computes the LRB toll formula: tolls rise with congestion
 // (slow average speed), and accidents suspend tolling.
-func tollFor(s *segStats) int32 {
+func tollFor(s segStats) int32 {
 	if s.accident || s.ewmaSpeed >= 40 {
 		return 0
 	}
@@ -136,72 +165,23 @@ func tollFor(s *segStats) int32 {
 	return int32(base)
 }
 
-// SnapshotKV implements operator.Stateful.
-func (tc *TollCalculator) SnapshotKV() map[stream.Key][]byte {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	out := make(map[stream.Key][]byte, len(tc.stats))
-	for k, s := range tc.stats {
-		e := stream.NewEncoder(40)
-		e.Int32(s.xway)
-		e.Int32(s.dir)
-		e.Int32(s.seg)
-		e.Float64(s.ewmaSpeed)
-		e.Int64(s.cars)
-		e.Int32(s.stoppedReports)
-		e.Bool(s.accident)
-		out[k] = e.Bytes()
-	}
-	return out
-}
-
-// RestoreKV implements operator.Stateful.
-func (tc *TollCalculator) RestoreKV(kv map[stream.Key][]byte) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	tc.stats = make(map[stream.Key]*segStats, len(kv))
-	for k, v := range kv {
-		d := stream.NewDecoder(v)
-		s := &segStats{
-			xway:           d.Int32(),
-			dir:            d.Int32(),
-			seg:            d.Int32(),
-			ewmaSpeed:      d.Float64(),
-			cars:           d.Int64(),
-			stoppedReports: d.Int32(),
-			accident:       d.Bool(),
-		}
-		if d.Err() == nil {
-			tc.stats[k] = s
-		}
-	}
-}
-
 // Segments returns the number of tracked segments (for tests).
-func (tc *TollCalculator) Segments() int {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return len(tc.stats)
-}
+func (tc *TollCalculator) Segments() int { return tc.stats.Len() }
 
 // CarsTotal returns the total position reports reflected in state.
 func (tc *TollCalculator) CarsTotal() int64 {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
 	var n int64
-	for _, s := range tc.stats {
-		n += s.cars
-	}
+	tc.stats.ForEach(func(_ stream.Key, s segStats) { n += s.cars })
 	return n
 }
 
 // TollAssessment is the stateful per-vehicle accounting operator: it
-// accumulates assessed tolls per vehicle (keyed by VehicleKey) and
-// answers balance queries. Toll notifications pass through to the
-// collector.
+// accumulates assessed tolls per vehicle (keyed by VehicleKey) in a
+// managed cell and answers balance queries. Toll notifications pass
+// through to the collector.
 type TollAssessment struct {
-	mu       sync.Mutex
-	balances map[stream.Key]*vehicleAccount
+	store    *state.Store
+	balances *state.Value[vehicleAccount]
 }
 
 type vehicleAccount struct {
@@ -209,83 +189,56 @@ type vehicleAccount struct {
 	balance int64
 }
 
+// vehicleAccountCodec is the 12-byte cell codec of vehicleAccount.
+var vehicleAccountCodec = state.CodecFunc[vehicleAccount]{
+	Enc: func(a vehicleAccount) ([]byte, error) {
+		e := stream.NewEncoder(12)
+		e.Int32(a.vid)
+		e.Int64(a.balance)
+		return e.Bytes(), nil
+	},
+	Dec: func(b []byte) (vehicleAccount, error) {
+		d := stream.NewDecoder(b)
+		a := vehicleAccount{vid: d.Int32(), balance: d.Int64()}
+		return a, d.Err()
+	},
+}
+
 // NewTollAssessment returns an empty assessment operator.
 func NewTollAssessment() *TollAssessment {
-	return &TollAssessment{balances: make(map[stream.Key]*vehicleAccount)}
+	st := state.NewStore()
+	return &TollAssessment{store: st, balances: state.NewValue(st, "accounts", vehicleAccountCodec)}
 }
+
+// State implements operator.Managed.
+func (ta *TollAssessment) State() *state.Store { return ta.store }
 
 // OnTuple implements operator.Operator.
 func (ta *TollAssessment) OnTuple(_ operator.Context, t stream.Tuple, emit operator.Emitter) {
 	switch p := t.Payload.(type) {
 	case TollNotification:
-		ta.mu.Lock()
-		acc := ta.balances[t.Key]
-		if acc == nil {
-			acc = &vehicleAccount{vid: p.VID}
-			ta.balances[t.Key] = acc
-		}
-		acc.balance += int64(p.Toll)
-		ta.mu.Unlock()
+		ta.balances.Update(t.Key, func(a vehicleAccount) vehicleAccount {
+			return vehicleAccount{vid: p.VID, balance: a.balance + int64(p.Toll)}
+		})
 		// Notification continues to the collector, keyed by vehicle.
 		emit(t.Key, p)
 	case Report:
 		if p.Type != TypeBalance {
 			return
 		}
-		ta.mu.Lock()
-		var bal int64
-		if acc := ta.balances[t.Key]; acc != nil {
-			bal = acc.balance
-		}
-		ta.mu.Unlock()
-		emit(t.Key, BalanceResponse{VID: p.VID, QID: p.QID, Balance: bal})
-	}
-}
-
-// SnapshotKV implements operator.Stateful.
-func (ta *TollAssessment) SnapshotKV() map[stream.Key][]byte {
-	ta.mu.Lock()
-	defer ta.mu.Unlock()
-	out := make(map[stream.Key][]byte, len(ta.balances))
-	for k, acc := range ta.balances {
-		e := stream.NewEncoder(12)
-		e.Int32(acc.vid)
-		e.Int64(acc.balance)
-		out[k] = e.Bytes()
-	}
-	return out
-}
-
-// RestoreKV implements operator.Stateful.
-func (ta *TollAssessment) RestoreKV(kv map[stream.Key][]byte) {
-	ta.mu.Lock()
-	defer ta.mu.Unlock()
-	ta.balances = make(map[stream.Key]*vehicleAccount, len(kv))
-	for k, v := range kv {
-		d := stream.NewDecoder(v)
-		acc := &vehicleAccount{vid: d.Int32(), balance: d.Int64()}
-		if d.Err() == nil {
-			ta.balances[k] = acc
-		}
+		acc, _ := ta.balances.Get(t.Key)
+		emit(t.Key, BalanceResponse{VID: p.VID, QID: p.QID, Balance: acc.balance})
 	}
 }
 
 // Balance returns a vehicle's accumulated tolls (for tests).
 func (ta *TollAssessment) Balance(vid int32) int64 {
-	ta.mu.Lock()
-	defer ta.mu.Unlock()
-	if acc := ta.balances[VehicleKey(vid)]; acc != nil {
-		return acc.balance
-	}
-	return 0
+	acc, _ := ta.balances.Get(VehicleKey(vid))
+	return acc.balance
 }
 
 // Vehicles returns the number of tracked accounts.
-func (ta *TollAssessment) Vehicles() int {
-	ta.mu.Lock()
-	defer ta.mu.Unlock()
-	return len(ta.balances)
-}
+func (ta *TollAssessment) Vehicles() int { return ta.balances.Len() }
 
 // TollCollector is the stateless operator gathering toll notifications
 // for delivery (ignores balance responses, which flow to the balance
@@ -300,17 +253,21 @@ func TollCollector() operator.Operator {
 
 // BalanceAccount is the stateful aggregation of balance responses (§6.1:
 // "receives the balance account notifications and aggregates the
-// results"). It tracks the latest answered balance per vehicle and
-// forwards responses to the sink.
+// results"). It tracks the latest answered balance per vehicle in a
+// managed cell and forwards responses to the sink.
 type BalanceAccount struct {
-	mu     sync.Mutex
-	latest map[stream.Key]int64
+	store  *state.Store
+	latest *state.Value[int64]
 }
 
 // NewBalanceAccount returns an empty balance aggregator.
 func NewBalanceAccount() *BalanceAccount {
-	return &BalanceAccount{latest: make(map[stream.Key]int64)}
+	st := state.NewStore()
+	return &BalanceAccount{store: st, latest: state.NewValue[int64](st, "latest", state.Int64Codec{})}
 }
+
+// State implements operator.Managed.
+func (ba *BalanceAccount) State() *state.Store { return ba.store }
 
 // OnTuple implements operator.Operator.
 func (ba *BalanceAccount) OnTuple(_ operator.Context, t stream.Tuple, emit operator.Emitter) {
@@ -318,42 +275,12 @@ func (ba *BalanceAccount) OnTuple(_ operator.Context, t stream.Tuple, emit opera
 	if !ok {
 		return
 	}
-	ba.mu.Lock()
-	ba.latest[t.Key] = r.Balance
-	ba.mu.Unlock()
+	ba.latest.Set(t.Key, r.Balance)
 	emit(t.Key, r)
 }
 
-// SnapshotKV implements operator.Stateful.
-func (ba *BalanceAccount) SnapshotKV() map[stream.Key][]byte {
-	ba.mu.Lock()
-	defer ba.mu.Unlock()
-	out := make(map[stream.Key][]byte, len(ba.latest))
-	for k, v := range ba.latest {
-		e := stream.NewEncoder(8)
-		e.Int64(v)
-		out[k] = e.Bytes()
-	}
-	return out
-}
-
-// RestoreKV implements operator.Stateful.
-func (ba *BalanceAccount) RestoreKV(kv map[stream.Key][]byte) {
-	ba.mu.Lock()
-	defer ba.mu.Unlock()
-	ba.latest = make(map[stream.Key]int64, len(kv))
-	for k, v := range kv {
-		d := stream.NewDecoder(v)
-		ba.latest[k] = d.Int64()
-	}
-}
-
 // Answered returns the number of vehicles with answered balances.
-func (ba *BalanceAccount) Answered() int {
-	ba.mu.Lock()
-	defer ba.mu.Unlock()
-	return len(ba.latest)
-}
+func (ba *BalanceAccount) Answered() int { return ba.latest.Len() }
 
 // Per-tuple CPU costs calibrated for capacity-1 VMs. Cost ratios follow
 // the partitioned allocation the paper reports (toll calculator most
@@ -400,12 +327,8 @@ func Factories() map[plan.OpID]func() operator.Operator {
 // SortedVIDs returns the vehicle IDs present in an assessment snapshot,
 // for deterministic test assertions.
 func SortedVIDs(ta *TollAssessment) []int32 {
-	ta.mu.Lock()
-	defer ta.mu.Unlock()
-	out := make([]int32, 0, len(ta.balances))
-	for _, acc := range ta.balances {
-		out = append(out, acc.vid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []int32
+	ta.balances.ForEach(func(_ stream.Key, a vehicleAccount) { out = append(out, a.vid) })
+	slices.Sort(out)
 	return out
 }

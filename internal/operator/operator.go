@@ -48,8 +48,7 @@ type Operator interface {
 // system-managed state.Store: the operator declares typed keyed cells at
 // construction and mutates state only through them, and the hosting node
 // drives checkpoint, backup, restore, partition, merge and incremental
-// deltas through the store. This replaces the hand-rolled
-// SnapshotKV/RestoreKV contract.
+// deltas through the store.
 type Managed interface {
 	Operator
 	// State returns the operator's managed state store. The store is
@@ -57,58 +56,10 @@ type Managed interface {
 	State() *state.Store
 }
 
-// Stateful is the pre-managed-state contract: operators hand-implement
-// snapshot and restore over key/value pairs, including their own locking
-// and codecs. Runtimes still deploy Stateful operators unchanged (the
-// compatibility path in SnapshotState/RestoreState), but they never
-// benefit from incremental checkpoints, because the system cannot
-// observe which keys changed.
-//
-// Deprecated: implement Managed instead — declare state cells with
-// state.NewValue/state.NewMap and let the store own locking and
-// serialisation.
-type Stateful interface {
-	Operator
-	// SnapshotKV returns a consistent deep copy of the processing state.
-	// The operator must lock internal structures while copying (§3.1).
-	SnapshotKV() map[stream.Key][]byte
-	// RestoreKV replaces the operator's state with the given key/value
-	// pairs (set-processing-state). Called before any tuple is processed
-	// on a restored or repartitioned instance.
-	RestoreKV(map[stream.Key][]byte)
-}
-
-// StoreOf returns op's managed state store, or nil when op is stateless
-// or uses the deprecated Stateful contract.
+// StoreOf returns op's managed state store, or nil when op is stateless.
 func StoreOf(op Operator) *state.Store {
 	if m, ok := op.(Managed); ok {
 		return m.State()
-	}
-	return nil
-}
-
-// SnapshotState captures op's processing state under either contract —
-// the thin adapter that lets pre-managed-state operators keep deploying.
-// Stateless operators yield an empty non-nil map; a managed store's
-// encode failure is returned so callers can skip the checkpoint rather
-// than back up partial state.
-func SnapshotState(op Operator) (map[stream.Key][]byte, error) {
-	if s := StoreOf(op); s != nil {
-		return s.TakeCheckpoint()
-	}
-	if st, ok := op.(Stateful); ok {
-		return st.SnapshotKV(), nil
-	}
-	return map[stream.Key][]byte{}, nil
-}
-
-// RestoreState installs processing state under either contract.
-func RestoreState(op Operator, kv map[stream.Key][]byte) error {
-	if s := StoreOf(op); s != nil {
-		return s.Restore(kv)
-	}
-	if st, ok := op.(Stateful); ok {
-		st.RestoreKV(kv)
 	}
 	return nil
 }

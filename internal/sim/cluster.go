@@ -290,7 +290,7 @@ func NewCluster(cfg Config, q *plan.Query, factories map[plan.OpID]operator.Fact
 		s.Every(1_000, func() bool {
 			cutoff := s.Now() - cfg.WindowMillis
 			for _, n := range c.nodes {
-				n.outBuf.TrimBornBefore(cutoff)
+				n.Buffer.TrimBornBefore(cutoff)
 			}
 			return true
 		})
@@ -433,7 +433,7 @@ func (c *Cluster) route(n *Node, out stream.Tuple) {
 		}
 		target := r.Lookup(out.Key)
 		if c.shouldBuffer(n, downOp) {
-			n.outBuf.Append(target, out)
+			n.Buffer.Append(target, out)
 		}
 		c.deliver(n.inst, target, out, nil)
 	}
@@ -536,7 +536,7 @@ func (c *Cluster) checkpointAll() {
 }
 
 // checkpointNode implements backup-state(o) for one node. Under an
-// active DeltaPolicy, managed-state nodes ship incremental checkpoints
+// active DeltaPolicy, stateful nodes ship incremental checkpoints
 // between full ones; the serialisation cost scales with the shipped
 // bytes, so deltas also shrink the checkpoint overhead of Fig. 14. A
 // delta the backup host cannot apply forces a full checkpoint at the
@@ -581,28 +581,33 @@ func (c *Cluster) checkpointNodeThen(n *Node, done func()) {
 		}
 		c.sim.At(doneAt+c.cfg.NetDelayMillis+1, finish)
 	}
-	if dc := n.maybeDelta(c.cfg.Delta); dc != nil {
-		ship(c.cfg.CheckpointCostPerMB*float64(dc.Size())/(1<<20), func() {
-			if err := c.mgr.Backups().ApplyDelta(host, dc); err != nil {
-				n.needFull = true
-			} else {
-				c.trimAcked(n, dc.Acks)
-			}
-		})
-		return
+	// A checkpoint the backup host cannot take leaves the node owing a
+	// full one.
+	stored := func(err error, acks map[plan.InstanceID]int64) {
+		if err != nil {
+			n.NeedFull = true
+			return
+		}
+		c.trimAcked(n, acks)
 	}
-	cp := n.snapshot()
-	if cp == nil {
+	// checkpoint-state runs at the current virtual instant, so the copy is
+	// consistent by construction. The sequence chain is optimistic: if an
+	// earlier ship was lost, the backup host rejects the delta (sequence
+	// gap) and the node owes a full checkpoint.
+	switch cp, dc := n.BeginCheckpoint(n.inst).Checkpoint(c.cfg.Delta); {
+	case dc != nil:
+		ship(c.cfg.CheckpointCostPerMB*float64(dc.Size())/(1<<20), func() {
+			stored(c.mgr.Backups().ApplyDelta(host, dc), dc.Acks)
+		})
+	case cp != nil:
+		ship(c.cfg.CheckpointCostPerMB*float64(cp.Size())/(1<<20), func() {
+			stored(c.mgr.Backups().Store(host, cp), cp.Acks)
+		})
+	default:
 		// State encode failure: keep the previous backup rather than
 		// shipping partial state.
 		finish()
-		return
 	}
-	ship(c.cfg.CheckpointCostPerMB*float64(cp.Size())/(1<<20), func() {
-		if err := c.mgr.Backups().Store(host, cp); err == nil {
-			c.trimAcked(n, cp.Acks)
-		}
-	})
 }
 
 // trimAcked trims upstream output buffers up to the acknowledged
@@ -611,11 +616,11 @@ func (c *Cluster) checkpointNodeThen(n *Node, done func()) {
 func (c *Cluster) trimAcked(n *Node, acks map[plan.InstanceID]int64) {
 	for up, ts := range acks {
 		if upNode := c.nodes[up]; upNode != nil {
-			upNode.outBuf.TrimInstance(n.inst, ts)
+			upNode.Buffer.TrimInstance(n.inst, ts)
 			continue
 		}
 		if hn := c.legacyHost(up); hn != nil {
-			if lb := hn.legacy[up]; lb != nil {
+			if lb := hn.Legacy[up]; lb != nil {
 				lb.TrimInstance(n.inst, ts)
 			}
 		}
@@ -815,7 +820,7 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 			impl = f()
 		}
 		n := newNode(c, inst, spec, vms[i], impl)
-		if err := n.restore(tp.Checkpoints[i]); err != nil {
+		if err := n.Restore(tp.Checkpoints[i]); err != nil {
 			c.recoveryFailures = append(c.recoveryFailures, err.Error())
 		}
 		c.nodes[inst] = n
@@ -829,9 +834,9 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 	// best-effort for the checkpoint-lag window.
 	for _, p := range tp.Inherit {
 		for _, dn := range c.nodes {
-			if ts, ok := dn.acks[p.Old]; ok {
-				dn.acks[p.New] = ts
-				delete(dn.acks, p.Old)
+			if ts, ok := dn.Acks[p.Old]; ok {
+				dn.Acks[p.New] = ts
+				delete(dn.Acks, p.Old)
 			}
 		}
 	}
@@ -859,11 +864,11 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 			if un == nil {
 				continue
 			}
-			un.outBuf.Repartition(op, tp.Routing)
-			for _, lb := range un.legacy {
+			un.Buffer.Repartition(op, tp.Routing)
+			for _, lb := range un.Legacy {
 				lb.Repartition(op, tp.Routing)
 			}
-			for r := range state.UpstreamReplay(upInst, un.outBuf, un.legacy, tp.NewInstances) {
+			for r := range state.UpstreamReplay(upInst, un.Buffer, un.Legacy, tp.NewInstances) {
 				send(r)
 			}
 		}
@@ -958,8 +963,8 @@ func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.Inst
 				if un == nil {
 					continue
 				}
-				un.outBuf.Repartition(victim.Op, rp.Routing)
-				for _, t := range un.outBuf.Tuples(newInst) {
+				un.Buffer.Repartition(victim.Op, rp.Routing)
+				for _, t := range un.Buffer.Tuples(newInst) {
 					tracker.add(1)
 					replayed++
 					c.deliver(upInst, newInst, t, tracker)
@@ -971,8 +976,8 @@ func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.Inst
 		// the whole pipeline; intermediate operators re-process them.
 		for _, s := range c.sources {
 			sn := s.node
-			for _, target := range sn.outBuf.Targets() {
-				for _, t := range sn.outBuf.Tuples(target) {
+			for _, target := range sn.Buffer.Targets() {
+				for _, t := range sn.Buffer.Tuples(target) {
 					r := c.routings[target.Op]
 					to := target
 					if r != nil {

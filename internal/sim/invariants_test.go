@@ -14,7 +14,7 @@ func TestBufferTrimBoundsGrowth(t *testing.T) {
 	c := mustCluster(t, Config{Seed: 61, Mode: FTRSM, CheckpointIntervalMillis: 5_000})
 	c.RunUntil(60_000)
 	split := c.Node(plan.InstanceID{Op: "split", Part: 1})
-	retained := split.outBuf.Len()
+	retained := split.Buffer.Len()
 	// 500 tuples/s × 5 s interval = 2500 per interval; allow 2 intervals
 	// of slack (snapshot-to-trim latency).
 	if retained > 2*2500+500 {
@@ -24,8 +24,8 @@ func TestBufferTrimBoundsGrowth(t *testing.T) {
 		t.Error("buffer empty: either no buffering or over-trimming")
 	}
 	src := c.Node(plan.InstanceID{Op: "src", Part: 1})
-	if src.outBuf.Len() > 2*2500+500 {
-		t.Errorf("source retained %d tuples", src.outBuf.Len())
+	if src.Buffer.Len() > 2*2500+500 {
+		t.Errorf("source retained %d tuples", src.Buffer.Len())
 	}
 }
 
@@ -36,7 +36,7 @@ func TestWindowTrimBoundsGrowthUB(t *testing.T) {
 	c.RunUntil(60_000)
 	split := c.Node(plan.InstanceID{Op: "split", Part: 1})
 	// 500 tuples/s × 10 s window = 5000, plus one trim period of slack.
-	if n := split.outBuf.Len(); n > 5000+1000 {
+	if n := split.Buffer.Len(); n > 5000+1000 {
 		t.Errorf("UB retained %d tuples beyond the window", n)
 	}
 }
@@ -47,7 +47,7 @@ func TestNoBufferingWithoutFT(t *testing.T) {
 	c := mustCluster(t, Config{Seed: 71, Mode: FTNone})
 	c.RunUntil(20_000)
 	split := c.Node(plan.InstanceID{Op: "split", Part: 1})
-	if n := split.outBuf.Len(); n != 0 {
+	if n := split.Buffer.Len(); n != 0 {
 		t.Errorf("FTNone retained %d tuples", n)
 	}
 	if c.Manager().Backups().Len() != 0 {

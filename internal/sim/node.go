@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"seep/internal/operator"
 	"seep/internal/plan"
 	"seep/internal/state"
@@ -59,30 +57,11 @@ type Node struct {
 	spec *plan.OpSpec
 	vm   *VM
 	op   operator.Operator
-	// store is the system-owned managed state of op (nil for stateless
-	// and legacy Stateful operators).
-	store *state.Store
-
-	// acks[u] is the timestamp of the newest tuple from upstream
-	// instance u that is reflected in this node's state.
-	acks map[plan.InstanceID]int64
-	// tsVec mirrors acks at logical input-stream granularity (τo).
-	tsVec stream.TSVector
-	// outClock stamps emitted tuples.
-	outClock stream.Clock
-	// outBuf is the buffer state βo.
-	outBuf *state.Buffer
-	// legacy holds output buffers inherited from scale-in victims,
-	// keyed by the ORIGINAL emitting instance; replayed and trimmed
-	// under the owner's identity (see state.Checkpoint.Legacy).
-	legacy map[plan.InstanceID]*state.Buffer
-	// ckptSeq numbers this instance's checkpoints.
-	ckptSeq uint64
-	// deltasSince counts incremental checkpoints shipped since the last
-	// full one; needFull forces the next checkpoint to be full (set
-	// initially, after restore, and when a delta fails to apply).
-	deltasSince int
-	needFull    bool
+	// Instance is the externalised state the management primitives
+	// operate on (processing store, acks, τo, βo, output clock, inherited
+	// legacy buffers, checkpoint numbering). Store is nil on a stateless
+	// node.
+	state.Instance
 
 	failed  bool
 	removed bool
@@ -108,11 +87,7 @@ func newNode(c *Cluster, inst plan.InstanceID, spec *plan.OpSpec, vm *VM, op ope
 		spec:     spec,
 		vm:       vm,
 		op:       op,
-		store:    operator.StoreOf(op),
-		acks:     make(map[plan.InstanceID]int64),
-		tsVec:    stream.NewTSVector(len(c.mgr.Query().Upstream(inst.Op))),
-		outBuf:   state.NewBuffer(),
-		needFull: true,
+		Instance: state.NewInstance(operator.StoreOf(op), len(c.mgr.Query().Upstream(inst.Op))),
 	}
 }
 
@@ -152,14 +127,14 @@ func (n *Node) process(d delivery) {
 	if n.failed || n.removed {
 		return
 	}
-	if d.t.TS <= n.acks[d.from] {
+	if d.t.TS <= n.Acks[d.from] {
 		if !d.force {
 			n.c.duplicatesDropped.Inc()
 			return
 		}
 	} else {
-		n.acks[d.from] = d.t.TS
-		n.tsVec.Advance(d.input, d.t.TS)
+		n.Acks[d.from] = d.t.TS
+		n.TS.Advance(d.input, d.t.TS)
 	}
 	n.processed++
 	if n.spec.Role == plan.RoleSink {
@@ -176,7 +151,7 @@ func (n *Node) process(d delivery) {
 // emit stamps, buffers and routes one output tuple to every logical
 // downstream operator.
 func (n *Node) emit(key stream.Key, payload any) {
-	out := stream.Tuple{TS: n.outClock.Next(), Key: key, Born: n.curBorn, Payload: payload}
+	out := stream.Tuple{TS: n.OutClock.Next(), Key: key, Born: n.curBorn, Payload: payload}
 	if out.Born == 0 {
 		out.Born = n.c.sim.Now()
 	}
@@ -194,95 +169,4 @@ func (n *Node) onTime() {
 	}
 	n.curBorn = n.c.sim.Now()
 	td.OnTime(n.c.sim.Now(), n.emit)
-}
-
-// snapshot builds a full checkpoint of this node's state
-// (checkpoint-state, §3.2). The processing-state copy is taken
-// synchronously at the current virtual instant, so it is consistent by
-// construction. Returns nil when the managed state fails to encode (the
-// previous backup then stays authoritative).
-func (n *Node) snapshot() *state.Checkpoint {
-	n.ckptSeq++
-	proc := state.NewProcessing(len(n.tsVec))
-	proc.TS = n.tsVec.Clone()
-	if n.op != nil {
-		kv, err := operator.SnapshotState(n.op)
-		if err != nil {
-			return nil
-		}
-		proc.KV = kv
-	}
-	n.needFull = false
-	n.deltasSince = 0
-	// Drop fully acknowledged legacy buffers before cloning.
-	for owner, lb := range n.legacy {
-		if lb.Len() == 0 {
-			delete(n.legacy, owner)
-		}
-	}
-	return &state.Checkpoint{
-		Instance:   n.inst,
-		Seq:        n.ckptSeq,
-		Processing: proc,
-		Buffer:     n.outBuf.Clone(),
-		OutClock:   n.outClock.Last(),
-		Acks:       state.CloneAcks(n.acks),
-		Legacy:     state.CloneLegacy(n.legacy),
-	}
-}
-
-// maybeDelta extracts an incremental checkpoint when the cluster's
-// DeltaPolicy allows one, or nil when a full checkpoint is due. The
-// sequence chain is optimistic: if an earlier ship was lost, the backup
-// host rejects the delta (sequence gap) and the node falls back to a
-// full checkpoint — a delta is never load-bearing.
-func (n *Node) maybeDelta(p state.DeltaPolicy) *state.DeltaCheckpoint {
-	if n.store == nil || !p.Enabled() || n.needFull || n.deltasSince >= p.FullEvery-1 {
-		return nil
-	}
-	base := n.ckptSeq
-	n.ckptSeq++
-	d, err := n.store.TakeDelta(n.tsVec, base, n.ckptSeq)
-	if err != nil {
-		return nil
-	}
-	if !p.DeltaAllowed(d.Size(), n.store.LastFullSize()) {
-		// The dirty set is consumed, but the full checkpoint that
-		// follows supersedes everything the delta held.
-		return nil
-	}
-	n.deltasSince++
-	return &state.DeltaCheckpoint{
-		Instance: n.inst,
-		Delta:    d,
-		Buffer:   n.outBuf.Clone(),
-		OutClock: n.outClock.Last(),
-		Acks:     state.CloneAcks(n.acks),
-	}
-}
-
-// restore installs a checkpoint (restore-state, Algorithm 1): processing
-// state, buffer state, the output clock, and the acknowledgement map used
-// for duplicate detection during replay.
-func (n *Node) restore(cp *state.Checkpoint) error {
-	if n.op != nil {
-		if err := operator.RestoreState(n.op, cp.Processing.KV); err != nil {
-			return fmt.Errorf("sim: restore %s: %w", n.inst, err)
-		}
-	}
-	n.tsVec = cp.Processing.TS.Clone()
-	for len(n.tsVec) < len(n.c.mgr.Query().Upstream(n.inst.Op)) {
-		n.tsVec = append(n.tsVec, 0)
-	}
-	n.outBuf = cp.Buffer.Clone()
-	n.legacy = state.CloneLegacy(cp.Legacy)
-	n.outClock.Reset(cp.OutClock)
-	n.acks = state.CloneAcks(cp.Acks)
-	if n.acks == nil {
-		n.acks = make(map[plan.InstanceID]int64)
-	}
-	n.ckptSeq = cp.Seq
-	n.deltasSince = 0
-	n.needFull = true
-	return nil
 }

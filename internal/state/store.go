@@ -1,8 +1,7 @@
-// Managed keyed state: the system-owned replacement for the deprecated
-// SnapshotKV/RestoreKV operator contract. Operators declare typed state
-// cells (Value[T], Map[T]) against a Store; the Store owns locking,
-// serialisation, deep-copy snapshots, restore, and — because every
-// mutation passes through it — the dirty-key tracking that makes
+// Managed keyed state: the operator-state contract. Operators declare
+// typed state cells (Value[T], Map[T]) against a Store; the Store owns
+// locking, serialisation, deep-copy snapshots, restore, and — because
+// every mutation passes through it — the dirty-key tracking that makes
 // incremental checkpoints (§3.2) possible without operator cooperation.
 //
 // State remains key/value pairs over the tuple key space on the wire, so
@@ -39,6 +38,10 @@ type Store struct {
 	// lastFullSize is the serialised footprint of the last full
 	// checkpoint, the baseline for DeltaPolicy's size fallback.
 	lastFullSize int
+	// deltasSinceFull counts the TakeDelta calls since the last
+	// TakeCheckpoint/Restore — the length of the delta chain a backup
+	// host has to fold, which DeltaPolicy.FullEvery bounds.
+	deltasSinceFull int
 	// spill, when armed (EnableSpill), moves cold key ranges to disk
 	// under a memory ceiling; nil when disarmed, so the steady-state
 	// access path pays one atomic pointer load (spill_store.go).
@@ -186,6 +189,7 @@ func (s *Store) TakeCheckpoint() (map[stream.Key][]byte, error) {
 		size += 8 + len(v)
 	}
 	s.lastFullSize = size
+	s.deltasSinceFull = 0
 	s.touched = make(map[stream.Key]struct{})
 	return out, nil
 }
@@ -221,6 +225,7 @@ func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) 
 	}
 	sort.Slice(d.Deleted, func(i, j int) bool { return d.Deleted[i] < d.Deleted[j] })
 	s.touched = make(map[stream.Key]struct{})
+	s.deltasSinceFull++
 	return d, nil
 }
 
@@ -243,6 +248,7 @@ func (s *Store) Restore(kv map[stream.Key][]byte) error {
 	}
 	s.touched = make(map[stream.Key]struct{})
 	s.lastFullSize = 0
+	s.deltasSinceFull = 0
 	for k, v := range kv {
 		if err := s.decodeKeyLocked(k, v); err != nil {
 			return err
@@ -287,6 +293,14 @@ func (s *Store) LastFullSize() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastFullSize
+}
+
+// DeltasSinceFull returns the number of deltas extracted since the last
+// TakeCheckpoint (0 before the first, or after Restore).
+func (s *Store) DeltasSinceFull() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.deltasSinceFull
 }
 
 // Len returns the number of distinct keys held by any cell (including

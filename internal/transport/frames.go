@@ -1,27 +1,11 @@
 package transport
 
 import (
-	"fmt"
-
 	"seep/internal/plan"
 	"seep/internal/state"
 	"seep/internal/stream"
 	"seep/internal/wirecodec"
 )
-
-// Envelope is one tuple in flight between hosts, carrying the routing
-// metadata the receiving node needs.
-type Envelope struct {
-	// From is the emitting instance (duplicate detection is
-	// per-upstream-instance).
-	From plan.InstanceID
-	// To is the destination instance.
-	To plan.InstanceID
-	// Input is the logical input-stream index at the receiver.
-	Input int
-	// Tuple is the payload-bearing tuple.
-	Tuple stream.Tuple
-}
 
 // Batch is a micro-batch of tuples sharing one (from, to, input) route —
 // the engine emits whole batches per downstream target, so shipping them
@@ -58,106 +42,18 @@ func decodeInstanceID(d *stream.Decoder) plan.InstanceID {
 	return plan.InstanceID{Op: plan.OpID(op), Part: int(d.Uint32())}
 }
 
-func encodeTuple(e *stream.Encoder, t stream.Tuple, codec state.PayloadCodec) error {
-	e.Int64(t.TS)
-	e.Key(t.Key)
-	e.Int64(t.Born)
-	pb, err := codec.EncodePayload(t.Payload)
-	if err != nil {
-		return fmt.Errorf("transport: encode payload: %w", err)
-	}
-	e.Bytes32(pb)
-	return nil
-}
-
-func decodeTuple(d *stream.Decoder, codec state.PayloadCodec) (stream.Tuple, error) {
-	var t stream.Tuple
-	t.TS = d.Int64()
-	t.Key = d.Key()
-	t.Born = d.Int64()
-	pb := d.Bytes32()
-	if err := d.Err(); err != nil {
-		return t, err
-	}
-	payload, err := codec.DecodePayload(pb)
-	if err != nil {
-		return t, fmt.Errorf("transport: decode payload: %w", err)
-	}
-	t.Payload = payload
-	return t, nil
-}
-
-// encodeEnvelope writes an envelope body (without the frame header).
-func encodeEnvelope(e *stream.Encoder, env Envelope, codec state.PayloadCodec) error {
-	encodeInstanceID(e, env.From)
-	encodeInstanceID(e, env.To)
-	e.Int32(int32(env.Input))
-	return encodeTuple(e, env.Tuple, codec)
-}
-
-func decodeEnvelope(d *stream.Decoder, codec state.PayloadCodec) (Envelope, error) {
-	var env Envelope
-	env.From = decodeInstanceID(d)
-	env.To = decodeInstanceID(d)
-	env.Input = int(d.Int32())
-	t, err := decodeTuple(d, codec)
-	if err != nil {
-		return env, err
-	}
-	env.Tuple = t
-	return env, nil
-}
-
-func encodeBatch(e *stream.Encoder, b Batch, codec state.PayloadCodec) error {
-	encodeInstanceID(e, b.From)
-	encodeInstanceID(e, b.To)
-	e.Int32(int32(b.Input))
-	e.Uint32(uint32(len(b.Tuples)))
-	for _, t := range b.Tuples {
-		if err := encodeTuple(e, t, codec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodeBatch(d *stream.Decoder, codec state.PayloadCodec) (Batch, error) {
-	var b Batch
-	b.From = decodeInstanceID(d)
-	b.To = decodeInstanceID(d)
-	b.Input = int(d.Int32())
-	n := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return b, err
-	}
-	// Each tuple costs at least 24 fixed bytes plus a length prefix, so
-	// a sane count is bounded by the remaining body.
-	if n < 0 || n > d.Remaining()/24+1 {
-		return b, fmt.Errorf("transport: batch of %d tuples exceeds frame body", n)
-	}
-	b.Tuples = make([]stream.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := decodeTuple(d, codec)
-		if err != nil {
-			return b, err
-		}
-		b.Tuples = append(b.Tuples, t)
-	}
-	return b, nil
-}
-
-// encodeBatchBin writes a batch in the compact binary layout: routing
-// header as before, then the tuples as one wirecodec run — the same
+// encodeBatch writes a batch body: the routing header, then the tuples
+// as one wirecodec run — the same
 // bytes buffer state holds them as in a checkpoint. codec is the tag-0
 // fallback for unregistered payload types.
-func encodeBatchBin(e *stream.Encoder, b Batch, codec state.PayloadCodec) error {
+func encodeBatch(e *stream.Encoder, b Batch, codec state.PayloadCodec) error {
 	encodeInstanceID(e, b.From)
 	encodeInstanceID(e, b.To)
 	e.Int32(int32(b.Input))
 	return wirecodec.EncodeTuples(e, b.Tuples, codec)
 }
 
-func decodeBatchBin(d *stream.Decoder, codec state.PayloadCodec) (Batch, error) {
+func decodeBatch(d *stream.Decoder, codec state.PayloadCodec) (Batch, error) {
 	var b Batch
 	b.From = decodeInstanceID(d)
 	b.To = decodeInstanceID(d)

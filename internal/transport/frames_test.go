@@ -90,7 +90,7 @@ func TestTupleRunIsOneEncoding(t *testing.T) {
 	}
 
 	frame := stream.NewEncoder(64)
-	if err := encodeBatchBin(frame, Batch{From: from, To: to, Input: 1, Tuples: tuples}, codec); err != nil {
+	if err := encodeBatch(frame, Batch{From: from, To: to, Input: 1, Tuples: tuples}, codec); err != nil {
 		t.Fatal(err)
 	}
 	header := stream.NewEncoder(64)
@@ -215,18 +215,18 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 func TestFrameChecksumRejected(t *testing.T) {
 	var m Metrics
 	e := stream.NewEncoder(64)
-	_ = encodeEnvelope(e, env(1, "x"), state.StringPayloadCodec{})
+	_ = encodeBatch(e, one(1, "x"), state.StringPayloadCodec{})
 	body := e.Bytes()
 
 	frame := make([]byte, frameHeaderLen+len(body))
 	frame[0] = ProtocolVersion
-	frame[1] = frameTuple
+	frame[1] = frameBatch
 	binary.LittleEndian.PutUint32(frame[2:6], uint32(len(body)))
 	binary.LittleEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(body))
 	copy(frame[frameHeaderLen:], body)
 
 	// Pristine frame decodes.
-	if ft, got, err := readFrame(newByteReader(frame), &m, nil); err != nil || ft != frameTuple || len(got) != len(body) {
+	if ft, got, err := readFrame(newByteReader(frame), &m, nil); err != nil || ft != frameBatch || len(got) != len(body) {
 		t.Fatalf("pristine frame: type=%d err=%v", ft, err)
 	}
 	// Corrupt one body byte: typed checksum error.
@@ -312,5 +312,64 @@ func TestTransportMetricsCounted(t *testing.T) {
 	}
 	if ls.BytesReceived == 0 || ls.CorruptFrames != 0 {
 		t.Errorf("listener stats: %+v", ls)
+	}
+}
+
+// TestDeltaCheckpointFrameRoundTrip: a delta-checkpoint frame sent by a
+// worker arrives intact at the listener's OnDeltaCheckpoint handler and
+// decodes back to the same value.
+func TestDeltaCheckpointFrameRoundTrip(t *testing.T) {
+	codec := state.StringPayloadCodec{}
+	bodyCh := make(chan []byte, 1)
+	l, err := ListenWith("127.0.0.1:0", codec, Handlers{
+		OnDeltaCheckpoint: func(body []byte) {
+			select {
+			case bodyCh <- body:
+			default:
+			}
+		},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	dc := &state.DeltaCheckpoint{
+		Instance: plan.InstanceID{Op: "count", Part: 0},
+		Delta: &state.Delta{
+			Base:    3,
+			Seq:     4,
+			Changed: map[stream.Key][]byte{7: []byte("seven")},
+			Deleted: []stream.Key{9},
+			TS:      stream.TSVector{12},
+		},
+		Buffer:   state.NewBuffer(),
+		OutClock: 12,
+		Acks:     map[plan.InstanceID]int64{{Op: "src", Part: 0}: 11},
+	}
+	e := stream.NewEncoder(256)
+	if err := state.EncodeDeltaCheckpoint(e, dc, codec, true); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Dial(l.Addr(), codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.SendDeltaCheckpoint(e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case body := <-bodyCh:
+		got, err := state.DecodeDeltaCheckpoint(stream.NewDecoder(body), codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Instance != dc.Instance || got.Delta.Seq != dc.Delta.Seq ||
+			string(got.Delta.Changed[7]) != "seven" || got.OutClock != dc.OutClock {
+			t.Fatalf("delta roundtrip mismatch: %+v", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("delta frame never arrived")
 	}
 }

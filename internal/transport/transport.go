@@ -1,7 +1,7 @@
 // Package transport provides the network substrate for running operator
 // nodes on separate machines: a length-prefixed, checksummed binary wire
-// format for tuples, tuple batches, acknowledgement watermarks and
-// control messages (using the state/stream codecs), persistent peer
+// format for tuple batches, acknowledgement watermarks and control
+// messages (using the state/stream codecs), persistent peer
 // connections with automatic reconnection, and heartbeat-based failure
 // detection — the mechanism behind the paper's failure detector (§5),
 // which notifies the recovery coordinator when a VM stops responding.
@@ -35,14 +35,11 @@ import (
 // decoded as garbage.
 const ProtocolVersion = uint8(2)
 
-// Frame types on the wire.
+// Frame types on the wire. Types 1 (one tuple per frame) and 3 (a batch
+// of per-tuple gob blobs) are retired and never reused: a listener
+// treats them like any unknown type and drops the connection.
 const (
-	frameTuple     = uint8(1)
 	frameHeartbeat = uint8(2)
-	// frameBatch carries a micro-batch of tuples sharing one
-	// (from, to, input) route — the unit the engine's batched data path
-	// ships between hosts.
-	frameBatch = uint8(3)
 	// frameAck carries an acknowledgement watermark: after a checkpoint
 	// is safely stored, the upstream buffer retaining the acknowledged
 	// tuples may trim them (Algorithm 1 line 4, over the wire).
@@ -58,12 +55,12 @@ const (
 	// host drained batch slots from a bounded input queue, so the sender
 	// may ship that many more batches toward the named instance.
 	frameCredit = uint8(7)
-	// frameBatchBin is a tuple batch in the compact binary layout:
-	// varint-delta timestamps, uvarint keys and tag-dispatched payloads
-	// (see internal/wirecodec) instead of per-tuple gob blobs. Listeners
-	// decode both batch framings unconditionally; which one a sender
-	// emits is negotiated through the job spec (Peer.LegacyBatch).
-	frameBatchBin = uint8(8)
+	// frameBatch carries a micro-batch of tuples sharing one
+	// (from, to, input) route — the unit the engine's batched data path
+	// ships between hosts — in the compact binary layout: varint-delta
+	// timestamps, uvarint keys and tag-dispatched payloads (see
+	// internal/wirecodec).
+	frameBatch = uint8(8)
 	// frameDeltaCheckpoint carries an incremental checkpoint — dirty
 	// keys and deletions since the last acknowledged snapshot — to the
 	// coordinator, which folds it into the authoritative backup store.
@@ -291,8 +288,6 @@ func readFrame(r io.Reader, m *Metrics, scratch *[]byte) (uint8, []byte, error) 
 // connection; blocking in a handler applies backpressure to that
 // sender.
 type Handlers struct {
-	// OnEnvelope receives single-tuple frames.
-	OnEnvelope func(Envelope)
 	// OnBatch receives tuple-batch frames.
 	OnBatch func(Batch)
 	// OnAck receives acknowledgement-watermark frames.
@@ -325,15 +320,8 @@ type Listener struct {
 	wg     sync.WaitGroup
 }
 
-// Listen starts accepting on addr (e.g. "127.0.0.1:0") and dispatching
-// single-tuple envelopes to handler. Kept for tuple-only deployments;
-// ListenWith registers the full handler set.
-func Listen(addr string, codec state.PayloadCodec, handler func(Envelope)) (*Listener, error) {
-	return ListenWith(addr, codec, Handlers{OnEnvelope: handler}, nil)
-}
-
-// ListenWith starts accepting on addr with the full handler set and
-// optional metrics.
+// ListenWith starts accepting on addr (e.g. "127.0.0.1:0") with the
+// given handler set and optional metrics.
 func ListenWith(addr string, codec state.PayloadCodec, h Handlers, m *Metrics) (*Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -402,24 +390,8 @@ func (l *Listener) serve(conn net.Conn) {
 			if err != nil {
 				return
 			}
-		case frameTuple:
-			env, err := decodeEnvelope(stream.NewDecoder(body), l.codec)
-			if err != nil {
-				return
-			}
-			if l.handlers.OnEnvelope != nil {
-				l.handlers.OnEnvelope(env)
-			}
 		case frameBatch:
 			b, err := decodeBatch(stream.NewDecoder(body), l.codec)
-			if err != nil {
-				return
-			}
-			if l.handlers.OnBatch != nil {
-				l.handlers.OnBatch(b)
-			}
-		case frameBatchBin:
-			b, err := decodeBatchBin(stream.NewDecoder(body), l.codec)
 			if err != nil {
 				return
 			}
@@ -510,11 +482,6 @@ type Peer struct {
 	OnDown func()
 	// Metrics, when set, tallies this peer's traffic.
 	Metrics *Metrics
-	// LegacyBatch, when true, makes SendBatch emit gob-payload batch
-	// frames (frameBatch) instead of the compact binary layout — the
-	// negotiated fallback when the job spec pins the gob wire codec.
-	// Set it once after Dial, before the first SendBatch.
-	LegacyBatch bool
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -709,38 +676,21 @@ func (p *Peer) sendFrame(frameType uint8, body []byte) error {
 	return nil
 }
 
-// Send transmits one envelope. Sends after Close or after the peer went
-// down return an error; callers retain tuples in buffer state and replay
-// them to the replacement instance, so a failed send is never data loss.
-func (p *Peer) Send(env Envelope) error {
-	e := stream.NewEncoder(64)
-	if err := encodeEnvelope(e, env, p.codec); err != nil {
-		return err
-	}
-	return p.sendFrame(frameTuple, e.Bytes())
-}
-
 // encPool recycles batch encoders across sends. sendFrame copies the
 // body into the connection's write buffer before returning, so the
 // encoder can go straight back to the pool.
 var encPool = sync.Pool{New: func() any { return stream.NewEncoder(4 << 10) }}
 
-// SendBatch transmits one tuple batch — compact binary framing by
-// default, gob framing when LegacyBatch pins the peer to the old wire
-// codec.
+// SendBatch transmits one tuple batch. Sends after Close or after the
+// peer went down return an error; callers retain tuples in buffer state
+// and replay them to the replacement instance, so a failed send is never
+// data loss.
 func (p *Peer) SendBatch(b Batch) error {
-	if p.LegacyBatch {
-		e := stream.NewEncoder(64 * (1 + len(b.Tuples)))
-		if err := encodeBatch(e, b, p.codec); err != nil {
-			return err
-		}
-		return p.sendFrame(frameBatch, e.Bytes())
-	}
 	e := encPool.Get().(*stream.Encoder)
 	e.Reset()
-	err := encodeBatchBin(e, b, p.codec)
+	err := encodeBatch(e, b, p.codec)
 	if err == nil {
-		err = p.sendFrame(frameBatchBin, e.Bytes())
+		err = p.sendFrame(frameBatch, e.Bytes())
 	}
 	encPool.Put(e)
 	return err

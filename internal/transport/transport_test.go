@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -15,26 +17,35 @@ func inst(op string, part int) plan.InstanceID {
 	return plan.InstanceID{Op: plan.OpID(op), Part: part}
 }
 
-func env(ts int64, payload string) Envelope {
-	return Envelope{
-		From:  inst("split", 1),
-		To:    inst("count", 1),
-		Input: 0,
-		Tuple: stream.Tuple{TS: ts, Key: stream.KeyOfString(payload), Born: ts * 10, Payload: payload},
+// one is a one-tuple batch on the split#1 → count#1 route.
+func one(ts int64, payload string) Batch {
+	return Batch{
+		From:   inst("split", 1),
+		To:     inst("count", 1),
+		Input:  0,
+		Tuples: []stream.Tuple{{TS: ts, Key: stream.KeyOfString(payload), Born: ts * 10, Payload: payload}},
 	}
 }
 
-func TestTupleRoundTripOverTCP(t *testing.T) {
-	var mu sync.Mutex
-	var got []Envelope
-	l, err := Listen("127.0.0.1:0", state.StringPayloadCodec{}, func(e Envelope) {
-		mu.Lock()
-		got = append(got, e)
-		mu.Unlock()
-	})
+// listen starts a listener that hands every batch to onBatch (nil
+// drops them).
+func listen(t *testing.T, onBatch func(Batch)) *Listener {
+	t.Helper()
+	l, err := ListenWith("127.0.0.1:0", state.StringPayloadCodec{}, Handlers{OnBatch: onBatch}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return l
+}
+
+func TestBatchRoundTripOverTCP(t *testing.T) {
+	var mu sync.Mutex
+	var got []Batch
+	l := listen(t, func(b Batch) {
+		mu.Lock()
+		got = append(got, b)
+		mu.Unlock()
+	})
 	defer l.Close()
 
 	p, err := Dial(l.Addr(), state.StringPayloadCodec{})
@@ -45,7 +56,7 @@ func TestTupleRoundTripOverTCP(t *testing.T) {
 
 	const n = 500
 	for i := int64(1); i <= n; i++ {
-		if err := p.Send(env(i, "hello")); err != nil {
+		if err := p.SendBatch(one(i, "hello")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,17 +76,17 @@ func TestTupleRoundTripOverTCP(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	// FIFO per connection, fields intact.
-	for i, e := range got {
-		if e.Tuple.TS != int64(i+1) {
-			t.Fatalf("out of order at %d: %v", i, e.Tuple)
+	for i, b := range got {
+		if len(b.Tuples) != 1 || b.Tuples[0].TS != int64(i+1) {
+			t.Fatalf("out of order at %d: %v", i, b.Tuples)
 		}
 	}
 	first := got[0]
 	if first.From != inst("split", 1) || first.To != inst("count", 1) {
 		t.Errorf("addressing lost: %+v", first)
 	}
-	if first.Tuple.Payload != "hello" || first.Tuple.Born != 10 {
-		t.Errorf("tuple fields lost: %+v", first.Tuple)
+	if tu := first.Tuples[0]; tu.Payload != "hello" || tu.Born != 10 {
+		t.Errorf("tuple fields lost: %+v", tu)
 	}
 	if p.Sent() != n {
 		t.Errorf("Sent = %d", p.Sent())
@@ -83,10 +94,7 @@ func TestTupleRoundTripOverTCP(t *testing.T) {
 }
 
 func TestHeartbeatKeepsPeerAlive(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", state.StringPayloadCodec{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := listen(t, nil)
 	defer l.Close()
 	p, err := Dial(l.Addr(), state.StringPayloadCodec{})
 	if err != nil {
@@ -109,10 +117,7 @@ func TestHeartbeatKeepsPeerAlive(t *testing.T) {
 }
 
 func TestFailureDetectorFiresOnDeadPeer(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", state.StringPayloadCodec{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := listen(t, nil)
 	p, err := Dial(l.Addr(), state.StringPayloadCodec{})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +140,7 @@ func TestFailureDetectorFiresOnDeadPeer(t *testing.T) {
 	if !p.Down() {
 		t.Error("Down() = false after detection")
 	}
-	if err := p.Send(env(1, "late")); err == nil {
+	if err := p.SendBatch(one(1, "late")); err == nil {
 		t.Error("send to downed peer succeeded")
 	}
 }
@@ -149,19 +154,18 @@ func TestPipelineOverTCP(t *testing.T) {
 	acks := make(map[plan.InstanceID]int64)
 	var mu sync.Mutex
 	var processed int
-	l, err := Listen("127.0.0.1:0", state.StringPayloadCodec{}, func(e Envelope) {
+	l := listen(t, func(b Batch) {
 		mu.Lock()
 		defer mu.Unlock()
-		if e.Tuple.TS <= acks[e.From] {
-			return // duplicate from replay
+		for _, tu := range b.Tuples {
+			if tu.TS <= acks[b.From] {
+				continue // duplicate from replay
+			}
+			acks[b.From] = tu.TS
+			counter.OnTuple(operator.Context{Input: b.Input}, tu, func(stream.Key, any) {})
+			processed++
 		}
-		acks[e.From] = e.Tuple.TS
-		counter.OnTuple(operator.Context{Input: e.Input}, e.Tuple, func(stream.Key, any) {})
-		processed++
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer l.Close()
 
 	p, err := Dial(l.Addr(), state.StringPayloadCodec{})
@@ -173,7 +177,7 @@ func TestPipelineOverTCP(t *testing.T) {
 	words := []string{"state", "stream", "state", "replay", "state"}
 	send := func() {
 		for i, w := range words {
-			if err := p.Send(env(int64(i+1), w)); err != nil {
+			if err := p.SendBatch(one(int64(i+1), w)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -205,10 +209,7 @@ func TestPipelineOverTCP(t *testing.T) {
 }
 
 func TestListenerRejectsOversizeFrame(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", state.StringPayloadCodec{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := listen(t, nil)
 	defer l.Close()
 	p, err := Dial(l.Addr(), state.StringPayloadCodec{})
 	if err != nil {
@@ -218,9 +219,9 @@ func TestListenerRejectsOversizeFrame(t *testing.T) {
 	// Hand-craft a frame with an absurd length; the listener must drop
 	// the connection rather than allocate.
 	p.mu.Lock()
-	_ = writeFrame(p.w, nil, frameTuple, make([]byte, 16))
+	_ = writeFrame(p.w, nil, frameAck, make([]byte, 16))
 	// Corrupt: huge declared length with no body.
-	_, _ = p.w.Write([]byte{ProtocolVersion, frameTuple, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	_, _ = p.w.Write([]byte{ProtocolVersion, frameAck, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 	_ = p.w.Flush()
 	p.mu.Unlock()
 	// The listener should survive (no panic, no OOM); a fresh connection
@@ -231,7 +232,7 @@ func TestListenerRejectsOversizeFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if err := p2.Send(env(1, "ok")); err != nil {
+	if err := p2.SendBatch(one(1, "ok")); err != nil {
 		t.Errorf("fresh connection send: %v", err)
 	}
 }
@@ -239,5 +240,62 @@ func TestListenerRejectsOversizeFrame(t *testing.T) {
 func TestDialUnreachable(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1", state.StringPayloadCodec{}); err == nil {
 		t.Error("dial to closed port succeeded")
+	}
+}
+
+// TestRetiredFrameTypesDropConnection: types 1 (one tuple per frame) and
+// 3 (gob batch) left the protocol. A well-formed frame of either type
+// closes the connection like any unknown type, reaches no handler, and
+// leaves the listener serving the next connection.
+func TestRetiredFrameTypesDropConnection(t *testing.T) {
+	batches := make(chan Batch, 4)
+	stray := func(name string) { t.Errorf("retired frame reached %s", name) }
+	l, err := ListenWith("127.0.0.1:0", state.StringPayloadCodec{}, Handlers{
+		OnBatch:           func(b Batch) { batches <- b },
+		OnAck:             func(Ack) { stray("OnAck") },
+		OnControl:         func([]byte) { stray("OnControl") },
+		OnBarrier:         func(plan.InstanceID) { stray("OnBarrier") },
+		OnCredit:          func(Credit) { stray("OnCredit") },
+		OnDeltaCheckpoint: func([]byte) { stray("OnDeltaCheckpoint") },
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// The body is a valid batch, so a listener that still decoded either
+	// type as tuples would deliver it.
+	e := stream.NewEncoder(64)
+	if err := encodeBatch(e, one(1, "stale"), state.StringPayloadCodec{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, retired := range []uint8{1, 3} {
+		conn, err := net.Dial("tcp", l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, nil, retired, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("type %d: read = %v, want the connection closed (EOF)", retired, err)
+		}
+		conn.Close()
+	}
+	p, err := Dial(l.Addr(), state.StringPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.SendBatch(one(2, "fresh")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case b := <-batches:
+		if b.Tuples[0].Payload != "fresh" {
+			t.Errorf("a retired frame was delivered: %+v", b)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("listener stopped serving after a retired frame")
 	}
 }

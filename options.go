@@ -62,7 +62,6 @@ type runtimeConfig struct {
 	coordAddr       string
 	controlPlaneDir string
 	standbyAddr     string
-	wireCodec       string
 	deltaWire       bool
 	deltaWireSet    bool
 	deltaCompress   bool
@@ -94,7 +93,6 @@ var universalOptions = []string{
 	"WithBatching",
 	"WithCheckpointInterval",
 	"WithDetectDelay",
-	"WithElasticity",
 	"WithIncrementalCheckpoints",
 	"WithPolicy",
 	"WithRecoveryParallelism",
@@ -179,9 +177,6 @@ func (c *runtimeConfig) validate() error {
 	if c.workersSet && c.workers < 1 {
 		return fmt.Errorf("seep: WithWorkers requires n >= 1, got %d", c.workers)
 	}
-	if c.wireCodec != "" && c.wireCodec != "binary" && c.wireCodec != "gob" {
-		return fmt.Errorf("seep: WithWireCodec accepts \"binary\" or \"gob\", got %q", c.wireCodec)
-	}
 	if c.standbyAddr != "" && c.controlPlaneDir == "" {
 		return fmt.Errorf("seep: WithStandbyAddr requires WithControlPlaneDir (without a journal there is no state to resume from)")
 	}
@@ -245,26 +240,12 @@ func WithCheckpointInterval(d time.Duration) Option {
 // FT mode is a Deploy error). On the Distributed runtime the deltas
 // travel the wire as delta-checkpoint frames and the coordinator folds
 // them into its authoritative store; fullEvery is the epoch boundary
-// that bounds every delta chain. Operators on the deprecated Stateful
-// contract always checkpoint fully. Observe the effect via
+// that bounds every delta chain. Observe the effect via
 // Metrics.Checkpoints.
 func WithIncrementalCheckpoints(fullEvery int, maxDeltaFraction float64) Option {
 	return func(c *runtimeConfig) {
 		c.delta = state.DeltaPolicy{FullEvery: fullEvery, MaxDeltaFraction: maxDeltaFraction}
 		c.deltaSet = true
-	}
-}
-
-// WithWireCodec selects the Distributed runtime's data-path batch
-// framing: "binary" (the default) ships tuples as compact tag-dispatched
-// records (varint timestamps and keys, the RegisterPayloadType tag
-// registry for payloads), "gob" pins workers to the legacy gob framing —
-// the escape hatch while a mixed-version fleet drains, since listeners
-// of either vintage decode both framings. Distributed runtime only.
-func WithWireCodec(name string) Option {
-	return func(c *runtimeConfig) {
-		c.wireCodec = name
-		c.restrict("WithWireCodec", "the in-process runtimes have no wire", "dist")
 	}
 }
 
@@ -453,13 +434,6 @@ func WithScaleIn(p ScaleInPolicy) Option {
 	return func(c *runtimeConfig) { c.scaleIn = &p }
 }
 
-// WithElasticity enables scale in.
-//
-// Deprecated: use WithScaleIn, which is accepted by all three
-// substrates (WithElasticity historically applied to the Simulated
-// runtime only; it is now an exact alias).
-func WithElasticity(p ScaleInPolicy) Option { return WithScaleIn(p) }
-
 // WithWorkers sets how many in-process loopback workers the Distributed
 // runtime spawns (default 3). Each worker is a full coordinator-managed
 // host with its own TCP listener — real frames, real failure detection —
@@ -494,9 +468,10 @@ func WithTopologyName(name string) Option {
 	}
 }
 
-// WithPayloadCodec sets the codec serialising tuple payloads on the
-// wire (default: gob over registered concrete types, see
-// RegisterPayloadType). Distributed runtime only.
+// WithPayloadCodec sets the fallback codec for tuple payloads whose
+// type has no RegisterPayloadType tag, on the wire and in shipped
+// checkpoints (default: gob over gob-registered concrete types).
+// Distributed runtime only.
 func WithPayloadCodec(codec PayloadCodec) Option {
 	return func(c *runtimeConfig) {
 		c.payloadCodec = codec

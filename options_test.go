@@ -14,7 +14,6 @@ func TestUniversalOptions(t *testing.T) {
 		"WithBatching":               WithBatching(8, time.Millisecond),
 		"WithCheckpointInterval":     WithCheckpointInterval(time.Second),
 		"WithDetectDelay":            WithDetectDelay(time.Second),
-		"WithElasticity":             WithElasticity(ScaleInPolicy{LowWatermark: 0.1}),
 		"WithIncrementalCheckpoints": WithIncrementalCheckpoints(4, 0.5),
 		"WithPolicy":                 WithPolicy(DefaultPolicy()),
 		"WithRecoveryParallelism":    WithRecoveryParallelism(2),

@@ -152,9 +152,9 @@ func TestRuntimeRejectsForeignOptions(t *testing.T) {
 	if _, err := seep.Simulated(seep.WithChannelBuffer(64)).Deploy(wordcountTopology()); err == nil {
 		t.Error("Simulated accepted WithChannelBuffer")
 	}
-	// Elasticity without a scaling policy is meaningless.
-	if _, err := seep.Simulated(seep.WithElasticity(seep.DefaultScaleInPolicy())).Deploy(wordcountTopology()); err == nil {
-		t.Error("Simulated accepted WithElasticity without WithPolicy")
+	// Scale in without a scaling policy is meaningless.
+	if _, err := seep.Simulated(seep.WithScaleIn(seep.DefaultScaleInPolicy())).Deploy(wordcountTopology()); err == nil {
+		t.Error("Simulated accepted WithScaleIn without WithPolicy")
 	}
 	// Out-of-range option values are errors, not silent coercions to
 	// the substrate default.

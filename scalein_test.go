@@ -201,7 +201,7 @@ func TestDistributedMidShrinkWorkerKill(t *testing.T) {
 }
 
 // TestScaleInOptionAcceptedEverywhere: WithScaleIn deploys on all three
-// substrates (it used to be Simulated-only as WithElasticity).
+// substrates.
 func TestScaleInOptionAcceptedEverywhere(t *testing.T) {
 	opts := func() []seep.Option {
 		return []seep.Option{
@@ -276,10 +276,10 @@ func TestOptionErrorsNameOptionAndSubstrates(t *testing.T) {
 		},
 		{
 			deploy: func() error {
-				_, err := seep.Live(seep.WithWireCodec("gob")).Deploy(wordcountTopology())
+				_, err := seep.Live(seep.WithDeltaCheckpoints(false)).Deploy(wordcountTopology())
 				return err
 			},
-			wantAll: []string{"WithWireCodec", "Distributed"},
+			wantAll: []string{"WithDeltaCheckpoints", "Distributed"},
 		},
 		{
 			deploy: func() error {

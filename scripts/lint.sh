@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static gate, one command for CI and for hands:
-# gofmt, go vet, and seep-lint (the invariant suite in internal/analysis,
-# run both standalone and as the vet tool so each loading path stays
-# honest). govulncheck runs when the binary is available; the container
+# gofmt, go vet, the import-direction and no-Deprecated: greps, and
+# seep-lint (the invariant suite in internal/analysis, run both
+# standalone and as the vet tool so each loading path stays honest). govulncheck runs when the binary is available; the container
 # image does not bake it in, so its absence is a skip, not a failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,6 +21,14 @@ go vet ./...
 echo "== import direction"
 if go list -deps ./internal/wirecodec | grep -x 'seep/internal/state'; then
   echo "internal/wirecodec must not depend on internal/state: state encodes buffered tuples with it" >&2
+  exit 1
+fi
+
+echo "== no deprecated surface"
+# The compat half was deleted (ROADMAP aim 2) and must not regrow: what
+# is superseded is removed, not marked.
+if grep -rn --include='*.go' 'Deprecated:' . --exclude-dir=testdata --exclude-dir=.bench_build; then
+  echo "Deprecated: markers found; delete the superseded API instead of deprecating it" >&2
   exit 1
 fi
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# loc.sh [ref] — line count as a cost (ROADMAP aim 2): non-test Go lines
-# that are neither blank nor comment, per internal/* package, at ref
-# (default HEAD) versus the working tree. Informational: prints a table,
-# never fails on a delta.
+# loc.sh [ref] — size as a cost (ROADMAP aim 2), at ref (default HEAD)
+# versus the working tree: non-test Go lines that are neither blank nor
+# comment, per internal/* package, for the root package (`root`) and for
+# cmd/ (`cmd`), then the exported-symbol count of package seep
+# (`go doc -short .`). Informational: prints a table, never fails on a
+# delta.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref=${1:-HEAD}
@@ -18,24 +20,46 @@ code_lines() {
     END { print n + 0 }'
 }
 
-sources() { grep -E '^internal/.*\.go$' | grep -v '_test\.go$' || true; }
+sources() { grep -E '^(internal|cmd)/.*\.go$|^[^/]*\.go$' | grep -v '_test\.go$' || true; }
+
+# row: the table row a source file counts toward.
+row() {
+  case $1 in
+    internal/*) r=${1#internal/}; echo "${r%%/*}" ;;
+    cmd/*) echo cmd ;;
+    *) echo root ;;
+  esac
+}
 
 declare -A at_ref at_tree
 while read -r f; do
-  pkg=${f#internal/}; pkg=${pkg%%/*}
-  at_ref[$pkg]=$(( ${at_ref[$pkg]:-0} + $(git show "$ref:$f" | code_lines) ))
-done < <(git ls-tree -r --name-only "$ref" -- internal | sources)
+  r=$(row "$f")
+  at_ref[$r]=$(( ${at_ref[$r]:-0} + $(git show "$ref:$f" | code_lines) ))
+done < <(git ls-tree -r --name-only "$ref" | sources)
 while read -r f; do
   [ -f "$f" ] || continue # deleted in the working tree
-  pkg=${f#internal/}; pkg=${pkg%%/*}
-  at_tree[$pkg]=$(( ${at_tree[$pkg]:-0} + $(code_lines < "$f") ))
-done < <(git ls-files -co --exclude-standard -- internal | sources)
+  r=$(row "$f")
+  at_tree[$r]=$(( ${at_tree[$r]:-0} + $(code_lines < "$f") ))
+done < <(git ls-files -co --exclude-standard | sources)
 
 printf '%-14s %8s %8s %7s\n' "internal/" "$ref" worktree delta
-total_ref=0 total_tree=0
-for pkg in $(printf '%s\n' "${!at_ref[@]}" "${!at_tree[@]}" | sort -u); do
-  r=${at_ref[$pkg]:-0} t=${at_tree[$pkg]:-0}
-  printf '%-14s %8d %8d %+7d\n' "$pkg" "$r" "$t" $((t - r))
+line() {
+  local r=${at_ref[$1]:-0} t=${at_tree[$1]:-0}
+  printf '%-14s %8d %8d %+7d\n' "$1" "$r" "$t" $((t - r))
   total_ref=$((total_ref + r)) total_tree=$((total_tree + t))
+}
+total_ref=0 total_tree=0
+for pkg in $(printf '%s\n' "${!at_ref[@]}" "${!at_tree[@]}" | sort -u | grep -vx -e root -e cmd); do
+  line "$pkg"
 done
-printf '%-14s %8d %8d %+7d\n' total "$total_ref" "$total_tree" $((total_tree - total_ref))
+line root
+printf '%-14s %8d %8d %+7d\n' "internal+root" "$total_ref" "$total_tree" $((total_tree - total_ref))
+line cmd
+
+# The public surface is a cost too: exported symbols of package seep.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+git archive "$ref" | tar -x -C "$tmp"
+sym_ref=$(cd "$tmp" && go doc -short . | wc -l)
+sym_tree=$(go doc -short . | wc -l)
+printf '%-14s %8d %8d %+7d\n' "seep exported" "$sym_ref" "$sym_tree" $((sym_tree - sym_ref))

@@ -26,9 +26,7 @@
 // managed state cells (NewValueState / NewMapState) against a
 // system-owned StateStore and expose it via Managed, so the system
 // checkpoints — fully or incrementally — backs up, partitions and
-// restores their state without operator code. (The hand-rolled
-// SnapshotKV/RestoreKV contract, Stateful, is deprecated but still
-// deploys.)
+// restores their state without operator code.
 //
 // Three substrates execute topologies behind one Runtime/Job interface,
 // so scenarios are written once and run on any:
@@ -57,15 +55,11 @@
 //	job, err := seep.Live(seep.WithCheckpointInterval(200 * time.Millisecond)).Deploy(topo)
 //	job, err := seep.Simulated(seep.WithFTMode(seep.FTRSM), seep.WithSeed(42)).Deploy(topo)
 //
-// See README.md for a quickstart and the migration table from the
-// pre-Topology API (NewQuery / NewEngine / NewSimCluster), which is
-// retained as deprecated wrappers.
+// See README.md for a quickstart.
 package seep
 
 import (
 	"seep/internal/control"
-	"seep/internal/core"
-	"seep/internal/engine"
 	"seep/internal/operator"
 	"seep/internal/plan"
 	"seep/internal/sim"
@@ -79,8 +73,6 @@ type (
 	Key = stream.Key
 	// Tuple is the unit of data: logical timestamp, key, payload.
 	Tuple = stream.Tuple
-	// TSVector tracks per-input-stream progress.
-	TSVector = stream.TSVector
 )
 
 // KeyOf hashes bytes into the key space.
@@ -91,7 +83,7 @@ func KeyOfString(s string) Key { return stream.KeyOfString(s) }
 
 // Query model (§2.2).
 type (
-	// Query is a logical dataflow graph.
+	// Query is a logical dataflow graph (see Topology.Query).
 	Query = plan.Query
 	// OpSpec declares one logical operator.
 	OpSpec = plan.OpSpec
@@ -109,12 +101,6 @@ const (
 	RoleStateful  = plan.RoleStateful
 )
 
-// NewQuery returns an empty query graph.
-//
-// Deprecated: declare queries with NewTopology, which binds the graph
-// and the operator factories together and validates both at Build time.
-func NewQuery() *Query { return plan.NewQuery() }
-
 // Operator model (§2.2, §3.1).
 type (
 	// Operator processes tuples.
@@ -124,13 +110,6 @@ type (
 	// store, checkpointed/partitioned/restored — fully or incrementally
 	// — without operator involvement.
 	Managed = operator.Managed
-	// Stateful operators hand-implement snapshot/restore over key/value
-	// pairs.
-	//
-	// Deprecated: implement Managed instead (see StateStore, ValueState,
-	// MapState); Stateful operators still deploy but never benefit from
-	// incremental checkpoints.
-	Stateful = operator.Stateful
 	// TimeDriven operators react to the passage of time (windows).
 	TimeDriven = operator.TimeDriven
 	// Context is per-invocation metadata.
@@ -139,12 +118,9 @@ type (
 	Emitter = operator.Emitter
 	// Factory builds operator instances, one per partition.
 	Factory = operator.Factory
-	// OpFunc adapts a function to Operator.
-	OpFunc = operator.Func
 )
 
-// Managed keyed state (§3.1/§3.2): the system-owned replacement for
-// Stateful.
+// Managed keyed state (§3.1/§3.2).
 type (
 	// StateStore holds the managed keyed state of one operator instance
 	// and owns locking, serialisation, snapshots, restore and dirty-key
@@ -243,42 +219,8 @@ func NewWindowJoin(windowMillis int64, encode func(any) []byte, decode func([]by
 	return operator.NewWindowJoin(windowMillis, encode, decode)
 }
 
-// State management (§3).
-type (
-	// Checkpoint is the externalised state of one operator instance.
-	Checkpoint = state.Checkpoint
-	// Processing is the key/value processing state θ.
-	Processing = state.Processing
-	// Routing maps key ranges to partitioned instances.
-	Routing = state.Routing
-	// KeyRange is a closed interval of the key space.
-	KeyRange = state.KeyRange
-)
-
-// Live runtime.
-type (
-	// Engine runs a query on goroutines and channels.
-	Engine = engine.Engine
-	// EngineConfig parameterises the engine.
-	EngineConfig = engine.Config
-	// UtilSampler feeds the engine's scaling policy (nil = backpressure).
-	UtilSampler = engine.UtilSampler
-)
-
-// NewEngine builds a live engine for a query.
-//
-// Deprecated: use Live(options...).Deploy(topology), which runs the same
-// engine behind the runtime-agnostic Job interface.
-func NewEngine(cfg EngineConfig, q *Query, factories map[OpID]Factory) (*Engine, error) {
-	return engine.New(cfg, q, factories)
-}
-
 // Simulated cluster runtime (the EC2 substitute).
 type (
-	// Cluster is a simulated cloud deployment.
-	Cluster = sim.Cluster
-	// ClusterConfig parameterises the simulation.
-	ClusterConfig = sim.Config
 	// PoolConfig parameterises the VM pool (§5.2).
 	PoolConfig = sim.PoolConfig
 	// FTMode selects the fault tolerance mechanism.
@@ -297,14 +239,6 @@ const (
 	FTSourceReplay   = sim.FTSourceReplay
 )
 
-// NewSimCluster deploys a query on the simulated cluster.
-//
-// Deprecated: use Simulated(options...).Deploy(topology), which runs the
-// same cluster behind the runtime-agnostic Job interface.
-func NewSimCluster(cfg ClusterConfig, q *Query, factories map[OpID]Factory) (*Cluster, error) {
-	return sim.NewCluster(cfg, q, factories)
-}
-
 // ConstantRate is a fixed tuples/second source profile.
 func ConstantRate(tps float64) RateFunc { return sim.ConstantRate(tps) }
 
@@ -312,8 +246,6 @@ func ConstantRate(tps float64) RateFunc { return sim.ConstantRate(tps) }
 type (
 	// Policy holds δ, k and r.
 	Policy = control.Policy
-	// Detector is the bottleneck detector.
-	Detector = control.Detector
 	// ScaleInPolicy holds the low-watermark merge policy.
 	ScaleInPolicy = control.ScaleInPolicy
 )
@@ -326,18 +258,11 @@ func DefaultPolicy() Policy { return control.DefaultPolicy() }
 // (low watermark 25%, k=3).
 func DefaultScaleInPolicy() ScaleInPolicy { return control.DefaultScaleInPolicy() }
 
-// Durable checkpoint persistence (§3.3 persist).
+// Tuple-payload serialisation on the Distributed runtime.
 type (
-	// DurableStore persists checkpoints to disk alongside the in-memory
-	// backup store.
-	DurableStore = core.DurableStore
-	// PayloadCodec serialises tuple payloads in persisted checkpoints.
+	// PayloadCodec serialises tuple payloads whose type has no
+	// RegisterPayloadType tag (see WithPayloadCodec).
 	PayloadCodec = state.PayloadCodec
 	// StringPayloadCodec handles string payloads.
 	StringPayloadCodec = state.StringPayloadCodec
 )
-
-// NewDurableStore opens (or creates) a checkpoint directory.
-func NewDurableStore(dir string, codec PayloadCodec) (*DurableStore, error) {
-	return core.NewDurableStore(dir, codec)
-}

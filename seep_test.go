@@ -156,47 +156,3 @@ func TestPublicAPISimCluster(t *testing.T) {
 		t.Error("unexpected default policy")
 	}
 }
-
-// TestDeprecatedConstructors keeps the pre-Topology surface working: the
-// old NewQuery/NewEngine plumbing must behave exactly as before, as thin
-// wrappers over the same runtime.
-func TestDeprecatedConstructors(t *testing.T) {
-	q := seep.NewQuery()
-	q.AddOp(seep.OpSpec{ID: "src", Role: seep.RoleSource})
-	q.AddOp(seep.OpSpec{ID: "split", Role: seep.RoleStateless})
-	q.AddOp(seep.OpSpec{ID: "count", Role: seep.RoleStateful})
-	q.AddOp(seep.OpSpec{ID: "sink", Role: seep.RoleSink})
-	q.Connect("src", "split").Connect("split", "count").Connect("count", "sink")
-
-	eng, err := seep.NewEngine(seep.EngineConfig{}, q, map[seep.OpID]seep.Factory{
-		"split": func() seep.Operator { return seep.WordSplitter() },
-		"count": func() seep.Operator { return seep.NewWordCounter(0) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Start()
-	defer eng.Stop()
-	if err := eng.InjectBatch(seep.InstanceID{Op: "src", Part: 1}, 100, parityGen); err != nil {
-		t.Fatal(err)
-	}
-	if !eng.Quiesce(100*time.Millisecond, 5*time.Second) {
-		t.Fatal("no quiesce")
-	}
-	counter := eng.OperatorOf(seep.InstanceID{Op: "count", Part: 1}).(*seep.WordCounter)
-	var total int64
-	for i := 0; i < 10; i++ {
-		total += counter.Count(fmt.Sprintf("w%02d", i))
-	}
-	if total != 100 {
-		t.Errorf("total = %d, want 100", total)
-	}
-
-	// The old panicking construction mistakes now surface as errors.
-	bad := seep.NewQuery()
-	bad.AddOp(seep.OpSpec{ID: "a", Role: seep.RoleSource})
-	bad.Connect("a", "ghost")
-	if _, err := seep.NewEngine(seep.EngineConfig{}, bad, nil); err == nil {
-		t.Error("NewEngine accepted a query with a dangling edge")
-	}
-}

@@ -37,7 +37,8 @@ import (
 // Build validates the whole declaration — duplicate or empty operator
 // IDs, streams to undeclared operators, cycles, unreachable operators,
 // role violations (sources with inputs, sinks with outputs), nil
-// factories — and returns every problem as one error instead of letting
+// factories, Stateful operators that are not Managed — and returns every
+// problem as one error instead of letting
 // it surface as a panic or a silent runtime misbehaviour. A built
 // Topology is immutable and can be deployed on any Runtime.
 type Topology struct {
@@ -56,35 +57,6 @@ type Topology struct {
 // NewTopology returns an empty topology builder.
 func NewTopology() *Topology {
 	return &Topology{factories: make(map[OpID]Factory)}
-}
-
-// FromQuery wraps an already-constructed query graph and its operator
-// factories into a built Topology — the bridge for code that assembles
-// plan-level queries programmatically (generated workloads, the internal
-// experiment queries). The query is validated and every non-source,
-// non-sink operator must have a factory. New code should prefer the
-// fluent builder.
-func FromQuery(q *Query, factories map[OpID]Factory) (*Topology, error) {
-	if q == nil {
-		return nil, errors.New("seep: nil query")
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	t := &Topology{factories: make(map[OpID]Factory, len(factories))}
-	for _, id := range q.Ops() {
-		spec := q.Op(id)
-		if spec.Role == RoleSource || spec.Role == RoleSink {
-			continue
-		}
-		f := factories[id]
-		if f == nil {
-			return nil, fmt.Errorf("seep: operator %q: no factory", id)
-		}
-		t.factories[id] = f
-	}
-	t.query = q
-	return t, nil
 }
 
 // OpOption tweaks one operator declaration.
@@ -128,9 +100,9 @@ func (t *Topology) Stateless(id string, f Factory, opts ...OpOption) *Topology {
 
 // Stateful declares an operator whose state the system checkpoints,
 // backs up, partitions and restores, built by f. The operator returned
-// by f should implement Managed (managed state cells against a
-// StateStore) — or the deprecated Stateful contract; otherwise its
-// state is treated as empty by the state-management protocol.
+// by f must implement Managed (managed state cells against a
+// StateStore): Build instantiates f once and rejects anything else,
+// because state the system cannot see is lost on the first recovery.
 func (t *Topology) Stateful(id string, f Factory, opts ...OpOption) *Topology {
 	return t.declare(plan.OpSpec{ID: OpID(id), Role: RoleStateful}, f, true, opts)
 }
@@ -179,7 +151,8 @@ func (t *Topology) Connect(from, to string) *Topology {
 // itself for single-expression construction, or the combined list of
 // declaration errors: duplicate/empty IDs, streams naming undeclared
 // operators, cycles, operators unreachable between a source and a sink,
-// role violations and nil factories.
+// role violations, nil factories and Stateful operators whose factory
+// does not build a Managed operator.
 func (t *Topology) Build() (*Topology, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -212,6 +185,15 @@ func (t *Topology) buildLocked() (*Topology, error) {
 	errs := t.errs
 	if err := q.Validate(); err != nil {
 		errs = append(errs, err)
+	}
+	for _, spec := range t.specs {
+		f := t.factories[spec.ID]
+		if spec.Role != RoleStateful || f == nil {
+			continue
+		}
+		if m, ok := f().(Managed); !ok || m.State() == nil {
+			errs = append(errs, fmt.Errorf("seep: operator %q: declared Stateful but its factory does not build a Managed operator with a state store", spec.ID))
+		}
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)

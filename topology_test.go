@@ -104,6 +104,18 @@ func TestTopologyBuildValidation(t *testing.T) {
 			wantErr: "nil factory",
 		},
 		{
+			// State the system cannot see would be lost on the first
+			// recovery; the error names the operator.
+			name: "stateful operator that is not Managed",
+			build: func() *seep.Topology {
+				return seep.NewTopology().
+					Source("src").
+					Stateful("tally", splitFactory).
+					Sink("sink")
+			},
+			wantErr: `operator "tally": declared Stateful but its factory does not build a Managed operator`,
+		},
+		{
 			name:    "empty topology",
 			build:   func() *seep.Topology { return seep.NewTopology() },
 			wantErr: "empty",
@@ -161,12 +173,13 @@ func TestTopologyBuildJoinsAllErrors(t *testing.T) {
 		Source("src").
 		Stateful("count", nil).
 		Stateful("count", countFactory).
+		Stateful("tally", splitFactory).
 		Sink("sink").
 		Build()
 	if err == nil {
 		t.Fatal("Build() succeeded")
 	}
-	for _, want := range []string{"nil factory", "duplicate"} {
+	for _, want := range []string{"nil factory", "duplicate", `"tally": declared Stateful`} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Build() error %q does not mention %q", err, want)
 		}
@@ -215,36 +228,6 @@ func TestTopologyBuildIdempotent(t *testing.T) {
 	again, err := built.Build()
 	if err != nil || again != built {
 		t.Fatalf("second Build() = (%p, %v), want (%p, nil)", again, err, built)
-	}
-}
-
-// TestFromQuery: the bridge from plan-level queries validates the graph
-// and requires a factory for every user operator.
-func TestFromQuery(t *testing.T) {
-	q := seep.NewQuery()
-	q.AddOp(seep.OpSpec{ID: "src", Role: seep.RoleSource})
-	q.AddOp(seep.OpSpec{ID: "count", Role: seep.RoleStateful})
-	q.AddOp(seep.OpSpec{ID: "sink", Role: seep.RoleSink})
-	q.Connect("src", "count").Connect("count", "sink")
-
-	if _, err := seep.FromQuery(q, nil); err == nil || !strings.Contains(err.Error(), "no factory") {
-		t.Errorf("FromQuery without factories = %v, want 'no factory' error", err)
-	}
-	topo, err := seep.FromQuery(q, map[seep.OpID]seep.Factory{"count": countFactory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topo.Query() != q {
-		t.Error("FromQuery did not adopt the query")
-	}
-	if _, err := seep.FromQuery(nil, nil); err == nil {
-		t.Error("FromQuery(nil) accepted")
-	}
-	dangling := seep.NewQuery()
-	dangling.AddOp(seep.OpSpec{ID: "src", Role: seep.RoleSource})
-	dangling.Connect("src", "ghost")
-	if _, err := seep.FromQuery(dangling, nil); err == nil {
-		t.Error("FromQuery accepted a dangling edge")
 	}
 }
 
