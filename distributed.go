@@ -8,7 +8,6 @@ import (
 	"seep/internal/dist"
 	"seep/internal/operator"
 	"seep/internal/plan"
-	"seep/internal/state"
 	"seep/internal/transport"
 	"seep/internal/wirecodec"
 )
@@ -59,53 +58,25 @@ func (r *distRuntime) Deploy(t *Topology) (Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec := cfg.payloadCodec
-	if codec == nil {
-		codec = state.GobPayloadCodec{}
-	}
 	name := cfg.topoName
 	if name == "" {
 		name = "topology"
-	}
-	checkpoint := defaultLiveCheckpoint
-	if cfg.checkpointSet {
-		checkpoint = cfg.checkpoint
-	}
-	detect := defaultDetectDelay
-	if cfg.detect > 0 {
-		detect = cfg.detect
 	}
 	coordAddr := cfg.coordAddr
 	if coordAddr == "" {
 		coordAddr = "127.0.0.1:0"
 	}
-	// Incremental checkpoints ship over the wire whenever a delta policy
-	// is armed: WithIncrementalCheckpoints supplies an explicit one, and
-	// WithDeltaCheckpoints falls back to the default epoch (full snapshot
-	// every 10th checkpoint, deltas capped at half the base).
-	deltaPolicy := cfg.delta
-	if cfg.deltaWireSet && !cfg.deltaSet {
-		deltaPolicy = state.DeltaPolicy{FullEvery: 10, MaxDeltaFraction: 0.5}
-	}
 	coordCfg := dist.Config{
-		Addr:               coordAddr,
-		Codec:              codec,
-		Topology:           name,
-		CheckpointInterval: checkpoint,
-		TimerInterval:      cfg.timer,
-		BatchSize:          cfg.batchSize,
-		BatchLinger:        cfg.batchLinger,
-		ChannelBuffer:      cfg.channelBuffer,
-		QueueBound:         cfg.queueBound,
-		MemoryLimit:        cfg.memoryLimit,
-		Delta:              deltaPolicy,
-		DeltaCompress:      cfg.deltaCompress,
-		DetectDelay:        detect,
-		RecoveryPi:         cfg.recoveryPi,
-		Policy:             cfg.policy,
-		ScaleIn:            cfg.scaleIn,
-		ControlPlaneDir:    cfg.controlPlaneDir,
-		StandbyAddr:        cfg.standbyAddr,
+		Addr:            coordAddr,
+		Topology:        name,
+		Engine:          cfg.engineConfig(),
+		DeltaCompress:   cfg.deltaCompress,
+		DetectDelay:     cfg.detect,
+		RecoveryPi:      cfg.recoveryPi,
+		Policy:          cfg.policy,
+		ScaleIn:         cfg.scaleIn,
+		ControlPlaneDir: cfg.controlPlaneDir,
+		StandbyAddr:     cfg.standbyAddr,
 	}
 
 	j := &distJob{}
@@ -117,7 +88,7 @@ func (r *distRuntime) Deploy(t *Topology) (Job, error) {
 		}
 		reg := topoRegistry{t: t}
 		for i := 0; i < n; i++ {
-			w, err := dist.NewWorker("127.0.0.1:0", reg, codec)
+			w, err := dist.NewWorker("127.0.0.1:0", reg, nil)
 			if err != nil {
 				j.killWorkers()
 				return nil, err
@@ -302,16 +273,8 @@ func (j *distJob) workerHosting(inst InstanceID) *dist.Worker {
 	return nil
 }
 
-func (j *distJob) sourceInstance(op OpID) (InstanceID, error) {
-	insts := j.co().Manager().Instances(op)
-	if len(insts) == 0 {
-		return InstanceID{}, fmt.Errorf("seep: no instances of operator %q", op)
-	}
-	return insts[0], nil
-}
-
 func (j *distJob) AddSource(op OpID, rate RateFunc, gen Generator) error {
-	inst, err := j.sourceInstance(op)
+	inst, err := sourceInstance(j.co().Manager(), op)
 	if err != nil {
 		return err
 	}
@@ -323,7 +286,7 @@ func (j *distJob) AddSource(op OpID, rate RateFunc, gen Generator) error {
 }
 
 func (j *distJob) InjectBatch(op OpID, count int, gen Generator) error {
-	inst, err := j.sourceInstance(op)
+	inst, err := sourceInstance(j.co().Manager(), op)
 	if err != nil {
 		return err
 	}
@@ -446,25 +409,13 @@ func (j *distJob) MetricsSnapshot() Metrics {
 	}
 	j.mu.Unlock()
 
-	recs := j.co().Records()
-	out := make([]RecoveryRecord, len(recs))
-	for i, r := range recs {
-		out[i] = RecoveryRecord{
-			Victim:         r.Victim,
-			Pi:             r.Pi,
-			Failure:        r.Failure,
-			StartedAt:      r.StartedAt,
-			CompletedAt:    r.CompletedAt,
-			ReplayedTuples: r.ReplayedTuples,
-			Merge:          r.Merge,
-		}
-	}
+	mgr := j.co().Manager()
 	m := Metrics{
 		ElapsedMillis: elapsed,
-		Parallelism:   parallelismOf(j.co().Manager().Query(), func(op OpID) int { return j.co().Manager().Parallelism(op) }),
-		Recoveries:    out,
-		Merges:        j.co().Merges(),
-		Checkpoints:   j.co().Manager().Backups().ShipStats(),
+		Parallelism:   parallelismOf(mgr),
+		Recoveries:    mgr.Records(),
+		Merges:        mgr.Merges(),
+		Checkpoints:   mgr.Backups().ShipStats(),
 		Errors:        j.co().Errors(),
 		Transport:     j.co().TransportStats(),
 		ControlPlane:  j.co().ControlPlaneStats(),
@@ -514,9 +465,6 @@ func (j *distJob) MetricsSnapshot() Metrics {
 // library operators' output types are pre-registered. The return values
 // may be ignored by callers that registered correctly at init time.
 func RegisterPayloadType(v any) (uint8, error) { return wirecodec.Register(v) }
-
-// GobPayloadCodec is the distributed runtime's default payload codec.
-type GobPayloadCodec = state.GobPayloadCodec
 
 // DistWorker is a worker daemon host (see RunWorker).
 type DistWorker = dist.Worker

@@ -69,9 +69,6 @@ func NewDetector(p Policy) *Detector {
 	}
 }
 
-// Policy returns the detector's policy.
-func (d *Detector) Policy() Policy { return d.policy }
-
 // Observe ingests one round of reports and returns the instances that
 // should be scaled out, in deterministic order. Instances not present in
 // a round keep their streak (missing reports are not evidence of

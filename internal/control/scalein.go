@@ -38,7 +38,6 @@ func DefaultScaleInPolicy() ScaleInPolicy {
 type ScaleInDetector struct {
 	policy ScaleInPolicy
 	streak map[plan.OpID]int
-	muted  map[plan.OpID]bool
 }
 
 // NewScaleInDetector returns a detector with the given policy.
@@ -49,17 +48,15 @@ func NewScaleInDetector(p ScaleInPolicy) *ScaleInDetector {
 	if p.MinPartitions <= 0 {
 		p.MinPartitions = 1
 	}
-	return &ScaleInDetector{
-		policy: p,
-		streak: make(map[plan.OpID]int),
-		muted:  make(map[plan.OpID]bool),
-	}
+	return &ScaleInDetector{policy: p, streak: make(map[plan.OpID]int)}
 }
 
 // Observe ingests one round of reports and returns the operators whose
-// partitions should shrink by one merge. The runtime chooses WHICH pair
-// to merge: merge victims must own adjacent key ranges (a routing-level
-// constraint the detector does not see).
+// partitions should shrink by one merge; a proposal restarts the
+// operator's streak, so it may shrink again once its partitions have
+// idled anew. The Scaler chooses WHICH pair to merge: merge victims must
+// own adjacent key ranges (a routing-level constraint the detector does
+// not see).
 func (d *ScaleInDetector) Observe(reports []Report) []plan.OpID {
 	byOp := make(map[plan.OpID][]Report)
 	for _, r := range reports {
@@ -74,7 +71,7 @@ func (d *ScaleInDetector) Observe(reports []Report) []plan.OpID {
 	var out []plan.OpID
 	for _, op := range ops {
 		rs := byOp[op]
-		if d.muted[op] || len(rs) <= d.policy.MinPartitions || len(rs) < 2 {
+		if len(rs) <= d.policy.MinPartitions || len(rs) < 2 {
 			d.streak[op] = 0
 			continue
 		}
@@ -94,15 +91,10 @@ func (d *ScaleInDetector) Observe(reports []Report) []plan.OpID {
 			continue
 		}
 		d.streak[op] = 0
-		d.muted[op] = true
 		out = append(out, op)
 	}
 	return out
 }
-
-// Unmute re-enables merging for an operator after a completed or aborted
-// scale in.
-func (d *ScaleInDetector) Unmute(op plan.OpID) { delete(d.muted, op) }
 
 // AdjacentPair picks the pair of partitions owning adjacent key ranges
 // with the lowest combined utilisation, or nil — the runtime-side merge

@@ -51,21 +51,6 @@ func TestScaleInRespectsMinPartitions(t *testing.T) {
 	}
 }
 
-func TestScaleInMuting(t *testing.T) {
-	d := NewScaleInDetector(ScaleInPolicy{LowWatermark: 0.25, ConsecutiveReports: 1})
-	idle := reports("count", 0.1, 0.1, 0.1)
-	if got := d.Observe(idle); len(got) != 1 {
-		t.Fatal("did not fire")
-	}
-	if got := d.Observe(idle); len(got) != 0 {
-		t.Error("fired while muted")
-	}
-	d.Unmute("count")
-	if got := d.Observe(idle); len(got) != 1 {
-		t.Error("did not fire after unmute")
-	}
-}
-
 // TestPolicyHysteresisNoOscillation models the closed loop the two
 // detectors form with the runtime — scale out halves per-partition
 // load, scale in sums it — and proves that at ANY steady load the
@@ -102,17 +87,15 @@ func TestPolicyHysteresisNoOscillation(t *testing.T) {
 				parts = kept
 				out.Forget(victim)
 			}
-			for _, op := range in.Observe(reports) {
+			for range in.Observe(reports) {
 				// Scale in: two partitions merge into one fresh instance.
 				if len(parts) < 2 {
-					in.Unmute(op)
 					continue
 				}
 				actions++
 				lastActionRound = round
 				parts = append(parts[:len(parts)-2], inst("op", nextPart))
 				nextPart++
-				in.Unmute(op)
 			}
 		}
 		if actions > 1 {
@@ -145,15 +128,13 @@ func TestHysteresisGapIsLoadBearing(t *testing.T) {
 			nextPart += 2
 			out.Forget(victim)
 		}
-		for _, op := range in.Observe(reports) {
+		for range in.Observe(reports) {
 			if len(parts) < 2 {
-				in.Unmute(op)
 				continue
 			}
 			actions++
 			parts = []plan.InstanceID{inst("op", nextPart)}
 			nextPart++
-			in.Unmute(op)
 		}
 	}
 	if actions < 10 {

@@ -253,7 +253,7 @@ func TestPlanShapes(t *testing.T) {
 	}{
 		{"recovery 1→1", 1, func(m *Manager, vs []plan.InstanceID) (*Transition, error) { return m.PlanRecovery(vs[0], 1) }, 1},
 		{"scale out 1→3", 1, func(m *Manager, vs []plan.InstanceID) (*Transition, error) { return m.PlanReplace(vs[0], 3) }, 3},
-		{"merge 2→1", 2, func(m *Manager, vs []plan.InstanceID) (*Transition, error) { return m.PlanMerge(vs) }, 1},
+		{"merge 2→1", 2, func(m *Manager, vs []plan.InstanceID) (*Transition, error) { return m.Plan(vs, 1, false) }, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -426,21 +426,16 @@ func TestPlanReplaceMaxParallelism(t *testing.T) {
 	}
 }
 
-func TestPlanMergeGuards(t *testing.T) {
+// TestValidateMergeGuards: ValidateMerge is the admission check every
+// runtime runs before it stops a victim.
+func TestValidateMergeGuards(t *testing.T) {
 	m, err := NewManager(wordQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PlanMerge([]plan.InstanceID{inst("count", 1)}); err == nil {
-		t.Error("single-victim merge accepted")
-	}
-	if _, err := m.PlanMerge([]plan.InstanceID{inst("count", 1), inst("split", 1)}); err == nil {
-		t.Error("cross-operator merge accepted")
-	}
-	// ValidateMerge is the admission check every runtime runs before it
-	// stops a victim; PlanMerge enforces the same rules.
 	for name, victims := range map[string][]plan.InstanceID{
 		"single victim":    {inst("count", 1)},
+		"cross operator":   {inst("count", 1), inst("split", 1)},
 		"duplicate victim": {inst("count", 1), inst("count", 1)},
 		"dead sibling":     {inst("count", 1), inst("count", 9)},
 		"source":           {inst("src", 1), inst("src", 2)},

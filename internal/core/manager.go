@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"seep/internal/plan"
@@ -90,9 +92,40 @@ type Manager struct {
 	// "maintained by the query manager" and restored from here after
 	// upstream failures (§3.2).
 	routing map[plan.OpID]*state.Routing
+	// legacyOwner maps every superseded instance to the first of its
+	// replacements, which carries its retained output (a lone victim's
+	// buffers with the first partition, merged victims' as legacy buffers;
+	// state.PartitionCheckpoint).
+	legacyOwner map[plan.InstanceID]plan.InstanceID
+	// records are the completed transitions, oldest first; merges counts
+	// the scale-ins among them.
+	records []Record
+	merges  uint64
 	// Split is the key-split strategy (EvenSplitter by default).
 	Split Splitter
 }
+
+// Record documents one completed transition: failure recovery, scale out
+// or scale in. Times are milliseconds on the substrate's job clock.
+type Record struct {
+	// Victim is the replaced instance (the first of the merged siblings
+	// for a scale in).
+	Victim plan.InstanceID
+	// Pi is the number of replacements (1 for a scale in).
+	Pi int
+	// Failure reports failure recovery, as opposed to scaling.
+	Failure bool
+	// StartedAt is when the failure happened or the scaling was decided;
+	// CompletedAt is when state was restored and replay dispatched.
+	StartedAt, CompletedAt int64
+	// ReplayedTuples is how many buffered tuples were replayed.
+	ReplayedTuples int
+	// Merge reports a scale-in transition.
+	Merge bool
+}
+
+// Duration returns the transition time.
+func (r Record) Duration() int64 { return r.CompletedAt - r.StartedAt }
 
 // NewManager builds the manager for a validated query, materialising the
 // initial execution graph and full-range routing for every operator with
@@ -102,11 +135,12 @@ func NewManager(q *plan.Query) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		query:   q,
-		graph:   plan.NewExecGraph(q),
-		backups: NewBackupStore(),
-		routing: make(map[plan.OpID]*state.Routing),
-		Split:   EvenSplitter,
+		query:       q,
+		graph:       plan.NewExecGraph(q),
+		backups:     NewBackupStore(),
+		routing:     make(map[plan.OpID]*state.Routing),
+		legacyOwner: make(map[plan.InstanceID]plan.InstanceID),
+		Split:       EvenSplitter,
 	}
 	for _, id := range q.Ops() {
 		insts := m.graph.Instances(id)
@@ -128,8 +162,9 @@ func NewManager(q *plan.Query) (*Manager, error) {
 // wholesale with journaled control-plane state — the restore half of a
 // durable control plane. The partition counters must dominate the live
 // instances' partition numbers (see plan.RestoreExecGraph); routing
-// must cover exactly the live instances of each routed operator.
-func (m *Manager) RestoreTopology(instances map[plan.OpID][]plan.InstanceID, nextPart map[plan.OpID]int, routing map[plan.OpID]*state.Routing) error {
+// must cover exactly the live instances of each routed operator; legacy
+// is the journaled Legacy chain.
+func (m *Manager) RestoreTopology(instances map[plan.OpID][]plan.InstanceID, nextPart map[plan.OpID]int, routing map[plan.OpID]*state.Routing, legacy map[plan.InstanceID]plan.InstanceID) error {
 	graph, err := plan.RestoreExecGraph(m.query, instances, nextPart)
 	if err != nil {
 		return err
@@ -144,7 +179,65 @@ func (m *Manager) RestoreTopology(instances map[plan.OpID][]plan.InstanceID, nex
 		}
 		m.routing[op] = r.Clone()
 	}
+	m.legacyOwner = make(map[plan.InstanceID]plan.InstanceID, len(legacy))
+	maps.Copy(m.legacyOwner, legacy)
 	return nil
+}
+
+// Legacy returns a copy of the superseded-instance → first-replacement
+// pairs, for the durable control plane to journal.
+func (m *Manager) Legacy() map[plan.InstanceID]plan.InstanceID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return maps.Clone(m.legacyOwner)
+}
+
+// LegacyOwner resolves the live instance holding the retained output of
+// a superseded instance, so acknowledgement trims addressed to the old
+// identity still land. The chain is chased — a replacement may itself
+// have been merged or replaced — and ends, since every hop leads to a
+// later-numbered partition. False when up was never superseded.
+func (m *Manager) LegacyOwner(up plan.InstanceID) (plan.InstanceID, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	owner, ok := m.legacyOwner[up]
+	for ok && !m.graph.Live(owner) {
+		owner, ok = m.legacyOwner[owner]
+	}
+	return owner, ok
+}
+
+// Complete records a transition the runtime finished executing.
+func (m *Manager) Complete(tp *Transition, failure bool, startedAt, completedAt int64, replayed int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if tp.Merge() {
+		m.merges++
+	}
+	m.records = append(m.records, Record{
+		Victim:         tp.Victims[0],
+		Pi:             len(tp.NewInstances),
+		Failure:        failure,
+		StartedAt:      startedAt,
+		CompletedAt:    completedAt,
+		ReplayedTuples: replayed,
+		Merge:          tp.Merge(),
+	})
+}
+
+// Records returns the completed transitions, oldest first — including
+// those the scaling policy triggered.
+func (m *Manager) Records() []Record {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.records)
+}
+
+// Merges returns how many scale-in transitions have completed.
+func (m *Manager) Merges() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.merges
 }
 
 // NextPart returns the next unused partition number of op (journaled by
@@ -178,18 +271,20 @@ func (m *Manager) Instances(op plan.OpID) []plan.InstanceID {
 	return m.graph.Instances(op)
 }
 
-// AllInstances returns every live instance.
-func (m *Manager) AllInstances() []plan.InstanceID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.graph.AllInstances()
-}
-
 // Parallelism returns the number of live partitions of op.
 func (m *Manager) Parallelism(op plan.OpID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.graph.Parallelism(op)
+}
+
+// Room reports whether op may gain a partition: it is below its maximum
+// parallelism, or has none.
+func (m *Manager) Room(op plan.OpID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	spec := m.query.Op(op)
+	return spec != nil && (spec.MaxParallelism <= 0 || m.graph.Parallelism(op) < spec.MaxParallelism)
 }
 
 // Live reports whether inst is part of the current execution graph.
@@ -229,15 +324,6 @@ func (m *Manager) PlanReplace(victim plan.InstanceID, pi int) (*Transition, erro
 // plus the empty-state fallback described at Plan.
 func (m *Manager) PlanRecovery(victim plan.InstanceID, pi int) (*Transition, error) {
 	return m.Plan([]plan.InstanceID{victim}, pi, true)
-}
-
-// PlanMerge plans a scale in: the victims (see ValidateMerge) collapse
-// into one new instance.
-func (m *Manager) PlanMerge(victims []plan.InstanceID) (*Transition, error) {
-	if err := mergeArity(victims); err != nil {
-		return nil, err
-	}
-	return m.Plan(victims, 1, false)
 }
 
 // Plan plans the transition victims → pi new instances: it retrieves the
@@ -336,6 +422,7 @@ func (m *Manager) Plan(victims []plan.InstanceID, pi int, recovery bool) (*Trans
 	tp := &Transition{Victims: victims, NewInstances: newInsts, Checkpoints: parts, Routing: newRouting.Clone()}
 	for i, v := range victims {
 		m.backups.Delete(v)
+		m.legacyOwner[v] = newInsts[0]
 		ups := make([]plan.InstanceID, 0, len(cps[i].Acks))
 		for up := range cps[i].Acks {
 			ups = append(ups, up)
@@ -396,20 +483,13 @@ func unionRange(routing *state.Routing, victims []plan.InstanceID) (state.KeyRan
 // zero side effects: at least two distinct live sibling partitions of
 // one replaceable operator, owning adjacent key ranges.
 func (m *Manager) ValidateMerge(victims []plan.InstanceID) error {
-	if err := mergeArity(victims); err != nil {
-		return err
+	if len(victims) < 2 {
+		return fmt.Errorf("core: merge needs at least two victims, got %d", len(victims))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	_, _, err := m.admit(victims)
 	return err
-}
-
-func mergeArity(victims []plan.InstanceID) error {
-	if len(victims) < 2 {
-		return fmt.Errorf("core: merge needs at least two victims, got %d", len(victims))
-	}
-	return nil
 }
 
 // admit checks a victim set of any size — distinct live instances of one

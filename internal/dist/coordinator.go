@@ -10,6 +10,7 @@ import (
 	"seep/internal/control"
 	"seep/internal/controlplane"
 	"seep/internal/core"
+	"seep/internal/engine"
 	"seep/internal/plan"
 	"seep/internal/state"
 	"seep/internal/stream"
@@ -25,24 +26,12 @@ type Config struct {
 	// Topology is the registry name workers instantiate.
 	Topology string
 
-	// Engine parameters forwarded to every worker.
-	CheckpointInterval time.Duration
-	TimerInterval      time.Duration
-	BatchSize          int
-	BatchLinger        time.Duration
-	ChannelBuffer      int
-	// QueueBound bounds every worker node's input queue in tuples and
-	// sizes the credit ledgers (0: channel buffer).
-	QueueBound int
-	// MemoryLimit arms state spilling on every stateful instance past
-	// this many resident bytes (0: in-memory only).
-	MemoryLimit int64
-	// Delta, when enabled (FullEvery >= 2), makes workers ship
-	// incremental checkpoints between full snapshots; the coordinator
-	// folds them into its authoritative store. FullEvery is the epoch
-	// boundary: a full snapshot every FullEvery-th capture bounds every
-	// delta chain.
-	Delta state.DeltaPolicy
+	// Engine is the engine configuration every worker runs, forwarded
+	// whole with the assignment; Hosted and Backup are each worker's own
+	// wiring and stay nil here. An enabled Delta policy makes workers ship
+	// incremental checkpoints between full snapshots, which the
+	// coordinator folds into its authoritative store.
+	Engine engine.Config
 	// DeltaCompress flate-compresses delta-checkpoint frames on the wire.
 	DeltaCompress bool
 
@@ -98,20 +87,6 @@ func (c Config) withDefaults() Config {
 		c.TransitionTimeout = 10 * time.Second
 	}
 	return c
-}
-
-// Record documents one completed distributed recovery, scale out or
-// merge.
-type Record struct {
-	Victim         plan.InstanceID
-	Pi             int
-	Failure        bool
-	StartedAt      int64
-	CompletedAt    int64
-	ReplayedTuples int
-	// Merge reports a scale-in transition: Victim is the first of the
-	// merged siblings and Pi is 1.
-	Merge bool
 }
 
 // event is one unit of work for the coordinator loop. Exactly one of fn
@@ -178,12 +153,11 @@ func (t *transition) ready() bool { return t.waiting <= 0 && len(t.awaitShips) =
 // one stream, so recovery and scale out serialise without per-peer
 // goroutines.
 type Coordinator struct {
-	cfg      Config
-	codec    state.PayloadCodec
-	ln       *transport.Listener
-	tm       *transport.Metrics
-	det      *control.Detector
-	shrinker *control.ScaleInDetector
+	cfg    Config
+	codec  state.PayloadCodec
+	ln     *transport.Listener
+	tm     *transport.Metrics
+	scaler *control.Scaler
 
 	events chan event
 	quit   chan struct{}
@@ -211,11 +185,6 @@ type Coordinator struct {
 	// invByWorker collects MsgReattach inventories during the reborn
 	// coordinator's reconciliation handshake.
 	invByWorker map[string]*Control
-	// legacyOwner maps a retired merge victim to the merge product that
-	// carries its legacy output buffer, so acknowledgement trims
-	// addressed to the old identity reach the worker hosting it (the
-	// chain is chased: a merge product may itself have been replaced).
-	legacyOwner map[plan.InstanceID]plan.InstanceID // seep:journaled
 
 	// Durable control plane (nil when Config.ControlPlaneDir is unset).
 	// The Journal is internally locked; jn/dstore themselves are set
@@ -225,10 +194,8 @@ type Coordinator struct {
 
 	// Published snapshots for cross-goroutine readers.
 	mu           sync.Mutex
-	records      []Record
 	errs         []string
 	pending      int
-	merges       uint64
 	pubPlacement map[plan.InstanceID]string
 	workerStats  map[string]WorkerStats
 	// Control-plane replay/failover numbers (zero unless this
@@ -264,15 +231,11 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 		workers:      make(map[string]*workerRef),
 		placement:    make(map[plan.InstanceID]string),
 		expectDown:   make(map[string]bool),
-		legacyOwner:  make(map[plan.InstanceID]plan.InstanceID),
 		pubPlacement: make(map[plan.InstanceID]string),
 		workerStats:  make(map[string]WorkerStats),
 	}
 	if cfg.Policy != nil {
-		c.det = control.NewDetector(*cfg.Policy)
-		if cfg.ScaleIn != nil {
-			c.shrinker = control.NewScaleInDetector(*cfg.ScaleIn)
-		}
+		c.scaler = control.NewScaler(*cfg.Policy, cfg.ScaleIn)
 	}
 	if cfg.ControlPlaneDir != "" {
 		jn, err := controlplane.Open(cfg.ControlPlaneDir)
@@ -462,7 +425,7 @@ func (c *Coordinator) snapshotState() *controlplane.State {
 			st.Routing = append(st.Routing, controlplane.OpRouting{Op: op, Blob: state.MarshalRouting(r)})
 		}
 	}
-	for old, owner := range c.legacyOwner {
+	for old, owner := range c.mgr.Legacy() {
 		st.Legacy = append(st.Legacy, controlplane.LegacyPair{Old: old, Owner: owner})
 	}
 	sort.Slice(st.Legacy, func(i, j int) bool {
@@ -626,28 +589,12 @@ func (c *Coordinator) ScaleIn(victims []plan.InstanceID) error {
 	})
 }
 
-// Merges returns how many scale-in merges have completed.
-func (c *Coordinator) Merges() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.merges
-}
-
 // Pending reports queued or in-flight transitions plus worker deaths
 // not yet detected — the distributed Run()'s settle gate.
 func (c *Coordinator) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pending
-}
-
-// Records returns completed recovery/scale-out records, oldest first.
-func (c *Coordinator) Records() []Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Record, len(c.records))
-	copy(out, c.records)
-	return out
 }
 
 // Errors returns asynchronous failures (recoveries that could not
@@ -701,7 +648,7 @@ func (c *Coordinator) ControlPlaneStats() controlplane.Stats {
 }
 
 // Manager exposes the authoritative query manager (instances,
-// parallelism, backup-store ship stats).
+// parallelism, transition records, backup-store ship stats).
 func (c *Coordinator) Manager() *core.Manager { return c.mgr }
 
 // Close stops the event loop and tears down all connections. Workers
@@ -777,23 +724,15 @@ func (c *Coordinator) startDeploy(q *plan.Query, addrs []string, done chan error
 		return
 	}
 	ctl := &Control{
-		Kind:              MsgAssign,
-		Seq:               t.seq,
-		Topology:          c.cfg.Topology,
-		CoordAddr:         c.ln.Addr(),
-		Placements:        placements,
-		CheckpointMillis:  c.cfg.CheckpointInterval.Milliseconds(),
-		TimerMillis:       c.cfg.TimerInterval.Milliseconds(),
-		BatchSize:         c.cfg.BatchSize,
-		BatchLingerMillis: c.cfg.BatchLinger.Milliseconds(),
-		ChannelBuffer:     c.cfg.ChannelBuffer,
-		QueueBound:        c.cfg.QueueBound,
-		MemoryLimitBytes:  c.cfg.MemoryLimit,
-		StandbyAddr:       c.standbyAddr(),
-		DetectMillis:      c.cfg.DetectDelay.Milliseconds(),
-		DeltaFullEvery:    c.cfg.Delta.FullEvery,
-		DeltaMaxFraction:  c.cfg.Delta.MaxDeltaFraction,
-		DeltaCompress:     c.cfg.DeltaCompress,
+		Kind:          MsgAssign,
+		Seq:           t.seq,
+		Topology:      c.cfg.Topology,
+		CoordAddr:     c.ln.Addr(),
+		Placements:    placements,
+		Engine:        c.cfg.Engine,
+		StandbyAddr:   c.standbyAddr(),
+		DetectMillis:  c.cfg.DetectDelay.Milliseconds(),
+		DeltaCompress: c.cfg.DeltaCompress,
 	}
 	if c.cfg.Policy != nil {
 		ctl.ReportEveryMillis = c.cfg.Policy.ReportEveryMillis
@@ -890,8 +829,8 @@ func (c *Coordinator) finish(t *transition, err error) {
 			return
 		}
 		c.pushErr("%v", err)
-		if t.scaling && !t.merge() && c.det != nil {
-			c.det.Unmute(t.victims[0])
+		if t.scaling && !t.merge() {
+			c.scaler.Unmute(t.victims[0])
 		}
 		// A scaling transition that failed after mutating the topology
 		// (victims final-retired, or a plan committed to the graph) must
@@ -1032,10 +971,11 @@ func (c *Coordinator) sendAcks(owner plan.InstanceID, acks map[plan.InstanceID]i
 	for up, ts := range acks {
 		addr := c.placement[up]
 		if addr == "" {
-			// A retired merge victim: its retained output lives on as a
-			// legacy buffer with its merge product — route the trim to
-			// whichever worker hosts that product now.
-			addr = c.legacyAddr(up)
+			// A superseded instance: its retained output lives on with its
+			// first replacement — route the trim to whichever worker hosts
+			// that now.
+			owner, _ := c.mgr.LegacyOwner(up)
+			addr = c.placement[owner]
 		}
 		ref := c.workers[addr]
 		if ref == nil || !ref.alive {
@@ -1093,62 +1033,25 @@ func (c *Coordinator) storeDeltaShip(body []byte) {
 	c.sendAcks(dc.Instance, dc.Acks)
 }
 
-// legacyAddr resolves the worker hosting the legacy buffer of a retired
-// merge victim, chasing the merge-product chain (a product may itself
-// have been merged or replaced).
-func (c *Coordinator) legacyAddr(up plan.InstanceID) string {
-	cur := up
-	for i := 0; i < 16; i++ {
-		next, ok := c.legacyOwner[cur]
-		if !ok {
-			return ""
-		}
-		if addr := c.placement[next]; addr != "" {
-			return addr
-		}
-		cur = next
-	}
-	return ""
-}
-
-// onReports feeds utilisation reports to the bottleneck detector —
-// the same event loop that consumes heartbeat failures, so scaling and
-// recovery decisions are serialised by construction.
+// onReports runs one scaling round over a worker's utilisation reports
+// — on the same event loop that consumes heartbeat failures, so scaling
+// and recovery decisions are serialised by construction — and queues the
+// transitions it decides.
 func (c *Coordinator) onReports(reports []control.Report) {
-	if c.det == nil || len(reports) == 0 {
+	if c.scaler == nil || len(reports) == 0 {
 		return
 	}
-	for _, victim := range c.det.Observe(reports) {
-		spec := c.q.Op(victim.Op)
-		if spec != nil && spec.MaxParallelism > 0 && c.mgr.Parallelism(victim.Op) >= spec.MaxParallelism {
-			c.det.Unmute(victim)
-			continue
-		}
+	splits, merges := c.scaler.Round(reports, control.View{
+		Room:    c.mgr.Room,
+		Routing: c.mgr.Routing,
+		Live:    func(inst plan.InstanceID) bool { return c.mgr.Live(inst) && c.placement[inst] != "" },
+	})
+	for _, victim := range splits {
 		c.enqueueOp(func() { c.beginScale([]plan.InstanceID{victim}, 2, actionScaleOut, nil) })
 	}
-	if c.shrinker == nil {
-		return
+	for _, pair := range merges {
+		c.enqueueOp(func() { c.beginScale(pair, 1, actionScaleIn, nil) })
 	}
-	for _, op := range c.shrinker.Observe(reports) {
-		if pair := c.adjacentPair(op, reports); pair != nil {
-			c.enqueueOp(func() { c.beginScale(pair, 1, actionScaleIn, nil) })
-		}
-		// Completed merges produce a fresh instance ID, so the operator
-		// can shrink again once its partitions idle anew.
-		c.shrinker.Unmute(op)
-	}
-}
-
-// adjacentPair picks the pair of live partitions of op owning adjacent
-// key ranges with the lowest combined utilisation, or nil.
-func (c *Coordinator) adjacentPair(op plan.OpID, reports []control.Report) []plan.InstanceID {
-	routing := c.mgr.Routing(op)
-	if routing == nil {
-		return nil
-	}
-	return control.AdjacentPair(routing.Entries(), reports, func(inst plan.InstanceID) bool {
-		return c.mgr.Live(inst) && c.placement[inst] != ""
-	})
 }
 
 func (c *Coordinator) onWorkerDown(addr string) {
@@ -1298,11 +1201,6 @@ func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, st
 	}
 	for _, v := range t.victims {
 		delete(c.placement, v)
-		// The victims' retained output — a lone victim's legacy buffers,
-		// merged victims' own buffers — rides with the first replacement
-		// (state.PartitionCheckpoint), so acknowledgement trims addressed
-		// to retired identities keep resolving.
-		c.legacyOwner[v] = tp.NewInstances[0]
 	}
 	// Durable-file ordering: replacement checkpoints on disk BEFORE the
 	// plan is journaled (replay recovers them from those files), victim
@@ -1374,20 +1272,8 @@ func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, st
 				c.finish(t, fmt.Errorf("dist: deploy for %v: %s", t.victims, strings.Join(t.ackErrs, "; ")))
 				return
 			}
-			c.mu.Lock()
-			if tp.Merge() {
-				c.merges++
-			}
-			c.records = append(c.records, Record{
-				Victim:         t.victims[0],
-				Pi:             pi,
-				Failure:        failure,
-				Merge:          tp.Merge(),
-				StartedAt:      startedAt,
-				CompletedAt:    c.nowMillis(),
-				ReplayedTuples: t.replayed,
-			})
-			c.mu.Unlock()
+			c.mgr.Complete(tp, failure, startedAt, c.nowMillis(), t.replayed)
+			c.scaler.Forget(t.victims)
 			if tp.Merge() {
 				// A fresh barrier ships a self-consistent checkpoint of the
 				// merge product, superseding the synthesized plan-time

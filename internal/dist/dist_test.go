@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"seep/internal/dist"
+	"seep/internal/engine"
 	"seep/internal/operator"
 	"seep/internal/plan"
 	"seep/internal/state"
@@ -66,12 +67,12 @@ func startClusterWith(t *testing.T, reg testRegistry, n int, mutate func(*dist.C
 		addrs[i] = w.Addr()
 	}
 	cfg := dist.Config{
-		Addr:               "127.0.0.1:0",
-		Codec:              codec,
-		Topology:           "wordcount",
-		CheckpointInterval: 100 * time.Millisecond,
-		DetectDelay:        200 * time.Millisecond,
-		RecoveryPi:         1,
+		Addr:        "127.0.0.1:0",
+		Codec:       codec,
+		Topology:    "wordcount",
+		Engine:      engine.Config{CheckpointInterval: 100 * time.Millisecond},
+		DetectDelay: 200 * time.Millisecond,
+		RecoveryPi:  1,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -214,12 +215,12 @@ func TestDistributedRecoveryExactCounts(t *testing.T) {
 	// Heartbeat detection + recovery transition.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if len(cl.coord.Records()) == 1 && cl.coord.Pending() == 0 {
+		if len(cl.coord.Manager().Records()) == 1 && cl.coord.Pending() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("recovery did not complete: records=%v errs=%v pending=%d",
-				cl.coord.Records(), cl.coord.Errors(), cl.coord.Pending())
+				cl.coord.Manager().Records(), cl.coord.Errors(), cl.coord.Pending())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -241,7 +242,7 @@ func TestDistributedRecoveryExactCounts(t *testing.T) {
 			t.Errorf("Count(%s) = %d, want 60 (exactly once across worker failure)", w, got)
 		}
 	}
-	rec := cl.coord.Records()[0]
+	rec := cl.coord.Manager().Records()[0]
 	if !rec.Failure || rec.Victim != victim || rec.Pi != 1 {
 		t.Errorf("record = %+v", rec)
 	}
@@ -293,7 +294,7 @@ func TestDistributedScaleOut(t *testing.T) {
 			t.Errorf("total Count(%s) = %d, want 40", w, n)
 		}
 	}
-	recs := cl.coord.Records()
+	recs := cl.coord.Manager().Records()
 	if len(recs) != 1 || recs[0].Failure || recs[0].Pi != 2 {
 		t.Errorf("records = %+v", recs)
 	}
@@ -340,8 +341,8 @@ func TestDistributedScaleIn(t *testing.T) {
 	if len(merged) != 1 {
 		t.Fatalf("Instances(count) after merge = %v, want 1", merged)
 	}
-	if cl.coord.Merges() != 1 {
-		t.Errorf("Merges() = %d, want 1", cl.coord.Merges())
+	if got := cl.coord.Manager().Merges(); got != 1 {
+		t.Errorf("Merges() = %d, want 1", got)
 	}
 	if err := srcWorker.Engine().InjectBatch(src, 200, parityGen); err != nil {
 		t.Fatal(err)
@@ -356,13 +357,13 @@ func TestDistributedScaleIn(t *testing.T) {
 		}
 	}
 	var mergeRecs int
-	for _, rec := range cl.coord.Records() {
+	for _, rec := range cl.coord.Manager().Records() {
 		if rec.Merge {
 			mergeRecs++
 		}
 	}
 	if mergeRecs != 1 {
-		t.Errorf("merge records = %d of %v", mergeRecs, cl.coord.Records())
+		t.Errorf("merge records = %d of %v", mergeRecs, cl.coord.Manager().Records())
 	}
 	if errs := cl.coord.Errors(); len(errs) != 0 {
 		t.Errorf("Errors = %v", errs)
@@ -402,7 +403,7 @@ func TestDistributedScaleInGuards(t *testing.T) {
 func TestDistributedDeltaCheckpointRecoveryExactCounts(t *testing.T) {
 	reg := wordcountRegistry()
 	cl := startClusterWith(t, reg, 3, func(c *dist.Config) {
-		c.Delta = state.DeltaPolicy{FullEvery: 5, MaxDeltaFraction: 0.9}
+		c.Engine.Delta = state.DeltaPolicy{FullEvery: 5, MaxDeltaFraction: 0.9}
 		c.DeltaCompress = true
 	})
 	if err := cl.coord.StartJob(); err != nil {
@@ -422,12 +423,12 @@ func TestDistributedDeltaCheckpointRecoveryExactCounts(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if len(cl.coord.Records()) == 1 && cl.coord.Pending() == 0 {
+		if len(cl.coord.Manager().Records()) == 1 && cl.coord.Pending() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("recovery did not complete: records=%v errs=%v pending=%d",
-				cl.coord.Records(), cl.coord.Errors(), cl.coord.Pending())
+				cl.coord.Manager().Records(), cl.coord.Errors(), cl.coord.Pending())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -546,7 +547,7 @@ func TestCoordinatorStoresShipsWithoutDecoding(t *testing.T) {
 	if err := cl.coord.Fail(victim); err != nil {
 		t.Fatal(err)
 	}
-	waitFor("recovery", func() bool { return len(cl.coord.Records()) == 1 && cl.coord.Pending() == 0 })
+	waitFor("recovery", func() bool { return len(cl.coord.Manager().Records()) == 1 && cl.coord.Pending() == 0 })
 	if codec.n.Load() == 0 {
 		t.Error("recovery restored wrap without decoding its checkpoint's buffered tuples")
 	}

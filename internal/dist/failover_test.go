@@ -9,6 +9,7 @@ import (
 
 	"seep/internal/controlplane"
 	"seep/internal/dist"
+	"seep/internal/engine"
 	"seep/internal/plan"
 	"seep/internal/state"
 )
@@ -37,15 +38,15 @@ func startDurableCluster(t *testing.T, reg testRegistry, n int, hook func(contro
 		addrs[i] = w.Addr()
 	}
 	cfg := dist.Config{
-		Addr:               "127.0.0.1:0",
-		Codec:              codec,
-		Topology:           "wordcount",
-		CheckpointInterval: 100 * time.Millisecond,
-		DetectDelay:        200 * time.Millisecond,
-		RecoveryPi:         1,
-		TransitionTimeout:  3 * time.Second,
-		ControlPlaneDir:    t.TempDir(),
-		JournalHook:        hook,
+		Addr:              "127.0.0.1:0",
+		Codec:             codec,
+		Topology:          "wordcount",
+		Engine:            engine.Config{CheckpointInterval: 100 * time.Millisecond},
+		DetectDelay:       200 * time.Millisecond,
+		RecoveryPi:        1,
+		TransitionTimeout: 3 * time.Second,
+		ControlPlaneDir:   t.TempDir(),
+		JournalHook:       hook,
 	}
 	coord, err := dist.NewCoordinator(cfg)
 	if err != nil {
@@ -86,12 +87,12 @@ func (dc *durableCluster) settle(t *testing.T, want int, timeout time.Duration) 
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		if len(dc.coord.Records()) >= want && dc.coord.Pending() == 0 {
+		if len(dc.coord.Manager().Records()) >= want && dc.coord.Pending() == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("coordinator did not settle: records=%v errs=%v pending=%d",
-				dc.coord.Records(), dc.coord.Errors(), dc.coord.Pending())
+				dc.coord.Manager().Records(), dc.coord.Errors(), dc.coord.Pending())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -158,7 +159,7 @@ func TestDistributedCoordinatorFailover(t *testing.T) {
 	}
 	dc.quiesce(t, 300*time.Millisecond, 10*time.Second)
 	dc.assertCounts(t, 90)
-	if recs := dc.coord.Records(); len(recs) != 0 {
+	if recs := dc.coord.Manager().Records(); len(recs) != 0 {
 		t.Errorf("failover with healthy workers should not recover anything: %v", recs)
 	}
 	if errs := dc.coord.Errors(); len(errs) != 0 {
@@ -178,7 +179,7 @@ func TestDistributedCoordinatorFailover(t *testing.T) {
 	}
 	dc.quiesce(t, 300*time.Millisecond, 10*time.Second)
 	dc.assertCounts(t, 120)
-	rec := dc.coord.Records()[0]
+	rec := dc.coord.Manager().Records()[0]
 	if !rec.Failure || rec.Victim != victim {
 		t.Errorf("post-failover recovery record = %+v", rec)
 	}
@@ -222,7 +223,7 @@ func TestCoordinatorCrashMidScaleOutRollsBack(t *testing.T) {
 	if len(insts) != 2 {
 		t.Fatalf("Instances(count) after rollback = %v, want 2 partitions", insts)
 	}
-	for _, rec := range dc.coord.Records() {
+	for _, rec := range dc.coord.Manager().Records() {
 		if !rec.Failure {
 			t.Errorf("rollback record not a recovery: %+v", rec)
 		}
@@ -321,7 +322,7 @@ func TestCoordinatorCrashAtIntentIsNoOp(t *testing.T) {
 	if insts := dc.coord.Manager().Instances("count"); len(insts) != 1 || insts[0] != victim {
 		t.Fatalf("Instances(count) = %v, want untouched %v", insts, victim)
 	}
-	if recs := dc.coord.Records(); len(recs) != 0 {
+	if recs := dc.coord.Manager().Records(); len(recs) != 0 {
 		t.Errorf("no-op rollback produced records: %v", recs)
 	}
 	if err := srcWorker.Engine().InjectBatch(src, 300, parityGen); err != nil {

@@ -118,20 +118,13 @@ type Control struct {
 	From string
 
 	// MsgAssign.
-	Topology          string
-	CoordAddr         string
-	Placements        []Placement
-	CheckpointMillis  int64
-	TimerMillis       int64
-	BatchSize         int
-	BatchLingerMillis int64
-	ChannelBuffer     int
-	// QueueBound bounds every engine node's input queue in tuples and
-	// sizes the per-link credit budgets; 0 falls back to ChannelBuffer.
-	QueueBound int
-	// MemoryLimitBytes arms state spilling on every stateful instance's
-	// store; 0 keeps state fully in memory.
-	MemoryLimitBytes  int64
+	Topology   string
+	CoordAddr  string
+	Placements []Placement
+	// Engine is the configuration of the worker's engine, as the
+	// coordinator was given it. Hosted and Backup are nil on the wire (gob
+	// skips both); the worker wires its own.
+	Engine            engine.Config
 	ReportEveryMillis int64
 	// StandbyAddr (MsgAssign, MsgResume) is where an orphaned worker
 	// re-dials after coordinator death; empty disables the redial loop.
@@ -140,11 +133,6 @@ type Control struct {
 	// detection window; the worker heartbeats its coordinator link at the
 	// same cadence the coordinator heartbeats workers.
 	DetectMillis int64
-	// DeltaFullEvery / DeltaMaxFraction (MsgAssign) arm incremental
-	// checkpoint shipping on the worker's engine (state.DeltaPolicy);
-	// DeltaFullEvery below 2 disables it.
-	DeltaFullEvery   int
-	DeltaMaxFraction float64
 	// DeltaCompress (MsgAssign) flate-compresses delta-checkpoint frames.
 	DeltaCompress bool
 

@@ -106,7 +106,11 @@ func (c *Coordinator) startRecover(rep *controlplane.Replayed, q *plan.Query, be
 		}
 		routing[or.Op] = r
 	}
-	if err := mgr.RestoreTopology(instances, nextPart, routing); err != nil {
+	legacy := make(map[plan.InstanceID]plan.InstanceID, len(st.Legacy))
+	for _, lp := range st.Legacy {
+		legacy[lp.Old] = lp.Owner
+	}
+	if err := mgr.RestoreTopology(instances, nextPart, routing, legacy); err != nil {
 		done <- err
 		return
 	}
@@ -140,9 +144,6 @@ func (c *Coordinator) startRecover(rep *controlplane.Replayed, q *plan.Query, be
 		c.placement[p.Inst] = p.Addr
 	}
 	c.order = append([]string(nil), st.Workers...)
-	for _, lp := range st.Legacy {
-		c.legacyOwner[lp.Old] = lp.Owner
-	}
 	// Transition sequences stay monotonic across restarts, and the job
 	// clock resumes from the journaled wall-clock start.
 	c.seq = rep.LastSeq

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"seep/internal/control"
 	"seep/internal/engine"
 	"seep/internal/operator"
 	"seep/internal/plan"
@@ -393,40 +392,16 @@ func (w *Worker) handleAssign(c *Control) error {
 			hosted[p.Inst] = true
 		}
 	}
-	eng, err := engine.New(engine.Config{
-		CheckpointInterval: time.Duration(c.CheckpointMillis) * time.Millisecond,
-		TimerInterval:      time.Duration(c.TimerMillis) * time.Millisecond,
-		ChannelBuffer:      c.ChannelBuffer,
-		BatchSize:          c.BatchSize,
-		BatchLinger:        time.Duration(c.BatchLingerMillis) * time.Millisecond,
-		QueueBound:         c.QueueBound,
-		MemoryLimit:        c.MemoryLimitBytes,
-		Delta:              state.DeltaPolicy{FullEvery: c.DeltaFullEvery, MaxDeltaFraction: c.DeltaMaxFraction},
-		Hosted:             func(inst plan.InstanceID) bool { return hosted[inst] },
-		Backup:             &shipSink{w: w},
-	}, q, factories)
+	cfg := c.Engine
+	cfg.Hosted = func(inst plan.InstanceID) bool { return hosted[inst] }
+	cfg.Backup = &shipSink{w: w}
+	eng, err := engine.New(cfg, q, factories)
 	if err != nil {
 		coord.Close()
 		return err
 	}
 	eng.SetRemote(&linkRouter{w: w})
 	w.deltaCompress.Store(c.DeltaCompress)
-	// Mirror the engine's per-node credit sizing onto the outbound links:
-	// the remote half of an edge gets the same batch budget as a local
-	// edge would.
-	qb := c.QueueBound
-	if qb <= 0 {
-		qb = c.ChannelBuffer
-	}
-	if qb <= 0 {
-		qb = 4096
-	}
-	bs := c.BatchSize
-	if bs <= 0 {
-		bs = 128
-	}
-	linkCredits := max(qb/bs, 1)
-
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.killed {
@@ -440,7 +415,9 @@ func (w *Worker) handleAssign(c *Control) error {
 	w.setEngine(eng)
 	w.lmu.Lock()
 	w.links = make(map[string]*peerLink)
-	w.linkCredits = linkCredits
+	// The remote half of an edge gets the same batch budget as a local
+	// edge would.
+	w.linkCredits = cfg.CreditSlots()
 	w.lmu.Unlock()
 	w.coord = coord
 	w.sources = sources
@@ -1099,24 +1076,12 @@ func (w *Worker) sendReport() {
 	if eng == nil {
 		return
 	}
-	q := eng.Manager().Query()
-	sampler := eng.QueueFillSampler()
-	ctl := &Control{Kind: MsgReport, From: w.self, Stats: WorkerStats{
+	w.sendToCoord(&Control{Kind: MsgReport, From: w.self, Reports: eng.UtilReports(), Stats: WorkerStats{
 		SinkTuples:    eng.SinkCount.Value(),
 		DupDropped:    eng.DupDropped.Value(),
 		Processed:     eng.TotalProcessed(),
 		Transport:     w.tm.Snapshot(),
 		Backpressure:  eng.BackpressureSnapshot(),
 		OrphanDropped: w.orphanDropped.Load(),
-	}}
-	for _, inst := range eng.Local() {
-		spec := q.Op(inst.Op)
-		if spec == nil || spec.Role == plan.RoleSource || spec.Role == plan.RoleSink {
-			continue
-		}
-		if util, ok := sampler(inst); ok {
-			ctl.Reports = append(ctl.Reports, control.Report{Inst: inst, Util: util})
-		}
-	}
-	w.sendToCoord(ctl)
+	}})
 }

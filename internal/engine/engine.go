@@ -144,9 +144,11 @@ func (c Config) channelSlots() int {
 	return slots
 }
 
-// creditSlots converts the tuple-denominated QueueBound into batch
-// credits.
-func (c Config) creditSlots() int {
+// CreditSlots converts the tuple-denominated QueueBound into batch
+// credits: the budget of one node's input ledger, which the distributed
+// runtime mirrors onto every outbound link.
+func (c Config) CreditSlots() int {
+	c = c.withDefaults()
 	qb := c.QueueBound
 	if qb <= 0 {
 		qb = c.ChannelBuffer
@@ -319,13 +321,12 @@ type Engine struct {
 	mgr       *core.Manager
 	factories map[plan.OpID]operator.Factory
 
-	// mu guards nodes, routings, records, failedAt and topology
-	// rebuilds. The data path never takes it: hot-path readers go
-	// through the atomic route-table and node-set snapshots.
+	// mu guards nodes, routings, failedAt and topology rebuilds. The data
+	// path never takes it: hot-path readers go through the atomic
+	// route-table and node-set snapshots.
 	mu       sync.RWMutex
 	nodes    map[plan.InstanceID]*node
 	routings map[plan.OpID]*state.Routing
-	records  []ReplaceRecord
 	failedAt map[plan.InstanceID]int64
 	epoch    uint64
 
@@ -355,9 +356,6 @@ type Engine struct {
 	// observations across workers share one frame.
 	clockOffset atomic.Int64
 
-	// merges counts completed scale-in transitions.
-	merges metrics.Counter
-
 	// creditStalls counts sender waits on any node's credit ledger.
 	creditStalls metrics.Counter
 
@@ -374,11 +372,9 @@ type Engine struct {
 	// pointer load per chunk, nothing else.
 	linkFaults atomic.Pointer[map[plan.OpID]time.Duration]
 
-	// shrinker, when set (EnableScaleIn), proposes merges from the same
-	// utilisation reports the bottleneck detector consumes. Atomic so
-	// enabling can race an already-running policy loop; the detector
-	// itself is only ever touched by that loop.
-	shrinker atomic.Pointer[control.ScaleInDetector]
+	// scaler is the scaling policy (nil unless EnablePolicy ran, before
+	// Start); its rounds run on the policy goroutine.
+	scaler *control.Scaler
 
 	sources []*sourceDriver
 
@@ -451,7 +447,7 @@ func (e *Engine) newNode(inst plan.InstanceID, spec *plan.OpSpec) (*node, error)
 		done:     make(chan struct{}),
 	}
 	n.emitFn = func(k stream.Key, p any) { n.stage(k, p, n.curBorn) }
-	n.credits.init(e.cfg.creditSlots())
+	n.credits.init(e.cfg.CreditSlots())
 	if e.cfg.MemoryLimit > 0 && n.Store != nil {
 		if err := n.Store.EnableSpill("", e.cfg.MemoryLimit); err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", inst, err)
@@ -576,9 +572,6 @@ func (e *Engine) NowMillis() int64 {
 // worker's Born stamps and latency observations share the
 // coordinator's frame (error ≈ one-way control-frame latency).
 func (e *Engine) SetClockOffset(ms int64) { e.clockOffset.Store(ms) }
-
-// Merges returns how many scale-in merges this engine has completed.
-func (e *Engine) Merges() uint64 { return e.merges.Value() }
 
 // Epoch returns the current topology epoch: it advances whenever the
 // route-table snapshots are rebuilt (Start, ScaleOut, Recover).

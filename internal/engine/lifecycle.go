@@ -321,17 +321,6 @@ func (e *Engine) InjectBatch(inst plan.InstanceID, count int, gen func(i uint64)
 	return nil
 }
 
-// NodeProcessed returns how many tuples an instance has processed (0 if
-// unknown).
-func (e *Engine) NodeProcessed(inst plan.InstanceID) uint64 {
-	if set := e.set.Load(); set != nil {
-		if n := set.byInst[inst]; n != nil {
-			return n.processed.Value()
-		}
-	}
-	return 0
-}
-
 // OperatorOf returns the operator instance object hosted by inst, so
 // tests and examples can inspect state (nil if unknown).
 func (e *Engine) OperatorOf(inst plan.InstanceID) any {

@@ -7,31 +7,22 @@ import (
 	"seep/internal/plan"
 )
 
-// UtilSampler estimates an instance's load in [0, ∞) for the scaling
-// policy. The live engine cannot read simulated CPU budgets, so the
-// default signal is backpressure: the fill fraction of the node's input
-// channel. A queue that stays near capacity means the operator cannot
-// keep up with its input — the live equivalent of the paper's CPU
-// utilisation reports crossing δ.
-type UtilSampler func(inst plan.InstanceID) (util float64, ok bool)
-
-// QueueFillSampler returns the default backpressure-based sampler. The
-// input channel carries micro-batches, so the fill fraction is measured
-// in batch slots; a queue near capacity still means the operator cannot
-// drain its input. With credit-based flow control the ledger, not the
-// channel, is the binding constraint — senders stall before the channel
-// fills — so the sampler reads whichever signal is stronger: channel
-// occupancy or the fraction of the node's credits currently consumed by
-// queued and in-flight batches.
-func (e *Engine) QueueFillSampler() UtilSampler {
-	return func(inst plan.InstanceID) (float64, bool) {
-		set := e.set.Load()
-		if set == nil {
-			return 0, false
-		}
-		n := set.byInst[inst]
-		if n == nil || n.failed.Load() {
-			return 0, false
+// UtilReports estimates, for the scaling policy, the load in [0, ∞) of
+// every hosted instance that is neither source nor sink. The live engine
+// cannot read simulated CPU budgets, so the signal is backpressure: a
+// queue that stays near capacity means the operator cannot keep up with
+// its input — the live equivalent of the paper's CPU utilisation reports
+// crossing δ. The input channel carries micro-batches, so its fill
+// fraction is measured in batch slots. With credit-based flow control the
+// ledger, not the channel, is the binding constraint — senders stall
+// before the channel fills — so each report takes whichever signal is
+// stronger: channel occupancy or the fraction of the node's credits
+// currently consumed by queued and in-flight batches.
+func (e *Engine) UtilReports() []control.Report {
+	var reports []control.Report
+	for _, n := range e.set.Load().stateful {
+		if n.failed.Load() {
+			continue
 		}
 		util := float64(len(n.in)) / float64(cap(n.in))
 		if c := n.credits.cap; c > 0 {
@@ -39,20 +30,20 @@ func (e *Engine) QueueFillSampler() UtilSampler {
 				util = held
 			}
 		}
-		return util, true
+		reports = append(reports, control.Report{Inst: n.inst, Util: util})
 	}
+	return reports
 }
 
-// EnablePolicy starts the bottleneck detector loop: every
-// policy.ReportEveryMillis the sampler is read for every non-source,
-// non-sink instance, and instances crossing the threshold k consecutive
-// times are scaled out to two partitions (Algorithm 3 via ScaleOut).
-// Call before Start; pass nil to use QueueFillSampler.
-func (e *Engine) EnablePolicy(policy control.Policy, sampler UtilSampler) {
-	if sampler == nil {
-		sampler = e.QueueFillSampler()
-	}
-	detector := control.NewDetector(policy)
+// EnablePolicy starts the scaling policy loop: every
+// policy.ReportEveryMillis one control.Scaler round over UtilReports
+// decides which bottlenecks split in two (Algorithm 3 via ScaleOut) and —
+// when scaleIn is set — which adjacent pair of idle partitions merges.
+// The low watermark must sit well below half the scale-out threshold so a
+// merge cannot immediately re-trigger a split (the hysteresis band;
+// enforced at the options layer). Call before Start.
+func (e *Engine) EnablePolicy(policy control.Policy, scaleIn *control.ScaleInPolicy) {
+	e.scaler = control.NewScaler(policy, scaleIn)
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
@@ -63,76 +54,31 @@ func (e *Engine) EnablePolicy(policy control.Policy, sampler UtilSampler) {
 			case <-e.stopAll:
 				return
 			case <-tick.C:
-				e.policyRound(detector, sampler)
+				e.policyRound()
 			}
 		}
 	}()
 }
 
-func (e *Engine) policyRound(detector *control.Detector, sampler UtilSampler) {
-	q := e.mgr.Query()
-	var reports []control.Report
-	for _, opID := range q.Ops() {
-		spec := q.Op(opID)
-		if spec.Role == plan.RoleSource || spec.Role == plan.RoleSink {
-			continue
-		}
-		for _, inst := range e.mgr.Instances(opID) {
-			if util, ok := sampler(inst); ok {
-				reports = append(reports, control.Report{Inst: inst, Util: util})
-			}
-		}
-	}
-	for _, victim := range detector.Observe(reports) {
-		spec := q.Op(victim.Op)
-		if spec != nil && spec.MaxParallelism > 0 && e.mgr.Parallelism(victim.Op) >= spec.MaxParallelism {
-			continue
-		}
-		// Scale out in the policy goroutine; failures (e.g. victim just
-		// replaced) simply unmute for the next round.
-		if err := e.ScaleOut(victim, 2); err != nil {
-			detector.Unmute(victim)
-		}
-	}
-	shrinker := e.shrinker.Load()
-	if shrinker == nil {
-		return
-	}
-	for _, op := range shrinker.Observe(reports) {
-		if pair := e.adjacentPair(op, reports); pair != nil {
-			_ = e.MergeInstances(pair)
-		}
-		// Completed merges produce a fresh instance ID, so the operator
-		// can shrink again once its partitions idle anew.
-		shrinker.Unmute(op)
-	}
-}
-
-// EnableScaleIn activates policy-driven scale in alongside EnablePolicy:
-// when every partition of an operator reports utilisation below the low
-// watermark for the configured number of consecutive rounds, the
-// adjacent pair with the lowest combined load is merged. The low
-// watermark must sit well below half the scale-out threshold so a merge
-// cannot immediately re-trigger a split (the hysteresis band; enforced
-// at the options layer). Requires EnablePolicy (the shrinker rides the
-// policy loop's reports).
-func (e *Engine) EnableScaleIn(p control.ScaleInPolicy) {
-	e.shrinker.Store(control.NewScaleInDetector(p))
-}
-
-// adjacentPair picks the pair of live partitions of op owning adjacent
-// key ranges with the lowest combined utilisation, or nil.
-func (e *Engine) adjacentPair(op plan.OpID, reports []control.Report) []plan.InstanceID {
-	routing := e.mgr.Routing(op)
-	if routing == nil {
-		return nil
-	}
+// policyRound executes one round's decisions on the policy goroutine; a
+// refused scale out (e.g. victim just replaced) unmutes for the next
+// round.
+func (e *Engine) policyRound() {
 	set := e.set.Load()
-	return control.AdjacentPair(routing.Entries(), reports, func(inst plan.InstanceID) bool {
-		if set == nil {
-			return false
-		}
-		n := set.byInst[inst]
-		return n != nil && !n.failed.Load()
+	splits, merges := e.scaler.Round(e.UtilReports(), control.View{
+		Room:    e.mgr.Room,
+		Routing: e.mgr.Routing,
+		Live: func(inst plan.InstanceID) bool {
+			n := set.byInst[inst]
+			return n != nil && !n.failed.Load()
+		},
 	})
+	for _, victim := range splits {
+		if err := e.ScaleOut(victim, 2); err != nil {
+			e.scaler.Unmute(victim)
+		}
+	}
+	for _, pair := range merges {
+		_ = e.MergeInstances(pair)
+	}
 }

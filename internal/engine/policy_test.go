@@ -69,13 +69,15 @@ func TestEnginePolicyScalesOutUnderBackpressure(t *testing.T) {
 	}
 }
 
-func TestQueueFillSampler(t *testing.T) {
+func TestUtilReports(t *testing.T) {
 	e := wordEngine(t, Config{})
-	s := e.QueueFillSampler()
-	if u, ok := s(inst("count", 1)); !ok || u != 0 {
-		t.Errorf("idle sampler = %v %v", u, ok)
+	got := e.UtilReports()
+	if len(got) != 2 {
+		t.Fatalf("reports = %v, want one each for split and count", got)
 	}
-	if _, ok := s(inst("count", 99)); ok {
-		t.Error("sampler reported an unknown instance")
+	for _, r := range got {
+		if r.Inst.Op == "src" || r.Inst.Op == "sink" || r.Util != 0 {
+			t.Errorf("idle engine reported %+v", r)
+		}
 	}
 }

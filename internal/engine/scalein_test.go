@@ -44,8 +44,8 @@ func TestEngineMergeInstancesExactCounts(t *testing.T) {
 	if got := e.Manager().Parallelism("count"); got != 1 {
 		t.Fatalf("Parallelism(count) after merge = %d, want 1", got)
 	}
-	if e.Merges() != 1 {
-		t.Errorf("Merges() = %d, want 1", e.Merges())
+	if got := e.Manager().Merges(); got != 1 {
+		t.Errorf("Merges() = %d, want 1", got)
 	}
 
 	if err := e.InjectBatch(inst("src", 1), 1000, wordGen(25)); err != nil {
@@ -63,7 +63,7 @@ func TestEngineMergeInstancesExactCounts(t *testing.T) {
 	if len(got) != 25 {
 		t.Errorf("distinct words = %d, want 25", len(got))
 	}
-	recs := e.Recoveries()
+	recs := e.Manager().Records()
 	var merges int
 	for _, r := range recs {
 		if r.Merge {
@@ -206,8 +206,8 @@ func TestEngineMergeGuards(t *testing.T) {
 // (the hysteresis band).
 func TestEnginePolicyDrivenScaleIn(t *testing.T) {
 	e := wordEngine(t, Config{CheckpointInterval: 30 * time.Millisecond})
-	e.EnablePolicy(control.Policy{Threshold: 0.7, ConsecutiveReports: 1000, ReportEveryMillis: 20}, nil)
-	e.EnableScaleIn(control.ScaleInPolicy{LowWatermark: 0.25, ConsecutiveReports: 2})
+	e.EnablePolicy(control.Policy{Threshold: 0.7, ConsecutiveReports: 1000, ReportEveryMillis: 20},
+		&control.ScaleInPolicy{LowWatermark: 0.25, ConsecutiveReports: 2})
 	e.Start()
 	defer e.Stop()
 

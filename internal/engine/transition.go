@@ -49,33 +49,6 @@ import (
 	"seep/internal/state"
 )
 
-// ReplaceRecord documents one completed transition — the live
-// counterpart of the simulator's RecoveryRecord. Times are wall-clock
-// milliseconds since Start.
-type ReplaceRecord struct {
-	// Victim is the replaced instance (the first of the merged siblings
-	// for a scale in).
-	Victim plan.InstanceID
-	// Pi is the number of replacements (1 for a scale in).
-	Pi             int
-	Failure        bool
-	StartedAt      int64
-	CompletedAt    int64
-	ReplayedTuples int
-	// Merge reports a scale-in transition.
-	Merge bool
-}
-
-// Recoveries returns the completed transition records, oldest first —
-// including those triggered by the scaling policy.
-func (e *Engine) Recoveries() []ReplaceRecord {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]ReplaceRecord, len(e.records))
-	copy(out, e.records)
-	return out
-}
-
 // Recover replaces a failed instance with pi new ones (π=1 serial
 // recovery, π≥2 parallel recovery).
 func (e *Engine) Recover(inst plan.InstanceID, pi int) error {
@@ -103,7 +76,6 @@ func (e *Engine) MergeInstances(victims []plan.InstanceID) error {
 	if err != nil {
 		return err
 	}
-	e.merges.Inc()
 	// Ship a fresh checkpoint of the product immediately: it supersedes
 	// the plan-time artifact in the backup store, so a failure right
 	// after the merge recovers from a self-consistent capture instead of
@@ -227,15 +199,8 @@ func (e *Engine) switchOver(victims []plan.InstanceID, pi int, failure bool) (ne
 		startedAt = t
 		delete(e.failedAt, victims[0])
 	}
-	e.records = append(e.records, ReplaceRecord{
-		Victim:         victims[0],
-		Pi:             pi,
-		Failure:        failure,
-		Merge:          tp.Merge(),
-		StartedAt:      startedAt,
-		CompletedAt:    e.NowMillis(),
-		ReplayedTuples: replayed,
-	})
+	e.mgr.Complete(tp, failure, startedAt, e.NowMillis(), replayed)
+	e.scaler.Forget(victims)
 	return tp.NewInstances, stranded, err
 }
 

@@ -126,7 +126,7 @@ func AblationVMPool() (*Table, error) {
 		}
 		c.Sim().At(20_000, func() { _ = c.FailInstance(plan.InstanceID{Op: "count", Part: 1}) })
 		c.RunUntil(200_000)
-		recs := c.Recoveries()
+		recs := c.Manager().Records()
 		if len(recs) != 1 {
 			return nil, fmt.Errorf("experiments: pool ablation got %d recoveries", len(recs))
 		}

@@ -41,8 +41,8 @@ func ExtElastic() (*Table, error) {
 	if err := c.AddSource(plan.InstanceID{Op: "src", Part: 1}, rate, wordcount.WordSource(1_000, 1)); err != nil {
 		return nil, err
 	}
-	c.EnablePolicy(control.DefaultPolicy())
-	c.EnableElasticity(control.DefaultScaleInPolicy())
+	scaleIn := control.DefaultScaleInPolicy()
+	c.EnablePolicy(control.DefaultPolicy(), &scaleIn)
 
 	peak, settled := 0, 0
 	for _, at := range []sim.Millis{20_000, 80_000, 140_000, 260_000, 400_000} {

@@ -69,7 +69,7 @@ func measureRecovery(r recoveryRun) (int64, error) {
 	})
 	// Run long enough for the slowest mechanism to finish replay.
 	c.RunUntil(failAt + 150_000)
-	recs := c.Recoveries()
+	recs := c.Manager().Records()
 	if len(recs) != 1 {
 		return 0, fmt.Errorf("experiments: %d recoveries recorded (mode %v rate %v)", len(recs), r.mode, r.rate)
 	}

@@ -189,7 +189,7 @@ type Runner struct {
 	ops      map[plan.OpID]*opState
 	order    []plan.OpID
 	incoming map[plan.OpID][]Edge
-	detector *control.Detector
+	scaler   *control.Scaler
 	res      *Result
 	// reported accumulates per-instance utilisation between policy
 	// reports (averaged over the report window).
@@ -293,7 +293,7 @@ func (r *Runner) topoOrder() []plan.OpID {
 func (r *Runner) Run() *Result {
 	cfg := r.cfg
 	if cfg.Policy.ReportEveryMillis > 0 {
-		r.detector = control.NewDetector(cfg.Policy)
+		r.scaler = control.NewScaler(cfg.Policy, nil)
 		r.s.Every(cfg.Policy.ReportEveryMillis, func() bool {
 			r.policyRound()
 			return true
@@ -452,7 +452,10 @@ func (r *Runner) policyRound() {
 	}
 	r.utilAccum = make(map[plan.InstanceID]float64)
 	r.utilTicks = 0
-	for _, victim := range r.detector.Observe(reports) {
+	splits, _ := r.scaler.Round(reports, control.View{Room: func(op plan.OpID) bool {
+		return r.ops[op].cfg.Max <= 0 || len(r.ops[op].instances) < r.ops[op].cfg.Max
+	}})
+	for _, victim := range splits {
 		r.scaleOut(victim)
 	}
 }
@@ -482,14 +485,11 @@ func (r *Runner) scaleOut(victim plan.InstanceID) {
 	if st == nil || st.scaling[victim] {
 		return
 	}
-	if st.cfg.Max > 0 && len(st.instances) >= st.cfg.Max {
-		return
-	}
 	st.scaling[victim] = true
 	r.pool.Acquire(func(vm *sim.VM) {
 		activate := func() {
 			delete(st.scaling, victim)
-			r.detector.Forget(victim)
+			r.scaler.Forget([]plan.InstanceID{victim})
 			// The victim may have been replaced already (e.g. shrunk);
 			// find it.
 			idx := -1

@@ -89,7 +89,7 @@ func TestLRBEndToEnd(t *testing.T) {
 func TestLRBSurvivesTollCalculatorFailure(t *testing.T) {
 	_, noFailCars := runLRB(t, false)
 	c, cars := runLRB(t, true)
-	recs := c.Recoveries()
+	recs := c.Manager().Records()
 	if len(recs) != 1 || !recs[0].Failure {
 		t.Fatalf("recoveries = %+v", recs)
 	}

@@ -3,6 +3,8 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"seep"
 )
 
 // TestScenarioCorpus runs every committed scenario on every substrate
@@ -60,6 +62,14 @@ func TestScenarioParityKillRecoverScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make(map[string]map[string]int64, 3)
+	// books is what each substrate's query manager recorded, without the
+	// clocks and replay sizes that legitimately differ.
+	type transition struct {
+		victim         seep.InstanceID
+		pi             int
+		failure, merge bool
+	}
+	books := make(map[string][]transition, 3)
 	for _, sub := range []string{"sim", "live", "dist"} {
 		res, err := Run(s, RunConfig{Substrate: sub})
 		if err != nil {
@@ -72,6 +82,9 @@ func TestScenarioParityKillRecoverScale(t *testing.T) {
 			t.Fatalf("[%s] no counts read back", sub)
 		}
 		counts[sub] = res.Counts
+		for _, r := range res.Metrics.Recoveries {
+			books[sub] = append(books[sub], transition{r.Victim, r.Pi, r.Failure, r.Merge})
+		}
 	}
 	if t.Failed() {
 		return
@@ -80,6 +93,10 @@ func TestScenarioParityKillRecoverScale(t *testing.T) {
 		if !reflect.DeepEqual(counts["sim"], counts[sub]) {
 			t.Errorf("per-key counts diverge between sim and %s:\n  sim:  %v\n  %s: %v",
 				sub, counts["sim"], sub, counts[sub])
+		}
+		if !reflect.DeepEqual(books["sim"], books[sub]) || len(books[sub]) == 0 {
+			t.Errorf("transition records diverge between sim and %s:\n  sim:  %+v\n  %s: %+v",
+				sub, books["sim"], sub, books[sub])
 		}
 	}
 }

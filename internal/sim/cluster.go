@@ -142,29 +142,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// RecoveryRecord documents one completed recovery or scale out.
-type RecoveryRecord struct {
-	// Victim is the replaced instance.
-	Victim plan.InstanceID
-	// Pi is the parallelism of the replacement.
-	Pi int
-	// Failure reports whether this was failure recovery (vs scale out).
-	Failure bool
-	// StartedAt is when the failure happened (or scale out was decided).
-	StartedAt Millis
-	// CompletedAt is when state was fully restored and all buffered
-	// tuples replayed.
-	CompletedAt Millis
-	// ReplayedTuples is how many tuples were replayed.
-	ReplayedTuples int
-	// Merge reports a scale-in transition: Victim is the first of the
-	// merged siblings and Pi is 1 (several instances collapsed to one).
-	Merge bool
-}
-
-// Duration returns the recovery time.
-func (r RecoveryRecord) Duration() Millis { return r.CompletedAt - r.StartedAt }
-
 // RateFunc gives a source's emission rate in tuples/second at virtual
 // time t.
 type RateFunc func(t Millis) float64
@@ -205,18 +182,9 @@ type Cluster struct {
 
 	// scalingInProgress guards against double-triggering on one victim.
 	scalingInProgress map[plan.InstanceID]bool
-	// legacyOwner maps a retired merge victim to the merge product
-	// carrying its legacy output buffer, so acknowledgement trims
-	// addressed to the old identity still land (the chain is chased: a
-	// product may itself have been merged or replaced).
-	legacyOwner map[plan.InstanceID]plan.InstanceID
-	// merges counts completed scale-in transitions.
-	merges uint64
 
-	detector *control.Detector
-	// shrinker, when set, drives elastic scale in (merging under-used
-	// partitions) — the paper's stated future work (§8).
-	shrinker *control.ScaleInDetector
+	// scaler is the scaling policy (nil unless EnablePolicy ran).
+	scaler *control.Scaler
 
 	// Measurements.
 	Latency           *metrics.Histogram
@@ -224,7 +192,6 @@ type Cluster struct {
 	duplicatesDropped metrics.Counter
 	VMsInUse          *metrics.TimeSeries
 	ThroughputTS      *metrics.TimeSeries
-	recoveries        []RecoveryRecord
 	recoveryFailures  []string
 	// OnSink, when set, observes every tuple arriving at a sink.
 	OnSink func(t stream.Tuple)
@@ -253,7 +220,6 @@ func NewCluster(cfg Config, q *plan.Query, factories map[plan.OpID]operator.Fact
 		sources:           make(map[plan.InstanceID]*source),
 		routings:          make(map[plan.OpID]*state.Routing),
 		scalingInProgress: make(map[plan.InstanceID]bool),
-		legacyOwner:       make(map[plan.InstanceID]plan.InstanceID),
 		Latency:           &metrics.Histogram{},
 		VMsInUse:          &metrics.TimeSeries{},
 		ThroughputTS:      &metrics.TimeSeries{},
@@ -310,9 +276,6 @@ func (c *Cluster) Sim() *Sim { return c.sim }
 // Manager returns the query manager.
 func (c *Cluster) Manager() *core.Manager { return c.mgr }
 
-// Pool returns the VM pool.
-func (c *Cluster) Pool() *Pool { return c.pool }
-
 // Node returns the live node for an instance (nil if none).
 func (c *Cluster) Node(inst plan.InstanceID) *Node { return c.nodes[inst] }
 
@@ -337,13 +300,6 @@ func (c *Cluster) LiveInstances(op plan.OpID) []plan.InstanceID {
 			out = append(out, inst)
 		}
 	}
-	return out
-}
-
-// Recoveries returns the completed recovery/scale-out records.
-func (c *Cluster) Recoveries() []RecoveryRecord {
-	out := make([]RecoveryRecord, len(c.recoveries))
-	copy(out, c.recoveries)
 	return out
 }
 
@@ -619,29 +575,13 @@ func (c *Cluster) trimAcked(n *Node, acks map[plan.InstanceID]int64) {
 			upNode.Buffer.TrimInstance(n.inst, ts)
 			continue
 		}
-		if hn := c.legacyHost(up); hn != nil {
+		owner, _ := c.mgr.LegacyOwner(up)
+		if hn := c.nodes[owner]; hn != nil {
 			if lb := hn.Legacy[up]; lb != nil {
 				lb.TrimInstance(n.inst, ts)
 			}
 		}
 	}
-}
-
-// legacyHost resolves the node hosting the legacy buffer of a retired
-// merge victim, chasing the merge-product chain.
-func (c *Cluster) legacyHost(up plan.InstanceID) *Node {
-	cur := up
-	for i := 0; i < 16; i++ {
-		next, ok := c.legacyOwner[cur]
-		if !ok {
-			return nil
-		}
-		if hn := c.nodes[next]; hn != nil {
-			return hn
-		}
-		cur = next
-	}
-	return nil
 }
 
 // FailInstance crash-stops the VM hosting inst at the current virtual
@@ -737,10 +677,10 @@ func (c *Cluster) executeReplace(victims []plan.InstanceID, pi int, startedAt Mi
 			// is unblocked so a later detection can retry.
 			c.recoveryFailures = append(c.recoveryFailures,
 				fmt.Sprintf("recover %s (pi=%d): %v", victims[0], pi, err))
-		case c.detector != nil:
+		default:
 			// Scale out aborts cleanly; the victim continues processing
 			// unaffected (§4.3) and may be re-triggered later.
-			c.detector.Unmute(victims[0])
+			c.scaler.Unmute(victims[0])
 		}
 		return
 	}
@@ -801,17 +741,8 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 			delete(c.nodes, v)
 		}
 		delete(c.scalingInProgress, v)
-		if c.detector != nil {
-			c.detector.Forget(v)
-		}
-		// Whatever retained output a victim had — its own buffer, legacy
-		// buffers it carried — lives with the first replacement now, so
-		// acknowledgement trims addressed to it follow.
-		c.legacyOwner[v] = tp.NewInstances[0]
 	}
-	if tp.Merge() {
-		c.merges++
-	}
+	c.scaler.Forget(tp.Victims)
 
 	newNodes := make([]*Node, len(tp.NewInstances))
 	for i, inst := range tp.NewInstances {
@@ -874,17 +805,8 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 		}
 	}
 
-	rec := RecoveryRecord{
-		Victim:         tp.Victims[0],
-		Pi:             len(tp.NewInstances),
-		Failure:        failure,
-		StartedAt:      startedAt,
-		ReplayedTuples: replayed,
-		Merge:          tp.Merge(),
-	}
 	if replayed == 0 {
-		rec.CompletedAt = c.sim.Now()
-		c.recoveries = append(c.recoveries, rec)
+		c.mgr.Complete(tp, failure, startedAt, c.sim.Now(), 0)
 		return
 	}
 	// Until the replay completes, the replacements must not process live
@@ -896,8 +818,7 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 		n.holdingLive = true
 	}
 	tracker.onDone = func() {
-		rec.CompletedAt = c.sim.Now()
-		c.recoveries = append(c.recoveries, rec)
+		c.mgr.Complete(tp, failure, startedAt, c.sim.Now(), replayed)
 		for _, n := range newNodes {
 			n.releaseHeld()
 		}
@@ -991,13 +912,6 @@ func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.Inst
 		}
 	}
 
-	rec := RecoveryRecord{
-		Victim:         victim,
-		Pi:             1,
-		Failure:        true,
-		StartedAt:      failedAt,
-		ReplayedTuples: replayed,
-	}
 	if c.cfg.Mode == FTUpstreamBackup && replayed > 0 {
 		// UB replays old-timestamped tuples from the immediate upstream
 		// buffers; hold live tuples until the window re-processing is
@@ -1015,8 +929,7 @@ func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.Inst
 				done = until
 			}
 		}
-		rec.CompletedAt = done
-		c.recoveries = append(c.recoveries, rec)
+		c.mgr.Complete(rp, true, failedAt, done, replayed)
 		n.releaseHeld()
 		if c.cfg.Mode == FTSourceReplay {
 			c.sim.At(done, func() {
@@ -1074,15 +987,22 @@ func (c *Cluster) ScaleIn(victims []plan.InstanceID) error {
 	return nil
 }
 
-// Merges returns how many scale-in merges have completed.
-func (c *Cluster) Merges() uint64 { return c.merges }
-
-// EnablePolicy activates the bottleneck detector and scaling policy
-// (§5.1): every ReportEveryMillis, live instances report their CPU
-// utilisation; instances above the threshold for k consecutive reports
-// are scaled out to parallelism 2 (the victim splits in two).
-func (c *Cluster) EnablePolicy(p control.Policy) {
-	c.detector = control.NewDetector(p)
+// EnablePolicy activates the scaling policy (§5.1): every
+// ReportEveryMillis, live instances report their CPU utilisation and one
+// control.Scaler round decides which bottlenecks — above the threshold
+// for k consecutive reports — split in two and, when scaleIn is set,
+// which adjacent pair of idle partitions merges (elastic scale in, the
+// paper's stated future work, §8).
+func (c *Cluster) EnablePolicy(p control.Policy, scaleIn *control.ScaleInPolicy) {
+	c.scaler = control.NewScaler(p, scaleIn)
+	view := control.View{
+		Room:    c.mgr.Room,
+		Routing: c.mgr.Routing,
+		Live: func(inst plan.InstanceID) bool {
+			n := c.nodes[inst]
+			return n != nil && !n.failed && !n.removed && !c.scalingInProgress[inst]
+		},
+	}
 	c.sim.Every(p.ReportEveryMillis, func() bool {
 		var reports []control.Report
 		for _, inst := range c.sortedInstances() {
@@ -1096,68 +1016,17 @@ func (c *Cluster) EnablePolicy(p control.Policy) {
 			reports = append(reports, control.Report{Inst: inst, Util: n.vm.Utilization()})
 			n.vm.ResetWindow()
 		}
-		for _, victim := range c.detector.Observe(reports) {
-			spec := c.mgr.Query().Op(victim.Op)
-			if spec.MaxParallelism > 0 && c.mgr.Parallelism(victim.Op) >= spec.MaxParallelism {
-				continue
+		splits, merges := c.scaler.Round(reports, view)
+		for _, victim := range splits {
+			if err := c.ScaleOut(victim, 2); err != nil {
+				c.scaler.Unmute(victim)
 			}
-			_ = c.ScaleOut(victim, 2)
 		}
-		if c.shrinker != nil {
-			for _, op := range c.shrinker.Observe(reports) {
-				if pair := c.adjacentPair(op); pair != nil {
-					if err := c.ScaleIn(pair); err != nil {
-						c.shrinker.Unmute(op)
-					} else {
-						// Completed merges produce fresh instance IDs, so
-						// the operator can shrink again next round.
-						c.shrinker.Unmute(op)
-					}
-				} else {
-					c.shrinker.Unmute(op)
-				}
-			}
+		for _, pair := range merges {
+			_ = c.ScaleIn(pair)
 		}
 		return true
 	})
-}
-
-// EnableElasticity additionally activates scale in: when every partition
-// of an operator stays below the low watermark, an adjacent pair is
-// merged. Call after EnablePolicy.
-func (c *Cluster) EnableElasticity(p control.ScaleInPolicy) {
-	c.shrinker = control.NewScaleInDetector(p)
-}
-
-// adjacentPair picks the pair of live partitions of op owning adjacent
-// key ranges with the lowest combined load, or nil.
-func (c *Cluster) adjacentPair(op plan.OpID) []plan.InstanceID {
-	routing := c.mgr.Routing(op)
-	if routing == nil {
-		return nil
-	}
-	entries := routing.Entries()
-	var best []plan.InstanceID
-	bestLoad := -1.0
-	for i := 1; i < len(entries); i++ {
-		a, b := entries[i-1].Target, entries[i].Target
-		if a == b {
-			continue
-		}
-		na, nb := c.nodes[a], c.nodes[b]
-		if na == nil || nb == nil || na.failed || nb.failed || na.removed || nb.removed {
-			continue
-		}
-		if c.scalingInProgress[a] || c.scalingInProgress[b] {
-			continue
-		}
-		load := na.vm.Utilization() + nb.vm.Utilization()
-		if bestLoad < 0 || load < bestLoad {
-			bestLoad = load
-			best = []plan.InstanceID{a, b}
-		}
-	}
-	return best
 }
 
 // RunUntil advances the simulation to virtual time t.

@@ -129,7 +129,7 @@ func TestClusterRecoveryRecorded(t *testing.T) {
 		_ = c.FailInstance(plan.InstanceID{Op: "count", Part: 1})
 	})
 	c.RunUntil(60_000)
-	recs := c.Recoveries()
+	recs := c.Manager().Records()
 	if len(recs) != 1 {
 		t.Fatalf("recoveries = %d", len(recs))
 	}
@@ -165,7 +165,7 @@ func TestClusterParallelRecovery(t *testing.T) {
 		_ = c.FailInstance(plan.InstanceID{Op: "count", Part: 1})
 	})
 	c.RunUntil(70_000)
-	recs := c.Recoveries()
+	recs := c.Manager().Records()
 	if len(recs) != 1 || recs[0].Pi != 2 {
 		t.Fatalf("recoveries = %+v", recs)
 	}
@@ -246,7 +246,7 @@ func TestClusterUpstreamBackupRecovery(t *testing.T) {
 		_ = c.FailInstance(plan.InstanceID{Op: "count", Part: 1})
 	})
 	c.RunUntil(60_000)
-	recs := c.Recoveries()
+	recs := c.Manager().Records()
 	if len(recs) != 1 {
 		t.Fatalf("recoveries = %+v", recs)
 	}
@@ -271,7 +271,7 @@ func TestClusterSourceReplayRecovery(t *testing.T) {
 		_ = c.FailInstance(plan.InstanceID{Op: "count", Part: 1})
 	})
 	c.RunUntil(90_000)
-	recs := c.Recoveries()
+	recs := c.Manager().Records()
 	if len(recs) != 1 {
 		t.Fatalf("recoveries = %+v", recs)
 	}
@@ -295,7 +295,7 @@ func TestClusterRSMFasterThanBaselines(t *testing.T) {
 			_ = c.FailInstance(plan.InstanceID{Op: "count", Part: 1})
 		})
 		c.RunUntil(120_000)
-		recs := c.Recoveries()
+		recs := c.Manager().Records()
 		if len(recs) != 1 {
 			t.Fatalf("mode %v: recoveries = %+v", mode, recs)
 		}
@@ -320,12 +320,12 @@ func TestClusterPolicyScalesOut(t *testing.T) {
 	if err := c.AddSource(plan.InstanceID{Op: "src", Part: 1}, ConstantRate(3000), vocabGen(200)); err != nil {
 		t.Fatal(err)
 	}
-	c.EnablePolicy(control.Policy{Threshold: 0.70, ConsecutiveReports: 2, ReportEveryMillis: 5_000})
+	c.EnablePolicy(control.Policy{Threshold: 0.70, ConsecutiveReports: 2, ReportEveryMillis: 5_000}, nil)
 	c.RunUntil(120_000)
 	if got := c.Manager().Parallelism("count"); got < 2 {
 		t.Errorf("count parallelism = %d, want ≥ 2 after sustained overload", got)
 	}
-	recs := c.Recoveries()
+	recs := c.Manager().Records()
 	if len(recs) == 0 {
 		t.Fatal("no scale-out recorded")
 	}

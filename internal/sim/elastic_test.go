@@ -31,8 +31,8 @@ func TestClusterElasticScaleOutThenIn(t *testing.T) {
 	if err := c.AddSource(plan.InstanceID{Op: "src", Part: 1}, rate, vocabGen(100)); err != nil {
 		t.Fatal(err)
 	}
-	c.EnablePolicy(control.DefaultPolicy())
-	c.EnableElasticity(control.DefaultScaleInPolicy())
+	scaleIn := control.DefaultScaleInPolicy()
+	c.EnablePolicy(control.DefaultPolicy(), &scaleIn)
 
 	c.RunUntil(100_000)
 	peak := c.Manager().Parallelism("count")

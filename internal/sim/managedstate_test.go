@@ -199,8 +199,8 @@ func TestSimIncrementalCheckpointRecovery(t *testing.T) {
 	if ship.Deltas == 0 {
 		t.Fatalf("no incremental checkpoints shipped: %+v", ship)
 	}
-	if len(c.Recoveries()) != 1 {
-		t.Fatalf("recoveries = %+v", c.Recoveries())
+	if len(c.Manager().Records()) != 1 {
+		t.Fatalf("recoveries = %+v", c.Manager().Records())
 	}
 	if errs := c.RecoveryFailures(); len(errs) != 0 {
 		t.Fatalf("recovery failures: %v", errs)

@@ -43,7 +43,6 @@ type Pool struct {
 	// burst of requests drains refills in FIFO order.
 	waiters []func(*VM)
 	// stats
-	acquired        int
 	exhaustedMisses int
 }
 
@@ -71,9 +70,6 @@ func (p *Pool) newVM() *VM {
 // Available returns the number of idle pooled VMs.
 func (p *Pool) Available() int { return len(p.free) }
 
-// Acquired returns how many VMs have been handed out.
-func (p *Pool) Acquired() int { return p.acquired }
-
 // ExhaustedMisses returns how many Acquire calls found the pool empty and
 // had to wait for raw provisioning.
 func (p *Pool) ExhaustedMisses() int { return p.exhaustedMisses }
@@ -83,7 +79,6 @@ func (p *Pool) ExhaustedMisses() int { return p.exhaustedMisses }
 // delay when the pool is exhausted. The pool refills itself to Size
 // asynchronously after each acquisition.
 func (p *Pool) Acquire(ready func(*VM)) {
-	p.acquired++
 	if len(p.free) > 0 {
 		vm := p.free[0]
 		p.free = p.free[1:]

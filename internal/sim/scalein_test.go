@@ -87,7 +87,7 @@ func TestClusterBackupHostFailure(t *testing.T) {
 	})
 	c.RunUntil(90_000)
 
-	recs := c.Recoveries()
+	recs := c.Manager().Records()
 	if len(recs) != 2 {
 		t.Fatalf("expected 2 recoveries (host + operator), got %+v", recs)
 	}
@@ -115,7 +115,7 @@ func TestClusterRepeatedFailures(t *testing.T) {
 		})
 	}
 	c.RunUntil(120_000)
-	recs := c.Recoveries()
+	recs := c.Manager().Records()
 	if len(recs) != 3 {
 		t.Fatalf("recoveries = %d, want 3", len(recs))
 	}
@@ -126,5 +126,69 @@ func TestClusterRepeatedFailures(t *testing.T) {
 	counts := totalCounts(c)
 	if len(counts) != 50 {
 		t.Errorf("distinct words after 3 failures = %d", len(counts))
+	}
+}
+
+// TestClusterLegacyTrimsFollowTheManagersChain merges two partitions of
+// the operator UPSTREAM of the counter. The merge product keeps the
+// victims' retained output as legacy buffers under their old identities,
+// and the counter's later checkpoints still acknowledge those identities:
+// the trims reach the product through Manager.LegacyOwner, so the legacy
+// buffers drain instead of growing stale.
+func TestClusterLegacyTrimsFollowTheManagersChain(t *testing.T) {
+	c := mustCluster(t, Config{
+		Seed: 61, Mode: FTRSM, CheckpointIntervalMillis: 5_000,
+		Pool: PoolConfig{Size: 4},
+	})
+	c.Sim().At(12_000, func() {
+		if err := c.ScaleOut(plan.InstanceID{Op: "split", Part: 1}, 2); err != nil {
+			t.Errorf("scale out: %v", err)
+		}
+	})
+	var victims []plan.InstanceID
+	c.Sim().At(41_000, func() {
+		victims = c.LiveInstances("split")
+		if len(victims) != 2 {
+			t.Errorf("live split partitions before the merge = %v, want 2", victims)
+			return
+		}
+		if err := c.ScaleIn(victims); err != nil {
+			t.Errorf("scale in: %v", err)
+		}
+	})
+	// Right after the switch-over the product holds what the victims had
+	// retained since the counter's last checkpoint.
+	var product *Node
+	retained := 0
+	c.Sim().At(44_000, func() {
+		live := c.LiveInstances("split")
+		if len(live) != 1 {
+			t.Errorf("live split partitions after the merge = %v, want 1", live)
+			return
+		}
+		product = c.Node(live[0])
+		for _, v := range victims {
+			if owner, ok := c.Manager().LegacyOwner(v); !ok || owner != live[0] {
+				t.Errorf("LegacyOwner(%v) = %v, %v; want the merge product %v", v, owner, ok, live[0])
+			}
+			if lb := product.Legacy[v]; lb != nil {
+				retained += lb.Len()
+			}
+		}
+	})
+	c.RunUntil(70_000)
+	if product == nil {
+		t.Fatal("no merge product")
+	}
+	if retained == 0 {
+		t.Fatal("the merge product carried no legacy tuples: the test exercises nothing")
+	}
+	for _, v := range victims {
+		if lb := product.Legacy[v]; lb != nil && lb.Len() != 0 {
+			t.Errorf("legacy buffer of %v still holds %d of %d tuples after six counter checkpoints", v, lb.Len(), retained)
+		}
+	}
+	if got := len(totalCounts(c)); got != 50 {
+		t.Errorf("distinct words = %d, want 50", got)
 	}
 }

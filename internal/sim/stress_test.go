@@ -7,6 +7,22 @@ import (
 	"seep/internal/plan"
 )
 
+// adjacentLivePair returns the first two partitions of count that own
+// adjacent key ranges, are live and are in no transition, or nil.
+func adjacentLivePair(c *Cluster, live []plan.InstanceID) []plan.InstanceID {
+	ok := make(map[plan.InstanceID]bool, len(live))
+	for _, inst := range live {
+		ok[inst] = !c.scalingInProgress[inst]
+	}
+	entries := c.Manager().Routing("count").Entries()
+	for i := 1; i < len(entries); i++ {
+		if a, b := entries[i-1].Target, entries[i].Target; ok[a] && ok[b] {
+			return []plan.InstanceID{a, b}
+		}
+	}
+	return nil
+}
+
 // TestClusterRandomChurn subjects the cluster to a random sequence of
 // failures, scale outs and scale ins across several seeds, then checks
 // the global invariants: the execution graph, node table and routing
@@ -41,7 +57,7 @@ func TestClusterRandomChurn(t *testing.T) {
 						}
 					case 2: // merge an adjacent pair
 						if len(live) >= 2 {
-							if pair := c.adjacentPair("count"); pair != nil {
+							if pair := adjacentLivePair(c, live); pair != nil {
 								_ = c.ScaleIn(pair)
 							}
 						}

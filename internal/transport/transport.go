@@ -737,9 +737,6 @@ func (p *Peer) Sent() uint64 {
 	return p.sent
 }
 
-// Addr returns the dialled address.
-func (p *Peer) Addr() string { return p.addr }
-
 // Down reports whether the failure detector declared the peer failed.
 func (p *Peer) Down() bool {
 	p.mu.Lock()

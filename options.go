@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"seep/internal/engine"
 	"seep/internal/state"
 )
 
@@ -18,12 +19,19 @@ type Option func(*runtimeConfig)
 // runtimeConfig is the merged option set. Zero values mean "use the
 // substrate default".
 type runtimeConfig struct {
+	// engine holds every engine setting (checkpoint and timer intervals,
+	// batching, queue bound, memory limit, delta policy) as the options
+	// made it: the Live engine and every Distributed worker run it
+	// (engineConfig); the simulator reads the three it shares. The *Set
+	// flags record which options ran, for validation and defaults.
+	engine         engine.Config
+	checkpointSet  bool
+	deltaSet       bool
+	batchSet       bool
+	queueBoundSet  bool
+	memoryLimitSet bool
+
 	// Shared.
-	checkpoint    time.Duration
-	checkpointSet bool
-	delta         state.DeltaPolicy
-	deltaSet      bool
-	timer         time.Duration
 	policy        *Policy
 	scaleIn       *ScaleInPolicy
 	detect        time.Duration
@@ -31,38 +39,20 @@ type runtimeConfig struct {
 	recoveryPi    int
 	recoveryPiSet bool
 
-	// Shared, but only effective on the live engine (the simulator's
-	// virtual time has no channel operations to amortise).
-	batchSize   int
-	batchLinger time.Duration
-	batchSet    bool
-
-	// Live engine and Distributed workers (which run live engines).
-	channelBuffer  int
-	queueBound     int
-	queueBoundSet  bool
-	memoryLimit    int64
-	memoryLimitSet bool
-
 	// Simulated cluster only.
-	seed       int64
-	ftMode     FTMode
-	ftModeSet  bool
-	pool       *PoolConfig
-	netDelay   time.Duration
-	window     time.Duration
-	vmCapacity float64
+	seed      int64
+	ftMode    FTMode
+	ftModeSet bool
+	pool      *PoolConfig
 
 	// Distributed runtime only.
 	workers         int
 	workersSet      bool
 	workerAddrs     []string
 	topoName        string
-	payloadCodec    PayloadCodec
 	coordAddr       string
 	controlPlaneDir string
 	standbyAddr     string
-	deltaWire       bool
 	deltaWireSet    bool
 	deltaCompress   bool
 
@@ -163,14 +153,14 @@ func (c *runtimeConfig) validate() error {
 	if c.recoveryPiSet && c.recoveryPi < 1 {
 		return fmt.Errorf("seep: WithRecoveryParallelism requires pi >= 1, got %d", c.recoveryPi)
 	}
-	if c.checkpointSet && c.checkpoint < 0 {
-		return fmt.Errorf("seep: WithCheckpointInterval requires a non-negative duration, got %v", c.checkpoint)
+	if c.checkpointSet && c.engine.CheckpointInterval < 0 {
+		return fmt.Errorf("seep: WithCheckpointInterval requires a non-negative duration, got %v", c.engine.CheckpointInterval)
 	}
 	if c.deltaSet {
-		if c.delta.FullEvery < 2 {
-			return fmt.Errorf("seep: WithIncrementalCheckpoints requires fullEvery >= 2, got %d", c.delta.FullEvery)
+		if c.engine.Delta.FullEvery < 2 {
+			return fmt.Errorf("seep: WithIncrementalCheckpoints requires fullEvery >= 2, got %d", c.engine.Delta.FullEvery)
 		}
-		if f := c.delta.MaxDeltaFraction; f <= 0 || f > 1 {
+		if f := c.engine.Delta.MaxDeltaFraction; f <= 0 || f > 1 {
 			return fmt.Errorf("seep: WithIncrementalCheckpoints requires 0 < maxDeltaFraction <= 1, got %v", f)
 		}
 	}
@@ -184,21 +174,21 @@ func (c *runtimeConfig) validate() error {
 		return fmt.Errorf("seep: WithWorkerAddrs requires WithTopologyName (external workers instantiate topologies from their registry by name)")
 	}
 	if c.batchSet {
-		if c.batchSize < 1 {
-			return fmt.Errorf("seep: WithBatching requires size >= 1, got %d", c.batchSize)
+		if c.engine.BatchSize < 1 {
+			return fmt.Errorf("seep: WithBatching requires size >= 1, got %d", c.engine.BatchSize)
 		}
 		// A ticker-driven source cannot flush with zero delay, so a 0
 		// linger would be silently coerced to the engine default —
 		// reject it instead (the options contract: no silent coercion).
-		if c.batchLinger <= 0 {
-			return fmt.Errorf("seep: WithBatching requires a positive linger, got %v", c.batchLinger)
+		if c.engine.BatchLinger <= 0 {
+			return fmt.Errorf("seep: WithBatching requires a positive linger, got %v", c.engine.BatchLinger)
 		}
 	}
-	if c.queueBoundSet && c.queueBound < 1 {
-		return fmt.Errorf("seep: WithQueueBound requires n >= 1 tuples, got %d", c.queueBound)
+	if c.queueBoundSet && c.engine.QueueBound < 1 {
+		return fmt.Errorf("seep: WithQueueBound requires n >= 1 tuples, got %d", c.engine.QueueBound)
 	}
-	if c.memoryLimitSet && c.memoryLimit < 1 {
-		return fmt.Errorf("seep: WithMemoryLimit requires a positive byte ceiling, got %d", c.memoryLimit)
+	if c.memoryLimitSet && c.engine.MemoryLimit < 1 {
+		return fmt.Errorf("seep: WithMemoryLimit requires a positive byte ceiling, got %d", c.engine.MemoryLimit)
 	}
 	if c.scaleIn != nil {
 		// Scale in rides the scaling policy's utilisation reports.
@@ -226,7 +216,7 @@ func (c *runtimeConfig) validate() error {
 // buffering; on the simulated cluster checkpointing is governed by the
 // fault-tolerance mode (WithFTMode) and this sets its period.
 func WithCheckpointInterval(d time.Duration) Option {
-	return func(c *runtimeConfig) { c.checkpoint = d; c.checkpointSet = true }
+	return func(c *runtimeConfig) { c.engine.CheckpointInterval = d; c.checkpointSet = true }
 }
 
 // WithIncrementalCheckpoints enables §3.2's incremental checkpoints for
@@ -244,7 +234,7 @@ func WithCheckpointInterval(d time.Duration) Option {
 // Metrics.Checkpoints.
 func WithIncrementalCheckpoints(fullEvery int, maxDeltaFraction float64) Option {
 	return func(c *runtimeConfig) {
-		c.delta = state.DeltaPolicy{FullEvery: fullEvery, MaxDeltaFraction: maxDeltaFraction}
+		c.engine.Delta = state.DeltaPolicy{FullEvery: fullEvery, MaxDeltaFraction: maxDeltaFraction}
 		c.deltaSet = true
 	}
 }
@@ -258,7 +248,6 @@ func WithIncrementalCheckpoints(fullEvery int, maxDeltaFraction float64) Option 
 // WithIncrementalCheckpoints directly.
 func WithDeltaCheckpoints(compress bool) Option {
 	return func(c *runtimeConfig) {
-		c.deltaWire = true
 		c.deltaWireSet = true
 		c.deltaCompress = compress
 		c.restrict("WithDeltaCheckpoints",
@@ -284,8 +273,8 @@ func WithDeltaCheckpoints(compress bool) Option {
 // identical with or without it.
 func WithBatching(size int, linger time.Duration) Option {
 	return func(c *runtimeConfig) {
-		c.batchSize = size
-		c.batchLinger = linger
+		c.engine.BatchSize = size
+		c.engine.BatchLinger = linger
 		c.batchSet = true
 	}
 }
@@ -293,7 +282,7 @@ func WithBatching(size int, linger time.Duration) Option {
 // WithTimerInterval sets the period at which TimeDriven operators
 // (windows) are ticked.
 func WithTimerInterval(d time.Duration) Option {
-	return func(c *runtimeConfig) { c.timer = d }
+	return func(c *runtimeConfig) { c.engine.TimerInterval = d }
 }
 
 // WithPolicy enables the bottleneck-driven scaling policy of §5.1:
@@ -317,27 +306,17 @@ func WithRecoveryParallelism(pi int) Option {
 	return func(c *runtimeConfig) { c.recoveryPi = pi; c.recoveryPiSet = true }
 }
 
-// WithChannelBuffer sets the per-node input channel capacity of the
-// live engine. Live and Distributed runtimes (distributed workers run
-// live engines); the simulator's virtual time has no channels.
-func WithChannelBuffer(n int) Option {
-	return func(c *runtimeConfig) {
-		c.channelBuffer = n
-		c.restrict("WithChannelBuffer", "", "live", "dist")
-	}
-}
-
 // WithQueueBound bounds every operator node's input queue to n tuples
 // and sizes the credit ledgers of the end-to-end flow control: a sender
 // whose downstream queue is out of credits blocks (locally) or stalls
 // its per-link budget (across workers) instead of growing the queue, and
 // sources adaptively stretch their batch linger while credits are
-// scarce. 0 (the default) sizes the ledgers from the channel buffer.
+// scarce. Unset, the ledgers are sized from the engine's channel buffer.
 // Stalls surface in Metrics.Backpressure. Live and Distributed runtimes;
 // the simulator's virtual time has no queues to bound.
 func WithQueueBound(n int) Option {
 	return func(c *runtimeConfig) {
-		c.queueBound = n
+		c.engine.QueueBound = n
 		c.queueBoundSet = true
 		c.restrict("WithQueueBound", "", "live", "dist")
 	}
@@ -351,7 +330,7 @@ func WithQueueBound(n int) Option {
 // Live and Distributed runtimes; simulated state never leaves memory.
 func WithMemoryLimit(bytes int64) Option {
 	return func(c *runtimeConfig) {
-		c.memoryLimit = bytes
+		c.engine.MemoryLimit = bytes
 		c.memoryLimitSet = true
 		c.restrict("WithMemoryLimit", "", "live", "dist")
 	}
@@ -388,33 +367,6 @@ func WithVMPool(p PoolConfig) Option {
 	return func(c *runtimeConfig) {
 		c.pool = &p
 		c.restrict("WithVMPool", "", "sim")
-	}
-}
-
-// WithNetDelay sets the one-way network latency between simulated VMs.
-// Simulated runtime only.
-func WithNetDelay(d time.Duration) Option {
-	return func(c *runtimeConfig) {
-		c.netDelay = d
-		c.restrict("WithNetDelay", "", "sim")
-	}
-}
-
-// WithWindow bounds how long the upstream-backup and source-replay
-// baselines retain tuples. Simulated runtime only.
-func WithWindow(d time.Duration) Option {
-	return func(c *runtimeConfig) {
-		c.window = d
-		c.restrict("WithWindow", "", "sim")
-	}
-}
-
-// WithVMCapacity sets the CPU capacity of statically deployed simulated
-// VMs. Simulated runtime only.
-func WithVMCapacity(capacity float64) Option {
-	return func(c *runtimeConfig) {
-		c.vmCapacity = capacity
-		c.restrict("WithVMCapacity", "", "sim")
 	}
 }
 
@@ -465,17 +417,6 @@ func WithTopologyName(name string) Option {
 	return func(c *runtimeConfig) {
 		c.topoName = name
 		c.restrict("WithTopologyName", "", "dist")
-	}
-}
-
-// WithPayloadCodec sets the fallback codec for tuple payloads whose
-// type has no RegisterPayloadType tag, on the wire and in shipped
-// checkpoints (default: gob over gob-registered concrete types).
-// Distributed runtime only.
-func WithPayloadCodec(codec PayloadCodec) Option {
-	return func(c *runtimeConfig) {
-		c.payloadCodec = codec
-		c.restrict("WithPayloadCodec", "", "dist")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"seep/internal/engine"
 	"seep/internal/metrics"
 	"seep/internal/sim"
+	"seep/internal/state"
 	"seep/internal/transport"
 )
 
@@ -138,8 +139,9 @@ type (
 	// Summary is a latency-distribution snapshot (count, mean, tail
 	// percentiles) in milliseconds.
 	Summary = metrics.Summary
-	// RecoveryRecord documents one completed recovery or scale out.
-	RecoveryRecord = sim.RecoveryRecord
+	// RecoveryRecord documents one completed recovery, scale out or
+	// merge, as the query manager recorded it.
+	RecoveryRecord = core.Record
 	// CheckpointStats tallies full and incremental checkpoint traffic
 	// into the backup store (counts and serialised bytes).
 	CheckpointStats = core.ShipStats
@@ -177,7 +179,9 @@ type Metrics struct {
 	// partitioned instances.
 	Parallelism map[OpID]int
 	// Recoveries lists completed recoveries, scale outs and merges
-	// (Merge records), oldest first.
+	// (Merge records), oldest first — the query manager's own record of
+	// every transition, policy-driven ones included, identical in content
+	// on all three substrates.
 	Recoveries []RecoveryRecord
 	// Merges counts completed scale-in merges.
 	Merges uint64
@@ -210,6 +214,23 @@ const (
 	defaultDetectDelay    = 500 * time.Millisecond
 )
 
+// engineConfig is the engine configuration Live runs and Distributed
+// forwards to every worker: the settings the options made, with the
+// wall-clock checkpoint default.
+func (c *runtimeConfig) engineConfig() engine.Config {
+	cfg := c.engine
+	if !c.checkpointSet {
+		cfg.CheckpointInterval = defaultLiveCheckpoint
+	}
+	// WithDeltaCheckpoints (Distributed only) arms the default epoch —
+	// a full snapshot every 10th checkpoint, deltas capped at half the
+	// base — unless WithIncrementalCheckpoints supplied an explicit one.
+	if c.deltaWireSet && !c.deltaSet {
+		cfg.Delta = state.DeltaPolicy{FullEvery: 10, MaxDeltaFraction: 0.5}
+	}
+	return cfg
+}
+
 // Live returns the live-engine runtime: operator instances run as
 // goroutines connected by channels under wall-clock time, with periodic
 // checkpointing (default every 500 ms; WithCheckpointInterval(0)
@@ -239,40 +260,21 @@ func (r *liveRuntime) Deploy(t *Topology) (Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	checkpoint := defaultLiveCheckpoint
-	if r.cfg.checkpointSet {
-		checkpoint = r.cfg.checkpoint
-	}
-	eng, err := engine.New(engine.Config{
-		CheckpointInterval: checkpoint,
-		TimerInterval:      r.cfg.timer,
-		ChannelBuffer:      r.cfg.channelBuffer,
-		BatchSize:          r.cfg.batchSize,
-		BatchLinger:        r.cfg.batchLinger,
-		QueueBound:         r.cfg.queueBound,
-		MemoryLimit:        r.cfg.memoryLimit,
-		Delta:              r.cfg.delta,
-	}, q, factories)
+	eng, err := engine.New(r.cfg.engineConfig(), q, factories)
 	if err != nil {
 		return nil, err
 	}
 	if r.cfg.policy != nil {
-		eng.EnablePolicy(*r.cfg.policy, nil)
-		if r.cfg.scaleIn != nil {
-			eng.EnableScaleIn(*r.cfg.scaleIn)
-		}
+		eng.EnablePolicy(*r.cfg.policy, r.cfg.scaleIn)
 	}
 	j := &liveJob{
 		eng:        eng,
 		detect:     defaultDetectDelay,
-		recoveryPi: 1,
+		recoveryPi: max(r.cfg.recoveryPi, 1),
 		stop:       make(chan struct{}),
 	}
 	if r.cfg.detect > 0 {
 		j.detect = r.cfg.detect
-	}
-	if r.cfg.recoveryPi > 0 {
-		j.recoveryPi = r.cfg.recoveryPi
 	}
 	return j, nil
 }
@@ -324,7 +326,7 @@ func (j *liveJob) Run(d time.Duration) {
 }
 
 func (j *liveJob) AddSource(op OpID, rate RateFunc, gen Generator) error {
-	inst, err := j.sourceInstance(op)
+	inst, err := sourceInstance(j.eng.Manager(), op)
 	if err != nil {
 		return err
 	}
@@ -332,19 +334,11 @@ func (j *liveJob) AddSource(op OpID, rate RateFunc, gen Generator) error {
 }
 
 func (j *liveJob) InjectBatch(op OpID, count int, gen Generator) error {
-	inst, err := j.sourceInstance(op)
+	inst, err := sourceInstance(j.eng.Manager(), op)
 	if err != nil {
 		return err
 	}
 	return j.eng.InjectBatch(inst, count, gen)
-}
-
-func (j *liveJob) sourceInstance(op OpID) (InstanceID, error) {
-	insts := j.eng.Manager().Instances(op)
-	if len(insts) == 0 {
-		return InstanceID{}, fmt.Errorf("seep: no instances of operator %q", op)
-	}
-	return insts[0], nil
 }
 
 func (j *liveJob) Fail(inst InstanceID) error {
@@ -413,30 +407,16 @@ func (j *liveJob) MetricsSnapshot() Metrics {
 	errs := make([]string, len(j.errs))
 	copy(errs, j.errs)
 	j.mu.Unlock()
-	// The engine records every replace itself — including scale-outs
-	// triggered by the scaling policy — so nothing is missed here.
-	engRecs := j.eng.Recoveries()
-	recs := make([]RecoveryRecord, len(engRecs))
-	for i, r := range engRecs {
-		recs[i] = RecoveryRecord{
-			Victim:         r.Victim,
-			Pi:             r.Pi,
-			Failure:        r.Failure,
-			StartedAt:      r.StartedAt,
-			CompletedAt:    r.CompletedAt,
-			ReplayedTuples: r.ReplayedTuples,
-			Merge:          r.Merge,
-		}
-	}
+	mgr := j.eng.Manager()
 	return Metrics{
 		ElapsedMillis:     j.eng.NowMillis(),
 		SinkTuples:        j.eng.SinkCount.Value(),
 		DuplicatesDropped: j.eng.DupDropped.Value(),
 		Latency:           j.eng.Latency.Summarize(),
-		Parallelism:       parallelismOf(j.eng.Manager().Query(), func(op OpID) int { return j.eng.Manager().Parallelism(op) }),
-		Recoveries:        recs,
-		Merges:            j.eng.Merges(),
-		Checkpoints:       j.eng.Manager().Backups().ShipStats(),
+		Parallelism:       parallelismOf(mgr),
+		Recoveries:        mgr.Records(),
+		Merges:            mgr.Merges(),
+		Checkpoints:       mgr.Backups().ShipStats(),
 		Backpressure:      j.eng.BackpressureSnapshot(),
 		Errors:            errs,
 	}
@@ -457,7 +437,7 @@ func (r *simRuntime) Deploy(t *Topology) (Job, error) {
 	// On the live engine 0 disables checkpointing; the simulator has no
 	// such setting (disable via WithFTMode(FTNone)), so an explicit 0
 	// must not silently coerce to the 5 s simulator default.
-	if r.cfg.checkpointSet && r.cfg.checkpoint == 0 {
+	if r.cfg.checkpointSet && r.cfg.engine.CheckpointInterval == 0 {
 		return nil, fmt.Errorf("seep: WithCheckpointInterval(0) is not supported by the Simulated runtime; use WithFTMode(FTNone) to disable checkpointing")
 	}
 	q, factories, err := t.built()
@@ -477,14 +457,11 @@ func (r *simRuntime) Deploy(t *Topology) (Job, error) {
 	cfg := sim.Config{
 		Seed:                     r.cfg.seed,
 		Mode:                     mode,
-		CheckpointIntervalMillis: r.cfg.checkpoint.Milliseconds(),
-		WindowMillis:             r.cfg.window.Milliseconds(),
-		NetDelayMillis:           r.cfg.netDelay.Milliseconds(),
-		TimerMillis:              r.cfg.timer.Milliseconds(),
+		CheckpointIntervalMillis: r.cfg.engine.CheckpointInterval.Milliseconds(),
+		TimerMillis:              r.cfg.engine.TimerInterval.Milliseconds(),
 		DetectDelayMillis:        r.cfg.detect.Milliseconds(),
-		VMCapacity:               r.cfg.vmCapacity,
 		RecoveryParallelism:      r.cfg.recoveryPi,
-		Delta:                    r.cfg.delta,
+		Delta:                    r.cfg.engine.Delta,
 	}
 	if r.cfg.pool != nil {
 		cfg.Pool = *r.cfg.pool
@@ -494,10 +471,7 @@ func (r *simRuntime) Deploy(t *Topology) (Job, error) {
 		return nil, err
 	}
 	if r.cfg.policy != nil {
-		c.EnablePolicy(*r.cfg.policy)
-		if r.cfg.scaleIn != nil {
-			c.EnableElasticity(*r.cfg.scaleIn)
-		}
+		c.EnablePolicy(*r.cfg.policy, r.cfg.scaleIn)
 	}
 	return &simJob{c: c}, nil
 }
@@ -517,7 +491,7 @@ func (j *simJob) Run(d time.Duration) {
 }
 
 func (j *simJob) AddSource(op OpID, rate RateFunc, gen Generator) error {
-	inst, err := j.sourceInstance(op)
+	inst, err := sourceInstance(j.c.Manager(), op)
 	if err != nil {
 		return err
 	}
@@ -525,19 +499,11 @@ func (j *simJob) AddSource(op OpID, rate RateFunc, gen Generator) error {
 }
 
 func (j *simJob) InjectBatch(op OpID, count int, gen Generator) error {
-	inst, err := j.sourceInstance(op)
+	inst, err := sourceInstance(j.c.Manager(), op)
 	if err != nil {
 		return err
 	}
 	return j.c.InjectBatch(inst, count, gen)
-}
-
-func (j *simJob) sourceInstance(op OpID) (InstanceID, error) {
-	insts := j.c.Manager().Instances(op)
-	if len(insts) == 0 {
-		return InstanceID{}, fmt.Errorf("seep: no instances of operator %q", op)
-	}
-	return insts[0], nil
 }
 
 func (j *simJob) Fail(inst InstanceID) error { return j.c.FailInstance(inst) }
@@ -558,23 +524,35 @@ func (j *simJob) OperatorOf(inst InstanceID) any {
 func (j *simJob) OnSink(fn func(t Tuple)) { j.c.OnSink = fn }
 
 func (j *simJob) MetricsSnapshot() Metrics {
+	mgr := j.c.Manager()
 	return Metrics{
 		ElapsedMillis:     j.c.Sim().Now(),
 		SinkTuples:        j.c.SinkCount.Value(),
 		DuplicatesDropped: j.c.DuplicatesDropped(),
 		Latency:           j.c.Latency.Summarize(),
-		Parallelism:       parallelismOf(j.c.Manager().Query(), func(op OpID) int { return j.c.Manager().Parallelism(op) }),
-		Recoveries:        j.c.Recoveries(),
-		Merges:            j.c.Merges(),
-		Checkpoints:       j.c.Manager().Backups().ShipStats(),
+		Parallelism:       parallelismOf(mgr),
+		Recoveries:        mgr.Records(),
+		Merges:            mgr.Merges(),
+		Checkpoints:       mgr.Backups().ShipStats(),
 		Errors:            j.c.RecoveryFailures(),
 	}
 }
 
-func parallelismOf(q *Query, parallelism func(OpID) int) map[OpID]int {
-	out := make(map[OpID]int, len(q.Ops()))
-	for _, op := range q.Ops() {
-		out[op] = parallelism(op)
+// sourceInstance resolves a source operator to its first instance
+// (sources are pinned).
+func sourceInstance(mgr *core.Manager, op OpID) (InstanceID, error) {
+	insts := mgr.Instances(op)
+	if len(insts) == 0 {
+		return InstanceID{}, fmt.Errorf("seep: no instances of operator %q", op)
+	}
+	return insts[0], nil
+}
+
+func parallelismOf(mgr *core.Manager) map[OpID]int {
+	ops := mgr.Query().Ops()
+	out := make(map[OpID]int, len(ops))
+	for _, op := range ops {
+		out[op] = mgr.Parallelism(op)
 	}
 	return out
 }

@@ -143,14 +143,14 @@ func TestRuntimeParityWordCount(t *testing.T) {
 // TestRuntimeRejectsForeignOptions: options restricted to one substrate
 // are a deploy error on the other, never a silent no-op.
 func TestRuntimeRejectsForeignOptions(t *testing.T) {
-	if _, err := seep.Live(seep.WithNetDelay(time.Millisecond)).Deploy(wordcountTopology()); err == nil {
-		t.Error("Live accepted WithNetDelay")
+	if _, err := seep.Live(seep.WithVMPool(seep.PoolConfig{Size: 2})).Deploy(wordcountTopology()); err == nil {
+		t.Error("Live accepted WithVMPool")
 	}
 	if _, err := seep.Live(seep.WithFTMode(seep.FTUpstreamBackup)).Deploy(wordcountTopology()); err == nil {
 		t.Error("Live accepted WithFTMode")
 	}
-	if _, err := seep.Simulated(seep.WithChannelBuffer(64)).Deploy(wordcountTopology()); err == nil {
-		t.Error("Simulated accepted WithChannelBuffer")
+	if _, err := seep.Simulated(seep.WithQueueBound(64)).Deploy(wordcountTopology()); err == nil {
+		t.Error("Simulated accepted WithQueueBound")
 	}
 	// Scale in without a scaling policy is meaningless.
 	if _, err := seep.Simulated(seep.WithScaleIn(seep.DefaultScaleInPolicy())).Deploy(wordcountTopology()); err == nil {

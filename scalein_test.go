@@ -55,6 +55,7 @@ func TestRuntimeParityGrowThenShrink(t *testing.T) {
 	}
 
 	results := make(map[string]map[string]int64)
+	books := make(map[string][]seep.RecoveryRecord)
 	for _, r := range runtimes {
 		t.Run(r.name, func(t *testing.T) {
 			job, err := r.rt.Deploy(wordcountTopology())
@@ -131,6 +132,7 @@ func TestRuntimeParityGrowThenShrink(t *testing.T) {
 				t.Errorf("Errors = %v", m.Errors)
 			}
 			results[r.name] = totals
+			books[r.name] = recordContent(m.Recoveries)
 		})
 	}
 
@@ -141,6 +143,22 @@ func TestRuntimeParityGrowThenShrink(t *testing.T) {
 	if !reflect.DeepEqual(live, sim) || !reflect.DeepEqual(live, dst) {
 		t.Errorf("behavioural divergence: live %v, sim %v, dist %v", live, sim, dst)
 	}
+	// One query manager keeps the books on every substrate: the same
+	// transitions leave the same records, clocks and replay sizes aside.
+	if !reflect.DeepEqual(books["live"], books["sim"]) || !reflect.DeepEqual(books["live"], books["dist"]) {
+		t.Errorf("records diverge: live %+v, sim %+v, dist %+v", books["live"], books["sim"], books["dist"])
+	}
+}
+
+// recordContent strips what legitimately differs between substrates —
+// the clock a record was stamped on and how many tuples happened to be
+// in flight — leaving which transition ran on what.
+func recordContent(recs []seep.RecoveryRecord) []seep.RecoveryRecord {
+	out := make([]seep.RecoveryRecord, len(recs))
+	for i, r := range recs {
+		out[i] = seep.RecoveryRecord{Victim: r.Victim, Pi: r.Pi, Failure: r.Failure, Merge: r.Merge}
+	}
+	return out
 }
 
 // TestDistributedMidShrinkWorkerKill races a worker kill against the
@@ -259,13 +277,13 @@ func TestOptionErrorsNameOptionAndSubstrates(t *testing.T) {
 			wantAll: []string{"WithFTMode", "Simulated"},
 		},
 		{
-			// WithChannelBuffer applies to Live AND Distributed (workers
-			// run live engines); the old message claimed Live only.
+			// WithQueueBound applies to Live AND Distributed (workers run
+			// live engines).
 			deploy: func() error {
-				_, err := seep.Simulated(seep.WithChannelBuffer(64)).Deploy(wordcountTopology())
+				_, err := seep.Simulated(seep.WithQueueBound(64)).Deploy(wordcountTopology())
 				return err
 			},
-			wantAll: []string{"WithChannelBuffer", "Live", "Distributed"},
+			wantAll: []string{"WithQueueBound", "Live", "Distributed"},
 		},
 		{
 			deploy: func() error {

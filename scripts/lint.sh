@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static gate, one command for CI and for hands:
-# gofmt, go vet, the import-direction and no-Deprecated: greps, and
-# seep-lint (the invariant suite in internal/analysis, run both
+# gofmt, go vet, the import-direction, no-Deprecated: and
+# every-option-has-a-caller greps, and seep-lint (the invariant suite in internal/analysis, run both
 # standalone and as the vet tool so each loading path stays honest). govulncheck runs when the binary is available; the container
 # image does not bake it in, so its absence is a skip, not a failure.
 set -euo pipefail
@@ -31,6 +31,21 @@ if grep -rn --include='*.go' 'Deprecated:' . --exclude-dir=testdata --exclude-di
   echo "Deprecated: markers found; delete the superseded API instead of deprecating it" >&2
   exit 1
 fi
+
+echo "== every option has a caller"
+# An option nothing sets is a configuration nothing tests (ROADMAP aim 2;
+# five were cut in PR 16 and must not regrow): each exported With*
+# constructor needs a call outside options.go and the tests — a command,
+# an example, the scenario runner or the benchmark. Deployment addresses
+# stay configurable without one.
+deployment='WithCoordinatorAddr WithStandbyAddr'
+for opt in $(grep -oE '^func With[A-Za-z]+' options.go | cut -d' ' -f2); do
+  case " $deployment " in *" $opt "*) continue ;; esac
+  if ! grep -rqE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build "seep\.$opt\(" .; then
+    echo "option $opt has no caller outside options.go and _test.go files; delete it or use it" >&2
+    exit 1
+  fi
+done
 
 echo "== seep-lint (standalone)"
 go run ./cmd/seep-lint ./...

@@ -257,12 +257,3 @@ func DefaultPolicy() Policy { return control.DefaultPolicy() }
 // DefaultScaleInPolicy returns conservative scale-in defaults
 // (low watermark 25%, k=3).
 func DefaultScaleInPolicy() ScaleInPolicy { return control.DefaultScaleInPolicy() }
-
-// Tuple-payload serialisation on the Distributed runtime.
-type (
-	// PayloadCodec serialises tuple payloads whose type has no
-	// RegisterPayloadType tag (see WithPayloadCodec).
-	PayloadCodec = state.PayloadCodec
-	// StringPayloadCodec handles string payloads.
-	StringPayloadCodec = state.StringPayloadCodec
-)
