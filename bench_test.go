@@ -13,6 +13,7 @@ package seep_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -238,11 +239,17 @@ func BenchmarkBoundedMemoryKeyedSum(b *testing.B) {
 // --- micro-benchmarks of the state management primitives ---
 
 func mkProcessing(keys, valueBytes int) *state.Processing {
-	p := state.NewProcessing(1)
-	for i := 0; i < keys; i++ {
-		v := make([]byte, valueBytes)
-		p.KV[stream.Key(stream.Mix64(uint64(i)))] = v
+	ks := make([]stream.Key, keys)
+	for i := range ks {
+		ks[i] = stream.Key(stream.Mix64(uint64(i)))
 	}
+	slices.Sort(ks)
+	var kv state.RunBuilder
+	for _, k := range ks {
+		kv.Append(k, make([]byte, valueBytes))
+	}
+	p := state.NewProcessing(1)
+	p.KV = kv.Run()
 	return p
 }
 
@@ -446,9 +453,7 @@ func BenchmarkCheckpointFullVsIncremental(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, v := range kv {
-				bytes += 8 + len(v)
-			}
+			bytes += kv.Size()
 		}
 		b.ReportMetric(float64(bytes)/float64(b.N), "shipped-B/op")
 	})
@@ -556,14 +561,15 @@ func BenchmarkWireCheckpointBytes(b *testing.B) {
 	b.ReportMetric(float64(fullBytes)/float64(deltaBytes), "full/delta-x")
 }
 
-// BenchmarkCheckpointShip is one full checkpoint's trip through the
-// codec and the backup host at steady-dist's shape — 100k int64 cells
-// plus the 25k tuples buffered over a 500 ms interval at 50k tuples/s:
-// encode at the worker, header-only store at the coordinator, and the
-// decode a later transition pays once. ns/op is per checkpoint; the
-// anchor in BENCH_checkpoint.json guards it (scripts/bench_guard.sh).
-// Per-tuple work in the buffer codec (the gob encoder per buffered tuple
-// this replaced) multiplies it several times over.
+// BenchmarkCheckpointShip is one full checkpoint's trip from the store
+// to a restorable backup at steady-dist's shape — 100k int64 cells plus
+// the 25k tuples buffered over a 500 ms interval at 50k tuples/s:
+// capture and encode at the worker, header-only store at the
+// coordinator, and the decode a later transition pays once. ns/op is per
+// checkpoint; the anchor in BENCH_checkpoint.json guards it
+// (scripts/bench_guard.sh). Per-key work in the capture (a map entry, an
+// encoder, a slice per key) or per-tuple work in the buffer codec
+// multiplies it several times over.
 func BenchmarkCheckpointShip(b *testing.B) {
 	const keys, buffered = 100_000, 25_000
 	codec := state.GobPayloadCodec{}
@@ -573,13 +579,8 @@ func BenchmarkCheckpointShip(b *testing.B) {
 	for i := 0; i < keys; i++ {
 		v.Set(stream.Key(stream.Mix64(uint64(i))), int64(i))
 	}
-	kv, err := s.TakeCheckpoint()
-	if err != nil {
-		b.Fatal(err)
-	}
 	cp := &state.Checkpoint{Instance: inst, Processing: state.NewProcessing(1), Buffer: state.NewBuffer(),
 		OutClock: buffered, Acks: map[plan.InstanceID]int64{host: buffered}}
-	cp.Processing.KV = kv
 	h := cp.Buffer.Handle(plan.InstanceID{Op: "sink", Part: 1})
 	for i := 0; i < buffered; i++ {
 		h.Append(stream.Tuple{TS: int64(i + 1), Key: stream.Key(stream.Mix64(uint64(i))), Born: int64(i / 50), Payload: int64(i) * 20_000})
@@ -589,6 +590,13 @@ func BenchmarkCheckpointShip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// One update per iteration, so the store is never trivially clean.
+		v.Update(stream.Key(stream.Mix64(uint64(i%keys))), func(x int64) int64 { return x + 1 })
+		kv, err := s.TakeCheckpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp.Processing.KV = kv
 		cp.Seq = uint64(i + 1)
 		blob, err := state.MarshalCheckpoint(cp, codec)
 		if err != nil {

@@ -27,11 +27,13 @@ func wordQuery() *plan.Query {
 
 func mkCheckpoint(owner plan.InstanceID, nkeys int) *state.Checkpoint {
 	p := state.NewProcessing(1)
+	var kv state.RunBuilder
 	for i := 0; i < nkeys; i++ {
 		// Spread keys over the space deterministically.
 		k := stream.Key(uint64(i) * (^uint64(0) / uint64(nkeys)))
-		p.KV[k] = []byte{byte(i)}
+		kv.Append(k, []byte{byte(i)})
 	}
+	p.KV = kv.Run()
 	p.TS[0] = int64(nkeys)
 	return &state.Checkpoint{
 		Instance:   owner,
@@ -233,11 +235,13 @@ func TestPlanShapes(t *testing.T) {
 				OutClock:   int64(100 * (i + 1)),
 				Acks:       map[plan.InstanceID]int64{up: int64(10 + i)},
 			}
+			var kv state.RunBuilder
 			for j := 0; j < 6; j++ {
 				k := kr.Lo + stream.Key(uint64(j)*(kr.Width()/6))
-				cp.Processing.KV[k] = []byte{byte(j)}
+				kv.Append(k, []byte{byte(j)})
 				cp.Buffer.Append(inst("sink", 1), stream.Tuple{TS: int64(j + 1), Key: k})
 			}
+			cp.Processing.KV = kv.Run()
 			host, _ := m.BackupTarget(v)
 			if err := m.Backups().Store(host, cp); err != nil {
 				t.Fatal(err)
@@ -305,7 +309,7 @@ func TestPlanShapes(t *testing.T) {
 				if !ok {
 					t.Fatalf("%v has no routing entry", ni)
 				}
-				for k := range tp.Checkpoints[i].Processing.KV {
+				for k := range tp.Checkpoints[i].Processing.KV.All() {
 					keys++
 					if !kr.Contains(k) {
 						t.Errorf("key %d outside %v's range %v", k, ni, kr)
@@ -521,7 +525,7 @@ func TestPlanRecoveryFallbackGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rp.Checkpoints[0].Processing.KV); got != 4 {
+	if got := rp.Checkpoints[0].Processing.Len(); got != 4 {
 		t.Errorf("recovered checkpoint has %d keys, want 4 (real state)", got)
 	}
 }
@@ -538,7 +542,7 @@ func TestPlanRecoveryEmptyFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rp.Checkpoints[0].Processing.KV); got != 0 {
+	if got := rp.Checkpoints[0].Processing.Len(); got != 0 {
 		t.Errorf("empty-state recovery has %d keys", got)
 	}
 }
@@ -553,12 +557,14 @@ func TestBackupStoreApplyDelta(t *testing.T) {
 	base := mkCheckpoint(owner, 4)
 
 	mkDelta := func(baseSeq, seq uint64) *state.DeltaCheckpoint {
+		var changed state.RunBuilder
+		changed.Append(7, []byte{42})
 		return &state.DeltaCheckpoint{
 			Instance: owner,
 			Delta: &state.Delta{
 				Base:    baseSeq,
 				Seq:     seq,
-				Changed: map[stream.Key][]byte{7: {42}},
+				Changed: changed.Run(),
 				Deleted: []stream.Key{0},
 				TS:      stream.TSVector{int64(seq)},
 			},
@@ -597,14 +603,14 @@ func TestBackupStoreApplyDelta(t *testing.T) {
 	if cp.Seq != 3 || cp.OutClock != 30 {
 		t.Errorf("folded seq/clock = %d/%d", cp.Seq, cp.OutClock)
 	}
-	if v, ok := cp.Processing.KV[7]; !ok || v[0] != 42 {
+	if v, ok := cp.Processing.KV.Get(7); !ok || v[0] != 42 {
 		t.Error("changed key not folded")
 	}
-	if _, ok := cp.Processing.KV[0]; ok {
+	if _, ok := cp.Processing.KV.Get(0); ok {
 		t.Error("deleted key survived the fold")
 	}
 	// The original base was never mutated (planners may hold it).
-	if _, ok := base.Processing.KV[0]; !ok || base.Seq != 1 {
+	if _, ok := base.Processing.KV.Get(0); !ok || base.Seq != 1 {
 		t.Error("stored base mutated in place")
 	}
 	ship := s.ShipStats()

@@ -82,9 +82,11 @@ func TestBackupStoreKeepsBytesUntilAsked(t *testing.T) {
 		t.Error("second Latest decoded again instead of reusing the first result")
 	}
 
+	var changed state.RunBuilder
+	changed.Append(5, []byte{1})
 	dc := &state.DeltaCheckpoint{
 		Instance: owner,
-		Delta:    &state.Delta{Base: 3, Seq: 4, Changed: map[stream.Key][]byte{5: {1}}, TS: stream.TSVector{9}},
+		Delta:    &state.Delta{Base: 3, Seq: 4, Changed: changed.Run(), TS: stream.TSVector{9}},
 		Buffer:   state.NewBuffer(),
 	}
 	h, blob, _ = shippedBlob(t, owner, 3)
@@ -95,7 +97,7 @@ func TestBackupStoreKeepsBytesUntilAsked(t *testing.T) {
 	if err := fresh.ApplyDelta(host, dc); err != nil {
 		t.Fatalf("delta onto an encoded base: %v", err)
 	}
-	if folded, _, ok := fresh.Latest(owner); !ok || folded.Seq != 4 || folded.Processing.KV[5] == nil {
+	if folded, _, ok := fresh.Latest(owner); !ok || folded.Seq != 4 || !hasKey(folded.Processing.KV, 5) {
 		t.Errorf("fold over an encoded base = %+v %v", folded, ok)
 	}
 	fresh.Delete(owner)
@@ -195,4 +197,9 @@ func TestDurableStoreWritesTheShippedBytes(t *testing.T) {
 	if fromDisk, err := s2.Load(owner); err != nil || fromDisk.Seq != 5 {
 		t.Errorf("Load = %+v, %v", fromDisk, err)
 	}
+}
+
+func hasKey(r state.Run, k stream.Key) bool {
+	_, ok := r.Get(k)
+	return ok
 }

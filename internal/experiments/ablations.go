@@ -32,14 +32,14 @@ func AblationBackupPlacement() (*Table, error) {
 		ups[i] = plan.InstanceID{Op: "split", Part: i + 1}
 	}
 	mkcp := func(part int) *state.Checkpoint {
-		p := state.NewProcessing(1)
+		var kv state.RunBuilder
 		for k := 0; k < 64; k++ {
-			p.KV[stream.Key(stream.Mix64(uint64(part*1000+k)))] = make([]byte, 128)
+			kv.Append(stream.Key(part*1000+k), make([]byte, 128))
 		}
 		return &state.Checkpoint{
 			Instance:   plan.InstanceID{Op: "count", Part: part},
 			Seq:        1,
-			Processing: p,
+			Processing: &state.Processing{KV: kv.Run(), TS: stream.NewTSVector(1)},
 			Buffer:     state.NewBuffer(),
 		}
 	}

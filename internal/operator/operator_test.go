@@ -135,7 +135,7 @@ func TestWordCounterSnapshotRestore(t *testing.T) {
 	for _, word := range []string{"x", "y", "x", "z", "x"} {
 		w.OnTuple(Context{}, wcTuple(word), c.emitter())
 	}
-	kv, err := w.State().Snapshot()
+	kv, err := w.State().TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestKeyedSum(t *testing.T) {
 		t.Errorf("emitted %d", len(c.payloads))
 	}
 
-	kv, err := s.State().Snapshot()
+	kv, err := s.State().TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestTopKReducer(t *testing.T) {
 	}
 
 	// Snapshot / restore.
-	kv, err := r.State().Snapshot()
+	kv, err := r.State().TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestTopKMerger(t *testing.T) {
 		t.Errorf("merged ranking = %v", final)
 	}
 
-	kv, err := m.State().Snapshot()
+	kv, err := m.State().TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestWindowJoinSnapshotRestore(t *testing.T) {
 	j.OnTuple(Context{Now: 5, Input: 0}, stream.Tuple{Key: 1, Payload: "L1"}, em)
 	j.OnTuple(Context{Now: 6, Input: 0}, stream.Tuple{Key: 2, Payload: "L2"}, em)
 
-	kv, err := j.State().Snapshot()
+	kv, err := j.State().TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // reporting success — the get/set-processing-state cycle every recovery
 // rests on.
 func roundTrip(src, dst Managed) bool {
-	kv, err := src.State().Snapshot()
+	kv, err := src.State().TakeCheckpoint()
 	if err != nil {
 		return false
 	}

@@ -17,8 +17,10 @@ import (
 // Tuples per target are kept in emission (timestamp) order, so the
 // acknowledgement-driven trims locate the cut with a binary search and
 // advance a head index instead of reslicing — amortised O(1) per tuple
-// across the append/trim lifecycle, with periodic compaction bounding
-// retained garbage to at most the live tuple count.
+// across the append/trim lifecycle. Compaction keeps memory proportional
+// to what the target needs now: trimmed slots are at most half the
+// window, and a backing array a burst grew is given back once it is more
+// than twice the live window plus one inter-trim volume.
 //
 // Buffer is not safe for concurrent use; the owning node serialises
 // access.
@@ -35,6 +37,10 @@ type Buffer struct {
 type targetBuf struct {
 	buf  []stream.Tuple
 	head int
+	// lastTrim is how many tuples the previous trim discarded: the
+	// estimate of what arrives before the next one, which compact leaves
+	// room for so a steady append/trim cycle never reallocates.
+	lastTrim int
 }
 
 func (tb *targetBuf) live() []stream.Tuple { return tb.buf[tb.head:] }
@@ -54,35 +60,40 @@ func (tb *targetBuf) trim(ts int64) int {
 		tb.buf[j] = stream.Tuple{}
 	}
 	tb.head += i
-	tb.compact()
+	tb.compact(i)
 	return i
 }
 
-// compact slides the live window to the front once trimmed slots make up
-// at least half of the backing array, so memory stays proportional to
-// the live tuple count without paying a copy on every trim.
-func (tb *targetBuf) compact() {
-	if tb.head < 64 || tb.head*2 < len(tb.buf) {
-		return
+// bufSlack is the capacity compact grants beyond its estimate, so tiny
+// windows are not reallocated over a handful of slots.
+const bufSlack = 64
+
+// compact runs after a trim that discarded trimmed tuples. The capacity
+// the target needs is room for its live window to double plus what the
+// previous inter-trim interval appended; a backing array more than twice
+// that (a burst grew it) is replaced by one that fits, returning the
+// rest to the allocator. Otherwise the live window slides to the front
+// once trimmed slots make up at least half of the array, so no trim
+// pays a copy for a few slots.
+func (tb *targetBuf) compact(trimmed int) {
+	live := tb.live()
+	need := 2*len(live) + tb.lastTrim + bufSlack
+	tb.lastTrim = trimmed
+	switch {
+	case cap(tb.buf) > 2*need:
+		tb.buf = append(make([]stream.Tuple, 0, need), live...)
+		tb.head = 0
+	case tb.head >= 64 && tb.head*2 >= len(tb.buf):
+		n := copy(tb.buf, live)
+		clear(tb.buf[n:])
+		tb.buf = tb.buf[:n]
+		tb.head = 0
 	}
-	n := copy(tb.buf, tb.buf[tb.head:])
-	tail := tb.buf[n:]
-	for i := range tail {
-		tail[i] = stream.Tuple{}
-	}
-	tb.buf = tb.buf[:n]
-	tb.head = 0
 }
 
-// reset drops all tuples but keeps the struct (and any handles to it)
-// valid.
-func (tb *targetBuf) reset() {
-	for i := range tb.buf {
-		tb.buf[i] = stream.Tuple{}
-	}
-	tb.buf = tb.buf[:0]
-	tb.head = 0
-}
+// reset drops all tuples, and the backing array with them, but keeps the
+// struct (and any handles to it) valid.
+func (tb *targetBuf) reset() { *tb = targetBuf{} }
 
 // NewBuffer returns an empty output buffer.
 func NewBuffer() *Buffer {
@@ -220,7 +231,7 @@ func (b *Buffer) TrimBornBefore(cutoff int64) int {
 			live[i] = stream.Tuple{}
 		}
 		tb.buf = tb.buf[:tb.head+len(kept)]
-		tb.compact()
+		tb.compact(len(live) - len(kept))
 	}
 	return n
 }

@@ -201,3 +201,98 @@ func TestTuplesForOpDeterministicTies(t *testing.T) {
 		t.Fatalf("merged order = %+v", got)
 	}
 }
+
+// TestBufferCapacityGivenBack: a backing array that a burst grew returns
+// to the allocator once the burst is trimmed — through the same
+// targetBuf, so handles keep working — and neither a clone nor a reset
+// of the once-huge buffer inherits the capacity.
+func TestBufferCapacityGivenBack(t *testing.T) {
+	const burst, live = 1_000_000, 1_000
+	b := NewBuffer()
+	d1 := inst("count", 1)
+	h := b.Handle(d1)
+	for ts := int64(1); ts <= burst; ts++ {
+		h.Append(stream.Tuple{TS: ts, Key: stream.Key(ts)})
+	}
+	tb := b.perTarget[d1]
+	if cap(tb.buf) < burst {
+		t.Fatalf("burst of %d grew the array to %d slots only", burst, cap(tb.buf))
+	}
+	if n := b.TrimInstance(d1, burst-live); n != burst-live {
+		t.Fatalf("trimmed %d, want %d", n, burst-live)
+	}
+	if c := cap(tb.buf); c > 4*live+2*bufSlack {
+		t.Errorf("after trimming to %d live tuples the array still has %d slots", live, c)
+	}
+	h.Append(stream.Tuple{TS: burst + 1, Key: 1})
+	if h.tb != b.perTarget[d1] || b.LenFor(d1) != live+1 {
+		t.Errorf("handle detached by compaction: %d live tuples, want %d", b.LenFor(d1), live+1)
+	}
+	if got := b.Tuples(d1); got[0].TS != burst-live+1 || got[live].TS != burst+1 {
+		t.Errorf("live window after compaction is [%d..%d]", got[0].TS, got[live].TS)
+	}
+	if c := cap(b.Clone().perTarget[d1].buf); c > live+1 {
+		t.Errorf("clone of %d tuples has %d slots", live+1, c)
+	}
+
+	// The same burst without a trim: DropOp resets the storage in place.
+	for ts := int64(burst + 2); ts <= 2*burst; ts++ {
+		h.Append(stream.Tuple{TS: ts, Key: stream.Key(ts)})
+	}
+	b.DropOp("count")
+	if c := cap(tb.buf); c != 0 || h.tb != tb {
+		t.Errorf("reset kept %d slots (same storage: %v)", c, h.tb == tb)
+	}
+}
+
+// TestBufferCapacitySteadyCycle pins the amortised cost: append/trim
+// cycles of a steady shape reallocate nothing once the array fits a
+// cycle — giving capacity back must not turn every checkpoint interval
+// into a regrowth — and a cycle that follows a burst reallocates at most
+// once, to shrink.
+func TestBufferCapacitySteadyCycle(t *testing.T) {
+	const perCycle = 25_000 // steady-live: 50k tuples/s, 500 ms checkpoints
+	// residue: tuples emitted after the checkpoint, which its trim leaves.
+	for _, residue := range []int64{0, 400} {
+		b := NewBuffer()
+		d1 := inst("count", 1)
+		h := b.Handle(d1)
+		tb := b.perTarget[d1]
+		ts := int64(0)
+		cycle := func(n int) (reallocs int) {
+			for i := 0; i < n; i++ {
+				before := cap(tb.buf)
+				ts++
+				h.Append(stream.Tuple{TS: ts, Key: stream.Key(ts)})
+				if cap(tb.buf) != before {
+					reallocs++
+				}
+			}
+			before := cap(tb.buf)
+			b.TrimInstance(d1, ts-residue)
+			if cap(tb.buf) != before {
+				reallocs++
+			}
+			return reallocs
+		}
+		cycle(perCycle) // growth from empty
+		cycle(perCycle)
+		for i := 0; i < 10; i++ {
+			if n := cycle(perCycle); n != 0 {
+				t.Fatalf("residue %d: steady cycle %d reallocated %d times", residue, i, n)
+			}
+		}
+		cycle(40 * perCycle) // a burst
+		if n := cycle(perCycle); n > 1 {
+			t.Fatalf("residue %d: the cycle after a burst reallocated %d times", residue, n)
+		}
+		if c := cap(tb.buf); c > 4*perCycle {
+			t.Errorf("residue %d: a cycle after the burst the array still has %d slots", residue, c)
+		}
+		for i := 0; i < 10; i++ {
+			if n := cycle(perCycle); n != 0 {
+				t.Fatalf("residue %d: steady cycle %d after the burst reallocated %d times", residue, i, n)
+			}
+		}
+	}
+}

@@ -70,7 +70,7 @@ func TestPartitionCheckpoint(t *testing.T) {
 		if !p.Processing.TS.Equal(c.Processing.TS) {
 			t.Errorf("part %d TS = %v", i, p.Processing.TS)
 		}
-		for k := range p.Processing.KV {
+		for k := range p.Processing.KV.All() {
 			if !ranges[i].Contains(k) {
 				t.Errorf("part %d holds key %d outside %v", i, k, ranges[i])
 			}

@@ -18,6 +18,24 @@ type Codec[T any] interface {
 	Decode([]byte) (T, error)
 }
 
+// appender is the capture fast path a codec may offer besides Codec:
+// append v's encoding — the bytes Encode returns — to dst, so a
+// checkpoint's cells write into one body instead of allocating a slice
+// per value. The fixed-layout codecs of this package implement it.
+type appender[T any] interface {
+	appendTo(dst []byte, v T) []byte
+}
+
+// appendValue appends v's encoding to dst through fast when the codec
+// has one (nil otherwise), else through Encode.
+func appendValue[T any](c Codec[T], fast appender[T], dst []byte, v T) ([]byte, error) {
+	if fast != nil {
+		return fast.appendTo(dst, v), nil
+	}
+	b, err := c.Encode(v)
+	return append(dst, b...), err
+}
+
 // GobCodec serialises values with encoding/gob — the default codec for
 // cells registered without one. Suitable for concrete types; note that
 // gob's map encoding order is not deterministic, so prefer JSONCodec (or
@@ -74,8 +92,10 @@ func (c CodecFunc[T]) Decode(b []byte) (T, error) { return c.Dec(b) }
 type Int64Codec struct{}
 
 // Encode implements Codec.
-func (Int64Codec) Encode(v int64) ([]byte, error) {
-	return binary.LittleEndian.AppendUint64(nil, uint64(v)), nil
+func (c Int64Codec) Encode(v int64) ([]byte, error) { return c.appendTo(nil, v), nil }
+
+func (Int64Codec) appendTo(dst []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, uint64(v))
 }
 
 // Decode implements Codec.
@@ -91,8 +111,10 @@ func (Int64Codec) Decode(b []byte) (int64, error) {
 type Float64Codec struct{}
 
 // Encode implements Codec.
-func (Float64Codec) Encode(v float64) ([]byte, error) {
-	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)), nil
+func (c Float64Codec) Encode(v float64) ([]byte, error) { return c.appendTo(nil, v), nil }
+
+func (Float64Codec) appendTo(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 // Decode implements Codec.
@@ -108,6 +130,8 @@ type StringCodec struct{}
 
 // Encode implements Codec.
 func (StringCodec) Encode(v string) ([]byte, error) { return []byte(v), nil }
+
+func (StringCodec) appendTo(dst []byte, v string) []byte { return append(dst, v...) }
 
 // Decode implements Codec.
 func (StringCodec) Decode(b []byte) (string, error) { return string(b), nil }

@@ -30,8 +30,9 @@ const maxDeltaBodyBytes = 64 << 20
 // says whether it is stored raw or flate-compressed. Compression is
 // attempted only when compress is set and kept only when it actually
 // shrinks the body, so a decoder never pays inflation for
-// incompressible state. Changed and deleted keys are written in sorted
-// order, making the encoding byte-deterministic for a given value.
+// incompressible state. Changed keys are a sorted run and deleted keys
+// are written in sorted order, making the encoding byte-deterministic
+// for a given value.
 func EncodeDeltaCheckpoint(e *stream.Encoder, dc *DeltaCheckpoint, codec PayloadCodec, compress bool) error {
 	if dc == nil || dc.Delta == nil {
 		return fmt.Errorf("state: delta checkpoint missing delta")
@@ -104,15 +105,10 @@ func encodeDeltaBody(e *stream.Encoder, dc *DeltaCheckpoint, codec PayloadCodec)
 	e.Uint64(dl.Base)
 	e.Uint64(dl.Seq)
 	e.TSVector(dl.TS)
-	keys := make([]stream.Key, 0, len(dl.Changed))
-	for k := range dl.Changed {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	e.Uint32(uint32(len(keys)))
-	for _, k := range keys {
+	e.Uint32(uint32(dl.Changed.Len()))
+	for k, v := range dl.Changed.All() {
 		e.Uvarint(uint64(k))
-		e.BytesV(dl.Changed[k])
+		e.BytesV(v)
 	}
 	del := slices.Clone(dl.Deleted)
 	slices.Sort(del)
@@ -143,19 +139,23 @@ func decodeDeltaBody(d *stream.Decoder, codec PayloadCodec) (*DeltaCheckpoint, e
 	if nChanged < 0 || nChanged > d.Remaining()/2+1 {
 		return nil, fmt.Errorf("state: delta with %d changed keys exceeds body", nChanged)
 	}
-	if nChanged > 0 {
-		dc.Delta.Changed = make(map[stream.Key][]byte, nChanged)
-		for i := 0; i < nChanged; i++ {
-			k := stream.Key(d.Uvarint())
-			v := d.BytesV()
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			dc.Delta.Changed[k] = cp
+	// The wire's varint records become the run's fixed-width ones: the
+	// one copy a delta's values take.
+	var changed RunBuilder
+	var prev stream.Key
+	for i := 0; i < nChanged; i++ {
+		k := stream.Key(d.Uvarint())
+		v := d.BytesV()
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
+		if i > 0 && k <= prev {
+			return nil, fmt.Errorf("state: delta changed key %d after %d: keys must strictly ascend", k, prev)
+		}
+		changed.Append(k, v)
+		prev = k
 	}
+	dc.Delta.Changed = changed.Run()
 	nDeleted := int(d.Uint32())
 	if err := d.Err(); err != nil {
 		return nil, err

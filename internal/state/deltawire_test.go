@@ -2,6 +2,8 @@ package state
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,11 +20,11 @@ func testDeltaCheckpoint() *DeltaCheckpoint {
 		Delta: &Delta{
 			Base: 4,
 			Seq:  5,
-			Changed: map[stream.Key][]byte{
+			Changed: runOf(map[stream.Key][]byte{
 				7:   []byte("seven"),
 				2:   []byte("two"),
 				900: {},
-			},
+			}),
 			Deleted: []stream.Key{11, 1},
 			TS:      stream.TSVector{42, 40},
 		},
@@ -43,12 +45,12 @@ func deltaEqual(t *testing.T, got, want *DeltaCheckpoint) {
 	if got.Delta.Base != want.Delta.Base || got.Delta.Seq != want.Delta.Seq {
 		t.Fatalf("seq %d/%d want %d/%d", got.Delta.Base, got.Delta.Seq, want.Delta.Base, want.Delta.Seq)
 	}
-	if len(got.Delta.Changed) != len(want.Delta.Changed) {
-		t.Fatalf("changed %d want %d", len(got.Delta.Changed), len(want.Delta.Changed))
+	if got.Delta.Changed.Len() != want.Delta.Changed.Len() {
+		t.Fatalf("changed %d want %d", got.Delta.Changed.Len(), want.Delta.Changed.Len())
 	}
-	for k, v := range want.Delta.Changed {
-		if !bytes.Equal(got.Delta.Changed[k], v) {
-			t.Fatalf("changed[%d] = %q want %q", k, got.Delta.Changed[k], v)
+	for k, v := range want.Delta.Changed.All() {
+		if g, _ := got.Delta.Changed.Get(k); !bytes.Equal(g, v) {
+			t.Fatalf("changed[%d] = %q want %q", k, g, v)
 		}
 	}
 	if len(got.Delta.Deleted) != len(want.Delta.Deleted) {
@@ -106,10 +108,11 @@ func TestDeltaCheckpointDeterministic(t *testing.T) {
 func TestDeltaCheckpointCompressionShrinks(t *testing.T) {
 	dc := testDeltaCheckpoint()
 	// Highly compressible state: one repeated byte pattern per key.
-	dc.Delta.Changed = map[stream.Key][]byte{}
+	var changed RunBuilder
 	for k := stream.Key(0); k < 200; k++ {
-		dc.Delta.Changed[k] = bytes.Repeat([]byte("abcdefgh"), 32)
+		changed.Append(k, bytes.Repeat([]byte("abcdefgh"), 32))
 	}
+	dc.Delta.Changed = changed.Run()
 	raw := stream.NewEncoder(1 << 10)
 	if err := EncodeDeltaCheckpoint(raw, dc, StringPayloadCodec{}, false); err != nil {
 		t.Fatal(err)
@@ -125,8 +128,8 @@ func TestDeltaCheckpointCompressionShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Delta.Changed) != 200 {
-		t.Fatalf("changed %d want 200", len(got.Delta.Changed))
+	if got.Delta.Changed.Len() != 200 {
+		t.Fatalf("changed %d want 200", got.Delta.Changed.Len())
 	}
 }
 
@@ -160,10 +163,63 @@ func FuzzDecodeDeltaCheckpoint(f *testing.F) {
 	}
 	f.Add([]byte("SEPDgarbage-that-is-not-a-delta"))
 	f.Add([]byte{0x44, 0x50, 0x45, 0x53, deltaFlate, 0xff, 0x01, 0x02}) // bogus flate stream
+	for _, name := range slices.Sorted(maps.Keys(malformedDeltaFrames())) {
+		f.Add(malformedDeltaFrames()[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dc, err := DecodeDeltaCheckpoint(stream.NewDecoder(data), StringPayloadCodec{})
 		if err == nil && (dc == nil || dc.Delta == nil) {
 			t.Fatal("nil delta checkpoint without error")
 		}
+		if err != nil && dc != nil {
+			t.Fatalf("error %v with a delta checkpoint returned", err)
+		}
 	})
+}
+
+// malformedDeltaFrames returns raw delta frames whose changed entries
+// frame correctly but are unsorted, repeat a key, or stop mid-record.
+func malformedDeltaFrames() map[string][]byte {
+	frame := func(nChanged int, entries ...[]byte) []byte {
+		body := stream.NewEncoder(64)
+		encodeInstanceID(body, plan.InstanceID{Op: "count", Part: 1})
+		body.Uint64(4)
+		body.Uint64(5)
+		body.TSVector(stream.TSVector{42})
+		body.Uint32(uint32(nChanged))
+		for _, en := range entries {
+			body.Raw(en)
+		}
+		body.Uint32(0) // deleted
+		body.Uint32(0) // buffer targets
+		body.Int64(42)
+		body.Uint32(0) // acks
+		e := stream.NewEncoder(64)
+		e.Uint32(deltaMagic)
+		e.Uint8(deltaRaw)
+		e.BytesV(body.Bytes())
+		return e.Bytes()
+	}
+	entry := func(k stream.Key, v string) []byte {
+		e := stream.NewEncoder(16)
+		e.Uvarint(uint64(k))
+		e.BytesV([]byte(v))
+		return e.Bytes()
+	}
+	return map[string][]byte{
+		"unsorted":         frame(2, entry(700, "a"), entry(3, "b")),
+		"duplicate key":    frame(2, entry(5, "a"), entry(5, "b")),
+		"truncated record": frame(2, entry(1, "a"), append(entry(2, "b")[:1], 200, 'b')),
+	}
+}
+
+// TestDecodeDeltaRejectsMalformedChanged: the changed entries of a delta
+// must strictly ascend, like every run; a frame that breaks that, or
+// stops mid-record, is an error and yields no delta.
+func TestDecodeDeltaRejectsMalformedChanged(t *testing.T) {
+	for name, frame := range malformedDeltaFrames() {
+		if dc, err := DecodeDeltaCheckpoint(stream.NewDecoder(frame), StringPayloadCodec{}); err == nil || dc != nil {
+			t.Errorf("%s: decoded %v, err %v", name, dc, err)
+		}
+	}
 }

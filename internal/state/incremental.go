@@ -1,6 +1,8 @@
 package state
 
 import (
+	"slices"
+
 	"seep/internal/plan"
 	"seep/internal/stream"
 )
@@ -14,8 +16,8 @@ type Delta struct {
 	// Seq is the sequence number of the state after applying the delta.
 	Seq uint64
 	// Changed holds new or updated key/value pairs.
-	Changed map[stream.Key][]byte
-	// Deleted lists removed keys.
+	Changed Run
+	// Deleted lists removed keys, ascending as TakeDelta emits them.
 	Deleted []stream.Key
 	// TS is the timestamp vector after applying the delta.
 	TS stream.TSVector
@@ -26,25 +28,19 @@ func (d *Delta) Size() int {
 	if d == nil {
 		return 0
 	}
-	n := 8*len(d.TS) + 8*len(d.Deleted)
-	for _, v := range d.Changed {
-		n += 8 + len(v)
-	}
-	return n
+	return 8*len(d.TS) + 8*len(d.Deleted) + d.Changed.Size()
 }
 
 // Apply folds a delta into a full processing state (the backup side of
 // incremental checkpointing). The delta must be consecutive: its Base
-// equals the state's current sequence as tracked by the caller.
+// equals the state's current sequence as tracked by the caller. The
+// fold is a fresh run: whoever else holds p's old one keeps it intact.
 func (d *Delta) Apply(p *Processing) {
-	for k, v := range d.Changed {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		p.KV[k] = cp
+	deleted := d.Deleted
+	if !slices.IsSorted(deleted) { // a hand-built or foreign delta
+		deleted = slices.Sorted(slices.Values(deleted))
 	}
-	for _, k := range d.Deleted {
-		delete(p.KV, k)
-	}
+	p.KV = overlay(p.KV, d.Changed, deleted)
 	p.TS = d.TS.Clone()
 }
 

@@ -108,13 +108,12 @@ func (c *Capture) Checkpoint(p DeltaPolicy) (*Checkpoint, *DeltaCheckpoint) {
 		// The dirty set is consumed, but the full snapshot below
 		// supersedes everything the delta held.
 	}
-	proc := &Processing{KV: map[stream.Key][]byte{}, TS: c.ts}
+	proc := &Processing{TS: c.ts}
 	if s != nil {
-		kv, err := s.TakeCheckpoint()
-		if err != nil {
+		var err error
+		if proc.KV, err = s.TakeCheckpoint(); err != nil {
 			return nil, nil
 		}
-		proc.KV = kv
 	}
 	return &Checkpoint{
 		Instance:   c.inst,

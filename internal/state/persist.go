@@ -163,17 +163,29 @@ func EncodeCheckpoint(e *stream.Encoder, cp *Checkpoint, codec PayloadCodec) err
 	if err := cp.Validate(); err != nil {
 		return err
 	}
+	encodeCheckpointHeader(e, cp)
+	encodeProcessingSection(e, cp.Processing)
+	return encodeBufferSections(e, cp, codec)
+}
+
+func encodeCheckpointHeader(e *stream.Encoder, cp *Checkpoint) {
 	e.Uint32(checkpointMagic)
 	encodeInstanceID(e, cp.Instance)
 	e.Uint64(cp.Seq)
 	e.Int64(cp.OutClock)
 	encodeAcks(e, cp.Acks)
+}
 
+func encodeProcessingSection(e *stream.Encoder, p *Processing) {
 	mark := e.BeginSection()
-	cp.Processing.Encode(e)
+	p.Encode(e)
 	e.EndSection(mark)
+}
 
-	mark = e.BeginSection()
+// encodeBufferSections writes the two sections behind the processing
+// state: the buffer state and the legacy buffers.
+func encodeBufferSections(e *stream.Encoder, cp *Checkpoint, codec PayloadCodec) error {
+	mark := e.BeginSection()
 	if err := EncodeBuffer(e, cp.Buffer, codec); err != nil {
 		return err
 	}
@@ -196,13 +208,26 @@ func EncodeCheckpoint(e *stream.Encoder, cp *Checkpoint, codec PayloadCodec) err
 	return nil
 }
 
-// MarshalCheckpoint encodes cp into a buffer of its own, sized up front
-// so the encoder never regrows for processing state.
+// MarshalCheckpoint encodes cp into a buffer of its own, allocated once
+// at exactly the blob's length — a backup host keeps the blob, so slack
+// would be kept with it. Only the header and the buffer sections have a
+// length unknown before they are encoded; they are small next to the
+// processing state, so they are encoded aside first and copied in.
 func MarshalCheckpoint(cp *Checkpoint, codec PayloadCodec) ([]byte, error) {
-	e := stream.NewEncoder(cp.Size() + 4*cp.Processing.Len() + 256)
-	if err := EncodeCheckpoint(e, cp, codec); err != nil {
+	if err := cp.Validate(); err != nil {
 		return nil, err
 	}
+	p := cp.Processing
+	aside := stream.NewEncoder(256 + cp.Size() - p.Size())
+	encodeCheckpointHeader(aside, cp)
+	header := aside.Len()
+	if err := encodeBufferSections(aside, cp, codec); err != nil {
+		return nil, err
+	}
+	e := stream.NewEncoder(aside.Len() + 8 + p.encodedLen()) // 8: the section's length prefix
+	e.Raw(aside.Bytes()[:header])
+	encodeProcessingSection(e, p)
+	e.Raw(aside.Bytes()[header:])
 	return e.Bytes(), nil
 }
 
@@ -249,7 +274,11 @@ func DecodeCheckpointHeader(b []byte) (CheckpointHeader, error) {
 }
 
 // DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint. On
-// any error no checkpoint is returned.
+// any error no checkpoint is returned. The processing state indexes d's
+// buffer where it lies (DecodeProcessing), so the caller must own that
+// buffer and leave it alone while the checkpoint lives — as every caller
+// does: a backup host decodes the blob it stored, a worker the control
+// body its transport copied for it, the durable store the file it read.
 func DecodeCheckpoint(d *stream.Decoder, codec PayloadCodec) (*Checkpoint, error) {
 	h, err := decodeCheckpointHeader(d)
 	if err != nil {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"seep/internal/plan"
@@ -86,11 +88,13 @@ func randomCheckpoint(r *rand.Rand) *Checkpoint {
 	for i := range cp.Processing.TS {
 		cp.Processing.TS[i] = r.Int63()
 	}
+	kv := map[stream.Key][]byte{}
 	for i, n := 0, r.Intn(50); i < n; i++ {
 		v := make([]byte, r.Intn(12))
 		r.Read(v)
-		cp.Processing.KV[stream.Key(r.Uint64())] = v
+		kv[stream.Key(r.Uint64())] = v
 	}
+	cp.Processing.KV = runOf(kv)
 	if r.Intn(4) > 0 { // a nil buffer encodes as an empty one
 		cp.Buffer = randomBuffer(r, r.Intn(3))
 	}
@@ -207,8 +211,8 @@ func TestDeltaCheckpointRoundTripProperty(t *testing.T) {
 		if !buffersEqual(got.Buffer, dc.Buffer) || !reflect.DeepEqual(got.Acks, dc.Acks) || got.OutClock != dc.OutClock {
 			t.Fatalf("seed %d: delta bookkeeping changed", seed)
 		}
-		if len(got.Delta.Changed) != len(dc.Delta.Changed) {
-			t.Fatalf("seed %d: %d changed keys, want %d", seed, len(got.Delta.Changed), len(dc.Delta.Changed))
+		if !got.Delta.Changed.Equal(dc.Delta.Changed) {
+			t.Fatalf("seed %d: %d changed keys, want %d", seed, got.Delta.Changed.Len(), dc.Delta.Changed.Len())
 		}
 	}
 }
@@ -283,9 +287,11 @@ func bufferedInt64Checkpoint(keys, buffered int) *Checkpoint {
 		Buffer:     NewBuffer(),
 		Acks:       map[plan.InstanceID]int64{{Op: "map", Part: 1}: int64(buffered)},
 	}
+	kv := make(map[stream.Key][]byte, keys)
 	for i := 0; i < keys; i++ {
-		cp.Processing.KV[stream.Key(stream.Mix64(uint64(i)))] = binary.LittleEndian.AppendUint64(nil, uint64(i))
+		kv[stream.Key(stream.Mix64(uint64(i)))] = binary.LittleEndian.AppendUint64(nil, uint64(i))
 	}
+	cp.Processing.KV = runOf(kv)
 	h := cp.Buffer.Handle(plan.InstanceID{Op: "sink", Part: 1})
 	for i := 0; i < buffered; i++ {
 		h.Append(stream.Tuple{TS: int64(i + 1), Key: stream.Key(stream.Mix64(uint64(i))), Born: int64(i / 50), Payload: int64(i) * 1_000_003})
@@ -326,6 +332,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Add(blob[:11])
 	}
 	f.Add([]byte("not a checkpoint"))
+	for _, name := range slices.Sorted(maps.Keys(malformedProcessingSections())) {
+		f.Add(checkpointAround(malformedProcessingSections()[name]))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, herr := DecodeCheckpointHeader(b)
 		cp, err := DecodeCheckpoint(stream.NewDecoder(b), codec)

@@ -2,24 +2,35 @@ package state
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"seep/internal/stream"
 )
 
+// runOf builds a run from a plain map, the form the tests' reference
+// models and fixtures are written in.
+func runOf(kv map[stream.Key][]byte) Run {
+	var b RunBuilder
+	for _, k := range slices.Sorted(maps.Keys(kv)) {
+		b.Append(k, kv[k])
+	}
+	return b.Run()
+}
+
 func mkProcessing(n int, seed int64) *Processing {
 	rng := rand.New(rand.NewSource(seed))
-	p := NewProcessing(2)
+	kv := make(map[stream.Key][]byte, n)
 	for i := 0; i < n; i++ {
 		k := stream.Key(rng.Uint64())
 		v := make([]byte, 4+rng.Intn(24))
 		rng.Read(v)
-		p.KV[k] = v
+		kv[k] = v
 	}
-	p.TS = stream.TSVector{int64(n), int64(2 * n)}
-	return p
+	return &Processing{KV: runOf(kv), TS: stream.TSVector{int64(n), int64(2 * n)}}
 }
 
 func TestProcessingCloneIsolation(t *testing.T) {
@@ -28,9 +39,11 @@ func TestProcessingCloneIsolation(t *testing.T) {
 	if !p.Equal(c) {
 		t.Fatal("clone differs from original")
 	}
-	for k := range c.KV {
-		c.KV[k][0] ^= 0xff
-		break
+	// The run is immutable and shared; what a holder can change is which
+	// run it holds (a delta fold) and its timestamp vector.
+	(&Delta{Deleted: c.KV.Keys()[:1], TS: c.TS}).Apply(c)
+	if c.Len() != p.Len()-1 || p.Len() != 10 {
+		t.Errorf("folding into the clone: clone %d keys, original %d", c.Len(), p.Len())
 	}
 	c.TS[0] = 999
 	if p.TS[0] == 999 {
@@ -46,7 +59,7 @@ func TestProcessingSize(t *testing.T) {
 	if p.Size() != 8 {
 		t.Errorf("empty state size = %d, want 8 (1 ts)", p.Size())
 	}
-	p.KV[1] = []byte{1, 2, 3, 4}
+	p.KV = runOf(map[stream.Key][]byte{1: {1, 2, 3, 4}})
 	if p.Size() != 8+8+4 {
 		t.Errorf("size = %d, want 20", p.Size())
 	}
@@ -96,7 +109,7 @@ func TestPartitionDisjointUnion(t *testing.T) {
 			if !part.TS.Equal(p.TS) {
 				t.Errorf("pi=%d part=%d: TS = %v, want %v", pi, i, part.TS, p.TS)
 			}
-			for k := range part.KV {
+			for k := range part.KV.All() {
 				if !ranges[i].Contains(k) {
 					t.Errorf("pi=%d part=%d: key %d outside range %v", pi, i, k, ranges[i])
 				}
@@ -133,9 +146,9 @@ func TestPartitionMergeQuick(t *testing.T) {
 
 func TestMergeProcessingOverlapFails(t *testing.T) {
 	a := NewProcessing(1)
-	a.KV[7] = []byte{1}
+	a.KV = runOf(map[stream.Key][]byte{7: {1}})
 	b := NewProcessing(1)
-	b.KV[7] = []byte{2}
+	b.KV = runOf(map[stream.Key][]byte{7: {2}})
 	if _, err := MergeProcessing(a, b); err == nil {
 		t.Error("expected overlap error")
 	}
@@ -143,7 +156,7 @@ func TestMergeProcessingOverlapFails(t *testing.T) {
 
 func TestMergeProcessingNilInputs(t *testing.T) {
 	a := NewProcessing(1)
-	a.KV[1] = []byte{1}
+	a.KV = runOf(map[stream.Key][]byte{1: {1}})
 	got, err := MergeProcessing(a, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +168,7 @@ func TestMergeProcessingNilInputs(t *testing.T) {
 
 func TestProcessingKeysSorted(t *testing.T) {
 	p := mkProcessing(30, 9)
-	keys := p.Keys()
+	keys := p.KV.Keys()
 	for i := 1; i < len(keys); i++ {
 		if keys[i-1] >= keys[i] {
 			t.Fatalf("keys not strictly sorted at %d", i)
@@ -173,14 +186,14 @@ func TestProcessingEqualEdgeCases(t *testing.T) {
 		t.Error("nil and empty processing state should be Equal")
 	}
 	a := NewProcessing(1)
-	a.KV[1] = []byte{1}
+	a.KV = runOf(map[stream.Key][]byte{1: {1}})
 	b := NewProcessing(1)
-	b.KV[1] = []byte{2}
+	b.KV = runOf(map[stream.Key][]byte{1: {2}})
 	if a.Equal(b) {
 		t.Error("different values should not be Equal")
 	}
 	c := NewProcessing(2)
-	c.KV[1] = []byte{1}
+	c.KV = a.KV
 	if a.Equal(c) {
 		t.Error("different TS lengths should not be Equal")
 	}
@@ -188,8 +201,10 @@ func TestProcessingEqualEdgeCases(t *testing.T) {
 
 func ExampleProcessing_Partition() {
 	p := NewProcessing(1)
-	p.KV[10] = []byte("a")
-	p.KV[stream.MaxKey-5] = []byte("b")
+	var kv RunBuilder
+	kv.Append(10, []byte("a"))
+	kv.Append(stream.MaxKey-5, []byte("b"))
+	p.KV = kv.Run()
 	parts := p.Partition(FullRange.SplitEven(2))
 	fmt.Println(parts[0].Len(), parts[1].Len())
 	// Output: 1 1

@@ -1,0 +1,359 @@
+package state
+
+import (
+	"bytes"
+	"maps"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"seep/internal/plan"
+	"seep/internal/stream"
+)
+
+// refRecord is the reference encoding of one key of the model store: the
+// per-key union layout spelled out with the stream codec, independently
+// of the append path under test.
+func refRecord(v int64, hasV bool, fields map[string]int64) []byte {
+	e := stream.NewEncoder(64)
+	n := uint32(0)
+	if hasV {
+		n++
+	}
+	if fields != nil {
+		n++
+	}
+	e.Uint32(n)
+	if hasV {
+		e.String32("v")
+		e.Uint32(8)
+		e.Int64(v)
+	}
+	if fields != nil {
+		e.String32("m")
+		inner := stream.NewEncoder(32)
+		inner.Uint32(uint32(len(fields)))
+		for _, f := range slices.Sorted(maps.Keys(fields)) {
+			inner.String32(f)
+			inner.Uint32(8)
+			inner.Int64(fields[f])
+		}
+		e.Bytes32(inner.Bytes())
+	}
+	return e.Bytes()
+}
+
+// runModel pairs a store and the checkpoint its backup host holds with
+// plain-map references of both.
+type runModel struct {
+	t *testing.T
+
+	store *Store
+	v     *Value[int64]
+	m     *Map[int64]
+	refV  map[stream.Key]int64
+	refM  map[stream.Key]map[string]int64
+	dirty map[stream.Key]bool
+
+	backup    *Processing // base checkpoint with every delta since folded in
+	refBackup map[stream.Key][]byte
+	seq       uint64
+}
+
+func newRunModel(t *testing.T) *runModel {
+	s := NewStore()
+	return &runModel{
+		t: t, store: s,
+		v: NewValue[int64](s, "v", Int64Codec{}), m: NewMap[int64](s, "m", Int64Codec{}),
+		refV: map[stream.Key]int64{}, refM: map[stream.Key]map[string]int64{}, dirty: map[stream.Key]bool{},
+		backup: NewProcessing(1), refBackup: map[stream.Key][]byte{},
+	}
+}
+
+// refState is what a full capture of the model store must hold.
+func (md *runModel) refState() map[stream.Key][]byte {
+	out := map[stream.Key][]byte{}
+	for k, v := range md.refV {
+		out[k] = refRecord(v, true, md.refM[k])
+	}
+	for k, f := range md.refM {
+		if _, ok := md.refV[k]; !ok {
+			out[k] = refRecord(0, false, f)
+		}
+	}
+	return out
+}
+
+func (md *runModel) expectRun(what string, got Run, want map[stream.Key][]byte) {
+	md.t.Helper()
+	if got.Len() != len(want) {
+		md.t.Fatalf("%s: run holds %d keys, reference %d", what, got.Len(), len(want))
+	}
+	if !slices.IsSorted(got.Keys()) {
+		md.t.Fatalf("%s: run keys not ascending", what)
+	}
+	size := 0
+	for k, v := range got.All() {
+		if w, ok := want[k]; !ok || !bytes.Equal(v, w) {
+			md.t.Fatalf("%s: key %d = %x, reference %x (held %v)", what, k, v, w, ok)
+		}
+		if g, ok := got.Get(k); !ok || !bytes.Equal(g, v) {
+			md.t.Fatalf("%s: Get(%d) disagrees with iteration", what, k)
+		}
+		size += 8 + len(v)
+	}
+	if got.Size() != size {
+		md.t.Fatalf("%s: Size() = %d, entries sum to %d", what, got.Size(), size)
+	}
+}
+
+func (md *runModel) step(r *rand.Rand, key func() stream.Key) {
+	t := md.t
+	switch op := r.Intn(12); {
+	case op < 3:
+		k, v := key(), r.Int63()
+		md.v.Set(k, v)
+		md.refV[k], md.dirty[k] = v, true
+	case op < 5:
+		k, f, v := key(), string(rune('a'+r.Intn(3))), r.Int63()
+		md.m.Put(k, f, v)
+		if md.refM[k] == nil {
+			md.refM[k] = map[string]int64{}
+		}
+		md.refM[k][f], md.dirty[k] = v, true
+	case op < 7:
+		k := key()
+		if _, ok := md.refV[k]; ok {
+			md.dirty[k] = true
+		}
+		md.v.Delete(k)
+		delete(md.refV, k)
+		if r.Intn(2) == 0 {
+			if _, ok := md.refM[k]; ok {
+				md.dirty[k] = true
+			}
+			md.m.Delete(k)
+			delete(md.refM, k)
+		}
+	case op == 7: // full checkpoint replaces the backup
+		run, err := md.store.TakeCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		md.refBackup = md.refState()
+		md.expectRun("TakeCheckpoint", run, md.refBackup)
+		md.backup = &Processing{KV: run, TS: stream.TSVector{int64(md.seq)}}
+		md.dirty = map[stream.Key]bool{}
+	case op == 8: // delta folds into the backup
+		d, err := md.store.TakeDelta(stream.TSVector{int64(md.seq)}, md.seq, md.seq+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md.seq++
+		full, changed := md.refState(), map[stream.Key][]byte{}
+		var deleted []stream.Key
+		for k := range md.dirty {
+			if v, ok := full[k]; ok {
+				changed[k] = v
+				md.refBackup[k] = v
+			} else {
+				deleted = append(deleted, k)
+				delete(md.refBackup, k)
+			}
+		}
+		slices.Sort(deleted)
+		md.expectRun("TakeDelta changed", d.Changed, changed)
+		if !slices.Equal(d.Deleted, deleted) {
+			t.Fatalf("TakeDelta deleted %v, reference %v", d.Deleted, deleted)
+		}
+		before := md.backup.KV
+		beforeRef := maps.Collect(before.All())
+		d.Apply(md.backup)
+		md.expectRun("Apply", md.backup.KV, md.refBackup)
+		md.expectRun("run before Apply", before, beforeRef) // runs are immutable
+		md.dirty = map[stream.Key]bool{}
+	case op == 9: // partition at a random cut, edges included, and merge back
+		cut := []stream.Key{0, stream.MaxKey, key(), stream.Key(r.Uint64())}[r.Intn(4)]
+		ranges := []KeyRange{{Lo: 0, Hi: cut}}
+		if cut < stream.MaxKey {
+			ranges = append(ranges, KeyRange{Lo: cut + 1, Hi: stream.MaxKey})
+		}
+		parts := md.backup.Partition(ranges)
+		for i, part := range parts {
+			want := map[stream.Key][]byte{}
+			for k, v := range md.refBackup {
+				if ranges[i].Contains(k) {
+					want[k] = v
+				}
+			}
+			md.expectRun("Partition", part.KV, want)
+		}
+		slices.Reverse(parts) // merge must not depend on argument order
+		merged, err := MergeProcessing(parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md.expectRun("MergeProcessing", merged.KV, md.refBackup)
+		if md.backup.Len() > 0 {
+			if _, err := MergeProcessing(append(parts, md.backup.Partition([]KeyRange{{Lo: 0, Hi: md.backup.KV.Keys()[0]}})...)...); err == nil {
+				t.Fatal("merge of overlapping parts succeeded")
+			}
+		}
+	default: // restore the backup into a fresh store and read it through the cells
+		s2 := NewStore()
+		v2, m2 := NewValue[int64](s2, "v", Int64Codec{}), NewMap[int64](s2, "m", Int64Codec{})
+		if err := s2.Restore(md.backup.KV); err != nil {
+			t.Fatal(err)
+		}
+		again, err := s2.TakeCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		md.expectRun("Restore+TakeCheckpoint", again, md.refBackup)
+		if v2.Len()+m2.Len() < len(md.refBackup) {
+			t.Fatalf("restored cells hold %d+%d keys for %d records", v2.Len(), m2.Len(), len(md.refBackup))
+		}
+	}
+}
+
+// TestRunModel: random sequences of writes, deletes, full and incremental
+// checkpoints, folds, partitions, merges and restores on the sorted run
+// agree with plain-map references at every step.
+func TestRunModel(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		md := newRunModel(t)
+		// A small key pool so sets, deletes and deltas collide, with the
+		// edges of the key space in it.
+		pool := []stream.Key{0, stream.MaxKey}
+		for i := 0; i < 30; i++ {
+			pool = append(pool, stream.Key(r.Uint64()))
+		}
+		key := func() stream.Key { return pool[r.Intn(len(pool))] }
+		for i := 0; i < 400; i++ {
+			md.step(r, key)
+		}
+	}
+}
+
+// int64Store returns a store of n int64 cells and one of them to dirty.
+func int64Store(n int) (*Store, *Value[int64]) {
+	s := NewStore()
+	v := NewValue[int64](s, "n", Int64Codec{})
+	for i := 0; i < n; i++ {
+		v.Set(stream.Key(stream.Mix64(uint64(i))), int64(i))
+	}
+	return s, v
+}
+
+// TestRunAllocations: a checkpoint's trip costs a constant number of
+// allocations, not one (or five) per key.
+func TestRunAllocations(t *testing.T) {
+	const keys = 100_000
+	s, v := int64Store(keys)
+	cp := &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1, Processing: NewProcessing(1), Buffer: NewBuffer()}
+	var blob []byte
+	capture := testing.AllocsPerRun(3, func() {
+		v.Update(0, func(x int64) int64 { return x + 1 })
+		kv, err := s.TakeCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Processing.KV = kv
+		if blob, err = MarshalCheckpoint(cp, GobPayloadCodec{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if capture > 16 {
+		t.Errorf("capture + marshal of %d keys: %.0f allocations, want ≤ 16", keys, capture)
+	}
+	if len(blob) != cap(blob) {
+		t.Errorf("MarshalCheckpoint blob: len %d, cap %d — not sized exactly", len(blob), cap(blob))
+	}
+	var got *Checkpoint
+	decode := testing.AllocsPerRun(3, func() {
+		var err error
+		if got, err = DecodeCheckpoint(stream.NewDecoder(blob), GobPayloadCodec{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if decode > 12 || got.Processing.Len() < keys {
+		t.Errorf("decode of %d keys: %.0f allocations for %d keys, want ≤ 12", keys, decode, got.Processing.Len())
+	}
+	halves := FullRange.SplitEven(2)
+	ids := []plan.InstanceID{{Op: "cnt", Part: 2}, {Op: "cnt", Part: 3}}
+	partition := func(c *Checkpoint) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := PartitionCheckpoint(c, ids, halves); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := *got
+	small.Processing = &Processing{KV: got.Processing.KV.Range(KeyRange{Lo: 0, Hi: 1 << 50}), TS: got.Processing.TS}
+	if big, few := partition(got), partition(&small); big != few {
+		t.Errorf("partition in two: %.0f allocations for %d keys, %.0f for %d — not O(1)", big, got.Processing.Len(), few, small.Processing.Len())
+	}
+}
+
+// TestDecodeProcessingRejectsMalformedRuns: a body whose keys do not
+// strictly ascend, whose records overrun it or that carries bytes past
+// its last record is an error and yields no state.
+func TestDecodeProcessingRejectsMalformedRuns(t *testing.T) {
+	for name, section := range malformedProcessingSections() {
+		if p, err := DecodeProcessing(stream.NewDecoder(section)); err == nil || p != nil {
+			t.Errorf("%s: decoded %v, err %v", name, p, err)
+		}
+		blob := checkpointAround(section)
+		if _, err := DecodeCheckpointHeader(blob); err != nil {
+			t.Fatalf("%s: the checkpoint around the section does not frame: %v", name, err)
+		}
+		if cp, err := DecodeCheckpoint(stream.NewDecoder(blob), GobPayloadCodec{}); err == nil || cp != nil {
+			t.Errorf("%s: checkpoint decoded %v, err %v", name, cp, err)
+		}
+	}
+}
+
+// checkpointAround frames a processing section as a checkpoint that is
+// otherwise valid and empty.
+func checkpointAround(section []byte) []byte {
+	cp := &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1, Processing: NewProcessing(1)}
+	e := stream.NewEncoder(256)
+	encodeCheckpointHeader(e, cp)
+	mark := e.BeginSection()
+	e.Raw(section)
+	e.EndSection(mark)
+	if err := encodeBufferSections(e, cp, GobPayloadCodec{}); err != nil {
+		panic(err)
+	}
+	return e.Bytes()
+}
+
+// malformedProcessingSections returns processing sections that frame
+// correctly but break the run's invariants.
+func malformedProcessingSections() map[string][]byte {
+	section := func(n int, records ...[]byte) []byte {
+		e := stream.NewEncoder(64)
+		e.TSVector(stream.TSVector{7})
+		e.Uint32(uint32(n))
+		for _, r := range records {
+			e.Raw(r)
+		}
+		return e.Bytes()
+	}
+	rec := func(k stream.Key, frag string) []byte {
+		e := stream.NewEncoder(16)
+		e.Key(k)
+		e.Bytes32([]byte(frag))
+		return e.Bytes()
+	}
+	long := rec(9, "fragment")
+	return map[string][]byte{
+		"unsorted":         section(2, rec(5, "a"), rec(3, "b")),
+		"duplicate key":    section(2, rec(5, "a"), rec(5, "b")),
+		"truncated record": section(2, rec(1, "a"), long[:len(long)-3]),
+		"short header":     section(2, rec(1, "a"), long[:7]),
+		"count too low":    section(1, rec(1, "a"), rec(2, "b")),
+		"count too high":   section(3, rec(1, "a"), rec(2, "b")),
+	}
+}

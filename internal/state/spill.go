@@ -1,6 +1,7 @@
 package state
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,9 +14,9 @@ import (
 // Spiller temporarily moves cold parts of an operator's processing state
 // to disk, freeing memory — the spill operation of §3.3 ("a spill
 // operation can temporarily store state on disk"). State is spilled and
-// fetched at key-range granularity; a spilled range is transparent to
-// checkpointing because Materialize restores it before a checkpoint is
-// taken.
+// fetched at key-range granularity, one sorted Run per chunk file; a
+// spilled range is transparent to checkpointing because Materialize
+// restores it before a checkpoint is taken.
 type Spiller struct {
 	mu   sync.Mutex
 	dir  string
@@ -33,46 +34,32 @@ func NewSpiller(dir string) (*Spiller, error) {
 	return &Spiller{dir: dir, spilled: make(map[string]KeyRange)}, nil
 }
 
-// Spill writes every key of p inside r to disk and removes those keys
-// from p. It returns the number of keys spilled.
-func (s *Spiller) Spill(p *Processing, r KeyRange) (int, error) {
+// Spill writes run to disk as one chunk — an entry count, then the run's
+// records as they are — and records it under r, the key range a later
+// Materialize finds it by. An empty run writes nothing.
+func (s *Spiller) Spill(run Run, r KeyRange) error {
+	if run.Len() == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var keys []stream.Key
-	for k := range p.KV {
-		if r.Contains(k) {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e := stream.NewEncoder(64 * len(keys))
-	e.Uint32(uint32(len(keys)))
-	for _, k := range keys {
-		e.Key(k)
-		e.Bytes32(p.KV[k])
-	}
+	rec := run.records()
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(rec)), uint32(run.Len()))
 	s.next++
 	name := fmt.Sprintf("spill-%06d.bin", s.next)
-	path := filepath.Join(s.dir, name)
-	if err := os.WriteFile(path, e.Bytes(), 0o644); err != nil {
-		return 0, fmt.Errorf("state: write spill file: %w", err)
-	}
-	for _, k := range keys {
-		delete(p.KV, k)
+	if err := os.WriteFile(filepath.Join(s.dir, name), append(b, rec...), 0o644); err != nil {
+		return fmt.Errorf("state: write spill file: %w", err)
 	}
 	s.spilled[name] = r
-	return len(keys), nil
+	return nil
 }
 
-// Materialize loads every spilled range overlapping r back into p and
-// deletes the corresponding files. It returns the number of keys loaded.
-func (s *Spiller) Materialize(p *Processing, r KeyRange) (int, error) {
+// Materialize loads every chunk whose range overlaps r, one run each,
+// and deletes the corresponding files.
+func (s *Spiller) Materialize(r KeyRange) ([]Run, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	loaded := 0
+	var loaded []Run
 	for name, sr := range s.spilled {
 		if sr.Lo > r.Hi || sr.Hi < r.Lo {
 			continue // no overlap
@@ -82,19 +69,14 @@ func (s *Spiller) Materialize(p *Processing, r KeyRange) (int, error) {
 		if err != nil {
 			return loaded, fmt.Errorf("state: read spill file: %w", err)
 		}
-		d := stream.NewDecoder(b)
-		n := int(d.Uint32())
-		for i := 0; i < n; i++ {
-			k := d.Key()
-			v := d.Bytes32()
-			if err := d.Err(); err != nil {
-				return loaded, fmt.Errorf("state: corrupt spill file %s: %w", name, err)
-			}
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			p.KV[k] = cp
-			loaded++
+		if len(b) < 4 {
+			return loaded, fmt.Errorf("state: corrupt spill file %s: %w", name, stream.ErrShortBuffer)
 		}
+		run, err := scanRun(b[4:], int(binary.LittleEndian.Uint32(b)))
+		if err != nil {
+			return loaded, fmt.Errorf("state: corrupt spill file %s: %w", name, err)
+		}
+		loaded = append(loaded, run)
 		if err := os.Remove(path); err != nil {
 			return loaded, fmt.Errorf("state: remove spill file: %w", err)
 		}

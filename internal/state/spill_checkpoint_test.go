@@ -73,8 +73,8 @@ func TestSpillStoreCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kv) != n {
-		t.Fatalf("checkpoint has %d keys, want %d", len(kv), n)
+	if kv.Len() != n {
+		t.Fatalf("checkpoint has %d keys, want %d", kv.Len(), n)
 	}
 	if err := s.SpillErr(); err != nil {
 		t.Fatal(err)
@@ -122,12 +122,12 @@ func TestSpillStorePartitionMergeParity(t *testing.T) {
 	}
 	total := 0
 	for i, part := range parts {
-		for k := range part.Processing.KV {
+		for k := range part.Processing.KV.All() {
 			if !ranges[i].Contains(k) {
 				t.Fatalf("partition %d holds key %d outside %v", i, k, ranges[i])
 			}
 		}
-		total += len(part.Processing.KV)
+		total += part.Processing.Len()
 	}
 	if total != n {
 		t.Fatalf("partitions hold %d keys, want %d", total, n)
@@ -178,8 +178,8 @@ func TestSpillStorePartitionMergeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged.Processing.KV) != n {
-		t.Fatalf("merged checkpoint has %d keys, want %d", len(merged.Processing.KV), n)
+	if merged.Processing.Len() != n {
+		t.Fatalf("merged checkpoint has %d keys, want %d", merged.Processing.Len(), n)
 	}
 	s3 := NewStore()
 	m3 := NewMap[int64](s3, "counts", Int64Codec{})
@@ -215,7 +215,7 @@ func TestSpillStoreRestoreDiscardsOldSpill(t *testing.T) {
 	for i := n; i < n+100; i++ {
 		rm.Put(stream.Key(i), "f", int64(100*i))
 	}
-	kv, err := repl.Snapshot()
+	kv, err := repl.TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +284,8 @@ func TestSpillStoreConcurrentCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kv) != n {
-		t.Fatalf("final checkpoint has %d keys, want %d", len(kv), n)
+	if kv.Len() != n {
+		t.Fatalf("final checkpoint has %d keys, want %d", kv.Len(), n)
 	}
 	for i := 0; i < n; i++ {
 		if got, ok := m.Get(stream.Key(i), "f"); !ok || got != int64(i) {
@@ -324,7 +324,7 @@ func TestSpillStoreDeltaMaterialisesDirtyKeys(t *testing.T) {
 	// evicted it in between.
 	for i := 0; i < 100; i++ {
 		k := stream.Key(i * 17 % n)
-		if _, ok := d.Changed[k]; !ok {
+		if _, ok := d.Changed.Get(k); !ok {
 			t.Fatalf("dirty key %d missing from delta", k)
 		}
 	}
@@ -332,15 +332,15 @@ func TestSpillStoreDeltaMaterialisesDirtyKeys(t *testing.T) {
 	// Base + delta must equal a full observation of the live store.
 	p := &Processing{KV: base, TS: stream.NewTSVector(1)}
 	d.Apply(p)
-	want, err := s.Snapshot()
+	want, err := s.TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 2*n {
-		t.Fatalf("live store holds %d keys, want %d", len(want), 2*n)
+	if want.Len() != 2*n {
+		t.Fatalf("live store holds %d keys, want %d", want.Len(), 2*n)
 	}
-	if len(p.KV) != len(want) {
-		t.Fatalf("base+delta holds %d keys, live store %d", len(p.KV), len(want))
+	if !p.KV.Equal(want) {
+		t.Fatalf("base+delta holds %d keys, live store %d", p.Len(), want.Len())
 	}
 	restored := NewStore()
 	rm := NewMap[int64](restored, "counts", Int64Codec{})

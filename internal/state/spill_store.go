@@ -3,7 +3,6 @@ package state
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync/atomic"
 
 	"seep/internal/stream"
@@ -244,22 +243,9 @@ func (s *Store) residentLenLocked() int {
 // records the access for the coldness signal.
 func (sp *storeSpill) ensureLocked(s *Store, k stream.Key) {
 	sp.recent[k] = struct{}{}
-	if _, ok := sp.spilled[k]; !ok {
-		return
+	if _, ok := sp.spilled[k]; ok {
+		sp.loadLocked(s, KeyRange{Lo: k, Hi: k})
 	}
-	tmp := &Processing{KV: make(map[stream.Key][]byte)}
-	n, err := sp.sp.Materialize(tmp, KeyRange{Lo: k, Hi: k})
-	if err != nil {
-		sp.lastErr = err
-		return
-	}
-	for kk, b := range tmp.KV {
-		delete(sp.spilled, kk)
-		if err := s.decodeKeyLocked(kk, b); err != nil {
-			sp.lastErr = err
-		}
-	}
-	sp.loadedTotal += uint64(n)
 }
 
 // loadAllLocked materialises everything on disk.
@@ -267,26 +253,32 @@ func (sp *storeSpill) loadAllLocked(s *Store) error {
 	if len(sp.spilled) == 0 {
 		return nil
 	}
-	tmp := &Processing{KV: make(map[stream.Key][]byte, len(sp.spilled))}
-	n, err := sp.sp.Materialize(tmp, FullRange)
+	return sp.loadLocked(s, FullRange)
+}
+
+// loadLocked reads the chunks overlapping r back and installs their
+// records in the cells. Whatever was read is installed even when a later
+// chunk fails; the first error is recorded and returned.
+func (sp *storeSpill) loadLocked(s *Store, r KeyRange) error {
+	runs, err := sp.sp.Materialize(r)
+	for _, run := range runs {
+		for _, k := range run.Keys() {
+			delete(sp.spilled, k)
+		}
+		if ierr := s.installLocked(run); ierr != nil && err == nil {
+			err = ierr
+		}
+		sp.loadedTotal += uint64(run.Len())
+	}
 	if err != nil {
 		sp.lastErr = err
-		return err
 	}
-	for kk, b := range tmp.KV {
-		delete(sp.spilled, kk)
-		if derr := s.decodeKeyLocked(kk, b); derr != nil {
-			sp.lastErr = derr
-			err = derr
-		}
-	}
-	sp.loadedTotal += uint64(n)
 	return err
 }
 
 // passLocked runs one spill pass: pick cold keys (clean before dirty,
 // so incremental checkpoints rarely have to load a spilled key back),
-// encode and spill them in chunk-sized sorted ranges until the target
+// capture and spill them in chunk-sized sorted runs until the target
 // footprint is reached, drop them from the cells, compact the cell maps
 // so the freed buckets return to the allocator, and reset the coldness
 // signal.
@@ -296,9 +288,8 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 	if want <= 0 {
 		return
 	}
-	all := s.unionKeysLocked()
-	var clean, dirty []stream.Key
-	for k := range all {
+	var clean, dirty []stream.Key // ascending, as keysLocked yields them
+	for _, k := range s.keysLocked() {
 		if _, hot := sp.recent[k]; hot {
 			continue
 		}
@@ -314,51 +305,29 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 		sp.recent = make(map[stream.Key]struct{})
 		return
 	}
-	sort.Slice(clean, func(i, j int) bool { return clean[i] < clean[j] })
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
 
 	var spilledKeys, spilledBytes int64
 	spillChunks := func(cand []stream.Key) {
 		for len(cand) > 0 && int(spilledKeys) < want {
-			chunk := cand
-			if len(chunk) > spillChunkKeys {
-				chunk = cand[:spillChunkKeys]
-			}
+			chunk := cand[:min(len(cand), spillChunkKeys)]
 			cand = cand[len(chunk):]
-			tmp := &Processing{KV: make(map[stream.Key][]byte, len(chunk))}
-			var bytes int64
-			for _, k := range chunk {
-				b, ok, err := s.encodeKeyLocked(k)
-				if err != nil {
-					sp.lastErr = err
-					return
-				}
-				if ok {
-					tmp.KV[k] = b
-					bytes += int64(len(b))
-				}
+			r := KeyRange{Lo: chunk[0], Hi: chunk[len(chunk)-1]}
+			run, _, err := s.captureLocked(chunk, 0)
+			if err == nil {
+				err = sp.sp.Spill(run, r)
 			}
-			if len(tmp.KV) == 0 {
-				continue
-			}
-			// Record what the file will hold before Spill, which drains
-			// tmp.KV as it writes.
-			held := make([]stream.Key, 0, len(tmp.KV))
-			for k := range tmp.KV {
-				held = append(held, k)
-			}
-			n, err := sp.sp.Spill(tmp, KeyRange{Lo: chunk[0], Hi: chunk[len(chunk)-1]})
 			if err != nil {
-				// Failed write: abandon the pass, keys stay resident.
+				// Failed encode or write: abandon the pass, keys stay
+				// resident.
 				sp.lastErr = err
 				return
 			}
-			for _, k := range held {
+			for _, k := range run.Keys() {
 				sp.spilled[k] = struct{}{}
 				s.deleteKeyLocked(k)
 			}
-			spilledKeys += int64(n)
-			spilledBytes += bytes
+			spilledKeys += int64(run.Len())
+			spilledBytes += int64(run.Size() - 8*run.Len())
 		}
 	}
 	spillChunks(clean)

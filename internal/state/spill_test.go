@@ -4,6 +4,41 @@ import (
 	"testing"
 )
 
+// spillRange moves p's keys inside r to disk, leaving p with the rest,
+// and returns how many moved.
+func spillRange(t *testing.T, s *Spiller, p *Processing, r KeyRange) int {
+	t.Helper()
+	chunk := p.KV.Range(r)
+	if err := s.Spill(chunk, r); err != nil {
+		t.Fatal(err)
+	}
+	var rest RunBuilder
+	for k, v := range p.KV.All() {
+		if !r.Contains(k) {
+			rest.Append(k, v)
+		}
+	}
+	p.KV = rest.Run()
+	return chunk.Len()
+}
+
+// materializeRange loads the chunks overlapping r back into p and
+// returns how many keys they held.
+func materializeRange(t *testing.T, s *Spiller, p *Processing, r KeyRange) int {
+	t.Helper()
+	runs, err := s.Materialize(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := mergeRuns(append(runs, p.KV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := merged.Len() - p.Len()
+	p.KV = merged
+	return n
+}
+
 func TestSpillerRoundTrip(t *testing.T) {
 	s, err := NewSpiller(t.TempDir())
 	if err != nil {
@@ -15,34 +50,20 @@ func TestSpillerRoundTrip(t *testing.T) {
 	orig := p.Clone()
 	half := FullRange.SplitEven(2)
 
-	nSpilled, err := s.Spill(p, half[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	nSpilled := spillRange(t, s, p, half[0])
 	if nSpilled == 0 {
 		t.Fatal("nothing spilled; seed produced no low keys?")
 	}
 	if p.Len()+nSpilled != orig.Len() {
 		t.Errorf("in-memory %d + spilled %d != original %d", p.Len(), nSpilled, orig.Len())
 	}
-	for k := range p.KV {
-		if half[0].Contains(k) {
-			t.Errorf("key %d should have been spilled", k)
-		}
-	}
 	if got := s.SpilledRanges(); len(got) != 1 || got[0] != half[0] {
 		t.Errorf("SpilledRanges = %v", got)
 	}
 
-	nLoaded, err := s.Materialize(p, half[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nLoaded != nSpilled {
+	if nLoaded := materializeRange(t, s, p, half[0]); nLoaded != nSpilled {
 		t.Errorf("loaded %d, spilled %d", nLoaded, nSpilled)
 	}
-	// TS is not touched by spilling; compare KV contents.
-	p.TS = orig.TS.Clone()
 	if !p.Equal(orig) {
 		t.Error("spill+materialize changed state")
 	}
@@ -59,15 +80,9 @@ func TestSpillerNonOverlappingMaterialize(t *testing.T) {
 	defer s.Close()
 	p := mkProcessing(50, 12)
 	quarters := FullRange.SplitEven(4)
-	if _, err := s.Spill(p, quarters[0]); err != nil {
-		t.Fatal(err)
-	}
+	spillRange(t, s, p, quarters[0])
 	// Materializing a disjoint range loads nothing.
-	n, err := s.Materialize(p, quarters[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
+	if n := materializeRange(t, s, p, quarters[3]); n != 0 {
 		t.Errorf("materialized %d keys from disjoint range", n)
 	}
 	if len(s.SpilledRanges()) != 1 {
@@ -81,9 +96,8 @@ func TestSpillerEmptyRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewProcessing(1)
-	n, err := s.Spill(p, FullRange)
-	if err != nil || n != 0 {
-		t.Errorf("Spill empty state = %d, %v", n, err)
+	if err := s.Spill(p.KV, FullRange); err != nil || len(s.SpilledRanges()) != 0 {
+		t.Errorf("Spill empty state = %v, ranges %v", err, s.SpilledRanges())
 	}
 }
 
@@ -94,9 +108,7 @@ func TestSpillerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := mkProcessing(20, 13)
-	if _, err := s.Spill(p, FullRange); err != nil {
-		t.Fatal(err)
-	}
+	spillRange(t, s, p, FullRange)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +127,10 @@ func TestSpillerMultipleRanges(t *testing.T) {
 	orig := p.Clone()
 	quarters := FullRange.SplitEven(4)
 	for _, q := range quarters[:3] {
-		if _, err := s.Spill(p, q); err != nil {
-			t.Fatal(err)
-		}
+		spillRange(t, s, p, q)
 	}
 	// Materialize everything via the full range.
-	if _, err := s.Materialize(p, FullRange); err != nil {
-		t.Fatal(err)
-	}
-	p.TS = orig.TS.Clone()
+	materializeRange(t, s, p, FullRange)
 	if !p.Equal(orig) {
 		t.Error("multi-range spill+materialize changed state")
 	}

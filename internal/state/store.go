@@ -6,11 +6,12 @@
 //
 // State remains key/value pairs over the tuple key space on the wire, so
 // the partition/merge primitives of Algorithm 2 keep working unchanged:
-// a Store's snapshot can be split by key range, shipped, and restored
-// into a fresh Store on another instance.
+// a Store's checkpoint is one sorted Run that can be split by key range,
+// shipped, and restored into a fresh Store on another instance.
 package state
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -60,14 +61,16 @@ func NewStore() *Store {
 // called with the store lock held.
 type storeCell interface {
 	cellName() string
-	// encodeLocked serialises the cell's fragment for key k; ok=false
-	// when the cell holds nothing under k.
-	encodeLocked(k stream.Key) (b []byte, ok bool, err error)
+	// appendLocked appends the cell's part of k's record — its name and
+	// its length-prefixed fragment — to dst; ok=false, and dst comes back
+	// as it was, when the cell holds nothing under k.
+	appendLocked(dst []byte, k stream.Key) (out []byte, ok bool, err error)
 	// decodeLocked installs a fragment previously produced by
-	// encodeLocked.
+	// appendLocked.
 	decodeLocked(k stream.Key, b []byte) error
-	// addKeysLocked inserts every key the cell holds into set.
-	addKeysLocked(set map[stream.Key]struct{})
+	// appendKeysLocked appends every key the cell holds to dst, in no
+	// particular order.
+	appendKeysLocked(dst []stream.Key) []stream.Key
 	// resetLocked drops all data.
 	resetLocked()
 	// lenLocked returns the number of keys the cell holds.
@@ -102,140 +105,134 @@ func (s *Store) touchLocked(k stream.Key) {
 	s.spillNoteWriteLocked()
 }
 
-// unionKeysLocked returns the set of keys held by any cell.
-func (s *Store) unionKeysLocked() map[stream.Key]struct{} {
-	set := make(map[stream.Key]struct{})
+// keysLocked returns every key held by any cell, ascending: each cell
+// appends its keys and they are sorted once; duplicates arise — and are
+// removed — only when several cells share the key space.
+func (s *Store) keysLocked() []stream.Key {
+	keys := make([]stream.Key, 0, s.residentLenLocked())
 	for _, c := range s.cells {
-		c.addKeysLocked(set)
+		keys = c.appendKeysLocked(keys)
 	}
-	return set
+	slices.Sort(keys)
+	if len(s.cells) > 1 {
+		keys = slices.Compact(keys)
+	}
+	return keys
 }
 
-// encodeKeyLocked serialises the per-key union of all cell fragments:
-// a fragment count, then (cell name, fragment bytes) pairs in cell
-// registration order. ok=false when no cell holds k.
-func (s *Store) encodeKeyLocked(k stream.Key) ([]byte, bool, error) {
-	type frag struct {
-		name string
-		b    []byte
-	}
-	var frags []frag
-	for _, c := range s.cells {
-		b, ok, err := c.encodeLocked(k)
-		if err != nil {
-			return nil, false, fmt.Errorf("state: cell %q: encode key %d: %w", c.cellName(), k, err)
-		}
-		if ok {
-			frags = append(frags, frag{name: c.cellName(), b: b})
-		}
-	}
-	if len(frags) == 0 {
-		return nil, false, nil
-	}
-	e := stream.NewEncoder(16)
-	e.Uint32(uint32(len(frags)))
-	for _, f := range frags {
-		e.String32(f.name)
-		e.Bytes32(f.b)
-	}
-	return e.Bytes(), true, nil
+// beginFrag appends a length-prefixed name and reserves the 32-bit
+// length of the bytes the caller appends next; endFrag, given the mark,
+// fills that length in.
+func beginFrag(dst []byte, name string) ([]byte, int) {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
+	dst = append(dst, name...)
+	dst = append(dst, 0, 0, 0, 0)
+	return dst, len(dst)
 }
 
-// Snapshot returns a deep copy of the full state as key/value pairs —
-// the get-processing-state function of §3.1, now implemented once by the
-// system instead of by every operator. Snapshot is a pure observation:
-// it does not reset dirty-key tracking (see TakeCheckpoint).
-func (s *Store) Snapshot() (map[stream.Key][]byte, error) {
+func endFrag(dst []byte, mark int) []byte {
+	binary.LittleEndian.PutUint32(dst[mark-4:], uint32(len(dst)-mark))
+	return dst
+}
+
+// captureLocked encodes the state under keys (ascending, distinct) into
+// one run, every cell appending straight into its body. A record is the
+// per-key union of all cell fragments: a fragment count, then (cell
+// name, fragment bytes) pairs in cell registration order. Keys no cell
+// holds come back in absent. The run takes over keys' backing array.
+func (s *Store) captureLocked(keys []stream.Key, bodyHint int) (run Run, absent []stream.Key, err error) {
+	b := RunBuilder{r: Run{
+		keys: keys[:0], // filtered in place: a key is written at or before where it was read
+		off:  make([]int, 0, len(keys)+1),
+		body: make([]byte, 0, max(bodyHint, 32*len(keys))),
+	}}
+	for _, k := range keys {
+		b.begin(k)
+		count := len(b.r.body)
+		b.r.body = append(b.r.body, 0, 0, 0, 0)
+		n := uint32(0)
+		for _, c := range s.cells {
+			var ok bool
+			if b.r.body, ok, err = c.appendLocked(b.r.body, k); err != nil {
+				return Run{}, nil, fmt.Errorf("state: cell %q: encode key %d: %w", c.cellName(), k, err)
+			}
+			if ok {
+				n++
+			}
+		}
+		if n == 0 {
+			b.abort()
+			absent = append(absent, k)
+			continue
+		}
+		binary.LittleEndian.PutUint32(b.r.body[count:], n)
+		b.end()
+	}
+	return b.Run(), absent, nil
+}
+
+// TakeCheckpoint captures the full state as one sorted run — the
+// get-processing-state function of §3.1, implemented once by the system
+// instead of by every operator. It resets dirty-key tracking (subsequent
+// deltas are relative to this checkpoint) and records the run's
+// serialised size as the baseline for DeltaPolicy. On error the tracking
+// state is untouched, so a failed checkpoint loses nothing.
+func (s *Store) TakeCheckpoint() (Run, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotLocked()
-}
-
-func (s *Store) snapshotLocked() (map[stream.Key][]byte, error) {
 	// Spilled ranges are transparent to checkpointing (§3.3): load them
 	// back before observing. A recorded spill I/O error fails the
-	// snapshot here rather than dropping state silently.
+	// checkpoint here rather than dropping state silently.
 	if err := s.materializeAllLocked(); err != nil {
-		return nil, err
+		return Run{}, err
 	}
-	keys := s.unionKeysLocked()
-	out := make(map[stream.Key][]byte, len(keys))
-	for k := range keys {
-		b, ok, err := s.encodeKeyLocked(k)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[k] = b
-		}
-	}
-	return out, nil
-}
-
-// TakeCheckpoint snapshots the full state for a checkpoint: like
-// Snapshot, but it also resets dirty-key tracking (subsequent deltas are
-// relative to this checkpoint) and records the snapshot's serialised
-// size as the baseline for DeltaPolicy. On error the tracking state is
-// untouched, so a failed checkpoint loses nothing.
-func (s *Store) TakeCheckpoint() (map[stream.Key][]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out, err := s.snapshotLocked()
+	keys := s.keysLocked()
+	// The last checkpoint's body, plus a sixteenth for growth, is what
+	// this one will need.
+	run, _, err := s.captureLocked(keys, s.lastFullSize+s.lastFullSize/16+4*len(keys))
 	if err != nil {
-		return nil, err
+		return Run{}, err
 	}
-	size := 0
-	for _, v := range out {
-		size += 8 + len(v)
-	}
-	s.lastFullSize = size
+	s.lastFullSize = run.Size()
 	s.deltasSinceFull = 0
 	s.touched = make(map[stream.Key]struct{})
-	return out, nil
+	return run, nil
 }
 
 // TakeDelta extracts an incremental checkpoint: the serialised fragments
 // of every key touched since the last TakeCheckpoint/TakeDelta, plus the
-// touched keys no longer held by any cell (deletions). Base and seq are
-// the checkpoint sequence numbers the delta chains between; ts is the
-// operator's input timestamp vector at extraction time. On success the
-// dirty-key tracking resets; on error it is untouched.
+// touched keys no longer held by any cell (deletions), both ascending.
+// Base and seq are the checkpoint sequence numbers the delta chains
+// between; ts is the operator's input timestamp vector at extraction
+// time. On success the dirty-key tracking resets; on error it is
+// untouched.
 func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := &Delta{
-		Base:    base,
-		Seq:     seq,
-		Changed: make(map[stream.Key][]byte, len(s.touched)),
-		TS:      ts.Clone(),
-	}
+	keys := make([]stream.Key, 0, len(s.touched))
 	for k := range s.touched {
 		// A dirty key can have been spilled since it was written; deltas
 		// encode exactly the dirty set, so make it resident first.
 		s.residentLocked(k)
-		b, ok, err := s.encodeKeyLocked(k)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			d.Changed[k] = b
-		} else {
-			d.Deleted = append(d.Deleted, k)
-		}
+		keys = append(keys, k)
 	}
-	sort.Slice(d.Deleted, func(i, j int) bool { return d.Deleted[i] < d.Deleted[j] })
+	slices.Sort(keys)
+	changed, deleted, err := s.captureLocked(keys, 0)
+	if err != nil {
+		return nil, err
+	}
 	s.touched = make(map[stream.Key]struct{})
 	s.deltasSinceFull++
-	return d, nil
+	return &Delta{Base: base, Seq: seq, Changed: changed, Deleted: deleted, TS: ts.Clone()}, nil
 }
 
-// Restore replaces the entire store contents with a snapshot produced by
-// Snapshot/TakeCheckpoint (set-processing-state, §3.1) — possibly one
-// partitioned by key range or merged from siblings. Dirty-key tracking
-// resets; a fragment naming an unregistered cell or failing to decode is
-// an error (state must never be dropped silently), and leaves the store
-// partially restored.
-func (s *Store) Restore(kv map[stream.Key][]byte) error {
+// Restore replaces the entire store contents with a run produced by
+// TakeCheckpoint (set-processing-state, §3.1) — possibly one partitioned
+// by key range or merged from siblings. Dirty-key tracking resets; a
+// fragment naming an unregistered cell or failing to decode is an error
+// (state must never be dropped silently), and leaves the store partially
+// restored.
+func (s *Store) Restore(kv Run) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The restored snapshot replaces everything: spilled fragments of
@@ -249,7 +246,12 @@ func (s *Store) Restore(kv map[stream.Key][]byte) error {
 	s.touched = make(map[stream.Key]struct{})
 	s.lastFullSize = 0
 	s.deltasSinceFull = 0
-	for k, v := range kv {
+	return s.installLocked(kv)
+}
+
+// installLocked decodes every record of kv into the cells.
+func (s *Store) installLocked(kv Run) error {
+	for k, v := range kv.All() {
 		if err := s.decodeKeyLocked(k, v); err != nil {
 			return err
 		}
@@ -258,17 +260,17 @@ func (s *Store) Restore(kv map[stream.Key][]byte) error {
 }
 
 // decodeKeyLocked installs one per-key fragment union produced by
-// encodeKeyLocked, dispatching each fragment to its cell.
+// captureLocked, dispatching each fragment to its cell.
 func (s *Store) decodeKeyLocked(k stream.Key, v []byte) error {
 	d := stream.NewDecoder(v)
 	n := int(d.Uint32())
 	for i := 0; i < n; i++ {
-		name := d.String32()
+		name := d.Bytes32()
 		frag := d.Bytes32()
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("state: restore key %d: %w", k, err)
 		}
-		c, ok := s.byName[name]
+		c, ok := s.byName[string(name)]
 		if !ok {
 			return fmt.Errorf("state: restore key %d: unknown cell %q", k, name)
 		}
@@ -309,7 +311,7 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.materializeAllLocked()
-	return len(s.unionKeysLocked())
+	return len(s.keysLocked())
 }
 
 // Keys returns every key held by any cell, ascending.
@@ -317,13 +319,7 @@ func (s *Store) Keys() []stream.Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.materializeAllLocked()
-	set := s.unionKeysLocked()
-	out := make([]stream.Key, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.keysLocked()
 }
 
 // --- typed cells ---
@@ -334,6 +330,7 @@ type Value[T any] struct {
 	s     *Store
 	nm    string
 	codec Codec[T]
+	fast  appender[T] // codec's append fast path, nil when it has none
 	data  map[stream.Key]T
 }
 
@@ -345,6 +342,7 @@ func NewValue[T any](s *Store, name string, codec Codec[T]) *Value[T] {
 		codec = GobCodec[T]{}
 	}
 	v := &Value[T]{s: s, nm: name, codec: codec, data: make(map[stream.Key]T)}
+	v.fast, _ = codec.(appender[T])
 	s.register(v)
 	return v
 }
@@ -456,13 +454,14 @@ func (v *Value[T]) Drain() map[stream.Key]T {
 
 func (v *Value[T]) cellName() string { return v.nm }
 
-func (v *Value[T]) encodeLocked(k stream.Key) ([]byte, bool, error) {
+func (v *Value[T]) appendLocked(dst []byte, k stream.Key) ([]byte, bool, error) {
 	val, ok := v.data[k]
 	if !ok {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	b, err := v.codec.Encode(val)
-	return b, true, err
+	dst, mark := beginFrag(dst, v.nm)
+	dst, err := appendValue(v.codec, v.fast, dst, val)
+	return endFrag(dst, mark), true, err
 }
 
 func (v *Value[T]) decodeLocked(k stream.Key, b []byte) error {
@@ -474,11 +473,7 @@ func (v *Value[T]) decodeLocked(k stream.Key, b []byte) error {
 	return nil
 }
 
-func (v *Value[T]) addKeysLocked(set map[stream.Key]struct{}) {
-	for k := range v.data {
-		set[k] = struct{}{}
-	}
-}
+func (v *Value[T]) appendKeysLocked(dst []stream.Key) []stream.Key { return appendKeys(dst, v.data) }
 
 func (v *Value[T]) resetLocked() { v.data = make(map[stream.Key]T) }
 
@@ -501,7 +496,10 @@ type Map[T any] struct {
 	s     *Store
 	nm    string
 	codec Codec[T]
+	fast  appender[T] // codec's append fast path, nil when it has none
 	data  map[stream.Key]map[string]T
+	// fields is appendLocked's scratch for one key's sorted field names.
+	fields []string
 }
 
 // NewMap registers a Map cell with the store. A nil codec defaults to
@@ -511,6 +509,7 @@ func NewMap[T any](s *Store, name string, codec Codec[T]) *Map[T] {
 		codec = GobCodec[T]{}
 	}
 	m := &Map[T]{s: s, nm: name, codec: codec, data: make(map[stream.Key]map[string]T)}
+	m.fast, _ = codec.(appender[T])
 	s.register(m)
 	return m
 }
@@ -622,27 +621,29 @@ func (m *Map[T]) Drain() map[stream.Key]map[string]T {
 
 func (m *Map[T]) cellName() string { return m.nm }
 
-func (m *Map[T]) encodeLocked(k stream.Key) ([]byte, bool, error) {
+func (m *Map[T]) appendLocked(dst []byte, k stream.Key) ([]byte, bool, error) {
 	inner, ok := m.data[k]
 	if !ok {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	fields := make([]string, 0, len(inner))
+	fields := m.fields[:0]
 	for field := range inner {
 		fields = append(fields, field)
 	}
 	sort.Strings(fields)
-	e := stream.NewEncoder(16 * len(fields))
-	e.Uint32(uint32(len(fields)))
+	m.fields = fields
+	dst, mark := beginFrag(dst, m.nm)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fields)))
 	for _, field := range fields {
-		b, err := m.codec.Encode(inner[field])
-		if err != nil {
-			return nil, false, err
+		var fmark int
+		var err error
+		dst, fmark = beginFrag(dst, field)
+		if dst, err = appendValue(m.codec, m.fast, dst, inner[field]); err != nil {
+			return dst, false, err
 		}
-		e.String32(field)
-		e.Bytes32(b)
+		endFrag(dst, fmark)
 	}
-	return e.Bytes(), true, nil
+	return endFrag(dst, mark), true, nil
 }
 
 func (m *Map[T]) decodeLocked(k stream.Key, b []byte) error {
@@ -665,11 +666,7 @@ func (m *Map[T]) decodeLocked(k stream.Key, b []byte) error {
 	return nil
 }
 
-func (m *Map[T]) addKeysLocked(set map[stream.Key]struct{}) {
-	for k := range m.data {
-		set[k] = struct{}{}
-	}
-}
+func (m *Map[T]) appendKeysLocked(dst []stream.Key) []stream.Key { return appendKeys(dst, m.data) }
 
 func (m *Map[T]) resetLocked() { m.data = make(map[stream.Key]map[string]T) }
 
@@ -685,11 +682,15 @@ func (m *Map[T]) compactLocked() {
 	m.data = nd
 }
 
-func sortedKeys[V any](data map[stream.Key]V) []stream.Key {
-	out := make([]stream.Key, 0, len(data))
+func appendKeys[V any](dst []stream.Key, data map[stream.Key]V) []stream.Key {
 	for k := range data {
-		out = append(out, k)
+		dst = append(dst, k)
 	}
+	return dst
+}
+
+func sortedKeys[V any](data map[stream.Key]V) []stream.Key {
+	out := appendKeys(make([]stream.Key, 0, len(data)), data)
 	slices.Sort(out)
 	return out
 }

@@ -81,12 +81,12 @@ func TestStoreSnapshotRestoreMultiCell(t *testing.T) {
 	m1.Put(2, "x", 7)
 	m1.Put(3, "y", 8)
 
-	kv, err := s1.Snapshot()
+	kv, err := s1.TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kv) != 3 {
-		t.Fatalf("snapshot keys = %d, want 3", len(kv))
+	if kv.Len() != 3 {
+		t.Fatalf("snapshot keys = %d, want 3", kv.Len())
 	}
 	s2, v2, m2 := mk()
 	if err := s2.Restore(kv); err != nil {
@@ -123,7 +123,7 @@ func TestStoreDefaultAndJSONCodecs(t *testing.T) {
 	j := NewValue[map[string]int64](s, "json", JSONCodec[map[string]int64]{})
 	g.Set(1, rec{N: 4, S: "hi"})
 	j.Set(1, map[string]int64{"a": 1, "b": 2})
-	kv, err := s.Snapshot()
+	kv, err := s.TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestStoreSnapshotIsDeepCopy(t *testing.T) {
 	s := NewStore()
 	m := NewMap[int64](s, "m", Int64Codec{})
 	m.Put(1, "a", 1)
-	kv, err := s.Snapshot()
+	kv, err := s.TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestDeltaChainReconstructsFullSnapshot(t *testing.T) {
 		d.Apply(folded)
 	}
 
-	full, err := s.Snapshot()
+	full, err := s.TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}

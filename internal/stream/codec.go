@@ -70,6 +70,9 @@ func (e *Encoder) Bool(v bool) {
 // Float64 appends an IEEE-754 double.
 func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
 
+// Raw appends b as it is, for bytes that are already in wire form.
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
 // Bytes32 appends a byte string with a 32-bit length prefix.
 func (e *Encoder) Bytes32(b []byte) {
 	e.Uint32(uint32(len(b)))
@@ -163,7 +166,9 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-func (d *Decoder) take(n int) []byte {
+// Raw reads the next n bytes as they are. The returned slice aliases the
+// decoder's buffer; copy if retained.
+func (d *Decoder) Raw(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
@@ -178,7 +183,7 @@ func (d *Decoder) take(n int) []byte {
 
 // Uint64 reads a fixed-width 64-bit unsigned integer.
 func (d *Decoder) Uint64() uint64 {
-	b := d.take(8)
+	b := d.Raw(8)
 	if b == nil {
 		return 0
 	}
@@ -190,7 +195,7 @@ func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 
 // Uint32 reads a fixed-width 32-bit unsigned integer.
 func (d *Decoder) Uint32() uint32 {
-	b := d.take(4)
+	b := d.Raw(4)
 	if b == nil {
 		return 0
 	}
@@ -202,7 +207,7 @@ func (d *Decoder) Int32() int32 { return int32(d.Uint32()) }
 
 // Uint8 reads a single byte.
 func (d *Decoder) Uint8() uint8 {
-	b := d.take(1)
+	b := d.Raw(1)
 	if b == nil {
 		return 0
 	}
@@ -219,7 +224,7 @@ func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 // aliases the decoder's buffer; copy if retained.
 func (d *Decoder) Bytes32() []byte {
 	n := int(d.Uint32())
-	return d.take(n)
+	return d.Raw(n)
 }
 
 // String32 reads a 32-bit length-prefixed string.
@@ -275,7 +280,7 @@ func (d *Decoder) BytesV() []byte {
 		}
 		return nil
 	}
-	return d.take(int(n))
+	return d.Raw(int(n))
 }
 
 // Section reads a length-prefixed section written between BeginSection
@@ -289,7 +294,7 @@ func (d *Decoder) Section() *Decoder {
 	if d.err != nil {
 		return &Decoder{err: d.err}
 	}
-	return NewDecoder(d.take(int(n)))
+	return NewDecoder(d.Raw(int(n)))
 }
 
 // StringV reads a uvarint length-prefixed string. The first call

@@ -334,12 +334,14 @@ func TestDeltaCheckpointFrameRoundTrip(t *testing.T) {
 	}
 	defer l.Close()
 
+	var changed state.RunBuilder
+	changed.Append(7, []byte("seven"))
 	dc := &state.DeltaCheckpoint{
 		Instance: plan.InstanceID{Op: "count", Part: 0},
 		Delta: &state.Delta{
 			Base:    3,
 			Seq:     4,
-			Changed: map[stream.Key][]byte{7: []byte("seven")},
+			Changed: changed.Run(),
 			Deleted: []stream.Key{9},
 			TS:      stream.TSVector{12},
 		},
@@ -365,8 +367,9 @@ func TestDeltaCheckpointFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		seven, _ := got.Delta.Changed.Get(7)
 		if got.Instance != dc.Instance || got.Delta.Seq != dc.Delta.Seq ||
-			string(got.Delta.Changed[7]) != "seven" || got.OutClock != dc.OutClock {
+			string(seven) != "seven" || got.OutClock != dc.OutClock {
 			t.Fatalf("delta roundtrip mismatch: %+v", got)
 		}
 	case <-time.After(2 * time.Second):

@@ -3,8 +3,8 @@
 # best-of-N ns/op exceeds the recorded anchor by more than 15%. Anchors
 # are the ci_anchor sections next to the numbers they guard:
 # BENCH_transport.json (wire hop), BENCH_pipeline.json (in-process
-# engine path), BENCH_checkpoint.json (one checkpoint's encode, store
-# and decode).
+# engine path), BENCH_checkpoint.json (one checkpoint's capture, encode,
+# store and decode).
 # Best-of-N damps scheduler noise; a genuine regression shifts the whole
 # distribution, not just the tail.
 set -euo pipefail
