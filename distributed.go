@@ -420,36 +420,35 @@ func (j *distJob) MetricsSnapshot() Metrics {
 		Transport:     j.co().TransportStats(),
 		ControlPlane:  j.co().ControlPlaneStats(),
 	}
-	if len(j.workers) > 0 {
-		// In-process workers: read engine counters directly. Latency is
-		// reported by the worker hosting the most sink samples (sink
-		// instances are pinned, so in practice that is THE sink host).
-		var bestCount uint64
-		for _, w := range j.workers {
-			m.Transport = m.Transport.Add(w.TransportStats())
-			m.OrphanCheckpointsDropped += w.OrphanDropped()
-			eng := w.Engine()
-			if eng == nil {
-				continue
-			}
-			m.SinkTuples += eng.SinkCount.Value()
-			m.DuplicatesDropped += eng.DupDropped.Value()
-			m.Backpressure.Add(eng.BackpressureSnapshot())
-			if s := eng.Latency.Summarize(); s.Count > bestCount {
-				bestCount = s.Count
-				m.Latency = s
-			}
-		}
-		return m
-	}
-	// External workers: aggregate the counters piggybacked on their
-	// utilisation reports (requires WithPolicy to stream reports).
-	for _, s := range j.co().WorkerStatsSnapshot() {
+	add := func(s dist.WorkerStats) {
 		m.SinkTuples += s.SinkTuples
 		m.DuplicatesDropped += s.DupDropped
 		m.Transport = m.Transport.Add(s.Transport)
 		m.Backpressure.Add(s.Backpressure)
 		m.OrphanCheckpointsDropped += s.OrphanDropped
+	}
+	if len(j.workers) == 0 {
+		// External workers: the counters piggybacked on their utilisation
+		// reports (requires WithPolicy to stream reports); the coordinator
+		// keeps a dead worker's last report.
+		for _, s := range j.co().WorkerStatsSnapshot() {
+			add(s)
+		}
+		return m
+	}
+	// In-process workers are read directly; a killed one reports the
+	// counters its engine ended on, so no sum goes backwards. Latency is
+	// reported by the worker hosting the most sink samples (sink instances
+	// are pinned, so in practice that is THE sink host).
+	var bestCount uint64
+	for _, w := range j.workers {
+		add(w.Stats())
+		if eng := w.Engine(); eng != nil {
+			if s := eng.Latency.Summarize(); s.Count > bestCount {
+				bestCount = s.Count
+				m.Latency = s
+			}
+		}
 	}
 	return m
 }

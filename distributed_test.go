@@ -326,12 +326,11 @@ func TestDistributedLargeStateAtDefaultDetectDelay(t *testing.T) {
 	}
 }
 
-// TestDistributedStopMidFlood stops a 3-worker job while tuples, credit
-// grants and checkpoints are all in flight: engine goroutines are still
-// enqueueing batches on the outbound links and listener goroutines are
-// still granting credits when teardown ends those links. Run under
-// -race, which reports a send racing a channel close; the links end
-// through a done channel instead, so teardown is just a dropped message.
+// TestDistributedStopMidFlood stops a 3-worker job while tuples and
+// checkpoints are in flight: engine goroutines are still enqueueing
+// batches on the outbound links when teardown ends those links. Run
+// under -race, which reports a send racing a channel close; the links end
+// through a done channel instead, so teardown is just a dropped batch.
 func TestDistributedStopMidFlood(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		job, err := seep.Distributed(

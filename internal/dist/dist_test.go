@@ -183,7 +183,7 @@ func TestDistributedWordCount(t *testing.T) {
 	// The pipeline crossed worker boundaries: transport moved frames.
 	var stats uint64
 	for _, w := range cl.workers {
-		stats += w.TransportStats().FramesSent
+		stats += w.Stats().Transport.FramesSent
 	}
 	if stats == 0 {
 		t.Error("no frames crossed the wire — placement kept the pipeline local?")

@@ -72,10 +72,4 @@ func TestManagerBooksAssignRoundTrip(t *testing.T) {
 	if _, sizeZero := roundTrip(engine.Config{}); size-sizeZero > 64 {
 		t.Errorf("eight settings cost %d bytes on the wire", size-sizeZero)
 	}
-	if slots := got.Engine.CreditSlots(); slots != 512/64 {
-		t.Errorf("CreditSlots() = %d, want QueueBound/BatchSize = 8", slots)
-	}
-	if slots := (engine.Config{}).CreditSlots(); slots != 4096/128 {
-		t.Errorf("zero config CreditSlots() = %d, want the defaults' 4096/128", slots)
-	}
 }

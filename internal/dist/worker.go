@@ -42,16 +42,19 @@ type Worker struct {
 	self  string
 
 	// mu guards the engine handle, the pre-deployment stash and the
-	// retired set. The steady-state data path does not take it: onBatch
+	// retired set. The steady-state data path does not take it: deliver
 	// reads the lock-free engPtr mirror.
 	mu      sync.Mutex
 	eng     *engine.Engine
 	sources []SourceBinding
 	coord   *transport.Peer
-	stash   map[plan.InstanceID][]engine.Delivery
+	stash   map[plan.InstanceID][]state.Batch
 	retired map[plan.InstanceID]bool
 	started bool
 	killed  bool
+	// final is the engine's last counters, kept by Kill so sums over
+	// workers never go backwards when one dies.
+	final WorkerStats
 	// Orphan mode: the coordinator link died. The data path is
 	// untouched — batches keep flowing worker-to-worker — while
 	// checkpoint ships are buffered locally (newest per instance) and,
@@ -91,13 +94,11 @@ type Worker struct {
 	pmu       sync.RWMutex
 	placement map[plan.InstanceID]string
 
-	// lmu guards the outbound data links and their credit sizing, both
-	// set by the assignment. links is nil outside a job (before
-	// assignment, after stop or kill), which is what makes link refuse
-	// to create one.
-	lmu         sync.Mutex
-	links       map[string]*peerLink
-	linkCredits int
+	// lmu guards the outbound data links. links is nil outside a job
+	// (before assignment, after stop or kill), which is what makes link
+	// refuse to create one.
+	lmu   sync.Mutex
+	links map[string]*peerLink
 
 	reportStop chan struct{}
 	died       chan struct{}
@@ -113,7 +114,7 @@ func NewWorker(addr string, reg Registry, codec state.PayloadCodec) (*Worker, er
 		reg:       reg,
 		codec:     codec,
 		tm:        &transport.Metrics{},
-		stash:     make(map[plan.InstanceID][]engine.Delivery),
+		stash:     make(map[plan.InstanceID][]state.Batch),
 		retired:   make(map[plan.InstanceID]bool),
 		placement: make(map[plan.InstanceID]string),
 		ctrlQ:     make(chan *Control, 256),
@@ -121,11 +122,10 @@ func NewWorker(addr string, reg Registry, codec state.PayloadCodec) (*Worker, er
 	}
 	go w.ctrlLoop()
 	ln, err := transport.ListenWith(addr, codec, transport.Handlers{
-		OnBatch:   w.onBatch,
+		OnBatch:   w.deliver,
 		OnAck:     w.onAck,
 		OnControl: w.onControl,
 		OnBarrier: w.onBarrier,
-		OnCredit:  w.onCredit,
 	}, w.tm)
 	if err != nil {
 		return nil, err
@@ -151,13 +151,6 @@ func (w *Worker) setEngine(eng *engine.Engine) {
 	w.engPtr.Store(eng)
 }
 
-// TransportStats snapshots this worker's transport counters.
-func (w *Worker) TransportStats() transport.Stats { return w.tm.Snapshot() }
-
-// OrphanDropped reports how many checkpoint ships the bounded
-// orphan-mode buffer has evicted.
-func (w *Worker) OrphanDropped() uint64 { return w.orphanDropped.Load() }
-
 // Wait blocks until the worker dies (MsgDie or Kill) — the daemon
 // main's park.
 func (w *Worker) Wait() { <-w.died }
@@ -177,11 +170,11 @@ func (w *Worker) Kill() {
 	coord := w.coord
 	// Claim the job-scoped channels under the lock: a graceful stop
 	// (MsgStop → handleStop) can race this crash-stop, and whoever
-	// nils a field out owns closing it.
+	// nils a field out owns closing it. The engine handle stays until its
+	// final counters are kept below, so Stats never reads a gap.
 	rs := w.reportStop
 	w.reportStop = nil
 	w.coord = nil
-	w.setEngine(nil)
 	rdl := w.redialStop
 	w.redialStop = nil
 	w.mu.Unlock()
@@ -198,85 +191,71 @@ func (w *Worker) Kill() {
 	}
 	if eng != nil {
 		eng.Stop()
+		final := engineStats(eng)
+		w.mu.Lock()
+		w.final = final
+		w.setEngine(nil)
+		w.mu.Unlock()
 	}
 	w.closeLinks()
 	close(w.died)
 }
 
+// Stats snapshots this worker's counters: the hosted engine's, or, once
+// the worker was killed, the values that engine ended on.
+func (w *Worker) Stats() WorkerStats {
+	w.mu.Lock()
+	eng, s := w.eng, w.final
+	w.mu.Unlock()
+	if eng != nil {
+		s = engineStats(eng)
+	}
+	s.Transport = w.tm.Snapshot()
+	s.OrphanDropped = w.orphanDropped.Load()
+	return s
+}
+
+// engineStats is the engine's share of a WorkerStats.
+func engineStats(eng *engine.Engine) WorkerStats {
+	return WorkerStats{
+		SinkTuples:   eng.SinkCount.Value(),
+		DupDropped:   eng.DupDropped.Value(),
+		Processed:    eng.TotalProcessed(),
+		Backpressure: eng.BackpressureSnapshot(),
+	}
+}
+
 // ---- inbound data path ----
 
-// onBatch delivers a wire batch into the hosted instance, stashing
-// arrivals for an instance that is planned here but not yet deployed
-// (replays and rerouted tuples racing a MsgDeploy). Delivery grants one
-// credit back to the sending host: DeliverLocal blocks while the
-// destination's bounded input queue is full, so by the time the grant
-// leaves, the slot the batch consumed is genuinely accounted for — a
-// slow operator here stalls the remote sender's budget instead of
-// growing this host's memory.
-func (w *Worker) onBatch(b transport.Batch) {
-	ds := make([]engine.Delivery, len(b.Tuples))
-	for i, t := range b.Tuples {
-		ds[i] = engine.Delivery{From: b.From, Input: b.Input, T: t}
-	}
+// deliver queues a batch — off the wire, or emitted here toward an
+// instance placed on this worker — on the hosted instance, waiting in
+// DeliverLocal for that node's credit: the connection (or emitter) that
+// brought the batch stalls there, which is all the flow control the link
+// needs. A batch for an instance that is planned here but not yet
+// deployed (replays and rerouted tuples racing a MsgDeploy) is stashed
+// until it arrives; one for a retired instance is dropped — its tuples
+// are retained upstream and replayed to the replacements.
+//
+// seep:blocking
+func (w *Worker) deliver(b state.Batch) {
 	// Fast path: hosted and running — no worker lock.
-	if eng := w.engPtr.Load(); eng != nil && eng.DeliverLocal(b.To, ds) {
-		w.grantCredit(b)
+	if eng := w.engPtr.Load(); eng != nil && eng.DeliverLocal(b) {
 		return
 	}
-	w.stashOrDrop(b.To, ds)
-	w.grantCredit(b)
-}
-
-// grantCredit returns one batch slot to the host that sent b.
-func (w *Worker) grantCredit(b transport.Batch) {
-	w.pmu.RLock()
-	addr := w.placement[b.From]
-	w.pmu.RUnlock()
-	if addr == "" || addr == w.self {
-		return
-	}
-	if pl := w.link(addr); pl != nil {
-		pl.enqueue(linkMsg{credit: transport.Credit{To: b.To, Grants: 1}, isCredit: true})
-	}
-}
-
-// onCredit refills the budget of the link carrying batches toward the
-// granted instance.
-func (w *Worker) onCredit(c transport.Credit) {
-	w.pmu.RLock()
-	addr := w.placement[c.To]
-	w.pmu.RUnlock()
-	if addr == "" || addr == w.self {
-		return
-	}
-	pl := w.link(addr)
-	if pl == nil {
-		return
-	}
-	for i := uint32(0); i < c.Grants; i++ {
-		select {
-		case pl.credits <- struct{}{}:
-		default:
-			// Saturating: a resync already topped the budget up.
-			return
-		}
-	}
-}
-
-// stashOrDrop re-checks delivery under the worker lock (a concurrent
-// deploy may have just adopted the instance) and otherwise stashes the
-// batch until its instance arrives. Retired instances drop — their
-// tuples are retained upstream and replayed to the replacements.
-func (w *Worker) stashOrDrop(to plan.InstanceID, ds []engine.Delivery) {
+	// Hosted-or-stash is decided under the worker lock (handleDeploy
+	// adopts and drains the stash under it); the delivery itself waits
+	// outside it. An instance retired in between refuses the batch.
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.eng != nil && w.eng.DeliverLocal(to, ds) {
+	eng := w.eng
+	if eng == nil || !eng.Hosts(b.To) {
+		if !w.killed && !w.retired[b.To] {
+			w.stash[b.To] = append(w.stash[b.To], b)
+		}
+		w.mu.Unlock()
 		return
 	}
-	if w.killed || w.retired[to] {
-		return
-	}
-	w.stash[to] = append(w.stash[to], ds...)
+	w.mu.Unlock()
+	eng.DeliverLocal(b)
 }
 
 func (w *Worker) onAck(a transport.Ack) {
@@ -415,9 +394,6 @@ func (w *Worker) handleAssign(c *Control) error {
 	w.setEngine(eng)
 	w.lmu.Lock()
 	w.links = make(map[string]*peerLink)
-	// The remote half of an edge gets the same batch budget as a local
-	// edge would.
-	w.linkCredits = cfg.CreditSlots()
 	w.lmu.Unlock()
 	w.coord = coord
 	w.sources = sources
@@ -472,7 +448,7 @@ func (w *Worker) handleStop() {
 	w.reportStop = nil
 	coord := w.coord
 	w.coord = nil
-	w.stash = make(map[plan.InstanceID][]engine.Delivery)
+	w.stash = make(map[plan.InstanceID][]state.Batch)
 	w.retired = make(map[plan.InstanceID]bool)
 	w.orphan = false
 	w.standby = ""
@@ -523,6 +499,7 @@ func (w *Worker) handleReroute(c *Control) (int, error) {
 		w.retired[v] = true
 	}
 	w.mu.Unlock()
+	w.pruneLinks()
 	return eng.ApplyReroute(c.Op, routing, newInsts, c.Inherit, c.TrimAcks), nil
 }
 
@@ -539,8 +516,8 @@ func (w *Worker) handleDeploy(c *Control) (int, error) {
 	w.placement[cp.Instance] = w.self
 	w.pmu.Unlock()
 	// Adoption and stash drain are atomic under the worker lock, so a
-	// racing onBatch either delivers into the adopted node or stashes
-	// before the drain — never after it.
+	// racing deliver either queues on the adopted node or stashes before
+	// the drain — never after it.
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.eng == nil {
@@ -838,113 +815,48 @@ func (w *Worker) handleResume(c *Control) {
 }
 
 // linkRouter is the engine's Remote: it resolves the destination
-// instance to a worker and forwards the batch on that worker's FIFO
-// link. Self-addressed batches (an instance planned here but not yet
+// instance to a worker and hands the batch to that worker's FIFO link.
+// Self-addressed batches (an instance planned here but not yet
 // deployed) take the stash path directly.
 type linkRouter struct{ w *Worker }
 
-func (r *linkRouter) Deliver(to plan.InstanceID, ds []engine.Delivery) {
-	r.w.deliverRemote(to, ds)
-}
-
-func (w *Worker) deliverRemote(to plan.InstanceID, ds []engine.Delivery) {
-	if len(ds) == 0 {
-		return
-	}
+func (r *linkRouter) Deliver(b state.Batch) {
+	w := r.w
 	w.pmu.RLock()
-	addr := w.placement[to]
+	addr := w.placement[b.To]
 	w.pmu.RUnlock()
 	switch addr {
 	case "":
 		// Unknown destination (stale table racing a reroute): drop — the
 		// tuples are retained in the sender's output buffer and replayed
 		// once the new routing lands.
-		return
 	case w.self:
-		cp := make([]engine.Delivery, len(ds))
-		copy(cp, ds)
-		w.stashOrDrop(to, cp)
-		return
-	}
-	// A chunk shares one (from, input) by construction — the engine
-	// groups sends per (hop, target).
-	b := transport.Batch{From: ds[0].From, To: to, Input: ds[0].Input,
-		Tuples: make([]stream.Tuple, len(ds))}
-	for i := range ds {
-		b.Tuples[i] = ds[i].T
-	}
-	if pl := w.link(addr); pl != nil {
-		pl.enqueue(linkMsg{b: b})
-	}
-}
-
-// linkMsg is one unit of outbound link work: a data batch (credit-gated)
-// or a flow-control credit grant (never gated — grants are what unblock
-// the other side).
-type linkMsg struct {
-	b        transport.Batch
-	credit   transport.Credit
-	isCredit bool
-}
-
-// peerLink is one outbound data connection with an async writer, so the
-// emitting node goroutine never blocks on the network — it blocks on
-// the bounded queue, which is drained (or discarded, when the peer is
-// down) at link speed. The credits channel is the link's flow-control
-// budget in batches: one credit is consumed per batch shipped and
-// refilled by frameCredit grants from the receiving host, so a slow
-// receiver stalls this sender instead of growing the remote queue.
-// Teardown closes done and never q: engine and listener goroutines may
-// still be enqueueing, and a send racing the end of the job is a dropped
-// message, not a send on a closed channel.
-type peerLink struct {
-	addr    string
-	q       chan linkMsg
-	credits chan struct{}
-	done    chan struct{}
-}
-
-// linkCreditTimeout is the liveness escape for a sender waiting on
-// credits: grants can be lost across re-dials and reroutes, so after
-// this long the budget is resynchronised to full and the batch ships
-// anyway — the receiver's own bounded queues and TCP backpressure keep
-// memory bounded even through a resync.
-const linkCreditTimeout = 2 * time.Second
-
-func (pl *peerLink) enqueue(m linkMsg) {
-	select {
-	case pl.q <- m:
-	case <-pl.done:
-	}
-}
-
-// refill tops the budget back up to capacity (credit resync).
-func (pl *peerLink) refill() {
-	for {
-		select {
-		case pl.credits <- struct{}{}:
-		default:
-			return
+		w.deliver(b)
+	default:
+		if pl := w.link(addr); pl != nil {
+			pl.enqueue(b)
 		}
 	}
 }
 
-// acquireCredit takes one credit before a batch send, counting a
-// transport credit stall when the fast path misses and resyncing the
-// budget if no grant arrives within linkCreditTimeout.
-func (pl *peerLink) acquireCredit(w *Worker) {
+// peerLink is one outbound data connection with an async writer, so the
+// emitting node goroutine never blocks on the network — it blocks on
+// the bounded queue, which drains at the speed the receiving worker
+// reads its end of the connection: a receiver whose node is out of
+// credits stops reading, the writer stalls in its send, the queue fills
+// and the emitter waits. Teardown closes done and never q: engine and
+// listener goroutines may still be enqueueing, and a send racing the
+// end of the link is a dropped batch (retained upstream), not a send on
+// a closed channel.
+type peerLink struct {
+	addr string
+	q    chan state.Batch
+	done chan struct{}
+}
+
+func (pl *peerLink) enqueue(b state.Batch) {
 	select {
-	case <-pl.credits:
-		return
-	default:
-	}
-	w.tm.AddCreditStall()
-	t := time.NewTimer(linkCreditTimeout)
-	defer t.Stop()
-	select {
-	case <-pl.credits:
-	case <-t.C:
-		pl.refill()
+	case pl.q <- b:
 	case <-pl.done:
 	}
 }
@@ -961,8 +873,9 @@ func (w *Worker) link(addr string) *peerLink {
 	if pl := w.links[addr]; pl != nil {
 		return pl
 	}
-	pl := &peerLink{addr: addr, q: make(chan linkMsg, 256), credits: make(chan struct{}, w.linkCredits), done: make(chan struct{})}
-	pl.refill()
+	// 256 batches ride out the writer's time inside one send without
+	// stalling the emitter, and bound what a link to a dead peer holds.
+	pl := &peerLink{addr: addr, q: make(chan state.Batch, 256), done: make(chan struct{})}
 	w.links[addr] = pl
 	go w.runLink(pl)
 	return pl
@@ -972,10 +885,42 @@ func (w *Worker) link(addr string) *peerLink {
 // link refuses to create new ones until the next assignment.
 func (w *Worker) closeLinks() {
 	w.lmu.Lock()
-	for _, pl := range w.links {
-		close(pl.done)
+	for addr := range w.links {
+		w.dropLink(addr)
 	}
 	w.links = nil
+	w.lmu.Unlock()
+}
+
+// dropLink ends the link toward addr: its writer exits, whatever it had
+// queued is dropped, and senders waiting on its queue are released.
+//
+// seep:locks w.lmu
+func (w *Worker) dropLink(addr string) {
+	close(w.links[addr].done)
+	delete(w.links, addr)
+}
+
+// pruneLinks closes every link to an address no instance is placed on
+// any more — a worker whose last instance a reroute just moved away,
+// because it died or was scaled in — and drops what the link had queued:
+// those tuples are retained upstream and the reroute replays them. A
+// link left to drain toward a dead peer would take maxAttempts re-dials
+// per batch and hold every emitter that routes through it meanwhile.
+// Runs on the control goroutine, the only writer of placement.
+func (w *Worker) pruneLinks() {
+	w.pmu.RLock()
+	placed := make(map[string]bool, len(w.placement))
+	for _, addr := range w.placement {
+		placed[addr] = true
+	}
+	w.pmu.RUnlock()
+	w.lmu.Lock()
+	for addr := range w.links {
+		if !placed[addr] {
+			w.dropLink(addr)
+		}
+	}
 	w.lmu.Unlock()
 }
 
@@ -1002,16 +947,13 @@ func (w *Worker) runLink(pl *peerLink) {
 	}()
 	var downUntil time.Time
 	for {
-		var m linkMsg
+		var b state.Batch
 		select {
-		case m = <-pl.q:
+		case b = <-pl.q:
 		case <-pl.done:
 			return
 		}
-		if !m.isCredit {
-			pl.acquireCredit(w)
-		}
-		// A message still unsent after maxAttempts is dropped: retention
+		// A batch still unsent after maxAttempts is dropped: retention
 		// and recovery cover it.
 		for attempt := 0; attempt < maxAttempts; attempt++ {
 			if p == nil {
@@ -1031,13 +973,7 @@ func (w *Worker) runLink(pl *peerLink) {
 				}
 				p = peer
 			}
-			var err error
-			if m.isCredit {
-				err = p.SendCredit(m.credit)
-			} else {
-				err = p.SendBatch(m.b)
-			}
-			if err != nil {
+			if err := p.SendBatch(b); err != nil {
 				// The send already retried with one re-dial; rebuild the
 				// peer and try again after a backoff.
 				p.Close()
@@ -1047,6 +983,9 @@ func (w *Worker) runLink(pl *peerLink) {
 			}
 			break
 		}
+		// Encoded into the connection's write buffer (or given up on):
+		// the link was the batch's last owner.
+		b.Recycle()
 	}
 }
 
@@ -1076,12 +1015,5 @@ func (w *Worker) sendReport() {
 	if eng == nil {
 		return
 	}
-	w.sendToCoord(&Control{Kind: MsgReport, From: w.self, Reports: eng.UtilReports(), Stats: WorkerStats{
-		SinkTuples:    eng.SinkCount.Value(),
-		DupDropped:    eng.DupDropped.Value(),
-		Processed:     eng.TotalProcessed(),
-		Transport:     w.tm.Snapshot(),
-		Backpressure:  eng.BackpressureSnapshot(),
-		OrphanDropped: w.orphanDropped.Load(),
-	}})
+	w.sendToCoord(&Control{Kind: MsgReport, From: w.self, Reports: eng.UtilReports(), Stats: w.Stats()})
 }

@@ -7,19 +7,23 @@ import (
 	"seep/internal/state"
 )
 
-// Credit-based flow control on the local node-link layer. Every node
-// owns a credit ledger sized to its input bound: one credit per batch
-// slot, handed to senders before a channel send and returned when the
+// Credit-based flow control on the node-link layer. Every node owns a
+// credit ledger sized to its input bound: one credit per batch slot,
+// taken by the sender before the channel send and returned when the
 // batch has been fully processed (not merely dequeued), so the ledger
-// bounds queued AND in-flight work. The acquire sits on the post-unlock
-// send path of emitChunk — a stalled sender holds no locks, which is
-// what lets checkpoint barriers, reroutes and buffer trims proceed
-// around it. Replay traffic (replacement replays, replay queues, adopted
-// buffers) bypasses the ledger — recovery must be able to cross a
-// credit-starved edge, and its volume is bounded by the retained
-// buffers — and control messages (barriers, ticks) ride the separate
-// ctrl queue, consuming no credits. Releases are capped non-blocking
-// sends, so bypassed batches simply top the ledger up. Deadlock freedom
+// bounds queued AND in-flight work. It is the only flow control there
+// is: a local emitter takes the credit on the post-unlock send path of
+// emitChunk — a stalled sender holds no locks, which is what lets
+// checkpoint barriers, reroutes and buffer trims proceed around it —
+// and a batch arriving from another process takes it in DeliverLocal,
+// on the connection's handler goroutine, so a starved node stops that
+// connection being read and the remote sender stalls on its socket.
+// Replay traffic (replacement replays, replay queues, adopted buffers)
+// bypasses the ledger — recovery must be able to cross a credit-starved
+// edge, and its volume is bounded by the retained buffers — and control
+// messages (barriers, ticks) ride the separate ctrl queue, consuming no
+// credits. Releases saturate at the ledger's capacity, so a bypassed
+// batch read from the input queue simply tops it up. Deadlock freedom
 // follows from the query being a DAG whose sinks never emit: the
 // terminal node always drains, and every stall select also watches the
 // receiver's stop and engine shutdown.
@@ -162,6 +166,25 @@ func (n *node) acquireCredit() bool {
 
 func (n *node) releaseCredit() {
 	n.credits.release()
+}
+
+// send takes one credit toward n and queues b on its input. With the
+// default QueueBound the channel itself then never blocks — stalls
+// happen (and are counted) at the credit gate. It returns false, with b
+// still the caller's, when the receiver stopped or the engine shut down.
+//
+// seep:blocking
+func (n *node) send(b state.Batch) bool {
+	if !n.acquireCredit() {
+		return false
+	}
+	select {
+	case n.in <- b:
+		return true
+	case <-n.stopped:
+		n.releaseCredit()
+		return false
+	}
 }
 
 // notePeakDepth samples the input queue depth at batch handling time —

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"seep/internal/operator"
 	"seep/internal/plan"
+	"seep/internal/state"
+	"seep/internal/stream"
 	"seep/internal/wordcount"
 )
 
@@ -150,5 +153,109 @@ func TestEngineBackpressureDeadlockFreedom(t *testing.T) {
 	const injected = injectors * batches * per
 	if total := slowTotal(e); total != injected {
 		t.Errorf("total = %d, want exactly %d", total, injected)
+	}
+}
+
+// gate is a stateless operator that passes one tuple per token, so a
+// test decides exactly when a batch's credit comes back.
+type gate struct{ tokens chan struct{} }
+
+func (g *gate) OnTuple(_ operator.Context, t stream.Tuple, emit operator.Emitter) {
+	<-g.tokens
+	emit(t.Key, t.Payload)
+}
+
+// One ledger for both kinds of sender: a batch off the wire takes the
+// destination's credit in DeliverLocal and gives it back once processed,
+// exactly as a local emitter's does, so the two together never hold more
+// than the ledger's slots in flight and neither is released on the
+// other's account.
+func TestLedgerCountsWireAndLocalSendersAlike(t *testing.T) {
+	const slots = 2
+	q := plan.NewQuery()
+	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
+	q.AddOp(plan.OpSpec{ID: "cnt", Role: plan.RoleStateless})
+	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
+	q.Connect("src", "cnt").Connect("cnt", "sink")
+	g := &gate{tokens: make(chan struct{})}
+	// The channel is deeper than the ledger: only the ledger can be what
+	// holds a sender.
+	e, err := New(Config{BatchSize: 1, QueueBound: slots, ChannelBuffer: 8}, q,
+		map[plan.OpID]operator.Factory{"cnt": func() operator.Operator { return g }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.cfg.creditSlots(); got != slots {
+		t.Fatalf("creditSlots() = %d, want QueueBound/BatchSize = %d", got, slots)
+	}
+	if got := (Config{}).withDefaults().creditSlots(); got != 4096/128 {
+		t.Fatalf("zero config creditSlots() = %d, want the defaults' 4096/128", got)
+	}
+	e.Start()
+	defer e.Stop()
+	cnt := inst("cnt", 1)
+	ledger := &e.set.Load().byInst[cnt].credits
+
+	// admitted counts senders — wire and local — whose batch was taken.
+	var admitted atomic.Int64
+	const wire, local = 4, 2
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // a remote upstream: its batches arrive through DeliverLocal
+		defer wg.Done()
+		remote := inst("src", 2)
+		for ts := int64(1); ts <= wire; ts++ {
+			b := state.Batch{From: remote, To: cnt, Tuples: []stream.Tuple{{TS: ts, Key: stream.Key(ts)}}}
+			if !e.DeliverLocal(b) {
+				t.Error("DeliverLocal refused a batch for a hosted instance")
+			}
+			admitted.Add(1)
+		}
+	}()
+	go func() { // the local upstream
+		defer wg.Done()
+		for i := 0; i < local; i++ {
+			if err := e.InjectBatch(inst("src", 1), 1, wordGen(4)); err != nil {
+				t.Error(err)
+			}
+			admitted.Add(1)
+		}
+	}()
+	// settled waits for admitted to reach want and checks it stays there.
+	settled := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); admitted.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d senders admitted, want %d", admitted.Load(), want)
+			}
+		}
+		time.Sleep(30 * time.Millisecond)
+		if got := admitted.Load(); got != want {
+			t.Fatalf("%d senders admitted with %d credit slots and %d batches processed, want %d", got, slots, want-slots, want)
+		}
+		if a := ledger.avail.Load(); a != 0 {
+			t.Fatalf("ledger has %d credits free while senders wait", a)
+		}
+	}
+	// With the operator shut, exactly one batch per slot is in flight —
+	// whoever sent it — and every processed batch admits exactly one more.
+	settled(slots)
+	for done := int64(1); done <= wire+local-slots; done++ {
+		g.tokens <- struct{}{}
+		settled(slots + done)
+	}
+	close(g.tokens)
+	wg.Wait()
+	if !e.Quiesce(50*time.Millisecond, 5*time.Second) {
+		t.Fatal("engine did not drain")
+	}
+	if got := e.SinkCount.Value(); got != wire+local {
+		t.Errorf("sink saw %d tuples, want %d", got, wire+local)
+	}
+	if a := ledger.avail.Load(); a != slots {
+		t.Errorf("idle ledger holds %d credits, want all %d back and no more", a, slots)
+	}
+	if bp := e.BackpressureSnapshot(); bp.PeakQueueDepth > slots {
+		t.Errorf("peak queue depth %d exceeds the %d-slot ledger", bp.PeakQueueDepth, slots)
 	}
 }

@@ -7,11 +7,13 @@
 // and failure recovery.
 //
 // The data path is micro-batched and lock-light. Node input channels
-// carry []delivery batches, so channel operations, duplicate detection
-// and ack-watermark updates amortise across a batch. Each node routes
-// through an atomically swapped route-table snapshot — downstream input
-// indexes, routing state, target node pointers and output-buffer append
-// handles, rebuilt only on Start/ScaleOut/Recover under an epoch counter
+// carry state.Batch — the same value a wire frame carries, so a batch
+// crosses a socket without being rebuilt — and channel operations,
+// duplicate detection and ack-watermark updates amortise across a
+// batch. Each node routes through an atomically swapped route-table
+// snapshot — downstream input indexes, routing state, target node
+// pointers and output-buffer append handles, rebuilt only on
+// Start/ScaleOut/Recover under an epoch counter
 // — so the per-tuple path touches no engine lock and no plan-graph maps.
 // Checkpoints are captured by a barrier processed on the node goroutine
 // between batches (see lifecycle.go), which makes acks and operator
@@ -107,12 +109,12 @@ type BackupSink interface {
 }
 
 // Remote delivers batches to instances hosted by other processes — the
-// network half of the node-link layer. Implementations must not retain
-// ds past the call (the engine recycles batch containers), and must
-// preserve per-sender FIFO order toward each destination, which the
-// receiver's duplicate detection relies on.
+// network half of the node-link layer. Deliver takes ownership of b (the
+// implementation recycles it once sent or dropped), and must preserve
+// per-sender FIFO order toward each destination, which the receiver's
+// duplicate detection relies on.
 type Remote interface {
-	Deliver(to plan.InstanceID, ds []Delivery)
+	Deliver(b state.Batch)
 }
 
 func (c Config) withDefaults() Config {
@@ -144,11 +146,9 @@ func (c Config) channelSlots() int {
 	return slots
 }
 
-// CreditSlots converts the tuple-denominated QueueBound into batch
-// credits: the budget of one node's input ledger, which the distributed
-// runtime mirrors onto every outbound link.
-func (c Config) CreditSlots() int {
-	c = c.withDefaults()
+// creditSlots converts the tuple-denominated QueueBound into batch
+// credits: the budget of one node's input ledger.
+func (c Config) creditSlots() int {
 	qb := c.QueueBound
 	if qb <= 0 {
 		qb = c.ChannelBuffer
@@ -159,22 +159,6 @@ func (c Config) CreditSlots() int {
 	}
 	return slots
 }
-
-// Delivery is one tuple in flight between nodes, exported so the
-// distributed runtime's links can carry the engine's native unit across
-// the wire without per-tuple conversion.
-type Delivery struct {
-	// From is the emitting instance (duplicate detection is
-	// per-upstream-instance).
-	From plan.InstanceID
-	// Input is the logical input-stream index at the receiver.
-	Input int
-	// T is the tuple itself.
-	T stream.Tuple
-}
-
-// delivery is the internal shorthand.
-type delivery = Delivery
 
 // staged is one operator emission awaiting stamping and routing.
 type staged struct {
@@ -205,22 +189,17 @@ type ctrlMsg struct {
 // hop is one downstream logical operator in a node's route table, with
 // everything the per-tuple path needs pre-resolved: the input index at
 // the receiver, the routing state, and — aligned with the routing
-// entries — target node pointers and output-buffer append handles.
+// entries — the target instances, their node pointers (nil where the
+// instance is hosted by another process) and output-buffer append
+// handles.
 type hop struct {
 	op      plan.OpID
 	input   int
 	sink    bool
 	buffer  bool // retain emitted tuples for replay (checkpointing on, non-sink)
 	routing *state.Routing
-	nodes   []*node
-	// remotes is aligned with nodes: where nodes[i] is nil because the
-	// instance is hosted by another process, remotes[i] carries the
-	// engine's Remote link (nil in a fully local deployment, so the
-	// local fast path is untouched).
-	remotes []Remote
-	// insts is the routing-entry targets, needed to address remote
-	// deliveries. Nil when every target is local.
 	insts   []plan.InstanceID
+	nodes   []*node
 	handles []state.BufHandle
 }
 
@@ -232,6 +211,9 @@ type hop struct {
 type routeTable struct {
 	epoch uint64
 	hops  []hop
+	// remote reaches the targets whose node pointer is nil (nil in a
+	// fully local deployment).
+	remote Remote
 }
 
 // nodeSet is an immutable snapshot of the live nodes, grouped the way
@@ -257,11 +239,11 @@ type node struct {
 	spec *plan.OpSpec
 	op   operator.Operator
 
-	in   chan []delivery
+	in   chan state.Batch
 	ctrl chan ctrlMsg
 	// replayQueue is consumed before the channels on (re)start, so
 	// replayed tuples precede newly routed ones.
-	replayQueue []delivery
+	replayQueue []state.Batch
 
 	// routes is the current route-table snapshot, loaded by the emit
 	// path without any engine lock.
@@ -333,11 +315,6 @@ type Engine struct {
 	// set is the current nodeSet snapshot, rebuilt with the route
 	// tables under mu.
 	set atomic.Pointer[nodeSet]
-
-	// batchPool recycles []delivery batches between emitters and
-	// receivers: a batch is allocated (or reused) by emitChunk, travels
-	// the channel, and is returned by handleBatch once processed.
-	batchPool sync.Pool
 
 	// remote is the link layer for instances hosted by other processes
 	// (nil in a fully local deployment). Written by SetRemote before
@@ -441,13 +418,13 @@ func (e *Engine) newNode(inst plan.InstanceID, spec *plan.OpSpec) (*node, error)
 		spec:     spec,
 		op:       op,
 		Instance: state.NewInstance(operator.StoreOf(op), len(e.mgr.Query().Upstream(inst.Op))),
-		in:       make(chan []delivery, e.cfg.channelSlots()),
+		in:       make(chan state.Batch, e.cfg.channelSlots()),
 		ctrl:     make(chan ctrlMsg, 2),
 		stopped:  make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	n.emitFn = func(k stream.Key, p any) { n.stage(k, p, n.curBorn) }
-	n.credits.init(e.cfg.CreditSlots())
+	n.credits.init(e.cfg.creditSlots())
 	if e.cfg.MemoryLimit > 0 && n.Store != nil {
 		if err := n.Store.EnableSpill("", e.cfg.MemoryLimit); err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", inst, err)
@@ -511,7 +488,7 @@ func (e *Engine) rebuildTopology() {
 //
 // seep:locks e.mu n.mu
 func (e *Engine) buildRoutes(n *node) *routeTable {
-	rt := &routeTable{epoch: e.epoch}
+	rt := &routeTable{epoch: e.epoch, remote: e.remote}
 	q := e.mgr.Query()
 	for _, downOp := range q.Downstream(n.inst.Op) {
 		r := e.routings[downOp]
@@ -527,23 +504,14 @@ func (e *Engine) buildRoutes(n *node) *routeTable {
 		}
 		h.buffer = e.cfg.CheckpointInterval > 0 && !h.sink
 		entries := r.Entries()
+		h.insts = make([]plan.InstanceID, len(entries))
 		h.nodes = make([]*node, len(entries))
 		if h.buffer {
 			h.handles = make([]state.BufHandle, len(entries))
 		}
 		for i, en := range entries {
+			h.insts[i] = en.Target
 			h.nodes[i] = e.nodes[en.Target]
-			if h.nodes[i] == nil && e.remote != nil {
-				// Hosted by another process: route through the link
-				// layer, lazily materialising the aligned slices so a
-				// fully local table costs nothing extra.
-				if h.remotes == nil {
-					h.remotes = make([]Remote, len(entries))
-					h.insts = make([]plan.InstanceID, len(entries))
-				}
-				h.remotes[i] = e.remote
-				h.insts[i] = en.Target
-			}
 			if h.buffer {
 				h.handles[i] = n.Buffer.Handle(en.Target)
 			}
@@ -671,10 +639,11 @@ func (e *Engine) startNode(n *node) {
 	go func() {
 		defer e.wg.Done()
 		defer close(n.done)
-		if len(n.replayQueue) > 0 {
-			n.handleBatch(n.replayQueue)
-			n.replayQueue = nil
+		// Replayed batches never took a credit, so none is given back.
+		for _, b := range n.replayQueue {
+			n.handleBatch(b)
 		}
+		n.replayQueue = nil
 		for {
 			select {
 			case <-n.stopped:
@@ -691,6 +660,9 @@ func (e *Engine) startNode(n *node) {
 				n.handleCtrl(c)
 			case b := <-n.in:
 				n.handleBatch(b)
+				// The batch's credit is held until processing completes,
+				// so the ledger bounds in-flight work, not just the queue.
+				n.releaseCredit()
 			}
 		}
 	}()
@@ -724,50 +696,34 @@ func (n *node) handleCtrl(c ctrlMsg) {
 
 // handleBatch processes one input batch on the node goroutine:
 // duplicate detection and ack-watermark advancement for the whole batch
-// under one lock acquisition, then per-tuple operator invocation, then
-// one flush of the staged output. The batch container is recycled once
-// processing finishes (operators receive tuples by value and may retain
-// payloads, never the batch).
-func (n *node) handleBatch(ds []delivery) {
-	defer n.e.putBatch(ds)
-	// The batch's credit is held until processing completes, so the
-	// ledger bounds in-flight work, not just the queue.
-	defer n.releaseCredit()
+// under one lock acquisition — a batch has one sender, so that is one
+// ack-map read and one write — then per-tuple operator invocation, then
+// one flush of the staged output. The batch is recycled once processing
+// finishes (operators receive tuples by value and may retain payloads,
+// never the batch).
+func (n *node) handleBatch(b state.Batch) {
+	defer b.Recycle()
 	n.notePeakDepth()
-	if n.failed.Load() || len(ds) == 0 {
+	if n.failed.Load() || len(b.Tuples) == 0 {
 		return
 	}
-	// Duplicate detection and watermark advancement, amortised: a batch
-	// is built by one sender, so deliveries arrive in runs sharing a
-	// `from` (and input index) with monotone timestamps — each run costs
-	// one ack-map read and one write instead of two hashed map
-	// operations per tuple. Mixed-run batches (replay queues) fall out
-	// naturally: a run ends where `from` changes.
-	var dups uint64
 	n.mu.Lock()
-	kept := ds[:0]
-	for i := 0; i < len(ds); {
-		from := ds[i].From
-		wm := n.Acks[from]
-		last := wm
-		j := i
-		for ; j < len(ds) && ds[j].From == from; j++ {
-			if ds[j].T.TS <= last {
-				dups++
-				continue
-			}
-			last = ds[j].T.TS
-			kept = append(kept, ds[j])
+	wm := n.Acks[b.From]
+	last := wm
+	kept := b.Tuples[:0]
+	for _, t := range b.Tuples {
+		if t.TS > last {
+			last = t.TS
+			kept = append(kept, t)
 		}
-		if last > wm {
-			n.Acks[from] = last
-			n.TS.Advance(ds[i].Input, last)
-		}
-		i = j
+	}
+	if last > wm {
+		n.Acks[b.From] = last
+		n.TS.Advance(b.Input, last)
 	}
 	n.mu.Unlock()
-	if dups > 0 {
-		n.e.DupDropped.Add(dups)
+	if dups := len(b.Tuples) - len(kept); dups > 0 {
+		n.e.DupDropped.Add(uint64(dups))
 	}
 	if len(kept) == 0 {
 		return
@@ -776,14 +732,14 @@ func (n *node) handleBatch(ds []delivery) {
 
 	if n.spec.Role == plan.RoleSink {
 		now := n.e.NowMillis()
-		for _, d := range kept {
-			lat := now - d.T.Born
+		for _, t := range kept {
+			lat := now - t.Born
 			if lat < 0 {
 				lat = 0
 			}
 			n.e.Latency.Observe(lat)
 			if n.e.OnSink != nil {
-				n.e.OnSink(d.T)
+				n.e.OnSink(t)
 			}
 		}
 		n.e.SinkCount.Add(uint64(len(kept)))
@@ -792,11 +748,10 @@ func (n *node) handleBatch(ds []delivery) {
 	if n.op == nil {
 		return
 	}
-	ctx := operator.Context{Now: n.e.NowMillis()}
-	for _, d := range kept {
-		ctx.Input = d.Input
-		n.curBorn = d.T.Born
-		n.op.OnTuple(ctx, d.T, n.emitFn)
+	ctx := operator.Context{Now: n.e.NowMillis(), Input: b.Input}
+	for _, t := range kept {
+		n.curBorn = t.Born
+		n.op.OnTuple(ctx, t, n.emitFn)
 	}
 	n.flushPending()
 }
@@ -842,43 +797,17 @@ func (n *node) emitAll(items []staged) {
 	}
 }
 
-// getBatch returns an empty delivery batch with capacity for n tuples,
-// reusing a processed one when the pool has a large enough fit.
-func (e *Engine) getBatch(n int) []delivery {
-	if v := e.batchPool.Get(); v != nil {
-		ds := *v.(*[]delivery)
-		if cap(ds) >= n {
-			return ds[:0]
-		}
-	}
-	return make([]delivery, 0, n)
-}
-
-// putBatch recycles a fully processed batch. Elements are cleared
-// first so pooled backing arrays do not pin already-processed tuple
-// payloads against the garbage collector.
-func (e *Engine) putBatch(ds []delivery) {
-	if cap(ds) == 0 {
-		return
-	}
-	clear(ds)
-	ds = ds[:0]
-	e.batchPool.Put(&ds)
-}
-
-// outSend is one batch ready for delivery — over a channel to a local
-// node, or through the Remote link to an instance hosted elsewhere.
+// outSend is one batch ready for delivery — over a channel to the local
+// node, or, where node is nil, through the route table's Remote link.
 type outSend struct {
-	target *node
-	remote Remote
-	inst   plan.InstanceID
-	ds     []delivery
+	state.Batch
+	node *node
 }
 
 // emitChunk is the core of the batched data path: under ONE acquisition
 // of n.mu it loads the route-table snapshot, reserves a run of output
 // timestamps, appends retained tuples to the output buffer through the
-// pre-resolved handles, and groups deliveries per target; the channel
+// pre-resolved handles, and groups tuples into one batch per target; the
 // sends happen after the lock is released. Loading the table inside the
 // lock serialises emission against buffer repartitioning during a
 // replacement: a tuple either lands in the buffer before repartitioning
@@ -904,13 +833,9 @@ func (n *node) emitChunk(chunk []staged) {
 			// Unpartitioned downstream — the common case: no routing
 			// lookup, no per-tuple grouping.
 			tn := h.nodes[0]
-			var rm Remote
-			if tn == nil && h.remotes != nil {
-				rm = h.remotes[0]
-			}
-			var ds []delivery
-			if tn != nil || rm != nil {
-				ds = n.e.getBatch(len(chunk))
+			var ts []stream.Tuple // nil: nowhere to send, retain only
+			if tn != nil || rt.remote != nil {
+				ts = state.BatchTuples(len(chunk))
 			}
 			for i := range chunk {
 				s := &chunk[i]
@@ -918,14 +843,12 @@ func (n *node) emitChunk(chunk []staged) {
 				if h.buffer {
 					h.handles[0].Append(t)
 				}
-				if ds != nil {
-					ds = append(ds, delivery{From: n.inst, Input: h.input, T: t})
+				if ts != nil {
+					ts = append(ts, t)
 				}
 			}
-			if tn != nil {
-				sends = append(sends, outSend{target: tn, ds: ds})
-			} else if rm != nil {
-				sends = append(sends, outSend{remote: rm, inst: h.insts[0], ds: ds})
+			if ts != nil {
+				sends = append(sends, outSend{node: tn, Batch: state.Batch{From: n.inst, To: h.insts[0], Input: h.input, Tuples: ts}})
 			}
 			continue
 		}
@@ -941,21 +864,12 @@ func (n *node) emitChunk(chunk []staged) {
 				h.handles[idx].Append(t)
 			}
 			tn := h.nodes[idx]
-			var rm Remote
-			var ri plan.InstanceID
-			if tn == nil {
-				if h.remotes == nil || h.remotes[idx] == nil {
-					continue
-				}
-				rm, ri = h.remotes[idx], h.insts[idx]
+			if tn == nil && rt.remote == nil {
+				continue
 			}
 			var out *outSend
 			for j := start; j < len(sends); j++ {
-				if tn != nil && sends[j].target == tn {
-					out = &sends[j]
-					break
-				}
-				if tn == nil && sends[j].target == nil && sends[j].inst == ri {
+				if sends[j].node == tn && (tn != nil || sends[j].To == h.insts[idx]) {
 					out = &sends[j]
 					break
 				}
@@ -963,10 +877,11 @@ func (n *node) emitChunk(chunk []staged) {
 			if out == nil {
 				// Capacity for the whole chunk up front: one batch per
 				// (hop, target) instead of log(len) growth reallocs.
-				sends = append(sends, outSend{target: tn, remote: rm, inst: ri, ds: n.e.getBatch(len(chunk))})
+				sends = append(sends, outSend{node: tn, Batch: state.Batch{
+					From: n.inst, To: h.insts[idx], Input: h.input, Tuples: state.BatchTuples(len(chunk))}})
 				out = &sends[len(sends)-1]
 			}
-			out.ds = append(out.ds, delivery{From: n.inst, Input: h.input, T: t})
+			out.Tuples = append(out.Tuples, t)
 		}
 	}
 	n.mu.Unlock()
@@ -975,45 +890,22 @@ func (n *node) emitChunk(chunk []staged) {
 	// operator waits out the configured delay before the send.
 	if fm := n.e.linkFaults.Load(); fm != nil {
 		for i := range sends {
-			op := sends[i].inst.Op
-			if sends[i].target != nil {
-				op = sends[i].target.inst.Op
-			}
-			if d := (*fm)[op]; d > 0 {
+			if d := (*fm)[sends[i].To.Op]; d > 0 {
 				time.Sleep(d)
 			}
 		}
 	}
 	for i := range sends {
 		s := &sends[i]
-		if s.target == nil {
-			// Remote instance: the link encodes (or copies) the batch
-			// synchronously, so the container can be recycled here. A
-			// link to a failed host drops the batch — the tuples stay in
-			// our output buffer for replay after recovery, exactly like
-			// the stopped-receiver case below.
-			s.remote.Deliver(s.inst, s.ds)
-			n.e.putBatch(s.ds)
-			continue
-		}
-		// Credit gate: take one credit toward the receiver before the
-		// channel send. With the default QueueBound the channel itself
-		// then never blocks — stalls happen (and are counted) here,
-		// where no locks are held.
-		if !s.target.acquireCredit() {
-			// Receiver stopped or engine shut down while starved; the
-			// tuples stay in our output buffer for replay.
-			n.e.putBatch(s.ds)
-			continue
-		}
-		select {
-		case s.target.in <- s.ds:
-		case <-s.target.stopped:
-			// Receiver stopped; the tuples stay in our output buffer for
-			// replay after its replacement is deployed. Hand the unused
-			// credit back.
-			s.target.releaseCredit()
-			n.e.putBatch(s.ds)
+		if s.node == nil {
+			// A link to a failed host drops the batch — the tuples stay in
+			// our output buffer for replay after recovery, exactly like the
+			// stopped-receiver case below.
+			rt.remote.Deliver(s.Batch)
+		} else if !s.node.send(s.Batch) {
+			// Receiver stopped or engine shut down; the tuples stay in our
+			// output buffer for replay after its replacement is deployed.
+			s.Recycle()
 		}
 	}
 }

@@ -25,30 +25,31 @@ func (e *Engine) SetRemote(r Remote) {
 	e.mu.Unlock()
 }
 
-// DeliverLocal injects a batch received from the wire into the hosted
-// instance's input channel, blocking for backpressure exactly like a
-// local sender. The engine takes ownership of ds (it is recycled after
-// processing); callers must not retain it. Returns false when the
-// instance is not hosted here (or already stopped), so the caller can
-// stash pre-deployment arrivals.
-func (e *Engine) DeliverLocal(to plan.InstanceID, ds []Delivery) bool {
-	if len(ds) == 0 {
-		return true
-	}
+// DeliverLocal queues a batch received from the wire on the hosted
+// instance b.To, waiting for that node's credit exactly like a local
+// sender. On true the engine owns b (it is recycled after processing).
+// It returns false, with b still the caller's, when the instance is not
+// hosted here or stopped while the caller waited.
+//
+// seep:blocking
+func (e *Engine) DeliverLocal(b state.Batch) bool {
+	n := e.hosted(b.To)
+	return n != nil && n.send(b)
+}
+
+// Hosts reports whether inst is hosted here and running — whether
+// DeliverLocal would queue toward it rather than refuse.
+func (e *Engine) Hosts(inst plan.InstanceID) bool { return e.hosted(inst) != nil }
+
+func (e *Engine) hosted(inst plan.InstanceID) *node {
 	set := e.set.Load()
 	if set == nil {
-		return false
+		return nil
 	}
-	n := set.byInst[to]
-	if n == nil || n.failed.Load() {
-		return false
+	if n := set.byInst[inst]; n != nil && !n.failed.Load() {
+		return n
 	}
-	select {
-	case n.in <- ds:
-		return true
-	case <-n.stopped:
-		return false
-	}
+	return nil
 }
 
 // TrimUpstream applies an acknowledgement watermark: owner's checkpoint
@@ -87,19 +88,19 @@ func (e *Engine) TrimUpstream(up, owner plan.InstanceID, ts int64) {
 func (e *Engine) ApplyReroute(op plan.OpID, routing *state.Routing, newInsts []plan.InstanceID, inherit []core.Inherit, trims []core.Trim) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.rerouteLocked(op, routing, newInsts, inherit, trims, func(to plan.InstanceID, ds []Delivery) {
+	return e.rerouteLocked(op, routing, newInsts, inherit, trims, func(b state.Batch) {
 		if e.remote != nil {
-			e.remote.Deliver(to, ds)
+			e.remote.Deliver(b)
 		}
 	})
 }
 
 // AdoptInstance runs the adopt step for a replacement instance planned
 // elsewhere (see adoptLocked): the node is built, restored from its
-// checkpoint, handed the stashed replay (tuples that arrived from
+// checkpoint, handed the stashed replay (batches that arrived from
 // upstream workers before the deployment) and started. Returns the
 // number of tuples replayed.
-func (e *Engine) AdoptInstance(cp *state.Checkpoint, routing *state.Routing, replay []Delivery) (int, error) {
+func (e *Engine) AdoptInstance(cp *state.Checkpoint, routing *state.Routing, replay []state.Batch) (int, error) {
 	nn, err := e.buildReplacement(cp)
 	if err != nil {
 		return 0, err
@@ -120,7 +121,11 @@ func (e *Engine) AdoptInstance(cp *state.Checkpoint, routing *state.Routing, rep
 		e.routings[nn.inst.Op] = routing
 	}
 	e.rebuildTopology()
-	return e.adoptLocked(nn, cp) + len(replay), nil
+	replayed := e.adoptLocked(nn, cp)
+	for _, b := range replay {
+		replayed += len(b.Tuples)
+	}
+	return replayed, nil
 }
 
 // Retire stops a locally hosted instance and removes it from the

@@ -186,9 +186,9 @@ func (e *Engine) switchOver(victims []plan.InstanceID, pi int, failure bool) (ne
 		e.nodes[nn.inst] = nn
 	}
 	replayed := e.rerouteLocked(victims[0].Op, tp.Routing, tp.NewInstances, tp.Inherit, tp.Trims,
-		func(to plan.InstanceID, ds []Delivery) {
-			if nn := e.nodes[to]; nn != nil {
-				nn.replayQueue = append(nn.replayQueue, ds...)
+		func(b state.Batch) {
+			if nn := e.nodes[b.To]; nn != nil {
+				nn.replayQueue = append(nn.replayQueue, b)
 			}
 		})
 	for i, nn := range built {
@@ -239,7 +239,7 @@ func (e *Engine) buildReplacement(cp *state.Checkpoint) (*node, error) {
 // replayed from local buffers.
 //
 // seep:locks e.mu
-func (e *Engine) rerouteLocked(op plan.OpID, routing *state.Routing, newInsts []plan.InstanceID, inherit []core.Inherit, trims []core.Trim, deliver func(plan.InstanceID, []Delivery)) int {
+func (e *Engine) rerouteLocked(op plan.OpID, routing *state.Routing, newInsts []plan.InstanceID, inherit []core.Inherit, trims []core.Trim, deliver func(state.Batch)) int {
 	e.routings[op] = routing
 	for _, dn := range e.nodes {
 		dn.mu.Lock()
@@ -284,14 +284,14 @@ func (e *Engine) rerouteLocked(op plan.OpID, routing *state.Routing, newInsts []
 // seep:locks e.mu
 func (e *Engine) adoptLocked(nn *node, cp *state.Checkpoint) int {
 	routing := func(op plan.OpID) *state.Routing { return e.routings[op] }
-	replayed := e.dispatchReplay(state.DownstreamReplay(cp, routing), nn.inst.Op, func(to plan.InstanceID, ds []Delivery) {
-		if tn := e.nodes[to]; tn != nil {
+	replayed := e.dispatchReplay(state.DownstreamReplay(cp, routing), nn.inst.Op, func(b state.Batch) {
+		if tn := e.nodes[b.To]; tn != nil {
 			select {
-			case tn.in <- ds:
+			case tn.in <- b:
 			case <-tn.stopped:
 			}
 		} else if e.remote != nil {
-			e.remote.Deliver(to, ds)
+			e.remote.Deliver(b)
 		}
 	})
 	if e.started.Load() {
@@ -301,25 +301,28 @@ func (e *Engine) adoptLocked(nn *node, cp *state.Checkpoint) int {
 }
 
 // dispatchReplay hands a replay enumeration of tuples emitted by srcOp
-// to deliver as one batch per (destination, sender) — the wire batch
-// frame carries a single From — in first-seen order, preserving each
-// sender's order toward each destination. Returns the tuple count.
-func (e *Engine) dispatchReplay(seq iter.Seq[state.Replay], srcOp plan.OpID, deliver func(plan.InstanceID, []Delivery)) int {
+// to deliver as one batch per (destination, sender) — a batch carries a
+// single From — in first-seen order, preserving each sender's order
+// toward each destination. Returns the tuple count.
+func (e *Engine) dispatchReplay(seq iter.Seq[state.Replay], srcOp plan.OpID, deliver func(state.Batch)) int {
 	type edge struct{ to, from plan.InstanceID }
 	q := e.mgr.Query()
-	batches := make(map[edge][]Delivery)
-	var order []edge
+	index := make(map[edge]int)
+	var batches []state.Batch
 	n := 0
 	for r := range seq {
 		k := edge{r.To, r.From}
-		if _, ok := batches[k]; !ok {
-			order = append(order, k)
+		i, ok := index[k]
+		if !ok {
+			i = len(batches)
+			index[k] = i
+			batches = append(batches, state.Batch{From: r.From, To: r.To, Input: q.InputIndex(srcOp, r.To.Op)})
 		}
-		batches[k] = append(batches[k], Delivery{From: r.From, Input: q.InputIndex(srcOp, r.To.Op), T: r.T})
+		batches[i].Tuples = append(batches[i].Tuples, r.T)
 		n++
 	}
-	for _, k := range order {
-		deliver(k.to, batches[k])
+	for _, b := range batches {
+		deliver(b)
 	}
 	return n
 }

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,58 +8,6 @@ import (
 	"seep/internal/state"
 	"seep/internal/stream"
 )
-
-// Credit frames carry the flow-control grants piggybacked on the ack
-// path: cover the codec the same way as the other control frames.
-func TestCreditFrameRoundTripProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	for i := 0; i < 500; i++ {
-		c := Credit{To: randInstance(r), Grants: uint32(r.Intn(1 << 16))}
-		e := stream.NewEncoder(32)
-		encodeCredit(e, c)
-		got, err := decodeCredit(stream.NewDecoder(e.Bytes()))
-		if err != nil {
-			t.Fatalf("credit decode #%d: %v", i, err)
-		}
-		if got != c {
-			t.Fatalf("credit #%d: %+v vs %+v", i, got, c)
-		}
-	}
-}
-
-// Credits flow end to end over TCP and dispatch to OnCredit.
-func TestCreditOverTCP(t *testing.T) {
-	var got atomic.Uint64
-	ln, err := ListenWith("127.0.0.1:0", state.GobPayloadCodec{}, Handlers{
-		OnCredit: func(c Credit) {
-			if c.To == (plan.InstanceID{Op: "count", Part: 2}) {
-				got.Add(uint64(c.Grants))
-			}
-		},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	p, err := Dial(ln.Addr(), state.GobPayloadCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for i := 0; i < 10; i++ {
-		if err := p.SendCredit(Credit{To: plan.InstanceID{Op: "count", Part: 2}, Grants: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for got.Load() < 30 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got.Load() != 30 {
-		t.Fatalf("received %d grants, want 30", got.Load())
-	}
-}
 
 // A stalled write surfaces as a credit-stall tick instead of silently
 // buffering: a link slower than writeStallAfter bumps the metric, a

@@ -7,18 +7,10 @@ import (
 	"seep/internal/wirecodec"
 )
 
-// Batch is a micro-batch of tuples sharing one (from, to, input) route —
-// the engine emits whole batches per downstream target, so shipping them
-// as one frame amortises the header, the instance addressing and the
+// Batch is the engine's unit of tuples in flight, carried as is: one
+// frame per batch amortises the header, the instance addressing and the
 // syscall the same way the in-process channels amortise sends.
-type Batch struct {
-	From  plan.InstanceID
-	To    plan.InstanceID
-	Input int
-	// Tuples are in emission order (monotone TS), as the receiver's
-	// per-upstream duplicate detection expects.
-	Tuples []stream.Tuple
-}
+type Batch = state.Batch
 
 // Ack is an acknowledgement watermark: Owner's checkpoint (covering
 // tuples from upstream instance Up through TS) is safely stored, so the
@@ -75,30 +67,6 @@ func decodeAck(d *stream.Decoder) (Ack, error) {
 	a.Up = decodeInstanceID(d)
 	a.TS = d.Int64()
 	return a, d.Err()
-}
-
-// Credit grants the sender permission to ship more batches toward To:
-// the receiving host drained Grants batch slots from To's bounded input
-// queue. Credits flow on the reverse connection, piggybacked on the same
-// stream as acks, and refill the sending host's per-link budget — the
-// wire half of the engine's credit ledger.
-type Credit struct {
-	// To is the receiving instance whose input queue freed.
-	To plan.InstanceID
-	// Grants is the number of batch slots freed.
-	Grants uint32
-}
-
-func encodeCredit(e *stream.Encoder, c Credit) {
-	encodeInstanceID(e, c.To)
-	e.Uint32(c.Grants)
-}
-
-func decodeCredit(d *stream.Decoder) (Credit, error) {
-	var c Credit
-	c.To = decodeInstanceID(d)
-	c.Grants = d.Uint32()
-	return c, d.Err()
 }
 
 func encodeBarrier(e *stream.Encoder, inst plan.InstanceID) {

@@ -35,9 +35,11 @@ import (
 // decoded as garbage.
 const ProtocolVersion = uint8(2)
 
-// Frame types on the wire. Types 1 (one tuple per frame) and 3 (a batch
-// of per-tuple gob blobs) are retired and never reused: a listener
-// treats them like any unknown type and drops the connection.
+// Frame types on the wire. Types 1 (one tuple per frame), 3 (a batch of
+// per-tuple gob blobs) and 7 (a flow-control credit grant; the receiving
+// node's own ledger, felt through the socket, is the flow control) are
+// retired and never reused: a listener treats them like any unknown type
+// and drops the connection.
 const (
 	frameHeartbeat = uint8(2)
 	// frameAck carries an acknowledgement watermark: after a checkpoint
@@ -51,10 +53,6 @@ const (
 	// now — the wire form of the §3.2 checkpoint barrier, used before a
 	// coordinated scale out so the replayed window is small.
 	frameBarrier = uint8(6)
-	// frameCredit returns flow-control credits to a sender: the receiving
-	// host drained batch slots from a bounded input queue, so the sender
-	// may ship that many more batches toward the named instance.
-	frameCredit = uint8(7)
 	// frameBatch carries a micro-batch of tuples sharing one
 	// (from, to, input) route — the unit the engine's batched data path
 	// ships between hosts — in the compact binary layout: varint-delta
@@ -70,8 +68,8 @@ const (
 
 // writeStallAfter is how long a single frame write (including any
 // injected slow-link delay) may take before it is counted as a credit
-// stall — the transport-level analogue of a sender waiting on an empty
-// credit ledger.
+// stall: the receiver has stopped reading — its handler is waiting on a
+// node's credit ledger — or the link is slow.
 const writeStallAfter = 50 * time.Millisecond
 
 // maxFrameBytes bounds a single frame (16 MiB) so a corrupt length
@@ -162,11 +160,8 @@ func (m *Metrics) addCorrupt() {
 	m.corruptFrames.Inc()
 }
 
-// AddCreditStall counts one flow-control stall: a frame write that
-// exceeded writeStallAfter, or a sender that had to wait for credits
-// before shipping a batch. Exported so the link layer above can fold its
-// ledger waits into the same meter. Safe on nil.
-func (m *Metrics) AddCreditStall() {
+// addCreditStall counts one frame write that exceeded writeStallAfter.
+func (m *Metrics) addCreditStall() {
 	if m == nil {
 		return
 	}
@@ -188,9 +183,9 @@ type Stats struct {
 	// CorruptFrames counts inbound frames rejected for a bad checksum,
 	// version or length.
 	CorruptFrames uint64
-	// CreditStalls counts flow-control stalls: frame writes that ran past
-	// writeStallAfter (a slow or faulted link) and sender waits on an
-	// exhausted credit budget.
+	// CreditStalls counts frame writes that ran past writeStallAfter: a
+	// slow or faulted link, or a receiver holding the connection unread
+	// while its node's credit ledger is empty.
 	CreditStalls uint64
 }
 
@@ -297,8 +292,6 @@ type Handlers struct {
 	OnControl func(body []byte)
 	// OnBarrier receives checkpoint-barrier requests.
 	OnBarrier func(inst plan.InstanceID)
-	// OnCredit receives flow-control credit grants.
-	OnCredit func(Credit)
 	// OnDeltaCheckpoint receives incremental-checkpoint frame bodies
 	// (state.EncodeDeltaCheckpoint layout). The slice is owned by the
 	// callee.
@@ -425,14 +418,6 @@ func (l *Listener) serve(conn net.Conn) {
 			}
 			if l.handlers.OnBarrier != nil {
 				l.handlers.OnBarrier(inst)
-			}
-		case frameCredit:
-			c, err := decodeCredit(stream.NewDecoder(body))
-			if err != nil {
-				return
-			}
-			if l.handlers.OnCredit != nil {
-				l.handlers.OnCredit(c)
 			}
 		default:
 			return
@@ -611,8 +596,7 @@ func (p *Peer) declareDown() {
 // deadline is anchored before the injected slow-link delay, so a
 // faulted link eats into the write budget instead of silently extending
 // it, and any write that runs past writeStallAfter is counted as a
-// credit stall — slow links surface in the metrics the same way an
-// exhausted credit ledger does.
+// credit stall.
 //
 // seep:locks p.mu
 func (p *Peer) writeLocked(frameType uint8, body []byte) error {
@@ -642,13 +626,18 @@ func (p *Peer) writeLocked(frameType uint8, body []byte) error {
 		_ = p.conn.SetWriteDeadline(time.Time{})
 	}
 	if time.Since(start) >= writeStallAfter {
-		p.Metrics.AddCreditStall()
+		p.Metrics.addCreditStall()
 	}
 	return err
 }
 
-// sendFrame transmits one frame, re-dialling once on a failed write.
+// sendFrame transmits one frame, re-dialling once on a failed write. A
+// body over maxFrameBytes is refused here: the receiver would reject its
+// header as corrupt and drop the connection under every other sender.
 func (p *Peer) sendFrame(frameType uint8, body []byte) error {
+	if len(body) > maxFrameBytes {
+		return &FrameSizeError{Size: uint32(len(body))}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -719,15 +708,6 @@ func (p *Peer) SendBarrier(inst plan.InstanceID) error {
 	e := stream.NewEncoder(32)
 	encodeBarrier(e, inst)
 	return p.sendFrame(frameBarrier, e.Bytes())
-}
-
-// SendCredit returns flow-control credits to the host this peer points
-// at: the local engine drained c.Grants batch slots destined for c.To,
-// so the remote sender may ship that many more batches.
-func (p *Peer) SendCredit(c Credit) error {
-	e := stream.NewEncoder(32)
-	encodeCredit(e, c)
-	return p.sendFrame(frameCredit, e.Bytes())
 }
 
 // Sent returns how many non-heartbeat frames were transmitted.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -243,10 +244,11 @@ func TestDialUnreachable(t *testing.T) {
 	}
 }
 
-// TestRetiredFrameTypesDropConnection: types 1 (one tuple per frame) and
-// 3 (gob batch) left the protocol. A well-formed frame of either type
-// closes the connection like any unknown type, reaches no handler, and
-// leaves the listener serving the next connection.
+// TestRetiredFrameTypesDropConnection: types 1 (one tuple per frame), 3
+// (gob batch) and 7 (link credit grant) left the protocol. A well-formed
+// frame of any of them closes the connection like any unknown type,
+// reaches no handler, and leaves the listener serving the next
+// connection.
 func TestRetiredFrameTypesDropConnection(t *testing.T) {
 	batches := make(chan Batch, 4)
 	stray := func(name string) { t.Errorf("retired frame reached %s", name) }
@@ -255,20 +257,20 @@ func TestRetiredFrameTypesDropConnection(t *testing.T) {
 		OnAck:             func(Ack) { stray("OnAck") },
 		OnControl:         func([]byte) { stray("OnControl") },
 		OnBarrier:         func(plan.InstanceID) { stray("OnBarrier") },
-		OnCredit:          func(Credit) { stray("OnCredit") },
 		OnDeltaCheckpoint: func([]byte) { stray("OnDeltaCheckpoint") },
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	// The body is a valid batch, so a listener that still decoded either
-	// type as tuples would deliver it.
+	// The body is a valid batch — and its leading instance id is all a
+	// credit grant's decoder needed — so a listener that still decoded a
+	// retired type would deliver it.
 	e := stream.NewEncoder(64)
 	if err := encodeBatch(e, one(1, "stale"), state.StringPayloadCodec{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []uint8{1, 3} {
+	for _, retired := range []uint8{1, 3, 7} {
 		conn, err := net.Dial("tcp", l.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -297,5 +299,42 @@ func TestRetiredFrameTypesDropConnection(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("listener stopped serving after a retired frame")
+	}
+}
+
+// TestOversizeFrameIsRefusedBySender: a body past the frame cap never
+// reaches the wire — the receiver could only count its header as a
+// corrupt frame and drop the connection — so the sender gets the typed
+// error and the connection keeps serving.
+func TestOversizeFrameIsRefusedBySender(t *testing.T) {
+	batches := make(chan Batch, 1)
+	lm, pm := &Metrics{}, &Metrics{}
+	l, err := ListenWith("127.0.0.1:0", state.StringPayloadCodec{}, Handlers{
+		OnBatch:   func(b Batch) { batches <- b },
+		OnControl: func([]byte) { t.Error("an oversize control frame was delivered") },
+	}, lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	p, err := DialWith(l.Addr(), state.StringPayloadCodec{}, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var tooBig *FrameSizeError
+	if err := p.SendControl(make([]byte, maxFrameBytes+1)); !errors.As(err, &tooBig) {
+		t.Fatalf("SendControl of %d bytes = %v, want a *FrameSizeError", maxFrameBytes+1, err)
+	}
+	if err := p.SendBatch(one(1, "after")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-batches:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the connection stopped serving after an oversize send")
+	}
+	if c, r := lm.Snapshot().CorruptFrames, pm.Snapshot().Reconnects; c != 0 || r != 0 {
+		t.Errorf("%d corrupt frames at the listener, %d reconnects at the sender, want none", c, r)
 	}
 }

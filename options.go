@@ -308,10 +308,12 @@ func WithRecoveryParallelism(pi int) Option {
 
 // WithQueueBound bounds every operator node's input queue to n tuples
 // and sizes the credit ledgers of the end-to-end flow control: a sender
-// whose downstream queue is out of credits blocks (locally) or stalls
-// its per-link budget (across workers) instead of growing the queue, and
-// sources adaptively stretch their batch linger while credits are
-// scarce. Unset, the ledgers are sized from the engine's channel buffer.
+// whose downstream node is out of credits waits instead of growing the
+// queue — a local emitter at the ledger, a remote one on its socket,
+// because the receiving worker stops reading the connection until the
+// node has a credit for the batch — and sources adaptively stretch their
+// batch linger while credits are scarce. Unset, the ledgers are sized
+// from the engine's channel buffer.
 // Stalls surface in Metrics.Backpressure. Live and Distributed runtimes;
 // the simulator's virtual time has no queues to bound.
 func WithQueueBound(n int) Option {
