@@ -1,10 +1,43 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from the current tables")
+
+// checkGolden pins a table's rendering to testdata/<name>.golden, so a
+// change to the simulator that moves any cell shows up as a reviewable
+// diff of the golden file rather than only as a shape predicate that
+// still holds. The tables are compared on amd64 only: elsewhere Go may
+// fuse a multiply and an add, which moves the last digit of a float.
+func checkGolden(t *testing.T, tb *Table) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	path := filepath.Join("testdata", tb.Name+".golden")
+	got := tb.String()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s (rerun with -update-golden to accept):\n%s", tb.Name, path, got)
+	}
+}
 
 // parse a table cell as float.
 func cell(t *testing.T, tb *Table, row, col int) float64 {
@@ -25,6 +58,7 @@ func TestFig6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	if len(tb.Rows) < 5 {
 		t.Fatalf("too few rows: %d", len(tb.Rows))
 	}
@@ -49,6 +83,7 @@ func TestFig7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	if !strings.Contains(tb.Observation, "within the 5 s LRB bound") {
 		t.Errorf("latency bound violated: %s", tb.Observation)
 	}
@@ -59,6 +94,7 @@ func TestFig8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	// Consumed rate climbs toward the input; the system starts
 	// under-provisioned and drops tuples.
 	first := cell(t, tb, 0, 1)
@@ -76,6 +112,7 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	// VMs monotonically decrease with δ (column 1).
 	for i := 1; i < len(tb.Rows); i++ {
 		if cell(t, tb, i, 1) > cell(t, tb, i-1, 1) {
@@ -92,6 +129,7 @@ func TestFig10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	// Manual rows: P95 falls (or stays flat) as the budget grows; the
 	// last row is the dynamic policy.
 	last := tb.Rows[len(tb.Rows)-1]
@@ -116,6 +154,7 @@ func TestFig11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	// R+SM < SR and R+SM < UB at every rate; the gap grows with rate.
 	var prevGap float64
 	for i := range tb.Rows {
@@ -138,6 +177,7 @@ func TestFig12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	// Recovery time is non-decreasing in the interval (per rate column)
 	// and in the rate (per interval row).
 	for col := 1; col <= 3; col++ {
@@ -159,6 +199,7 @@ func TestFig13Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	// Parallel loses at the shortest interval and the serial-parallel
 	// difference shifts in parallel's favour as the interval grows.
 	shortSerial, shortPar := cell(t, tb, 0, 1), cell(t, tb, 0, 2)
@@ -177,6 +218,7 @@ func TestFig14Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	// Large state P95 dominates small state; baseline is flat and low.
 	for col := 1; col <= 3; col++ {
 		small := cell(t, tb, 0, col)
@@ -196,6 +238,7 @@ func TestFig15Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tb)
 	// Latency falls with the interval; recovery time rises.
 	firstLat := cell(t, tb, 0, 1)
 	lastLat := cell(t, tb, len(tb.Rows)-1, 1)
@@ -215,6 +258,7 @@ func TestAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, tb)
 		hashedMax := cell(t, tb, 0, 2)
 		fixedMax := cell(t, tb, 1, 2)
 		if hashedMax >= fixedMax {
@@ -226,6 +270,7 @@ func TestAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, tb)
 		noPool := cell(t, tb, 0, 1)
 		pooled := cell(t, tb, 1, 1)
 		if pooled*5 > noPool {
@@ -237,6 +282,7 @@ func TestAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, tb)
 		// Delta is never larger than full; at 1% dirty it is far
 		// smaller.
 		if cell(t, tb, 0, 2) >= cell(t, tb, 0, 1)/10 {
@@ -248,6 +294,7 @@ func TestAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, tb)
 		evenImb := cell(t, tb, 0, 3)
 		guidedImb := cell(t, tb, 1, 3)
 		if guidedImb >= evenImb {
