@@ -259,3 +259,42 @@ func TestLedgerCountsWireAndLocalSendersAlike(t *testing.T) {
 		t.Errorf("peak queue depth %d exceeds the %d-slot ledger", bp.PeakQueueDepth, slots)
 	}
 }
+
+// Emitting one chunk toward a local node allocates nothing once the
+// tuple pool is warm: the node step builds its batches into the node's
+// reused output slice, and the send path takes a credit and queues the
+// batch without a per-chunk scratch of its own.
+func TestEmitChunkAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	const chunk, rounds = 256, 50
+	q := plan.NewQuery()
+	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
+	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
+	q.Connect("src", "sink")
+	e, err := New(Config{BatchSize: chunk}, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not started: the test drains the sink's queue itself and keeps each
+	// batch, so the measured rounds draw only slices recycled beforehand.
+	src, sink := e.nodes[inst("src", 1)], e.nodes[inst("sink", 1)]
+	items := make([]state.Staged, chunk)
+	for i := range items {
+		items[i] = state.Staged{Key: stream.Key(i), Born: 1}
+	}
+	for range rounds + 1 {
+		state.Batch{Tuples: make([]stream.Tuple, 0, chunk)}.Recycle()
+	}
+	allocs := testing.AllocsPerRun(rounds, func() {
+		src.emitChunk(items)
+		if b := <-sink.in; len(b.Tuples) != chunk {
+			t.Fatalf("sink queued %d tuples, want %d", len(b.Tuples), chunk)
+		}
+		sink.releaseCredit()
+	})
+	if allocs != 0 {
+		t.Errorf("emitting a %d-tuple chunk allocates %.0f times, want 0", chunk, allocs)
+	}
+}

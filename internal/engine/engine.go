@@ -10,11 +10,14 @@
 // carry state.Batch — the same value a wire frame carries, so a batch
 // crosses a socket without being rebuilt — and channel operations,
 // duplicate detection and ack-watermark updates amortise across a
-// batch. Each node routes through an atomically swapped route-table
-// snapshot — downstream input indexes, routing state, target node
-// pointers and output-buffer append handles, rebuilt only on
-// Start/ScaleOut/Recover under an epoch counter
-// — so the per-tuple path touches no engine lock and no plan-graph maps.
+// batch. The per-tuple rules themselves are state.Instance's node step
+// (Admit on receive, Emit on send), the same code the simulator runs.
+// Each node routes through an atomically swapped route-table snapshot —
+// the state.Hops Emit routes through (input indexes, routing state,
+// output-buffer append handles) plus the target node pointers aligned
+// with them, rebuilt only on Start/ScaleOut/Recover under an epoch
+// counter — so the per-tuple path touches no engine lock and no
+// plan-graph maps.
 // Checkpoints are captured by a barrier processed on the node goroutine
 // between batches (see lifecycle.go), which makes acks and operator
 // state atomic with respect to processing. The narrow per-node mutex
@@ -160,13 +163,6 @@ func (c Config) creditSlots() int {
 	return slots
 }
 
-// staged is one operator emission awaiting stamping and routing.
-type staged struct {
-	key     stream.Key
-	payload any
-	born    int64
-}
-
 // ctrlKind discriminates control messages processed on the node
 // goroutine between data batches.
 type ctrlKind int
@@ -186,23 +182,6 @@ type ctrlMsg struct {
 	reply chan *capture // ctrlBarrier: receives the captured state
 }
 
-// hop is one downstream logical operator in a node's route table, with
-// everything the per-tuple path needs pre-resolved: the input index at
-// the receiver, the routing state, and — aligned with the routing
-// entries — the target instances, their node pointers (nil where the
-// instance is hosted by another process) and output-buffer append
-// handles.
-type hop struct {
-	op      plan.OpID
-	input   int
-	sink    bool
-	buffer  bool // retain emitted tuples for replay (checkpointing on, non-sink)
-	routing *state.Routing
-	insts   []plan.InstanceID
-	nodes   []*node
-	handles []state.BufHandle
-}
-
 // routeTable is an immutable snapshot of a node's downstream fan-out.
 // It is rebuilt under the engine lock on Start/ScaleOut/Recover and
 // swapped in atomically; the emit path loads it while holding the
@@ -210,7 +189,10 @@ type hop struct {
 // during a replacement.
 type routeTable struct {
 	epoch uint64
-	hops  []hop
+	hops  []state.Hop
+	// nodes[h][i] is the local node of hops[h].Targets[i], nil where the
+	// instance is hosted by another process.
+	nodes [][]*node
 	// remote reaches the targets whose node pointer is nil (nil in a
 	// fully local deployment).
 	remote Remote
@@ -274,10 +256,13 @@ type node struct {
 	mu sync.Mutex
 	state.Instance
 
+	// outs receives the batches of one emitted chunk; guarded by emitMu.
+	outs []state.Out
+
 	// Owned by the node goroutine: the output staging area and the
 	// reusable emitter bound to it (curBorn carries the lineage birth
 	// time of the tuple or tick being processed).
-	pend    []staged
+	pend    []state.Staged
 	curBorn int64
 	emitFn  operator.Emitter
 
@@ -488,35 +473,14 @@ func (e *Engine) rebuildTopology() {
 //
 // seep:locks e.mu n.mu
 func (e *Engine) buildRoutes(n *node) *routeTable {
-	rt := &routeTable{epoch: e.epoch, remote: e.remote}
-	q := e.mgr.Query()
-	for _, downOp := range q.Downstream(n.inst.Op) {
-		r := e.routings[downOp]
-		if r == nil {
-			continue
+	hops := n.Hops(e.mgr.Query(), n.inst.Op, e.cfg.CheckpointInterval > 0,
+		func(op plan.OpID) *state.Routing { return e.routings[op] })
+	rt := &routeTable{epoch: e.epoch, hops: hops, nodes: make([][]*node, len(hops)), remote: e.remote}
+	for i, h := range hops {
+		rt.nodes[i] = make([]*node, len(h.Targets))
+		for j, t := range h.Targets {
+			rt.nodes[i][j] = e.nodes[t]
 		}
-		spec := q.Op(downOp)
-		h := hop{
-			op:      downOp,
-			input:   q.InputIndex(n.inst.Op, downOp),
-			sink:    spec.Role == plan.RoleSink,
-			routing: r,
-		}
-		h.buffer = e.cfg.CheckpointInterval > 0 && !h.sink
-		entries := r.Entries()
-		h.insts = make([]plan.InstanceID, len(entries))
-		h.nodes = make([]*node, len(entries))
-		if h.buffer {
-			h.handles = make([]state.BufHandle, len(entries))
-		}
-		for i, en := range entries {
-			h.insts[i] = en.Target
-			h.nodes[i] = e.nodes[en.Target]
-			if h.buffer {
-				h.handles[i] = n.Buffer.Handle(en.Target)
-			}
-		}
-		rt.hops = append(rt.hops, h)
 	}
 	return rt
 }
@@ -696,11 +660,10 @@ func (n *node) handleCtrl(c ctrlMsg) {
 
 // handleBatch processes one input batch on the node goroutine:
 // duplicate detection and ack-watermark advancement for the whole batch
-// under one lock acquisition — a batch has one sender, so that is one
-// ack-map read and one write — then per-tuple operator invocation, then
-// one flush of the staged output. The batch is recycled once processing
-// finishes (operators receive tuples by value and may retain payloads,
-// never the batch).
+// (state.Instance.Admit) under one lock acquisition, then per-tuple
+// operator invocation, then one flush of the staged output. The batch is
+// recycled once processing finishes (operators receive tuples by value
+// and may retain payloads, never the batch).
 func (n *node) handleBatch(b state.Batch) {
 	defer b.Recycle()
 	n.notePeakDepth()
@@ -708,19 +671,7 @@ func (n *node) handleBatch(b state.Batch) {
 		return
 	}
 	n.mu.Lock()
-	wm := n.Acks[b.From]
-	last := wm
-	kept := b.Tuples[:0]
-	for _, t := range b.Tuples {
-		if t.TS > last {
-			last = t.TS
-			kept = append(kept, t)
-		}
-	}
-	if last > wm {
-		n.Acks[b.From] = last
-		n.TS.Advance(b.Input, last)
-	}
+	kept := n.Admit(b)
 	n.mu.Unlock()
 	if dups := len(b.Tuples) - len(kept); dups > 0 {
 		n.e.DupDropped.Add(uint64(dups))
@@ -763,7 +714,7 @@ func (n *node) stage(key stream.Key, payload any, born int64) {
 	if born == 0 {
 		born = n.e.NowMillis()
 	}
-	n.pend = append(n.pend, staged{key: key, payload: payload, born: born})
+	n.pend = append(n.pend, state.Staged{Key: key, Payload: payload, Born: born})
 	if len(n.pend) >= n.e.cfg.BatchSize {
 		n.flushPending()
 	}
@@ -785,7 +736,7 @@ func (n *node) flushPending() {
 // chunks of the configured batch size. Safe from any goroutine (node
 // goroutines, source drivers, InjectBatch): each chunk takes the node
 // mutex once.
-func (n *node) emitAll(items []staged) {
+func (n *node) emitAll(items []state.Staged) {
 	bs := n.e.cfg.BatchSize
 	for len(items) > 0 {
 		chunk := items
@@ -797,23 +748,15 @@ func (n *node) emitAll(items []staged) {
 	}
 }
 
-// outSend is one batch ready for delivery — over a channel to the local
-// node, or, where node is nil, through the route table's Remote link.
-type outSend struct {
-	state.Batch
-	node *node
-}
-
 // emitChunk is the core of the batched data path: under ONE acquisition
-// of n.mu it loads the route-table snapshot, reserves a run of output
-// timestamps, appends retained tuples to the output buffer through the
-// pre-resolved handles, and groups tuples into one batch per target; the
+// of n.mu it loads the route-table snapshot and runs the node step's
+// emit (state.Instance.Emit: stamp, retain, one batch per target); the
 // sends happen after the lock is released. Loading the table inside the
 // lock serialises emission against buffer repartitioning during a
 // replacement: a tuple either lands in the buffer before repartitioning
 // (and is replayed under the new routing) or is routed with the new
 // table.
-func (n *node) emitChunk(chunk []staged) {
+func (n *node) emitChunk(chunk []state.Staged) {
 	// Per-sender FIFO: hold emitMu from timestamp assignment through the
 	// last send, so concurrent emitters (driver + InjectBatch) cannot
 	// deliver their runs out of order on a credit-starved edge.
@@ -825,89 +768,39 @@ func (n *node) emitChunk(chunk []staged) {
 		n.mu.Unlock()
 		return
 	}
-	base := n.OutClock.NextN(len(chunk))
-	var sends []outSend
-	for hi := range rt.hops {
-		h := &rt.hops[hi]
-		if len(h.nodes) == 1 {
-			// Unpartitioned downstream — the common case: no routing
-			// lookup, no per-tuple grouping.
-			tn := h.nodes[0]
-			var ts []stream.Tuple // nil: nowhere to send, retain only
-			if tn != nil || rt.remote != nil {
-				ts = state.BatchTuples(len(chunk))
-			}
-			for i := range chunk {
-				s := &chunk[i]
-				t := stream.Tuple{TS: base + int64(i), Key: s.key, Born: s.born, Payload: s.payload}
-				if h.buffer {
-					h.handles[0].Append(t)
-				}
-				if ts != nil {
-					ts = append(ts, t)
-				}
-			}
-			if ts != nil {
-				sends = append(sends, outSend{node: tn, Batch: state.Batch{From: n.inst, To: h.insts[0], Input: h.input, Tuples: ts}})
-			}
-			continue
-		}
-		// Partitioned downstream: group this chunk's tuples by routing
-		// entry. Chunks are small, so a linear scan over the open sends
-		// beats a map.
-		start := len(sends)
-		for i := range chunk {
-			s := &chunk[i]
-			idx := h.routing.LookupIndex(s.key)
-			t := stream.Tuple{TS: base + int64(i), Key: s.key, Born: s.born, Payload: s.payload}
-			if h.buffer {
-				h.handles[idx].Append(t)
-			}
-			tn := h.nodes[idx]
-			if tn == nil && rt.remote == nil {
-				continue
-			}
-			var out *outSend
-			for j := start; j < len(sends); j++ {
-				if sends[j].node == tn && (tn != nil || sends[j].To == h.insts[idx]) {
-					out = &sends[j]
-					break
-				}
-			}
-			if out == nil {
-				// Capacity for the whole chunk up front: one batch per
-				// (hop, target) instead of log(len) growth reallocs.
-				sends = append(sends, outSend{node: tn, Batch: state.Batch{
-					From: n.inst, To: h.insts[idx], Input: h.input, Tuples: state.BatchTuples(len(chunk))}})
-				out = &sends[len(sends)-1]
-			}
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
+	n.outs = n.Emit(n.outs[:0], n.inst, chunk, rt.hops)
 	n.mu.Unlock()
 	// Chaos-harness fault point "slow-link": one atomic load per chunk
 	// when disarmed; when armed, a delivery toward a faulted downstream
 	// operator waits out the configured delay before the send.
 	if fm := n.e.linkFaults.Load(); fm != nil {
-		for i := range sends {
-			if d := (*fm)[sends[i].To.Op]; d > 0 {
+		for i := range n.outs {
+			if d := (*fm)[n.outs[i].To.Op]; d > 0 {
 				time.Sleep(d)
 			}
 		}
 	}
-	for i := range sends {
-		s := &sends[i]
-		if s.node == nil {
+	for i := range n.outs {
+		o := &n.outs[i]
+		switch tn := rt.nodes[o.Hop][o.Entry]; {
+		case tn != nil:
+			if !tn.send(o.Batch) {
+				// Receiver stopped or engine shut down; the tuples stay in
+				// our output buffer for replay after its replacement is
+				// deployed.
+				o.Recycle()
+			}
+		case rt.remote != nil:
 			// A link to a failed host drops the batch — the tuples stay in
-			// our output buffer for replay after recovery, exactly like the
-			// stopped-receiver case below.
-			rt.remote.Deliver(s.Batch)
-		} else if !s.node.send(s.Batch) {
-			// Receiver stopped or engine shut down; the tuples stay in our
-			// output buffer for replay after its replacement is deployed.
-			s.Recycle()
+			// our output buffer for replay after recovery, exactly like
+			// the stopped-receiver case above.
+			rt.remote.Deliver(o.Batch)
+		default:
+			// Nowhere to send: retained only.
+			o.Recycle()
 		}
 	}
+	clear(n.outs)
 }
 
 // fireTimers delivers a tick to every node hosting a TimeDriven

@@ -236,7 +236,7 @@ func (e *Engine) startSource(s *sourceDriver) {
 		defer ticker.Stop()
 		var emitted uint64
 		carry := 0.0
-		var pend []staged
+		var pend []state.Staged
 		// Adaptive linger: when the previous flush hit credit stalls the
 		// source holds its accrued tuples for extra ticks (up to
 		// maxLingerStretch), emitting fewer, fuller batches instead of
@@ -265,7 +265,7 @@ func (e *Engine) startSource(s *sourceDriver) {
 				for i := 0; i < k; i++ {
 					key, payload := s.gen(emitted)
 					emitted++
-					pend = append(pend, staged{key: key, payload: payload, born: born})
+					pend = append(pend, state.Staged{Key: key, Payload: payload, Born: born})
 				}
 				if len(pend) == 0 {
 					continue
@@ -308,10 +308,10 @@ func (e *Engine) InjectBatch(inst plan.InstanceID, count int, gen func(i uint64)
 	// Stage in batch-sized chunks rather than materialising all count
 	// tuples at once: generation interleaves with processing and memory
 	// stays bounded by the batch size.
-	pend := make([]staged, 0, bs)
+	pend := make([]state.Staged, 0, bs)
 	for i := 0; i < count; i++ {
 		key, payload := gen(uint64(i))
-		pend = append(pend, staged{key: key, payload: payload, born: born})
+		pend = append(pend, state.Staged{Key: key, Payload: payload, Born: born})
 		if len(pend) == cap(pend) {
 			n.emitAll(pend)
 			pend = pend[:0]

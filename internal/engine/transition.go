@@ -244,10 +244,7 @@ func (e *Engine) rerouteLocked(op plan.OpID, routing *state.Routing, newInsts []
 	for _, dn := range e.nodes {
 		dn.mu.Lock()
 		for _, p := range inherit {
-			if ts, ok := dn.Acks[p.Old]; ok {
-				dn.Acks[p.New] = ts
-				delete(dn.Acks, p.Old)
-			}
+			dn.Inherit(p.Old, p.New)
 		}
 		dn.mu.Unlock()
 	}
@@ -261,11 +258,7 @@ func (e *Engine) rerouteLocked(op plan.OpID, routing *state.Routing, newInsts []
 		}
 		un.mu.Lock()
 		un.routes.Store(e.buildRoutes(un))
-		un.Buffer.Repartition(op, routing)
-		for _, lb := range un.Legacy {
-			lb.Repartition(op, routing)
-		}
-		replayed += e.dispatchReplay(state.UpstreamReplay(un.inst, un.Buffer, un.Legacy, newInsts), un.inst.Op, deliver)
+		replayed += e.dispatchReplay(un.Reroute(un.inst, op, routing, newInsts), un.inst.Op, deliver)
 		un.mu.Unlock()
 	}
 	// Refresh the node-set snapshot and every other table under a new

@@ -175,10 +175,7 @@ type Cluster struct {
 	factories map[plan.OpID]operator.Factory
 	nodes     map[plan.InstanceID]*Node
 	sources   map[plan.InstanceID]*source
-	// routings caches the current routing per logical operator for the
-	// emit fast path; the manager owns the authoritative copy.
-	routings map[plan.OpID]*state.Routing
-	nextVMID int
+	nextVMID  int
 
 	// scalingInProgress guards against double-triggering on one victim.
 	scalingInProgress map[plan.InstanceID]bool
@@ -218,14 +215,12 @@ func NewCluster(cfg Config, q *plan.Query, factories map[plan.OpID]operator.Fact
 		factories:         factories,
 		nodes:             make(map[plan.InstanceID]*Node),
 		sources:           make(map[plan.InstanceID]*source),
-		routings:          make(map[plan.OpID]*state.Routing),
 		scalingInProgress: make(map[plan.InstanceID]bool),
 		Latency:           &metrics.Histogram{},
 		VMsInUse:          &metrics.TimeSeries{},
 		ThroughputTS:      &metrics.TimeSeries{},
 	}
 	for _, opID := range q.Ops() {
-		c.routings[opID] = mgr.Routing(opID)
 		spec := q.Op(opID)
 		for _, inst := range mgr.Instances(opID) {
 			var op operator.Operator
@@ -241,6 +236,7 @@ func NewCluster(cfg Config, q *plan.Query, factories map[plan.OpID]operator.Fact
 			c.nodes[inst] = newNode(c, inst, spec, vm, op)
 		}
 	}
+	c.rebuildHops()
 	// Periodic machinery.
 	s.Every(cfg.TimerMillis, func() bool {
 		c.tickTimers()
@@ -379,62 +375,42 @@ func (c *Cluster) scheduleSourceTick(src *source) {
 	c.sim.After(tick, fire)
 }
 
-// route buffers (per FT mode) and delivers one tuple from n to every
-// logical downstream operator, partitioned by key.
-func (c *Cluster) route(n *Node, out stream.Tuple) {
-	for _, downOp := range c.mgr.Query().Downstream(n.inst.Op) {
-		r := c.routings[downOp]
-		if r == nil {
-			continue
-		}
-		target := r.Lookup(out.Key)
-		if c.shouldBuffer(n, downOp) {
-			n.Buffer.Append(target, out)
-		}
-		c.deliver(n.inst, target, out, nil)
+// rebuildHops resolves every node's downstream fan-out against the
+// manager's routing. Whether a node retains its output for replay is
+// fixed by the FT mode: R+SM and UB retain at every operator, SR at the
+// sources only. It runs whenever a plan switches a routing and after new
+// nodes restore (a restore replaces the buffer the hops append to).
+func (c *Cluster) rebuildHops() {
+	q := c.mgr.Query()
+	for _, n := range c.nodes {
+		retain := c.cfg.Mode == FTRSM || c.cfg.Mode == FTUpstreamBackup ||
+			c.cfg.Mode == FTSourceReplay && n.spec.Role == plan.RoleSource
+		n.hops = n.Hops(q, n.inst.Op, retain, c.mgr.Routing)
 	}
 }
 
-// shouldBuffer decides whether n retains output tuples toward downOp for
-// replay, per FT mode. Tuples toward sinks are never retained: sinks are
-// assumed reliable (§2.2).
-func (c *Cluster) shouldBuffer(n *Node, downOp plan.OpID) bool {
-	if c.mgr.Query().Op(downOp).Role == plan.RoleSink {
-		return false
-	}
-	switch c.cfg.Mode {
-	case FTRSM, FTUpstreamBackup:
-		return true
-	case FTSourceReplay:
-		return n.spec.Role == plan.RoleSource
-	default:
-		return false
-	}
-}
-
-// deliver schedules the arrival of a tuple at a node after the network
-// delay. Deliveries to unknown (failed/stale) instances are dropped; the
-// tuples survive in upstream buffer state and are replayed after
-// recovery.
-func (c *Cluster) deliver(from, to plan.InstanceID, t stream.Tuple, tracker *replayTracker) {
-	c.deliverOpt(from, to, t, tracker, false)
-}
-
-// deliverForced delivers bypassing duplicate detection (source replay).
-func (c *Cluster) deliverForced(from, to plan.InstanceID, t stream.Tuple, tracker *replayTracker) {
-	c.deliverOpt(from, to, t, tracker, true)
-}
-
-func (c *Cluster) deliverOpt(from, to plan.InstanceID, t stream.Tuple, tracker *replayTracker, force bool) {
-	input := c.mgr.Query().InputIndex(from.Op, to.Op)
+// deliver schedules the arrival of a batch at its target after the
+// network delay. Deliveries to unknown (failed/stale) instances are
+// dropped; the tuples survive in upstream buffer state and are replayed
+// after recovery.
+func (c *Cluster) deliver(d delivery) {
 	c.sim.After(c.cfg.NetDelayMillis, func() {
-		n := c.nodes[to]
-		if n == nil {
-			tracker.dec()
-			return
+		if n := c.nodes[d.To]; n != nil {
+			n.receive(d)
+		} else {
+			d.done()
 		}
-		n.receive(delivery{from: from, input: input, t: t, tracker: tracker, force: force})
 	})
+}
+
+// replay delivers one replayed tuple under the identity that stamped it,
+// counted by tracker; force bypasses duplicate detection (source replay).
+func (c *Cluster) replay(r state.Replay, tracker *replayTracker, force bool) {
+	tracker.outstanding++
+	tracker.replayed++
+	input := c.mgr.Query().InputIndex(r.From.Op, r.To.Op)
+	b := state.Batch{From: r.From, To: r.To, Input: input, Tuples: append(state.BatchTuples(1), r.T)}
+	c.deliver(delivery{Batch: b, tracker: tracker, force: force})
 }
 
 // observeSink records a tuple arriving at a sink node.
@@ -686,7 +662,7 @@ func (c *Cluster) executeReplace(victims []plan.InstanceID, pi int, startedAt Mi
 	}
 	// Routing switches now: tuples emitted from here on are buffered
 	// toward (and later replayed to) the new instances.
-	c.routings[victims[0].Op] = tp.Routing
+	c.rebuildHops()
 
 	vms := make([]*VM, 0, pi)
 	for i := 0; i < pi; i++ {
@@ -727,8 +703,9 @@ func (c *Cluster) finishReplace(tp *core.Transition, vms []*VM, startedAt Millis
 // the victims, fix downstream acknowledgement inheritance, replay the
 // victims' retained output downstream and the upstream buffers to the
 // new instances (Algorithm 3 lines 6-14; the exactly-once rules are
-// stated once, in engine/transition.go). The replay sets are the shared
-// enumerations of state/replay.go.
+// stated once, in engine/transition.go). Inheritance and the upstream
+// reroute are the node step's (state.Instance.Inherit/Reroute), the
+// replay sets the shared enumerations of state/replay.go.
 func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt Millis, failure bool) {
 	op := tp.Victims[0].Op
 	spec := c.mgr.Query().Op(op)
@@ -757,6 +734,7 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 		c.nodes[inst] = n
 		newNodes[i] = n
 	}
+	c.rebuildHops()
 
 	// Downstream duplicate detection: a lone replacement of a lone
 	// victim inherits its acknowledgement position. With pi > 1 each
@@ -765,24 +743,14 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 	// best-effort for the checkpoint-lag window.
 	for _, p := range tp.Inherit {
 		for _, dn := range c.nodes {
-			if ts, ok := dn.Acks[p.Old]; ok {
-				dn.Acks[p.New] = ts
-				delete(dn.Acks, p.Old)
-			}
+			dn.Inherit(p.Old, p.New)
 		}
 	}
 
 	tracker := &replayTracker{}
-	replayed := 0
-	send := func(r state.Replay) {
-		tracker.add(1)
-		replayed++
-		c.deliver(r.From, r.To, r.T, tracker)
-	}
-	routing := func(op plan.OpID) *state.Routing { return c.routings[op] }
 	for _, cp := range tp.Checkpoints {
-		for r := range state.DownstreamReplay(cp, routing) {
-			send(r)
+		for r := range state.DownstreamReplay(cp, c.mgr.Routing) {
+			c.replay(r, tracker, false)
 		}
 	}
 	// Upstream side (lines 9-14). The switch happens within one simulator
@@ -795,17 +763,13 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 			if un == nil {
 				continue
 			}
-			un.Buffer.Repartition(op, tp.Routing)
-			for _, lb := range un.Legacy {
-				lb.Repartition(op, tp.Routing)
-			}
-			for r := range state.UpstreamReplay(upInst, un.Buffer, un.Legacy, tp.NewInstances) {
-				send(r)
+			for r := range un.Reroute(upInst, op, tp.Routing, tp.NewInstances) {
+				c.replay(r, tracker, false)
 			}
 		}
 	}
 
-	if replayed == 0 {
+	if tracker.replayed == 0 {
 		c.mgr.Complete(tp, failure, startedAt, c.sim.Now(), 0)
 		return
 	}
@@ -818,7 +782,7 @@ func (c *Cluster) activateReplacements(tp *core.Transition, vms []*VM, startedAt
 		n.holdingLive = true
 	}
 	tracker.onDone = func() {
-		c.mgr.Complete(tp, failure, startedAt, c.sim.Now(), replayed)
+		c.mgr.Complete(tp, failure, startedAt, c.sim.Now(), tracker.replayed)
 		for _, n := range newNodes {
 			n.releaseHeld()
 		}
@@ -840,7 +804,7 @@ func (c *Cluster) executeReplaceBaseline(victim plan.InstanceID, failedAt Millis
 		delete(c.scalingInProgress, victim)
 		return
 	}
-	c.routings[victim.Op] = rp.Routing
+	c.rebuildHops()
 
 	if c.cfg.Mode == FTSourceReplay {
 		// The source stops generating new tuples during recovery (§6.2).
@@ -871,9 +835,9 @@ func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.Inst
 	}
 	n := newNode(c, newInst, spec, vm, op)
 	c.nodes[newInst] = n
+	c.rebuildHops()
 
 	tracker := &replayTracker{}
-	replayed := 0
 	newNodes := []*Node{n}
 
 	if c.cfg.Mode == FTUpstreamBackup {
@@ -884,11 +848,8 @@ func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.Inst
 				if un == nil {
 					continue
 				}
-				un.Buffer.Repartition(victim.Op, rp.Routing)
-				for _, t := range un.Buffer.Tuples(newInst) {
-					tracker.add(1)
-					replayed++
-					c.deliver(upInst, newInst, t, tracker)
+				for r := range un.Reroute(upInst, victim.Op, rp.Routing, rp.NewInstances) {
+					c.replay(r, tracker, false)
 				}
 			}
 		}
@@ -898,21 +859,19 @@ func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.Inst
 		for _, s := range c.sources {
 			sn := s.node
 			for _, target := range sn.Buffer.Targets() {
+				r := c.mgr.Routing(target.Op)
 				for _, t := range sn.Buffer.Tuples(target) {
-					r := c.routings[target.Op]
 					to := target
 					if r != nil {
 						to = r.Lookup(t.Key)
 					}
-					tracker.add(1)
-					replayed++
-					c.deliverForced(sn.inst, to, t, tracker)
+					c.replay(state.Replay{From: sn.inst, To: to, T: t}, tracker, true)
 				}
 			}
 		}
 	}
 
-	if c.cfg.Mode == FTUpstreamBackup && replayed > 0 {
+	if c.cfg.Mode == FTUpstreamBackup && tracker.replayed > 0 {
 		// UB replays old-timestamped tuples from the immediate upstream
 		// buffers; hold live tuples until the window re-processing is
 		// done (see activateReplacements). SR re-emits through the
@@ -929,7 +888,7 @@ func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.Inst
 				done = until
 			}
 		}
-		c.mgr.Complete(rp, true, failedAt, done, replayed)
+		c.mgr.Complete(rp, true, failedAt, done, tracker.replayed)
 		n.releaseHeld()
 		if c.cfg.Mode == FTSourceReplay {
 			c.sim.At(done, func() {
@@ -939,7 +898,7 @@ func (c *Cluster) activateBaseline(rp *core.Transition, vm *VM, victim plan.Inst
 			})
 		}
 	}
-	if replayed == 0 {
+	if tracker.replayed == 0 {
 		finish()
 		return
 	}

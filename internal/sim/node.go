@@ -12,11 +12,11 @@ import (
 // as a duplicate), the operation is complete and its duration recorded.
 type replayTracker struct {
 	outstanding int
-	onDone      func()
-	fired       bool
+	// replayed counts every tuple sent under the tracker.
+	replayed int
+	onDone   func()
+	fired    bool
 }
-
-func (rt *replayTracker) add(n int) { rt.outstanding += n }
 
 func (rt *replayTracker) dec() {
 	if rt == nil {
@@ -31,11 +31,13 @@ func (rt *replayTracker) dec() {
 	}
 }
 
-// delivery is one tuple in flight to a node.
+// delivery is one tuple in flight to a node: a one-tuple batch, so the
+// VM cost model charges per tuple, plus what only the simulator tracks.
+// The node that processes or drops it recycles the batch.
 type delivery struct {
-	from    plan.InstanceID
-	input   int // logical input-stream index at the receiver
-	t       stream.Tuple
+	state.Batch
+	// tracker counts the tuple toward a transition's replay (nil on live
+	// traffic).
 	tracker *replayTracker
 	// force bypasses duplicate detection: source-replay recovery rolls
 	// the whole downstream pipeline back, so intermediate operators must
@@ -46,11 +48,11 @@ type delivery struct {
 // Node hosts one operator instance on one VM inside the simulated
 // cluster. All methods run inside simulator events (single-threaded).
 //
-// The node implements the runtime side of the paper's state management:
-// it tracks per-upstream-instance acknowledgements for duplicate
-// detection (§3.2 restore-state), retains output tuples in its buffer
-// state for downstream recovery (§3.1), takes periodic checkpoints and
-// backs them up (Algorithm 1), and replays buffers on demand.
+// The node runs the same node step as the live engine — state.Instance's
+// Admit on receive and Emit on send (duplicate detection against
+// per-upstream acknowledgements, stamping, buffer retention, routing by
+// key range) — and adds only what is simulated: the VM that charges each
+// tuple's CPU cost, and the virtual network delay its output crosses.
 type Node struct {
 	c    *Cluster
 	inst plan.InstanceID
@@ -62,6 +64,10 @@ type Node struct {
 	// legacy buffers, checkpoint numbering). Store is nil on a stateless
 	// node.
 	state.Instance
+	// hops is the node's downstream fan-out (Cluster.rebuildHops); outs
+	// receives the batches of one emission.
+	hops []state.Hop
+	outs []state.Out
 
 	failed  bool
 	removed bool
@@ -94,7 +100,7 @@ func newNode(c *Cluster, inst plan.InstanceID, spec *plan.OpSpec, vm *VM, op ope
 // receive schedules the processing of a delivered tuple on the node's VM.
 func (n *Node) receive(d delivery) {
 	if n.failed || n.removed {
-		d.tracker.dec()
+		d.done()
 		return
 	}
 	if n.holdingLive && d.tracker == nil {
@@ -103,8 +109,16 @@ func (n *Node) receive(d delivery) {
 	}
 	cost := n.spec.CostPerTuple
 	if n.vm.Exec(cost, func() { n.process(d) }) < 0 {
-		d.tracker.dec()
+		d.done()
 	}
+}
+
+// done releases a delivery once it is processed or dropped (a dropped
+// tuple stays retained upstream for replay): the batch is recycled and
+// the tuple counted off its replay tracker.
+func (d delivery) done() {
+	d.Recycle()
+	d.tracker.dec()
 }
 
 // releaseHeld ends the replay phase: held live deliveries are admitted
@@ -120,42 +134,44 @@ func (n *Node) releaseHeld() {
 
 // process runs the operator function on one tuple. Duplicate tuples —
 // timestamps at or below the acknowledged position of their upstream
-// instance — are discarded, which is what makes replay after restore
-// exactly-once with respect to operator state.
+// instance — are discarded by Admit, which is what makes replay after
+// restore exactly-once with respect to operator state; a forced
+// source-replay delivery is processed regardless.
 func (n *Node) process(d delivery) {
-	defer d.tracker.dec()
+	defer d.done()
 	if n.failed || n.removed {
 		return
 	}
-	if d.t.TS <= n.Acks[d.from] {
-		if !d.force {
-			n.c.duplicatesDropped.Inc()
-			return
-		}
-	} else {
-		n.Acks[d.from] = d.t.TS
-		n.TS.Advance(d.input, d.t.TS)
+	t := d.Tuples[0]
+	if len(n.Admit(d.Batch)) == 0 && !d.force {
+		n.c.duplicatesDropped.Inc()
+		return
 	}
 	n.processed++
 	if n.spec.Role == plan.RoleSink {
-		n.c.observeSink(n, d.t)
+		n.c.observeSink(n, t)
 		return
 	}
 	if n.op == nil {
 		return
 	}
-	n.curBorn = d.t.Born
-	n.op.OnTuple(operator.Context{Now: n.c.sim.Now(), Input: d.input}, d.t, n.emit)
+	n.curBorn = t.Born
+	n.op.OnTuple(operator.Context{Now: n.c.sim.Now(), Input: d.Input}, t, n.emit)
 }
 
-// emit stamps, buffers and routes one output tuple to every logical
-// downstream operator.
+// emit runs the node step's emit for one output tuple — stamp, retain,
+// one batch per downstream operator — and sends each batch across the
+// network.
 func (n *Node) emit(key stream.Key, payload any) {
-	out := stream.Tuple{TS: n.OutClock.Next(), Key: key, Born: n.curBorn, Payload: payload}
-	if out.Born == 0 {
-		out.Born = n.c.sim.Now()
+	born := n.curBorn
+	if born == 0 {
+		born = n.c.sim.Now()
 	}
-	n.c.route(n, out)
+	n.outs = n.Emit(n.outs[:0], n.inst, []state.Staged{{Key: key, Payload: payload, Born: born}}, n.hops)
+	for _, o := range n.outs {
+		n.c.deliver(delivery{Batch: o.Batch})
+	}
+	clear(n.outs)
 }
 
 // onTime drives TimeDriven operators (window flushes).

@@ -8,11 +8,12 @@ import (
 )
 
 // Instance is the externalised state of one running operator instance —
-// the bundle checkpoint-state copies and restore-state installs (§3.2).
-// Both in-process substrates embed it in their node, so the two
-// primitives exist once. An Instance does no locking of its own: the
-// live engine guards it with its node lock, the simulator is
-// single-threaded.
+// the bundle checkpoint-state copies and restore-state installs (§3.2),
+// and the bundle the node step (step.go: Admit, Emit, Inherit, Reroute)
+// reads and advances per tuple. Both in-process substrates embed it in
+// their node, so the primitives and the per-tuple rules exist once. An
+// Instance does no locking of its own: the live engine guards it with
+// its node lock, the simulator is single-threaded.
 type Instance struct {
 	// Store is the operator's managed processing state θo; nil on a
 	// stateless instance.

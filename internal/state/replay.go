@@ -56,27 +56,3 @@ func DownstreamReplay(cp *Checkpoint, routing func(plan.OpID) *Routing) iter.Seq
 		})
 	}
 }
-
-// UpstreamReplay enumerates what one upstream node replays to the new
-// instances of a transition (Algorithm 3 lines 9-14), AFTER buf and
-// every legacy buffer were repartitioned under the new routing: the
-// node's own retained tuples under its identity self, then those of the
-// retired siblings whose legacy buffers it hosts under theirs.
-func UpstreamReplay(self plan.InstanceID, buf *Buffer, legacy map[plan.InstanceID]*Buffer, newInsts []plan.InstanceID) iter.Seq[Replay] {
-	return func(yield func(Replay) bool) {
-		eachSender(self, buf, legacy, func(from plan.InstanceID, b *Buffer) bool {
-			for _, to := range newInsts {
-				tb := b.perTarget[to]
-				if tb == nil {
-					continue
-				}
-				for _, t := range tb.live() {
-					if !yield(Replay{From: from, To: to, T: t}) {
-						return false
-					}
-				}
-			}
-			return true
-		})
-	}
-}

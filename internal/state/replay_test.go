@@ -131,8 +131,8 @@ func TestDownstreamReplayProperty(t *testing.T) {
 	}
 }
 
-// TestUpstreamReplayProperty: after its buffers are repartitioned under
-// a transition's routing, an upstream node replays to the NEW instances
+// TestUpstreamReplayProperty: once Reroute has repartitioned its buffers
+// under a transition's routing, an upstream node replays to the NEW instances
 // exactly the tuples it (or a retired sibling whose legacy buffer it
 // hosts) retained for the rerouted operator whose keys they now own —
 // not what surviving siblings own, not what other operators are owed —
@@ -153,10 +153,7 @@ func TestUpstreamReplayProperty(t *testing.T) {
 				want = append(want, w)
 			}
 		}
-		own.Repartition("count", routing)
-		for _, lb := range legacy {
-			lb.Repartition("count", routing)
-		}
-		checkReplay(t, UpstreamReplay(self, own, legacy, newInsts), want, true)
+		up := Instance{Buffer: own, Legacy: legacy}
+		checkReplay(t, up.Reroute(self, "count", routing, newInsts), want, true)
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static gate, one command for CI and for hands:
-# gofmt, go vet, the import-direction, no-Deprecated: and
-# every-option-has-a-caller greps, and seep-lint (the invariant suite in internal/analysis, run both
+# gofmt, go vet, the import-direction, no-Deprecated:,
+# every-option-has-a-caller and one-copy-of-the-node-step greps, and seep-lint (the invariant suite in internal/analysis, run both
 # standalone and as the vet tool so each loading path stays honest). govulncheck runs when the binary is available; the container
 # image does not bake it in, so its absence is a skip, not a failure.
 set -euo pipefail
@@ -46,6 +46,20 @@ for opt in $(grep -oE '^func With[A-Za-z]+' options.go | cut -d' ' -f2); do
     exit 1
   fi
 done
+
+echo "== one copy of the node step"
+# The per-tuple rules exactly-once rests on (dedup against the sender's
+# ack, the TS advance, stamping, retention, repartitioning) are
+# state.Instance's node step in internal/state/step.go, which the live
+# engine and the simulator both call. Outside internal/state no program
+# code writes an ack, draws from an output clock, advances a TS vector,
+# or appends to or repartitions a buffer itself, so no substrate regrows
+# a second copy of the rules.
+step='\.Acks\[[^]]*\][[:space:]]*([-+*/]?=[^=]|\+\+|--)|delete\([^)]*Acks|OutClock\.Next|TS\.Advance\(|\.Buffer\.(Append|Handle)\(|\.Repartition\('
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=.bench_build "$step" . | grep -v '^\./internal/state/'; then
+  echo "node-step rules written outside internal/state; call the state.Instance methods instead" >&2
+  exit 1
+fi
 
 echo "== seep-lint (standalone)"
 go run ./cmd/seep-lint ./...
