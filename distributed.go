@@ -70,7 +70,6 @@ func (r *distRuntime) Deploy(t *Topology) (Job, error) {
 		Addr:            coordAddr,
 		Topology:        name,
 		Engine:          cfg.engineConfig(),
-		DeltaCompress:   cfg.deltaCompress,
 		DetectDelay:     cfg.detect,
 		RecoveryPi:      cfg.recoveryPi,
 		Policy:          cfg.policy,

@@ -164,10 +164,6 @@ func TestDistributedRejectsForeignOptions(t *testing.T) {
 	).Deploy(wordcountTopology()); err == nil {
 		t.Error("Distributed accepted WithWorkers together with WithWorkerAddrs")
 	}
-	// The delta-frame option is Distributed-only.
-	if _, err := seep.Live(seep.WithDeltaCheckpoints(false)).Deploy(wordcountTopology()); err == nil {
-		t.Error("Live accepted WithDeltaCheckpoints")
-	}
 }
 
 // TestDistributedScaleOutThroughJob exercises the coordinator's

@@ -32,8 +32,6 @@ type Config struct {
 	// incremental checkpoints between full snapshots, which the
 	// coordinator folds into its authoritative store.
 	Engine engine.Config
-	// DeltaCompress flate-compresses delta-checkpoint frames on the wire.
-	DeltaCompress bool
 
 	// DetectDelay is the heartbeat failure-detection horizon: a worker
 	// missing replies for about this long is declared down (default
@@ -251,11 +249,6 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 				return
 			}
 			c.post(event{kind: evCtl, addr: ctl.From, ctl: ctl})
-		},
-		OnDeltaCheckpoint: func(body []byte) {
-			// Folded on the loop goroutine, like every other store
-			// mutation.
-			c.post(event{kind: evCall, fn: func() { c.storeDeltaShip(body) }})
 		},
 	}, c.tm)
 	if err != nil {
@@ -724,15 +717,14 @@ func (c *Coordinator) startDeploy(q *plan.Query, addrs []string, done chan error
 		return
 	}
 	ctl := &Control{
-		Kind:          MsgAssign,
-		Seq:           t.seq,
-		Topology:      c.cfg.Topology,
-		CoordAddr:     c.ln.Addr(),
-		Placements:    placements,
-		Engine:        c.cfg.Engine,
-		StandbyAddr:   c.standbyAddr(),
-		DetectMillis:  c.cfg.DetectDelay.Milliseconds(),
-		DeltaCompress: c.cfg.DeltaCompress,
+		Kind:         MsgAssign,
+		Seq:          t.seq,
+		Topology:     c.cfg.Topology,
+		CoordAddr:    c.ln.Addr(),
+		Placements:   placements,
+		Engine:       c.cfg.Engine,
+		StandbyAddr:  c.standbyAddr(),
+		DetectMillis: c.cfg.DetectDelay.Milliseconds(),
 	}
 	if c.cfg.Policy != nil {
 		ctl.ReportEveryMillis = c.cfg.Policy.ReportEveryMillis
@@ -928,9 +920,19 @@ func (c *Coordinator) onControl(ctl *Control) {
 
 // storeShip stores a shipped checkpoint in the authoritative store and
 // sends the acknowledgement trims to the hosts of the acknowledged
-// upstream instances. It reads the blob's header only: the state behind
-// it stays bytes until a transition restores from it, so the event loop
-// never spends a checkpoint's decode between two control messages.
+// upstream instances. A full checkpoint is stored by its header alone:
+// the state behind it stays bytes until a transition restores from it,
+// so the event loop never spends a checkpoint's decode between two
+// control messages. A delta is decoded, checked (state.DeltaOf) and
+// folded into the stored base; with a durable control plane the fold is
+// what is persisted, so a recovered coordinator restores through the
+// delta, not just up to its base. A delta whose base is not the stored
+// checkpoint (one that raced a recovery) is dropped silently: the
+// worker's next full checkpoint re-anchors the chain, and until then
+// the stored base stays authoritative, so a lost delta costs replay
+// distance, never correctness. It reports the owner and whether a full
+// checkpoint was stored: a transition's awaitShips waits for fulls
+// only.
 func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 	if c.mgr == nil {
 		return plan.InstanceID{}, false
@@ -939,6 +941,17 @@ func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 	if err != nil {
 		c.pushErr("dist: bad checkpoint from %s: %v", ctl.From, err)
 		return plan.InstanceID{}, false
+	}
+	var delta *state.DeltaCheckpoint
+	if ctl.Base != 0 || len(ctl.Deleted) > 0 {
+		cp, err := state.DecodeCheckpoint(stream.NewDecoder(ctl.Checkpoint), c.codec)
+		if err == nil {
+			delta, err = state.DeltaOf(cp, ctl.Base, ctl.Deleted)
+		}
+		if err != nil {
+			c.pushErr("dist: bad delta checkpoint from %s: %v", ctl.From, err)
+			return plan.InstanceID{}, false
+		}
 	}
 	if !c.mgr.Live(h.Instance) {
 		// A ship racing the instance's replacement: the store must not
@@ -949,20 +962,40 @@ func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 	if err != nil {
 		return plan.InstanceID{}, false
 	}
-	if c.dstore != nil {
+	switch {
+	case delta != nil:
+		if c.mgr.Backups().ApplyDelta(host, delta) != nil {
+			return plan.InstanceID{}, false
+		}
+		if c.dstore != nil {
+			folded, _, _ := c.mgr.Backups().Latest(h.Instance)
+			blob, err := state.MarshalCheckpoint(folded, c.codec)
+			if err == nil {
+				err = c.dstore.Persist(h.Instance, blob)
+			}
+			if err != nil {
+				c.pushErr("dist: persist folded checkpoint for %s: %v", h.Instance, err)
+				return plan.InstanceID{}, false
+			}
+		}
+	case c.dstore != nil:
 		if err := c.dstore.StoreEncoded(host, h, ctl.Checkpoint); err != nil {
 			c.pushErr("dist: persist shipped checkpoint for %s: %v", h.Instance, err)
 			return plan.InstanceID{}, false
 		}
+	default:
+		if err := c.mgr.Backups().StoreEncoded(host, h, ctl.Checkpoint, c.codec); err != nil {
+			return plan.InstanceID{}, false
+		}
+	}
+	if c.dstore != nil {
 		if !c.journal(&controlplane.Record{Kind: controlplane.RecShip, Ship: &controlplane.ShipMark{Inst: h.Instance, Seq: h.Seq, Bytes: len(ctl.Checkpoint)}}) {
 			return plan.InstanceID{}, false
 		}
 		c.maybeRotate()
-	} else if err := c.mgr.Backups().StoreEncoded(host, h, ctl.Checkpoint, c.codec); err != nil {
-		return plan.InstanceID{}, false
 	}
 	c.sendAcks(h.Instance, h.Acks)
-	return h.Instance, true
+	return h.Instance, delta == nil
 }
 
 // sendAcks sends owner's acknowledgement trims to the hosts of the
@@ -983,54 +1016,6 @@ func (c *Coordinator) sendAcks(owner plan.InstanceID, acks map[plan.InstanceID]i
 		}
 		_ = ref.peer.SendAck(transport.Ack{Owner: owner, Up: up, TS: ts})
 	}
-}
-
-// storeDeltaShip folds an incremental checkpoint frame into the
-// authoritative store and sends the acknowledgement trims, mirroring
-// storeShip. A delta that cannot be folded (no base, stale base — e.g.
-// a frame that raced a recovery) is dropped silently: the worker's
-// FullEvery epoch re-anchors the chain within one epoch, and until then
-// the stored base stays authoritative, so a lost delta costs replay
-// distance, never correctness. Deltas never advance transition stages
-// (awaitShips waits for fulls).
-func (c *Coordinator) storeDeltaShip(body []byte) {
-	if c.mgr == nil {
-		return
-	}
-	dc, err := state.DecodeDeltaCheckpoint(stream.NewDecoder(body), c.codec)
-	if err != nil {
-		c.pushErr("dist: bad delta checkpoint: %v", err)
-		return
-	}
-	if !c.mgr.Live(dc.Instance) {
-		return
-	}
-	host, err := c.mgr.BackupTarget(dc.Instance)
-	if err != nil {
-		return
-	}
-	if err := c.mgr.Backups().ApplyDelta(host, dc); err != nil {
-		return
-	}
-	if c.dstore != nil {
-		// Persist the folded result, so a recovered coordinator restores
-		// state through the delta, not just up to its base.
-		if folded, _, ok := c.mgr.Backups().Latest(dc.Instance); ok {
-			blob, err := state.MarshalCheckpoint(folded, c.codec)
-			if err == nil {
-				err = c.dstore.Persist(dc.Instance, blob)
-			}
-			if err != nil {
-				c.pushErr("dist: persist folded checkpoint for %s: %v", dc.Instance, err)
-				return
-			}
-			if !c.journal(&controlplane.Record{Kind: controlplane.RecShip, Ship: &controlplane.ShipMark{Inst: dc.Instance, Seq: folded.Seq, Bytes: len(body)}}) {
-				return
-			}
-			c.maybeRotate()
-		}
-	}
-	c.sendAcks(dc.Instance, dc.Acks)
 }
 
 // onReports runs one scaling round over a worker's utilisation reports

@@ -404,7 +404,6 @@ func TestDistributedDeltaCheckpointRecoveryExactCounts(t *testing.T) {
 	reg := wordcountRegistry()
 	cl := startClusterWith(t, reg, 3, func(c *dist.Config) {
 		c.Engine.Delta = state.DeltaPolicy{FullEvery: 5, MaxDeltaFraction: 0.9}
-		c.DeltaCompress = true
 	})
 	if err := cl.coord.StartJob(); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"seep/internal/controlplane"
+	"seep/internal/core"
 	"seep/internal/dist"
 	"seep/internal/engine"
 	"seep/internal/plan"
@@ -24,7 +25,7 @@ type durableCluster struct {
 	addr string
 }
 
-func startDurableCluster(t *testing.T, reg testRegistry, n int, hook func(controlplane.Kind) bool) *durableCluster {
+func startDurableCluster(t *testing.T, reg testRegistry, n int, hook func(controlplane.Kind) bool, mutate ...func(*dist.Config)) *durableCluster {
 	t.Helper()
 	codec := state.GobPayloadCodec{}
 	cl := &cluster{}
@@ -47,6 +48,9 @@ func startDurableCluster(t *testing.T, reg testRegistry, n int, hook func(contro
 		TransitionTimeout: 3 * time.Second,
 		ControlPlaneDir:   t.TempDir(),
 		JournalHook:       hook,
+	}
+	for _, m := range mutate {
+		m(&cfg)
 	}
 	coord, err := dist.NewCoordinator(cfg)
 	if err != nil {
@@ -182,6 +186,76 @@ func TestDistributedCoordinatorFailover(t *testing.T) {
 	rec := dc.coord.Manager().Records()[0]
 	if !rec.Failure || rec.Victim != victim {
 		t.Errorf("post-failover recovery record = %+v", rec)
+	}
+}
+
+// TestDistributedDeltaCheckpointSurvivesCoordinatorFailover: with a
+// durable control plane the coordinator persists what it folds a delta
+// into, so the one reborn from the directory holds the counter's last
+// delta, not just its base — and recovering the counter from it after a
+// worker kill neither loses nor duplicates a tuple.
+func TestDistributedDeltaCheckpointSurvivesCoordinatorFailover(t *testing.T) {
+	reg := wordcountRegistry()
+	dc := startDurableCluster(t, reg, 3, nil, func(c *dist.Config) {
+		// No full checkpoint falls due within the test, so once the
+		// stream is idle every checkpoint is a delta.
+		c.Engine.Delta = state.DeltaPolicy{FullEvery: 1000, MaxDeltaFraction: 0.9}
+	})
+	if err := dc.coord.StartJob(); err != nil {
+		t.Fatal(err)
+	}
+	src := plan.InstanceID{Op: "src", Part: 1}
+	srcWorker := dc.hostOf(t, src)
+	inject := func() {
+		t.Helper()
+		if err := srcWorker.Engine().InjectBatch(src, 300, parityGen); err != nil {
+			t.Fatal(err)
+		}
+		dc.quiesce(t, 300*time.Millisecond, 10*time.Second)
+	}
+	inject()
+	counter := dc.coord.Manager().Instances("count")[0]
+	store := dc.coord.Manager().Backups()
+	for deltas, deadline := store.ShipStats().Deltas, time.Now().Add(10*time.Second); store.ShipStats().Deltas < deltas+2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no delta folded on an idle stream: %+v", store.ShipStats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	dc.coord.Close()
+	folded, _, ok := store.Latest(counter)
+	if !ok {
+		t.Fatal("no checkpoint stored for the counter")
+	}
+	disk, err := core.NewDurableStore(dc.cfg.ControlPlaneDir, state.GobPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := disk.Load(counter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDisk.Seq != folded.Seq || !onDisk.Processing.Equal(folded.Processing) {
+		t.Fatalf("persisted checkpoint is seq %d, the last fold seq %d", onDisk.Seq, folded.Seq)
+	}
+	dc.rebirth(t)
+	if cp, _, ok := dc.coord.Manager().Backups().Latest(counter); !ok || cp.Seq < folded.Seq {
+		t.Fatalf("reborn coordinator holds %v for the counter, want seq %d or later", cp, folded.Seq)
+	}
+	dc.settle(t, 0, 10*time.Second)
+	dc.quiesce(t, 300*time.Millisecond, 10*time.Second)
+	inject()
+
+	if err := dc.coord.Fail(counter); err != nil {
+		t.Fatal(err)
+	}
+	dc.settle(t, 1, 10*time.Second)
+	dc.quiesce(t, 300*time.Millisecond, 10*time.Second)
+	inject()
+	dc.assertCounts(t, 90)
+	if errs := dc.coord.Errors(); len(errs) != 0 {
+		t.Errorf("Errors = %v", errs)
 	}
 }
 

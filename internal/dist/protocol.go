@@ -12,9 +12,10 @@
 //   - Data path: worker ↔ worker batch frames; each worker's engine
 //     routes through its normal route tables, with instances hosted
 //     elsewhere reached through the engine's Remote link (engine/remote.go).
-//   - Checkpoints: workers capture barriers locally and ship full
-//     checkpoints to the coordinator (the stable store); the coordinator
-//     answers with acknowledgement trims to the upstream hosts.
+//   - Checkpoints: workers capture barriers locally and ship checkpoints
+//     — full ones, or deltas the coordinator folds — to the coordinator
+//     (the stable store); the coordinator answers with acknowledgement
+//     trims to the upstream hosts.
 //   - Failure detection: the coordinator heartbeats every worker over
 //     the transport; a missed-heartbeat worker is declared down and its
 //     stateful instances recovered via core.Manager.Plan, the same
@@ -68,8 +69,8 @@ const (
 	// MsgAck (worker → coordinator): sequence-correlated reply to
 	// Assign/Reroute/Deploy/Retire.
 	MsgAck
-	// MsgShip (worker → coordinator): a full checkpoint for the
-	// authoritative backup store.
+	// MsgShip (worker → coordinator): a checkpoint for the authoritative
+	// backup store — a full one, or a delta (Base, Deleted).
 	MsgShip
 	// MsgReport (worker → coordinator): utilisation reports for the
 	// bottleneck detector, piggybacking worker-level counters.
@@ -133,8 +134,6 @@ type Control struct {
 	// detection window; the worker heartbeats its coordinator link at the
 	// same cadence the coordinator heartbeats workers.
 	DetectMillis int64
-	// DeltaCompress (MsgAssign) flate-compresses delta-checkpoint frames.
-	DeltaCompress bool
 
 	// MsgStart. CoordNow is the coordinator's job clock (ms since job
 	// start) at send time; the worker offsets its engine clock by it so
@@ -161,6 +160,12 @@ type Control struct {
 	// everything the instance ever processed and emitted, leaving no
 	// post-checkpoint window for scale-out/scale-in transitions.
 	Final bool
+	// Base and Deleted, on MsgShip, make Checkpoint a delta
+	// (state.DeltaOf): its processing state is the keys changed since the
+	// stored checkpoint numbered Base, and Deleted lists, ascending, the
+	// keys removed since. A ship with neither is a full checkpoint.
+	Base    uint64
+	Deleted []stream.Key
 
 	// MsgAck.
 	Err      string

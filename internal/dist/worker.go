@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -74,10 +75,6 @@ type Worker struct {
 	// lastBarrier is the highest checkpoint sequence this worker ever
 	// shipped (or buffered) — reported in MsgReattach inventories.
 	lastBarrier atomic.Uint64
-
-	// deltaCompress flate-compresses delta-checkpoint frames. Set per
-	// assignment and read on the ship path without w.mu.
-	deltaCompress atomic.Bool
 
 	// engPtr mirrors w.eng for the lock-free inbound data path; written
 	// under w.mu wherever w.eng changes.
@@ -380,7 +377,6 @@ func (w *Worker) handleAssign(c *Control) error {
 		return err
 	}
 	eng.SetRemote(&linkRouter{w: w})
-	w.deltaCompress.Store(c.DeltaCompress)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.killed {
@@ -554,7 +550,7 @@ func (w *Worker) handleRetire(c *Control) error {
 		if err != nil {
 			return err
 		}
-		if err := (&shipSink{w: w}).ShipFull(cp); err != nil {
+		if err := (&shipSink{w: w}).Ship(cp, nil); err != nil {
 			return err
 		}
 	}
@@ -563,57 +559,56 @@ func (w *Worker) handleRetire(c *Control) error {
 
 // ---- outbound paths ----
 
-// shipSink forwards full checkpoints to the coordinator's store. With
-// the coordinator dead (orphan mode, or a send failure racing its
-// death) the latest checkpoint per instance is buffered locally and
-// flushed when a reborn coordinator adopts this worker — checkpointing
-// never blocks or fails the data path on coordinator loss.
+// shipSink forwards checkpoints to the coordinator's store, a delta as
+// the checkpoint it views with its base and deleted keys beside it.
+// With the coordinator dead (orphan mode, or a send failure racing its
+// death) the latest full checkpoint per instance is buffered locally
+// and flushed when a reborn coordinator adopts this worker —
+// checkpointing never blocks or fails the data path on coordinator
+// loss. A delta is never buffered: its error makes the engine capture a
+// full checkpoint instead. Barrier inventories (noteBarrier) track fulls
+// only, so a reattaching coordinator always folds from a full it holds,
+// never from a delta it may have missed.
 type shipSink struct{ w *Worker }
 
-func (s *shipSink) ShipFull(cp *state.Checkpoint) error {
-	blob, err := state.MarshalCheckpoint(cp, s.w.codec)
+// Ship implements engine.BackupSink. A body too large for one frame is
+// returned as the error it is: the coordinator is alive, and buffering
+// the body as if it were not would only hide that nothing was stored.
+func (s *shipSink) Ship(full *state.Checkpoint, delta *state.DeltaCheckpoint) error {
+	ctl := &Control{Kind: MsgShip, From: s.w.self}
+	cp := full
+	if delta != nil {
+		cp = delta.Checkpoint()
+		ctl.Base, ctl.Deleted = delta.Delta.Base, delta.Delta.Deleted
+	}
+	var err error
+	if ctl.Checkpoint, err = state.MarshalCheckpoint(cp, s.w.codec); err != nil {
+		return err
+	}
+	body, err := encodeControl(ctl)
 	if err != nil {
 		return err
 	}
-	body, err := encodeControl(&Control{Kind: MsgShip, From: s.w.self, Checkpoint: blob})
-	if err != nil {
-		return err
-	}
-	s.w.mu.Lock()
-	coord := s.w.coord
-	orphan := s.w.orphan
-	s.w.mu.Unlock()
-	if coord != nil && !orphan {
-		if err := coord.SendControl(body); err == nil {
-			s.w.noteBarrier(cp.Seq)
-			return nil
-		}
-	}
-	s.w.bufferShip(cp.Instance, body)
-	s.w.noteBarrier(cp.Seq)
-	return nil
-}
-
-// ShipDelta sends one incremental checkpoint as a delta frame. Unlike
-// fulls, deltas are never buffered for a dead coordinator — an error
-// here makes the engine re-capture a full checkpoint, which goes
-// through ShipFull's orphan buffering. Barrier inventories
-// (noteBarrier) track fulls only: a reattaching coordinator can always
-// fold from the last full it holds, never from a delta it may have
-// missed.
-func (s *shipSink) ShipDelta(dc *state.DeltaCheckpoint) error {
 	s.w.mu.Lock()
 	coord := s.w.coord
 	orphan := s.w.orphan
 	s.w.mu.Unlock()
 	if coord == nil || orphan {
-		return fmt.Errorf("dist: no coordinator link for delta checkpoint")
+		err = fmt.Errorf("dist: no coordinator link")
+	} else {
+		err = coord.SendControl(body)
 	}
-	e := stream.NewEncoder(dc.Size() + 256)
-	if err := state.EncodeDeltaCheckpoint(e, dc, s.w.codec, s.w.deltaCompress.Load()); err != nil {
+	var tooBig *transport.FrameSizeError
+	if err != nil && (delta != nil || errors.As(err, &tooBig)) {
 		return err
 	}
-	return coord.SendDeltaCheckpoint(e.Bytes())
+	if err != nil {
+		s.w.bufferShip(cp.Instance, body)
+	}
+	if delta == nil {
+		s.w.noteBarrier(cp.Seq)
+	}
+	return nil
 }
 
 // ---- coordinator failover (worker side) ----

@@ -94,21 +94,19 @@ type Config struct {
 	// in-process backup store: the distributed runtime ships them to the
 	// coordinator, which owns the authoritative store and sends
 	// acknowledgement trims back (TrimUpstream). Under an active Delta
-	// policy, incremental captures go through ShipDelta and the
-	// coordinator folds them into the stored base.
+	// policy, the coordinator folds incremental captures into the stored
+	// base.
 	Backup BackupSink
 }
 
 // BackupSink receives checkpoint captures in place of the in-process
 // backup store.
 type BackupSink interface {
-	// ShipFull stores one full checkpoint. A non-nil error keeps the
-	// node's previous backup authoritative (the round is skipped).
-	ShipFull(cp *state.Checkpoint) error
-	// ShipDelta ships one incremental checkpoint against the sink's
-	// stored base. A non-nil error makes the engine re-capture and ship
-	// a full checkpoint instead, so a delta is never load-bearing.
-	ShipDelta(dc *state.DeltaCheckpoint) error
+	// Ship stores one capture: exactly one of full and delta is set. A
+	// non-nil error keeps the node's previous backup authoritative and
+	// owes a full checkpoint; a refused delta is re-captured and shipped
+	// as one at once, so a delta is never load-bearing.
+	Ship(full *state.Checkpoint, delta *state.DeltaCheckpoint) error
 }
 
 // Remote delivers batches to instances hosted by other processes — the

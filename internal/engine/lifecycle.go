@@ -78,10 +78,8 @@ func (e *Engine) checkpointNode(n *node) {
 		}
 		var err error
 		switch {
-		case sink != nil && cap.delta != nil:
-			err = sink.ShipDelta(cap.delta)
 		case sink != nil:
-			err = sink.ShipFull(cap.full)
+			err = sink.Ship(cap.full, cap.delta)
 		case cap.delta != nil:
 			if err = e.mgr.Backups().ApplyDelta(host, cap.delta); err == nil {
 				e.trimAcked(n.inst, cap.delta.Acks)

@@ -211,9 +211,6 @@ func runtimeFor(s *Scenario, cfg RunConfig, seed int64) (seep.Runtime, error) {
 	}
 	if o.DeltaCheckpoints {
 		opts = append(opts, seep.WithIncrementalCheckpoints(10, 0.5))
-		if cfg.Substrate == "dist" {
-			opts = append(opts, seep.WithDeltaCheckpoints(false))
-		}
 	}
 	if o.VMPool != nil && cfg.Substrate == "sim" {
 		opts = append(opts, seep.WithVMPool(seep.PoolConfig{

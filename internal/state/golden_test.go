@@ -83,11 +83,12 @@ var goldenStores = []goldenStore{
 	}},
 }
 
-// TestGoldenCheckpointBytes pins the wire layout: the full and delta
-// checkpoints of three fixed stores must equal, byte for byte, the hex
-// files generated before processing state became a sorted run — so
+// TestGoldenCheckpointBytes pins the wire layout: the full checkpoints
+// of three fixed stores must equal, byte for byte, the hex files
+// generated before processing state became a sorted run — so
 // DurableStore files, journals and deploy blobs written by older
-// binaries still load.
+// binaries still load — and so must the checkpoint each store's delta
+// travels as.
 func TestGoldenCheckpointBytes(t *testing.T) {
 	inst := plan.InstanceID{Op: "cnt", Part: 2}
 	up := plan.InstanceID{Op: "map", Part: 1}
@@ -123,33 +124,40 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 			}
 			dc := &DeltaCheckpoint{Instance: inst, Delta: d, Buffer: buf, OutClock: 111,
 				Acks: map[plan.InstanceID]int64{up: 21}}
-			e := stream.NewEncoder(0)
-			if err := EncodeDeltaCheckpoint(e, dc, GobPayloadCodec{}, false); err != nil {
+			delta, err := MarshalCheckpoint(dc.Checkpoint(), GobPayloadCodec{})
+			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, g.name+"_delta", e.Bytes())
+			checkGolden(t, g.name+"_delta", delta)
 		})
 	}
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	path := filepath.Join("testdata", "golden_"+name+".hex")
 	if *updateGolden {
+		path := filepath.Join("testdata", "golden_"+name+".hex")
 		if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	if string(got) != string(want) {
+	if want := readGolden(t, name); string(got) != string(want) {
 		t.Errorf("%s: %d bytes differ from the golden %d bytes", name, len(got), len(want))
 	}
+}
+
+// readGolden returns the bytes pinned in testdata/golden_<name>.hex.
+func readGolden(tb testing.TB, name string) []byte {
+	tb.Helper()
+	path := filepath.Join("testdata", "golden_"+name+".hex")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		tb.Fatalf("%s: %v", path, err)
+	}
+	return b
 }

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"fmt"
 	"slices"
 
 	"seep/internal/plan"
@@ -75,6 +76,49 @@ func (dc *DeltaCheckpoint) Size() int {
 		n += 16 * dc.Buffer.Len()
 	}
 	return n
+}
+
+// Checkpoint views the delta as the checkpoint it travels as: the
+// changed keys are its processing state, and Seq, the timestamp vector
+// and the bookkeeping are the delta's own. Base and Deleted are not in
+// the view; they travel beside it, and DeltaOf puts them back.
+func (dc *DeltaCheckpoint) Checkpoint() *Checkpoint {
+	return &Checkpoint{
+		Instance:   dc.Instance,
+		Seq:        dc.Delta.Seq,
+		Processing: &Processing{KV: dc.Delta.Changed, TS: dc.Delta.TS},
+		Buffer:     dc.Buffer,
+		OutClock:   dc.OutClock,
+		Acks:       dc.Acks,
+	}
+}
+
+// DeltaOf is the inverse of Checkpoint: cp read as the delta from the
+// checkpoint numbered base that also removes the deleted keys. It
+// checks what came off the wire: 0 < base < cp.Seq, deleted strictly
+// ascending, and no legacy buffers, which a delta never ships.
+func DeltaOf(cp *Checkpoint, base uint64, deleted []stream.Key) (*DeltaCheckpoint, error) {
+	if err := cp.Validate(); err != nil {
+		return nil, err
+	}
+	if base == 0 || base >= cp.Seq {
+		return nil, fmt.Errorf("state: delta base %d for %s at seq %d", base, cp.Instance, cp.Seq)
+	}
+	for i := 1; i < len(deleted); i++ {
+		if deleted[i] <= deleted[i-1] {
+			return nil, fmt.Errorf("state: deleted key %d after %d: keys must strictly ascend", deleted[i], deleted[i-1])
+		}
+	}
+	if len(cp.Legacy) > 0 {
+		return nil, fmt.Errorf("state: delta for %s carries legacy buffers", cp.Instance)
+	}
+	return &DeltaCheckpoint{
+		Instance: cp.Instance,
+		Delta:    &Delta{Base: base, Seq: cp.Seq, Changed: cp.Processing.KV, Deleted: deleted, TS: cp.Processing.TS},
+		Buffer:   cp.Buffer,
+		OutClock: cp.OutClock,
+		Acks:     cp.Acks,
+	}, nil
 }
 
 // DeltaPolicy governs when a runtime ships incremental checkpoints for

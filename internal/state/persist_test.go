@@ -186,34 +186,169 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestDeltaCheckpointRoundTripProperty: the delta wire form carries the
-// same buffer encoding, raw and compressed.
+// shipDelta is a delta's trip over the wire: the checkpoint it views,
+// encoded and decoded, read back as a delta with its base and deleted
+// keys beside it.
+func shipDelta(dc *DeltaCheckpoint, codec PayloadCodec) (*DeltaCheckpoint, []byte, error) {
+	blob, err := MarshalCheckpoint(dc.Checkpoint(), codec)
+	if err != nil {
+		return nil, nil, err
+	}
+	cp, err := DecodeCheckpoint(stream.NewDecoder(blob), codec)
+	if err != nil {
+		return nil, blob, err
+	}
+	got, err := DeltaOf(cp, dc.Delta.Base, dc.Delta.Deleted)
+	return got, blob, err
+}
+
+func deltaEqual(t *testing.T, got, want *DeltaCheckpoint) {
+	t.Helper()
+	if got.Instance != want.Instance || got.OutClock != want.OutClock || !reflect.DeepEqual(got.Acks, want.Acks) {
+		t.Fatalf("bookkeeping %v/%d/%v, want %v/%d/%v", got.Instance, got.OutClock, got.Acks, want.Instance, want.OutClock, want.Acks)
+	}
+	g, w := got.Delta, want.Delta
+	if g.Base != w.Base || g.Seq != w.Seq || !g.TS.Equal(w.TS) {
+		t.Fatalf("base/seq/ts %d/%d/%v, want %d/%d/%v", g.Base, g.Seq, g.TS, w.Base, w.Seq, w.TS)
+	}
+	if !g.Changed.Equal(w.Changed) || !slices.Equal(g.Deleted, w.Deleted) {
+		t.Fatalf("%d changed, deleted %v; want %d, %v", g.Changed.Len(), g.Deleted, w.Changed.Len(), w.Deleted)
+	}
+	if !buffersEqual(got.Buffer, want.Buffer) {
+		t.Fatal("buffer state changed")
+	}
+}
+
+func testDeltaCheckpoint() *DeltaCheckpoint {
+	buf := NewBuffer()
+	buf.Append(plan.InstanceID{Op: "sink", Part: 0},
+		stream.Tuple{TS: 9, Key: 3, Born: 1, Payload: "retained"})
+	return &DeltaCheckpoint{
+		Instance: plan.InstanceID{Op: "count", Part: 1},
+		Delta: &Delta{
+			Base:    4,
+			Seq:     5,
+			Changed: runOf(map[stream.Key][]byte{7: []byte("seven"), 2: []byte("two"), 900: {}}),
+			Deleted: []stream.Key{1, 11},
+			TS:      stream.TSVector{42, 40},
+		},
+		Buffer:   buf,
+		OutClock: 42,
+		Acks:     map[plan.InstanceID]int64{{Op: "src", Part: 0}: 40, {Op: "src", Part: 1}: 39},
+	}
+}
+
+// TestDeltaCheckpointRoundTrip: a delta ships as the checkpoint it views
+// and comes back whole.
+func TestDeltaCheckpointRoundTrip(t *testing.T) {
+	want := testDeltaCheckpoint()
+	got, _, err := shipDelta(want, StringPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaEqual(t, got, want)
+}
+
+// TestDeltaCheckpointRoundTripProperty: any delta — every payload class
+// in its buffer, any changed and deleted keys — survives view → encode →
+// decode → DeltaOf.
 func TestDeltaCheckpointRoundTripProperty(t *testing.T) {
 	codec := GobPayloadCodec{}
 	for seed := int64(0); seed < 100; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		cp := randomCheckpoint(r)
-		dc := &DeltaCheckpoint{
+		base := 1 + r.Uint64()%1000
+		var deleted []stream.Key
+		for k, n := stream.Key(r.Intn(5)), r.Intn(6); len(deleted) < n; k += stream.Key(1 + r.Intn(1<<20)) {
+			deleted = append(deleted, k)
+		}
+		want := &DeltaCheckpoint{
 			Instance: cp.Instance,
-			Delta:    &Delta{Base: 3, Seq: 4, Changed: cp.Processing.KV, Deleted: []stream.Key{9, 2}, TS: cp.Processing.TS},
+			Delta:    &Delta{Base: base, Seq: base + 1 + r.Uint64()%1000, Changed: cp.Processing.KV, Deleted: deleted, TS: cp.Processing.TS},
 			Buffer:   cp.Buffer,
 			OutClock: cp.OutClock,
 			Acks:     cp.Acks,
 		}
-		e := stream.NewEncoder(256)
-		if err := EncodeDeltaCheckpoint(e, dc, codec, seed%2 == 0); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		got, err := DecodeDeltaCheckpoint(stream.NewDecoder(e.Bytes()), codec)
+		got, _, err := shipDelta(want, codec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !buffersEqual(got.Buffer, dc.Buffer) || !reflect.DeepEqual(got.Acks, dc.Acks) || got.OutClock != dc.OutClock {
-			t.Fatalf("seed %d: delta bookkeeping changed", seed)
+		deltaEqual(t, got, want)
+	}
+}
+
+// TestDeltaCheckpointDeterministic: map iteration order does not leak
+// into the checkpoint a delta travels as.
+func TestDeltaCheckpointDeterministic(t *testing.T) {
+	dc := testDeltaCheckpoint()
+	first, err := MarshalCheckpoint(dc.Checkpoint(), StringPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := MarshalCheckpoint(dc.Checkpoint(), StringPayloadCodec{})
+		if err != nil || !bytes.Equal(again, first) {
+			t.Fatalf("encode %d differs from the first (%v)", i, err)
 		}
-		if !got.Delta.Changed.Equal(dc.Delta.Changed) {
-			t.Fatalf("seed %d: %d changed keys, want %d", seed, got.Delta.Changed.Len(), dc.Delta.Changed.Len())
+	}
+}
+
+// TestDeltaCheckpointBadMagic: the retired delta codec's magic ("SEPD")
+// is foreign input to the one checkpoint reader.
+func TestDeltaCheckpointBadMagic(t *testing.T) {
+	_, blob, err := shipDelta(testDeltaCheckpoint(), StringPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob, 0x53455044)
+	if _, err := DecodeCheckpointHeader(blob); err == nil {
+		t.Error("header reader accepted the delta codec's magic")
+	}
+	if cp, err := DecodeCheckpoint(stream.NewDecoder(blob), StringPayloadCodec{}); err == nil || cp != nil {
+		t.Errorf("decoder accepted the delta codec's magic: %v, %v", cp, err)
+	}
+}
+
+// TestDecodeDeltaRejectsMalformedChanged: a delta's changed keys are a
+// checkpoint's processing section, so they must strictly ascend like
+// every run; a ship that breaks that, or stops mid-record, decodes to
+// nothing DeltaOf could read.
+func TestDecodeDeltaRejectsMalformedChanged(t *testing.T) {
+	for name, section := range malformedProcessingSections() {
+		blob := checkpointAround(section)
+		if cp, err := DecodeCheckpoint(stream.NewDecoder(blob), StringPayloadCodec{}); err == nil || cp != nil {
+			t.Errorf("%s: decoded %v, err %v", name, cp, err)
 		}
+	}
+}
+
+// TestDeltaOfRejectsWhatNoSenderShips: a base that does not precede the
+// checkpoint, deleted keys out of order or repeated, and legacy buffers
+// are refused with no delta.
+func TestDeltaOfRejectsWhatNoSenderShips(t *testing.T) {
+	legacy := testDeltaCheckpoint().Checkpoint()
+	legacy.Legacy = map[plan.InstanceID]*Buffer{{Op: "count", Part: 9}: randomBuffer(rand.New(rand.NewSource(1)), 1)}
+	cases := []struct {
+		name    string
+		cp      *Checkpoint
+		base    uint64
+		deleted []stream.Key
+	}{
+		{"base 0", testDeltaCheckpoint().Checkpoint(), 0, nil},
+		{"base at seq", testDeltaCheckpoint().Checkpoint(), 5, nil},
+		{"base past seq", testDeltaCheckpoint().Checkpoint(), 6, nil},
+		{"unsorted deleted", testDeltaCheckpoint().Checkpoint(), 4, []stream.Key{11, 1}},
+		{"duplicate deleted", testDeltaCheckpoint().Checkpoint(), 4, []stream.Key{1, 1}},
+		{"legacy buffers", legacy, 4, nil},
+		{"no processing state", &Checkpoint{Instance: legacy.Instance, Seq: 5}, 4, nil},
+	}
+	for _, c := range cases {
+		if dc, err := DeltaOf(c.cp, c.base, c.deleted); err == nil || dc != nil {
+			t.Errorf("%s: DeltaOf = %v, %v; want an error and no delta", c.name, dc, err)
+		}
+	}
+	if _, err := DeltaOf(testDeltaCheckpoint().Checkpoint(), 4, []stream.Key{1, 11}); err != nil {
+		t.Fatalf("a valid delta was refused: %v", err)
 	}
 }
 
@@ -317,13 +452,14 @@ func TestEncodeCheckpointAllocsDoNotScaleWithTuples(t *testing.T) {
 	}
 }
 
+var goldenDeltas = []string{"int64_delta", "value_map_delta", "spilled_delta"}
+
 // FuzzDecodeCheckpoint: truncated or garbled input is an error — never a
-// panic, never a partly filled checkpoint — from both readers, and what
-// does decode re-encodes.
+// panic, never a partly filled checkpoint — from both readers, what does
+// decode re-encodes, and it folds as a delta (fuzzCheckpoint).
 func FuzzDecodeCheckpoint(f *testing.F) {
-	codec := GobPayloadCodec{}
 	for seed := int64(0); seed < 4; seed++ {
-		blob, err := MarshalCheckpoint(randomCheckpoint(rand.New(rand.NewSource(seed))), codec)
+		blob, err := MarshalCheckpoint(randomCheckpoint(rand.New(rand.NewSource(seed))), GobPayloadCodec{})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -335,23 +471,94 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, name := range slices.Sorted(maps.Keys(malformedProcessingSections())) {
 		f.Add(checkpointAround(malformedProcessingSections()[name]))
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		h, herr := DecodeCheckpointHeader(b)
-		cp, err := DecodeCheckpoint(stream.NewDecoder(b), codec)
-		if err != nil {
-			if cp != nil {
-				t.Fatalf("error %v with a checkpoint installed", err)
-			}
-			return
+	for _, name := range goldenDeltas {
+		f.Add(readGolden(f, name))
+	}
+	f.Fuzz(fuzzCheckpoint)
+}
+
+// FuzzDecodeDeltaCheckpoint runs FuzzDecodeCheckpoint's property from a
+// corpus of damaged deltas: the pinned ones truncated and bit-flipped,
+// and a fixture whose buffer and acknowledgements are non-empty.
+func FuzzDecodeDeltaCheckpoint(f *testing.F) {
+	_, fixture, err := shipDelta(testDeltaCheckpoint(), GobPayloadCodec{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	blobs := [][]byte{fixture}
+	for _, name := range goldenDeltas {
+		blobs = append(blobs, readGolden(f, name))
+	}
+	for _, blob := range blobs {
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		flipped := slices.Clone(blob)
+		flipped[len(flipped)/2] ^= 0x40
+		f.Add(flipped)
+	}
+	f.Add([]byte("SEPDgarbage-that-is-not-a-delta"))
+	f.Fuzz(fuzzCheckpoint)
+}
+
+// fuzzBase is the stored checkpoint the fuzz targets fold deltas onto.
+var fuzzBase = runOf(map[stream.Key][]byte{0: {1}, 2: []byte("two"), 7: {}, 1 << 40: []byte("far"), stream.MaxKey: {9}})
+
+// fuzzCheckpoint is the property both fuzz targets check. The two
+// readers agree or fail without a checkpoint; what decodes re-encodes;
+// and, read as a delta with a base and deleted keys drawn from the
+// input, it is refused by DeltaOf or folds onto fuzzBase into a run
+// whose keys strictly ascend and that holds none of the deleted keys.
+func fuzzCheckpoint(t *testing.T, b []byte) {
+	codec := GobPayloadCodec{}
+	h, herr := DecodeCheckpointHeader(b)
+	cp, err := DecodeCheckpoint(stream.NewDecoder(b), codec)
+	if err != nil {
+		if cp != nil {
+			t.Fatalf("error %v with a checkpoint installed", err)
 		}
-		if err := cp.Validate(); err != nil {
-			t.Fatalf("decoded an invalid checkpoint: %v", err)
+		return
+	}
+	if err := cp.Validate(); err != nil {
+		t.Fatalf("decoded an invalid checkpoint: %v", err)
+	}
+	if herr == nil && (h.Instance != cp.Instance || h.Seq != cp.Seq) {
+		t.Fatalf("header %+v disagrees with body %v/%d", h, cp.Instance, cp.Seq)
+	}
+	if _, err := MarshalCheckpoint(cp, codec); err != nil {
+		t.Fatalf("decoded checkpoint does not re-encode: %v", err)
+	}
+
+	// The first byte picks the base below Seq, 0 (refused) included; the
+	// second how many keys are deleted, up to three; the next ones step
+	// from key to key, a zero step repeating one (refused too).
+	var base uint64
+	if cp.Seq > 0 {
+		base = uint64(b[0]) % cp.Seq
+	}
+	var deleted []stream.Key
+	var k stream.Key
+	for _, step := range b[2:min(len(b), 2+int(b[1]%4))] {
+		k += stream.Key(step)
+		deleted = append(deleted, k)
+	}
+	dc, err := DeltaOf(cp, base, deleted)
+	if err != nil {
+		if dc != nil {
+			t.Fatalf("error %v with a delta returned", err)
 		}
-		if herr == nil && (h.Instance != cp.Instance || h.Seq != cp.Seq) {
-			t.Fatalf("header %+v disagrees with body %v/%d", h, cp.Instance, cp.Seq)
+		return
+	}
+	folded := &Processing{KV: fuzzBase}
+	dc.Delta.Apply(folded)
+	keys := folded.KV.Keys()
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			t.Fatalf("folded run has key %d after %d", keys[i], keys[i-1])
 		}
-		if _, err := MarshalCheckpoint(cp, codec); err != nil {
-			t.Fatalf("decoded checkpoint does not re-encode: %v", err)
+	}
+	for _, d := range deleted {
+		if _, ok := folded.KV.Get(d); ok {
+			t.Fatalf("deleted key %d survived the fold", d)
 		}
-	})
+	}
 }

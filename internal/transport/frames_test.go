@@ -314,65 +314,3 @@ func TestTransportMetricsCounted(t *testing.T) {
 		t.Errorf("listener stats: %+v", ls)
 	}
 }
-
-// TestDeltaCheckpointFrameRoundTrip: a delta-checkpoint frame sent by a
-// worker arrives intact at the listener's OnDeltaCheckpoint handler and
-// decodes back to the same value.
-func TestDeltaCheckpointFrameRoundTrip(t *testing.T) {
-	codec := state.StringPayloadCodec{}
-	bodyCh := make(chan []byte, 1)
-	l, err := ListenWith("127.0.0.1:0", codec, Handlers{
-		OnDeltaCheckpoint: func(body []byte) {
-			select {
-			case bodyCh <- body:
-			default:
-			}
-		},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	var changed state.RunBuilder
-	changed.Append(7, []byte("seven"))
-	dc := &state.DeltaCheckpoint{
-		Instance: plan.InstanceID{Op: "count", Part: 0},
-		Delta: &state.Delta{
-			Base:    3,
-			Seq:     4,
-			Changed: changed.Run(),
-			Deleted: []stream.Key{9},
-			TS:      stream.TSVector{12},
-		},
-		Buffer:   state.NewBuffer(),
-		OutClock: 12,
-		Acks:     map[plan.InstanceID]int64{{Op: "src", Part: 0}: 11},
-	}
-	e := stream.NewEncoder(256)
-	if err := state.EncodeDeltaCheckpoint(e, dc, codec, true); err != nil {
-		t.Fatal(err)
-	}
-	p, err := Dial(l.Addr(), codec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.SendDeltaCheckpoint(e.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case body := <-bodyCh:
-		got, err := state.DecodeDeltaCheckpoint(stream.NewDecoder(body), codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seven, _ := got.Delta.Changed.Get(7)
-		if got.Instance != dc.Instance || got.Delta.Seq != dc.Delta.Seq ||
-			string(seven) != "seven" || got.OutClock != dc.OutClock {
-			t.Fatalf("delta roundtrip mismatch: %+v", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("delta frame never arrived")
-	}
-}

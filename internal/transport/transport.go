@@ -36,10 +36,12 @@ import (
 const ProtocolVersion = uint8(2)
 
 // Frame types on the wire. Types 1 (one tuple per frame), 3 (a batch of
-// per-tuple gob blobs) and 7 (a flow-control credit grant; the receiving
-// node's own ledger, felt through the socket, is the flow control) are
-// retired and never reused: a listener treats them like any unknown type
-// and drops the connection.
+// per-tuple gob blobs), 7 (a flow-control credit grant; the receiving
+// node's own ledger, felt through the socket, is the flow control) and 9
+// (an incremental checkpoint in a codec of its own; a delta now ships as
+// the checkpoint it views, in a control frame) are retired and never
+// reused: a listener treats them like any unknown type and drops the
+// connection.
 const (
 	frameHeartbeat = uint8(2)
 	// frameAck carries an acknowledgement watermark: after a checkpoint
@@ -59,11 +61,6 @@ const (
 	// timestamps, uvarint keys and tag-dispatched payloads (see
 	// internal/wirecodec).
 	frameBatch = uint8(8)
-	// frameDeltaCheckpoint carries an incremental checkpoint — dirty
-	// keys and deletions since the last acknowledged snapshot — to the
-	// coordinator, which folds it into the authoritative backup store.
-	// Body layout is defined by state.EncodeDeltaCheckpoint.
-	frameDeltaCheckpoint = uint8(9)
 )
 
 // writeStallAfter is how long a single frame write (including any
@@ -292,10 +289,6 @@ type Handlers struct {
 	OnControl func(body []byte)
 	// OnBarrier receives checkpoint-barrier requests.
 	OnBarrier func(inst plan.InstanceID)
-	// OnDeltaCheckpoint receives incremental-checkpoint frame bodies
-	// (state.EncodeDeltaCheckpoint layout). The slice is owned by the
-	// callee.
-	OnDeltaCheckpoint func(body []byte)
 }
 
 // Listener accepts frames from peers and hands decoded payloads to the
@@ -361,9 +354,8 @@ func (l *Listener) serve(conn net.Conn) {
 	w := bufio.NewWriter(conn)
 	var wmu sync.Mutex
 	// Frame bodies are read into one per-connection scratch buffer;
-	// decoded values copy what they keep, and the opaque-body handlers
-	// (control, delta checkpoint) get an explicit copy because they own
-	// the slice.
+	// decoded values copy what they keep, and the opaque-body handler
+	// (control) gets an explicit copy because it owns the slice.
 	var scratch []byte
 	for {
 		frameType, body, err := readFrame(r, l.metrics, &scratch)
@@ -404,12 +396,6 @@ func (l *Listener) serve(conn net.Conn) {
 				cp := make([]byte, len(body))
 				copy(cp, body)
 				l.handlers.OnControl(cp)
-			}
-		case frameDeltaCheckpoint:
-			if l.handlers.OnDeltaCheckpoint != nil {
-				cp := make([]byte, len(body))
-				copy(cp, body)
-				l.handlers.OnDeltaCheckpoint(cp)
 			}
 		case frameBarrier:
 			inst, err := decodeBarrier(stream.NewDecoder(body))
@@ -683,12 +669,6 @@ func (p *Peer) SendBatch(b Batch) error {
 	}
 	encPool.Put(e)
 	return err
-}
-
-// SendDeltaCheckpoint transmits one incremental-checkpoint body
-// (state.EncodeDeltaCheckpoint layout) to the host this peer points at.
-func (p *Peer) SendDeltaCheckpoint(body []byte) error {
-	return p.sendFrame(frameDeltaCheckpoint, body)
 }
 
 // SendAck transmits one acknowledgement watermark.

@@ -245,19 +245,18 @@ func TestDialUnreachable(t *testing.T) {
 }
 
 // TestRetiredFrameTypesDropConnection: types 1 (one tuple per frame), 3
-// (gob batch) and 7 (link credit grant) left the protocol. A well-formed
-// frame of any of them closes the connection like any unknown type,
-// reaches no handler, and leaves the listener serving the next
-// connection.
+// (gob batch), 7 (link credit grant) and 9 (delta checkpoint) left the
+// protocol. A well-formed frame of any of them closes the connection
+// like any unknown type, reaches no handler, and leaves the listener
+// serving the next connection.
 func TestRetiredFrameTypesDropConnection(t *testing.T) {
 	batches := make(chan Batch, 4)
 	stray := func(name string) { t.Errorf("retired frame reached %s", name) }
 	l, err := ListenWith("127.0.0.1:0", state.StringPayloadCodec{}, Handlers{
-		OnBatch:           func(b Batch) { batches <- b },
-		OnAck:             func(Ack) { stray("OnAck") },
-		OnControl:         func([]byte) { stray("OnControl") },
-		OnBarrier:         func(plan.InstanceID) { stray("OnBarrier") },
-		OnDeltaCheckpoint: func([]byte) { stray("OnDeltaCheckpoint") },
+		OnBatch:   func(b Batch) { batches <- b },
+		OnAck:     func(Ack) { stray("OnAck") },
+		OnControl: func([]byte) { stray("OnControl") },
+		OnBarrier: func(plan.InstanceID) { stray("OnBarrier") },
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +269,7 @@ func TestRetiredFrameTypesDropConnection(t *testing.T) {
 	if err := encodeBatch(e, one(1, "stale"), state.StringPayloadCodec{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []uint8{1, 3, 7} {
+	for _, retired := range []uint8{1, 3, 7, 9} {
 		conn, err := net.Dial("tcp", l.Addr())
 		if err != nil {
 			t.Fatal(err)

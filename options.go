@@ -53,8 +53,6 @@ type runtimeConfig struct {
 	coordAddr       string
 	controlPlaneDir string
 	standbyAddr     string
-	deltaWireSet    bool
-	deltaCompress   bool
 
 	// restricted records every substrate-restricted option that was
 	// set, with the substrates that DO accept it, so the wrong substrate
@@ -227,32 +225,16 @@ func WithCheckpointInterval(d time.Duration) Option {
 // a delta's size would exceed maxDeltaFraction of the last full
 // snapshot — both guards bound recovery-time fold work. Applies to all
 // three substrates (Simulated: FTRSM mode only; combining with another
-// FT mode is a Deploy error). On the Distributed runtime the deltas
-// travel the wire as delta-checkpoint frames and the coordinator folds
-// them into its authoritative store; fullEvery is the epoch boundary
-// that bounds every delta chain. Observe the effect via
+// FT mode is a Deploy error). On the Distributed runtime a delta ships
+// to the coordinator like a full checkpoint — as the checkpoint of its
+// changed keys, with its base and deleted keys beside it — and the
+// coordinator folds it into its authoritative store; fullEvery is the
+// epoch boundary that bounds every delta chain. Observe the effect via
 // Metrics.Checkpoints.
 func WithIncrementalCheckpoints(fullEvery int, maxDeltaFraction float64) Option {
 	return func(c *runtimeConfig) {
 		c.engine.Delta = state.DeltaPolicy{FullEvery: fullEvery, MaxDeltaFraction: maxDeltaFraction}
 		c.deltaSet = true
-	}
-}
-
-// WithDeltaCheckpoints enables incremental checkpoints over the network
-// with the default policy (a full snapshot every 10th checkpoint, deltas
-// capped at half the base size) unless WithIncrementalCheckpoints set an
-// explicit one. compress flate-compresses each delta frame — worth it on
-// real networks with compressible state, pure overhead on loopback.
-// Distributed runtime only; the in-process substrates take
-// WithIncrementalCheckpoints directly.
-func WithDeltaCheckpoints(compress bool) Option {
-	return func(c *runtimeConfig) {
-		c.deltaWireSet = true
-		c.deltaCompress = compress
-		c.restrict("WithDeltaCheckpoints",
-			"use WithIncrementalCheckpoints on the in-process runtimes",
-			"dist")
 	}
 }
 

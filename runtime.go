@@ -10,7 +10,6 @@ import (
 	"seep/internal/engine"
 	"seep/internal/metrics"
 	"seep/internal/sim"
-	"seep/internal/state"
 	"seep/internal/transport"
 )
 
@@ -221,12 +220,6 @@ func (c *runtimeConfig) engineConfig() engine.Config {
 	cfg := c.engine
 	if !c.checkpointSet {
 		cfg.CheckpointInterval = defaultLiveCheckpoint
-	}
-	// WithDeltaCheckpoints (Distributed only) arms the default epoch —
-	// a full snapshot every 10th checkpoint, deltas capped at half the
-	// base — unless WithIncrementalCheckpoints supplied an explicit one.
-	if c.deltaWireSet && !c.deltaSet {
-		cfg.Delta = state.DeltaPolicy{FullEvery: 10, MaxDeltaFraction: 0.5}
 	}
 	return cfg
 }

@@ -294,13 +294,6 @@ func TestOptionErrorsNameOptionAndSubstrates(t *testing.T) {
 		},
 		{
 			deploy: func() error {
-				_, err := seep.Live(seep.WithDeltaCheckpoints(false)).Deploy(wordcountTopology())
-				return err
-			},
-			wantAll: []string{"WithDeltaCheckpoints", "Distributed"},
-		},
-		{
-			deploy: func() error {
 				_, err := seep.Distributed(seep.WithFTMode(seep.FTNone), seep.WithVMPool(seep.PoolConfig{Size: 2})).Deploy(wordcountTopology())
 				return err
 			},
