@@ -21,7 +21,7 @@ Coordinator struct fields marked // seep:journaled are authoritative
 control-plane state, reconstructed from the write-ahead journal on
 failover. In any Coordinator method (or function literal) that mutates
 one of those fields, every worker-visible send — c.broadcast, c.sendTo,
-peer.SendControl, peer.SendAck — must come lexically after a
+peer.SendControl — must come lexically after a
 c.journal(...) call in the same scope: the record has to be durable
 before workers can observe the new state, or a replayed coordinator
 knows less than its fleet ("the deployment snapshot goes to the WAL
@@ -36,7 +36,6 @@ var journalfirstSends = map[string]bool{
 	"broadcast":   true,
 	"sendTo":      true,
 	"SendControl": true,
-	"SendAck":     true,
 }
 
 func runJournalfirst(pass *Pass) error {

@@ -29,7 +29,7 @@ mixed-version compatibility all compare raw bytes). A for-range over a
 map whose body touches a stream.Encoder (as receiver or argument) or
 calls a gob/json Encode emits bytes in randomised map order. Collect
 the keys into a slice, sort it, then iterate the slice — see
-encodeDeltaBody in state/deltawire.go for the canonical shape.`,
+encodeAcks in state/persist.go for the canonical shape.`,
 	Run: runWiredet,
 }
 

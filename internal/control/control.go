@@ -10,7 +10,7 @@
 package control
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"seep/internal/plan"
@@ -92,12 +92,7 @@ func (d *Detector) Observe(reports []Report) []plan.InstanceID {
 			d.streak[r.Inst] = 0
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Op != out[j].Op {
-			return out[i].Op < out[j].Op
-		}
-		return out[i].Part < out[j].Part
-	})
+	slices.SortFunc(out, plan.InstanceID.Compare)
 	return out
 }
 

@@ -13,18 +13,22 @@
 // and a torn or corrupt frame marks the clean end of the journal (WAL
 // discipline): everything before it replays, everything after it is
 // discarded, and Open truncates the tail so new appends never follow
-// garbage. State payloads (operator checkpoints) do NOT live here —
-// they go through core.DurableStore; the journal holds only the control
-// metadata that makes those files interpretable after a restart.
+// garbage. A journal whose version byte is not this binary's is refused
+// whole, by Open and Replay alike. State payloads (operator checkpoints)
+// do NOT live here — they go through core.DurableStore; the journal
+// holds only the control metadata that makes those files interpretable
+// after a restart: placement, the query manager's own books (core.Books)
+// and trims (core.Trim), in the types their owners use.
 //
 // Record discipline mirrors the coordinator's staged transitions:
 //
 //	RecIntent   — a transition is about to mutate the cluster (victims
 //	              may be final-retired after this point).
 //	RecPlanned  — the plan committed to the graph; carries a full State
-//	              snapshot (placement, routing, partition counters) and,
-//	              for merges, the per-victim trim watermarks that keep
-//	              replay exactly-once.
+//	              snapshot (placement and the query manager's books:
+//	              graph, partition counters, routing, legacy chain) and
+//	              the plan's per-victim trim watermarks (core.Trim) that
+//	              keep the replay of a merge exactly-once.
 //	RecCommit   — the transition completed; closes the intent.
 //	RecAbort    — the transition failed; the live coordinator rolled it
 //	              back through the abort-to-recovery path.
@@ -45,6 +49,7 @@ import (
 	"sync"
 	"time"
 
+	"seep/internal/core"
 	"seep/internal/plan"
 )
 
@@ -60,7 +65,7 @@ const (
 	// RecIntent opens a transition: victims may be retired after this.
 	RecIntent
 	// RecPlanned commits a transition's plan: full post-plan State plus
-	// merge trim watermarks. The plan's checkpoint files are persisted
+	// its trim watermarks. The plan's checkpoint files are persisted
 	// BEFORE this record is appended.
 	RecPlanned
 	// RecCommit closes a transition successfully.
@@ -96,68 +101,27 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Placed locates one instance on one worker.
-type Placed struct {
+// Placement locates one instance on one worker, by the worker's listener
+// address: what an assignment or a reroute tells the workers, and what
+// the journal keeps.
+type Placement struct {
 	Inst plan.InstanceID
 	Addr string
-}
-
-// OpInstances lists the live instances of one logical operator.
-type OpInstances struct {
-	Op    plan.OpID
-	Insts []plan.InstanceID
-}
-
-// OpRouting carries one operator's routing table as an opaque encoded
-// blob (the journal does not interpret routing; the coordinator does).
-type OpRouting struct {
-	Op   plan.OpID
-	Blob []byte
-}
-
-// OpPart records the next unused partition number of one operator —
-// critical on restore: a rebuilt execution graph must never reuse a
-// partition number, including numbers allocated and retired after the
-// last snapshot.
-type OpPart struct {
-	Op   plan.OpID
-	Next int
-}
-
-// LegacyPair maps a retired merge victim to the instance carrying its
-// legacy output buffer, so acknowledgement trims keep resolving after a
-// restart.
-type LegacyPair struct {
-	Old, Owner plan.InstanceID
 }
 
 // State is one self-contained control-plane snapshot: everything a
 // reborn coordinator needs (beyond the durable checkpoint files) to
 // resume a job. Slices, not maps, for deterministic gob encoding.
 type State struct {
-	Topology        string
-	Workers         []string // worker addresses in placement order
-	Placements      []Placed
-	Instances       []OpInstances
-	Routing         []OpRouting
-	NextPart        []OpPart
-	Legacy          []LegacyPair
+	Topology   string
+	Workers    []string    // worker addresses in placement order
+	Placements []Placement // sorted by instance
+	// Books are the query manager's own: execution graph, routing and
+	// legacy chain, restored with core.Manager.RestoreBooks.
+	Books           core.Books
 	NextSeq         uint64
 	Started         bool
 	StartUnixMillis int64 // wall-clock job start: the job clock survives restarts
-}
-
-// Trim is one trim-to-watermark instruction journaled with a planned
-// merge: on rollback of an in-doubt merge, the recovery reroute carries
-// these so upstream buffers still trim to each victim's own final
-// watermark before repartitioning (the merged duplicate-detection
-// watermark is the victims' minimum — without the trims, replay would
-// double-deliver the span between the minimum and each victim's own
-// position).
-type Trim struct {
-	Up    plan.InstanceID
-	Owner plan.InstanceID
-	TS    int64
 }
 
 // ShipMark is checkpoint-ship metadata (the payload lives in the
@@ -183,8 +147,13 @@ type Record struct {
 	Action  string
 	Victims []plan.InstanceID
 	Pi      int
-	// Trims ride RecPlanned for merges.
-	Trims []Trim
+	// Trims ride RecPlanned: the plan's per-victim trim watermarks. On
+	// rollback of an in-doubt merge the recovery reroute carries them, so
+	// upstream buffers still trim to each victim's own final watermark
+	// before repartitioning (the merged duplicate-detection watermark is
+	// the victims' minimum; without the trims, replay would double-deliver
+	// the span between the minimum and each victim's own position).
+	Trims []core.Trim
 	// Ship rides RecShip.
 	Ship *ShipMark
 	// Reason rides RecAbort.
@@ -215,7 +184,9 @@ type Stats struct {
 }
 
 const (
-	journalVersion = 1
+	// journalVersion is every record's first byte. A journal another
+	// version wrote is refused (checkVersion), never misread or truncated.
+	journalVersion = 2
 	headerLen      = 10
 	// maxRecordBytes mirrors the transport's frame cap: a length field
 	// past it means a corrupt header, not a huge record.
@@ -294,6 +265,16 @@ func DecodeRecords(data []byte) ([]Record, int) {
 	}
 }
 
+// checkVersion refuses a journal whose first record another version
+// wrote: its records would decode into the wrong shapes, and truncating
+// it as a torn tail would destroy it.
+func checkVersion(data []byte) error {
+	if len(data) > 0 && data[0] != journalVersion {
+		return fmt.Errorf("controlplane: journal version %d, want %d", data[0], journalVersion)
+	}
+	return nil
+}
+
 // Journal is the append-only control-plane WAL. Every Append is fsynced
 // before it returns: a record the coordinator acted on is on disk.
 type Journal struct {
@@ -321,6 +302,9 @@ func Open(dir string) (*Journal, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("controlplane: read journal: %w", err)
+	}
+	if err := checkVersion(data); err != nil {
+		return nil, err
 	}
 	_, valid := DecodeRecords(data)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)

@@ -3,27 +3,28 @@ package controlplane
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"seep/internal/core"
 	"seep/internal/plan"
 )
 
 func testState(nextSeq uint64) *State {
+	src, count := plan.InstanceID{Op: "src", Part: 1}, plan.InstanceID{Op: "count", Part: 3}
 	return &State{
-		Topology: "wordcount",
-		Workers:  []string{"w1", "w2"},
-		Placements: []Placed{
-			{Inst: plan.InstanceID{Op: "src", Part: 1}, Addr: "w1"},
-			{Inst: plan.InstanceID{Op: "count", Part: 1}, Addr: "w2"},
+		Topology:   "wordcount",
+		Workers:    []string{"w1", "w2"},
+		Placements: []Placement{{Inst: count, Addr: "w2"}, {Inst: src, Addr: "w1"}},
+		Books: core.Books{
+			Ops: []core.OpBooks{
+				{Op: "src", Instances: []plan.InstanceID{src}, NextPart: 1, Routing: []byte{1, 2, 3, 4}},
+				{Op: "count", Instances: []plan.InstanceID{count}, NextPart: 3, Routing: []byte{5, 6, 7, 8}},
+			},
+			Legacy: []core.Inherit{{Old: plan.InstanceID{Op: "count", Part: 2}, New: count}},
 		},
-		Instances: []OpInstances{
-			{Op: "src", Insts: []plan.InstanceID{{Op: "src", Part: 1}}},
-			{Op: "count", Insts: []plan.InstanceID{{Op: "count", Part: 1}}},
-		},
-		Routing:  []OpRouting{{Op: "count", Blob: []byte{1, 2, 3, 4}}},
-		NextPart: []OpPart{{Op: "src", Next: 1}, {Op: "count", Next: 3}},
-		Legacy:   []LegacyPair{{Old: plan.InstanceID{Op: "count", Part: 2}, Owner: plan.InstanceID{Op: "count", Part: 3}}},
-		NextSeq:  nextSeq,
+		NextSeq: nextSeq,
 	}
 }
 
@@ -64,8 +65,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	if rep.Records != len(recs) {
 		t.Fatalf("replayed %d records, want %d", rep.Records, len(recs))
 	}
-	if rep.State == nil || rep.State.Topology != "wordcount" {
-		t.Fatalf("state = %+v", rep.State)
+	want := testState(3)
+	want.Started, want.StartUnixMillis = true, 12345
+	if !reflect.DeepEqual(rep.State, want) {
+		t.Fatalf("state = %+v, want %+v", rep.State, want)
 	}
 	if !rep.State.Started || rep.State.StartUnixMillis != 12345 {
 		t.Fatalf("start not applied: %+v", rep.State)
@@ -86,7 +89,7 @@ func TestJournalInDoubtTransitions(t *testing.T) {
 	}
 	v1 := plan.InstanceID{Op: "count", Part: 1}
 	v2 := plan.InstanceID{Op: "count", Part: 2}
-	trims := []Trim{{Up: plan.InstanceID{Op: "split", Part: 1}, Owner: v1, TS: 41}}
+	trims := []core.Trim{{Up: plan.InstanceID{Op: "split", Part: 1}, Owner: v1, TS: 41}}
 	must := func(r *Record) {
 		t.Helper()
 		if err := j.Append(r); err != nil {
@@ -219,6 +222,31 @@ func TestJournalRotate(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesOtherVersion: a journal another version wrote is an
+// error on replay and on open — never misread, and never truncated away
+// as if it were a torn tail.
+func TestJournalRefusesOtherVersion(t *testing.T) {
+	dir := t.TempDir()
+	frame, err := encodeRecord(&Record{Kind: RecDeploy, Seq: 1, State: testState(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[0] = journalVersion - 1
+	path := filepath.Join(dir, "journal.wal")
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Errorf("Replay of an older journal = %v, want a version error", err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Errorf("Open of an older journal = %v, want a version error", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || len(data) != len(frame) {
+		t.Errorf("the older journal was changed: %d of %d bytes left (%v)", len(data), len(frame), err)
+	}
+}
+
 func TestReplayEmptyDirErrors(t *testing.T) {
 	if _, err := Replay(t.TempDir()); err == nil {
 		t.Fatal("replay of a missing journal should error")
@@ -241,6 +269,10 @@ func FuzzJournalReplay(f *testing.F) {
 		flipped := append([]byte{}, frame...)
 		flipped[7] ^= 0xff
 		f.Add(flipped)
+		// A frame an older journal version wrote.
+		older := append([]byte{}, frame...)
+		older[0] = journalVersion - 1
+		f.Add(older)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, n := DecodeRecords(data)

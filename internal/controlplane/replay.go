@@ -5,6 +5,7 @@ import (
 	"os"
 	"sort"
 
+	"seep/internal/core"
 	"seep/internal/plan"
 )
 
@@ -21,10 +22,10 @@ type InDoubt struct {
 	// (a RecPlanned landed): the journal's State already reflects the
 	// post-plan topology and the plan's checkpoint files are on disk.
 	Planned bool
-	// Trims are the merge trim watermarks journaled with the plan;
-	// rollback attaches them to the recovery reroute so replay stays
-	// exactly-once (see Trim).
-	Trims []Trim
+	// Trims are the trim watermarks journaled with the plan; rollback
+	// attaches them to the recovery reroute so replay stays exactly-once
+	// (see Record.Trims).
+	Trims []core.Trim
 }
 
 // Replayed is the outcome of folding a journal: the last snapshot
@@ -47,6 +48,9 @@ func Replay(dir string) (*Replayed, error) {
 	data, err := os.ReadFile(journalPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: read journal: %w", err)
+	}
+	if err := checkVersion(data); err != nil {
+		return nil, err
 	}
 	recs, _ := DecodeRecords(data)
 	return Fold(recs)

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
 	"seep/internal/plan"
-	"seep/internal/state"
 )
 
 // booksManager returns a manager whose count operator starts with parts
@@ -129,37 +130,48 @@ func TestManagerBooksComplete(t *testing.T) {
 	}
 }
 
-// TestManagerBooksRestoreTopology: the legacy chain is part of the
-// journaled topology — a manager restored from another's snapshot
-// resolves every superseded identity to the same live holder.
+// TestManagerBooksRestoreTopology: the books travel as one value. A
+// manager restored from another's Books, through gob as the journal
+// carries them, has the same books and resolves every superseded
+// identity to the same live holder; and the same books always encode to
+// the same bytes.
 func TestManagerBooksRestoreTopology(t *testing.T) {
 	m, replace := booksManager(t, 3)
 	merged := replace([]plan.InstanceID{inst("count", 1), inst("count", 2)}, 1, false).NewInstances[0]
 	replace([]plan.InstanceID{merged, inst("count", 3)}, 1, false)
 
-	q := m.Query()
-	instances := make(map[plan.OpID][]plan.InstanceID)
-	nextPart := make(map[plan.OpID]int)
-	routing := make(map[plan.OpID]*state.Routing)
-	for _, op := range q.Ops() {
-		instances[op] = m.Instances(op)
-		nextPart[op] = m.NextPart(op)
-		routing[op] = m.Routing(op)
+	encode := func(b Books) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(b); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	restored, err := NewManager(q)
+	blob := encode(m.Books())
+	for range 10 {
+		if !bytes.Equal(encode(m.Books()), blob) {
+			t.Fatal("two encodings of the same books differ")
+		}
+	}
+	var books Books
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&books); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewManager(m.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreTopology(instances, nextPart, routing, m.Legacy()); err != nil {
+	if err := restored.RestoreBooks(books); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(restored.Legacy(), m.Legacy()) || len(m.Legacy()) != 4 {
-		t.Fatalf("Legacy() = %v after restore, want %v (4 pairs)", restored.Legacy(), m.Legacy())
+	if got := restored.Books(); !reflect.DeepEqual(got, m.Books()) || len(got.Legacy) != 4 {
+		t.Fatalf("Books() = %+v after restore, want %+v (4 legacy pairs)", got, m.Books())
 	}
-	for old := range m.Legacy() {
-		want, _ := m.LegacyOwner(old)
-		if got, ok := restored.LegacyOwner(old); !ok || got != want {
-			t.Errorf("restored LegacyOwner(%v) = %v, %v; want %v", old, got, ok, want)
+	for _, l := range books.Legacy {
+		want, _ := m.LegacyOwner(l.Old)
+		if got, ok := restored.LegacyOwner(l.Old); !ok || got != want {
+			t.Errorf("restored LegacyOwner(%v) = %v, %v; want %v", l.Old, got, ok, want)
 		}
 	}
 	// The restored manager keeps the books from there on.
@@ -173,5 +185,8 @@ func TestManagerBooksRestoreTopology(t *testing.T) {
 	}
 	if got, _ := restored.LegacyOwner(inst("count", 1)); got != tp.NewInstances[0] {
 		t.Errorf("LegacyOwner after a post-restore recovery = %v, want %v", got, tp.NewInstances[0])
+	}
+	if next := restored.Books().Ops[2]; next.Op != "count" || next.NextPart != tp.NewInstances[0].Part {
+		t.Errorf("restored count books %+v: the partition counter did not carry over", next)
 	}
 }

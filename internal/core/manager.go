@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 
@@ -158,38 +157,73 @@ func NewManager(q *plan.Query) (*Manager, error) {
 	return m, nil
 }
 
-// RestoreTopology replaces the manager's execution graph and routing
-// wholesale with journaled control-plane state — the restore half of a
-// durable control plane. The partition counters must dominate the live
-// instances' partition numbers (see plan.RestoreExecGraph); routing
-// must cover exactly the live instances of each routed operator; legacy
-// is the journaled Legacy chain.
-func (m *Manager) RestoreTopology(instances map[plan.OpID][]plan.InstanceID, nextPart map[plan.OpID]int, routing map[plan.OpID]*state.Routing, legacy map[plan.InstanceID]plan.InstanceID) error {
+// Books is the one snapshot of the manager's books — execution graph,
+// routing and legacy chain — that a durable control plane journals and
+// a reborn coordinator restores (RestoreBooks). It holds slices in a
+// fixed order, so identical books encode identically.
+type Books struct {
+	// Ops holds one entry per logical operator, in query order.
+	Ops []OpBooks
+	// Legacy pairs every superseded instance (Old) with the first of its
+	// replacements (New), sorted by Old.
+	Legacy []Inherit
+}
+
+// OpBooks is one logical operator's share of the books.
+type OpBooks struct {
+	Op plan.OpID
+	// Instances are the live instances, by partition number.
+	Instances []plan.InstanceID
+	// NextPart is the last partition number handed out: a restored graph
+	// never reuses one, including numbers retired since the last snapshot.
+	NextPart int
+	// Routing is the operator's routing table (state.MarshalRouting).
+	Routing []byte
+}
+
+// Books snapshots the manager's books.
+func (m *Manager) Books() Books {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var b Books
+	for _, op := range m.query.Ops() {
+		b.Ops = append(b.Ops, OpBooks{Op: op, Instances: m.graph.Instances(op),
+			NextPart: m.graph.NextPart(op), Routing: state.MarshalRouting(m.routing[op])})
+	}
+	for old, owner := range m.legacyOwner {
+		b.Legacy = append(b.Legacy, Inherit{Old: old, New: owner})
+	}
+	slices.SortFunc(b.Legacy, func(x, y Inherit) int { return x.Old.Compare(y.Old) })
+	return b
+}
+
+// RestoreBooks replaces the manager's books wholesale with a snapshot
+// Books took — the restore half of a durable control plane. The
+// partition counters must dominate the live instances' partition
+// numbers (see plan.RestoreExecGraph).
+func (m *Manager) RestoreBooks(b Books) error {
+	instances := make(map[plan.OpID][]plan.InstanceID, len(b.Ops))
+	nextPart := make(map[plan.OpID]int, len(b.Ops))
+	routing := make(map[plan.OpID]*state.Routing, len(b.Ops))
+	for _, ob := range b.Ops {
+		r, err := state.DecodeRouting(stream.NewDecoder(ob.Routing))
+		if err != nil {
+			return fmt.Errorf("core: restore routing of %s: %w", ob.Op, err)
+		}
+		instances[ob.Op], nextPart[ob.Op], routing[ob.Op] = ob.Instances, ob.NextPart, r
+	}
 	graph, err := plan.RestoreExecGraph(m.query, instances, nextPart)
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.graph = graph
-	m.routing = make(map[plan.OpID]*state.Routing, len(routing))
-	for op, r := range routing {
-		if m.query.Op(op) == nil {
-			return fmt.Errorf("core: restore: unknown operator %q", op)
-		}
-		m.routing[op] = r.Clone()
+	legacy := make(map[plan.InstanceID]plan.InstanceID, len(b.Legacy))
+	for _, l := range b.Legacy {
+		legacy[l.Old] = l.New
 	}
-	m.legacyOwner = make(map[plan.InstanceID]plan.InstanceID, len(legacy))
-	maps.Copy(m.legacyOwner, legacy)
-	return nil
-}
-
-// Legacy returns a copy of the superseded-instance → first-replacement
-// pairs, for the durable control plane to journal.
-func (m *Manager) Legacy() map[plan.InstanceID]plan.InstanceID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return maps.Clone(m.legacyOwner)
+	m.graph, m.routing, m.legacyOwner = graph, routing, legacy
+	return nil
 }
 
 // LegacyOwner resolves the live instance holding the retained output of
@@ -238,14 +272,6 @@ func (m *Manager) Merges() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.merges
-}
-
-// NextPart returns the next unused partition number of op (journaled by
-// the durable control plane; see plan.ExecGraph.NextPart).
-func (m *Manager) NextPart(op plan.OpID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.graph.NextPart(op)
 }
 
 // Query returns the logical query graph.

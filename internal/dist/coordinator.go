@@ -2,7 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -389,46 +389,31 @@ func (c *Coordinator) crash() {
 }
 
 // snapshotState assembles a self-contained control-plane snapshot from
-// the loop-owned state (callable only on the loop goroutine). Slices
-// are sorted so identical states encode identically.
+// the loop-owned state (callable only on the loop goroutine).
 func (c *Coordinator) snapshotState() *controlplane.State {
 	st := &controlplane.State{
-		Topology: c.cfg.Topology,
-		Workers:  append([]string(nil), c.order...),
-		NextSeq:  c.seq,
-		Started:  !c.startAt.IsZero(),
+		Topology:   c.cfg.Topology,
+		Workers:    append([]string(nil), c.order...),
+		Placements: c.placements(),
+		Books:      c.mgr.Books(),
+		NextSeq:    c.seq,
+		Started:    !c.startAt.IsZero(),
 	}
 	if st.Started {
 		st.StartUnixMillis = c.startAt.UnixMilli()
 	}
-	for inst, addr := range c.placement {
-		st.Placements = append(st.Placements, controlplane.Placed{Inst: inst, Addr: addr})
-	}
-	sort.Slice(st.Placements, func(i, j int) bool {
-		a, b := st.Placements[i].Inst, st.Placements[j].Inst
-		if a.Op != b.Op {
-			return a.Op < b.Op
-		}
-		return a.Part < b.Part
-	})
-	for _, op := range c.q.Ops() {
-		st.Instances = append(st.Instances, controlplane.OpInstances{Op: op, Insts: c.mgr.Instances(op)})
-		st.NextPart = append(st.NextPart, controlplane.OpPart{Op: op, Next: c.mgr.NextPart(op)})
-		if r := c.mgr.Routing(op); r != nil {
-			st.Routing = append(st.Routing, controlplane.OpRouting{Op: op, Blob: state.MarshalRouting(r)})
-		}
-	}
-	for old, owner := range c.mgr.Legacy() {
-		st.Legacy = append(st.Legacy, controlplane.LegacyPair{Old: old, Owner: owner})
-	}
-	sort.Slice(st.Legacy, func(i, j int) bool {
-		a, b := st.Legacy[i].Old, st.Legacy[j].Old
-		if a.Op != b.Op {
-			return a.Op < b.Op
-		}
-		return a.Part < b.Part
-	})
 	return st
+}
+
+// placements lists the placement map sorted by instance, so identical
+// maps encode identically.
+func (c *Coordinator) placements() []controlplane.Placement {
+	out := make([]controlplane.Placement, 0, len(c.placement))
+	for inst, addr := range c.placement {
+		out = append(out, controlplane.Placement{Inst: inst, Addr: addr})
+	}
+	slices.SortFunc(out, func(a, b controlplane.Placement) int { return a.Inst.Compare(b.Inst) })
+	return out
 }
 
 // maybeRotate compacts the journal to one snapshot record when it has
@@ -700,12 +685,9 @@ func (c *Coordinator) startDeploy(q *plan.Query, addrs []string, done chan error
 	// across workers, partitions fanning out from the operator's slot —
 	// adjacent operators land on different workers, so every edge
 	// exercises the network and no worker hosts a whole pipeline.
-	placements := make([]Placement, 0, 16)
 	for opIdx, op := range q.Ops() {
 		for i, inst := range mgr.Instances(op) {
-			addr := addrs[(opIdx+i)%len(addrs)]
-			c.placement[inst] = addr
-			placements = append(placements, Placement{Inst: inst, Addr: addr})
+			c.placement[inst] = addrs[(opIdx+i)%len(addrs)]
 		}
 	}
 	t := &transition{seq: c.nextSeq(), done: done}
@@ -721,7 +703,7 @@ func (c *Coordinator) startDeploy(q *plan.Query, addrs []string, done chan error
 		Seq:          t.seq,
 		Topology:     c.cfg.Topology,
 		CoordAddr:    c.ln.Addr(),
-		Placements:   placements,
+		Placements:   c.placements(),
 		Engine:       c.cfg.Engine,
 		StandbyAddr:  c.standbyAddr(),
 		DetectMillis: c.cfg.DetectDelay.Milliseconds(),
@@ -919,7 +901,7 @@ func (c *Coordinator) onControl(ctl *Control) {
 }
 
 // storeShip stores a shipped checkpoint in the authoritative store and
-// sends the acknowledgement trims to the hosts of the acknowledged
+// sends its acknowledgement trims to the hosts of the acknowledged
 // upstream instances. A full checkpoint is stored by its header alone:
 // the state behind it stays bytes until a transition restores from it,
 // so the event loop never spends a checkpoint's decode between two
@@ -994,27 +976,27 @@ func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 		}
 		c.maybeRotate()
 	}
-	c.sendAcks(h.Instance, h.Acks)
+	c.sendTrims(h.Instance, h.Acks)
 	return h.Instance, delta == nil
 }
 
-// sendAcks sends owner's acknowledgement trims to the hosts of the
-// acknowledged upstream instances.
-func (c *Coordinator) sendAcks(owner plan.InstanceID, acks map[plan.InstanceID]int64) {
+// sendTrims sends owner's acknowledgement trims to the hosts of the
+// acknowledged upstream instances: one MsgTrim per worker.
+func (c *Coordinator) sendTrims(owner plan.InstanceID, acks map[plan.InstanceID]int64) {
+	byAddr := make(map[string][]core.Trim)
 	for up, ts := range acks {
 		addr := c.placement[up]
 		if addr == "" {
 			// A superseded instance: its retained output lives on with its
 			// first replacement — route the trim to whichever worker hosts
 			// that now.
-			owner, _ := c.mgr.LegacyOwner(up)
-			addr = c.placement[owner]
+			holder, _ := c.mgr.LegacyOwner(up)
+			addr = c.placement[holder]
 		}
-		ref := c.workers[addr]
-		if ref == nil || !ref.alive {
-			continue
-		}
-		_ = ref.peer.SendAck(transport.Ack{Owner: owner, Up: up, TS: ts})
+		byAddr[addr] = append(byAddr[addr], core.Trim{Up: up, Owner: owner, TS: ts})
+	}
+	for addr, trims := range byAddr {
+		c.sendTo(addr, &Control{Kind: MsgTrim, TrimAcks: trims})
 	}
 }
 
@@ -1080,7 +1062,7 @@ func (c *Coordinator) gatherLost(addr string) {
 		}
 		victims = append(victims, inst)
 	}
-	sortInstances(victims)
+	slices.SortFunc(victims, plan.InstanceID.Compare)
 	startedAt := c.nowMillis()
 	for _, v := range victims {
 		victim := v
@@ -1174,7 +1156,7 @@ func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, st
 	}
 	t.planned = true
 	t.newInsts = tp.NewInstances
-	newPl := make([]Placement, len(tp.NewInstances))
+	newPl := make([]controlplane.Placement, len(tp.NewInstances))
 	for i, ni := range tp.NewInstances {
 		addr := c.pickWorker()
 		if addr == "" {
@@ -1182,7 +1164,7 @@ func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, st
 			return
 		}
 		c.placement[ni] = addr
-		newPl[i] = Placement{Inst: ni, Addr: addr}
+		newPl[i] = controlplane.Placement{Inst: ni, Addr: addr}
 	}
 	for _, v := range t.victims {
 		delete(c.placement, v)
@@ -1205,11 +1187,7 @@ func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, st
 			}
 		}
 	}
-	trims := make([]controlplane.Trim, len(tp.Trims))
-	for i, tr := range tp.Trims {
-		trims[i] = controlplane.Trim(tr)
-	}
-	if !c.journal(&controlplane.Record{Kind: controlplane.RecPlanned, Seq: t.seq, State: c.snapshotState(), Trims: trims}) {
+	if !c.journal(&controlplane.Record{Kind: controlplane.RecPlanned, Seq: t.seq, State: c.snapshotState(), Trims: tp.Trims}) {
 		return
 	}
 	if c.dstore != nil {
@@ -1264,9 +1242,7 @@ func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, st
 				// merge product, superseding the synthesized plan-time
 				// artifact in the store (fire-and-forget: the periodic
 				// checkpoint loop covers a miss).
-				if ref := c.workers[newPl[0].Addr]; ref != nil && ref.alive {
-					_ = ref.peer.SendBarrier(tp.NewInstances[0])
-				}
+				c.sendTo(newPl[0].Addr, &Control{Kind: MsgBarrier, Victims: tp.NewInstances})
 			}
 			c.finish(t, nil)
 		}

@@ -14,8 +14,8 @@
 //     elsewhere reached through the engine's Remote link (engine/remote.go).
 //   - Checkpoints: workers capture barriers locally and ship checkpoints
 //     — full ones, or deltas the coordinator folds — to the coordinator
-//     (the stable store); the coordinator answers with acknowledgement
-//     trims to the upstream hosts.
+//     (the stable store); the coordinator answers with one MsgTrim of
+//     acknowledgement trims per upstream host.
 //   - Failure detection: the coordinator heartbeats every worker over
 //     the transport; a missed-heartbeat worker is declared down and its
 //     stateful instances recovered via core.Manager.Plan, the same
@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"seep/internal/control"
+	"seep/internal/controlplane"
 	"seep/internal/core"
 	"seep/internal/engine"
 	"seep/internal/plan"
@@ -84,13 +85,14 @@ const (
 	// itself; the worker replies with MsgReattach, re-homes its control
 	// link and flushes checkpoints buffered while orphaned.
 	MsgResume
+	// MsgTrim (coordinator → worker): a stored checkpoint's acknowledgement
+	// trims for the upstream instances this worker hosts (Algorithm 1 line
+	// 4, over the wire), in TrimAcks.
+	MsgTrim
+	// MsgBarrier (coordinator → worker): checkpoint the Victims now — the
+	// §3.2 checkpoint barrier, always a full checkpoint.
+	MsgBarrier
 )
-
-// Placement locates one instance on one worker (by listener address).
-type Placement struct {
-	Inst plan.InstanceID
-	Addr string
-}
 
 // WorkerStats is the worker-level counter snapshot piggybacked on
 // reports, so Job.Metrics aggregates external workers too.
@@ -121,7 +123,7 @@ type Control struct {
 	// MsgAssign.
 	Topology   string
 	CoordAddr  string
-	Placements []Placement
+	Placements []controlplane.Placement
 	// Engine is the configuration of the worker's engine, as the
 	// coordinator was given it. Hosted and Backup are nil on the wire (gob
 	// skips both); the worker wires its own.
@@ -145,15 +147,17 @@ type Control struct {
 	// worker-visible half of the transition's core.Transition plan.
 	Op         plan.OpID
 	Routing    []byte
-	New        []Placement
+	New        []controlplane.Placement
 	Checkpoint []byte
-	// Victims are the instances a reroute supersedes, or a retire stops.
+	// Victims are the instances a reroute supersedes, a retire stops, or
+	// a barrier checkpoints.
 	Victims []plan.InstanceID
 	// Inherit renames duplicate-detection watermarks on every worker
 	// before the replacement deploys (1→1 transitions).
 	Inherit []core.Inherit
-	// TrimAcks are the victims' final watermarks, applied to local
-	// buffers before the reroute's repartition.
+	// TrimAcks are trim watermarks for local upstream buffers: on a
+	// reroute the victims' final ones, applied before its repartition; on
+	// MsgTrim a stored checkpoint's acknowledgements.
 	TrimAcks []core.Trim
 	// Final, on MsgRetire, asks the worker to stop the instance FIRST
 	// and ship its final checkpoint — the capture then reflects

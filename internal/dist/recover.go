@@ -2,7 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -74,8 +74,8 @@ func (c *Coordinator) dialWorker(addr string) (*transport.Peer, error) {
 	return peer, nil
 }
 
-// startRecover runs on the loop: restore the manager's topology from
-// the journaled snapshot, reload the durable store, re-dial workers and
+// startRecover runs on the loop: restore the manager's books from the
+// journaled snapshot, reload the durable store, re-dial workers and
 // begin the reattach handshake. done is answered when reconciliation
 // finishes.
 func (c *Coordinator) startRecover(rep *controlplane.Replayed, q *plan.Query, began time.Time, done chan error) {
@@ -85,32 +85,10 @@ func (c *Coordinator) startRecover(rep *controlplane.Replayed, q *plan.Query, be
 	}
 	st := rep.State
 	mgr, err := core.NewManager(q)
+	if err == nil {
+		err = mgr.RestoreBooks(st.Books)
+	}
 	if err != nil {
-		done <- err
-		return
-	}
-	instances := make(map[plan.OpID][]plan.InstanceID, len(st.Instances))
-	for _, oi := range st.Instances {
-		instances[oi.Op] = oi.Insts
-	}
-	nextPart := make(map[plan.OpID]int, len(st.NextPart))
-	for _, np := range st.NextPart {
-		nextPart[np.Op] = np.Next
-	}
-	routing := make(map[plan.OpID]*state.Routing, len(st.Routing))
-	for _, or := range st.Routing {
-		r, err := decodeRouting(or.Blob)
-		if err != nil {
-			done <- fmt.Errorf("dist: journaled routing for %s: %w", or.Op, err)
-			return
-		}
-		routing[or.Op] = r
-	}
-	legacy := make(map[plan.InstanceID]plan.InstanceID, len(st.Legacy))
-	for _, lp := range st.Legacy {
-		legacy[lp.Old] = lp.Owner
-	}
-	if err := mgr.RestoreTopology(instances, nextPart, routing, legacy); err != nil {
 		done <- err
 		return
 	}
@@ -276,15 +254,11 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 		if r == nil {
 			continue
 		}
-		var newPl []Placement
+		var newPl []controlplane.Placement
 		for _, inst := range c.mgr.Instances(op) {
 			if a := c.placement[inst]; a != "" {
-				newPl = append(newPl, Placement{Inst: inst, Addr: a})
+				newPl = append(newPl, controlplane.Placement{Inst: inst, Addr: a})
 			}
-		}
-		trims := make([]core.Trim, len(d.Trims))
-		for i, tr := range d.Trims {
-			trims[i] = core.Trim(tr)
 		}
 		c.broadcast(&Control{
 			Kind:     MsgReroute,
@@ -293,7 +267,7 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 			Routing:  state.MarshalRouting(r),
 			New:      newPl,
 			Victims:  d.Victims,
-			TrimAcks: trims,
+			TrimAcks: d.Trims,
 		})
 	}
 	var missing []plan.InstanceID
@@ -316,7 +290,7 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 		}
 		missing = append(missing, inst)
 	}
-	sortInstances(missing)
+	slices.SortFunc(missing, plan.InstanceID.Compare)
 	startedAt := c.nowMillis()
 	for _, v := range missing {
 		victim := v
@@ -328,14 +302,18 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 		}
 	}
 	// Fresh barriers refresh the reloaded store with each survivor's
-	// current state (fire-and-forget; the periodic loop covers misses).
-	for inst, addr := range hosted {
-		spec := c.q.Op(inst.Op)
-		if spec == nil || spec.Role == plan.RoleSource || spec.Role == plan.RoleSink {
-			continue
+	// current state, one MsgBarrier per worker (fire-and-forget; the
+	// periodic loop covers misses).
+	for addr, inv := range c.invByWorker {
+		var survivors []plan.InstanceID
+		for _, inst := range inv.Hosted {
+			spec := c.q.Op(inst.Op)
+			if c.placement[inst] == addr && spec != nil && spec.Role != plan.RoleSource && spec.Role != plan.RoleSink {
+				survivors = append(survivors, inst)
+			}
 		}
-		if ref := c.workers[addr]; ref != nil && ref.alive {
-			_ = ref.peer.SendBarrier(inst)
+		if len(survivors) > 0 {
+			c.sendTo(addr, &Control{Kind: MsgBarrier, Victims: survivors})
 		}
 	}
 	c.mu.Lock()
@@ -343,13 +321,4 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 	c.failoverMillis = time.Since(began).Milliseconds()
 	c.mu.Unlock()
 	c.finish(t, nil)
-}
-
-func sortInstances(insts []plan.InstanceID) {
-	sort.Slice(insts, func(i, j int) bool {
-		if insts[i].Op != insts[j].Op {
-			return insts[i].Op < insts[j].Op
-		}
-		return insts[i].Part < insts[j].Part
-	})
 }

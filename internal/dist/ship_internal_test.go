@@ -2,10 +2,13 @@ package dist
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"seep/internal/core"
+	"seep/internal/engine"
+	"seep/internal/operator"
 	"seep/internal/plan"
 	"seep/internal/state"
 	"seep/internal/stream"
@@ -50,11 +53,13 @@ func TestShipOversizeIsAnError(t *testing.T) {
 // repeated, legacy buffers — is reported through Errors and leaves the
 // store and the upstream acknowledgements untouched. A delta whose base
 // is no longer the stored checkpoint is dropped without an error, and a
-// good delta folds, trims, and is not taken for a full checkpoint.
+// good delta folds, trims, and is not taken for a full checkpoint. Each
+// good ship acknowledges two upstream instances hosted on one worker,
+// and trims them with one MsgTrim carrying both.
 func TestStoreShipRejectsBadDeltas(t *testing.T) {
 	codec := state.GobPayloadCodec{}
 	q := plan.NewQuery()
-	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
+	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource, InitialParallelism: 2})
 	q.AddOp(plan.OpSpec{ID: "count", Role: plan.RoleStateful})
 	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
 	q.Connect("src", "count").Connect("count", "sink")
@@ -62,12 +67,37 @@ func TestStoreShipRejectsBadDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, count := mgr.Instances("src")[0], mgr.Instances("count")[0]
+	srcs, count := mgr.Instances("src"), mgr.Instances("count")[0]
+	acked := func(ts int64) map[plan.InstanceID]int64 {
+		return map[plan.InstanceID]int64{srcs[0]: ts, srcs[1]: ts + 1}
+	}
 
-	acks := make(chan transport.Ack, 16)
-	l, err := transport.ListenWith("127.0.0.1:0", codec, transport.Handlers{OnAck: func(a transport.Ack) { acks <- a }}, nil)
+	trims := make(chan *Control, 16)
+	l, err := transport.ListenWith("127.0.0.1:0", codec, transport.Handlers{OnControl: func(body []byte) {
+		if c, err := decodeControl(body); err == nil && c.Kind == MsgTrim {
+			trims <- c
+		}
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// nextTrim returns what the worker's next MsgTrim acknowledges.
+	nextTrim := func() map[plan.InstanceID]int64 {
+		t.Helper()
+		select {
+		case c := <-trims:
+			got := make(map[plan.InstanceID]int64, len(c.TrimAcks))
+			for _, tr := range c.TrimAcks {
+				if tr.Owner != count {
+					t.Errorf("trim %+v names owner %v, want %v", tr, tr.Owner, count)
+				}
+				got[tr.Up] = tr.TS
+			}
+			return got
+		case <-time.After(5 * time.Second):
+			t.Fatal("no MsgTrim arrived")
+			return nil
+		}
 	}
 	defer l.Close()
 	peer, err := transport.Dial(l.Addr(), codec)
@@ -79,7 +109,7 @@ func TestStoreShipRejectsBadDeltas(t *testing.T) {
 		codec:     codec,
 		mgr:       mgr,
 		workers:   map[string]*workerRef{l.Addr(): {addr: l.Addr(), peer: peer, alive: true}},
-		placement: map[plan.InstanceID]string{src: l.Addr()},
+		placement: map[plan.InstanceID]string{srcs[0]: l.Addr(), srcs[1]: l.Addr()},
 	}
 	ship := func(cp *state.Checkpoint, base uint64, deleted ...stream.Key) *Control {
 		t.Helper()
@@ -104,17 +134,17 @@ func TestStoreShipRejectsBadDeltas(t *testing.T) {
 			Instance: count,
 			Delta:    &state.Delta{Seq: seq, Changed: run(map[stream.Key]string{2: "x"}), TS: stream.TSVector{40}},
 			Buffer:   state.NewBuffer(),
-			Acks:     map[plan.InstanceID]int64{src: 40},
+			Acks:     acked(40),
 		}).Checkpoint()
 	}
 
-	full := &state.Checkpoint{Instance: count, Seq: 3, Buffer: state.NewBuffer(), Acks: map[plan.InstanceID]int64{src: 30},
+	full := &state.Checkpoint{Instance: count, Seq: 3, Buffer: state.NewBuffer(), Acks: acked(30),
 		Processing: &state.Processing{KV: run(map[stream.Key]string{1: "a", 2: "b", 3: "c"}), TS: stream.TSVector{30}}}
 	if inst, ok := c.storeShip(ship(full, 0)); !ok || inst != count {
 		t.Fatalf("full checkpoint not stored: %v, %v (errors %v)", inst, ok, c.Errors())
 	}
-	if a := <-acks; a.TS != 30 {
-		t.Fatalf("full checkpoint acknowledged %d, want 30", a.TS)
+	if got := nextTrim(); !reflect.DeepEqual(got, acked(30)) {
+		t.Fatalf("the full checkpoint's MsgTrim acknowledges %v, want %v", got, acked(30))
 	}
 	stored := func() (uint64, core.ShipStats) {
 		cp, _, ok := mgr.Backups().Latest(count)
@@ -170,17 +200,108 @@ func TestStoreShipRejectsBadDeltas(t *testing.T) {
 	if cp.Seq != 4 || has1 || string(two) != "x" || mgr.Backups().ShipStats().Deltas != stats0.Deltas+1 {
 		t.Errorf("good delta folded to seq %d, key 1 present %v, key 2 %q", cp.Seq, has1, two)
 	}
-	// One connection delivers in order: had any rejected delta trimmed,
-	// its acknowledgement would arrive before this one.
-	select {
-	case a := <-acks:
-		if a.TS != 40 {
-			t.Errorf("first acknowledgement after the full one is %d, want the good delta's 40", a.TS)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the good delta was never acknowledged")
+	// One connection delivers in order: had the full ship trimmed with a
+	// second MsgTrim, or any rejected delta trimmed, it would arrive
+	// before this one.
+	if got := nextTrim(); !reflect.DeepEqual(got, acked(40)) {
+		t.Errorf("first MsgTrim after the full one acknowledges %v, want the good delta's %v", got, acked(40))
 	}
 	if len(c.Errors()) != errs {
 		t.Errorf("errors after the good delta: %v", c.Errors()[errs:])
+	}
+}
+
+// retainedSink reports the retained-output size of every checkpoint
+// shipped to it.
+type retainedSink chan int
+
+func (s retainedSink) Ship(full *state.Checkpoint, _ *state.DeltaCheckpoint) error {
+	s <- full.Buffer.Len()
+	return nil
+}
+
+// TestTrimBypassesControlQueue: a MsgTrim is applied on the connection
+// goroutine, never queued behind other control messages. With the
+// control goroutine held inside a MsgDeploy, a trim sent after it still
+// trims the upstream buffer within a second.
+func TestTrimBypassesControlQueue(t *testing.T) {
+	q := plan.NewQuery()
+	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
+	q.AddOp(plan.OpSpec{ID: "split", Role: plan.RoleStateless})
+	q.AddOp(plan.OpSpec{ID: "count", Role: plan.RoleStateful})
+	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
+	q.Connect("src", "split").Connect("split", "count").Connect("count", "sink")
+	src := plan.InstanceID{Op: "src", Part: 1}
+	split, count := plan.InstanceID{Op: "split", Part: 1}, plan.InstanceID{Op: "count", Part: 1}
+
+	w, err := NewWorker("127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Kill()
+	retained := make(retainedSink, 1)
+	// An hour-long interval keeps output retained without a periodic
+	// checkpoint ever firing.
+	eng, err := engine.New(engine.Config{CheckpointInterval: time.Hour, Backup: retained}, q, map[plan.OpID]operator.Factory{
+		"split": func() operator.Operator { return operator.WordSplitter() },
+		"count": func() operator.Operator { return operator.NewWordCounter(0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	w.setEngine(eng)
+	w.mu.Unlock()
+	eng.Start()
+	if err := eng.InjectBatch(src, 10, func(i uint64) (stream.Key, any) { return stream.Key(i), "word" }); err != nil {
+		t.Fatal(err)
+	}
+	// splitRetains waits up to a second for split's retained output toward
+	// count to reach want.
+	splitRetains := func(want int) bool {
+		for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+			if err := eng.CheckpointFull(split); err != nil {
+				t.Fatal(err)
+			}
+			if <-retained == want {
+				return true
+			}
+		}
+		return false
+	}
+	if !splitRetains(10) {
+		t.Fatal("split never retained its 10 tuples toward count")
+	}
+
+	peer, err := transport.Dial(w.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	send := func(c *Control) {
+		t.Helper()
+		body, err := encodeControl(c)
+		if err == nil {
+			err = peer.SendControl(body)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := state.NewInstance(nil, 1)
+	cp, _ := fresh.BeginCheckpoint(plan.InstanceID{Op: "count", Part: 2}).Checkpoint(state.DeltaPolicy{})
+	blob, err := state.MarshalCheckpoint(cp, w.codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A deploy adopts under the worker lock: holding it parks the control
+	// goroutine inside the MsgDeploy.
+	w.mu.Lock()
+	send(&Control{Kind: MsgDeploy, Seq: 1, Checkpoint: blob, Routing: state.MarshalRouting(state.NewRouting(count))})
+	send(&Control{Kind: MsgTrim, TrimAcks: []core.Trim{{Up: split, Owner: count, TS: 10}}})
+	trimmed := splitRetains(0)
+	w.mu.Unlock()
+	if !trimmed {
+		t.Fatal("a MsgTrim waited behind a blocked MsgDeploy: split still retains its output after 1 s")
 	}
 }

@@ -120,9 +120,7 @@ func NewWorker(addr string, reg Registry, codec state.PayloadCodec) (*Worker, er
 	go w.ctrlLoop()
 	ln, err := transport.ListenWith(addr, codec, transport.Handlers{
 		OnBatch:   w.deliver,
-		OnAck:     w.onAck,
 		OnControl: w.onControl,
-		OnBarrier: w.onBarrier,
 	}, w.tm)
 	if err != nil {
 		return nil, err
@@ -255,38 +253,43 @@ func (w *Worker) deliver(b state.Batch) {
 	eng.DeliverLocal(b)
 }
 
-func (w *Worker) onAck(a transport.Ack) {
-	if eng := w.Engine(); eng != nil {
-		eng.TrimUpstream(a.Up, a.Owner, a.TS)
-	}
-}
-
-func (w *Worker) onBarrier(inst plan.InstanceID) {
-	eng := w.Engine()
-	if eng == nil {
-		return
-	}
-	// Checkpoint synchronously ships through the sink; keep the
-	// connection's handler loop free. Barriers always force a FULL
-	// checkpoint: the coordinator's transitions wait for a ship to plan
-	// against, and a delta answered here would leave them waiting.
-	go func() { _ = eng.CheckpointFull(inst) }()
-}
-
 // ---- control plane ----
 
-// onControl enqueues the message for the control goroutine: the
-// listener's per-connection loop must stay free to answer the
-// heartbeats interleaved on the same coordinator connection, or a slow
-// deploy would get a healthy worker declared dead mid-transition.
+// onControl applies trims and barriers at once, on the connection
+// goroutine, and enqueues everything else for the control goroutine. A
+// trim must not wait behind a slow deploy, and the per-connection loop
+// must stay free to answer the heartbeats interleaved on the same
+// coordinator connection, or a slow deploy would get a healthy worker
+// declared dead mid-transition.
 func (w *Worker) onControl(body []byte) {
 	c, err := decodeControl(body)
 	if err != nil {
 		return
 	}
-	select {
-	case w.ctrlQ <- c:
-	case <-w.died:
+	switch c.Kind {
+	case MsgTrim:
+		if eng := w.Engine(); eng != nil {
+			for _, tr := range c.TrimAcks {
+				eng.TrimUpstream(tr.Up, tr.Owner, tr.TS)
+			}
+		}
+	case MsgBarrier:
+		if eng := w.Engine(); eng != nil {
+			// Checkpoint synchronously ships through the sink: off the
+			// connection loop. Barriers always force a FULL checkpoint:
+			// the coordinator's transitions wait for a ship to plan
+			// against, and a delta answered here would leave them waiting.
+			go func() {
+				for _, inst := range c.Victims {
+					_ = eng.CheckpointFull(inst)
+				}
+			}()
+		}
+	default:
+		select {
+		case w.ctrlQ <- c:
+		case <-w.died:
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -434,13 +434,7 @@ func (e *Engine) rebuildTopology() {
 		set.nodes = append(set.nodes, n)
 		set.byInst[inst] = n
 	}
-	sort.Slice(set.nodes, func(i, j int) bool {
-		a, b := set.nodes[i].inst, set.nodes[j].inst
-		if a.Op != b.Op {
-			return a.Op < b.Op
-		}
-		return a.Part < b.Part
-	})
+	slices.SortFunc(set.nodes, func(a, b *node) int { return a.inst.Compare(b.inst) })
 	for _, n := range set.nodes {
 		if n.op != nil {
 			if _, ok := n.op.(operator.TimeDriven); ok {

@@ -16,7 +16,7 @@ package flow
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"seep/internal/control"
 	"seep/internal/metrics"
@@ -427,12 +427,7 @@ func (r *Runner) policyRound() {
 	for id := range r.utilAccum {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Op != ids[j].Op {
-			return ids[i].Op < ids[j].Op
-		}
-		return ids[i].Part < ids[j].Part
-	})
+	slices.SortFunc(ids, plan.InstanceID.Compare)
 	for _, id := range ids {
 		st := r.ops[id.Op]
 		if st == nil || st.cfg.Role == plan.RoleSource || st.cfg.Role == plan.RoleSink {

@@ -12,6 +12,16 @@ import (
 	"seep/internal/stream"
 )
 
+// query is the LRB query graph Topology declares.
+func query(t *testing.T) *plan.Query {
+	t.Helper()
+	topo, err := Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo.Query()
+}
+
 func runLRB(t *testing.T, fail bool) (*sim.Cluster, int64) {
 	t.Helper()
 	factories := make(map[plan.OpID]operator.Factory)
@@ -21,7 +31,7 @@ func runLRB(t *testing.T, fail bool) (*sim.Cluster, int64) {
 	c, err := sim.NewCluster(sim.Config{
 		Seed: 5, Mode: sim.FTRSM,
 		CheckpointIntervalMillis: 5_000,
-	}, Query(), factories)
+	}, query(t), factories)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,7 +257,7 @@ func TestCollectorAndBalanceAccount(t *testing.T) {
 }
 
 func TestQueryValidates(t *testing.T) {
-	q := Query()
+	q := query(t)
 	if err := q.Validate(); err != nil {
 		t.Fatalf("LRB query invalid: %v", err)
 	}

@@ -293,27 +293,7 @@ const (
 	CostBalance    = 0.00002
 )
 
-// Query builds the paper's LRB query graph (Fig. 5).
-func Query() *plan.Query {
-	q := plan.NewQuery()
-	q.AddOp(plan.OpSpec{ID: "feeder", Role: plan.RoleSource})
-	q.AddOp(plan.OpSpec{ID: "forwarder", Role: plan.RoleStateless, CostPerTuple: CostForwarder})
-	q.AddOp(plan.OpSpec{ID: "tollcalc", Role: plan.RoleStateful, CostPerTuple: CostTollCalc})
-	q.AddOp(plan.OpSpec{ID: "assessment", Role: plan.RoleStateful, CostPerTuple: CostAssessment})
-	q.AddOp(plan.OpSpec{ID: "collector", Role: plan.RoleStateless, CostPerTuple: CostCollector})
-	q.AddOp(plan.OpSpec{ID: "balance", Role: plan.RoleStateful, CostPerTuple: CostBalance})
-	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
-	q.Connect("feeder", "forwarder")
-	q.Connect("forwarder", "tollcalc")
-	q.Connect("tollcalc", "assessment")
-	q.Connect("assessment", "collector")
-	q.Connect("assessment", "balance")
-	q.Connect("collector", "sink")
-	q.Connect("balance", "sink")
-	return q
-}
-
-// Factories returns the operator factories for Query.
+// Factories returns the operator factories Topology binds.
 func Factories() map[plan.OpID]func() operator.Operator {
 	return map[plan.OpID]func() operator.Operator{
 		"forwarder":  func() operator.Operator { return Forwarder() },

@@ -7,9 +7,7 @@ import (
 // Topology declares the LRB query (Fig. 5) with the public fluent
 // builder: the assessment operator fans out to a collector and a
 // balance account, which fan back into the sink, so every stream is
-// declared with an explicit Connect. It is the same graph as Query()
-// with the same factories; topology_test.go asserts the two cannot
-// drift apart.
+// declared with an explicit Connect.
 func Topology() (*seep.Topology, error) {
 	fs := Factories()
 	return seep.NewTopology().

@@ -9,6 +9,7 @@
 package plan
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -40,6 +41,12 @@ type InstanceID struct {
 
 // String renders the instance as op#part.
 func (id InstanceID) String() string { return fmt.Sprintf("%s#%d", id.Op, id.Part) }
+
+// Compare orders instances by operator, then partition number — the one
+// instance order of the code base (for slices.SortFunc).
+func (id InstanceID) Compare(o InstanceID) int {
+	return cmp.Or(cmp.Compare(id.Op, o.Op), cmp.Compare(id.Part, o.Part))
+}
 
 // OpSpec declares a logical operator.
 type OpSpec struct {
@@ -297,9 +304,6 @@ func NewExecGraph(q *Query) *ExecGraph {
 	}
 	return g
 }
-
-// Query returns the logical graph this execution graph realises.
-func (g *ExecGraph) Query() *Query { return g.query }
 
 // NextPart returns the next unused partition number of id — the
 // counter a durable control plane must journal so a restored graph

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"seep/internal/control"
 	"seep/internal/core"
@@ -441,12 +441,7 @@ func (c *Cluster) sortedInstances() []plan.InstanceID {
 	for inst := range c.nodes {
 		out = append(out, inst)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Op != out[j].Op {
-			return out[i].Op < out[j].Op
-		}
-		return out[i].Part < out[j].Part
-	})
+	slices.SortFunc(out, plan.InstanceID.Compare)
 	return out
 }
 

@@ -1,7 +1,6 @@
 package state
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -49,14 +48,10 @@ type Checkpoint struct {
 	Legacy map[plan.InstanceID]*Buffer
 }
 
-// SortInstanceIDs orders instance identifiers by (Op, Part) — the one
-// ordering convention shared by the wire codec, legacy-buffer replay
-// and the runtimes' deterministic iteration.
-func SortInstanceIDs(ids []plan.InstanceID) {
-	slices.SortFunc(ids, func(a, b plan.InstanceID) int {
-		return cmp.Or(cmp.Compare(a.Op, b.Op), cmp.Compare(a.Part, b.Part))
-	})
-}
+// SortInstanceIDs orders instance identifiers by plan.InstanceID.Compare
+// — the order the wire codec, legacy-buffer replay and the runtimes'
+// deterministic iteration share.
+func SortInstanceIDs(ids []plan.InstanceID) { slices.SortFunc(ids, plan.InstanceID.Compare) }
 
 // LegacyOwners returns the owners of a legacy buffer map in
 // deterministic (Op, Part) order. Replay order is load-bearing: the

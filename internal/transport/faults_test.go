@@ -17,7 +17,7 @@ func TestLinkFaultDropPartitionsAndTripsDetector(t *testing.T) {
 	defer ClearLinkFaults()
 	var got atomic.Uint64
 	ln, err := ListenWith("127.0.0.1:0", state.GobPayloadCodec{}, Handlers{
-		OnAck: func(Ack) { got.Add(1) },
+		OnControl: func([]byte) { got.Add(1) },
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestLinkFaultDropPartitionsAndTripsDetector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.SendAck(Ack{Up: plan.InstanceID{Op: "a"}, TS: 1}); err != nil {
+	if err := p.SendControl([]byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -37,17 +37,17 @@ func TestLinkFaultDropPartitionsAndTripsDetector(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got.Load() != 1 {
-		t.Fatalf("healthy link delivered %d acks, want 1", got.Load())
+		t.Fatalf("healthy link delivered %d control frames, want 1", got.Load())
 	}
 
 	SetLinkFault(ln.Addr(), LinkFault{Drop: true})
 	// Black-holed frames report success to the sender...
-	if err := p.SendAck(Ack{Up: plan.InstanceID{Op: "a"}, TS: 2}); err != nil {
+	if err := p.SendControl([]byte{2}); err != nil {
 		t.Fatalf("partitioned send surfaced an error: %v", err)
 	}
 	time.Sleep(100 * time.Millisecond)
 	if got.Load() != 1 {
-		t.Fatalf("partitioned link delivered a frame (got %d acks)", got.Load())
+		t.Fatalf("partitioned link delivered a frame (got %d control frames)", got.Load())
 	}
 
 	// ...and the heartbeat detector declares the host down because the
@@ -70,7 +70,7 @@ func TestLinkFaultDropPartitionsAndTripsDetector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if err := p2.SendAck(Ack{Up: plan.InstanceID{Op: "a"}, TS: 3}); err != nil {
+	if err := p2.SendControl([]byte{3}); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(2 * time.Second)
@@ -78,7 +78,7 @@ func TestLinkFaultDropPartitionsAndTripsDetector(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got.Load() != 2 {
-		t.Fatalf("healed link delivered %d acks, want 2", got.Load())
+		t.Fatalf("healed link delivered %d control frames, want 2", got.Load())
 	}
 }
 

@@ -12,18 +12,6 @@ import (
 // syscall the same way the in-process channels amortise sends.
 type Batch = state.Batch
 
-// Ack is an acknowledgement watermark: Owner's checkpoint (covering
-// tuples from upstream instance Up through TS) is safely stored, so the
-// host running Up may trim its output buffer up to TS.
-type Ack struct {
-	// Owner is the instance whose checkpoint acknowledged the tuples.
-	Owner plan.InstanceID
-	// Up is the upstream instance whose retained output is trimmed.
-	Up plan.InstanceID
-	// TS is the acknowledged timestamp watermark.
-	TS int64
-}
-
 func encodeInstanceID(e *stream.Encoder, id plan.InstanceID) {
 	e.String32(string(id.Op))
 	e.Uint32(uint32(id.Part))
@@ -53,27 +41,4 @@ func decodeBatch(d *stream.Decoder, codec state.PayloadCodec) (Batch, error) {
 	tuples, err := wirecodec.DecodeTuples(d, codec)
 	b.Tuples = tuples
 	return b, err
-}
-
-func encodeAck(e *stream.Encoder, a Ack) {
-	encodeInstanceID(e, a.Owner)
-	encodeInstanceID(e, a.Up)
-	e.Int64(a.TS)
-}
-
-func decodeAck(d *stream.Decoder) (Ack, error) {
-	var a Ack
-	a.Owner = decodeInstanceID(d)
-	a.Up = decodeInstanceID(d)
-	a.TS = d.Int64()
-	return a, d.Err()
-}
-
-func encodeBarrier(e *stream.Encoder, inst plan.InstanceID) {
-	encodeInstanceID(e, inst)
-}
-
-func decodeBarrier(d *stream.Decoder) (plan.InstanceID, error) {
-	inst := decodeInstanceID(d)
-	return inst, d.Err()
 }

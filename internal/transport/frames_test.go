@@ -117,35 +117,6 @@ func TestTupleRunIsOneEncoding(t *testing.T) {
 	}
 }
 
-// TestAckAndBarrierFrameRoundTripProperty covers the small control-plane
-// frames the same way.
-func TestAckAndBarrierFrameRoundTripProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		a := Ack{Owner: randInstance(r), Up: randInstance(r), TS: r.Int63() - r.Int63()}
-		e := stream.NewEncoder(32)
-		encodeAck(e, a)
-		got, err := decodeAck(stream.NewDecoder(e.Bytes()))
-		if err != nil {
-			t.Fatalf("ack decode #%d: %v", i, err)
-		}
-		if got != a {
-			t.Fatalf("ack #%d: %+v vs %+v", i, got, a)
-		}
-
-		inst := randInstance(r)
-		e2 := stream.NewEncoder(32)
-		encodeBarrier(e2, inst)
-		gi, err := decodeBarrier(stream.NewDecoder(e2.Bytes()))
-		if err != nil {
-			t.Fatalf("barrier decode #%d: %v", i, err)
-		}
-		if gi != inst {
-			t.Fatalf("barrier #%d: %v vs %v", i, gi, inst)
-		}
-	}
-}
-
 // TestBatchDecodeNeverPanicsOnCorruptInput flips random bits and
 // truncates encoded batches: decoding must fail cleanly, never panic or
 // over-allocate.

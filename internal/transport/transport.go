@@ -1,10 +1,10 @@
 // Package transport provides the network substrate for running operator
 // nodes on separate machines: a length-prefixed, checksummed binary wire
-// format for tuple batches, acknowledgement watermarks and control
-// messages (using the state/stream codecs), persistent peer
-// connections with automatic reconnection, and heartbeat-based failure
-// detection — the mechanism behind the paper's failure detector (§5),
-// which notifies the recovery coordinator when a VM stops responding.
+// format for tuple batches and control messages (using the state/stream
+// codecs), persistent peer connections with automatic reconnection, and
+// heartbeat-based failure detection — the mechanism behind the paper's
+// failure detector (§5), which notifies the recovery coordinator when a
+// VM stops responding.
 //
 // The in-process runtimes (internal/engine, internal/sim) do not need
 // this package; the distributed runtime (internal/dist) builds its
@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"seep/internal/metrics"
-	"seep/internal/plan"
 	"seep/internal/state"
 	"seep/internal/stream"
 )
@@ -35,26 +34,20 @@ import (
 // decoded as garbage.
 const ProtocolVersion = uint8(2)
 
-// Frame types on the wire. Types 1 (one tuple per frame), 3 (a batch of
-// per-tuple gob blobs), 7 (a flow-control credit grant; the receiving
-// node's own ledger, felt through the socket, is the flow control) and 9
-// (an incremental checkpoint in a codec of its own; a delta now ships as
-// the checkpoint it views, in a control frame) are retired and never
-// reused: a listener treats them like any unknown type and drops the
-// connection.
+// Frame types on the wire. Retired, and never reused: 1 (one tuple per
+// frame), 3 (a batch of per-tuple gob blobs), 4 (an acknowledgement
+// trim, now a control message), 6 (a checkpoint barrier, now a control
+// message), 7 (a flow-control credit grant; the receiving node's own
+// ledger, felt through the socket, is the flow control) and 9 (an
+// incremental checkpoint in a codec of its own; a delta now ships as the
+// checkpoint it views, in a control frame). A listener treats them like
+// any unknown type and drops the connection.
 const (
 	frameHeartbeat = uint8(2)
-	// frameAck carries an acknowledgement watermark: after a checkpoint
-	// is safely stored, the upstream buffer retaining the acknowledged
-	// tuples may trim them (Algorithm 1 line 4, over the wire).
-	frameAck = uint8(4)
 	// frameControl carries an opaque coordinator/worker control message
-	// (plan assignment, checkpoint ship, reroute, deploy, ...).
+	// (plan assignment, checkpoint ship, acknowledgement trims, barrier,
+	// reroute, deploy, ...).
 	frameControl = uint8(5)
-	// frameBarrier asks the receiving host to checkpoint one instance
-	// now — the wire form of the §3.2 checkpoint barrier, used before a
-	// coordinated scale out so the replayed window is small.
-	frameBarrier = uint8(6)
 	// frameBatch carries a micro-batch of tuples sharing one
 	// (from, to, input) route — the unit the engine's batched data path
 	// ships between hosts — in the compact binary layout: varint-delta
@@ -282,13 +275,9 @@ func readFrame(r io.Reader, m *Metrics, scratch *[]byte) (uint8, []byte, error) 
 type Handlers struct {
 	// OnBatch receives tuple-batch frames.
 	OnBatch func(Batch)
-	// OnAck receives acknowledgement-watermark frames.
-	OnAck func(Ack)
 	// OnControl receives opaque control-message bodies. The slice is
 	// owned by the callee.
 	OnControl func(body []byte)
-	// OnBarrier receives checkpoint-barrier requests.
-	OnBarrier func(inst plan.InstanceID)
 }
 
 // Listener accepts frames from peers and hands decoded payloads to the
@@ -383,27 +372,11 @@ func (l *Listener) serve(conn net.Conn) {
 			if l.handlers.OnBatch != nil {
 				l.handlers.OnBatch(b)
 			}
-		case frameAck:
-			a, err := decodeAck(stream.NewDecoder(body))
-			if err != nil {
-				return
-			}
-			if l.handlers.OnAck != nil {
-				l.handlers.OnAck(a)
-			}
 		case frameControl:
 			if l.handlers.OnControl != nil {
 				cp := make([]byte, len(body))
 				copy(cp, body)
 				l.handlers.OnControl(cp)
-			}
-		case frameBarrier:
-			inst, err := decodeBarrier(stream.NewDecoder(body))
-			if err != nil {
-				return
-			}
-			if l.handlers.OnBarrier != nil {
-				l.handlers.OnBarrier(inst)
 			}
 		default:
 			return
@@ -671,23 +644,9 @@ func (p *Peer) SendBatch(b Batch) error {
 	return err
 }
 
-// SendAck transmits one acknowledgement watermark.
-func (p *Peer) SendAck(a Ack) error {
-	e := stream.NewEncoder(64)
-	encodeAck(e, a)
-	return p.sendFrame(frameAck, e.Bytes())
-}
-
 // SendControl transmits one opaque control-message body.
 func (p *Peer) SendControl(body []byte) error {
 	return p.sendFrame(frameControl, body)
-}
-
-// SendBarrier asks the remote host to checkpoint inst now.
-func (p *Peer) SendBarrier(inst plan.InstanceID) error {
-	e := stream.NewEncoder(32)
-	encodeBarrier(e, inst)
-	return p.sendFrame(frameBarrier, e.Bytes())
 }
 
 // Sent returns how many non-heartbeat frames were transmitted.

@@ -220,9 +220,9 @@ func TestListenerRejectsOversizeFrame(t *testing.T) {
 	// Hand-craft a frame with an absurd length; the listener must drop
 	// the connection rather than allocate.
 	p.mu.Lock()
-	_ = writeFrame(p.w, nil, frameAck, make([]byte, 16))
+	_ = writeFrame(p.w, nil, frameControl, make([]byte, 16))
 	// Corrupt: huge declared length with no body.
-	_, _ = p.w.Write([]byte{ProtocolVersion, frameAck, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	_, _ = p.w.Write([]byte{ProtocolVersion, frameControl, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 	_ = p.w.Flush()
 	p.mu.Unlock()
 	// The listener should survive (no panic, no OOM); a fresh connection
@@ -245,31 +245,30 @@ func TestDialUnreachable(t *testing.T) {
 }
 
 // TestRetiredFrameTypesDropConnection: types 1 (one tuple per frame), 3
-// (gob batch), 7 (link credit grant) and 9 (delta checkpoint) left the
-// protocol. A well-formed frame of any of them closes the connection
-// like any unknown type, reaches no handler, and leaves the listener
-// serving the next connection.
+// (gob batch), 4 (acknowledgement trim), 6 (checkpoint barrier), 7 (link
+// credit grant) and 9 (delta checkpoint) left the protocol. A
+// well-formed frame of any of them closes the connection like any
+// unknown type, reaches no handler, and leaves the listener serving the
+// next connection.
 func TestRetiredFrameTypesDropConnection(t *testing.T) {
 	batches := make(chan Batch, 4)
 	stray := func(name string) { t.Errorf("retired frame reached %s", name) }
 	l, err := ListenWith("127.0.0.1:0", state.StringPayloadCodec{}, Handlers{
 		OnBatch:   func(b Batch) { batches <- b },
-		OnAck:     func(Ack) { stray("OnAck") },
 		OnControl: func([]byte) { stray("OnControl") },
-		OnBarrier: func(plan.InstanceID) { stray("OnBarrier") },
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	// The body is a valid batch — and its leading instance id is all a
-	// credit grant's decoder needed — so a listener that still decoded a
-	// retired type would deliver it.
+	// The body is a valid batch — and its leading fields are all a credit
+	// grant's, a trim's or a barrier's decoder read — so a listener that
+	// still decoded a retired type would deliver it.
 	e := stream.NewEncoder(64)
 	if err := encodeBatch(e, one(1, "stale"), state.StringPayloadCodec{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []uint8{1, 3, 7, 9} {
+	for _, retired := range []uint8{1, 3, 4, 6, 7, 9} {
 		conn, err := net.Dial("tcp", l.Addr())
 		if err != nil {
 			t.Fatal(err)

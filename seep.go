@@ -81,24 +81,12 @@ func KeyOf(b []byte) Key { return stream.KeyOf(b) }
 // KeyOfString hashes a string into the key space.
 func KeyOfString(s string) Key { return stream.KeyOfString(s) }
 
-// Query model (§2.2).
+// Query model (§2.2): a Topology declares the operators.
 type (
-	// Query is a logical dataflow graph (see Topology.Query).
-	Query = plan.Query
-	// OpSpec declares one logical operator.
-	OpSpec = plan.OpSpec
 	// OpID names a logical operator.
 	OpID = plan.OpID
 	// InstanceID names one partitioned instance of an operator.
 	InstanceID = plan.InstanceID
-)
-
-// Operator roles.
-const (
-	RoleSource    = plan.RoleSource
-	RoleSink      = plan.RoleSink
-	RoleStateless = plan.RoleStateless
-	RoleStateful  = plan.RoleStateful
 )
 
 // Operator model (§2.2, §3.1).

@@ -90,12 +90,12 @@ func StateBytesPerKey(n int) OpOption {
 // reliable and host no user code; tuples are supplied through
 // Job.AddSource or Job.InjectBatch.
 func (t *Topology) Source(id string, opts ...OpOption) *Topology {
-	return t.declare(plan.OpSpec{ID: OpID(id), Role: RoleSource}, nil, false, opts)
+	return t.declare(plan.OpSpec{ID: OpID(id), Role: plan.RoleSource}, nil, false, opts)
 }
 
 // Stateless declares an operator with no managed state, built by f.
 func (t *Topology) Stateless(id string, f Factory, opts ...OpOption) *Topology {
-	return t.declare(plan.OpSpec{ID: OpID(id), Role: RoleStateless}, f, true, opts)
+	return t.declare(plan.OpSpec{ID: OpID(id), Role: plan.RoleStateless}, f, true, opts)
 }
 
 // Stateful declares an operator whose state the system checkpoints,
@@ -104,13 +104,13 @@ func (t *Topology) Stateless(id string, f Factory, opts ...OpOption) *Topology {
 // StateStore): Build instantiates f once and rejects anything else,
 // because state the system cannot see is lost on the first recovery.
 func (t *Topology) Stateful(id string, f Factory, opts ...OpOption) *Topology {
-	return t.declare(plan.OpSpec{ID: OpID(id), Role: RoleStateful}, f, true, opts)
+	return t.declare(plan.OpSpec{ID: OpID(id), Role: plan.RoleStateful}, f, true, opts)
 }
 
 // Sink declares a result-gathering operator. Sinks are assumed reliable
 // and host no user code; results are observed through Job.OnSink.
 func (t *Topology) Sink(id string, opts ...OpOption) *Topology {
-	return t.declare(plan.OpSpec{ID: OpID(id), Role: RoleSink}, nil, false, opts)
+	return t.declare(plan.OpSpec{ID: OpID(id), Role: plan.RoleSink}, nil, false, opts)
 }
 
 func (t *Topology) declare(spec plan.OpSpec, f Factory, needsFactory bool, opts []OpOption) *Topology {
@@ -188,7 +188,7 @@ func (t *Topology) buildLocked() (*Topology, error) {
 	}
 	for _, spec := range t.specs {
 		f := t.factories[spec.ID]
-		if spec.Role != RoleStateful || f == nil {
+		if spec.Role != plan.RoleStateful || f == nil {
 			continue
 		}
 		if m, ok := f().(Managed); !ok || m.State() == nil {
@@ -214,7 +214,7 @@ func (t *Topology) MustBuild() *Topology {
 
 // Query returns the validated logical query graph (nil before a
 // successful Build).
-func (t *Topology) Query() *Query {
+func (t *Topology) Query() *plan.Query {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.query
