@@ -201,6 +201,17 @@ func encodeControl(c *Control) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// encodeShip encodes c with cp marshalled behind it, the layout
+// encodeControl gives c.Checkpoint, into one buffer of exactly the
+// message's size: a ship's checkpoint is encoded once and copied nowhere.
+func encodeShip(c *Control, cp *state.Checkpoint, codec state.PayloadCodec) ([]byte, error) {
+	head, err := encodeControl(c)
+	if err != nil {
+		return nil, err
+	}
+	return state.MarshalCheckpointAfter(head, cp, codec)
+}
+
 // decodeControl reads a message written by encodeControl. Checkpoint
 // aliases b, which the caller must own.
 func decodeControl(b []byte) (*Control, error) {

@@ -1,8 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -45,6 +49,70 @@ func TestShipOversizeIsAnError(t *testing.T) {
 	}
 	if got := w.lastBarrier.Load(); got != 0 {
 		t.Errorf("lastBarrier = %d after a ship that never left, want 0", got)
+	}
+}
+
+// TestShipEncodesOnce: a ship marshals its checkpoint straight behind the
+// message head, into the buffer the frame is written from. One Ship of a
+// 100k-key checkpoint allocates little more than that frame body, and
+// the body carries the checkpoint as MarshalCheckpoint encodes it.
+func TestShipEncodesOnce(t *testing.T) {
+	codec := state.GobPayloadCodec{}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			io.Copy(io.Discard, c)
+			c.Close()
+		}
+	}()
+	coord, err := transport.Dial(ln.Addr().String(), codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	s := state.NewStore()
+	v := state.NewValue[int64](s, "n", state.Int64Codec{})
+	for i := 0; i < 100_000; i++ {
+		v.Set(stream.Key(stream.Mix64(uint64(i))), int64(i))
+	}
+	kv, err := s.TakeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &state.Checkpoint{Instance: orphanInst(0), Seq: 1, Processing: &state.Processing{KV: kv, TS: stream.TSVector{1}}, Buffer: state.NewBuffer()}
+
+	w := &Worker{codec: codec, coord: coord, self: "w"}
+	body, err := encodeShip(&Control{Kind: MsgShip, From: w.self}, cp, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := state.MarshalCheckpoint(cp, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := decodeControl(body); err != nil || !bytes.Equal(c.Checkpoint, blob) {
+		t.Fatalf("the ship body does not carry the marshalled checkpoint (decode error %v)", err)
+	}
+	if len(body) != cap(body) {
+		t.Errorf("ship body: len %d, cap %d — not sized exactly", len(body), cap(body))
+	}
+
+	sink := &shipSink{w: w}
+	if err := sink.Ship(cp, nil); err != nil { // warms gob's type cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := sink.Ship(cp, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.2*float64(len(body)) {
+		t.Errorf("one Ship allocated %d bytes for a %d-byte frame body, want ≤ 1.2×", alloc, len(body))
 	}
 }
 

@@ -584,11 +584,7 @@ func (s *shipSink) Ship(full *state.Checkpoint, delta *state.DeltaCheckpoint) er
 		cp = delta.Checkpoint()
 		ctl.Base, ctl.Deleted = delta.Delta.Base, delta.Delta.Deleted
 	}
-	var err error
-	if ctl.Checkpoint, err = state.MarshalCheckpoint(cp, s.w.codec); err != nil {
-		return err
-	}
-	body, err := encodeControl(ctl)
+	body, err := encodeShip(ctl, cp, s.w.codec)
 	if err != nil {
 		return err
 	}

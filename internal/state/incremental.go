@@ -2,7 +2,6 @@ package state
 
 import (
 	"fmt"
-	"slices"
 
 	"seep/internal/plan"
 	"seep/internal/stream"
@@ -36,12 +35,9 @@ func (d *Delta) Size() int {
 // incremental checkpointing). The delta must be consecutive: its Base
 // equals the state's current sequence as tracked by the caller. The
 // fold is a fresh run: whoever else holds p's old one keeps it intact.
+// Deleted must ascend, as TakeDelta and DeltaOf give it.
 func (d *Delta) Apply(p *Processing) {
-	deleted := d.Deleted
-	if !slices.IsSorted(deleted) { // a hand-built or foreign delta
-		deleted = slices.Sorted(slices.Values(deleted))
-	}
-	p.KV = overlay(p.KV, d.Changed, deleted)
+	p.KV = overlay(p.KV, d.Changed, d.Deleted)
 	p.TS = d.TS.Clone()
 }
 

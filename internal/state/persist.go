@@ -208,12 +208,20 @@ func encodeBufferSections(e *stream.Encoder, cp *Checkpoint, codec PayloadCodec)
 	return nil
 }
 
-// MarshalCheckpoint encodes cp into a buffer of its own, allocated once
-// at exactly the blob's length — a backup host keeps the blob, so slack
-// would be kept with it. Only the header and the buffer sections have a
-// length unknown before they are encoded; they are small next to the
-// processing state, so they are encoded aside first and copied in.
+// MarshalCheckpoint encodes cp into a buffer of its own: MarshalCheckpointAfter
+// with nothing ahead of it.
 func MarshalCheckpoint(cp *Checkpoint, codec PayloadCodec) ([]byte, error) {
+	return MarshalCheckpointAfter(nil, cp, codec)
+}
+
+// MarshalCheckpointAfter encodes cp behind a copy of head, into one
+// buffer allocated at exactly their joint length: a message that carries
+// a checkpoint behind its own head is encoded once, and a backup host
+// that keeps the blob keeps no slack with it. Only the header and the
+// buffer sections have a length unknown before they are encoded; they
+// are small next to the processing state, so they are encoded aside
+// first and copied in.
+func MarshalCheckpointAfter(head []byte, cp *Checkpoint, codec PayloadCodec) ([]byte, error) {
 	if err := cp.Validate(); err != nil {
 		return nil, err
 	}
@@ -224,7 +232,8 @@ func MarshalCheckpoint(cp *Checkpoint, codec PayloadCodec) ([]byte, error) {
 	if err := encodeBufferSections(aside, cp, codec); err != nil {
 		return nil, err
 	}
-	e := stream.NewEncoder(aside.Len() + 8 + p.encodedLen()) // 8: the section's length prefix
+	e := stream.NewEncoder(len(head) + aside.Len() + 8 + p.encodedLen()) // 8: the section's length prefix
+	e.Raw(head)
 	e.Raw(aside.Bytes()[:header])
 	encodeProcessingSection(e, p)
 	e.Raw(aside.Bytes()[header:])
@@ -278,7 +287,8 @@ func DecodeCheckpointHeader(b []byte) (CheckpointHeader, error) {
 // buffer where it lies (DecodeProcessing), so the caller must own that
 // buffer and leave it alone while the checkpoint lives — as every caller
 // does: a backup host decodes the blob it stored, a worker the control
-// body its transport copied for it, the durable store the file it read.
+// body its transport read into a buffer of its own, the durable store
+// the file it read.
 func DecodeCheckpoint(d *stream.Decoder, codec PayloadCodec) (*Checkpoint, error) {
 	h, err := decodeCheckpointHeader(d)
 	if err != nil {

@@ -205,6 +205,77 @@ func mergeRuns(runs []Run) (Run, error) {
 	return b.Run(), nil
 }
 
+// entry is a key with its value. The value leads, so an entry without
+// one (V = struct{}) is laid out as the key alone.
+type entry[V any] struct {
+	v V
+	k stream.Key
+}
+
+// radixSort orders es by key: an LSD radix sort on 8-bit digits that
+// skips every digit all keys share. Each pass moves the entries between
+// es and one scratch slice, so the result comes back in whichever holds
+// it. It is internal/state's one key sort.
+func radixSort[V any](es []entry[V]) []entry[V] {
+	if len(es) < 2 {
+		return es
+	}
+	var counts [8][256]int
+	for _, e := range es {
+		counts[0][byte(e.k)]++
+		counts[1][byte(e.k>>8)]++
+		counts[2][byte(e.k>>16)]++
+		counts[3][byte(e.k>>24)]++
+		counts[4][byte(e.k>>32)]++
+		counts[5][byte(e.k>>40)]++
+		counts[6][byte(e.k>>48)]++
+		counts[7][byte(e.k>>56)]++
+	}
+	tmp := make([]entry[V], len(es))
+	for d := range counts {
+		c, shift := &counts[d], 8*d
+		if c[byte(es[0].k>>shift)] == len(es) {
+			continue
+		}
+		at := 0
+		for b, n := range c {
+			c[b], at = at, at+n
+		}
+		for _, e := range es {
+			b := byte(e.k >> shift)
+			tmp[c[b]] = e
+			c[b]++
+		}
+		es, tmp = tmp, es
+	}
+	return es
+}
+
+// unionKeys merges ascending key lists into their ascending union, one
+// list at a time. A single list is the union, and comes back as it is.
+func unionKeys(lists [][]stream.Key) []stream.Key {
+	var out []stream.Key
+	for n, l := range lists {
+		if n == 0 {
+			out = l
+			continue
+		}
+		merged := make([]stream.Key, 0, len(out)+len(l))
+		for i, j := 0, 0; i < len(out) || j < len(l); {
+			switch {
+			case j == len(l) || i < len(out) && out[i] < l[j]:
+				merged, i = append(merged, out[i]), i+1
+			case i == len(out) || l[j] < out[i]:
+				merged, j = append(merged, l[j]), j+1
+			default: // in both
+				merged, i, j = append(merged, l[j]), i+1, j+1
+			}
+		}
+		out = merged
+	}
+	return out
+}
+
 // overlay returns base with changed's entries replacing or joining it
 // and the deleted keys (ascending) removed — a linear merge into a fresh
 // run.

@@ -2,6 +2,7 @@ package state
 
 import (
 	"bytes"
+	"iter"
 	"maps"
 	"math/rand"
 	"slices"
@@ -11,26 +12,67 @@ import (
 	"seep/internal/stream"
 )
 
-// refRecord is the reference encoding of one key of the model store: the
-// per-key union layout spelled out with the stream codec, independently
-// of the append path under test.
-func refRecord(v int64, hasV bool, fields map[string]int64) []byte {
-	e := stream.NewEncoder(64)
-	n := uint32(0)
-	if hasV {
-		n++
+// runModel pairs a store and the checkpoint its backup host holds with
+// plain-map references of both. The store has two Value cells, v and w,
+// and a Map cell m, registered in that order; w draws its keys from v's
+// pool or from a pool of its own.
+type runModel struct {
+	t *testing.T
+
+	store      *Store
+	v, w       *Value[int64]
+	m          *Map[int64]
+	refV, refW map[stream.Key]int64
+	refM       map[stream.Key]map[string]int64
+	dirty      map[stream.Key]bool
+	key, wkey  func() stream.Key
+
+	backup    *Processing // base checkpoint with every delta since folded in
+	refBackup map[stream.Key][]byte
+	seq       uint64
+}
+
+// modelCells registers the model's cells on s.
+func modelCells(s *Store) (v, w *Value[int64], m *Map[int64]) {
+	return NewValue[int64](s, "v", Int64Codec{}), NewValue[int64](s, "w", Int64Codec{}), NewMap[int64](s, "m", Int64Codec{})
+}
+
+func newRunModel(t *testing.T, key, wkey func() stream.Key) *runModel {
+	s := NewStore()
+	// A one-byte ceiling: a forced spill pass moves every key not touched
+	// since the last one to disk.
+	if err := s.EnableSpill(t.TempDir(), 1); err != nil {
+		t.Fatal(err)
 	}
-	if fields != nil {
-		n++
+	t.Cleanup(func() { s.CloseSpill() })
+	md := &runModel{
+		t: t, store: s, key: key, wkey: wkey,
+		refV: map[stream.Key]int64{}, refW: map[stream.Key]int64{}, refM: map[stream.Key]map[string]int64{},
+		dirty:  map[stream.Key]bool{},
+		backup: NewProcessing(1), refBackup: map[stream.Key][]byte{},
 	}
-	e.Uint32(n)
-	if hasV {
-		e.String32("v")
-		e.Uint32(8)
-		e.Int64(v)
+	md.v, md.w, md.m = modelCells(s)
+	return md
+}
+
+// refRecord is the reference encoding of k's record in the model store:
+// the per-key union layout spelled out with the stream codec,
+// independently of the capture under test.
+func (md *runModel) refRecord(k stream.Key) []byte {
+	frags, n := stream.NewEncoder(64), uint32(0)
+	for _, c := range []struct {
+		name string
+		ref  map[stream.Key]int64
+	}{{"v", md.refV}, {"w", md.refW}} {
+		if x, ok := c.ref[k]; ok {
+			frags.String32(c.name)
+			frags.Uint32(8)
+			frags.Int64(x)
+			n++
+		}
 	}
-	if fields != nil {
-		e.String32("m")
+	if fields, ok := md.refM[k]; ok {
+		frags.String32("m")
 		inner := stream.NewEncoder(32)
 		inner.Uint32(uint32(len(fields)))
 		for _, f := range slices.Sorted(maps.Keys(fields)) {
@@ -38,47 +80,21 @@ func refRecord(v int64, hasV bool, fields map[string]int64) []byte {
 			inner.Uint32(8)
 			inner.Int64(fields[f])
 		}
-		e.Bytes32(inner.Bytes())
+		frags.Bytes32(inner.Bytes())
+		n++
 	}
+	e := stream.NewEncoder(64)
+	e.Uint32(n)
+	e.Raw(frags.Bytes())
 	return e.Bytes()
-}
-
-// runModel pairs a store and the checkpoint its backup host holds with
-// plain-map references of both.
-type runModel struct {
-	t *testing.T
-
-	store *Store
-	v     *Value[int64]
-	m     *Map[int64]
-	refV  map[stream.Key]int64
-	refM  map[stream.Key]map[string]int64
-	dirty map[stream.Key]bool
-
-	backup    *Processing // base checkpoint with every delta since folded in
-	refBackup map[stream.Key][]byte
-	seq       uint64
-}
-
-func newRunModel(t *testing.T) *runModel {
-	s := NewStore()
-	return &runModel{
-		t: t, store: s,
-		v: NewValue[int64](s, "v", Int64Codec{}), m: NewMap[int64](s, "m", Int64Codec{}),
-		refV: map[stream.Key]int64{}, refM: map[stream.Key]map[string]int64{}, dirty: map[stream.Key]bool{},
-		backup: NewProcessing(1), refBackup: map[stream.Key][]byte{},
-	}
 }
 
 // refState is what a full capture of the model store must hold.
 func (md *runModel) refState() map[stream.Key][]byte {
 	out := map[stream.Key][]byte{}
-	for k, v := range md.refV {
-		out[k] = refRecord(v, true, md.refM[k])
-	}
-	for k, f := range md.refM {
-		if _, ok := md.refV[k]; !ok {
-			out[k] = refRecord(0, false, f)
+	for _, keys := range []iter.Seq[stream.Key]{maps.Keys(md.refV), maps.Keys(md.refW), maps.Keys(md.refM)} {
+		for k := range keys {
+			out[k] = md.refRecord(k)
 		}
 	}
 	return out
@@ -107,13 +123,17 @@ func (md *runModel) expectRun(what string, got Run, want map[stream.Key][]byte) 
 	}
 }
 
-func (md *runModel) step(r *rand.Rand, key func() stream.Key) {
-	t := md.t
-	switch op := r.Intn(12); {
-	case op < 3:
+func (md *runModel) step(r *rand.Rand) {
+	t, key := md.t, md.key
+	switch op := r.Intn(14); {
+	case op < 2:
 		k, v := key(), r.Int63()
 		md.v.Set(k, v)
 		md.refV[k], md.dirty[k] = v, true
+	case op == 2:
+		k, v := md.wkey(), r.Int63()
+		md.w.Set(k, v)
+		md.refW[k], md.dirty[k] = v, true
 	case op < 5:
 		k, f, v := key(), string(rune('a'+r.Intn(3))), r.Int63()
 		md.m.Put(k, f, v)
@@ -122,12 +142,15 @@ func (md *runModel) step(r *rand.Rand, key func() stream.Key) {
 		}
 		md.refM[k][f], md.dirty[k] = v, true
 	case op < 7:
-		k := key()
-		if _, ok := md.refV[k]; ok {
+		k := []func() stream.Key{key, md.wkey}[r.Intn(2)]()
+		_, inV := md.refV[k]
+		if _, inW := md.refW[k]; inV || inW {
 			md.dirty[k] = true
 		}
 		md.v.Delete(k)
+		md.w.Delete(k)
 		delete(md.refV, k)
+		delete(md.refW, k)
 		if r.Intn(2) == 0 {
 			if _, ok := md.refM[k]; ok {
 				md.dirty[k] = true
@@ -173,7 +196,7 @@ func (md *runModel) step(r *rand.Rand, key func() stream.Key) {
 		md.expectRun("run before Apply", before, beforeRef) // runs are immutable
 		md.dirty = map[stream.Key]bool{}
 	case op == 9: // partition at a random cut, edges included, and merge back
-		cut := []stream.Key{0, stream.MaxKey, key(), stream.Key(r.Uint64())}[r.Intn(4)]
+		cut := []stream.Key{0, stream.MaxKey, key(), md.wkey(), stream.Key(r.Uint64())}[r.Intn(5)]
 		ranges := []KeyRange{{Lo: 0, Hi: cut}}
 		if cut < stream.MaxKey {
 			ranges = append(ranges, KeyRange{Lo: cut + 1, Hi: stream.MaxKey})
@@ -199,9 +222,17 @@ func (md *runModel) step(r *rand.Rand, key func() stream.Key) {
 				t.Fatal("merge of overlapping parts succeeded")
 			}
 		}
+	case op == 10: // a spill pass moves every key not touched since the last one to disk
+		s := md.store
+		s.mu.Lock()
+		s.spill.Load().passLocked(s, int64(s.residentLenLocked()))
+		s.mu.Unlock()
+		if err := s.SpillErr(); err != nil {
+			t.Fatal(err)
+		}
 	default: // restore the backup into a fresh store and read it through the cells
 		s2 := NewStore()
-		v2, m2 := NewValue[int64](s2, "v", Int64Codec{}), NewMap[int64](s2, "m", Int64Codec{})
+		v2, w2, m2 := modelCells(s2)
 		if err := s2.Restore(md.backup.KV); err != nil {
 			t.Fatal(err)
 		}
@@ -210,28 +241,137 @@ func (md *runModel) step(r *rand.Rand, key func() stream.Key) {
 			t.Fatal(err)
 		}
 		md.expectRun("Restore+TakeCheckpoint", again, md.refBackup)
-		if v2.Len()+m2.Len() < len(md.refBackup) {
-			t.Fatalf("restored cells hold %d+%d keys for %d records", v2.Len(), m2.Len(), len(md.refBackup))
+		if v2.Len()+w2.Len()+m2.Len() < len(md.refBackup) {
+			t.Fatalf("restored cells hold %d+%d+%d keys for %d records", v2.Len(), w2.Len(), m2.Len(), len(md.refBackup))
 		}
 	}
 }
 
-// TestRunModel: random sequences of writes, deletes, full and incremental
-// checkpoints, folds, partitions, merges and restores on the sorted run
-// agree with plain-map references at every step.
+// TestRunModel: random sequences of writes, deletes, spill passes, full
+// and incremental checkpoints, folds, partitions, merges and restores on
+// the sorted run agree with plain-map references at every step. Even
+// seeds give the two Value cells one key pool, odd seeds one each.
 func TestRunModel(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		md := newRunModel(t)
-		// A small key pool so sets, deletes and deltas collide, with the
-		// edges of the key space in it.
-		pool := []stream.Key{0, stream.MaxKey}
-		for i := 0; i < 30; i++ {
-			pool = append(pool, stream.Key(r.Uint64()))
+		// Small key pools so sets, deletes and deltas collide, with the
+		// edges of the key space in them.
+		pool := func() []stream.Key {
+			p := []stream.Key{0, stream.MaxKey}
+			for i := 0; i < 30; i++ {
+				p = append(p, stream.Key(r.Uint64()))
+			}
+			return p
 		}
-		key := func() stream.Key { return pool[r.Intn(len(pool))] }
+		vpool, wpool := pool(), pool()
+		if seed%2 == 0 {
+			wpool = vpool
+		}
+		md := newRunModel(t,
+			func() stream.Key { return vpool[r.Intn(len(vpool))] },
+			func() stream.Key { return wpool[r.Intn(len(wpool))] })
 		for i := 0; i < 400; i++ {
-			md.step(r, key)
+			md.step(r)
+		}
+		if st := md.store.SpillStats(); st.Spills == 0 || st.Loads == 0 {
+			t.Fatalf("seed %d: no spilled range was captured: %+v", seed, st)
+		}
+	}
+}
+
+// TestCaptureIsOrderFree: two stores holding the same state, filled in
+// different orders and through different deletions — so their maps
+// iterate differently — capture byte-identical runs.
+func TestCaptureIsOrderFree(t *testing.T) {
+	const n = 5000
+	r := rand.New(rand.NewSource(3))
+	// 2n distinct keys, high bytes often shared: the first n are the
+	// state, the rest are written and deleted again.
+	seen := map[stream.Key]bool{}
+	var keys []stream.Key
+	for len(keys) < 2*n {
+		if k := stream.Key(r.Uint64() >> uint(r.Intn(64))); !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	fill := func(order []int, churn bool) Run {
+		s := NewStore()
+		v, w, m := modelCells(s)
+		for _, i := range order {
+			k := keys[i]
+			if churn {
+				v.Set(keys[n+i], 0)
+				v.Delete(keys[n+i])
+			}
+			v.Set(k, int64(i))
+			if i%3 == 0 {
+				w.Set(k, -int64(i))
+			}
+			if i%5 == 0 {
+				m.Put(k, "f", int64(i))
+			}
+		}
+		run, err := s.TakeCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	a := fill(order, false)
+	r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	if b := fill(order, true); !bytes.Equal(a.records(), b.records()) || !slices.Equal(a.Keys(), b.Keys()) {
+		t.Errorf("runs differ: %d and %d keys, %d and %d bytes", a.Len(), b.Len(), len(a.records()), len(b.records()))
+	}
+	if !slices.IsSorted(a.Keys()) {
+		t.Error("run keys not ascending")
+	}
+}
+
+// TestRadixSort: the one key sort orders like slices.Sort, and each value
+// travels with its key.
+func TestRadixSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	next := stream.MaxKey
+	gens := map[string]func() stream.Key{
+		"descending":  func() stream.Key { next -= stream.Key(1 + r.Intn(1<<20)); return next },
+		"random":      func() stream.Key { return stream.Key(r.Uint64()) },
+		"shared high": func() stream.Key { return 0xabcd<<48 | stream.Key(r.Intn(1<<12)) },
+		"edges":       func() stream.Key { return []stream.Key{0, stream.MaxKey, 1, stream.MaxKey - 1}[r.Intn(4)] },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 2, 255, 256, 100_000} {
+			es := make([]entry[int], n)
+			want := make([]stream.Key, n)
+			for i := range es {
+				es[i] = entry[int]{i, gen()}
+				want[i] = es[i].k
+			}
+			orig := slices.Clone(want)
+			slices.Sort(want)
+			got := radixSort(es)
+			for i, e := range got {
+				if e.k != want[i] || orig[e.v] != e.k {
+					t.Fatalf("%s, n=%d: entry %d is (%d, %d), want key %d carrying the value it came with", name, n, i, e.k, e.v, want[i])
+				}
+			}
+			set := map[stream.Key]int{}
+			for i, k := range orig {
+				set[k] = i
+			}
+			es, keys := sortedEntries(set)
+			if !slices.Equal(keys, slices.Compact(want)) {
+				t.Fatalf("%s, n=%d: sortedEntries' keys disagree with slices.Sort", name, n)
+			}
+			for i, e := range es {
+				if e.k != keys[i] || set[e.k] != e.v {
+					t.Fatalf("%s, n=%d: sortedEntries entry %d is (%d, %d)", name, n, i, e.k, e.v)
+				}
+			}
 		}
 	}
 }

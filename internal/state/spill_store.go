@@ -312,7 +312,7 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 			chunk := cand[:min(len(cand), spillChunkKeys)]
 			cand = cand[len(chunk):]
 			r := KeyRange{Lo: chunk[0], Hi: chunk[len(chunk)-1]}
-			run, _, err := s.captureLocked(chunk, 0)
+			run, _, err := s.captureKeysLocked(chunk)
 			if err == nil {
 				err = sp.sp.Spill(run, r)
 			}

@@ -13,7 +13,6 @@ package state
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -61,16 +60,16 @@ func NewStore() *Store {
 // called with the store lock held.
 type storeCell interface {
 	cellName() string
-	// appendLocked appends the cell's part of k's record — its name and
-	// its length-prefixed fragment — to dst; ok=false, and dst comes back
-	// as it was, when the cell holds nothing under k.
-	appendLocked(dst []byte, k stream.Key) (out []byte, ok bool, err error)
-	// decodeLocked installs a fragment previously produced by
-	// appendLocked.
+	// lookupLocked returns the cell's fragSource for a capture of given
+	// keys, which looks each one up.
+	lookupLocked() fragSource
+	// sortedLocked walks the cell's map once and returns its keys,
+	// ascending, with the fragSource of a full capture, which reads the
+	// walked entries in that order instead of looking keys up.
+	sortedLocked() ([]stream.Key, fragSource)
+	// decodeLocked installs a fragment previously produced by a
+	// fragSource.
 	decodeLocked(k stream.Key, b []byte) error
-	// appendKeysLocked appends every key the cell holds to dst, in no
-	// particular order.
-	appendKeysLocked(dst []stream.Key) []stream.Key
 	// resetLocked drops all data.
 	resetLocked()
 	// lenLocked returns the number of keys the cell holds.
@@ -82,6 +81,12 @@ type storeCell interface {
 	// by a mass deletion (a spill pass) return to the allocator.
 	compactLocked()
 }
+
+// fragSource appends one cell's part of k's record — its name and its
+// length-prefixed fragment — to dst; ok=false, and dst comes back as it
+// was, when the cell holds nothing under k. A capture asks for its keys
+// in ascending order.
+type fragSource func(dst []byte, k stream.Key) (out []byte, ok bool, err error)
 
 // register binds a cell to the store. Cell names must be unique and
 // non-empty; violations are programming errors and panic.
@@ -105,18 +110,24 @@ func (s *Store) touchLocked(k stream.Key) {
 	s.spillNoteWriteLocked()
 }
 
-// keysLocked returns every key held by any cell, ascending: each cell
-// appends its keys and they are sorted once; duplicates arise — and are
-// removed — only when several cells share the key space.
+// sortedLocked returns every key held by any cell, ascending — the union
+// of the cells' sorted keys — with each cell's fragSource for a full
+// capture and the body the records take around 8-byte values: per
+// record the key, its length and the fragment count, per fragment
+// fragBytes.
+func (s *Store) sortedLocked() (keys []stream.Key, srcs []fragSource, body int) {
+	lists, srcs := make([][]stream.Key, len(s.cells)), make([]fragSource, len(s.cells))
+	for i, c := range s.cells {
+		lists[i], srcs[i] = c.sortedLocked()
+		body += len(lists[i]) * fragBytes(c)
+	}
+	keys = unionKeys(lists)
+	return keys, srcs, body + (recHdr+4)*len(keys)
+}
+
+// keysLocked returns every key held by any cell, ascending.
 func (s *Store) keysLocked() []stream.Key {
-	keys := make([]stream.Key, 0, s.residentLenLocked())
-	for _, c := range s.cells {
-		keys = c.appendKeysLocked(keys)
-	}
-	slices.Sort(keys)
-	if len(s.cells) > 1 {
-		keys = slices.Compact(keys)
-	}
+	keys, _, _ := s.sortedLocked()
 	return keys
 }
 
@@ -135,26 +146,31 @@ func endFrag(dst []byte, mark int) []byte {
 	return dst
 }
 
+// fragBytes is what a record spends on one fragment of c around an
+// 8-byte value: the cell name, its length prefix and the fragment's.
+func fragBytes(c storeCell) int { return 16 + len(c.cellName()) }
+
 // captureLocked encodes the state under keys (ascending, distinct) into
-// one run, every cell appending straight into its body. A record is the
-// per-key union of all cell fragments: a fragment count, then (cell
-// name, fragment bytes) pairs in cell registration order. Keys no cell
-// holds come back in absent. The run takes over keys' backing array.
-func (s *Store) captureLocked(keys []stream.Key, bodyHint int) (run Run, absent []stream.Key, err error) {
+// one run, srcs[i] appending cell i's fragments straight into its body,
+// which starts with bodyHint bytes of room. A record is the per-key
+// union of all cell fragments: a fragment count, then (cell name,
+// fragment bytes) pairs in cell registration order. Keys no cell holds
+// come back in absent. The run takes over keys' backing array.
+func (s *Store) captureLocked(keys []stream.Key, srcs []fragSource, bodyHint int) (run Run, absent []stream.Key, err error) {
 	b := RunBuilder{r: Run{
 		keys: keys[:0], // filtered in place: a key is written at or before where it was read
 		off:  make([]int, 0, len(keys)+1),
-		body: make([]byte, 0, max(bodyHint, 32*len(keys))),
+		body: make([]byte, 0, bodyHint),
 	}}
 	for _, k := range keys {
 		b.begin(k)
 		count := len(b.r.body)
 		b.r.body = append(b.r.body, 0, 0, 0, 0)
 		n := uint32(0)
-		for _, c := range s.cells {
+		for i, src := range srcs {
 			var ok bool
-			if b.r.body, ok, err = c.appendLocked(b.r.body, k); err != nil {
-				return Run{}, nil, fmt.Errorf("state: cell %q: encode key %d: %w", c.cellName(), k, err)
+			if b.r.body, ok, err = src(b.r.body, k); err != nil {
+				return Run{}, nil, fmt.Errorf("state: cell %q: encode key %d: %w", s.cells[i].cellName(), k, err)
 			}
 			if ok {
 				n++
@@ -186,10 +202,12 @@ func (s *Store) TakeCheckpoint() (Run, error) {
 	if err := s.materializeAllLocked(); err != nil {
 		return Run{}, err
 	}
-	keys := s.keysLocked()
-	// The last checkpoint's body, plus a sixteenth for growth, is what
-	// this one will need.
-	run, _, err := s.captureLocked(keys, s.lastFullSize+s.lastFullSize/16+4*len(keys))
+	// Each cell walks its map once and sorts what it walked; the capture
+	// merges the cells' entries, so no key is sorted by comparison or
+	// looked up. Values wider than 8 bytes are sized by the last
+	// checkpoint's body, plus a sixteenth for growth.
+	keys, srcs, body := s.sortedLocked()
+	run, _, err := s.captureLocked(keys, srcs, max(body, s.lastFullSize+s.lastFullSize/16+4*len(keys)))
 	if err != nil {
 		return Run{}, err
 	}
@@ -209,21 +227,32 @@ func (s *Store) TakeCheckpoint() (Run, error) {
 func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]stream.Key, 0, len(s.touched))
 	for k := range s.touched {
 		// A dirty key can have been spilled since it was written; deltas
 		// encode exactly the dirty set, so make it resident first.
 		s.residentLocked(k)
-		keys = append(keys, k)
 	}
-	slices.Sort(keys)
-	changed, deleted, err := s.captureLocked(keys, 0)
+	_, keys := sortedEntries(s.touched)
+	changed, deleted, err := s.captureKeysLocked(keys)
 	if err != nil {
 		return nil, err
 	}
 	s.touched = make(map[stream.Key]struct{})
 	s.deltasSinceFull++
 	return &Delta{Base: base, Seq: seq, Changed: changed, Deleted: deleted, TS: ts.Clone()}, nil
+}
+
+// captureKeysLocked captures the records of keys (ascending, distinct),
+// looked up in every cell — a delta's dirty set, a spill chunk. Keys no
+// cell holds come back in absent.
+func (s *Store) captureKeysLocked(keys []stream.Key) (run Run, absent []stream.Key, err error) {
+	srcs := make([]fragSource, len(s.cells))
+	record := recHdr + 4
+	for i, c := range s.cells {
+		srcs[i] = c.lookupLocked()
+		record += fragBytes(c)
+	}
+	return s.captureLocked(keys, srcs, record*len(keys))
 }
 
 // Restore replaces the entire store contents with a run produced by
@@ -424,7 +453,8 @@ func (v *Value[T]) Keys() []stream.Key {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.materializeAllLocked()
-	return sortedKeys(v.data)
+	_, keys := sortedEntries(v.data)
+	return keys
 }
 
 // ForEach visits every (key, value) pair in ascending key order. f must
@@ -433,8 +463,9 @@ func (v *Value[T]) ForEach(f func(k stream.Key, val T)) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.materializeAllLocked()
-	for _, k := range sortedKeys(v.data) {
-		f(k, v.data[k])
+	es, _ := sortedEntries(v.data)
+	for _, e := range es {
+		f(e.k, e.v)
 	}
 }
 
@@ -454,11 +485,12 @@ func (v *Value[T]) Drain() map[stream.Key]T {
 
 func (v *Value[T]) cellName() string { return v.nm }
 
-func (v *Value[T]) appendLocked(dst []byte, k stream.Key) ([]byte, bool, error) {
-	val, ok := v.data[k]
-	if !ok {
-		return dst, false, nil
-	}
+func (v *Value[T]) lookupLocked() fragSource { return lookup(v.data, v.appendFrag) }
+
+func (v *Value[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(v.data, v.appendFrag) }
+
+// appendFrag appends val's fragment under the cell's name.
+func (v *Value[T]) appendFrag(dst []byte, val T) ([]byte, bool, error) {
 	dst, mark := beginFrag(dst, v.nm)
 	dst, err := appendValue(v.codec, v.fast, dst, val)
 	return endFrag(dst, mark), true, err
@@ -472,8 +504,6 @@ func (v *Value[T]) decodeLocked(k stream.Key, b []byte) error {
 	v.data[k] = val
 	return nil
 }
-
-func (v *Value[T]) appendKeysLocked(dst []stream.Key) []stream.Key { return appendKeys(dst, v.data) }
 
 func (v *Value[T]) resetLocked() { v.data = make(map[stream.Key]T) }
 
@@ -498,7 +528,7 @@ type Map[T any] struct {
 	codec Codec[T]
 	fast  appender[T] // codec's append fast path, nil when it has none
 	data  map[stream.Key]map[string]T
-	// fields is appendLocked's scratch for one key's sorted field names.
+	// fields is appendFrag's scratch for one key's sorted field names.
 	fields []string
 }
 
@@ -592,8 +622,9 @@ func (m *Map[T]) ForEach(f func(k stream.Key, field string, val T)) {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.materializeAllLocked()
-	for _, k := range sortedKeys(m.data) {
-		inner := m.data[k]
+	es, _ := sortedEntries(m.data)
+	for _, e := range es {
+		k, inner := e.k, e.v
 		fields := make([]string, 0, len(inner))
 		for field := range inner {
 			fields = append(fields, field)
@@ -621,11 +652,13 @@ func (m *Map[T]) Drain() map[stream.Key]map[string]T {
 
 func (m *Map[T]) cellName() string { return m.nm }
 
-func (m *Map[T]) appendLocked(dst []byte, k stream.Key) ([]byte, bool, error) {
-	inner, ok := m.data[k]
-	if !ok {
-		return dst, false, nil
-	}
+func (m *Map[T]) lookupLocked() fragSource { return lookup(m.data, m.appendFrag) }
+
+func (m *Map[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(m.data, m.appendFrag) }
+
+// appendFrag appends inner's fragment, fields sorted, under the cell's
+// name.
+func (m *Map[T]) appendFrag(dst []byte, inner map[string]T) ([]byte, bool, error) {
 	fields := m.fields[:0]
 	for field := range inner {
 		fields = append(fields, field)
@@ -666,8 +699,6 @@ func (m *Map[T]) decodeLocked(k stream.Key, b []byte) error {
 	return nil
 }
 
-func (m *Map[T]) appendKeysLocked(dst []stream.Key) []stream.Key { return appendKeys(dst, m.data) }
-
 func (m *Map[T]) resetLocked() { m.data = make(map[stream.Key]map[string]T) }
 
 func (m *Map[T]) lenLocked() int { return len(m.data) }
@@ -682,15 +713,45 @@ func (m *Map[T]) compactLocked() {
 	m.data = nd
 }
 
-func appendKeys[V any](dst []stream.Key, data map[stream.Key]V) []stream.Key {
-	for k := range data {
-		dst = append(dst, k)
+// sortedEntries walks data once into entries ordered by key, and returns
+// their keys beside them.
+func sortedEntries[V any](data map[stream.Key]V) ([]entry[V], []stream.Key) {
+	es := make([]entry[V], 0, len(data))
+	for k, v := range data {
+		es = append(es, entry[V]{v, k})
 	}
-	return dst
+	es = radixSort(es)
+	keys := make([]stream.Key, len(es))
+	for i, e := range es {
+		keys[i] = e.k
+	}
+	return es, keys
 }
 
-func sortedKeys[V any](data map[stream.Key]V) []stream.Key {
-	out := appendKeys(make([]stream.Key, 0, len(data)), data)
-	slices.Sort(out)
-	return out
+// lookup is a cell's fragSource over data for a capture of given keys:
+// frag appends the fragment of the value it looks up.
+func lookup[V any](data map[stream.Key]V, frag func([]byte, V) ([]byte, bool, error)) fragSource {
+	return func(dst []byte, k stream.Key) ([]byte, bool, error) {
+		v, ok := data[k]
+		if !ok {
+			return dst, false, nil
+		}
+		return frag(dst, v)
+	}
+}
+
+// inOrder is a cell's sortedLocked over data: data's keys, sorted, and
+// the fragSource of a full capture over the sorted entries. A capture
+// asks for keys in ascending order, so only the next entry can match,
+// and no key is looked up.
+func inOrder[V any](data map[stream.Key]V, frag func([]byte, V) ([]byte, bool, error)) ([]stream.Key, fragSource) {
+	es, keys := sortedEntries(data)
+	i := 0
+	return keys, func(dst []byte, k stream.Key) ([]byte, bool, error) {
+		if i == len(es) || es[i].k != k {
+			return dst, false, nil
+		}
+		i++
+		return frag(dst, es[i-1].v)
+	}
 }

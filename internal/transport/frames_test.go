@@ -227,8 +227,10 @@ func TestFrameChecksumRejected(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("oversize: err = %v, want *FrameSizeError", err)
 	}
-	if m.Snapshot().CorruptFrames != 3 {
-		t.Errorf("CorruptFrames = %d, want 3", m.Snapshot().CorruptFrames)
+	// Only the checksum failure is corruption; the version and the size
+	// are refusals of the header.
+	if s := m.Snapshot(); s.CorruptFrames != 1 || s.RejectedFrames != 2 {
+		t.Errorf("CorruptFrames = %d, RejectedFrames = %d; want 1 and 2", s.CorruptFrames, s.RejectedFrames)
 	}
 }
 

@@ -110,6 +110,7 @@ type Metrics struct {
 	reconnects      metrics.Counter
 	heartbeatMisses metrics.Counter
 	corruptFrames   metrics.Counter
+	rejectedFrames  metrics.Counter
 	creditStalls    metrics.Counter
 }
 
@@ -150,6 +151,13 @@ func (m *Metrics) addCorrupt() {
 	m.corruptFrames.Inc()
 }
 
+func (m *Metrics) addRejected() {
+	if m == nil {
+		return
+	}
+	m.rejectedFrames.Inc()
+}
+
 // addCreditStall counts one frame write that exceeded writeStallAfter.
 func (m *Metrics) addCreditStall() {
 	if m == nil {
@@ -170,9 +178,12 @@ type Stats struct {
 	// HeartbeatMisses counts probe periods that elapsed without a reply
 	// (each contributes toward a peer's MissLimit).
 	HeartbeatMisses uint64
-	// CorruptFrames counts inbound frames rejected for a bad checksum,
-	// version or length.
+	// CorruptFrames counts inbound frames whose body failed its checksum.
 	CorruptFrames uint64
+	// RejectedFrames counts inbound frames refused by their header: a
+	// protocol version other than this binary's, or a length over the
+	// frame limit.
+	RejectedFrames uint64
 	// CreditStalls counts frame writes that ran past writeStallAfter: a
 	// slow or faulted link, or a receiver holding the connection unread
 	// while its node's credit ledger is empty.
@@ -192,6 +203,7 @@ func (m *Metrics) Snapshot() Stats {
 		Reconnects:      m.reconnects.Value(),
 		HeartbeatMisses: m.heartbeatMisses.Value(),
 		CorruptFrames:   m.corruptFrames.Value(),
+		RejectedFrames:  m.rejectedFrames.Value(),
 		CreditStalls:    m.creditStalls.Value(),
 	}
 }
@@ -206,6 +218,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.Reconnects += o.Reconnects
 	s.HeartbeatMisses += o.HeartbeatMisses
 	s.CorruptFrames += o.CorruptFrames
+	s.RejectedFrames += o.RejectedFrames
 	s.CreditStalls += o.CreditStalls
 	return s
 }
@@ -228,28 +241,30 @@ func writeFrame(w io.Writer, m *Metrics, frameType uint8, body []byte) error {
 }
 
 // readFrame reads one frame from r, validating version, length and
-// checksum before any body byte is interpreted. When scratch is
-// non-nil the body is read into (and may grow) *scratch, so a
-// long-lived connection loop pays zero steady-state allocation per
-// frame; the returned slice then aliases *scratch and is only valid
-// until the next call. Handlers that retain the body must copy it.
+// checksum before any body byte is interpreted. When scratch is non-nil
+// a frame other than a control frame is read into (and may grow)
+// *scratch, so a long-lived connection loop pays zero steady-state
+// allocation per batch; the returned slice then aliases *scratch and is
+// only valid until the next call. A control frame's body is always a
+// buffer of its own, for its handler to keep: a checkpoint or a deploy
+// is read once, and the connection does not pin the largest one it saw.
 func readFrame(r io.Reader, m *Metrics, scratch *[]byte) (uint8, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	if hdr[0] != ProtocolVersion {
-		m.addCorrupt()
+		m.addRejected()
 		return 0, nil, &VersionError{Got: hdr[0], Want: ProtocolVersion}
 	}
 	n := binary.LittleEndian.Uint32(hdr[2:6])
 	if n > maxFrameBytes {
-		m.addCorrupt()
+		m.addRejected()
 		return 0, nil, &FrameSizeError{Size: n}
 	}
 	want := binary.LittleEndian.Uint32(hdr[6:10])
 	var body []byte
-	if scratch != nil {
+	if scratch != nil && hdr[1] != frameControl {
 		if uint32(cap(*scratch)) < n {
 			*scratch = make([]byte, n)
 		}
@@ -275,8 +290,10 @@ func readFrame(r io.Reader, m *Metrics, scratch *[]byte) (uint8, []byte, error) 
 type Handlers struct {
 	// OnBatch receives tuple-batch frames.
 	OnBatch func(Batch)
-	// OnControl receives opaque control-message bodies. The slice is
-	// owned by the callee.
+	// OnControl receives opaque control-message bodies. Each body is the
+	// buffer the frame was read into, allocated for it alone: the callee
+	// owns it, may keep it or slices of it, and no later frame writes to
+	// it.
 	OnControl func(body []byte)
 }
 
@@ -342,9 +359,9 @@ func (l *Listener) serve(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriter(conn)
 	var wmu sync.Mutex
-	// Frame bodies are read into one per-connection scratch buffer;
-	// decoded values copy what they keep, and the opaque-body handler
-	// (control) gets an explicit copy because it owns the slice.
+	// Batch bodies are read into one per-connection scratch buffer, and
+	// decoded values copy what they keep; a control body is read into a
+	// buffer of its own, which its handler keeps (readFrame).
 	var scratch []byte
 	for {
 		frameType, body, err := readFrame(r, l.metrics, &scratch)
@@ -374,9 +391,7 @@ func (l *Listener) serve(conn net.Conn) {
 			}
 		case frameControl:
 			if l.handlers.OnControl != nil {
-				cp := make([]byte, len(body))
-				copy(cp, body)
-				l.handlers.OnControl(cp)
+				l.handlers.OnControl(body)
 			}
 		default:
 			return

@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -334,5 +336,64 @@ func TestOversizeFrameIsRefusedBySender(t *testing.T) {
 	}
 	if c, r := lm.Snapshot().CorruptFrames, pm.Snapshot().Reconnects; c != 0 || r != 0 {
 		t.Errorf("%d corrupt frames at the listener, %d reconnects at the sender, want none", c, r)
+	}
+}
+
+// TestControlBodyBelongsToHandler: a control body is read into a buffer
+// of its own, which its handler keeps. The next frame does not overwrite
+// a kept body, and a large body the handler dropped is not pinned by the
+// connection as its read scratch.
+func TestControlBodyBelongsToHandler(t *testing.T) {
+	bodies := make(chan []byte, 1)
+	l, err := ListenWith("127.0.0.1:0", state.StringPayloadCodec{}, Handlers{OnControl: func(b []byte) { bodies <- b }}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	p, err := Dial(l.Addr(), state.StringPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	send := func(n int, c byte) {
+		t.Helper()
+		if err := p.SendControl(bytes.Repeat([]byte{c}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func() []byte {
+		t.Helper()
+		select {
+		case b := <-bodies:
+			return b
+		case <-time.After(5 * time.Second):
+			t.Fatal("no control body arrived")
+			return nil
+		}
+	}
+
+	send(1<<10, 'a')
+	kept := recv()
+	send(1<<10, 'b')
+	recv()
+	if !bytes.Equal(kept, bytes.Repeat([]byte{'a'}, 1<<10)) {
+		t.Error("the next frame overwrote a control body its handler kept")
+	}
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	send(8<<20, 'c')
+	if n := len(recv()); n != 8<<20 {
+		t.Fatalf("received %d bytes, sent %d", n, 8<<20)
+	}
+	send(16, 'd') // the connection has read past the large frame and stays open
+	recv()
+	if after := heap(); after > before+1<<20 {
+		t.Errorf("the listener retains %d KiB after its handler dropped an 8 MiB control body, want < 1 MiB", (after-before)>>10)
 	}
 }
