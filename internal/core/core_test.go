@@ -337,8 +337,10 @@ func TestPlanShapes(t *testing.T) {
 				t.Errorf("Inherit = %v for %d→%d", tp.Inherit, c.victims, c.pi)
 			}
 			// Every victim's retained output survives in the plan: a lone
-			// victim's with the first partition, merged victims' as legacy
-			// buffers under their ORIGINAL identities.
+			// replacement of a lone victim keeps it as its own buffer (it
+			// inherits the victim's watermark); otherwise the first
+			// replacement keeps it as legacy buffers under the victims'
+			// ORIGINAL identities.
 			from := make(map[plan.InstanceID]int)
 			for _, cp := range tp.Checkpoints {
 				for r := range state.DownstreamReplay(cp, func(plan.OpID) *state.Routing { return nil }) {
@@ -346,6 +348,9 @@ func TestPlanShapes(t *testing.T) {
 				}
 			}
 			want := map[plan.InstanceID]int{tp.NewInstances[0]: 6}
+			if c.pi > 1 {
+				want = map[plan.InstanceID]int{victims[0]: 6}
+			}
 			if c.victims > 1 {
 				want = map[plan.InstanceID]int{victims[0]: 6, victims[1]: 6}
 				if tp.Checkpoints[0].OutClock != 200 {

@@ -60,9 +60,9 @@ type Transition struct {
 	NewInstances []plan.InstanceID
 	// Checkpoints[i] is the state NewInstances[i] restores, already stored
 	// as its initial backup (Algorithm 2 line 8). The victims' retained
-	// output rides in them: a lone victim's buffer with the first
-	// partition, several victims' buffers as Legacy under their original
-	// identities.
+	// output rides in the first: as its own buffer in the 1→1 shape, which
+	// inherits the victim's identity (Inherit); otherwise as Legacy under
+	// the victims' original identities.
 	Checkpoints []*state.Checkpoint
 	// Routing is the updated routing table for the victims' logical
 	// operator, to be installed at every upstream instance.
@@ -92,8 +92,8 @@ type Manager struct {
 	// upstream failures (§3.2).
 	routing map[plan.OpID]*state.Routing
 	// legacyOwner maps every superseded instance to the first of its
-	// replacements, which carries its retained output (a lone victim's
-	// buffers with the first partition, merged victims' as legacy buffers;
+	// replacements, which carries its retained output (as its own buffer
+	// in the 1→1 shape, as legacy buffers otherwise;
 	// state.PartitionCheckpoint).
 	legacyOwner map[plan.InstanceID]plan.InstanceID
 	// records are the completed transitions, oldest first; merges counts
@@ -512,6 +512,11 @@ func (m *Manager) ValidateMerge(victims []plan.InstanceID) error {
 	if len(victims) < 2 {
 		return fmt.Errorf("core: merge needs at least two victims, got %d", len(victims))
 	}
+	return m.validate(victims)
+}
+
+// validate is admit under the lock, for a victim set about to retire.
+func (m *Manager) validate(victims []plan.InstanceID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	_, _, err := m.admit(victims)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -104,45 +105,48 @@ const (
 	evCtl
 )
 
-// transition is one in-flight topology change, advanced by the loop as
-// acknowledgements and checkpoint ships arrive. Stages time out rather
-// than wedge the queue.
+// transition is one in-flight control operation, advanced by the loop
+// as acknowledgements and checkpoint ships arrive; a stage times out
+// rather than wedge the queue. A recovery, scale out or scale in is
+// ordered by its core.Sequencer: a stage's acknowledgements and ships
+// become the events it awaits. Deploy, start and reattach run next once
+// their stage is in.
 type transition struct {
-	// victims are the instances a recovery, scale out or scale in
-	// supersedes (empty for deploy, start and reattach).
-	victims []plan.InstanceID
-	// scaling marks a ScaleOut/ScaleIn, as opposed to a failure recovery.
-	scaling  bool
 	seq      uint64
 	stage    int
 	waiting  int
 	ackErrs  []string
 	replayed int
 	// awaitShips holds the instances whose final checkpoints must land
-	// in the store before the stage advances.
+	// in the store before the stage is in.
 	awaitShips map[plan.InstanceID]bool
-	next       func()
 	done       chan error
 
+	sq *core.Sequencer
+	// report is the event the stage answers sq with once it is in.
+	report *core.Event
+	// encoded holds each replacement's checkpoint from Place to Adopt:
+	// the bytes of its durable file are the bytes of its MsgDeploy.
+	encoded map[plan.InstanceID][]byte
+
+	next func()
 	// reattach marks the reborn coordinator's reconciliation handshake:
 	// waiting counts MsgReattach inventories rather than MsgAck replies.
 	reattach bool
-	// retireSent/planned/newInsts track how far a scaling transition got,
-	// so any abort — worker death, stage timeout, a retire or reroute
-	// acknowledgement error — falls back to the normal recovery path for
-	// whatever the transition left behind instead of stranding stopped
-	// instances (see recoverAfterAbort).
-	retireSent bool
-	planned    bool
-	newInsts   []plan.InstanceID
 }
-
-// merge reports whether the transition is a scale in.
-func (t *transition) merge() bool { return len(t.victims) > 1 }
 
 // ready reports whether the current stage's acknowledgements and
 // checkpoint ships have all arrived.
 func (t *transition) ready() bool { return t.waiting <= 0 && len(t.awaitShips) == 0 }
+
+// expect awaits the acknowledgement of a sent control message; one
+// that reached no worker fails the stage.
+func (t *transition) expect(sent int) {
+	if sent == 0 {
+		t.ackErrs = append(t.ackErrs, "no worker reached")
+	}
+	t.waiting += sent
+}
 
 // Coordinator owns the query plan, the authoritative backup store, the
 // failure detector and the scaling policy for one distributed job. All
@@ -481,9 +485,7 @@ func (c *Coordinator) beginStart(done chan error) {
 	// stamps and latency observations across workers share the
 	// coordinator's frame (error ≈ one-way control latency per worker).
 	for _, addr := range c.order {
-		if c.sendTo(addr, &Control{Kind: MsgStart, Seq: t.seq, CoordNow: c.nowMillis()}) {
-			t.waiting++
-		}
+		t.waiting += c.sendTo(addr, &Control{Kind: MsgStart, Seq: t.seq, CoordNow: c.nowMillis()})
 	}
 	if t.waiting == 0 {
 		c.finish(t, fmt.Errorf("dist: start reached no workers"))
@@ -542,17 +544,11 @@ func (c *Coordinator) Fail(inst plan.InstanceID) error {
 	})
 }
 
-// Journaled actions of a scaling transition.
-const (
-	actionScaleOut = "scale-out"
-	actionScaleIn  = "scale-in"
-)
-
 // ScaleOut splits a live instance into pi partitions — the distributed
 // Algorithm 3. Blocks until the transition completes.
 func (c *Coordinator) ScaleOut(victim plan.InstanceID, pi int) error {
 	return c.await(4*c.cfg.TransitionTimeout, func(done chan error) {
-		c.beginScale([]plan.InstanceID{victim}, pi, actionScaleOut, done)
+		c.begin(core.ScaleOut, []plan.InstanceID{victim}, pi, c.nowMillis(), done)
 	})
 }
 
@@ -563,7 +559,7 @@ func (c *Coordinator) ScaleOut(victim plan.InstanceID, pi int) error {
 func (c *Coordinator) ScaleIn(victims []plan.InstanceID) error {
 	vs := append([]plan.InstanceID(nil), victims...)
 	return c.await(4*c.cfg.TransitionTimeout, func(done chan error) {
-		c.beginScale(vs, 1, actionScaleIn, done)
+		c.begin(core.ScaleIn, vs, 1, c.nowMillis(), done)
 	})
 }
 
@@ -747,17 +743,18 @@ func (c *Coordinator) broadcast(ctl *Control) int {
 	return n
 }
 
-// sendTo sends a control message to one worker.
-func (c *Coordinator) sendTo(addr string, ctl *Control) bool {
+// sendTo sends a control message to one worker and, like broadcast,
+// returns how many sends succeeded: 1 or 0.
+func (c *Coordinator) sendTo(addr string, ctl *Control) int {
 	ref := c.workers[addr]
 	if ref == nil || !ref.alive {
-		return false
+		return 0
 	}
 	body, err := encodeControl(ctl)
-	if err != nil {
-		return false
+	if err != nil || ref.peer.SendControl(body) != nil {
+		return 0
 	}
-	return ref.peer.SendControl(body) == nil
+	return 1
 }
 
 func (c *Coordinator) enqueueOp(fn func()) {
@@ -768,8 +765,21 @@ func (c *Coordinator) enqueueOp(fn func()) {
 	c.queue = append(c.queue, fn)
 }
 
+// advance moves a transition past a finished stage. A sequenced one
+// reports the stage to its sequencer — an acknowledgement error fails
+// the step for every instance — and runs what that releases.
 func (c *Coordinator) advance(t *transition) {
 	t.stage++
+	if t.report != nil {
+		ev := *t.report
+		if len(t.ackErrs) > 0 {
+			ev.Err, ev.Insts = cmp.Or(ev.Err, fmt.Errorf("dist: %s", strings.Join(t.ackErrs, "; "))), nil
+		}
+		ev.Replayed, ev.At = t.replayed, c.nowMillis()
+		t.report, t.ackErrs, t.replayed = nil, nil, 0
+		c.run(t, t.sq.Step(ev))
+		return
+	}
 	next := t.next
 	t.next = nil
 	if next != nil {
@@ -782,8 +792,12 @@ func (c *Coordinator) armTimeout(t *transition) {
 	stage := t.stage
 	time.AfterFunc(c.cfg.TransitionTimeout, func() {
 		c.post(event{kind: evCall, fn: func() {
-			if c.trans == t && t.stage == stage {
-				c.finish(t, fmt.Errorf("dist: transition for %v timed out at stage %d", t.victims, stage))
+			switch {
+			case c.trans != t || t.stage != stage:
+			case t.sq != nil:
+				c.run(t, t.sq.Step(core.Event{Kind: core.Timeout}))
+			default:
+				c.finish(t, fmt.Errorf("dist: transition timed out at stage %d", stage))
 			}
 		}})
 	})
@@ -793,24 +807,19 @@ func (c *Coordinator) finish(t *transition, err error) {
 	if c.trans != t {
 		return
 	}
-	c.trans = nil
-	// The closing record lands before the rollback runs: a coordinator
-	// that dies right after the abort record replays with the transition
-	// closed, and its rollback happens through reconciliation instead —
-	// the journal never claims a rollback that did not run.
+	// The stage timers hold t until they fire: drop the plan and its
+	// encoded checkpoints now.
+	c.trans, t.sq, t.encoded = nil, nil, nil
+	// The closing record lands before a rollback runs (a Recover queues
+	// it first in line): a coordinator that dies right after the abort
+	// record replays with the transition closed, and its rollback happens
+	// through reconciliation instead — the journal never claims a
+	// rollback that did not run.
 	if err != nil {
 		if !c.journal(&controlplane.Record{Kind: controlplane.RecAbort, Seq: t.seq, Reason: err.Error()}) {
 			return
 		}
 		c.pushErr("%v", err)
-		if t.scaling && !t.merge() {
-			c.scaler.Unmute(t.victims[0])
-		}
-		// A scaling transition that failed after mutating the topology
-		// (victims final-retired, or a plan committed to the graph) must
-		// not strand what it left behind: hand it to the normal recovery
-		// path. This may start a new transition immediately.
-		c.recoverAfterAbort(t)
 	} else if !c.journal(&controlplane.Record{Kind: controlplane.RecCommit, Seq: t.seq}) {
 		return
 	}
@@ -823,45 +832,6 @@ func (c *Coordinator) finish(t *transition, err error) {
 		next()
 	}
 	c.maybeRotate()
-}
-
-// recoverAfterAbort enqueues recovery of everything an aborted
-// ScaleOut/ScaleIn transition left stopped or planned-but-undeployed,
-// regardless of WHY it aborted (worker death, stage timeout, ack
-// error). Pre-plan: the final-retired victims are stopped on live
-// workers but still own their key ranges — recover each from its
-// latest stored checkpoint. Post-plan: the graph already holds the new
-// instance(s) with stored checkpoints — recover those instead.
-// Instances hosted by dead (or no) workers are skipped: onWorkerDown's
-// gather owns them. Recovery transitions themselves never re-enter
-// here, so a persistent failure surfaces through Errors rather than
-// looping.
-func (c *Coordinator) recoverAfterAbort(t *transition) {
-	var stranded []plan.InstanceID
-	switch {
-	case !t.scaling:
-	case t.planned:
-		stranded = t.newInsts
-	case t.retireSent:
-		stranded = t.victims
-	}
-	startedAt := c.nowMillis()
-	for _, inst := range stranded {
-		addr := c.placement[inst]
-		ref := c.workers[addr]
-		if addr == "" || ref == nil || !ref.alive {
-			continue
-		}
-		c.enqueueOp(func() {
-			// Best-effort stop first: the instance may still be running
-			// (its retire or deploy never landed) or already stopped —
-			// either way recovery replaces it from the store, and the
-			// worker's FIFO control queue sequences this retire before
-			// the recovery's reroute.
-			c.sendTo(addr, &Control{Kind: MsgRetire, Victims: []plan.InstanceID{inst}})
-			c.beginRecover(inst, startedAt)
-		})
-	}
 }
 
 func (c *Coordinator) onControl(ctl *Control) {
@@ -1014,10 +984,10 @@ func (c *Coordinator) onReports(reports []control.Report) {
 		Live:    func(inst plan.InstanceID) bool { return c.mgr.Live(inst) && c.placement[inst] != "" },
 	})
 	for _, victim := range splits {
-		c.enqueueOp(func() { c.beginScale([]plan.InstanceID{victim}, 2, actionScaleOut, nil) })
+		c.enqueueOp(func() { c.begin(core.ScaleOut, []plan.InstanceID{victim}, 2, c.nowMillis(), nil) })
 	}
 	for _, pair := range merges {
-		c.enqueueOp(func() { c.beginScale(pair, 1, actionScaleIn, nil) })
+		c.enqueueOp(func() { c.begin(core.ScaleIn, pair, 1, c.nowMillis(), nil) })
 	}
 }
 
@@ -1031,12 +1001,15 @@ func (c *Coordinator) onWorkerDown(addr string) {
 		ref.peer.Close()
 	}
 	delete(c.expectDown, addr)
-	// A merge in flight cannot outlive a worker death: abort it and fall
-	// back to the normal recovery path for whatever it left behind —
-	// retired-but-unmerged victims recover individually from their final
-	// checkpoints; a planned merge product recovers from the stored
-	// merged checkpoint (which carries the victims' legacy buffers).
-	c.abortMergeOnDown(addr)
+	// A merge in flight cannot outlive a worker death: abort it, and its
+	// abort-to-recovery recovers whatever it left behind on live workers
+	// — retired-but-unmerged victims from their final checkpoints, a
+	// planned merge product from the stored merged checkpoint (which
+	// carries the victims' legacy buffers). The worker is already marked
+	// dead, so the gather below owns everything it hosted.
+	if t := c.trans; t != nil && t.sq != nil && t.sq.Kind() == core.ScaleIn {
+		c.run(t, t.sq.Step(core.Event{Kind: core.Failed, Err: fmt.Errorf("dist: worker %s died", addr)}))
+	}
 	c.gatherLost(addr)
 }
 
@@ -1062,192 +1035,156 @@ func (c *Coordinator) gatherLost(addr string) {
 		}
 		victims = append(victims, inst)
 	}
+	c.recoverAll(victims)
+}
+
+// recoverAll queues the recovery of lost instances, in instance order.
+func (c *Coordinator) recoverAll(victims []plan.InstanceID) {
 	slices.SortFunc(victims, plan.InstanceID.Compare)
 	startedAt := c.nowMillis()
 	for _, v := range victims {
-		victim := v
-		c.enqueueOp(func() { c.beginRecover(victim, startedAt) })
+		c.enqueueOp(func() { c.begin(core.Recovery, []plan.InstanceID{v}, c.cfg.RecoveryPi, startedAt, nil) })
 	}
 }
 
-// beginRecover starts the replacement of an instance whose worker died.
-func (c *Coordinator) beginRecover(victim plan.InstanceID, startedAt int64) {
-	t := &transition{victims: []plan.InstanceID{victim}, seq: c.nextSeq()}
+// begin starts a sequenced transition. Its intent record lands before
+// the first action: a crash anywhere past it replays as an in-doubt
+// transition and rolls back through recovery.
+func (c *Coordinator) begin(kind core.Kind, victims []plan.InstanceID, pi int, startedAt int64, done chan error) {
+	t := &transition{seq: c.nextSeq(), done: done, awaitShips: make(map[plan.InstanceID]bool)}
 	c.trans = t
-	if !c.journal(&controlplane.Record{Kind: controlplane.RecIntent, Seq: t.seq, Action: "recover", Victims: t.victims, Pi: c.cfg.RecoveryPi}) {
-		return
-	}
-	c.continueTransition(t, c.cfg.RecoveryPi, true, startedAt)
-}
-
-// abortMergeOnDown aborts an in-flight merge when any worker dies
-// (rather than letting it wedge until the stage timeout). The fallback
-// recovery of whatever the transition left behind happens in finish()
-// via recoverAfterAbort; instances hosted by the dead worker are
-// gathered by onWorkerDown afterwards. Runs on the loop, before that
-// gather, and after the worker is marked dead — so the fallback skips
-// everything the gather owns.
-func (c *Coordinator) abortMergeOnDown(addr string) {
-	t := c.trans
-	if t == nil || !t.scaling || !t.merge() {
-		return
-	}
-	c.finish(t, fmt.Errorf("dist: merge of %v aborted: worker %s died", t.victims, addr))
-}
-
-// beginScale starts a scale out (one victim → pi) or a scale in (sibling
-// victims → one) on live victims: final-retire each — its worker stops
-// the instance FIRST, then captures and ships its final checkpoint, so
-// nothing is emitted past the state the replacements restore from and
-// there is no post-checkpoint window — then plan/reroute/deploy through
-// the one continuation.
-func (c *Coordinator) beginScale(victims []plan.InstanceID, pi int, action string, done chan error) {
-	t := &transition{victims: victims, scaling: true, seq: c.nextSeq(), done: done}
-	c.trans = t
-	startedAt := c.nowMillis()
-	if action == actionScaleIn {
-		if err := c.mgr.ValidateMerge(victims); err != nil {
-			c.finish(t, fmt.Errorf("dist: %w", err))
-			return
-		}
-	}
-	for _, v := range victims {
-		if !c.mgr.Live(v) || c.placement[v] == "" {
-			c.finish(t, fmt.Errorf("dist: %s is not live", v))
-			return
-		}
-	}
-	// Intent before the first retire: a crash anywhere past this point
-	// replays as an in-doubt transition and rolls back via recovery.
-	if !c.journal(&controlplane.Record{Kind: controlplane.RecIntent, Seq: t.seq, Action: action, Victims: victims, Pi: pi}) {
-		return
-	}
-	t.awaitShips = make(map[plan.InstanceID]bool, len(victims))
-	t.retireSent = true
-	for _, v := range victims {
-		if !c.sendTo(c.placement[v], &Control{Kind: MsgRetire, Seq: t.seq, Victims: []plan.InstanceID{v}, Final: true}) {
-			c.finish(t, fmt.Errorf("dist: retire %s: worker %s unreachable", v, c.placement[v]))
-			return
-		}
-		t.awaitShips[v] = true
-		t.waiting++
-	}
-	t.next = func() {
-		if len(t.ackErrs) > 0 {
-			c.finish(t, fmt.Errorf("dist: retire for %s of %v: %s", action, victims, strings.Join(t.ackErrs, "; ")))
-			return
-		}
-		c.continueTransition(t, pi, false, startedAt)
-	}
-	c.armTimeout(t)
-}
-
-// continueTransition plans the transition once (core.Manager.Plan) and
-// drives reroute → deploy → record — shared by failure recovery, scale
-// out and scale in. Every worker applies the plan's trim watermarks and
-// watermark inheritance with the reroute; deploying only after all
-// reroute acknowledgements guarantees the replacements' re-emissions
-// meet renamed acknowledgement maps everywhere.
-func (c *Coordinator) continueTransition(t *transition, pi int, failure bool, startedAt int64) {
-	tp, err := c.mgr.Plan(t.victims, pi, failure)
+	sq, err := core.NewSequencer(c.mgr, c.scaler, kind, victims, pi, startedAt)
 	if err != nil {
-		c.finish(t, fmt.Errorf("dist: plan %v (pi=%d): %w", t.victims, pi, err))
+		c.finish(t, fmt.Errorf("dist: %w", err))
 		return
 	}
-	t.planned = true
-	t.newInsts = tp.NewInstances
-	newPl := make([]controlplane.Placement, len(tp.NewInstances))
-	for i, ni := range tp.NewInstances {
+	t.sq = sq
+	if !c.journal(&controlplane.Record{Kind: controlplane.RecIntent, Seq: t.seq, Action: kind.String(), Victims: victims, Pi: pi}) {
+		return
+	}
+	c.run(t, sq.Start())
+}
+
+// run executes a sequenced transition's actions on the loop; each
+// stage reports once its acknowledgements and ships are in (advance).
+func (c *Coordinator) run(t *transition, actions []core.Action) {
+	for _, a := range actions {
+		switch a.Kind {
+		case core.Retire:
+			// Each worker stops its victim FIRST, then captures and ships its
+			// final checkpoint (rule 1 in core.Sequencer).
+			t.report = &core.Event{Kind: core.Retired}
+			for _, v := range a.Insts {
+				sent := c.sendTo(c.placement[v], &Control{Kind: MsgRetire, Seq: t.seq, Victims: []plan.InstanceID{v}, Final: true})
+				if t.expect(sent); sent > 0 {
+					t.awaitShips[v] = true
+				}
+			}
+		case core.Place:
+			if !c.place(t, a.Plan) {
+				return
+			}
+		case core.Reroute:
+			// Every worker applies the trims and inheritance with the
+			// reroute; deploying only after every reroute acknowledgement
+			// lets the replacements' re-emissions meet renamed
+			// acknowledgement maps everywhere.
+			tp := a.Plan
+			newPl := make([]controlplane.Placement, len(tp.NewInstances))
+			for i, ni := range tp.NewInstances {
+				newPl[i] = controlplane.Placement{Inst: ni, Addr: c.placement[ni]}
+			}
+			t.report = &core.Event{Kind: core.Rerouted}
+			t.expect(c.broadcast(&Control{Kind: MsgReroute, Seq: t.seq, Op: tp.Victims[0].Op, Routing: state.MarshalRouting(tp.Routing),
+				New: newPl, Victims: tp.Victims, Inherit: tp.Inherit, TrimAcks: tp.Trims}))
+		case core.Adopt:
+			routing := state.MarshalRouting(a.Plan.Routing)
+			t.report = &core.Event{Kind: core.Adopted, Insts: a.Insts}
+			for _, ni := range a.Insts {
+				t.expect(c.sendTo(c.placement[ni], &Control{Kind: MsgDeploy, Seq: t.seq, Routing: routing, Checkpoint: t.encoded[ni]}))
+			}
+		case core.Checkpoint:
+			// Fire and forget: the periodic checkpoint loop covers a miss.
+			c.sendTo(c.placement[a.Insts[0]], &Control{Kind: MsgBarrier, Victims: a.Insts})
+		case core.Recover:
+			c.recoverStranded(a.Insts)
+		case core.Done:
+			c.finish(t, a.Err)
+			return
+		}
+	}
+	switch {
+	case !t.ready():
+		c.armTimeout(t)
+	case t.report != nil:
+		c.advance(t)
+	}
+}
+
+// place is the Place action: a worker for each replacement, each
+// checkpoint encoded once — the bytes of its durable file are the bytes
+// of its MsgDeploy — and the plan journaled before any worker sees it.
+// Replacement files are on disk before the planned record (replay
+// recovers them from those files); victim files are deleted only after
+// it, so a crash in between leaves stale files that replay's liveness
+// sweep removes. False when the coordinator died at the record.
+func (c *Coordinator) place(t *transition, tp *core.Transition) bool {
+	for _, ni := range tp.NewInstances {
 		addr := c.pickWorker()
 		if addr == "" {
-			c.finish(t, fmt.Errorf("dist: no live workers to host %s", ni))
-			return
+			t.report = &core.Event{Kind: core.Failed, Err: fmt.Errorf("dist: no live workers to host %s", ni)}
+			return true
 		}
 		c.placement[ni] = addr
-		newPl[i] = controlplane.Placement{Inst: ni, Addr: addr}
 	}
-	for _, v := range t.victims {
+	for _, v := range tp.Victims {
 		delete(c.placement, v)
 	}
-	// Durable-file ordering: replacement checkpoints on disk BEFORE the
-	// plan is journaled (replay recovers them from those files), victim
-	// files deleted only after — a crash in between leaves stale files
-	// that replay's liveness sweep removes. Each replacement is encoded
-	// once: the bytes of its durable file are the bytes of its MsgDeploy.
-	blobs := make([][]byte, len(tp.Checkpoints))
-	var encErr error
-	for i, cp := range tp.Checkpoints {
-		if blobs[i], err = state.MarshalCheckpoint(cp, c.codec); err != nil {
-			encErr = fmt.Errorf("dist: encode checkpoint for %s: %w", cp.Instance, err)
-			break
+	t.encoded = make(map[plan.InstanceID][]byte, len(tp.Checkpoints))
+	t.report = &core.Event{Kind: core.Placed}
+	for _, cp := range tp.Checkpoints {
+		blob, err := state.MarshalCheckpoint(cp, c.codec)
+		if err != nil {
+			t.report.Err = cmp.Or(t.report.Err, fmt.Errorf("dist: encode checkpoint for %s: %w", cp.Instance, err))
+			continue
 		}
 		if c.dstore != nil {
-			if err := c.dstore.Persist(cp.Instance, blobs[i]); err != nil {
+			if err := c.dstore.Persist(cp.Instance, blob); err != nil {
 				c.pushErr("dist: persist checkpoint for %s: %v", cp.Instance, err)
 			}
 		}
+		t.encoded[cp.Instance] = blob
+		t.report.Insts = append(t.report.Insts, cp.Instance)
 	}
 	if !c.journal(&controlplane.Record{Kind: controlplane.RecPlanned, Seq: t.seq, State: c.snapshotState(), Trims: tp.Trims}) {
-		return
+		return false
 	}
 	if c.dstore != nil {
-		for _, v := range t.victims {
+		for _, v := range tp.Victims {
 			c.dstore.Delete(v)
 		}
 	}
-	routingBlob := state.MarshalRouting(tp.Routing)
-	t.waiting = c.broadcast(&Control{
-		Kind:     MsgReroute,
-		Seq:      t.seq,
-		Op:       t.victims[0].Op,
-		Routing:  routingBlob,
-		New:      newPl,
-		Victims:  t.victims,
-		Inherit:  tp.Inherit,
-		TrimAcks: tp.Trims,
-	})
-	if t.waiting == 0 {
-		c.finish(t, fmt.Errorf("dist: reroute for %v reached no workers", t.victims))
-		return
-	}
-	t.next = func() {
-		if len(t.ackErrs) > 0 {
-			c.finish(t, fmt.Errorf("dist: reroute for %v: %s", t.victims, strings.Join(t.ackErrs, "; ")))
-			return
-		}
-		if encErr != nil {
-			c.finish(t, encErr)
-			return
-		}
-		sent := 0
-		for i, blob := range blobs {
-			if c.sendTo(newPl[i].Addr, &Control{Kind: MsgDeploy, Seq: t.seq, Routing: routingBlob, Checkpoint: blob}) {
-				sent++
-			}
-		}
-		if sent == 0 {
-			c.finish(t, fmt.Errorf("dist: deploy for %v reached no workers", t.victims))
-			return
-		}
-		t.waiting = sent
-		t.next = func() {
-			if len(t.ackErrs) > 0 {
-				c.finish(t, fmt.Errorf("dist: deploy for %v: %s", t.victims, strings.Join(t.ackErrs, "; ")))
-				return
-			}
-			c.mgr.Complete(tp, failure, startedAt, c.nowMillis(), t.replayed)
-			c.scaler.Forget(t.victims)
-			if tp.Merge() {
-				// A fresh barrier ships a self-consistent checkpoint of the
-				// merge product, superseding the synthesized plan-time
-				// artifact in the store (fire-and-forget: the periodic
-				// checkpoint loop covers a miss).
-				c.sendTo(newPl[0].Addr, &Control{Kind: MsgBarrier, Victims: tp.NewInstances})
-			}
-			c.finish(t, nil)
+	return true
+}
+
+// recoverStranded is the Recover action: each stranded instance on a
+// live worker is stopped — best effort: its retire or deploy may never
+// have landed — and recovered from the store, first in line once the
+// abort record lands. The worker's FIFO control queue sequences the stop
+// before the recovery's reroute. Instances on dead (or no) workers are
+// left to onWorkerDown's gather.
+func (c *Coordinator) recoverStranded(stranded []plan.InstanceID) {
+	startedAt := c.nowMillis()
+	var ops []func()
+	for _, inst := range stranded {
+		if addr := c.placement[inst]; c.workers[addr] != nil && c.workers[addr].alive {
+			ops = append(ops, func() {
+				c.sendTo(addr, &Control{Kind: MsgRetire, Victims: []plan.InstanceID{inst}})
+				c.begin(core.Fallback, []plan.InstanceID{inst}, c.cfg.RecoveryPi, startedAt, nil)
+			})
 		}
 	}
-	c.armTimeout(t)
+	c.queue = append(ops, c.queue...)
 }
 
 // pickWorker returns the live worker hosting the fewest instances.

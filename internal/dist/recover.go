@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -290,12 +289,7 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 		}
 		missing = append(missing, inst)
 	}
-	slices.SortFunc(missing, plan.InstanceID.Compare)
-	startedAt := c.nowMillis()
-	for _, v := range missing {
-		victim := v
-		c.enqueueOp(func() { c.beginRecover(victim, startedAt) })
-	}
+	c.recoverAll(missing)
 	for _, addr := range c.order {
 		if ref := c.workers[addr]; ref != nil && ref.peer == nil {
 			c.gatherLost(addr)

@@ -278,6 +278,9 @@ type node struct {
 	done      chan struct{} // closed when the goroutine exits
 	failed    atomic.Bool
 	processed metrics.Counter
+	// failedAt is when Fail crash-stopped the node, the start of its
+	// recovery's record (guarded by e.mu).
+	failedAt int64
 }
 
 // Engine runs one query.
@@ -286,13 +289,12 @@ type Engine struct {
 	mgr       *core.Manager
 	factories map[plan.OpID]operator.Factory
 
-	// mu guards nodes, routings, failedAt and topology rebuilds. The data
-	// path never takes it: hot-path readers go through the atomic
-	// route-table and node-set snapshots.
+	// mu guards nodes (and each node's failedAt), routings and topology
+	// rebuilds. The data path never takes it: hot-path readers go through
+	// the atomic route-table and node-set snapshots.
 	mu       sync.RWMutex
 	nodes    map[plan.InstanceID]*node
 	routings map[plan.OpID]*state.Routing
-	failedAt map[plan.InstanceID]int64
 	epoch    uint64
 
 	// set is the current nodeSet snapshot, rebuilt with the route
@@ -362,7 +364,6 @@ func New(cfg Config, q *plan.Query, factories map[plan.OpID]operator.Factory) (*
 		factories: factories,
 		nodes:     make(map[plan.InstanceID]*node),
 		routings:  make(map[plan.OpID]*state.Routing),
-		failedAt:  make(map[plan.InstanceID]int64),
 		stopAll:   make(chan struct{}),
 		Latency:   &metrics.Histogram{},
 	}

@@ -322,7 +322,7 @@ func TestEngineConcurrentSafety(t *testing.T) {
 		t.Fatal("no quiesce")
 	}
 	// 4500 injected, exactly 4500 counted: the scale-out victim stops
-	// before its final checkpoint is captured (rule 1 in transition.go),
+	// before its final checkpoint is captured (rule 1 in core.Sequencer),
 	// so there is no post-checkpoint window whose tuples could be lost or
 	// double-counted at the replacements.
 	if total := totalOf(counts(e)); total != 4500 {

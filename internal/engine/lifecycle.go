@@ -85,7 +85,7 @@ func (e *Engine) checkpointNode(n *node) {
 				e.trimAcked(n.inst, cap.delta.Acks)
 			}
 		default:
-			err = e.storeFull(host, cap.full)
+			err = e.storeFull(cap.full)
 		}
 		if err == nil {
 			return
@@ -99,14 +99,18 @@ func (e *Engine) checkpointNode(n *node) {
 	}
 }
 
-// storeFull stores a full checkpoint in the in-process backup store and
-// trims the upstream buffers it acknowledges.
-func (e *Engine) storeFull(host plan.InstanceID, cp *state.Checkpoint) error {
-	if err := e.mgr.Backups().Store(host, cp); err != nil {
-		return err
+// storeFull stores a full checkpoint at its backup host in the
+// in-process backup store and trims the upstream buffers it
+// acknowledges.
+func (e *Engine) storeFull(cp *state.Checkpoint) error {
+	host, err := e.mgr.BackupTarget(cp.Instance)
+	if err == nil {
+		err = e.mgr.Backups().Store(host, cp)
 	}
-	e.trimAcked(cp.Instance, cp.Acks)
-	return nil
+	if err == nil {
+		e.trimAcked(cp.Instance, cp.Acks)
+	}
+	return err
 }
 
 // requestCapture obtains a checkpoint capture from the node. On a
@@ -175,7 +179,7 @@ func (e *Engine) Fail(inst plan.InstanceID) error {
 		return fmt.Errorf("engine: sources and sinks are assumed reliable (§2.2)")
 	}
 	n.failed.Store(true)
-	e.failedAt[inst] = e.NowMillis()
+	n.failedAt = e.NowMillis()
 	e.mu.Unlock()
 	n.stop()
 	e.mgr.HandleHostFailure(inst)

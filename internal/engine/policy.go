@@ -60,9 +60,11 @@ func (e *Engine) EnablePolicy(policy control.Policy, scaleIn *control.ScaleInPol
 	}()
 }
 
-// policyRound executes one round's decisions on the policy goroutine; a
-// refused scale out (e.g. victim just replaced) unmutes for the next
-// round.
+// policyRound executes one round's decisions on the policy goroutine. A
+// scale out that fails, or that the manager refuses, unmutes its victim
+// (core.Sequencer); one refused because the victim failed or was
+// replaced meanwhile needs nothing: the transition that replaces it
+// forgets it.
 func (e *Engine) policyRound() {
 	set := e.set.Load()
 	splits, merges := e.scaler.Round(e.UtilReports(), control.View{
@@ -74,9 +76,7 @@ func (e *Engine) policyRound() {
 		},
 	})
 	for _, victim := range splits {
-		if err := e.ScaleOut(victim, 2); err != nil {
-			e.scaler.Unmute(victim)
-		}
+		_ = e.ScaleOut(victim, 2)
 	}
 	for _, pair := range merges {
 		_ = e.MergeInstances(pair)

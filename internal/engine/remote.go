@@ -5,7 +5,7 @@ package engine
 // *node (the in-process zero-copy batch path) or to the Remote link
 // registered here. The coordinator drives topology transitions over the
 // wire through RetireFinal / ApplyReroute / AdoptInstance: the steps of
-// the one transition in transition.go, each run on the worker that owns
+// the one transition sequence (core.Sequencer), each run on the worker that owns
 // the affected state and sequenced by the coordinator.
 
 import (
@@ -153,7 +153,7 @@ func (e *Engine) Retire(inst plan.InstanceID) error {
 // the goroutine has exited and removes the node from the topology. The
 // capture reflects everything the instance ever processed and emitted,
 // so a transition planned from it has no post-checkpoint window to
-// reconstruct (rule 1 in transition.go). The caller ships the returned
+// reconstruct (rule 1 in core.Sequencer). The caller ships the returned
 // checkpoint to the authoritative store.
 func (e *Engine) RetireFinal(inst plan.InstanceID) (*state.Checkpoint, error) {
 	e.mu.Lock()

@@ -1,46 +1,15 @@
 package engine
 
-// One transition. Failure recovery, scale out and scale in are the same
-// staged switch-over from N victims to M replacements (§4.2: "operator
-// recovery becomes a special case of scale out"; the §3.3 merge is the
-// N→1 shape), planned once by core.Manager.Plan and executed by one
-// sequence of steps:
-//
-//	final-retire each live victim → store its capture → plan →
-//	reroute → adopt → record
-//
-// The steps are the ones a distributed worker executes on the
-// coordinator's orders (RetireFinal, ApplyReroute and AdoptInstance in
-// remote.go, each on the worker that owns the affected state); the
-// in-process engine runs them back to back, reroute and adopt under one
-// hold of the engine lock — Live is Distributed with one worker. Three
-// rules keep every shape exactly-once:
-//
-//  1. A live victim stops BEFORE its final checkpoint is captured, so
-//     the capture reflects everything it ever processed and emitted.
-//     There is no post-checkpoint window to reconstruct: tuples in
-//     flight to a stopped victim are dropped unprocessed and stay
-//     retained upstream for replay. (A failed victim is planned from its
-//     last shipped checkpoint instead; upstream retains everything past
-//     it.)
-//  2. The victims' retained output replays downstream under the identity
-//     that stamped it, against the per-sender duplicate-detection
-//     watermarks downstream already holds: a lone replacement inherits
-//     its victim's watermark (core.Inherit), and merged victims' buffers
-//     survive as the product's legacy buffers (state.Checkpoint.Legacy)
-//     under the victims' own names until downstream checkpoints
-//     acknowledge them.
-//  3. Upstream buffers are trimmed to each victim's own final watermark
-//     (core.Trim) before they are repartitioned under the new routing,
-//     and the new route tables are installed atomically with that
-//     repartitioning: every emitted tuple is either already retained when
-//     its buffer is repartitioned (and replayed under the new routing,
-//     ahead of anything fresh) or routed with the new table. A merge
-//     product's watermark per upstream is the victims' MINIMUM
-//     (state.MergeCheckpoints), so the replay set is exactly the union
-//     of tuples no victim had processed.
+// Transitions. The live engine executes core.Sequencer's actions inline
+// (the sequence and the rules that keep it exactly-once are documented
+// there). They are the steps a distributed worker executes on the
+// coordinator's orders — RetireFinal, ApplyReroute and AdoptInstance in
+// remote.go — run back to back here, reroute and adopt under one hold of
+// the engine lock: Live is Distributed with one worker.
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"iter"
 
@@ -52,15 +21,13 @@ import (
 // Recover replaces a failed instance with pi new ones (π=1 serial
 // recovery, π≥2 parallel recovery).
 func (e *Engine) Recover(inst plan.InstanceID, pi int) error {
-	_, err := e.transition([]plan.InstanceID{inst}, pi, true)
-	return err
+	return e.transition(core.Recovery, []plan.InstanceID{inst}, pi)
 }
 
 // ScaleOut splits a live instance into pi partitioned instances
 // (Algorithm 3).
 func (e *Engine) ScaleOut(victim plan.InstanceID, pi int) error {
-	_, err := e.transition([]plan.InstanceID{victim}, pi, false)
-	return err
+	return e.transition(core.ScaleOut, []plan.InstanceID{victim}, pi)
 }
 
 // MergeInstances merges two or more sibling partitions owning adjacent
@@ -69,109 +36,92 @@ func (e *Engine) MergeInstances(victims []plan.InstanceID) error {
 	if e.cfg.CheckpointInterval <= 0 {
 		return fmt.Errorf("engine: scale in requires checkpointing (CheckpointInterval > 0)")
 	}
-	if err := e.mgr.ValidateMerge(victims); err != nil {
-		return err
+	return e.transition(core.ScaleIn, victims, 1)
+}
+
+// transition runs one sequence to its Done. Live victims are checked
+// first, so a bad set is refused with nothing stopped; a failed victim's
+// record starts at Fail.
+func (e *Engine) transition(kind core.Kind, victims []plan.InstanceID, pi int) error {
+	if e.cfg.Backup != nil {
+		return fmt.Errorf("engine: transitions on a distributed worker are driven by the coordinator")
 	}
-	product, err := e.transition(victims, 1, false)
+	startedAt := e.NowMillis()
+	e.mu.RLock()
+	for _, v := range victims {
+		if n := e.nodes[v]; kind == core.Recovery && n != nil && n.failed.Load() {
+			startedAt = n.failedAt
+		} else if kind != core.Recovery && (n == nil || n.failed.Load()) {
+			e.mu.RUnlock()
+			return fmt.Errorf("engine: %s is not live", v)
+		}
+	}
+	e.mu.RUnlock()
+	sq, err := core.NewSequencer(e.mgr, e.scaler, kind, victims, pi, startedAt)
 	if err != nil {
 		return err
 	}
-	// Ship a fresh checkpoint of the product immediately: it supersedes
-	// the plan-time artifact in the backup store, so a failure right
-	// after the merge recovers from a self-consistent capture instead of
-	// the synthesized one.
-	return e.Checkpoint(product[0])
+	return e.run(sq)
 }
 
-// transition runs one switch-over and, once, the abort-to-recovery
-// fallback for whatever it stranded: victims it stopped but could not
-// plan for, and planned instances it could not build. Either kind is
-// live in the manager's graph with a stored checkpoint and hosted by no
-// node, so it recovers through the same switch-over exactly as after a
-// crash — a failed transition of any kind cannot leave a key range
-// unserved (policy-driven transitions have no caller to clean up after
-// them). The fallback's own stranded set is reported, not retried.
-func (e *Engine) transition(victims []plan.InstanceID, pi int, failure bool) ([]plan.InstanceID, error) {
-	if e.cfg.Backup != nil {
-		return nil, fmt.Errorf("engine: transitions on a distributed worker are driven by the coordinator")
-	}
-	newInsts, stranded, err := e.switchOver(victims, pi, failure)
-	if len(stranded) > 0 {
-		err = fmt.Errorf("engine: transition of %v completed via recovery of %v: %w", victims, stranded, err)
-	}
-	for _, inst := range stranded {
-		if _, _, rerr := e.switchOver([]plan.InstanceID{inst}, 1, true); rerr != nil {
-			err = fmt.Errorf("%w; recovery of %s failed: %v", err, inst, rerr)
-		}
-	}
-	return newInsts, err
-}
-
-// switchOver executes the staged sequence once. It returns the planned
-// replacements, and — with a non-nil error — the instances it stranded
-// (see transition).
-func (e *Engine) switchOver(victims []plan.InstanceID, pi int, failure bool) (newInsts, stranded []plan.InstanceID, err error) {
-	startedAt := e.NowMillis()
-	if !failure {
-		// Rule 1. Check every victim first so a bad set is rejected with
-		// nothing stopped; past that, a failed retire (state that would
-		// not encode, a racing Fail) strands what has been stopped so far
-		// with its last stored checkpoint.
-		e.mu.RLock()
-		for _, v := range victims {
-			if n := e.nodes[v]; n == nil || n.failed.Load() {
-				e.mu.RUnlock()
-				return nil, nil, fmt.Errorf("engine: %s is not live", v)
+// run executes a sequence's actions inline until its Done; a Recover
+// runs one Fallback sequence per stranded instance.
+func (e *Engine) run(sq *core.Sequencer) error {
+	built := make(map[plan.InstanceID]*node)
+	var errs []error
+	for queue := sq.Start(); len(queue) > 0; queue = queue[1:] {
+		switch a := queue[0]; a.Kind {
+		case core.Retire:
+			ev := core.Event{Kind: core.Retired}
+			for _, v := range a.Insts {
+				cp, err := e.RetireFinal(v)
+				if err == nil {
+					err = e.storeFull(cp)
+				}
+				ev.Err = cmp.Or(ev.Err, err)
 			}
-		}
-		e.mu.RUnlock()
-		for i, v := range victims {
-			cp, rerr := e.RetireFinal(v)
-			if rerr == nil {
-				var host plan.InstanceID
-				if host, rerr = e.mgr.BackupTarget(v); rerr == nil {
-					rerr = e.storeFull(host, cp)
+			queue = append(queue, sq.Step(ev)...)
+		case core.Place:
+			ev := core.Event{Kind: core.Placed}
+			for _, cp := range a.Plan.Checkpoints {
+				nn, err := e.buildReplacement(cp)
+				if ev.Err = cmp.Or(ev.Err, err); err == nil {
+					built[cp.Instance] = nn
+					ev.Insts = append(ev.Insts, cp.Instance)
 				}
 			}
-			if rerr != nil {
-				return nil, victims[:i+1], rerr
+			queue = append(queue, sq.Step(ev)...)
+		case core.Reroute:
+			queue = append(queue, e.switchOver(sq, a.Plan, built)...)
+		case core.Checkpoint:
+			errs = append(errs, e.Checkpoint(a.Insts[0]))
+		case core.Recover:
+			for _, inst := range a.Insts {
+				fb, _ := core.NewSequencer(e.mgr, e.scaler, core.Fallback, []plan.InstanceID{inst}, 1, e.NowMillis())
+				errs = append(errs, e.run(fb))
 			}
+		case core.Done:
+			return errors.Join(append([]error{a.Err}, errs...)...)
 		}
 	}
-	tp, err := e.mgr.Plan(victims, pi, failure)
-	if err != nil {
-		if failure {
-			// The victim was already down; nothing new is stranded.
-			return nil, nil, err
-		}
-		return nil, victims, err
-	}
+	return nil
+}
 
-	// Build and restore the replacements before exposing them to traffic.
-	// One that cannot be built is treated as crashed at birth: the rest
-	// of the plan executes around it and it is recovered afterwards.
-	var built []*node
-	var restored []*state.Checkpoint
-	for _, cp := range tp.Checkpoints {
-		nn, berr := e.buildReplacement(cp)
-		if berr != nil {
-			stranded = append(stranded, cp.Instance)
-			err = berr
-			continue
-		}
-		built, restored = append(built, nn), append(restored, cp)
-	}
-
+// switchOver executes a Reroute and the Adopt it releases under one hold
+// of e.mu: the replacements are registered (not yet started) before the
+// reroute swaps any table, so tuples emitted from then on queue in their
+// input channels behind the replay. Returns the actions that follow.
+func (e *Engine) switchOver(sq *core.Sequencer, tp *core.Transition, built map[plan.InstanceID]*node) []core.Action {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	select {
 	case <-e.stopAll:
-		// The engine is stopping: starting replacement goroutines now
-		// would leak past Stop's node snapshot.
-		return nil, nil, fmt.Errorf("engine: stopping; %v not replaced", victims)
+		// Starting replacement goroutines now would leak past Stop's node
+		// snapshot.
+		return sq.Step(core.Event{Kind: core.Rerouted, Err: fmt.Errorf("engine: stopping; %v not replaced", tp.Victims)})
 	default:
 	}
-	for _, v := range victims {
+	for _, v := range tp.Victims {
 		// Only a failed victim is still registered (and already stopped).
 		if old := e.nodes[v]; old != nil {
 			old.failed.Store(true)
@@ -179,29 +129,26 @@ func (e *Engine) switchOver(victims []plan.InstanceID, pi int, failure bool) (ne
 			delete(e.nodes, v)
 		}
 	}
-	// The replacements are registered (not yet started) before the
-	// reroute swaps any table, so tuples emitted from then on queue in
-	// their input channels behind the replay.
 	for _, nn := range built {
 		e.nodes[nn.inst] = nn
 	}
-	replayed := e.rerouteLocked(victims[0].Op, tp.Routing, tp.NewInstances, tp.Inherit, tp.Trims,
-		func(b state.Batch) {
-			if nn := e.nodes[b.To]; nn != nil {
-				nn.replayQueue = append(nn.replayQueue, b)
-			}
-		})
-	for i, nn := range built {
-		replayed += e.adoptLocked(nn, restored[i])
+	replayed := e.rerouteLocked(tp.Victims[0].Op, tp.Routing, tp.NewInstances, tp.Inherit, tp.Trims, func(b state.Batch) {
+		if nn := e.nodes[b.To]; nn != nil {
+			nn.replayQueue = append(nn.replayQueue, b)
+		}
+	})
+	next := sq.Step(core.Event{Kind: core.Rerouted, Replayed: replayed})
+	if len(next) == 0 || next[0].Kind != core.Adopt {
+		return next
 	}
-	// For failure recovery the clock starts at Fail.
-	if t, ok := e.failedAt[victims[0]]; ok {
-		startedAt = t
-		delete(e.failedAt, victims[0])
+	ev := core.Event{Kind: core.Adopted, Insts: next[0].Insts}
+	for _, cp := range tp.Checkpoints {
+		if nn := built[cp.Instance]; nn != nil {
+			ev.Replayed += e.adoptLocked(nn, cp)
+		}
 	}
-	e.mgr.Complete(tp, failure, startedAt, e.NowMillis(), replayed)
-	e.scaler.Forget(victims)
-	return tp.NewInstances, stranded, err
+	ev.At = e.NowMillis()
+	return sq.Step(ev)
 }
 
 // buildReplacement builds the node for a planned instance and restores
@@ -233,10 +180,10 @@ func (e *Engine) buildReplacement(cp *state.Checkpoint) (*node, error) {
 // every local upstream node swap the route table, repartition its
 // retained output and hand the tuples now owned by newInsts to deliver —
 // all under that node's mutex, so a fresh emission can never overtake
-// its replayed predecessors (rule 3). Inheritance must be in place on
-// every node before a replacement starts re-emitting, which is why the
-// adopt step comes strictly after. Returns the number of tuples
-// replayed from local buffers.
+// its replayed predecessors (rule 3 in core.Sequencer). Inheritance must
+// be in place on every node before a replacement starts re-emitting,
+// which is why the adopt step comes strictly after. Returns the number
+// of tuples replayed from local buffers.
 //
 // seep:locks e.mu
 func (e *Engine) rerouteLocked(op plan.OpID, routing *state.Routing, newInsts []plan.InstanceID, inherit []core.Inherit, trims []core.Trim, deliver func(state.Batch)) int {

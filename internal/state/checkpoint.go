@@ -69,20 +69,29 @@ func LegacyOwners(legacy map[plan.InstanceID]*Buffer) []plan.InstanceID {
 	return out
 }
 
-// CloneLegacy deep-copies a legacy buffer map, dropping entries with no
-// live tuples (nil when nothing remains).
-func CloneLegacy(legacy map[plan.InstanceID]*Buffer) map[plan.InstanceID]*Buffer {
+// CloneLegacy deep-copies legacy buffer maps into one, dropping entries
+// with no live tuples (nil when nothing remains).
+func CloneLegacy(legacies ...map[plan.InstanceID]*Buffer) map[plan.InstanceID]*Buffer {
 	var out map[plan.InstanceID]*Buffer
-	for owner, b := range legacy {
-		if b == nil || b.Len() == 0 {
-			continue
+	for _, legacy := range legacies {
+		for owner, b := range legacy {
+			if b == nil || b.Len() == 0 {
+				continue
+			}
+			if out == nil {
+				out = make(map[plan.InstanceID]*Buffer, len(legacy))
+			}
+			out[owner] = b.Clone()
 		}
-		if out == nil {
-			out = make(map[plan.InstanceID]*Buffer, len(legacy))
-		}
-		out[owner] = b.Clone()
 	}
 	return out
+}
+
+// retained is a superseded checkpoint's retained output as legacy
+// buffers: its own buffer under its own identity, and the legacy buffers
+// it carries.
+func (c *Checkpoint) retained() []map[plan.InstanceID]*Buffer {
+	return []map[plan.InstanceID]*Buffer{{c.Instance: c.Buffer}, c.Legacy}
 }
 
 // CloneAcks returns a copy of the acknowledgement map (nil-safe).
@@ -145,6 +154,14 @@ func (c *Checkpoint) Validate() error {
 // output tuples precede the split and any instance may replay them; the
 // first partition is chosen by convention.
 //
+// A lone part takes the buffer as its own: it inherits the checkpoint's
+// identity downstream (core.Inherit). Several parts are fresh
+// identities, so the first keeps the buffer as a Legacy buffer under the
+// checkpoint's instance — the merge rule (MergeCheckpoints): a victim's
+// retained output replays under the identity that stamped it, against
+// the duplicate-detection watermark downstream holds for it. Legacy
+// buffers the checkpoint carries pass through with the first part.
+//
 // newInstances[i] receives the state for ranges[i].
 func PartitionCheckpoint(c *Checkpoint, newInstances []plan.InstanceID, ranges []KeyRange) ([]*Checkpoint, error) {
 	if err := c.Validate(); err != nil {
@@ -156,7 +173,7 @@ func PartitionCheckpoint(c *Checkpoint, newInstances []plan.InstanceID, ranges [
 	parts := c.Processing.Partition(ranges)
 	out := make([]*Checkpoint, len(ranges))
 	for i := range ranges {
-		cp := &Checkpoint{
+		out[i] = &Checkpoint{
 			Instance:   newInstances[i],
 			Seq:        1,
 			Processing: parts[i],
@@ -164,17 +181,12 @@ func PartitionCheckpoint(c *Checkpoint, newInstances []plan.InstanceID, ranges [
 			OutClock:   c.OutClock,
 			Acks:       CloneAcks(c.Acks),
 		}
-		if i == 0 {
-			if c.Buffer != nil {
-				cp.Buffer = c.Buffer.Clone()
-			}
-			// Legacy buffers follow the buffer state: any partition may
-			// replay them, and the first is chosen by the same convention
-			// as line 7.
-			cp.Legacy = CloneLegacy(c.Legacy)
-		}
-		out[i] = cp
 	}
+	legacy := c.retained()
+	if len(out) == 1 && c.Buffer != nil {
+		out[0].Buffer, legacy = c.Buffer.Clone(), legacy[1:]
+	}
+	out[0].Legacy = CloneLegacy(legacy...)
 	return out, nil
 }
 
@@ -204,6 +216,7 @@ func MergeCheckpoints(target plan.InstanceID, cs ...*Checkpoint) (*Checkpoint, e
 		return nil, fmt.Errorf("state: merge of zero checkpoints")
 	}
 	procs := make([]*Processing, 0, len(cs))
+	var legacy []map[plan.InstanceID]*Buffer
 	out := &Checkpoint{Instance: target, Seq: 1, Buffer: NewBuffer()}
 	seen := make(map[plan.InstanceID]int)
 	for _, c := range cs {
@@ -214,21 +227,7 @@ func MergeCheckpoints(target plan.InstanceID, cs ...*Checkpoint) (*Checkpoint, e
 			return nil, fmt.Errorf("state: merging %s into %s across operators", c.Instance, target)
 		}
 		procs = append(procs, c.Processing)
-		if c.Buffer != nil && c.Buffer.Len() > 0 {
-			if out.Legacy == nil {
-				out.Legacy = make(map[plan.InstanceID]*Buffer)
-			}
-			out.Legacy[c.Instance] = c.Buffer.Clone()
-		}
-		for owner, b := range c.Legacy {
-			if b == nil || b.Len() == 0 {
-				continue
-			}
-			if out.Legacy == nil {
-				out.Legacy = make(map[plan.InstanceID]*Buffer)
-			}
-			out.Legacy[owner] = b.Clone()
-		}
+		legacy = append(legacy, c.retained()...)
 		if c.OutClock > out.OutClock {
 			out.OutClock = c.OutClock
 		}
@@ -250,6 +249,7 @@ func MergeCheckpoints(target plan.InstanceID, cs ...*Checkpoint) (*Checkpoint, e
 			delete(out.Acks, up)
 		}
 	}
+	out.Legacy = CloneLegacy(legacy...)
 	merged, err := MergeProcessing(procs...)
 	if err != nil {
 		return nil, err

@@ -80,14 +80,28 @@ func TestPartitionCheckpoint(t *testing.T) {
 	if totalKeys != c.Processing.Len() {
 		t.Errorf("parts hold %d keys, original %d", totalKeys, c.Processing.Len())
 	}
-	// Algorithm 2 line 7: buffer state goes to the first partition only.
-	if parts[0].Buffer.Len() != 2 {
-		t.Errorf("first partition buffer = %d tuples, want 2", parts[0].Buffer.Len())
+	// Algorithm 2 line 7: buffer state goes to the first partition only,
+	// as a legacy buffer under the victim's identity — the parts are
+	// fresh identities downstream holds no watermark for.
+	if lb := parts[0].Legacy[c.Instance]; lb == nil || lb.Len() != 2 || len(parts[0].Legacy) != 1 {
+		t.Errorf("first partition legacy = %v, want the victim's 2 tuples under %v", parts[0].Legacy, c.Instance)
 	}
-	for i := 1; i < 3; i++ {
-		if parts[i].Buffer.Len() != 0 {
-			t.Errorf("partition %d buffer = %d tuples, want 0", i, parts[i].Buffer.Len())
+	for i, p := range parts {
+		if p.Buffer.Len() != 0 {
+			t.Errorf("partition %d own buffer = %d tuples, want 0", i, p.Buffer.Len())
 		}
+		if i > 0 && len(p.Legacy) != 0 {
+			t.Errorf("partition %d legacy = %v, want none", i, p.Legacy)
+		}
+	}
+	// A lone part inherits the victim's identity (core.Inherit) and keeps
+	// the buffer as its own.
+	lone, err := PartitionCheckpoint(c, newInstances[:1], FullRange.SplitEven(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lone[0].Buffer.Len() != 2 || len(lone[0].Legacy) != 0 {
+		t.Errorf("lone part buffer = %d tuples, legacy %v; want 2 and none", lone[0].Buffer.Len(), lone[0].Legacy)
 	}
 }
 
@@ -119,9 +133,10 @@ func TestMergeCheckpoints(t *testing.T) {
 	if !merged.Processing.Equal(c.Processing) {
 		t.Error("merge(partition(c)) processing state differs from original")
 	}
-	// The victims' retained output keeps its original sender identity:
-	// it lands in Legacy (here under the first partition, which carried
-	// the buffer), never concatenated into the merged node's own buffer.
+	// The retained output keeps its original sender identity: the split
+	// left it as the first partition's legacy buffer under c's instance,
+	// and the merge passes it through, never concatenated into the merged
+	// node's own buffer.
 	if merged.Buffer.Len() != 0 {
 		t.Errorf("merged buffer = %d tuples, want 0 (victim output is legacy)", merged.Buffer.Len())
 	}
@@ -132,8 +147,8 @@ func TestMergeCheckpoints(t *testing.T) {
 	if legacyTotal != c.Buffer.Len() {
 		t.Errorf("legacy buffers hold %d tuples, want %d", legacyTotal, c.Buffer.Len())
 	}
-	if _, ok := merged.Legacy[newInstances[0]]; !ok {
-		t.Errorf("legacy buffers = %v, want an entry for %v", merged.Legacy, newInstances[0])
+	if _, ok := merged.Legacy[c.Instance]; !ok {
+		t.Errorf("legacy buffers = %v, want an entry for %v", merged.Legacy, c.Instance)
 	}
 	if merged.OutClock != c.OutClock {
 		t.Errorf("merged OutClock = %d, want %d", merged.OutClock, c.OutClock)

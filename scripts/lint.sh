@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static gate, one command for CI and for hands:
 # gofmt, go vet, the import-direction, no-Deprecated:,
-# every-option-has-a-caller and one-copy-of-the-node-step greps, and seep-lint (the invariant suite in internal/analysis, run both
-# standalone and as the vet tool so each loading path stays honest). govulncheck runs when the binary is available; the container
-# image does not bake it in, so its absence is a skip, not a failure.
+# every-option-has-a-caller, one-copy-of-the-node-step and
+# one-copy-of-the-transition-sequence greps, and seep-lint (the
+# invariant suite in internal/analysis, run both standalone and as the
+# vet tool so each loading path stays honest). govulncheck runs when the
+# binary is available; the container image does not bake it in, so its
+# absence is a skip, not a failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,6 +61,24 @@ echo "== one copy of the node step"
 step='\.Acks\[[^]]*\][[:space:]]*([-+*/]?=[^=]|\+\+|--)|delete\([^)]*Acks|OutClock\.Next|TS\.Advance\(|\.Buffer\.(Append|Handle)\(|\.Repartition\('
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=.bench_build "$step" . | grep -v '^\./internal/state/'; then
   echo "node-step rules written outside internal/state; call the state.Instance methods instead" >&2
+  exit 1
+fi
+
+echo "== one copy of the transition sequence"
+# A recovery, scale out or scale in is ordered once, by core.Sequencer,
+# which keeps the manager's books itself. Outside internal/core no
+# program code calls Manager.Plan, Complete or ValidateMerge, so no
+# substrate regrows a sequence of its own. The one named exemption is
+# the simulator's UB/SR baseline recovery (activateBaseline), which
+# re-processes a retained window instead of restoring a checkpoint.
+books='[.](Plan|Complete|ValidateMerge)[(]'
+if find . -name '*.go' ! -name '*_test.go' ! -path './internal/core/*' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 |
+  xargs -0 awk -v books="$books" '
+    FNR == 1 { fn = "" }
+    /^func / { fn = $0 }
+    $0 ~ books && fn !~ /[)] activateBaseline[(]/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit !found }'; then
+  echo "transition books kept outside internal/core; execute core.Sequencer's actions instead" >&2
   exit 1
 fi
 
