@@ -494,7 +494,9 @@ func BenchmarkCheckpointFullVsIncremental(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d.Apply(base.Clone())
+			if err := d.Apply(base.Clone()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

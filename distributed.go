@@ -425,6 +425,7 @@ func (j *distJob) MetricsSnapshot() Metrics {
 		m.Transport = m.Transport.Add(s.Transport)
 		m.Backpressure.Add(s.Backpressure)
 		m.OrphanCheckpointsDropped += s.OrphanDropped
+		m.CheckpointsRefused += s.CheckpointsRefused
 	}
 	if len(j.workers) == 0 {
 		// External workers: the counters piggybacked on their utilisation

@@ -186,7 +186,9 @@ func (s *BackupStore) ApplyDelta(host plan.InstanceID, dc *state.DeltaCheckpoint
 		// authoritative until downstream acknowledgements retire it.
 		Legacy: state.CloneLegacy(e.cp.Legacy),
 	}
-	dc.Delta.Apply(folded.Processing)
+	if err := dc.Delta.Apply(folded.Processing); err != nil {
+		return fmt.Errorf("core: fold delta for %s: %w", dc.Instance, err)
+	}
 	size := folded.Size()
 	s.bytes += size - e.size
 	s.byOwner[dc.Instance] = entry{host: host, seq: folded.Seq, size: size, cp: folded}

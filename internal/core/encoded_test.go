@@ -123,14 +123,15 @@ func TestCorruptBodyIsAMissingCheckpoint(t *testing.T) {
 	}
 	h, blob, _ := shippedBlob(t, owner, 1)
 	// The processing section opens with its one-entry timestamp vector
-	// ([1][20]) and its entry count (20 keys); claim more entries than
-	// there are bytes.
-	opening := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 1), 20), 20)
+	// ([1][20]), its empty cell table ([0]) and its entry count (20
+	// keys); claim more entries than there are bytes.
+	opening := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 1), 20)
+	opening = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(opening, 0), 20)
 	at := bytes.Index(blob, opening)
 	if at < 0 {
 		t.Fatal("processing section not found")
 	}
-	binary.LittleEndian.PutUint32(blob[at+12:], 1<<30)
+	binary.LittleEndian.PutUint32(blob[at+16:], 1<<30)
 	if _, err := state.DecodeCheckpointHeader(blob); err != nil {
 		t.Fatalf("header of the garbled blob must still read: %v", err)
 	}

@@ -107,6 +107,9 @@ type WorkerStats struct {
 	// OrphanDropped counts checkpoint ships evicted from the bounded
 	// orphan-mode buffer (drop-oldest under the byte cap).
 	OrphanDropped uint64
+	// CheckpointsRefused counts the hosted engine's full checkpoints
+	// that were captured but never stored (engine.CheckpointsRefused).
+	CheckpointsRefused uint64
 }
 
 // Control is the one wire struct for every control message; unused

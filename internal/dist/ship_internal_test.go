@@ -7,6 +7,8 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +25,9 @@ import (
 // sender's error, not an orphan. The coordinator is alive, so buffering
 // the body would store nothing and trim nothing while reporting success;
 // the error instead keeps the engine owing a full checkpoint and aborts
-// a final retire to recovery at once.
+// a final retire to recovery at once. The engine counts the refused full
+// once, the worker's stats carry the count, and the next checkpoint is a
+// full one, not a delta from the full that was never stored.
 func TestShipOversizeIsAnError(t *testing.T) {
 	codec := state.GobPayloadCodec{}
 	l, err := transport.ListenWith("127.0.0.1:0", codec, transport.Handlers{}, nil)
@@ -50,6 +54,68 @@ func TestShipOversizeIsAnError(t *testing.T) {
 	if got := w.lastBarrier.Load(); got != 0 {
 		t.Errorf("lastBarrier = %d after a ship that never left, want 0", got)
 	}
+
+	q := plan.NewQuery()
+	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
+	q.AddOp(plan.OpSpec{ID: "big", Role: plan.RoleStateful})
+	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
+	q.Connect("src", "big").Connect("big", "sink")
+	var op *bigState
+	ships := &shipLog{next: &shipSink{w: w}}
+	eng, err := engine.New(engine.Config{CheckpointInterval: time.Hour, Delta: state.DeltaPolicy{FullEvery: 10}, Backup: ships}, q,
+		map[plan.OpID]operator.Factory{"big": func() operator.Operator { op = newBigState(17 << 20); return op }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := plan.InstanceID{Op: "big", Part: 1}
+	if err := eng.Checkpoint(big); err != nil {
+		t.Fatal(err)
+	}
+	if got := engineStats(eng).CheckpointsRefused; got != 1 {
+		t.Errorf("CheckpointsRefused = %d after one oversize full, want 1", got)
+	}
+	if len(w.buffered) != 0 || w.lastBarrier.Load() != 0 {
+		t.Errorf("an oversize full was kept: %d buffered ships, lastBarrier %d", len(w.buffered), w.lastBarrier.Load())
+	}
+	op.v.Set(1, "small")
+	if err := eng.Checkpoint(big); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ships.fulls, []bool{true, true}) {
+		t.Errorf("ships after a refused full (true = full): %v, want [true true] — the node must still owe a full", ships.fulls)
+	}
+	if got := engineStats(eng).CheckpointsRefused; got != 1 {
+		t.Errorf("CheckpointsRefused = %d after a stored full, want 1", got)
+	}
+}
+
+// bigState is a managed operator whose one cell holds a value of a
+// given size under key 1.
+type bigState struct {
+	st *state.Store
+	v  *state.Value[string]
+}
+
+func newBigState(size int) *bigState {
+	b := &bigState{st: state.NewStore()}
+	b.v = state.NewValue[string](b.st, "v", state.StringCodec{})
+	b.v.Set(1, strings.Repeat("x", size))
+	return b
+}
+
+func (b *bigState) OnTuple(operator.Context, stream.Tuple, operator.Emitter) {}
+
+func (b *bigState) State() *state.Store { return b.st }
+
+// shipLog records whether each capture it forwards is a full checkpoint.
+type shipLog struct {
+	next  engine.BackupSink
+	fulls []bool
+}
+
+func (s *shipLog) Ship(full *state.Checkpoint, delta *state.DeltaCheckpoint) error {
+	s.fulls = append(s.fulls, full != nil)
+	return s.next.Ship(full, delta)
 }
 
 // TestShipEncodesOnce: a ship marshals its checkpoint straight behind the

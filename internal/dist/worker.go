@@ -213,10 +213,11 @@ func (w *Worker) Stats() WorkerStats {
 // engineStats is the engine's share of a WorkerStats.
 func engineStats(eng *engine.Engine) WorkerStats {
 	return WorkerStats{
-		SinkTuples:   eng.SinkCount.Value(),
-		DupDropped:   eng.DupDropped.Value(),
-		Processed:    eng.TotalProcessed(),
-		Backpressure: eng.BackpressureSnapshot(),
+		SinkTuples:         eng.SinkCount.Value(),
+		DupDropped:         eng.DupDropped.Value(),
+		Processed:          eng.TotalProcessed(),
+		Backpressure:       eng.BackpressureSnapshot(),
+		CheckpointsRefused: eng.CheckpointsRefused.Value(),
 	}
 }
 

@@ -347,6 +347,10 @@ type Engine struct {
 	// DupDropped counts tuples discarded by per-upstream duplicate
 	// detection (replays already reflected in the ack watermark).
 	DupDropped metrics.Counter
+	// CheckpointsRefused counts full checkpoints captured but never
+	// stored: the backup store or the sink refused them, the node owes a
+	// full checkpoint and its previous backup stays authoritative.
+	CheckpointsRefused metrics.Counter
 	// OnSink observes every sink tuple (called from node goroutines).
 	OnSink func(t stream.Tuple)
 }

@@ -57,7 +57,8 @@ func (e *Engine) checkpointAll() {
 // unreachable) leaves the node owing a full checkpoint, and a refused
 // delta is re-captured as one at once — so a delta is never
 // load-bearing, and callers that need a fresh usable backup (ScaleOut)
-// are not left behind a stale one.
+// are not left behind a stale one. A refused full is counted in
+// CheckpointsRefused.
 func (e *Engine) checkpointNode(n *node) {
 	// In distributed mode captures ship to the coordinator's authoritative
 	// store: acknowledgement trims come back over the wire (TrimUpstream)
@@ -94,6 +95,7 @@ func (e *Engine) checkpointNode(n *node) {
 		n.NeedFull = true
 		n.mu.Unlock()
 		if cap.full != nil {
+			e.CheckpointsRefused.Inc()
 			return
 		}
 	}

@@ -120,11 +120,16 @@ func (c *Checkpoint) Size() int {
 	if c == nil {
 		return 0
 	}
-	n := c.Processing.Size()
+	return c.Processing.Size() + c.bufferSize()
+}
+
+// bufferSize is the buffers' part of Size: 16 bytes of header per
+// buffered tuple, own and legacy. Payload sizes are operator-specific
+// and approximated by the header-only figure when payloads are
+// in-memory values.
+func (c *Checkpoint) bufferSize() int {
+	n := 0
 	if c.Buffer != nil {
-		// 16 bytes of header per buffered tuple; payload sizes are
-		// operator-specific and approximated by the header-only figure
-		// when payloads are in-memory values.
 		n += 16 * c.Buffer.Len()
 	}
 	for _, b := range c.Legacy {

@@ -26,6 +26,10 @@ type appender[T any] interface {
 	appendTo(dst []byte, v T) []byte
 }
 
+// fixedWidth is implemented by codecs whose every encoding is width()
+// bytes long, which lets a capture size its body exactly.
+type fixedWidth interface{ width() int }
+
 // appendValue appends v's encoding to dst through fast when the codec
 // has one (nil otherwise), else through Encode.
 func appendValue[T any](c Codec[T], fast appender[T], dst []byte, v T) ([]byte, error) {
@@ -94,6 +98,8 @@ type Int64Codec struct{}
 // Encode implements Codec.
 func (c Int64Codec) Encode(v int64) ([]byte, error) { return c.appendTo(nil, v), nil }
 
+func (Int64Codec) width() int { return 8 }
+
 func (Int64Codec) appendTo(dst []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(v))
 }
@@ -112,6 +118,8 @@ type Float64Codec struct{}
 
 // Encode implements Codec.
 func (c Float64Codec) Encode(v float64) ([]byte, error) { return c.appendTo(nil, v), nil }
+
+func (Float64Codec) width() int { return 8 }
 
 func (Float64Codec) appendTo(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))

@@ -85,10 +85,10 @@ var goldenStores = []goldenStore{
 
 // TestGoldenCheckpointBytes pins the wire layout: the full checkpoints
 // of three fixed stores must equal, byte for byte, the hex files
-// generated before processing state became a sorted run — so
-// DurableStore files, journals and deploy blobs written by older
-// binaries still load — and so must the checkpoint each store's delta
-// travels as.
+// generated when the layout last changed (v3, whose processing section
+// names its cells once) — so DurableStore files, journals and deploy
+// blobs written by older binaries of this layout still load — and so
+// must the checkpoint each store's delta travels as.
 func TestGoldenCheckpointBytes(t *testing.T) {
 	inst := plan.InstanceID{Op: "cnt", Part: 2}
 	up := plan.InstanceID{Op: "map", Part: 1}
@@ -150,7 +150,13 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // readGolden returns the bytes pinned in testdata/golden_<name>.hex.
 func readGolden(tb testing.TB, name string) []byte {
 	tb.Helper()
-	path := filepath.Join("testdata", "golden_"+name+".hex")
+	return readHex(tb, "golden_"+name+".hex")
+}
+
+// readHex returns the bytes hex-encoded in testdata/<file>.
+func readHex(tb testing.TB, file string) []byte {
+	tb.Helper()
+	path := filepath.Join("testdata", file)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)

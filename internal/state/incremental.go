@@ -35,10 +35,15 @@ func (d *Delta) Size() int {
 // incremental checkpointing). The delta must be consecutive: its Base
 // equals the state's current sequence as tracked by the caller. The
 // fold is a fresh run: whoever else holds p's old one keeps it intact.
-// Deleted must ascend, as TakeDelta and DeltaOf give it.
-func (d *Delta) Apply(p *Processing) {
-	p.KV = overlay(p.KV, d.Changed, d.Deleted)
-	p.TS = d.TS.Clone()
+// Deleted must ascend, as TakeDelta and DeltaOf give it. A delta whose
+// run names other cells than p's is an error, and p is left as it was.
+func (d *Delta) Apply(p *Processing) error {
+	kv, err := overlay(p.KV, d.Changed, d.Deleted)
+	if err != nil {
+		return err
+	}
+	p.KV, p.TS = kv, d.TS.Clone()
+	return nil
 }
 
 // DeltaCheckpoint is what a runtime ships in place of a full Checkpoint

@@ -141,9 +141,11 @@ func DecodeBuffer(d *stream.Decoder, codec PayloadCodec) (*Buffer, error) {
 }
 
 // checkpointMagic guards encoded checkpoints against foreign input and
-// names the layout; "SEP2" is the header-first one (its predecessor
-// "SEEP" interleaved state and bookkeeping and has no reader).
-const checkpointMagic = uint32(0x53455032)
+// names the layout; "SEP3" is the one whose processing section names
+// its cells once (its predecessors — "SEP2", which named a cell in every
+// record, and "SEEP", which interleaved state and bookkeeping — have no
+// reader).
+const checkpointMagic = uint32(0x53455033)
 
 // CheckpointHeader is the part of an encoded checkpoint a backup host
 // acts on — who it belongs to, whether it is newer, which upstream
@@ -226,7 +228,7 @@ func MarshalCheckpointAfter(head []byte, cp *Checkpoint, codec PayloadCodec) ([]
 		return nil, err
 	}
 	p := cp.Processing
-	aside := stream.NewEncoder(256 + cp.Size() - p.Size())
+	aside := stream.NewEncoder(256 + cp.bufferSize())
 	encodeCheckpointHeader(aside, cp)
 	header := aside.Len()
 	if err := encodeBufferSections(aside, cp, codec); err != nil {

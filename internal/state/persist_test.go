@@ -88,13 +88,33 @@ func randomCheckpoint(r *rand.Rand) *Checkpoint {
 	for i := range cp.Processing.TS {
 		cp.Processing.TS[i] = r.Int63()
 	}
-	kv := map[stream.Key][]byte{}
-	for i, n := 0, r.Intn(50); i < n; i++ {
-		v := make([]byte, r.Intn(12))
-		r.Read(v)
-		kv[stream.Key(r.Uint64())] = v
+	if r.Intn(2) == 0 { // a store's run, over its cell table
+		s := NewStore()
+		v, w, m := modelCells(s)
+		for i, n := 0, r.Intn(50); i < n; i++ {
+			switch k := stream.Key(r.Uint64()); r.Intn(3) {
+			case 0:
+				v.Set(k, r.Int63())
+			case 1:
+				w.Set(k, -r.Int63())
+			default:
+				m.Put(k, "f", r.Int63())
+			}
+		}
+		kv, err := s.TakeCheckpoint()
+		if err != nil {
+			panic(err)
+		}
+		cp.Processing.KV = kv
+	} else { // a run of opaque records
+		kv := map[stream.Key][]byte{}
+		for i, n := 0, r.Intn(50); i < n; i++ {
+			v := make([]byte, r.Intn(12))
+			r.Read(v)
+			kv[stream.Key(r.Uint64())] = v
+		}
+		cp.Processing.KV = runOf(kv)
 	}
-	cp.Processing.KV = runOf(kv)
 	if r.Intn(4) > 0 { // a nil buffer encodes as an empty one
 		cp.Buffer = randomBuffer(r, r.Intn(3))
 	}
@@ -396,19 +416,23 @@ func (c *countingCodec) DecodePayload(b []byte) (any, error) {
 	return GobPayloadCodec{}.DecodePayload(b)
 }
 
-// TestOldCheckpointLayoutIsRejected: the previous layout's magic is
-// foreign input now, to the header reader and the decoder alike.
+// TestOldCheckpointLayoutIsRejected: the previous layouts are foreign
+// input now, to the header reader and the decoder alike — a blob under
+// the first magic ("SEEP"), and a v2 blob ("SEP2", a cell name in every
+// record) as the previous binary wrote it.
 func TestOldCheckpointLayoutIsRejected(t *testing.T) {
 	blob, err := MarshalCheckpoint(randomCheckpoint(rand.New(rand.NewSource(1))), GobPayloadCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(blob, 0x53454550) // "SEEP"
-	if _, err := DecodeCheckpointHeader(blob); err == nil {
-		t.Error("header reader accepted the old magic")
-	}
-	if cp, err := DecodeCheckpoint(stream.NewDecoder(blob), GobPayloadCodec{}); err == nil || cp != nil {
-		t.Errorf("decoder accepted the old magic: %v, %v", cp, err)
+	for name, blob := range map[string][]byte{"SEEP": blob, "SEP2": readHex(t, "v2_int64_full.hex")} {
+		if _, err := DecodeCheckpointHeader(blob); err == nil {
+			t.Errorf("header reader accepted a %s blob", name)
+		}
+		if cp, err := DecodeCheckpoint(stream.NewDecoder(blob), GobPayloadCodec{}); err == nil || cp != nil {
+			t.Errorf("decoder accepted a %s blob: %v, %v", name, cp, err)
+		}
 	}
 }
 
@@ -454,9 +478,15 @@ func TestEncodeCheckpointAllocsDoNotScaleWithTuples(t *testing.T) {
 
 var goldenDeltas = []string{"int64_delta", "value_map_delta", "spilled_delta"}
 
+var goldens = append([]string{"int64_full", "value_map_full", "spilled_full"}, goldenDeltas...)
+
 // FuzzDecodeCheckpoint: truncated or garbled input is an error — never a
 // panic, never a partly filled checkpoint — from both readers, what does
-// decode re-encodes, and it folds as a delta (fuzzCheckpoint).
+// decode re-encodes, restores and folds as a delta (fuzzCheckpoint). The
+// corpus starts from the pinned v3 goldens, random checkpoints, the
+// malformed processing sections (overlong uvarints, a mask bit past the
+// table, a value overrunning its record, keys out of order among them)
+// and a v2 blob.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		blob, err := MarshalCheckpoint(randomCheckpoint(rand.New(rand.NewSource(seed))), GobPayloadCodec{})
@@ -471,9 +501,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, name := range slices.Sorted(maps.Keys(malformedProcessingSections())) {
 		f.Add(checkpointAround(malformedProcessingSections()[name]))
 	}
-	for _, name := range goldenDeltas {
+	for _, name := range goldens {
 		f.Add(readGolden(f, name))
 	}
+	f.Add(readHex(f, "v2_int64_full.hex"))
 	f.Fuzz(fuzzCheckpoint)
 }
 
@@ -504,10 +535,12 @@ func FuzzDecodeDeltaCheckpoint(f *testing.F) {
 var fuzzBase = runOf(map[stream.Key][]byte{0: {1}, 2: []byte("two"), 7: {}, 1 << 40: []byte("far"), stream.MaxKey: {9}})
 
 // fuzzCheckpoint is the property both fuzz targets check. The two
-// readers agree or fail without a checkpoint; what decodes re-encodes;
-// and, read as a delta with a base and deleted keys drawn from the
-// input, it is refused by DeltaOf or folds onto fuzzBase into a run
-// whose keys strictly ascend and that holds none of the deleted keys.
+// readers agree or fail without a checkpoint; what decodes re-encodes,
+// its processing section byte for byte; a run that names cells restores
+// into a store of those cells and re-captures as the same run; and, read
+// as a delta with a base and deleted keys drawn from the input, it is
+// refused by DeltaOf or folds onto fuzzBase into a run whose keys
+// strictly ascend and that holds none of the deleted keys.
 func fuzzCheckpoint(t *testing.T, b []byte) {
 	codec := GobPayloadCodec{}
 	h, herr := DecodeCheckpointHeader(b)
@@ -526,6 +559,26 @@ func fuzzCheckpoint(t *testing.T, b []byte) {
 	}
 	if _, err := MarshalCheckpoint(cp, codec); err != nil {
 		t.Fatalf("decoded checkpoint does not re-encode: %v", err)
+	}
+	d := stream.NewDecoder(b)
+	decodeCheckpointHeader(d)
+	section := d.Section()
+	e := stream.NewEncoder(section.Remaining())
+	cp.Processing.Encode(e)
+	if !bytes.Equal(e.Bytes(), section.Raw(section.Remaining())) {
+		t.Fatal("the processing section does not re-encode to the bytes it decoded from")
+	}
+	if kv := cp.Processing.KV; len(kv.cells) > 0 {
+		s := NewStore()
+		for _, name := range kv.cells {
+			NewValue[string](s, name, StringCodec{})
+		}
+		if err := s.Restore(kv); err != nil {
+			t.Fatalf("a decoded run does not restore: %v", err)
+		}
+		if again, err := s.TakeCheckpoint(); err != nil || !again.Equal(kv) {
+			t.Fatalf("a restored run re-captures differently (%v)", err)
+		}
 	}
 
 	// The first byte picks the base below Seq, 0 (refused) included; the
@@ -549,8 +602,13 @@ func fuzzCheckpoint(t *testing.T, b []byte) {
 		return
 	}
 	folded := &Processing{KV: fuzzBase}
-	dc.Delta.Apply(folded)
-	keys := folded.KV.Keys()
+	if err := dc.Delta.Apply(folded); err != nil {
+		if cp.Processing.KV.Len() > 0 && slices.Equal(cp.Processing.KV.cells, fuzzBase.cells) {
+			t.Fatalf("a delta over the base's cells did not fold: %v", err)
+		}
+		return
+	}
+	keys := slices.Collect(folded.KV.Keys())
 	for i := 1; i < len(keys); i++ {
 		if keys[i] <= keys[i-1] {
 			t.Fatalf("folded run has key %d after %d", keys[i], keys[i-1])

@@ -65,15 +65,15 @@ func (p *Processing) Equal(q *Processing) bool {
 }
 
 // Encode serialises the processing state with the package codec: the
-// timestamp vector, the entry count, then the run's records as they are.
+// timestamp vector, then the run — its cell table, its entry count and
+// its records as they are.
 func (p *Processing) Encode(e *stream.Encoder) {
 	e.TSVector(p.TS)
-	e.Uint32(uint32(p.KV.Len()))
-	e.Raw(p.KV.records())
+	p.KV.encode(e)
 }
 
 // encodedLen is the number of bytes Encode writes.
-func (p *Processing) encodedLen() int { return 4 + 8*len(p.TS) + 4 + len(p.KV.records()) }
+func (p *Processing) encodedLen() int { return 4 + 8*len(p.TS) + p.KV.encodedLen() }
 
 // DecodeProcessing reads processing state written by Encode, which must
 // be everything d has left. The run it returns indexes d's buffer
@@ -81,12 +81,8 @@ func (p *Processing) encodedLen() int { return 4 + 8*len(p.TS) + 4 + len(p.KV.re
 // as the state is in use.
 func DecodeProcessing(d *stream.Decoder) (*Processing, error) {
 	p := &Processing{TS: d.TSVector()}
-	n := int(d.Uint32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
 	var err error
-	if p.KV, err = scanRun(d.Raw(d.Remaining()), n); err != nil {
+	if p.KV, err = decodeRun(d); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -108,8 +104,9 @@ func (p *Processing) Partition(ranges []KeyRange) []*Processing {
 
 // MergeProcessing unions the state of several partitions into one, the
 // scale-in primitive of §3.3. Keys must be disjoint across the inputs
-// (they are, when the inputs are partitions of one operator); on overlap
-// it returns an error rather than silently losing state.
+// (they are, when the inputs are partitions of one operator) and their
+// runs must name the same cells; otherwise it returns an error rather
+// than silently losing state.
 func MergeProcessing(parts ...*Processing) (*Processing, error) {
 	out := &Processing{}
 	runs := make([]Run, 0, len(parts))

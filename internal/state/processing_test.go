@@ -41,7 +41,9 @@ func TestProcessingCloneIsolation(t *testing.T) {
 	}
 	// The run is immutable and shared; what a holder can change is which
 	// run it holds (a delta fold) and its timestamp vector.
-	(&Delta{Deleted: c.KV.Keys()[:1], TS: c.TS}).Apply(c)
+	if err := (&Delta{Deleted: slices.Collect(c.KV.Keys())[:1], TS: c.TS}).Apply(c); err != nil {
+		t.Fatal(err)
+	}
 	if c.Len() != p.Len()-1 || p.Len() != 10 {
 		t.Errorf("folding into the clone: clone %d keys, original %d", c.Len(), p.Len())
 	}
@@ -168,7 +170,7 @@ func TestMergeProcessingNilInputs(t *testing.T) {
 
 func TestProcessingKeysSorted(t *testing.T) {
 	p := mkProcessing(30, 9)
-	keys := p.KV.Keys()
+	keys := slices.Collect(p.KV.Keys())
 	for i := 1; i < len(keys); i++ {
 		if keys[i-1] >= keys[i] {
 			t.Fatalf("keys not strictly sorted at %d", i)

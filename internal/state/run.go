@@ -5,70 +5,131 @@ import (
 	"encoding/binary"
 	"fmt"
 	"iter"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
 	"seep/internal/stream"
 )
 
-// Run is an immutable sorted run of per-key state fragments — the one
+// Run is an immutable sorted run of per-key records — the one
 // representation of processing state in flight: what a store captures,
 // a checkpoint ships, a backup host splits and folds, and a spill chunk
 // holds on disk. Its body is the processing section's wire records,
-// [key:8][len:4][fragment] in strictly ascending key order, so encoding
-// a run is one append and decoding one is an index built over the
-// received bytes. Because a run is never modified after it is built,
-// copies, clones and key-range parts share one body. The zero Run is
-// empty.
+// [key:8][uvarint n][n bytes] in strictly ascending key order, so
+// encoding a run is one append and decoding one is an index built over
+// the received bytes: one uint32 offset per record, with every key read
+// from the body where it lies.
+//
+// A run a store captures names the store's cells once, in registration
+// order — its cell table — and each record's n bytes are a uvarint cell
+// mask, then [uvarint len][value] for each cell whose bit is set, in
+// table order. A run built with RunBuilder.Append names no cells and
+// its records' bytes are the caller's own. Runs over different cell
+// tables do not merge; a run without records matches any table.
+//
+// Because a run is never modified after it is built, copies, clones and
+// key-range parts share one body. The zero Run is empty.
 type Run struct {
-	keys []stream.Key
-	// off[i] is where record i starts in body and off[len(keys)] where
-	// the last one ends; a part of a larger run keeps the whole body.
-	off  []int
+	cells []string
+	// off[i] is where record i starts in body and off[Len()] where the
+	// last one ends; a part of a larger run keeps the whole body.
+	off  []uint32
 	body []byte
+	// size is Size() when whoever built the run counted it, 0 when Size
+	// must count it (a run with records is never charged 0).
+	size int
 }
 
-// recHdr is the key and length prefix in front of every fragment.
-const recHdr = 12
+// maxCells is the most cells a store may register: a record's cell
+// mask is one uvarint of at most 64 bits.
+const maxCells = 64
+
+// maxRunBody bounds a run's body, which uint32 offsets index; a capture
+// or merge past it is an error. A variable so tests can reach it.
+var maxRunBody = math.MaxUint32
 
 // Len returns the number of keys.
-func (r Run) Len() int { return len(r.keys) }
+func (r Run) Len() int { return max(len(r.off)-1, 0) }
 
-// Keys returns the keys, ascending. The slice is the run's own: read it,
-// do not modify it.
-func (r Run) Keys() []stream.Key { return r.keys }
+// key returns record i's key.
+func (r *Run) key(i int) stream.Key { return stream.Key(binary.LittleEndian.Uint64(r.body[r.off[i]:])) }
+
+// Keys iterates the keys in ascending order.
+func (r Run) Keys() iter.Seq[stream.Key] {
+	return func(yield func(stream.Key) bool) {
+		for i := range r.Len() {
+			if !yield(r.key(i)) {
+				return
+			}
+		}
+	}
+}
 
 // records returns the run's wire form.
 func (r Run) records() []byte {
-	if len(r.keys) == 0 {
+	if r.Len() == 0 {
 		return nil
 	}
-	return r.body[r.off[0]:r.off[len(r.keys)]]
+	return r.body[r.off[0]:r.off[r.Len()]]
 }
 
-// Size returns the serialised footprint the cost model charges: 8 bytes
-// of key plus the fragment, per entry.
-func (r Run) Size() int { return len(r.records()) - 4*len(r.keys) }
-
-// frag returns record i's fragment, capped so an append cannot reach the
-// next record.
-func (r Run) frag(i int) []byte { return r.body[r.off[i]+recHdr : r.off[i+1] : r.off[i+1]] }
-
-// Get returns the fragment stored under k. It aliases the run.
-func (r Run) Get(k stream.Key) ([]byte, bool) {
-	i, ok := slices.BinarySearch(r.keys, k)
-	if !ok {
-		return nil, false
+// frag returns record i's bytes behind its length, capped so an append
+// cannot reach the next record.
+func (r *Run) frag(i int) []byte {
+	rec := r.body[r.off[i]+8 : r.off[i+1] : r.off[i+1]]
+	if rec[0] < 0x80 {
+		return rec[1:]
 	}
-	return r.frag(i), true
+	_, w := binary.Uvarint(rec)
+	return rec[w:]
 }
 
-// All iterates the entries in ascending key order. Fragments alias the
+// charge returns what Size charges for record i.
+func (r *Run) charge(i int) int {
+	c, _ := walkRecord(r.frag(i), r.cells, nil)
+	return c
+}
+
+// Size returns the serialised footprint the cost model charges, which
+// predates the cell table and stays put for the same state: per entry 8
+// bytes of key and, in a run that names cells, a 4-byte fragment count
+// and per present cell its name with two 4-byte lengths and its value;
+// in one that names none, the record's bytes. A run that was captured,
+// decoded, built or merged knows it; a key-range part or a fold counts
+// it on each call.
+func (r Run) Size() int {
+	if r.size > 0 || r.Len() == 0 {
+		return r.size
+	}
+	n := 0
+	for i := range r.Len() {
+		n += r.charge(i)
+	}
+	return n
+}
+
+// search returns the index of the first record whose key is at least k.
+func (r Run) search(k stream.Key) int {
+	return sort.Search(r.Len(), func(i int) bool { return r.key(i) >= k })
+}
+
+// Get returns the bytes of k's record behind its length. They alias the
 // run.
+func (r Run) Get(k stream.Key) ([]byte, bool) {
+	if i := r.search(k); i < r.Len() && r.key(i) == k {
+		return r.frag(i), true
+	}
+	return nil, false
+}
+
+// All iterates the entries in ascending key order, each key with its
+// record's bytes behind the length, which alias the run.
 func (r Run) All() iter.Seq2[stream.Key, []byte] {
 	return func(yield func(stream.Key, []byte) bool) {
-		for i, k := range r.keys {
-			if !yield(k, r.frag(i)) {
+		for i := range r.Len() {
+			if !yield(r.key(i), r.frag(i)) {
 				return
 			}
 		}
@@ -76,130 +137,303 @@ func (r Run) All() iter.Seq2[stream.Key, []byte] {
 }
 
 // Range returns the part of the run inside kr: two binary searches and a
-// sub-slice, no copy.
+// sub-slice, no copy. The part keeps the run's cell table.
 func (r Run) Range(kr KeyRange) Run {
-	lo, _ := slices.BinarySearch(r.keys, kr.Lo)
-	hi := lo + sort.Search(len(r.keys)-lo, func(i int) bool { return r.keys[lo+i] > kr.Hi })
-	if lo == hi {
-		return Run{}
+	lo := r.search(kr.Lo)
+	hi := lo + sort.Search(r.Len()-lo, func(i int) bool { return r.key(lo+i) > kr.Hi })
+	switch {
+	case lo == hi:
+		return Run{cells: r.cells}
+	case hi-lo == r.Len():
+		return r
 	}
-	return Run{keys: r.keys[lo:hi], off: r.off[lo : hi+1], body: r.body}
+	return Run{cells: r.cells, off: r.off[lo : hi+1], body: r.body}
 }
 
-// Equal reports whether two runs hold the same keys and fragments.
-func (r Run) Equal(o Run) bool { return bytes.Equal(r.records(), o.records()) }
+// Equal reports whether two runs hold the same keys and records over
+// the same cell table.
+func (r Run) Equal(o Run) bool {
+	return bytes.Equal(r.records(), o.records()) && (r.Len() == 0 || slices.Equal(r.cells, o.cells))
+}
+
+// sameCells reports whether runs a and b may merge: one of them has no
+// records, or both name the same cells.
+func sameCells(a, b Run) error {
+	if a.Len() == 0 || b.Len() == 0 || slices.Equal(a.cells, b.cells) {
+		return nil
+	}
+	return fmt.Errorf("state: runs over cells %q and %q do not merge", a.cells, b.cells)
+}
+
+// encode writes the run as a processing section and a spill chunk carry
+// it: the cell table, the entry count, then the records as they are.
+func (r Run) encode(e *stream.Encoder) {
+	e.Uint32(uint32(len(r.cells)))
+	for _, name := range r.cells {
+		e.String32(name)
+	}
+	e.Uint32(uint32(r.Len()))
+	e.Raw(r.records())
+}
+
+// encodedLen is the number of bytes encode writes.
+func (r Run) encodedLen() int {
+	n := 8 + len(r.records())
+	for _, name := range r.cells {
+		n += 4 + len(name)
+	}
+	return n
+}
+
+// decodeRun reads a run written by encode, which must be everything d
+// has left. The run indexes d's buffer instead of copying it, so the
+// caller must own that buffer for as long as the run is in use.
+func decodeRun(d *stream.Decoder) (Run, error) {
+	nc := int(d.Uint32())
+	if err := d.Err(); err != nil {
+		return Run{}, err
+	}
+	// A name costs at least 5 bytes: its length and one byte.
+	if nc > maxCells || nc > d.Remaining()/5 {
+		return Run{}, fmt.Errorf("state: a cell table of %d names in %d bytes", nc, d.Remaining())
+	}
+	var cells []string
+	if nc > 0 {
+		cells = make([]string, nc)
+	}
+	for i := range cells {
+		cells[i] = d.String32()
+		if d.Err() == nil && (cells[i] == "" || slices.Contains(cells[:i], cells[i])) {
+			return Run{}, fmt.Errorf("state: cell table names %q twice or empty", cells[i])
+		}
+	}
+	n := int(d.Uint32())
+	if err := d.Err(); err != nil {
+		return Run{}, err
+	}
+	return scanRun(d.Raw(d.Remaining()), n, cells)
+}
+
+// uvarint reads the uvarint at the front of b and returns it with its
+// width, 0 when b holds no canonical one: a value wider than 64 bits,
+// one cut short, or one spelled longer than it needs, which would not
+// re-encode to the same bytes. Hot callers read a one-byte uvarint
+// themselves and call it for the rest.
+func uvarint(b []byte) (v uint64, w int) {
+	v, w = binary.Uvarint(b)
+	if w <= 0 || w > 1 && b[w-1] == 0 {
+		return 0, 0
+	}
+	return v, w
+}
 
 // scanRun indexes n records laid out back to back in body without
 // copying them: the returned run aliases body, which the caller must
-// own. Records that overrun body, keys that do not strictly ascend and
-// bytes left over are errors, and no run is returned.
-func scanRun(body []byte, n int) (Run, error) {
-	if n > len(body)/recHdr {
-		return Run{}, fmt.Errorf("state: %d processing-state entries exceed the %d bytes left", n, len(body))
+// own. Records that overrun body, keys that do not strictly ascend,
+// bytes left over and, in a run that names cells, a record whose mask
+// or values do not tile it are errors, and no run is returned.
+func scanRun(body []byte, n int, cells []string) (Run, error) {
+	minRecord := 9 // a key and a zero length
+	if len(cells) > 0 {
+		minRecord = 11 // and a mask and one empty value
 	}
-	r := Run{keys: make([]stream.Key, n), off: make([]int, n+1), body: body}
+	if n > len(body)/minRecord || len(body) > maxRunBody {
+		return Run{}, fmt.Errorf("state: %d processing-state entries in %d bytes", n, len(body))
+	}
+	r := Run{cells: cells, off: make([]uint32, n+1), body: body}
 	pos := 0
-	for i := range r.keys {
-		if len(body)-pos < recHdr {
+	var prev stream.Key
+	for i := range n {
+		if len(body)-pos < 9 {
 			return Run{}, fmt.Errorf("state: processing-state entry %d: %w", i, stream.ErrShortBuffer)
 		}
 		k := stream.Key(binary.LittleEndian.Uint64(body[pos:]))
-		if i > 0 && k <= r.keys[i-1] {
-			return Run{}, fmt.Errorf("state: processing-state key %d after %d: keys must strictly ascend", k, r.keys[i-1])
+		if i > 0 && k <= prev {
+			return Run{}, fmt.Errorf("state: processing-state key %d after %d: keys must strictly ascend", k, prev)
 		}
-		end := pos + recHdr + int(binary.LittleEndian.Uint32(body[pos+8:]))
-		if end > len(body) {
-			return Run{}, fmt.Errorf("state: processing-state entry %d: %w", i, stream.ErrShortBuffer)
+		l, w := uint64(body[pos+8]), 1
+		if l >= 0x80 {
+			l, w = uvarint(body[pos+8:])
 		}
-		r.keys[i], r.off[i] = k, pos
-		pos = end
+		if w == 0 || l > uint64(len(body)-pos-8-w) {
+			return Run{}, fmt.Errorf("state: processing-state entry %d: bad length: %w", i, stream.ErrShortBuffer)
+		}
+		start := pos + 8 + w
+		charge, err := walkRecord(body[start:start+int(l)], cells, nil)
+		if err != nil {
+			return Run{}, fmt.Errorf("state: processing-state key %d: %w", k, err)
+		}
+		r.off[i], r.size, prev = uint32(pos), r.size+charge, k
+		pos = start + int(l)
 	}
 	if pos != len(body) {
 		return Run{}, fmt.Errorf("state: %d bytes after the last processing-state entry", len(body)-pos)
 	}
-	r.off[n] = pos
+	r.off[n] = uint32(pos)
 	return r, nil
 }
 
+// walkRecord reads a record whose bytes behind its length are rec, in a
+// run over the table cells: it calls f, when not nil, with each value
+// the record holds and the index of its cell, and returns what Size
+// charges for the record. In a run that names cells, a mask naming none
+// of them or one past the table and values that do not tile rec exactly
+// are errors; so is an error from f, which ends the walk.
+func walkRecord(rec []byte, cells []string, f func(c int, val []byte) error) (int, error) {
+	if len(cells) == 0 {
+		return 8 + len(rec), nil
+	}
+	// The common record, read without the loop: one cell named by a
+	// one-byte mask, its value behind a one-byte length.
+	if f == nil && len(rec) > 1 && rec[1] < 0x80 && int(rec[1]) == len(rec)-2 {
+		if m := rec[0]; m != 0 && m < 0x80 && m&(m-1) == 0 && bits.TrailingZeros8(m) < len(cells) {
+			return 20 + len(cells[bits.TrailingZeros8(m)]) + int(rec[1]), nil
+		}
+	}
+	m, w := uint64(0), 0
+	if len(rec) > 0 {
+		if m, w = uint64(rec[0]), 1; m >= 0x80 {
+			m, w = uvarint(rec)
+		}
+	}
+	if w == 0 || m == 0 || m>>len(cells) != 0 {
+		return 0, fmt.Errorf("bad cell mask for a table of %d cells", len(cells))
+	}
+	charge := 12
+	for c, rec := 0, rec[w:]; ; c, m = c+1, m>>1 {
+		if m == 0 {
+			if len(rec) != 0 {
+				return 0, fmt.Errorf("%d bytes after the record's last value", len(rec))
+			}
+			return charge, nil
+		}
+		if m&1 == 0 {
+			continue
+		}
+		l, w := uint64(0), 0
+		if len(rec) > 0 {
+			if l, w = uint64(rec[0]), 1; l >= 0x80 {
+				l, w = uvarint(rec)
+			}
+		}
+		if w == 0 || l > uint64(len(rec)-w) {
+			return 0, fmt.Errorf("a value overruns its record: %w", stream.ErrShortBuffer)
+		}
+		if f != nil {
+			if err := f(c, rec[w:w+int(l):w+int(l)]); err != nil {
+				return 0, err
+			}
+		}
+		charge += 8 + len(cells[c]) + int(l)
+		rec = rec[w+int(l):]
+	}
+}
+
 // RunBuilder assembles a Run record by record, keys strictly ascending.
-// The zero value is ready; Run hands over what was built.
-type RunBuilder struct{ r Run }
+// The zero value is ready and names no cells; Run hands over what was
+// built.
+type RunBuilder struct {
+	r    Run
+	last stream.Key // the key of the last record begun
+}
 
 // grow reserves room for n more records of recordBytes in total.
 func (b *RunBuilder) grow(n, recordBytes int) {
-	b.r.keys = slices.Grow(b.r.keys, n)
 	b.r.off = slices.Grow(b.r.off, n+1)
 	b.r.body = slices.Grow(b.r.body, recordBytes)
 }
 
-// Append adds one entry. A key at or below the previous one is a
-// programming error and panics: input from outside goes through the
-// decoders, which report it.
+// Append adds one entry, frag its record's bytes. A key at or below the
+// previous one is a programming error and panics: input from outside
+// goes through the decoders, which report it.
 func (b *RunBuilder) Append(k stream.Key, frag []byte) {
 	b.begin(k)
+	b.r.body = binary.AppendUvarint(b.r.body, uint64(len(frag)))
 	b.r.body = append(b.r.body, frag...)
+	b.r.size += 8 + len(frag)
 	b.end()
 }
 
 // Run returns the run built so far; the builder must not be used again.
 func (b *RunBuilder) Run() Run { return b.r }
 
-// begin opens a record for k; the caller appends the fragment to
-// b.r.body and then calls end, or abort to take the record back.
+// begin opens a record for k; the caller appends its length and bytes
+// to b.r.body and then calls end, or abort to take the record back.
 func (b *RunBuilder) begin(k stream.Key) {
-	if n := len(b.r.keys); n > 0 && k <= b.r.keys[n-1] {
-		panic(fmt.Sprintf("state: run key %d appended after %d", k, b.r.keys[n-1]))
+	if len(b.r.off) > 1 && k <= b.last {
+		panic(fmt.Sprintf("state: run key %d appended after %d", k, b.last))
 	}
 	if len(b.r.off) == 0 {
-		b.r.off = append(b.r.off, len(b.r.body))
+		b.r.off = append(b.r.off, uint32(len(b.r.body)))
 	}
-	b.r.keys = append(b.r.keys, k)
+	b.last = k
 	b.r.body = binary.LittleEndian.AppendUint64(b.r.body, uint64(k))
-	b.r.body = append(b.r.body, 0, 0, 0, 0)
 }
 
-func (b *RunBuilder) end() {
-	start := b.r.off[len(b.r.off)-1]
-	binary.LittleEndian.PutUint32(b.r.body[start+8:], uint32(len(b.r.body)-start-recHdr))
-	b.r.off = append(b.r.off, len(b.r.body))
-}
+func (b *RunBuilder) end() { b.r.off = append(b.r.off, uint32(len(b.r.body))) }
 
-func (b *RunBuilder) abort() {
-	b.r.keys = b.r.keys[:len(b.r.keys)-1]
-	b.r.body = b.r.body[:b.r.off[len(b.r.off)-1]]
-}
+func (b *RunBuilder) abort() { b.r.body = b.r.body[:b.r.off[len(b.r.off)-1]] }
 
 // copyRecord appends record i of src unchanged.
-func (b *RunBuilder) copyRecord(src Run, i int) {
-	b.begin(src.keys[i])
-	b.r.body = append(b.r.body, src.frag(i)...)
+func (b *RunBuilder) copyRecord(src *Run, i int) {
+	if len(b.r.off) == 0 {
+		b.r.off = append(b.r.off, uint32(len(b.r.body)))
+	}
+	b.r.body = append(b.r.body, src.body[src.off[i]:src.off[i+1]]...)
 	b.end()
 }
 
-// mergeRuns unions runs whose keys are disjoint into a fresh run, in one
-// pass that always takes the smallest head key; a key held by two runs
-// is an error.
+// putUvarint writes v into the one byte reserved for it at b[at],
+// moving what follows to make room when v needs more.
+func putUvarint(b []byte, at int, v uint64) []byte {
+	if v < 0x80 {
+		b[at] = byte(v)
+		return b
+	}
+	var buf [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(buf[:], v)
+	b = append(b, buf[1:w]...)
+	copy(b[at+w:], b[at+1:len(b)-(w-1)])
+	copy(b[at:], buf[:w])
+	return b
+}
+
+// mergeRuns unions runs whose keys are disjoint and whose cell tables
+// agree into a fresh run, in one pass that always takes the smallest
+// head key; a key held by two runs is an error.
 func mergeRuns(runs []Run) (Run, error) {
-	var b RunBuilder
-	n, size := 0, 0
+	var first Run // the first run with records, whose table the merge takes
+	n, size, charge := 0, 0, 0
 	for _, r := range runs {
+		if err := sameCells(first, r); err != nil {
+			return Run{}, err
+		}
+		if first.Len() == 0 {
+			first = r
+		}
 		n += r.Len()
 		size += len(r.records())
+		charge += r.Size()
 	}
+	if size > maxRunBody {
+		return Run{}, fmt.Errorf("state: merged run of %d bytes", size)
+	}
+	b := RunBuilder{r: Run{cells: first.cells, size: charge}}
 	b.grow(n, size)
 	heads := make([]int, len(runs))
 	for ; n > 0; n-- {
 		min := -1
-		for i, r := range runs {
+		for i := range runs {
+			r := &runs[i]
 			switch {
 			case heads[i] == r.Len():
-			case min < 0 || r.keys[heads[i]] < runs[min].keys[heads[min]]:
+			case min < 0 || r.key(heads[i]) < runs[min].key(heads[min]):
 				min = i
-			case r.keys[heads[i]] == runs[min].keys[heads[min]]:
-				return Run{}, fmt.Errorf("state: merge overlap on key %d", r.keys[heads[i]])
+			case r.key(heads[i]) == runs[min].key(heads[min]):
+				return Run{}, fmt.Errorf("state: merge overlap on key %d", r.key(heads[i]))
 			}
 		}
-		b.copyRecord(runs[min], heads[min])
+		b.copyRecord(&runs[min], heads[min])
 		heads[min]++
 	}
 	return b.Run(), nil
@@ -277,29 +511,52 @@ func unionKeys(lists [][]stream.Key) []stream.Key {
 }
 
 // overlay returns base with changed's entries replacing or joining it
-// and the deleted keys (ascending) removed — a linear merge into a fresh
-// run.
-func overlay(base, changed Run, deleted []stream.Key) Run {
-	var b RunBuilder
-	b.grow(base.Len()+changed.Len(), len(base.records())+len(changed.records()))
-	for i, j, d := 0, 0, 0; i < base.Len() || j < changed.Len(); {
-		src, at := changed, j
-		if j == changed.Len() || (i < base.Len() && base.keys[i] < changed.keys[j]) {
-			src, at = base, i
-			i++
-		} else {
-			if i < base.Len() && base.keys[i] == changed.keys[j] {
-				i++ // superseded
+// and the deleted keys (ascending) removed — a fresh run, sized by a
+// first pass so a backup that keeps it keeps no slack, and charged as
+// the two runs less what the fold drops. The two runs' cell tables must
+// agree.
+func overlay(base, changed Run, deleted []stream.Key) (Run, error) {
+	if err := sameCells(base, changed); err != nil {
+		return Run{}, err
+	}
+	// walk visits the records in key order, passing each one the fold
+	// keeps to keep and each superseded or deleted one to drop.
+	nb, nc := base.Len(), changed.Len()
+	walk := func(keep, drop func(src *Run, i int)) {
+		for i, j, d := 0, 0, 0; i < nb || j < nc; {
+			src, at := &changed, j
+			if j == nc || (i < nb && base.key(i) < changed.key(j)) {
+				src, at = &base, i
+				i++
+			} else {
+				if i < nb && base.key(i) == changed.key(j) {
+					drop(&base, i) // superseded
+					i++
+				}
+				j++
 			}
-			j++
-		}
-		k := src.keys[at]
-		for d < len(deleted) && deleted[d] < k {
-			d++
-		}
-		if d == len(deleted) || deleted[d] != k {
-			b.copyRecord(src, at)
+			k := src.key(at)
+			for d < len(deleted) && deleted[d] < k {
+				d++
+			}
+			if d < len(deleted) && deleted[d] == k {
+				drop(src, at)
+			} else {
+				keep(src, at)
+			}
 		}
 	}
-	return b.Run()
+	n, size, charge := 0, 0, base.Size()+changed.Size()
+	walk(func(src *Run, i int) { n, size = n+1, size+int(src.off[i+1]-src.off[i]) },
+		func(src *Run, i int) { charge -= src.charge(i) })
+	if size > maxRunBody {
+		return Run{}, fmt.Errorf("state: folded run of %d bytes", size)
+	}
+	b := RunBuilder{r: Run{cells: base.cells, size: charge}}
+	if changed.Len() > 0 {
+		b.r.cells = changed.cells
+	}
+	b.grow(n, size)
+	walk(b.copyRecord, func(*Run, int) {})
+	return b.Run(), nil
 }

@@ -2,10 +2,13 @@ package state
 
 import (
 	"bytes"
+	"encoding/binary"
 	"iter"
 	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"seep/internal/plan"
@@ -55,24 +58,22 @@ func newRunModel(t *testing.T, key, wkey func() stream.Key) *runModel {
 	return md
 }
 
-// refRecord is the reference encoding of k's record in the model store:
-// the per-key union layout spelled out with the stream codec,
-// independently of the capture under test.
+// refRecord is the reference encoding of k's record in the model store,
+// the bytes behind its length: the cell mask over the table (v, w, m),
+// then each present value behind its length, spelled out independently
+// of the capture under test.
 func (md *runModel) refRecord(k stream.Key) []byte {
-	frags, n := stream.NewEncoder(64), uint32(0)
-	for _, c := range []struct {
-		name string
-		ref  map[stream.Key]int64
-	}{{"v", md.refV}, {"w", md.refW}} {
-		if x, ok := c.ref[k]; ok {
-			frags.String32(c.name)
-			frags.Uint32(8)
-			frags.Int64(x)
-			n++
+	var mask uint64
+	var values []byte
+	for i, ref := range []map[stream.Key]int64{md.refV, md.refW} {
+		if x, ok := ref[k]; ok {
+			mask |= 1 << i
+			values = binary.AppendUvarint(values, 8)
+			values = binary.LittleEndian.AppendUint64(values, uint64(x))
 		}
 	}
 	if fields, ok := md.refM[k]; ok {
-		frags.String32("m")
+		mask |= 1 << 2
 		inner := stream.NewEncoder(32)
 		inner.Uint32(uint32(len(fields)))
 		for _, f := range slices.Sorted(maps.Keys(fields)) {
@@ -80,13 +81,28 @@ func (md *runModel) refRecord(k stream.Key) []byte {
 			inner.Uint32(8)
 			inner.Int64(fields[f])
 		}
-		frags.Bytes32(inner.Bytes())
-		n++
+		values = binary.AppendUvarint(values, uint64(inner.Len()))
+		values = append(values, inner.Bytes()...)
 	}
-	e := stream.NewEncoder(64)
-	e.Uint32(n)
-	e.Raw(frags.Bytes())
-	return e.Bytes()
+	return append(binary.AppendUvarint(nil, mask), values...)
+}
+
+// refCharge is what Size charges for a model record: the key and a
+// fragment count, and per value its cell's name, two 32-bit lengths and
+// the value — the per-record layout Size was calibrated on.
+func refCharge(rec []byte) int {
+	n := 12
+	mask, w := binary.Uvarint(rec)
+	rec = rec[w:]
+	for _, name := range []string{"v", "w", "m"} {
+		if mask&1 != 0 {
+			l, w := binary.Uvarint(rec)
+			rec = rec[w+int(l):]
+			n += 8 + len(name) + int(l)
+		}
+		mask >>= 1
+	}
+	return n
 }
 
 // refState is what a full capture of the model store must hold.
@@ -105,8 +121,11 @@ func (md *runModel) expectRun(what string, got Run, want map[stream.Key][]byte) 
 	if got.Len() != len(want) {
 		md.t.Fatalf("%s: run holds %d keys, reference %d", what, got.Len(), len(want))
 	}
-	if !slices.IsSorted(got.Keys()) {
+	if !slices.IsSorted(slices.Collect(got.Keys())) {
 		md.t.Fatalf("%s: run keys not ascending", what)
+	}
+	if got.Len() > 0 && !slices.Equal(got.cells, []string{"v", "w", "m"}) {
+		md.t.Fatalf("%s: run names cells %q", what, got.cells)
 	}
 	size := 0
 	for k, v := range got.All() {
@@ -116,7 +135,7 @@ func (md *runModel) expectRun(what string, got Run, want map[stream.Key][]byte) 
 		if g, ok := got.Get(k); !ok || !bytes.Equal(g, v) {
 			md.t.Fatalf("%s: Get(%d) disagrees with iteration", what, k)
 		}
-		size += 8 + len(v)
+		size += refCharge(v)
 	}
 	if got.Size() != size {
 		md.t.Fatalf("%s: Size() = %d, entries sum to %d", what, got.Size(), size)
@@ -191,7 +210,9 @@ func (md *runModel) step(r *rand.Rand) {
 		}
 		before := md.backup.KV
 		beforeRef := maps.Collect(before.All())
-		d.Apply(md.backup)
+		if err := d.Apply(md.backup); err != nil {
+			t.Fatal(err)
+		}
 		md.expectRun("Apply", md.backup.KV, md.refBackup)
 		md.expectRun("run before Apply", before, beforeRef) // runs are immutable
 		md.dirty = map[stream.Key]bool{}
@@ -218,7 +239,7 @@ func (md *runModel) step(r *rand.Rand) {
 		}
 		md.expectRun("MergeProcessing", merged.KV, md.refBackup)
 		if md.backup.Len() > 0 {
-			if _, err := MergeProcessing(append(parts, md.backup.Partition([]KeyRange{{Lo: 0, Hi: md.backup.KV.Keys()[0]}})...)...); err == nil {
+			if _, err := MergeProcessing(append(parts, md.backup.Partition([]KeyRange{{Lo: 0, Hi: md.backup.KV.key(0)}})...)...); err == nil {
 				t.Fatal("merge of overlapping parts succeeded")
 			}
 		}
@@ -324,10 +345,10 @@ func TestCaptureIsOrderFree(t *testing.T) {
 	}
 	a := fill(order, false)
 	r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	if b := fill(order, true); !bytes.Equal(a.records(), b.records()) || !slices.Equal(a.Keys(), b.Keys()) {
+	if b := fill(order, true); !a.Equal(b) {
 		t.Errorf("runs differ: %d and %d keys, %d and %d bytes", a.Len(), b.Len(), len(a.records()), len(b.records()))
 	}
-	if !slices.IsSorted(a.Keys()) {
+	if !slices.IsSorted(slices.Collect(a.Keys())) {
 		t.Error("run keys not ascending")
 	}
 }
@@ -436,6 +457,238 @@ func TestRunAllocations(t *testing.T) {
 	}
 }
 
+// TestRunBytesPerKey: an int64 counter key costs at most 20 bytes on the
+// wire and at most 28 retained, whether the run was captured or decoded
+// — its cell is named once per run, not in every record, and a run
+// indexes its records with one uint32 offset each instead of holding a
+// key copy and an int offset beside them.
+func TestRunBytesPerKey(t *testing.T) {
+	const keys = 100_000
+	s, _ := int64Store(keys)
+	// A first capture drops the dirty set the fill left behind, so the
+	// measured one frees nothing it did not allocate.
+	if _, err := s.TakeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var run Run
+	captured := heapKept(func() {
+		var err error
+		if run, err = s.TakeCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cp := &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1, Processing: &Processing{KV: run, TS: stream.TSVector{1}}, Buffer: NewBuffer()}
+	blob, err := MarshalCheckpoint(cp, GobPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Checkpoint
+	decoded := len(blob) + heapKept(func() {
+		if got, err = DecodeCheckpoint(stream.NewDecoder(blob), GobPayloadCodec{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got.Processing.Len() != keys || !got.Processing.KV.Equal(run) {
+		t.Fatalf("decoded %d keys, captured %d", got.Processing.Len(), run.Len())
+	}
+	runtime.KeepAlive(s) // so the collector frees none of its cells inside the measured capture
+	for what, bytes := range map[string]int{"on the wire": len(blob), "retained captured": captured, "retained decoded": decoded} {
+		limit := 28
+		if what == "on the wire" {
+			limit = 20
+		}
+		per := float64(bytes) / keys
+		t.Logf("%s: %.1f bytes per int64 key", what, per)
+		if per > float64(limit) {
+			t.Errorf("%s: %.1f bytes per int64 key, want ≤ %d", what, per, limit)
+		}
+	}
+}
+
+// heapKept returns the heap bytes f leaves allocated — what is still
+// reachable after it, between two collections.
+func heapKept(f func()) int {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int(after.HeapAlloc) - int(before.HeapAlloc)
+}
+
+// TestCaptureOverBodyLimitIsAnError: a capture, merge or fold whose body
+// would pass what a run's uint32 offsets index is an error, and a failed
+// capture leaves the store's tracking as it was, so the previous backup
+// stays authoritative.
+func TestCaptureOverBodyLimitIsAnError(t *testing.T) {
+	s, v := int64Store(100)
+	full, err := s.TakeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := s.LastFullSize()
+	v.Set(1, 1)
+	defer func(limit int) { maxRunBody = limit }(maxRunBody)
+	maxRunBody = len(full.records())
+	if _, err := s.TakeCheckpoint(); err == nil {
+		t.Fatal("a capture past the body limit succeeded")
+	}
+	if s.DirtyCount() != 1 || s.LastFullSize() != size {
+		t.Errorf("a failed capture moved the tracking: %d dirty, last full %d (was %d)", s.DirtyCount(), s.LastFullSize(), size)
+	}
+	d, err := s.TakeDelta(stream.TSVector{1}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Apply(&Processing{KV: full}); err == nil {
+		t.Error("a fold past the body limit succeeded")
+	}
+	if _, err := MergeProcessing(&Processing{KV: full}, &Processing{KV: d.Changed}); err == nil {
+		t.Error("a merge past the body limit succeeded")
+	}
+}
+
+// cellStore returns a store with one int64 Value cell per name, each
+// holding key k as k*10 for k in keys.
+func cellStore(names []string, keys ...stream.Key) (*Store, []*Value[int64]) {
+	s := NewStore()
+	cells := make([]*Value[int64], len(names))
+	for i, name := range names {
+		cells[i] = NewValue[int64](s, name, Int64Codec{})
+		for _, k := range keys {
+			cells[i].Set(k, int64(k)*10)
+		}
+	}
+	return s, cells
+}
+
+func capture(t *testing.T, s *Store) Run {
+	t.Helper()
+	run, err := s.TakeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// TestCellTableRestoresIntoExtraCell: a run restores into a store that
+// holds cells it does not name, in any registration order; those cells
+// stay empty, and the store's next capture names all of its own.
+func TestCellTableRestoresIntoExtraCell(t *testing.T) {
+	src, _ := cellStore([]string{"a", "b"}, 1, 2, 3)
+	s := NewStore()
+	x := NewValue[string](s, "x", StringCodec{})
+	b := NewValue[int64](s, "b", Int64Codec{})
+	a := NewValue[int64](s, "a", Int64Codec{})
+	if err := s.Restore(capture(t, src)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []stream.Key{1, 2, 3} {
+		if va, _ := a.Get(k); va != int64(k)*10 {
+			t.Errorf("a[%d] = %d after restore", k, va)
+		}
+		if vb, _ := b.Get(k); vb != int64(k)*10 {
+			t.Errorf("b[%d] = %d after restore", k, vb)
+		}
+	}
+	if x.Len() != 0 {
+		t.Errorf("the cell the run does not name holds %d keys", x.Len())
+	}
+	if again := capture(t, s); !slices.Equal(again.cells, []string{"x", "b", "a"}) || again.Len() != 3 {
+		t.Errorf("re-capture names %q over %d keys", again.cells, again.Len())
+	}
+}
+
+// TestCellTableUnknownCellFails: a run naming a cell the store lacks
+// does not restore, and the error names the cell.
+func TestCellTableUnknownCellFails(t *testing.T) {
+	src, _ := cellStore([]string{"a", "gone"}, 1)
+	s, _ := cellStore([]string{"a"})
+	err := s.Restore(capture(t, src))
+	if err == nil || !strings.Contains(err.Error(), `"gone"`) {
+		t.Fatalf("restore into a store without cell gone: %v", err)
+	}
+}
+
+// TestCellTableMismatchRefused: merge, a partition's merge and a delta's
+// fold across runs over different cell tables are errors that leave
+// their inputs alone; a run without records merges with any table.
+func TestCellTableMismatchRefused(t *testing.T) {
+	one, _ := cellStore([]string{"a"}, 1, 2)
+	two, cells := cellStore([]string{"a", "b"}, 10, 11)
+	runA, runB := capture(t, one), capture(t, two)
+	cp := func(part int, run Run) *Checkpoint {
+		return &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: part}, Seq: 1, Processing: &Processing{KV: run, TS: stream.TSVector{1}}, Buffer: NewBuffer()}
+	}
+	if _, err := MergeProcessing(&Processing{KV: runA}, &Processing{KV: runB}); err == nil {
+		t.Error("MergeProcessing across cell tables succeeded")
+	}
+	if _, err := MergeCheckpoints(plan.InstanceID{Op: "cnt", Part: 9}, cp(1, runA), cp(2, runB)); err == nil {
+		t.Error("MergeCheckpoints across cell tables succeeded")
+	}
+	ids := []plan.InstanceID{{Op: "cnt", Part: 3}, {Op: "cnt", Part: 4}}
+	parts, err := PartitionCheckpoint(cp(2, runB), ids, []KeyRange{{Lo: 0, Hi: 10}, {Lo: 11, Hi: stream.MaxKey}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range parts {
+		if !slices.Equal(part.Processing.KV.cells, runB.cells) {
+			t.Errorf("a part names %q, its checkpoint %q", part.Processing.KV.cells, runB.cells)
+		}
+	}
+	if _, err := MergeCheckpoints(plan.InstanceID{Op: "cnt", Part: 9}, parts[0], cp(1, runA)); err == nil {
+		t.Error("merging a partition with a checkpoint over other cells succeeded")
+	}
+	cells[0].Set(10, 7)
+	d, err := two.TakeDelta(stream.TSVector{2}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup := &Processing{KV: runA, TS: stream.TSVector{1}}
+	if err := d.Apply(backup); err == nil || !backup.KV.Equal(runA) || backup.TS[0] != 1 {
+		t.Errorf("a fold across cell tables: err %v, backup moved: %v", err, !backup.KV.Equal(runA))
+	}
+	merged, err := MergeProcessing(&Processing{KV: runA}, &Processing{KV: Run{}}, &Processing{KV: runA.Range(KeyRange{Lo: 5, Hi: 6})})
+	if err != nil || !merged.KV.Equal(runA) {
+		t.Errorf("merging with empty runs: %v", err)
+	}
+}
+
+// TestCellTableGoldenRoundTrips: the two-cell golden decodes, restores
+// into a store with its cells, and the store's re-capture encodes to the
+// golden byte for byte.
+func TestCellTableGoldenRoundTrips(t *testing.T) {
+	blob := readGolden(t, "value_map_full")
+	cp, err := DecodeCheckpoint(stream.NewDecoder(blob), GobPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cp.Processing.KV.cells, []string{"v", "m"}) {
+		t.Fatalf("the golden names %q", cp.Processing.KV.cells)
+	}
+	s := NewStore()
+	v := NewValue[float64](s, "v", Float64Codec{})
+	m := NewMap[int64](s, "m", Int64Codec{})
+	if err := s.Restore(cp.Processing.KV); err != nil {
+		t.Fatal(err)
+	}
+	if x, _ := v.Get(12); x != 3 {
+		t.Errorf("v[12] = %v, want 3", x)
+	}
+	if x, _ := m.Get(12, "f2"); x != 120 {
+		t.Errorf("m[12][f2] = %d, want 120", x)
+	}
+	cp.Processing.KV = capture(t, s)
+	again, err := MarshalCheckpoint(cp, GobPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Errorf("re-encoded golden: %d bytes differ from its %d", len(again), len(blob))
+	}
+}
+
 // TestDecodeProcessingRejectsMalformedRuns: a body whose keys do not
 // strictly ascend, whose records overrun it or that carries bytes past
 // its last record is an error and yields no state.
@@ -470,30 +723,49 @@ func checkpointAround(section []byte) []byte {
 }
 
 // malformedProcessingSections returns processing sections that frame
-// correctly but break the run's invariants.
+// correctly but break the run's invariants: keys that do not ascend,
+// records that overrun the section or their own length, a cell table
+// that names a cell twice or none at all, a mask naming no cell or one
+// past the table, uvarints spelled longer than they need, and values
+// that overrun their record or leave bytes behind them.
 func malformedProcessingSections() map[string][]byte {
-	section := func(n int, records ...[]byte) []byte {
+	section := func(cells []string, n int, records ...[]byte) []byte {
 		e := stream.NewEncoder(64)
 		e.TSVector(stream.TSVector{7})
+		e.Uint32(uint32(len(cells)))
+		for _, c := range cells {
+			e.String32(c)
+		}
 		e.Uint32(uint32(n))
 		for _, r := range records {
 			e.Raw(r)
 		}
 		return e.Bytes()
 	}
-	rec := func(k stream.Key, frag string) []byte {
-		e := stream.NewEncoder(16)
-		e.Key(k)
-		e.Bytes32([]byte(frag))
-		return e.Bytes()
+	// rec frames body as k's record; value is a one-cell body holding v.
+	rec := func(k stream.Key, body []byte) []byte {
+		return append(binary.AppendUvarint(binary.LittleEndian.AppendUint64(nil, uint64(k)), uint64(len(body))), body...)
 	}
-	long := rec(9, "fragment")
+	value := func(v string) []byte { return append([]byte{1, byte(len(v))}, v...) }
+	n := []string{"n"}
+	long := rec(9, value("fragment"))
 	return map[string][]byte{
-		"unsorted":         section(2, rec(5, "a"), rec(3, "b")),
-		"duplicate key":    section(2, rec(5, "a"), rec(5, "b")),
-		"truncated record": section(2, rec(1, "a"), long[:len(long)-3]),
-		"short header":     section(2, rec(1, "a"), long[:7]),
-		"count too low":    section(1, rec(1, "a"), rec(2, "b")),
-		"count too high":   section(3, rec(1, "a"), rec(2, "b")),
+		"unsorted":                  section(n, 2, rec(5, value("a")), rec(3, value("b"))),
+		"duplicate key":             section(n, 2, rec(5, value("a")), rec(5, value("b"))),
+		"truncated record":          section(n, 2, rec(1, value("a")), long[:len(long)-3]),
+		"short header":              section(n, 2, rec(1, value("a")), long[:7]),
+		"count too low":             section(n, 1, rec(1, value("a")), rec(2, value("b"))),
+		"count too high":            section(n, 3, rec(1, value("a")), rec(2, value("b"))),
+		"overlong record length":    section(n, 1, append(binary.LittleEndian.AppendUint64(nil, 1), 0x83, 0x00, 1, 1, 'a')),
+		"overlong mask":             section(n, 1, rec(1, []byte{0x81, 0x00, 1, 'a'})),
+		"overlong value length":     section(n, 1, rec(1, []byte{1, 0x81, 0x00, 'a'})),
+		"uvarint past 64 bits":      section(n, 1, rec(1, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})),
+		"mask past the table":       section(n, 1, rec(1, []byte{3, 1, 'a', 1, 'b'})),
+		"mask naming no cell":       section(n, 1, rec(1, []byte{0})),
+		"value overruns its record": section(n, 1, rec(1, []byte{1, 5, 'a'})),
+		"bytes after the value":     section(n, 1, rec(1, append(value("a"), 'x'))),
+		"cell named twice":          section([]string{"n", "n"}, 1, rec(1, value("a"))),
+		"empty cell name":           section([]string{""}, 1, rec(1, value("a"))),
+		"cells past the section":    section([]string{"a", "b", "c"}, 0)[:16],
 	}
 }

@@ -1,7 +1,6 @@
 package state
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,8 +33,9 @@ func NewSpiller(dir string) (*Spiller, error) {
 	return &Spiller{dir: dir, spilled: make(map[string]KeyRange)}, nil
 }
 
-// Spill writes run to disk as one chunk — an entry count, then the run's
-// records as they are — and records it under r, the key range a later
+// Spill writes run to disk as one chunk — the run as a processing
+// section carries it: its cell table, its entry count, then its records
+// as they are — and records it under r, the key range a later
 // Materialize finds it by. An empty run writes nothing.
 func (s *Spiller) Spill(run Run, r KeyRange) error {
 	if run.Len() == 0 {
@@ -43,11 +43,11 @@ func (s *Spiller) Spill(run Run, r KeyRange) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec := run.records()
-	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(rec)), uint32(run.Len()))
+	e := stream.NewEncoder(run.encodedLen())
+	run.encode(e)
 	s.next++
 	name := fmt.Sprintf("spill-%06d.bin", s.next)
-	if err := os.WriteFile(filepath.Join(s.dir, name), append(b, rec...), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.dir, name), e.Bytes(), 0o644); err != nil {
 		return fmt.Errorf("state: write spill file: %w", err)
 	}
 	s.spilled[name] = r
@@ -69,10 +69,7 @@ func (s *Spiller) Materialize(r KeyRange) ([]Run, error) {
 		if err != nil {
 			return loaded, fmt.Errorf("state: read spill file: %w", err)
 		}
-		if len(b) < 4 {
-			return loaded, fmt.Errorf("state: corrupt spill file %s: %w", name, stream.ErrShortBuffer)
-		}
-		run, err := scanRun(b[4:], int(binary.LittleEndian.Uint32(b)))
+		run, err := decodeRun(stream.NewDecoder(b))
 		if err != nil {
 			return loaded, fmt.Errorf("state: corrupt spill file %s: %w", name, err)
 		}

@@ -331,7 +331,9 @@ func TestSpillStoreDeltaMaterialisesDirtyKeys(t *testing.T) {
 
 	// Base + delta must equal a full observation of the live store.
 	p := &Processing{KV: base, TS: stream.NewTSVector(1)}
-	d.Apply(p)
+	if err := d.Apply(p); err != nil {
+		t.Fatal(err)
+	}
 	want, err := s.TakeCheckpoint()
 	if err != nil {
 		t.Fatal(err)

@@ -262,7 +262,7 @@ func (sp *storeSpill) loadAllLocked(s *Store) error {
 func (sp *storeSpill) loadLocked(s *Store, r KeyRange) error {
 	runs, err := sp.sp.Materialize(r)
 	for _, run := range runs {
-		for _, k := range run.Keys() {
+		for k := range run.Keys() {
 			delete(sp.spilled, k)
 		}
 		if ierr := s.installLocked(run); ierr != nil && err == nil {
@@ -322,7 +322,7 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 				sp.lastErr = err
 				return
 			}
-			for _, k := range run.Keys() {
+			for k := range run.Keys() {
 				sp.spilled[k] = struct{}{}
 				s.deleteKeyLocked(k)
 			}

@@ -32,12 +32,18 @@ type Store struct {
 	mu     sync.Mutex
 	cells  []storeCell
 	byName map[string]storeCell
+	// names is the cells' names in registration order: the cell table
+	// of every run the store captures.
+	names []string
 	// touched holds the keys written or deleted since the last
 	// TakeCheckpoint/TakeDelta — the raw material of Delta checkpoints.
 	touched map[stream.Key]struct{}
 	// lastFullSize is the serialised footprint of the last full
 	// checkpoint, the baseline for DeltaPolicy's size fallback.
 	lastFullSize int
+	// lastFullBody is the length of the last full checkpoint's records,
+	// which sizes the next one when values are not of fixed width.
+	lastFullBody int
 	// deltasSinceFull counts the TakeDelta calls since the last
 	// TakeCheckpoint/Restore — the length of the delta chain a backup
 	// host has to fold, which DeltaPolicy.FullEvery bounds.
@@ -60,6 +66,9 @@ func NewStore() *Store {
 // called with the store lock held.
 type storeCell interface {
 	cellName() string
+	// width is the byte length of every value the cell encodes, or -1
+	// when values vary in length.
+	width() int
 	// lookupLocked returns the cell's fragSource for a capture of given
 	// keys, which looks each one up.
 	lookupLocked() fragSource
@@ -82,10 +91,10 @@ type storeCell interface {
 	compactLocked()
 }
 
-// fragSource appends one cell's part of k's record — its name and its
-// length-prefixed fragment — to dst; ok=false, and dst comes back as it
-// was, when the cell holds nothing under k. A capture asks for its keys
-// in ascending order.
+// fragSource appends one cell's value under k — its encoding, without
+// the length the capture puts in front — to dst; ok=false, and dst comes
+// back as it was, when the cell holds nothing under k. A capture asks
+// for its keys in ascending order.
 type fragSource func(dst []byte, k stream.Key) (out []byte, ok bool, err error)
 
 // register binds a cell to the store. Cell names must be unique and
@@ -100,8 +109,12 @@ func (s *Store) register(c storeCell) {
 	if _, dup := s.byName[name]; dup {
 		panic(fmt.Sprintf("state: duplicate cell %q", name))
 	}
+	if len(s.cells) == maxCells {
+		panic(fmt.Sprintf("state: cell %q past the %d a store holds", name, maxCells))
+	}
 	s.byName[name] = c
 	s.cells = append(s.cells, c)
+	s.names = append(s.names, name)
 }
 
 // touchLocked records that the state under k changed (write or delete).
@@ -112,22 +125,40 @@ func (s *Store) touchLocked(k stream.Key) {
 
 // sortedLocked returns every key held by any cell, ascending — the union
 // of the cells' sorted keys — with each cell's fragSource for a full
-// capture and the body the records take around 8-byte values: per
-// record the key, its length and the fragment count, per fragment
-// fragBytes.
-func (s *Store) sortedLocked() (keys []stream.Key, srcs []fragSource, body int) {
+// capture and the bytes the records take (bodyBytes), exact when every
+// value is of fixed width.
+func (s *Store) sortedLocked() (keys []stream.Key, srcs []fragSource, body int, exact bool) {
 	lists, srcs := make([][]stream.Key, len(s.cells)), make([]fragSource, len(s.cells))
 	for i, c := range s.cells {
 		lists[i], srcs[i] = c.sortedLocked()
-		body += len(lists[i]) * fragBytes(c)
 	}
 	keys = unionKeys(lists)
-	return keys, srcs, body + (recHdr+4)*len(keys)
+	body, exact = s.bodyBytes(len(keys), func(i int) int { return len(lists[i]) })
+	return keys, srcs, body, exact
+}
+
+// bodyBytes is what records of keys keys take, held[i] of them by cell
+// i: per record the key, a one-byte length and mask, per value its
+// one-byte length and the value, 8 bytes when its width is not fixed.
+// exact reports that the figure is the records' length to the byte:
+// every width is fixed and every length and mask fits one byte.
+func (s *Store) bodyBytes(keys int, held func(i int) int) (body int, exact bool) {
+	body, exact = 10*keys, len(s.cells) < 8
+	record := 1
+	for i, c := range s.cells {
+		w := c.width()
+		if w < 0 || w >= 0x80 {
+			w, exact = 8, false
+		}
+		body += held(i) * (1 + w)
+		record += 1 + w
+	}
+	return body, exact && record < 0x80
 }
 
 // keysLocked returns every key held by any cell, ascending.
 func (s *Store) keysLocked() []stream.Key {
-	keys, _, _ := s.sortedLocked()
+	keys, _, _, _ := s.sortedLocked()
 	return keys
 }
 
@@ -146,42 +177,53 @@ func endFrag(dst []byte, mark int) []byte {
 	return dst
 }
 
-// fragBytes is what a record spends on one fragment of c around an
-// 8-byte value: the cell name, its length prefix and the fragment's.
-func fragBytes(c storeCell) int { return 16 + len(c.cellName()) }
-
 // captureLocked encodes the state under keys (ascending, distinct) into
-// one run, srcs[i] appending cell i's fragments straight into its body,
-// which starts with bodyHint bytes of room. A record is the per-key
-// union of all cell fragments: a fragment count, then (cell name,
-// fragment bytes) pairs in cell registration order. Keys no cell holds
-// come back in absent. The run takes over keys' backing array.
+// one run over the store's cell table, srcs[i] appending cell i's values
+// straight into its body, which starts with bodyHint bytes of room. A
+// record is the per-key union of the cells' values: the mask of cells
+// holding one, then each value behind its length, in registration
+// order. Lengths and masks are written as one byte and widened in place
+// when they need more, and the charge Size reports is counted on the
+// way. Keys no cell holds come back in absent; a body past maxRunBody is
+// an error.
 func (s *Store) captureLocked(keys []stream.Key, srcs []fragSource, bodyHint int) (run Run, absent []stream.Key, err error) {
 	b := RunBuilder{r: Run{
-		keys: keys[:0], // filtered in place: a key is written at or before where it was read
-		off:  make([]int, 0, len(keys)+1),
-		body: make([]byte, 0, bodyHint),
+		cells: s.names,
+		off:   make([]uint32, 0, len(keys)+1),
+		body:  make([]byte, 0, bodyHint),
 	}}
 	for _, k := range keys {
 		b.begin(k)
-		count := len(b.r.body)
-		b.r.body = append(b.r.body, 0, 0, 0, 0)
-		n := uint32(0)
+		head := len(b.r.body)
+		b.r.body = append(b.r.body, 0, 0) // the record's length and its mask
+		var mask uint64
 		for i, src := range srcs {
+			at := len(b.r.body)
+			b.r.body = append(b.r.body, 0)
 			var ok bool
 			if b.r.body, ok, err = src(b.r.body, k); err != nil {
-				return Run{}, nil, fmt.Errorf("state: cell %q: encode key %d: %w", s.cells[i].cellName(), k, err)
+				return Run{}, nil, fmt.Errorf("state: cell %q: encode key %d: %w", s.names[i], k, err)
 			}
-			if ok {
-				n++
+			if !ok {
+				b.r.body = b.r.body[:at]
+				continue
 			}
+			l := len(b.r.body) - at - 1
+			b.r.body = putUvarint(b.r.body, at, uint64(l))
+			b.r.size += 8 + len(s.names[i]) + l
+			mask |= 1 << i
 		}
-		if n == 0 {
+		if mask == 0 {
 			b.abort()
 			absent = append(absent, k)
 			continue
 		}
-		binary.LittleEndian.PutUint32(b.r.body[count:], n)
+		b.r.size += 12
+		b.r.body = putUvarint(b.r.body, head+1, mask)
+		b.r.body = putUvarint(b.r.body, head, uint64(len(b.r.body)-head-1))
+		if len(b.r.body) > maxRunBody {
+			return Run{}, nil, fmt.Errorf("state: a capture past %d bytes", maxRunBody)
+		}
 		b.end()
 	}
 	return b.Run(), absent, nil
@@ -204,14 +246,18 @@ func (s *Store) TakeCheckpoint() (Run, error) {
 	}
 	// Each cell walks its map once and sorts what it walked; the capture
 	// merges the cells' entries, so no key is sorted by comparison or
-	// looked up. Values wider than 8 bytes are sized by the last
+	// looked up. Fixed-width values size the body exactly, so a backup
+	// that keeps the run keeps no slack; others are sized by the last
 	// checkpoint's body, plus a sixteenth for growth.
-	keys, srcs, body := s.sortedLocked()
-	run, _, err := s.captureLocked(keys, srcs, max(body, s.lastFullSize+s.lastFullSize/16+4*len(keys)))
+	keys, srcs, body, exact := s.sortedLocked()
+	if !exact {
+		body = max(body, s.lastFullBody+s.lastFullBody/16)
+	}
+	run, _, err := s.captureLocked(keys, srcs, body)
 	if err != nil {
 		return Run{}, err
 	}
-	s.lastFullSize = run.Size()
+	s.lastFullSize, s.lastFullBody = run.Size(), len(run.records())
 	s.deltasSinceFull = 0
 	s.touched = make(map[stream.Key]struct{})
 	return run, nil
@@ -247,20 +293,19 @@ func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) 
 // cell holds come back in absent.
 func (s *Store) captureKeysLocked(keys []stream.Key) (run Run, absent []stream.Key, err error) {
 	srcs := make([]fragSource, len(s.cells))
-	record := recHdr + 4
 	for i, c := range s.cells {
 		srcs[i] = c.lookupLocked()
-		record += fragBytes(c)
 	}
-	return s.captureLocked(keys, srcs, record*len(keys))
+	body, _ := s.bodyBytes(len(keys), func(int) int { return len(keys) })
+	return s.captureLocked(keys, srcs, body)
 }
 
 // Restore replaces the entire store contents with a run produced by
 // TakeCheckpoint (set-processing-state, §3.1) — possibly one partitioned
-// by key range or merged from siblings. Dirty-key tracking resets; a
-// fragment naming an unregistered cell or failing to decode is an error
-// (state must never be dropped silently), and leaves the store partially
-// restored.
+// by key range or merged from siblings. Dirty-key tracking resets; a run
+// naming a cell the store lacks, or a value failing to decode, is an
+// error (state must never be dropped silently), and leaves the store
+// partially restored. The store may hold cells the run does not name.
 func (s *Store) Restore(kv Run) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,33 +323,31 @@ func (s *Store) Restore(kv Run) error {
 	return s.installLocked(kv)
 }
 
-// installLocked decodes every record of kv into the cells.
+// installLocked decodes every record of kv into the cells, mapping the
+// run's cell table to the store's once.
 func (s *Store) installLocked(kv Run) error {
-	for k, v := range kv.All() {
-		if err := s.decodeKeyLocked(k, v); err != nil {
-			return err
-		}
+	if kv.Len() > 0 && len(kv.cells) == 0 {
+		return fmt.Errorf("state: restore: a run of %d records names no cells", kv.Len())
 	}
-	return nil
-}
-
-// decodeKeyLocked installs one per-key fragment union produced by
-// captureLocked, dispatching each fragment to its cell.
-func (s *Store) decodeKeyLocked(k stream.Key, v []byte) error {
-	d := stream.NewDecoder(v)
-	n := int(d.Uint32())
-	for i := 0; i < n; i++ {
-		name := d.Bytes32()
-		frag := d.Bytes32()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("state: restore key %d: %w", k, err)
-		}
-		c, ok := s.byName[string(name)]
+	cells := make([]storeCell, len(kv.cells))
+	for i, name := range kv.cells {
+		c, ok := s.byName[name]
 		if !ok {
-			return fmt.Errorf("state: restore key %d: unknown cell %q", k, name)
+			return fmt.Errorf("state: restore: unknown cell %q", name)
 		}
-		if err := c.decodeLocked(k, frag); err != nil {
-			return fmt.Errorf("state: cell %q: decode key %d: %w", name, k, err)
+		cells[i] = c
+	}
+	var k stream.Key
+	install := func(c int, val []byte) error {
+		if err := cells[c].decodeLocked(k, val); err != nil {
+			return fmt.Errorf("cell %q: %w", kv.cells[c], err)
+		}
+		return nil
+	}
+	for i := range kv.Len() {
+		k = kv.key(i)
+		if _, err := walkRecord(kv.frag(i), kv.cells, install); err != nil {
+			return fmt.Errorf("state: restore key %d: %w", k, err)
 		}
 	}
 	return nil
@@ -360,6 +403,7 @@ type Value[T any] struct {
 	nm    string
 	codec Codec[T]
 	fast  appender[T] // codec's append fast path, nil when it has none
+	fixed int         // the codec's value width, -1 when not fixed
 	data  map[stream.Key]T
 }
 
@@ -370,8 +414,11 @@ func NewValue[T any](s *Store, name string, codec Codec[T]) *Value[T] {
 	if codec == nil {
 		codec = GobCodec[T]{}
 	}
-	v := &Value[T]{s: s, nm: name, codec: codec, data: make(map[stream.Key]T)}
+	v := &Value[T]{s: s, nm: name, codec: codec, fixed: -1, data: make(map[stream.Key]T)}
 	v.fast, _ = codec.(appender[T])
+	if f, ok := codec.(fixedWidth); ok {
+		v.fixed = f.width()
+	}
 	s.register(v)
 	return v
 }
@@ -485,15 +532,16 @@ func (v *Value[T]) Drain() map[stream.Key]T {
 
 func (v *Value[T]) cellName() string { return v.nm }
 
+func (v *Value[T]) width() int { return v.fixed }
+
 func (v *Value[T]) lookupLocked() fragSource { return lookup(v.data, v.appendFrag) }
 
 func (v *Value[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(v.data, v.appendFrag) }
 
-// appendFrag appends val's fragment under the cell's name.
+// appendFrag appends val's encoding.
 func (v *Value[T]) appendFrag(dst []byte, val T) ([]byte, bool, error) {
-	dst, mark := beginFrag(dst, v.nm)
 	dst, err := appendValue(v.codec, v.fast, dst, val)
-	return endFrag(dst, mark), true, err
+	return dst, true, err
 }
 
 func (v *Value[T]) decodeLocked(k stream.Key, b []byte) error {
@@ -652,12 +700,14 @@ func (m *Map[T]) Drain() map[stream.Key]map[string]T {
 
 func (m *Map[T]) cellName() string { return m.nm }
 
+func (m *Map[T]) width() int { return -1 }
+
 func (m *Map[T]) lookupLocked() fragSource { return lookup(m.data, m.appendFrag) }
 
 func (m *Map[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(m.data, m.appendFrag) }
 
-// appendFrag appends inner's fragment, fields sorted, under the cell's
-// name.
+// appendFrag appends inner's encoding: the field count, then each field
+// in sorted order, its name and its value each behind a 32-bit length.
 func (m *Map[T]) appendFrag(dst []byte, inner map[string]T) ([]byte, bool, error) {
 	fields := m.fields[:0]
 	for field := range inner {
@@ -665,7 +715,6 @@ func (m *Map[T]) appendFrag(dst []byte, inner map[string]T) ([]byte, bool, error
 	}
 	sort.Strings(fields)
 	m.fields = fields
-	dst, mark := beginFrag(dst, m.nm)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fields)))
 	for _, field := range fields {
 		var fmark int
@@ -676,7 +725,7 @@ func (m *Map[T]) appendFrag(dst []byte, inner map[string]T) ([]byte, bool, error
 		}
 		endFrag(dst, fmark)
 	}
-	return endFrag(dst, mark), true, nil
+	return dst, true, nil
 }
 
 func (m *Map[T]) decodeLocked(k stream.Key, b []byte) error {

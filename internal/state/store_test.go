@@ -247,7 +247,9 @@ func TestDeltaChainReconstructsFullSnapshot(t *testing.T) {
 		if s.DirtyCount() != 0 {
 			t.Error("TakeDelta did not reset tracking")
 		}
-		d.Apply(folded)
+		if err := d.Apply(folded); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	full, err := s.TakeCheckpoint()

@@ -199,6 +199,13 @@ type Metrics struct {
 	// worker evicted from its bounded orphan-mode buffer while its
 	// coordinator was dead (always zero elsewhere).
 	OrphanCheckpointsDropped uint64
+	// CheckpointsRefused counts full checkpoints captured but never
+	// stored — refused as too large for one frame, as stale, or for want
+	// of a backup host. The instance keeps owing a full checkpoint and
+	// its previous backup stays authoritative. A ship a Distributed
+	// worker buffers while its coordinator is dead is not refused (see
+	// OrphanCheckpointsDropped). Always zero on Simulated.
+	CheckpointsRefused uint64
 	// ControlPlane tallies the Distributed coordinator's journal and
 	// failover activity (zero without WithControlPlaneDir).
 	ControlPlane ControlPlaneStats
@@ -402,16 +409,17 @@ func (j *liveJob) MetricsSnapshot() Metrics {
 	j.mu.Unlock()
 	mgr := j.eng.Manager()
 	return Metrics{
-		ElapsedMillis:     j.eng.NowMillis(),
-		SinkTuples:        j.eng.SinkCount.Value(),
-		DuplicatesDropped: j.eng.DupDropped.Value(),
-		Latency:           j.eng.Latency.Summarize(),
-		Parallelism:       parallelismOf(mgr),
-		Recoveries:        mgr.Records(),
-		Merges:            mgr.Merges(),
-		Checkpoints:       mgr.Backups().ShipStats(),
-		Backpressure:      j.eng.BackpressureSnapshot(),
-		Errors:            errs,
+		ElapsedMillis:      j.eng.NowMillis(),
+		SinkTuples:         j.eng.SinkCount.Value(),
+		DuplicatesDropped:  j.eng.DupDropped.Value(),
+		CheckpointsRefused: j.eng.CheckpointsRefused.Value(),
+		Latency:            j.eng.Latency.Summarize(),
+		Parallelism:        parallelismOf(mgr),
+		Recoveries:         mgr.Records(),
+		Merges:             mgr.Merges(),
+		Checkpoints:        mgr.Backups().ShipStats(),
+		Backpressure:       j.eng.BackpressureSnapshot(),
+		Errors:             errs,
 	}
 }
 
