@@ -1,14 +1,8 @@
-// Benchmark harness: one benchmark per figure of the paper's evaluation
-// (§6, Figs. 6-15) plus the design-choice ablations of
-// internal/experiments/ablations.go (each names the paper section whose
-// choice it isolates) and micro-benchmarks of the state-management
-// primitives.
-//
-// Figure benchmarks execute the corresponding experiment at reduced
-// (quick) scale per iteration and report key outcomes as custom metrics
-// (recovery seconds, VMs, latency) so regressions in experiment shape
-// show up in benchmark output. Run paper-scale experiments with
-// cmd/seep-bench instead.
+// Benchmark harness: end-to-end throughput anchors and micro-benchmarks
+// of the state-management primitives. The paper's figures and the
+// design-choice ablations are not benchmarks: internal/experiments'
+// TestFig*Shape and TestAblations pin each one's golden, and
+// cmd/seep-bench prints them (-quick for the reduced scale).
 package seep_test
 
 import (
@@ -21,7 +15,6 @@ import (
 
 	"seep/internal/core"
 	"seep/internal/engine"
-	"seep/internal/experiments"
 	"seep/internal/metrics"
 	"seep/internal/operator"
 	"seep/internal/plan"
@@ -29,39 +22,6 @@ import (
 	"seep/internal/stream"
 	"seep/internal/transport"
 )
-
-func runExperiment(b *testing.B, name string) *experiments.Table {
-	b.Helper()
-	var tb *experiments.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tb, err = experiments.Run(name, experiments.Scale{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return tb
-}
-
-func BenchmarkFig6ScaleOutLRB(b *testing.B)         { runExperiment(b, "fig6") }
-func BenchmarkFig7LatencyLRB(b *testing.B)          { runExperiment(b, "fig7") }
-func BenchmarkFig8OpenLoopTopK(b *testing.B)        { runExperiment(b, "fig8") }
-func BenchmarkFig9ThresholdSweep(b *testing.B)      { runExperiment(b, "fig9") }
-func BenchmarkFig10ManualVsDynamic(b *testing.B)    { runExperiment(b, "fig10") }
-func BenchmarkFig11RecoveryMechanisms(b *testing.B) { runExperiment(b, "fig11") }
-func BenchmarkFig12CheckpointInterval(b *testing.B) { runExperiment(b, "fig12") }
-func BenchmarkFig13ParallelRecovery(b *testing.B)   { runExperiment(b, "fig13") }
-func BenchmarkFig14CheckpointOverhead(b *testing.B) { runExperiment(b, "fig14") }
-func BenchmarkFig15LatencyRecoveryTradeoff(b *testing.B) {
-	runExperiment(b, "fig15")
-}
-
-func BenchmarkAblationBackupPlacement(b *testing.B) { runExperiment(b, "ablation-backup-placement") }
-func BenchmarkAblationVMPool(b *testing.B)          { runExperiment(b, "ablation-vm-pool") }
-func BenchmarkAblationIncrementalCheckpoint(b *testing.B) {
-	runExperiment(b, "ablation-incremental-checkpoint")
-}
-func BenchmarkAblationKeySplit(b *testing.B) { runExperiment(b, "ablation-key-split") }
 
 // BenchmarkEnginePipeline is the end-to-end throughput anchor of the
 // live engine: a source→map→keyed-sum→sink pipeline with checkpointing

@@ -43,7 +43,10 @@ type entry struct {
 	host plan.InstanceID
 	seq  uint64
 	// size is the footprint recorded when the entry was stored: the
-	// blob's length, or cp.Size() for a checkpoint stored decoded.
+	// blob's length, or cp.Size() for a checkpoint stored decoded. The
+	// two agree on the processing section, which cp.Size() counts as the
+	// bytes it encodes to; they differ by the header and by the buffer
+	// sections, which cp.Size() estimates at 16 bytes per tuple.
 	size  int
 	cp    *state.Checkpoint
 	blob  []byte
@@ -67,9 +70,11 @@ type BackupStore struct {
 
 // ShipStats tallies checkpoint traffic into a backup store: how many
 // full checkpoints and deltas were accepted, and their bytes (encoded
-// length for checkpoints stored encoded, Checkpoint.Size otherwise).
-// DeltaBytes versus the full-checkpoint bytes they replaced is the
-// measurable win of incremental checkpointing (§3.2).
+// length for checkpoints stored encoded, Checkpoint.Size or
+// DeltaCheckpoint.Size otherwise — the same count for the processing
+// state, with the buffers estimated). DeltaBytes versus the
+// full-checkpoint bytes they replaced is the measurable win of
+// incremental checkpointing (§3.2).
 type ShipStats struct {
 	Fulls      uint64
 	Deltas     uint64

@@ -415,6 +415,54 @@ func TestPlanReplaceStatelessNoBackupNeeded(t *testing.T) {
 	}
 }
 
+// TestPlanReplaceStoresEncodedBytes: the parts a scale out stores count
+// toward the backup store's bytes as what their processing sections
+// encode to plus 16 bytes per buffered tuple. The victim's state is a
+// captured run, so its key-range parts keep a cell table.
+func TestPlanReplaceStoresEncodedBytes(t *testing.T) {
+	m, err := NewManager(wordQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := inst("count", 1)
+	st := state.NewStore()
+	counts := state.NewValue[int64](st, "counts", state.Int64Codec{})
+	cp := &state.Checkpoint{Instance: victim, Seq: 1, Processing: state.NewProcessing(1), Buffer: state.NewBuffer()}
+	for i := range 1000 {
+		k := stream.Key(stream.Mix64(uint64(i)))
+		counts.Set(k, int64(i))
+		if i%100 == 0 {
+			cp.Buffer.Append(inst("sink", 1), stream.Tuple{TS: int64(i + 1), Key: k})
+		}
+	}
+	if cp.Processing.KV, err = st.TakeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	host, _ := m.BackupTarget(victim)
+	if err := m.Backups().Store(host, cp); err != nil {
+		t.Fatal(err)
+	}
+	tp, err := m.PlanReplace(victim, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, part := range tp.Checkpoints {
+		if part.Processing.Len() == 0 {
+			t.Fatalf("part %v holds no keys", part.Instance)
+		}
+		e := stream.NewEncoder(0)
+		part.Processing.Encode(e)
+		want += e.Len() + 16*part.Buffer.Len()
+		for _, b := range part.Legacy {
+			want += 16 * b.Len()
+		}
+	}
+	if got := m.Backups().Bytes(); got != want {
+		t.Errorf("backup store holds %d bytes, the parts encode to %d", got, want)
+	}
+}
+
 func TestPlanReplaceMaxParallelism(t *testing.T) {
 	q := wordQuery()
 	q.Op("count").MaxParallelism = 2

@@ -70,11 +70,14 @@ type Config struct {
 	// timeout). Default 500.
 	DetectDelayMillis Millis
 	// CheckpointCostPerMB is the CPU cost (in cost units, i.e. seconds
-	// on a capacity-1 VM) to serialise and ship one MB of state.
-	// Default 0.25.
+	// on a capacity-1 VM) to serialise and ship one MB of encoded state
+	// (Checkpoint.Size). Default 0.25 × 55/40 = 0.34375: 0.25 was set
+	// per MB of an older, larger size figure, which charged the figure
+	// workloads' wordcount record 55 bytes for the 40 it encodes to.
 	CheckpointCostPerMB float64
-	// RestoreCostPerMB is the CPU cost per MB to deserialise state on
-	// the new VM. Default 0.15.
+	// RestoreCostPerMB is the CPU cost per MB of encoded state to
+	// deserialise it on the new VM. Default 0.15 × 55/40 = 0.20625, the
+	// same rescale.
 	RestoreCostPerMB float64
 	// CoordFixedMillis is the fixed coordination cost per scale-out /
 	// recovery beyond VM handoff (state partitioning bookkeeping,
@@ -117,10 +120,10 @@ func (c Config) withDefaults() Config {
 		c.DetectDelayMillis = 500
 	}
 	if c.CheckpointCostPerMB == 0 {
-		c.CheckpointCostPerMB = 0.25
+		c.CheckpointCostPerMB = 0.25 * 55 / 40
 	}
 	if c.RestoreCostPerMB == 0 {
-		c.RestoreCostPerMB = 0.15
+		c.RestoreCostPerMB = 0.15 * 55 / 40
 	}
 	if c.CoordFixedMillis == 0 {
 		c.CoordFixedMillis = 300

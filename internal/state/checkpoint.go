@@ -114,8 +114,10 @@ func (c *Checkpoint) TS() stream.TSVector {
 	return c.Processing.TS
 }
 
-// Size returns the serialised footprint of the checkpoint in bytes
-// (processing state plus an estimate for buffered tuples).
+// Size returns the checkpoint's footprint in bytes: what its processing
+// state encodes to (Processing.Size) plus an estimate of 16 bytes per
+// buffered tuple, own and legacy, not the buffer sections' encoded
+// length.
 func (c *Checkpoint) Size() int {
 	if c == nil {
 		return 0

@@ -23,12 +23,13 @@ type Delta struct {
 	TS stream.TSVector
 }
 
-// Size returns the serialised footprint of the delta in bytes.
+// Size returns the bytes the delta ships without its bookkeeping: the
+// DeltaCheckpoint.Size of a delta checkpoint that carries no buffer.
 func (d *Delta) Size() int {
 	if d == nil {
 		return 0
 	}
-	return 8*len(d.TS) + 8*len(d.Deleted) + d.Changed.Size()
+	return (&DeltaCheckpoint{Delta: d}).Size()
 }
 
 // Apply folds a delta into a full processing state (the backup side of
@@ -66,17 +67,14 @@ type DeltaCheckpoint struct {
 	Acks map[plan.InstanceID]int64
 }
 
-// Size returns the serialised footprint shipped for this delta
-// checkpoint, comparable with Checkpoint.Size.
+// Size returns the bytes shipped for this delta checkpoint, comparable
+// with Checkpoint.Size: the Size of the checkpoint it travels as, plus 8
+// bytes per deleted key travelling beside it.
 func (dc *DeltaCheckpoint) Size() int {
 	if dc == nil {
 		return 0
 	}
-	n := dc.Delta.Size()
-	if dc.Buffer != nil {
-		n += 16 * dc.Buffer.Len()
-	}
-	return n
+	return dc.Checkpoint().Size() + 8*len(dc.Delta.Deleted)
 }
 
 // Checkpoint views the delta as the checkpoint it travels as: the

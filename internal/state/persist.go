@@ -234,7 +234,7 @@ func MarshalCheckpointAfter(head []byte, cp *Checkpoint, codec PayloadCodec) ([]
 	if err := encodeBufferSections(aside, cp, codec); err != nil {
 		return nil, err
 	}
-	e := stream.NewEncoder(len(head) + aside.Len() + 8 + p.encodedLen()) // 8: the section's length prefix
+	e := stream.NewEncoder(len(head) + aside.Len() + 8 + p.Size()) // 8: the section's length prefix
 	e.Raw(head)
 	e.Raw(aside.Bytes()[:header])
 	encodeProcessingSection(e, p)

@@ -38,13 +38,13 @@ func (p *Processing) Clone() *Processing {
 	return &Processing{KV: p.KV, TS: p.TS.Clone()}
 }
 
-// Size returns the total serialised footprint in bytes: per-entry key
-// overhead plus value bytes. Used to model and measure checkpoint cost.
+// Size returns the number of bytes Encode writes, 0 for nil state. Used
+// to model and measure checkpoint cost.
 func (p *Processing) Size() int {
 	if p == nil {
 		return 0
 	}
-	return 8*len(p.TS) + p.KV.Size()
+	return 4 + 8*len(p.TS) + p.KV.Size()
 }
 
 // Len returns the number of distinct keys.
@@ -71,9 +71,6 @@ func (p *Processing) Encode(e *stream.Encoder) {
 	e.TSVector(p.TS)
 	p.KV.encode(e)
 }
-
-// encodedLen is the number of bytes Encode writes.
-func (p *Processing) encodedLen() int { return 4 + 8*len(p.TS) + p.KV.encodedLen() }
 
 // DecodeProcessing reads processing state written by Encode, which must
 // be everything d has left. The run it returns indexes d's buffer

@@ -56,14 +56,31 @@ func TestProcessingCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestProcessingSize: Size is the length Encode writes — the timestamp
+// vector's length and entries, then the run's cell count, entry count
+// and records — for states with and without a cell table.
 func TestProcessingSize(t *testing.T) {
-	p := NewProcessing(1)
-	if p.Size() != 8 {
-		t.Errorf("empty state size = %d, want 8 (1 ts)", p.Size())
+	named := NewStore()
+	NewValue[int64](named, "counts", Int64Codec{}).Set(1, 1)
+	captured, err := named.TakeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.KV = runOf(map[stream.Key][]byte{1: {1, 2, 3, 4}})
-	if p.Size() != 8+8+4 {
-		t.Errorf("size = %d, want 20", p.Size())
+	for _, c := range []struct {
+		name string
+		kv   Run
+		want int
+	}{
+		{"empty", Run{}, 4 + 8 + 4 + 4},
+		{"one built record", runOf(map[stream.Key][]byte{1: {1, 2, 3, 4}}), 4 + 8 + 4 + 4 + 8 + 1 + 4},
+		{"one captured record", captured, 4 + 8 + 4 + 4 + len("counts") + 4 + 8 + 1 + 1 + 1 + 8},
+	} {
+		p := &Processing{KV: c.kv, TS: stream.NewTSVector(1)}
+		e := stream.NewEncoder(0)
+		p.Encode(e)
+		if p.Size() != c.want || e.Len() != c.want {
+			t.Errorf("%s: Size() = %d, Encode wrote %d, want %d", c.name, p.Size(), e.Len(), c.want)
+		}
 	}
 	var nilP *Processing
 	if nilP.Size() != 0 || nilP.Len() != 0 {

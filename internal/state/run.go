@@ -37,9 +37,6 @@ type Run struct {
 	// last one ends; a part of a larger run keeps the whole body.
 	off  []uint32
 	body []byte
-	// size is Size() when whoever built the run counted it, 0 when Size
-	// must count it (a run with records is never charged 0).
-	size int
 }
 
 // maxCells is the most cells a store may register: a record's cell
@@ -86,26 +83,13 @@ func (r *Run) frag(i int) []byte {
 	return rec[w:]
 }
 
-// charge returns what Size charges for record i.
-func (r *Run) charge(i int) int {
-	c, _ := walkRecord(r.frag(i), r.cells, nil)
-	return c
-}
-
-// Size returns the serialised footprint the cost model charges, which
-// predates the cell table and stays put for the same state: per entry 8
-// bytes of key and, in a run that names cells, a 4-byte fragment count
-// and per present cell its name with two 4-byte lengths and its value;
-// in one that names none, the record's bytes. A run that was captured,
-// decoded, built or merged knows it; a key-range part or a fold counts
-// it on each call.
+// Size returns the number of bytes encode writes — what checkpointing,
+// shipping and backing up the run cost. It reads the offsets of the
+// first and last records and the cell table, never a record.
 func (r Run) Size() int {
-	if r.size > 0 || r.Len() == 0 {
-		return r.size
-	}
-	n := 0
-	for i := range r.Len() {
-		n += r.charge(i)
+	n := 8 + len(r.records())
+	for _, name := range r.cells {
+		n += 4 + len(name)
 	}
 	return n
 }
@@ -174,15 +158,6 @@ func (r Run) encode(e *stream.Encoder) {
 	}
 	e.Uint32(uint32(r.Len()))
 	e.Raw(r.records())
-}
-
-// encodedLen is the number of bytes encode writes.
-func (r Run) encodedLen() int {
-	n := 8 + len(r.records())
-	for _, name := range r.cells {
-		n += 4 + len(name)
-	}
-	return n
 }
 
 // decodeRun reads a run written by encode, which must be everything d
@@ -259,11 +234,10 @@ func scanRun(body []byte, n int, cells []string) (Run, error) {
 			return Run{}, fmt.Errorf("state: processing-state entry %d: bad length: %w", i, stream.ErrShortBuffer)
 		}
 		start := pos + 8 + w
-		charge, err := walkRecord(body[start:start+int(l)], cells, nil)
-		if err != nil {
+		if err := walkRecord(body[start:start+int(l)], cells, nil); err != nil {
 			return Run{}, fmt.Errorf("state: processing-state key %d: %w", k, err)
 		}
-		r.off[i], r.size, prev = uint32(pos), r.size+charge, k
+		r.off[i], prev = uint32(pos), k
 		pos = start + int(l)
 	}
 	if pos != len(body) {
@@ -274,20 +248,20 @@ func scanRun(body []byte, n int, cells []string) (Run, error) {
 }
 
 // walkRecord reads a record whose bytes behind its length are rec, in a
-// run over the table cells: it calls f, when not nil, with each value
-// the record holds and the index of its cell, and returns what Size
-// charges for the record. In a run that names cells, a mask naming none
-// of them or one past the table and values that do not tile rec exactly
-// are errors; so is an error from f, which ends the walk.
-func walkRecord(rec []byte, cells []string, f func(c int, val []byte) error) (int, error) {
+// run over the table cells, and calls f, when not nil, with each value
+// the record holds and the index of its cell. In a run that names
+// cells, a mask naming none of them or one past the table and values
+// that do not tile rec exactly are errors; so is an error from f, which
+// ends the walk.
+func walkRecord(rec []byte, cells []string, f func(c int, val []byte) error) error {
 	if len(cells) == 0 {
-		return 8 + len(rec), nil
+		return nil
 	}
 	// The common record, read without the loop: one cell named by a
 	// one-byte mask, its value behind a one-byte length.
 	if f == nil && len(rec) > 1 && rec[1] < 0x80 && int(rec[1]) == len(rec)-2 {
 		if m := rec[0]; m != 0 && m < 0x80 && m&(m-1) == 0 && bits.TrailingZeros8(m) < len(cells) {
-			return 20 + len(cells[bits.TrailingZeros8(m)]) + int(rec[1]), nil
+			return nil
 		}
 	}
 	m, w := uint64(0), 0
@@ -297,15 +271,14 @@ func walkRecord(rec []byte, cells []string, f func(c int, val []byte) error) (in
 		}
 	}
 	if w == 0 || m == 0 || m>>len(cells) != 0 {
-		return 0, fmt.Errorf("bad cell mask for a table of %d cells", len(cells))
+		return fmt.Errorf("bad cell mask for a table of %d cells", len(cells))
 	}
-	charge := 12
 	for c, rec := 0, rec[w:]; ; c, m = c+1, m>>1 {
 		if m == 0 {
 			if len(rec) != 0 {
-				return 0, fmt.Errorf("%d bytes after the record's last value", len(rec))
+				return fmt.Errorf("%d bytes after the record's last value", len(rec))
 			}
-			return charge, nil
+			return nil
 		}
 		if m&1 == 0 {
 			continue
@@ -317,14 +290,13 @@ func walkRecord(rec []byte, cells []string, f func(c int, val []byte) error) (in
 			}
 		}
 		if w == 0 || l > uint64(len(rec)-w) {
-			return 0, fmt.Errorf("a value overruns its record: %w", stream.ErrShortBuffer)
+			return fmt.Errorf("a value overruns its record: %w", stream.ErrShortBuffer)
 		}
 		if f != nil {
 			if err := f(c, rec[w:w+int(l):w+int(l)]); err != nil {
-				return 0, err
+				return err
 			}
 		}
-		charge += 8 + len(cells[c]) + int(l)
 		rec = rec[w+int(l):]
 	}
 }
@@ -350,7 +322,6 @@ func (b *RunBuilder) Append(k stream.Key, frag []byte) {
 	b.begin(k)
 	b.r.body = binary.AppendUvarint(b.r.body, uint64(len(frag)))
 	b.r.body = append(b.r.body, frag...)
-	b.r.size += 8 + len(frag)
 	b.end()
 }
 
@@ -403,7 +374,7 @@ func putUvarint(b []byte, at int, v uint64) []byte {
 // head key; a key held by two runs is an error.
 func mergeRuns(runs []Run) (Run, error) {
 	var first Run // the first run with records, whose table the merge takes
-	n, size, charge := 0, 0, 0
+	n, size := 0, 0
 	for _, r := range runs {
 		if err := sameCells(first, r); err != nil {
 			return Run{}, err
@@ -413,12 +384,11 @@ func mergeRuns(runs []Run) (Run, error) {
 		}
 		n += r.Len()
 		size += len(r.records())
-		charge += r.Size()
 	}
 	if size > maxRunBody {
 		return Run{}, fmt.Errorf("state: merged run of %d bytes", size)
 	}
-	b := RunBuilder{r: Run{cells: first.cells, size: charge}}
+	b := RunBuilder{r: Run{cells: first.cells}}
 	b.grow(n, size)
 	heads := make([]int, len(runs))
 	for ; n > 0; n-- {
@@ -512,17 +482,16 @@ func unionKeys(lists [][]stream.Key) []stream.Key {
 
 // overlay returns base with changed's entries replacing or joining it
 // and the deleted keys (ascending) removed — a fresh run, sized by a
-// first pass so a backup that keeps it keeps no slack, and charged as
-// the two runs less what the fold drops. The two runs' cell tables must
-// agree.
+// first pass so a backup that keeps it keeps no slack. The two runs'
+// cell tables must agree.
 func overlay(base, changed Run, deleted []stream.Key) (Run, error) {
 	if err := sameCells(base, changed); err != nil {
 		return Run{}, err
 	}
 	// walk visits the records in key order, passing each one the fold
-	// keeps to keep and each superseded or deleted one to drop.
+	// keeps to keep; superseded and deleted ones are skipped.
 	nb, nc := base.Len(), changed.Len()
-	walk := func(keep, drop func(src *Run, i int)) {
+	walk := func(keep func(src *Run, i int)) {
 		for i, j, d := 0, 0, 0; i < nb || j < nc; {
 			src, at := &changed, j
 			if j == nc || (i < nb && base.key(i) < changed.key(j)) {
@@ -530,8 +499,7 @@ func overlay(base, changed Run, deleted []stream.Key) (Run, error) {
 				i++
 			} else {
 				if i < nb && base.key(i) == changed.key(j) {
-					drop(&base, i) // superseded
-					i++
+					i++ // superseded
 				}
 				j++
 			}
@@ -539,24 +507,21 @@ func overlay(base, changed Run, deleted []stream.Key) (Run, error) {
 			for d < len(deleted) && deleted[d] < k {
 				d++
 			}
-			if d < len(deleted) && deleted[d] == k {
-				drop(src, at)
-			} else {
+			if d == len(deleted) || deleted[d] != k {
 				keep(src, at)
 			}
 		}
 	}
-	n, size, charge := 0, 0, base.Size()+changed.Size()
-	walk(func(src *Run, i int) { n, size = n+1, size+int(src.off[i+1]-src.off[i]) },
-		func(src *Run, i int) { charge -= src.charge(i) })
+	n, size := 0, 0
+	walk(func(src *Run, i int) { n, size = n+1, size+int(src.off[i+1]-src.off[i]) })
 	if size > maxRunBody {
 		return Run{}, fmt.Errorf("state: folded run of %d bytes", size)
 	}
-	b := RunBuilder{r: Run{cells: base.cells, size: charge}}
+	b := RunBuilder{r: Run{cells: base.cells}}
 	if changed.Len() > 0 {
 		b.r.cells = changed.cells
 	}
 	b.grow(n, size)
-	walk(b.copyRecord, func(*Run, int) {})
+	walk(b.copyRecord)
 	return b.Run(), nil
 }

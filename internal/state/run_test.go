@@ -87,24 +87,6 @@ func (md *runModel) refRecord(k stream.Key) []byte {
 	return append(binary.AppendUvarint(nil, mask), values...)
 }
 
-// refCharge is what Size charges for a model record: the key and a
-// fragment count, and per value its cell's name, two 32-bit lengths and
-// the value — the per-record layout Size was calibrated on.
-func refCharge(rec []byte) int {
-	n := 12
-	mask, w := binary.Uvarint(rec)
-	rec = rec[w:]
-	for _, name := range []string{"v", "w", "m"} {
-		if mask&1 != 0 {
-			l, w := binary.Uvarint(rec)
-			rec = rec[w+int(l):]
-			n += 8 + len(name) + int(l)
-		}
-		mask >>= 1
-	}
-	return n
-}
-
 // refState is what a full capture of the model store must hold.
 func (md *runModel) refState() map[stream.Key][]byte {
 	out := map[stream.Key][]byte{}
@@ -127,7 +109,6 @@ func (md *runModel) expectRun(what string, got Run, want map[stream.Key][]byte) 
 	if got.Len() > 0 && !slices.Equal(got.cells, []string{"v", "w", "m"}) {
 		md.t.Fatalf("%s: run names cells %q", what, got.cells)
 	}
-	size := 0
 	for k, v := range got.All() {
 		if w, ok := want[k]; !ok || !bytes.Equal(v, w) {
 			md.t.Fatalf("%s: key %d = %x, reference %x (held %v)", what, k, v, w, ok)
@@ -135,10 +116,17 @@ func (md *runModel) expectRun(what string, got Run, want map[stream.Key][]byte) 
 		if g, ok := got.Get(k); !ok || !bytes.Equal(g, v) {
 			md.t.Fatalf("%s: Get(%d) disagrees with iteration", what, k)
 		}
-		size += refCharge(v)
 	}
-	if got.Size() != size {
-		md.t.Fatalf("%s: Size() = %d, entries sum to %d", what, got.Size(), size)
+	// Size is the length encode writes, and so is the Size of the run
+	// decoded from those bytes.
+	e := stream.NewEncoder(0)
+	got.encode(e)
+	if got.Size() != e.Len() {
+		md.t.Fatalf("%s: Size() = %d, encode wrote %d bytes", what, got.Size(), e.Len())
+	}
+	dec, err := decodeRun(stream.NewDecoder(e.Bytes()))
+	if err != nil || !dec.Equal(got) || dec.Size() != e.Len() {
+		md.t.Fatalf("%s: decoded run (err %v) differs or has Size() %d for %d bytes", what, err, dec.Size(), e.Len())
 	}
 }
 

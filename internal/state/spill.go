@@ -43,7 +43,7 @@ func (s *Spiller) Spill(run Run, r KeyRange) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := stream.NewEncoder(run.encodedLen())
+	e := stream.NewEncoder(run.Size())
 	run.encode(e)
 	s.next++
 	name := fmt.Sprintf("spill-%06d.bin", s.next)

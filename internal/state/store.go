@@ -38,12 +38,10 @@ type Store struct {
 	// touched holds the keys written or deleted since the last
 	// TakeCheckpoint/TakeDelta — the raw material of Delta checkpoints.
 	touched map[stream.Key]struct{}
-	// lastFullSize is the serialised footprint of the last full
-	// checkpoint, the baseline for DeltaPolicy's size fallback.
+	// lastFullSize is the encoded size of the last full checkpoint: the
+	// baseline for DeltaPolicy's size fallback, and the room the next
+	// one starts with when values are not of fixed width.
 	lastFullSize int
-	// lastFullBody is the length of the last full checkpoint's records,
-	// which sizes the next one when values are not of fixed width.
-	lastFullBody int
 	// deltasSinceFull counts the TakeDelta calls since the last
 	// TakeCheckpoint/Restore — the length of the delta chain a backup
 	// host has to fold, which DeltaPolicy.FullEvery bounds.
@@ -183,9 +181,8 @@ func endFrag(dst []byte, mark int) []byte {
 // record is the per-key union of the cells' values: the mask of cells
 // holding one, then each value behind its length, in registration
 // order. Lengths and masks are written as one byte and widened in place
-// when they need more, and the charge Size reports is counted on the
-// way. Keys no cell holds come back in absent; a body past maxRunBody is
-// an error.
+// when they need more. Keys no cell holds come back in absent; a body
+// past maxRunBody is an error.
 func (s *Store) captureLocked(keys []stream.Key, srcs []fragSource, bodyHint int) (run Run, absent []stream.Key, err error) {
 	b := RunBuilder{r: Run{
 		cells: s.names,
@@ -210,7 +207,6 @@ func (s *Store) captureLocked(keys []stream.Key, srcs []fragSource, bodyHint int
 			}
 			l := len(b.r.body) - at - 1
 			b.r.body = putUvarint(b.r.body, at, uint64(l))
-			b.r.size += 8 + len(s.names[i]) + l
 			mask |= 1 << i
 		}
 		if mask == 0 {
@@ -218,7 +214,6 @@ func (s *Store) captureLocked(keys []stream.Key, srcs []fragSource, bodyHint int
 			absent = append(absent, k)
 			continue
 		}
-		b.r.size += 12
 		b.r.body = putUvarint(b.r.body, head+1, mask)
 		b.r.body = putUvarint(b.r.body, head, uint64(len(b.r.body)-head-1))
 		if len(b.r.body) > maxRunBody {
@@ -251,13 +246,13 @@ func (s *Store) TakeCheckpoint() (Run, error) {
 	// checkpoint's body, plus a sixteenth for growth.
 	keys, srcs, body, exact := s.sortedLocked()
 	if !exact {
-		body = max(body, s.lastFullBody+s.lastFullBody/16)
+		body = max(body, s.lastFullSize+s.lastFullSize/16)
 	}
 	run, _, err := s.captureLocked(keys, srcs, body)
 	if err != nil {
 		return Run{}, err
 	}
-	s.lastFullSize, s.lastFullBody = run.Size(), len(run.records())
+	s.lastFullSize = run.Size()
 	s.deltasSinceFull = 0
 	s.touched = make(map[stream.Key]struct{})
 	return run, nil
@@ -346,7 +341,7 @@ func (s *Store) installLocked(kv Run) error {
 	}
 	for i := range kv.Len() {
 		k = kv.key(i)
-		if _, err := walkRecord(kv.frag(i), kv.cells, install); err != nil {
+		if err := walkRecord(kv.frag(i), kv.cells, install); err != nil {
 			return fmt.Errorf("state: restore key %d: %w", k, err)
 		}
 	}
