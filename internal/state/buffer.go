@@ -1,6 +1,7 @@
 package state
 
 import (
+	"iter"
 	"sort"
 
 	"seep/internal/plan"
@@ -14,13 +15,14 @@ import (
 // scale out; they are trimmed once a downstream state backup acknowledges
 // them (Algorithm 1 line 4).
 //
-// Tuples per target are kept in emission (timestamp) order, so the
-// acknowledgement-driven trims locate the cut with a binary search and
-// advance a head index instead of reslicing — amortised O(1) per tuple
-// across the append/trim lifecycle. Compaction keeps memory proportional
-// to what the target needs now: trimmed slots are at most half the
-// window, and a backing array a burst grew is given back once it is more
-// than twice the live window plus one inter-trim volume.
+// Tuples per target are kept in emission (timestamp) order in a list of
+// chunks. An append writes into the last chunk and starts a new one when
+// it is full, so no retained tuple is ever copied; an
+// acknowledgement-driven trim finds the cut with a binary search, drops
+// every chunk it covers whole and advances a head index inside the one
+// it cuts. So a target holds its live window, less than a chunk more at
+// either end and one spare chunk, and a burst's memory goes back with
+// the chunks its trims drop.
 //
 // Buffer is not safe for concurrent use; the owning node serialises
 // access.
@@ -31,68 +33,114 @@ type Buffer struct {
 	perTarget map[plan.InstanceID]*targetBuf
 }
 
-// targetBuf holds the retained tuples for one downstream instance.
-// Live tuples are buf[head:]; buf[:head] has been trimmed (and zeroed,
-// so payloads are collectable) but not yet compacted away.
+// chunkTuples is the capacity of a full chunk: 1 024 tuples, 40 KiB.
+const chunkTuples = 1024
+
+// firstChunk is the capacity of a target's first chunk. Each later chunk
+// doubles its predecessor's up to chunkTuples, so a target that holds a
+// few tuples does not cost a full chunk.
+const firstChunk = 64
+
+// targetBuf holds the retained tuples for one downstream instance: the
+// live tuples are chunks[0][head:] followed by every later chunk whole;
+// chunks[0][:head] has been trimmed (and zeroed, so payloads are
+// collectable). Every chunk holds a live tuple, except a lone chunk that
+// a trim of everything left empty for the next append to fill. Every
+// chunk but the last is full.
 type targetBuf struct {
-	buf  []stream.Tuple
-	head int
-	// lastTrim is how many tuples the previous trim discarded: the
-	// estimate of what arrives before the next one, which compact leaves
-	// room for so a steady append/trim cycle never reallocates.
-	lastTrim int
+	chunks [][]stream.Tuple
+	head   int
+	// spare is a full-size chunk a trim dropped, zeroed, which the next
+	// chunk append takes instead of allocating: a window trimmed more
+	// often than a chunk fills then allocates nothing.
+	spare []stream.Tuple
 }
 
-func (tb *targetBuf) live() []stream.Tuple { return tb.buf[tb.head:] }
+func (tb *targetBuf) append(t stream.Tuple) {
+	size := firstChunk
+	if n := len(tb.chunks); n > 0 {
+		last := &tb.chunks[n-1]
+		if len(*last) < cap(*last) {
+			*last = append(*last, t)
+			return
+		}
+		size = min(max(2*cap(*last), firstChunk), chunkTuples)
+	}
+	// Chunks are full-size by the time a trim leaves a spare.
+	c := tb.spare
+	if c == nil {
+		c = make([]stream.Tuple, 0, size)
+	}
+	tb.spare = nil
+	tb.chunks = append(tb.chunks, append(c, t))
+}
 
-func (tb *targetBuf) append(t stream.Tuple) { tb.buf = append(tb.buf, t) }
+// segments yields the live tuples chunk by chunk, oldest first.
+func (tb *targetBuf) segments() iter.Seq[[]stream.Tuple] {
+	return func(yield func([]stream.Tuple) bool) {
+		for i, c := range tb.chunks {
+			if i == 0 {
+				c = c[tb.head:]
+			}
+			if len(c) > 0 && !yield(c) {
+				return
+			}
+		}
+	}
+}
 
-// trim discards live tuples with TS ≤ ts and returns how many. The cut
-// is found with sort.Search over the TS-ordered live window; the head
-// index advances in O(log n) plus O(trimmed) to release payloads.
+func (tb *targetBuf) len() int {
+	n := -tb.head
+	for _, c := range tb.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// appendLive appends the live tuples to dst.
+func (tb *targetBuf) appendLive(dst []stream.Tuple) []stream.Tuple {
+	for seg := range tb.segments() {
+		dst = append(dst, seg...)
+	}
+	return dst
+}
+
+// trim discards live tuples with TS ≤ ts and returns how many. One
+// binary search finds the first chunk whose newest tuple survives (or
+// the last chunk); the chunks before it are dropped whole, and a second
+// search advances the head index inside it past the zeroed slots. A trim
+// of everything resets the last chunk in place, so a steady emit/trim
+// round that drains a target allocates nothing.
 func (tb *targetBuf) trim(ts int64) int {
-	live := tb.live()
-	i := sort.Search(len(live), func(i int) bool { return live[i].TS > ts })
-	if i == 0 {
+	cs, before := tb.chunks, tb.len()
+	if len(cs) == 0 {
 		return 0
 	}
-	for j := tb.head; j < tb.head+i; j++ {
-		tb.buf[j] = stream.Tuple{}
+	k := min(len(cs)-1, sort.Search(len(cs), func(k int) bool {
+		c := cs[k]
+		return len(c) > 0 && c[len(c)-1].TS > ts
+	}))
+	if k > 0 {
+		if d := cs[k-1]; tb.spare == nil && cap(d) == chunkTuples {
+			clear(d)
+			tb.spare = d[:0]
+		}
+		m := copy(cs, cs[k:])
+		clear(cs[m:])
+		tb.chunks, tb.head = cs[:m], 0
 	}
-	tb.head += i
-	tb.compact(i)
-	return i
+	c, lo := tb.chunks[0], tb.head
+	i := lo + sort.Search(len(c)-lo, func(i int) bool { return c[lo+i].TS > ts })
+	clear(c[lo:i])
+	tb.head = i
+	if i == len(c) { // only the last chunk is left, and it is empty
+		tb.chunks[0], tb.head = c[:0], 0
+	}
+	return before - tb.len()
 }
 
-// bufSlack is the capacity compact grants beyond its estimate, so tiny
-// windows are not reallocated over a handful of slots.
-const bufSlack = 64
-
-// compact runs after a trim that discarded trimmed tuples. The capacity
-// the target needs is room for its live window to double plus what the
-// previous inter-trim interval appended; a backing array more than twice
-// that (a burst grew it) is replaced by one that fits, returning the
-// rest to the allocator. Otherwise the live window slides to the front
-// once trimmed slots make up at least half of the array, so no trim
-// pays a copy for a few slots.
-func (tb *targetBuf) compact(trimmed int) {
-	live := tb.live()
-	need := 2*len(live) + tb.lastTrim + bufSlack
-	tb.lastTrim = trimmed
-	switch {
-	case cap(tb.buf) > 2*need:
-		tb.buf = append(make([]stream.Tuple, 0, need), live...)
-		tb.head = 0
-	case tb.head >= 64 && tb.head*2 >= len(tb.buf):
-		n := copy(tb.buf, live)
-		clear(tb.buf[n:])
-		tb.buf = tb.buf[:n]
-		tb.head = 0
-	}
-}
-
-// reset drops all tuples, and the backing array with them, but keeps the
-// struct (and any handles to it) valid.
+// reset drops all tuples, and the chunks with them, but keeps the struct
+// (and any handles to it) valid.
 func (tb *targetBuf) reset() { *tb = targetBuf{} }
 
 // NewBuffer returns an empty output buffer.
@@ -139,10 +187,7 @@ func (b *Buffer) Tuples(target plan.InstanceID) []stream.Tuple {
 	if tb == nil {
 		return nil
 	}
-	src := tb.live()
-	out := make([]stream.Tuple, len(src))
-	copy(out, src)
-	return out
+	return tb.appendLive(make([]stream.Tuple, 0, tb.len()))
 }
 
 // TuplesForOp returns all retained tuples for every instance of a logical
@@ -155,7 +200,7 @@ func (b *Buffer) TuplesForOp(op plan.OpID) []stream.Tuple {
 	var out []stream.Tuple
 	for target, tb := range b.perTarget {
 		if target.Op == op {
-			out = append(out, tb.live()...)
+			out = tb.appendLive(out)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -175,7 +220,7 @@ func (b *Buffer) TuplesForOp(op plan.OpID) []stream.Tuple {
 func (b *Buffer) Targets() []plan.InstanceID {
 	out := make([]plan.InstanceID, 0, len(b.perTarget))
 	for t, tb := range b.perTarget {
-		if len(tb.live()) > 0 {
+		if tb.len() > 0 {
 			out = append(out, t)
 		}
 	}
@@ -218,20 +263,18 @@ func (b *Buffer) TrimInstance(target plan.InstanceID, ts int64) int {
 func (b *Buffer) TrimBornBefore(cutoff int64) int {
 	n := 0
 	for _, tb := range b.perTarget {
-		live := tb.live()
-		kept := live[:0]
-		for _, t := range live {
-			if t.Born >= cutoff {
-				kept = append(kept, t)
-			} else {
-				n++
+		// The survivors are appended afresh.
+		old := *tb
+		tb.reset()
+		for seg := range old.segments() {
+			for _, t := range seg {
+				if t.Born < cutoff {
+					n++
+				} else {
+					tb.append(t)
+				}
 			}
 		}
-		for i := len(kept); i < len(live); i++ {
-			live[i] = stream.Tuple{}
-		}
-		tb.buf = tb.buf[:tb.head+len(kept)]
-		tb.compact(len(live) - len(kept))
 	}
 	return n
 }
@@ -265,7 +308,7 @@ func (b *Buffer) Repartition(op plan.OpID, routing *Routing) {
 func (b *Buffer) Len() int {
 	n := 0
 	for _, tb := range b.perTarget {
-		n += len(tb.live())
+		n += tb.len()
 	}
 	return n
 }
@@ -277,22 +320,23 @@ func (b *Buffer) LenFor(target plan.InstanceID) int {
 	if tb == nil {
 		return 0
 	}
-	return len(tb.live())
+	return tb.len()
 }
 
-// Clone returns a deep copy of the buffer (tuple slices copied; payloads
-// are shared, as tuples are immutable by convention). Targets with no
-// live tuples are omitted from the copy.
+// Clone returns a deep copy of the buffer, chunk by chunk, each copy
+// sized to the live tuples it holds (payloads are shared, as tuples are
+// immutable by convention). Targets with no live tuples are omitted from
+// the copy.
 func (b *Buffer) Clone() *Buffer {
 	out := NewBuffer()
 	for target, tb := range b.perTarget {
-		src := tb.live()
-		if len(src) == 0 {
-			continue
+		var cp targetBuf
+		for seg := range tb.segments() {
+			cp.chunks = append(cp.chunks, append(make([]stream.Tuple, 0, len(seg)), seg...))
 		}
-		cp := make([]stream.Tuple, len(src))
-		copy(cp, src)
-		out.perTarget[target] = &targetBuf{buf: cp}
+		if cp.chunks != nil {
+			out.perTarget[target] = &cp
+		}
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package state
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"seep/internal/stream"
 )
@@ -202,10 +204,25 @@ func TestTuplesForOpDeterministicTies(t *testing.T) {
 	}
 }
 
-// TestBufferCapacityGivenBack: a backing array that a burst grew returns
-// to the allocator once the burst is trimmed — through the same
-// targetBuf, so handles keep working — and neither a clone nor a reset
-// of the once-huge buffer inherits the capacity.
+// slots returns the tuple slots a target holds, live or not, its spare
+// chunk included.
+func slots(tb *targetBuf) int {
+	n := cap(tb.spare)
+	for _, c := range tb.chunks {
+		n += cap(c)
+	}
+	return n
+}
+
+// maxSlack is what a target may hold beyond its live window: the
+// trimmed prefix of its head chunk and the free tail of its last, each
+// under a chunk, and one spare chunk.
+const maxSlack = 3 * chunkTuples
+
+// TestBufferCapacityGivenBack: a burst's memory goes back with the
+// chunks its trim drops — through the same targetBuf, so handles keep
+// working — and neither a clone nor a reset of the once-huge buffer
+// keeps more than its live tuples (maxSlack bounds the rest).
 func TestBufferCapacityGivenBack(t *testing.T) {
 	const burst, live = 1_000_000, 1_000
 	b := NewBuffer()
@@ -215,24 +232,24 @@ func TestBufferCapacityGivenBack(t *testing.T) {
 		h.Append(stream.Tuple{TS: ts, Key: stream.Key(ts)})
 	}
 	tb := b.perTarget[d1]
-	if cap(tb.buf) < burst {
-		t.Fatalf("burst of %d grew the array to %d slots only", burst, cap(tb.buf))
+	if s := slots(tb); s < burst || s > burst+chunkTuples {
+		t.Fatalf("a burst of %d holds %d slots", burst, s)
 	}
 	if n := b.TrimInstance(d1, burst-live); n != burst-live {
 		t.Fatalf("trimmed %d, want %d", n, burst-live)
 	}
-	if c := cap(tb.buf); c > 4*live+2*bufSlack {
-		t.Errorf("after trimming to %d live tuples the array still has %d slots", live, c)
+	if s := slots(tb); s >= live+maxSlack {
+		t.Errorf("after trimming to %d live tuples the target still has %d slots", live, s)
 	}
 	h.Append(stream.Tuple{TS: burst + 1, Key: 1})
 	if h.tb != b.perTarget[d1] || b.LenFor(d1) != live+1 {
-		t.Errorf("handle detached by compaction: %d live tuples, want %d", b.LenFor(d1), live+1)
+		t.Errorf("handle detached by the trim: %d live tuples, want %d", b.LenFor(d1), live+1)
 	}
 	if got := b.Tuples(d1); got[0].TS != burst-live+1 || got[live].TS != burst+1 {
-		t.Errorf("live window after compaction is [%d..%d]", got[0].TS, got[live].TS)
+		t.Errorf("live window after the trim is [%d..%d]", got[0].TS, got[live].TS)
 	}
-	if c := cap(b.Clone().perTarget[d1].buf); c > live+1 {
-		t.Errorf("clone of %d tuples has %d slots", live+1, c)
+	if s := slots(b.Clone().perTarget[d1]); s != live+1 {
+		t.Errorf("clone of %d tuples has %d slots", live+1, s)
 	}
 
 	// The same burst without a trim: DropOp resets the storage in place.
@@ -240,18 +257,47 @@ func TestBufferCapacityGivenBack(t *testing.T) {
 		h.Append(stream.Tuple{TS: ts, Key: stream.Key(ts)})
 	}
 	b.DropOp("count")
-	if c := cap(tb.buf); c != 0 || h.tb != tb {
-		t.Errorf("reset kept %d slots (same storage: %v)", c, h.tb == tb)
+	if s := slots(tb); s != 0 || h.tb != tb {
+		t.Errorf("reset kept %d slots (same storage: %v)", s, h.tb == tb)
 	}
 }
 
-// TestBufferCapacitySteadyCycle pins the amortised cost: append/trim
-// cycles of a steady shape reallocate nothing once the array fits a
-// cycle — giving capacity back must not turn every checkpoint interval
-// into a regrowth — and a cycle that follows a burst reallocates at most
-// once, to shrink.
+// TestBufferCapacityRetainedBytes measures what the heap keeps of a
+// burst that two checkpoints trim — the first to half of it, the second
+// to a small window: the window's tuples plus maxSlack, however large
+// the burst and whatever the previous trim took.
+func TestBufferCapacityRetainedBytes(t *testing.T) {
+	const burst, live = 1_000_000, 1_000
+	const tupleBytes = int(unsafe.Sizeof(stream.Tuple{}))
+	heap := func() int {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int(m.HeapAlloc)
+	}
+	d1 := inst("count", 1)
+	before := heap()
+	b := NewBuffer()
+	h := b.Handle(d1)
+	for ts := int64(1); ts <= burst; ts++ {
+		h.Append(stream.Tuple{TS: ts, Key: stream.Key(ts)})
+	}
+	b.TrimInstance(d1, burst/2)
+	b.TrimInstance(d1, burst-live)
+	held := heap() - before
+	if limit := (live+maxSlack)*tupleBytes + 64<<10; held > limit {
+		t.Errorf("%d live tuples keep %d KiB of heap, want ≤ %d KiB", b.LenFor(d1), held>>10, limit>>10)
+	}
+	runtime.KeepAlive(b)
+}
+
+// TestBufferCapacitySteadyCycle pins the cost of a steady append/trim
+// cycle: no tuple is copied — each stays in the slot it was appended to
+// until a trim takes it — and a cycle allocates at most one chunk per
+// chunk's worth of tuples plus one, before and after a burst.
 func TestBufferCapacitySteadyCycle(t *testing.T) {
 	const perCycle = 25_000 // steady-live: 50k tuples/s, 500 ms checkpoints
+	const maxChunks = (perCycle+chunkTuples-1)/chunkTuples + 1
 	// residue: tuples emitted after the checkpoint, which its trim leaves.
 	for _, residue := range []int64{0, 400} {
 		b := NewBuffer()
@@ -259,40 +305,45 @@ func TestBufferCapacitySteadyCycle(t *testing.T) {
 		h := b.Handle(d1)
 		tb := b.perTarget[d1]
 		ts := int64(0)
-		cycle := func(n int) (reallocs int) {
-			for i := 0; i < n; i++ {
-				before := cap(tb.buf)
+		cycle := func(n int) {
+			for range n {
 				ts++
 				h.Append(stream.Tuple{TS: ts, Key: stream.Key(ts)})
-				if cap(tb.buf) != before {
-					reallocs++
+			}
+			b.TrimInstance(d1, ts-residue)
+		}
+		unmoved := func() {
+			at := make(map[int64]*stream.Tuple, perCycle)
+			for range perCycle {
+				ts++
+				h.Append(stream.Tuple{TS: ts, Key: stream.Key(ts)})
+				last := tb.chunks[len(tb.chunks)-1]
+				at[ts] = &last[len(last)-1]
+			}
+			for seg := range tb.segments() {
+				for i := range seg {
+					if p, ok := at[seg[i].TS]; ok && p != &seg[i] {
+						t.Fatalf("residue %d: tuple %d moved after its append", residue, seg[i].TS)
+					}
 				}
 			}
-			before := cap(tb.buf)
 			b.TrimInstance(d1, ts-residue)
-			if cap(tb.buf) != before {
-				reallocs++
+		}
+		steady := func(when string) {
+			unmoved()
+			if raceEnabled {
+				return
 			}
-			return reallocs
+			if a := testing.AllocsPerRun(10, func() { cycle(perCycle) }); a > maxChunks {
+				t.Errorf("residue %d: a steady cycle %s allocates %.0f times, want ≤ %d", residue, when, a, maxChunks)
+			}
 		}
 		cycle(perCycle) // growth from empty
-		cycle(perCycle)
-		for i := 0; i < 10; i++ {
-			if n := cycle(perCycle); n != 0 {
-				t.Fatalf("residue %d: steady cycle %d reallocated %d times", residue, i, n)
-			}
-		}
+		steady("from empty")
 		cycle(40 * perCycle) // a burst
-		if n := cycle(perCycle); n > 1 {
-			t.Fatalf("residue %d: the cycle after a burst reallocated %d times", residue, n)
+		if s, live := slots(tb), b.LenFor(d1); s >= live+maxSlack {
+			t.Errorf("residue %d: after the burst's trim %d live tuples hold %d slots", residue, live, s)
 		}
-		if c := cap(tb.buf); c > 4*perCycle {
-			t.Errorf("residue %d: a cycle after the burst the array still has %d slots", residue, c)
-		}
-		for i := 0; i < 10; i++ {
-			if n := cycle(perCycle); n != 0 {
-				t.Fatalf("residue %d: steady cycle %d after the burst reallocated %d times", residue, i, n)
-			}
-		}
+		steady("after a burst")
 	}
 }

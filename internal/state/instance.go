@@ -97,8 +97,9 @@ func (in *Instance) BeginCheckpoint(id plan.InstanceID) *Capture {
 // FullEvery-1 and the delta is small enough against that base; anything
 // else — including a delta the store cannot produce — yields a full
 // checkpoint under the same sequence number, so a delta is never
-// load-bearing. Both results are nil when the state fails to encode (the
-// previous backup then stays authoritative).
+// load-bearing. Under a disabled policy the store stops tracking dirty
+// keys, which only a delta reads. Both results are nil when the state
+// fails to encode (the previous backup then stays authoritative).
 func (c *Capture) Checkpoint(p DeltaPolicy) (*Checkpoint, *DeltaCheckpoint) {
 	s := c.store
 	if s != nil && p.Enabled() && !c.forceFull && s.DeltasSinceFull() < p.FullEvery-1 {
@@ -106,13 +107,14 @@ func (c *Capture) Checkpoint(p DeltaPolicy) (*Checkpoint, *DeltaCheckpoint) {
 		if err == nil && p.DeltaAllowed(d.Size(), s.LastFullSize()) {
 			return nil, &DeltaCheckpoint{Instance: c.inst, Delta: d, Buffer: c.buffer, OutClock: c.outClock, Acks: c.acks}
 		}
-		// The dirty set is consumed, but the full snapshot below
-		// supersedes everything the delta held.
+		// The dirty set is consumed (or was never kept), but the full
+		// snapshot below supersedes everything the delta held and
+		// tracks again.
 	}
 	proc := &Processing{TS: c.ts}
 	if s != nil {
 		var err error
-		if proc.KV, err = s.TakeCheckpoint(); err != nil {
+		if proc.KV, err = s.takeCheckpoint(p.Enabled()); err != nil {
 			return nil, nil
 		}
 	}

@@ -106,9 +106,9 @@ func decodeAcks(d *stream.Decoder) (map[plan.InstanceID]int64, error) {
 }
 
 // EncodeBuffer serialises buffer state: per downstream instance, its
-// retained tuples as one wirecodec run — the bytes a batch frame carries
-// them as. codec is the tag-0 fallback for unregistered payload types. A
-// nil buffer encodes as an empty one.
+// retained tuples as one wirecodec run, written chunk by chunk — the
+// bytes a batch frame carries them as. codec is the tag-0 fallback for
+// unregistered payload types. A nil buffer encodes as an empty one.
 func EncodeBuffer(e *stream.Encoder, b *Buffer, codec PayloadCodec) error {
 	if b == nil {
 		e.Uint32(0)
@@ -118,8 +118,13 @@ func EncodeBuffer(e *stream.Encoder, b *Buffer, codec PayloadCodec) error {
 	e.Uint32(uint32(len(targets)))
 	for _, target := range targets {
 		encodeInstanceID(e, target)
-		if err := wirecodec.EncodeTuples(e, b.perTarget[target].live(), codec); err != nil {
-			return fmt.Errorf("state: encode buffered tuples for %s: %w", target, err)
+		tb := b.perTarget[target]
+		e.Uvarint(uint64(tb.len()))
+		var run wirecodec.TupleRun
+		for seg := range tb.segments() {
+			if err := run.Encode(e, seg, codec); err != nil {
+				return fmt.Errorf("state: encode buffered tuples for %s: %w", target, err)
+			}
 		}
 	}
 	return nil
@@ -135,7 +140,11 @@ func DecodeBuffer(d *stream.Decoder, codec PayloadCodec) (*Buffer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("state: decode buffered tuples for %s: %w", target, err)
 		}
-		b.perTarget[target] = &targetBuf{buf: tuples}
+		tb := &targetBuf{}
+		for _, t := range tuples {
+			tb.append(t)
+		}
+		b.perTarget[target] = tb
 	}
 	return b, d.Err()
 }

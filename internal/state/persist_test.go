@@ -505,6 +505,16 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Add(readGolden(f, name))
 	}
 	f.Add(readHex(f, "v2_int64_full.hex"))
+	// A buffer section whose one target spans three chunks.
+	spans := &Checkpoint{Instance: inst("cnt", 1), Seq: 1, Processing: NewProcessing(1), Buffer: NewBuffer()}
+	for ts := int64(1); ts <= 2*chunkTuples+5; ts++ {
+		spans.Buffer.Append(inst("sink", 1), stream.Tuple{TS: ts, Key: stream.Key(ts), Born: ts, Payload: ts})
+	}
+	blob, err := MarshalCheckpoint(spans, GobPayloadCodec{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
 	f.Fuzz(fuzzCheckpoint)
 }
 

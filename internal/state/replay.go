@@ -42,13 +42,15 @@ func DownstreamReplay(cp *Checkpoint, routing func(plan.OpID) *Routing) iter.Seq
 		eachSender(cp.Instance, cp.Buffer, cp.Legacy, func(from plan.InstanceID, b *Buffer) bool {
 			for _, target := range b.Targets() {
 				r := routing(target.Op)
-				for _, t := range b.perTarget[target].live() {
-					to := target
-					if r != nil {
-						to = r.Lookup(t.Key)
-					}
-					if !yield(Replay{From: from, To: to, T: t}) {
-						return false
+				for seg := range b.perTarget[target].segments() {
+					for _, t := range seg {
+						to := target
+						if r != nil {
+							to = r.Lookup(t.Key)
+						}
+						if !yield(Replay{From: from, To: to, T: t}) {
+							return false
+						}
 					}
 				}
 			}

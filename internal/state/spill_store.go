@@ -277,7 +277,8 @@ func (sp *storeSpill) loadLocked(s *Store, r KeyRange) error {
 }
 
 // passLocked runs one spill pass: pick cold keys (clean before dirty,
-// so incremental checkpoints rarely have to load a spilled key back),
+// so incremental checkpoints rarely have to load a spilled key back;
+// every key is clean while the store tracks none),
 // capture and spill them in chunk-sized sorted runs until the target
 // footprint is reached, drop them from the cells, compact the cell maps
 // so the freed buckets return to the allocator, and reset the coldness

@@ -181,9 +181,11 @@ func (in *Instance) Reroute(self plan.InstanceID, op plan.OpID, routing *Routing
 				if tb == nil {
 					continue
 				}
-				for _, t := range tb.live() {
-					if !yield(Replay{From: from, To: to, T: t}) {
-						return false
+				for seg := range tb.segments() {
+					for _, t := range seg {
+						if !yield(Replay{From: from, To: to, T: t}) {
+							return false
+						}
 					}
 				}
 			}

@@ -12,6 +12,7 @@ package state
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -37,6 +38,8 @@ type Store struct {
 	names []string
 	// touched holds the keys written or deleted since the last
 	// TakeCheckpoint/TakeDelta — the raw material of Delta checkpoints.
+	// It is nil after a full checkpoint a runtime taking no deltas asked
+	// for (takeCheckpoint), so writes then skip it.
 	touched map[stream.Key]struct{}
 	// lastFullSize is the encoded size of the last full checkpoint: the
 	// baseline for DeltaPolicy's size fallback, and the room the next
@@ -117,7 +120,9 @@ func (s *Store) register(c storeCell) {
 
 // touchLocked records that the state under k changed (write or delete).
 func (s *Store) touchLocked(k stream.Key) {
-	s.touched[k] = struct{}{}
+	if s.touched != nil {
+		s.touched[k] = struct{}{}
+	}
 	s.spillNoteWriteLocked()
 }
 
@@ -230,7 +235,12 @@ func (s *Store) captureLocked(keys []stream.Key, srcs []fragSource, bodyHint int
 // deltas are relative to this checkpoint) and records the run's
 // serialised size as the baseline for DeltaPolicy. On error the tracking
 // state is untouched, so a failed checkpoint loses nothing.
-func (s *Store) TakeCheckpoint() (Run, error) {
+func (s *Store) TakeCheckpoint() (Run, error) { return s.takeCheckpoint(true) }
+
+// takeCheckpoint is TakeCheckpoint; track=false stops dirty-key tracking
+// until the next TakeCheckpoint or Restore, for a runtime that takes no
+// deltas.
+func (s *Store) takeCheckpoint(track bool) (Run, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Spilled ranges are transparent to checkpointing (§3.3): load them
@@ -254,7 +264,10 @@ func (s *Store) TakeCheckpoint() (Run, error) {
 	}
 	s.lastFullSize = run.Size()
 	s.deltasSinceFull = 0
-	s.touched = make(map[stream.Key]struct{})
+	s.touched = nil
+	if track {
+		s.touched = make(map[stream.Key]struct{})
+	}
 	return run, nil
 }
 
@@ -264,10 +277,14 @@ func (s *Store) TakeCheckpoint() (Run, error) {
 // Base and seq are the checkpoint sequence numbers the delta chains
 // between; ts is the operator's input timestamp vector at extraction
 // time. On success the dirty-key tracking resets; on error it is
-// untouched.
+// untouched. A store that stopped tracking at its last full checkpoint
+// has no delta to give.
 func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.touched == nil {
+		return nil, errors.New("state: no dirty keys tracked since the last full checkpoint")
+	}
 	for k := range s.touched {
 		// A dirty key can have been spilled since it was written; deltas
 		// encode exactly the dirty set, so make it resident first.
@@ -349,7 +366,7 @@ func (s *Store) installLocked(kv Run) error {
 }
 
 // DirtyCount returns the number of keys touched since the last
-// TakeCheckpoint/TakeDelta.
+// TakeCheckpoint/TakeDelta (0 while tracking is stopped).
 func (s *Store) DirtyCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

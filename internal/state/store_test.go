@@ -302,3 +302,43 @@ func TestStoreDuplicateCellPanics(t *testing.T) {
 	NewValue[int64](s, "x", Int64Codec{})
 	NewValue[float64](s, "x", Float64Codec{})
 }
+
+// TestFullCheckpointsKeepNoDirtySet: under a disabled delta policy a
+// capture's full checkpoint stops dirty-key tracking, so writes pay for
+// no set nothing reads; enabling the policy costs one more full
+// checkpoint (the delta the untracked store cannot give), after which
+// deltas carry exactly the keys written.
+func TestFullCheckpointsKeepNoDirtySet(t *testing.T) {
+	s := NewStore()
+	v := NewValue[int64](s, "n", Int64Codec{})
+	in := NewInstance(s, 1)
+	id := inst("count", 1)
+	for k := range 100 {
+		v.Set(stream.Key(k), int64(k))
+	}
+	if cp, dc := in.BeginCheckpoint(id).Checkpoint(DeltaPolicy{}); cp == nil || dc != nil {
+		t.Fatalf("default policy: full %v, delta %v", cp != nil, dc != nil)
+	}
+	for k := range 100 {
+		v.Update(stream.Key(k), func(x int64) int64 { return x + 1 })
+	}
+	if n := s.DirtyCount(); n != 0 {
+		t.Fatalf("after a full checkpoint under the default policy, 100 updates left %d dirty keys", n)
+	}
+	if _, err := s.TakeDelta(in.TS, 1, 2); err == nil {
+		t.Fatal("an untracked store gave a delta")
+	}
+
+	policy := DeltaPolicy{FullEvery: 4}
+	if cp, dc := in.BeginCheckpoint(id).Checkpoint(policy); cp == nil || dc != nil {
+		t.Fatalf("first capture under a delta policy: full %v, delta %v", cp != nil, dc != nil)
+	}
+	v.Set(7, 70)
+	if n := s.DirtyCount(); n != 1 {
+		t.Fatalf("tracking did not resume: %d dirty keys, want 1", n)
+	}
+	cp, dc := in.BeginCheckpoint(id).Checkpoint(policy)
+	if cp != nil || dc == nil || dc.Delta.Changed.Len() != 1 {
+		t.Fatalf("second capture under a delta policy: full %v, delta %v", cp != nil, dc)
+	}
+}

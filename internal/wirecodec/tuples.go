@@ -22,19 +22,8 @@ const minTupleBytes = 11
 // registry; fallback serves tag 0.
 func EncodeTuples(e *stream.Encoder, tuples []stream.Tuple, fallback PayloadCodec) error {
 	e.Uvarint(uint64(len(tuples)))
-	var prevTS, prevBorn int64
-	for i := range tuples {
-		t := &tuples[i]
-		e.Varint(t.TS - prevTS)
-		prevTS = t.TS
-		e.Key(t.Key)
-		e.Varint(t.Born - prevBorn)
-		prevBorn = t.Born
-		if err := EncodePayload(e, t.Payload, fallback); err != nil {
-			return fmt.Errorf("wirecodec: encode payload: %w", err)
-		}
-	}
-	return nil
+	var r TupleRun
+	return r.Encode(e, tuples, fallback)
 }
 
 // DecodeTuples reads a run written by EncodeTuples. The count is checked
@@ -66,4 +55,28 @@ func DecodeTuples(d *stream.Decoder, fallback PayloadCodec) ([]stream.Tuple, err
 		t.Payload = payload
 	}
 	return tuples, nil
+}
+
+// TupleRun carries a run's delta-coded TS and Born columns across the
+// pieces it is written in, so a run held in several slices — an output
+// buffer's chunks — is the same bytes as one slice holding them all.
+// The zero value starts a run; the count in front is the caller's.
+type TupleRun struct{ ts, born int64 }
+
+// Encode appends the records of tuples to the run.
+func (r *TupleRun) Encode(e *stream.Encoder, tuples []stream.Tuple, fallback PayloadCodec) error {
+	prevTS, prevBorn := r.ts, r.born
+	for i := range tuples {
+		t := &tuples[i]
+		e.Varint(t.TS - prevTS)
+		prevTS = t.TS
+		e.Key(t.Key)
+		e.Varint(t.Born - prevBorn)
+		prevBorn = t.Born
+		if err := EncodePayload(e, t.Payload, fallback); err != nil {
+			return fmt.Errorf("wirecodec: encode payload: %w", err)
+		}
+	}
+	r.ts, r.born = prevTS, prevBorn
+	return nil
 }
