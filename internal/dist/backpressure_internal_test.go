@@ -211,12 +211,15 @@ func TestStalledDeliveryHoldsNoWorkerLock(t *testing.T) {
 
 // One socket hop of a full batch — link enqueue, encode, frame write,
 // frame read, decode, the receiving node's input queue, processing —
-// allocates what the decoder must (the tuple slice and one box per
-// payload) plus a fixed eight per frame: the two frame headers, the body
-// decoder, the two instance-id strings, and the two pool entries that
-// hand the tuple slices back (the link writer's after encoding, the
-// node's after processing). Nothing is rebuilt or copied between the
-// emitter's batch and the wire, or between the wire and the input queue.
+// allocates what the decoder must (one box per payload) plus a fixed
+// seven per frame: the two frame headers, the body decoder, the two
+// instance-id strings, and the two pool entries that hand the tuple
+// slices back (the link writer's after encoding, the node's after
+// processing). The emitter and the decoder draw their tuple slices from
+// that pool; under the race detector, which drops pool entries at
+// random, either draw may allocate. Nothing is rebuilt or copied
+// between the emitter's batch and the wire, or between the wire and the
+// input queue.
 func TestSocketHopAllocations(t *testing.T) {
 	const tuples = 256
 	q := plan.NewQuery()
@@ -267,9 +270,12 @@ func TestSocketHopAllocations(t *testing.T) {
 		}
 	}
 	got := testing.AllocsPerRun(100, hop)
-	const want = tuples + 1 + 8
-	if got > want {
-		t.Errorf("one %d-tuple socket hop allocates %.0f times, want at most %d (payload boxes + decoded tuple slice + 8 per frame)", tuples, got, want)
+	want := tuples + 7
+	if raceEnabled {
+		want += 2
+	}
+	if got > float64(want) {
+		t.Errorf("one %d-tuple socket hop allocates %.0f times, want at most %d (payload boxes + 7 per frame)", tuples, got, want)
 	}
 	if got < tuples {
 		t.Errorf("%.0f allocations for %d decoded payloads: the hop was not measured", got, tuples)

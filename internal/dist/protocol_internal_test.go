@@ -5,9 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"seep/internal/control"
+	"seep/internal/controlplane"
+	"seep/internal/core"
 	"seep/internal/engine"
 	"seep/internal/plan"
 	"seep/internal/state"
+	"seep/internal/stream"
 )
 
 // TestManagerBooksAssignRoundTrip: MsgAssign carries the one
@@ -72,4 +76,66 @@ func TestManagerBooksAssignRoundTrip(t *testing.T) {
 	if _, sizeZero := roundTrip(engine.Config{}); size-sizeZero > 64 {
 		t.Errorf("eight settings cost %d bytes on the wire", size-sizeZero)
 	}
+}
+
+// FuzzDecodeControl: a control message read off the network either
+// fails to decode or decodes to one that re-encodes, and the blobs it
+// carries — a routing, a checkpoint — decode or fail without a panic,
+// as the worker and the coordinator read them.
+func FuzzDecodeControl(f *testing.F) {
+	a, b := plan.InstanceID{Op: "cnt", Part: 1}, plan.InstanceID{Op: "cnt", Part: 2}
+	placed := []controlplane.Placement{{Inst: a, Addr: "127.0.0.1:7001"}, {Inst: b, Addr: "127.0.0.1:7002"}}
+	routing := state.MarshalRouting(state.NewRouting(a))
+	for _, c := range []*Control{
+		{Kind: MsgAssign, Seq: 1, From: "coord", Topology: "wc", CoordAddr: "127.0.0.1:7000", Placements: placed, Engine: engine.Config{BatchSize: 64}, ReportEveryMillis: 100, StandbyAddr: "127.0.0.1:7100", DetectMillis: 500},
+		{Kind: MsgStart, Seq: 2, CoordNow: 1234},
+		{Kind: MsgStop, Seq: 3},
+		{Kind: MsgReroute, Seq: 4, Op: "cnt", Routing: routing, New: placed[1:], Victims: []plan.InstanceID{a}, Inherit: []core.Inherit{{Old: a, New: b}}, TrimAcks: []core.Trim{{Up: a, Owner: b, TS: 9}}},
+		{Kind: MsgDeploy, Seq: 5, Op: "cnt", New: placed[:1], Checkpoint: []byte{1, 2, 3}},
+		{Kind: MsgRetire, Seq: 6, Victims: []plan.InstanceID{a, b}, Final: true},
+		{Kind: MsgDie},
+		{Kind: MsgAck, Seq: 7, Err: "refused", Replayed: 12},
+		{Kind: MsgReport, From: "w1", Reports: []control.Report{{Inst: a, Util: 0.75}}, Stats: WorkerStats{SinkTuples: 10, Processed: 20}},
+		{Kind: MsgReattach, Seq: 8, From: "w1", Hosted: []plan.InstanceID{a}, Running: true, LastBarrier: 3},
+		{Kind: MsgResume, Seq: 9, StandbyAddr: "127.0.0.1:7100", DetectMillis: 500},
+		{Kind: MsgTrim, TrimAcks: []core.Trim{{Up: a, Owner: b, TS: 40}}},
+		{Kind: MsgBarrier, Seq: 10, Victims: []plan.InstanceID{b}},
+	} {
+		body, err := encodeControl(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	st := state.NewStore()
+	state.NewValue[int64](st, "n", state.Int64Codec{}).Set(7, 42)
+	kv, err := st.TakeCheckpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	cp := &state.Checkpoint{Instance: a, Seq: 1, Processing: &state.Processing{KV: kv, TS: stream.TSVector{1}}, Buffer: state.NewBuffer()}
+	cp.Buffer.Append(b, stream.Tuple{TS: 1, Key: 7, Born: 1, Payload: int64(5)})
+	ship, err := encodeShip(&Control{Kind: MsgShip, From: "w1", Base: 1, Deleted: []stream.Key{3, 4}}, cp, state.GobPayloadCodec{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ship)
+	f.Add(ship[:len(ship)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, err := decodeControl(body)
+		if err != nil {
+			return
+		}
+		if len(c.Routing) > 0 {
+			_, _ = decodeRouting(c.Routing)
+		}
+		if len(c.Checkpoint) > 0 {
+			_, _ = state.DecodeCheckpointHeader(c.Checkpoint)
+			_, _ = state.DecodeCheckpoint(stream.NewDecoder(c.Checkpoint), state.GobPayloadCodec{})
+		}
+		if _, err := encodeControl(c); err != nil {
+			t.Fatalf("a decoded %v message fails to re-encode: %v", c.Kind, err)
+		}
+	})
 }

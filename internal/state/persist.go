@@ -136,7 +136,7 @@ func DecodeBuffer(d *stream.Decoder, codec PayloadCodec) (*Buffer, error) {
 	nTargets := int(d.Uint32())
 	for i := 0; i < nTargets; i++ {
 		target := decodeInstanceID(d)
-		tuples, err := wirecodec.DecodeTuples(d, codec)
+		tuples, err := wirecodec.DecodeTuples(d, codec, func(n int) []stream.Tuple { return make([]stream.Tuple, 0, n) })
 		if err != nil {
 			return nil, fmt.Errorf("state: decode buffered tuples for %s: %w", target, err)
 		}

@@ -290,11 +290,19 @@ func MarshalRouting(r *Routing) []byte {
 	return e.Bytes()
 }
 
-// DecodeRouting reads routing state written by Encode.
+// routeEntryMinBytes is the smallest entry Encode writes: an empty
+// operator name behind its length, the part and the two range keys.
+const routeEntryMinBytes = 4 + 4 + 8 + 8
+
+// DecodeRouting reads routing state written by Encode. The entry count
+// is checked against the bytes left before anything is allocated.
 func DecodeRouting(d *stream.Decoder) (*Routing, error) {
 	n := int(d.Uint32())
 	if err := d.Err(); err != nil {
 		return nil, err
+	}
+	if n > d.Remaining()/routeEntryMinBytes {
+		return nil, fmt.Errorf("state: routing of %d entries exceeds the %d bytes left", n, d.Remaining())
 	}
 	entries := make([]RouteEntry, 0, n)
 	for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -227,4 +228,40 @@ func TestRoutingClone(t *testing.T) {
 	if rt.Lookup(0) != inst("a", 1) {
 		t.Error("clone operations affected original")
 	}
+}
+
+// FuzzDecodeRouting: a routing read off the network — a reroute's
+// routing blob — either fails to decode or is a valid routing that
+// round-trips: re-encoded, it decodes to the same entries. Its corpus
+// under testdata/fuzz holds a count of 2^32-1 entries in four bytes,
+// which once allocated them all before reading one.
+func FuzzDecodeRouting(f *testing.F) {
+	three, err := NewRoutingFromEntries([]RouteEntry{
+		{Target: inst("cnt", 1), Range: FullRange.SplitEven(3)[0]},
+		{Target: inst("cnt", 2), Range: FullRange.SplitEven(3)[1]},
+		{Target: inst("cnt", 3), Range: FullRange.SplitEven(3)[2]},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []*Routing{NewRouting(inst("cnt", 1)), three} {
+		e := stream.NewEncoder(64)
+		r.Encode(e)
+		f.Add(e.Bytes())
+		f.Add(e.Bytes()[:len(e.Bytes())/2])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeRouting(stream.NewDecoder(b))
+		if err != nil {
+			return
+		}
+		again, err := DecodeRouting(stream.NewDecoder(MarshalRouting(r)))
+		if err != nil {
+			t.Fatalf("a decoded routing %v fails to decode re-encoded: %v", r, err)
+		}
+		if !slices.Equal(again.Entries(), r.Entries()) {
+			t.Fatalf("routing %v decodes re-encoded as %v", r, again)
+		}
+	})
 }

@@ -368,17 +368,19 @@ func TestRadixSort(t *testing.T) {
 					t.Fatalf("%s, n=%d: entry %d is (%d, %d), want key %d carrying the value it came with", name, n, i, e.k, e.v, want[i])
 				}
 			}
-			set := map[stream.Key]int{}
+			set, tab := map[stream.Key]int{}, keyTable[int]{}
 			for i, k := range orig {
 				set[k] = i
+				p, _ := tab.put(k)
+				*p = i
 			}
-			es, keys := sortedEntries(set)
+			es, keys := tab.sorted()
 			if !slices.Equal(keys, slices.Compact(want)) {
-				t.Fatalf("%s, n=%d: sortedEntries' keys disagree with slices.Sort", name, n)
+				t.Fatalf("%s, n=%d: a table's sorted keys disagree with slices.Sort", name, n)
 			}
 			for i, e := range es {
 				if e.k != keys[i] || set[e.k] != e.v {
-					t.Fatalf("%s, n=%d: sortedEntries entry %d is (%d, %d)", name, n, i, e.k, e.v)
+					t.Fatalf("%s, n=%d: sorted entry %d is (%d, %d)", name, n, i, e.k, e.v)
 				}
 			}
 		}

@@ -39,7 +39,7 @@ const (
 	// spillEstFloor is the minimum assumed in-memory bytes per key.
 	spillEstFloor = 64
 	// spillOverhead scales encoded bytes to approximate in-memory cost
-	// (map buckets, boxed values, key overhead).
+	// (table slots, boxed values, key overhead).
 	spillOverhead = 3
 )
 
@@ -76,9 +76,9 @@ type storeSpill struct {
 	sinceCheck int
 	// recent holds the keys accessed since the last spill pass — the
 	// coldness signal. Cleared each pass.
-	recent map[stream.Key]struct{}
+	recent keyTable[struct{}]
 	// spilled holds every key currently on disk.
-	spilled map[stream.Key]struct{}
+	spilled keyTable[struct{}]
 
 	passes       uint64
 	spilledTotal uint64
@@ -122,13 +122,11 @@ func (s *Store) EnableSpill(dir string, limitBytes int64) error {
 		return fmt.Errorf("state: spill already enabled")
 	}
 	s.spill.Store(&storeSpill{
-		sp:      sp,
-		dir:     dir,
-		ownDir:  ownDir,
-		limit:   limitBytes,
-		est:     spillOverhead * spillEstFloor,
-		recent:  make(map[stream.Key]struct{}),
-		spilled: make(map[stream.Key]struct{}),
+		sp:     sp,
+		dir:    dir,
+		ownDir: ownDir,
+		limit:  limitBytes,
+		est:    spillOverhead * spillEstFloor,
 	})
 	return nil
 }
@@ -165,7 +163,7 @@ func (s *Store) SpillStats() SpillStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SpillStats{
-		SpilledKeys:  uint64(len(sp.spilled)),
+		SpilledKeys:  uint64(sp.spilled.size()),
 		Spills:       sp.passes,
 		SpilledTotal: sp.spilledTotal,
 		Loads:        sp.loadedTotal,
@@ -242,15 +240,15 @@ func (s *Store) residentLenLocked() int {
 // ensureLocked materialises the chunk holding k when k is spilled, and
 // records the access for the coldness signal.
 func (sp *storeSpill) ensureLocked(s *Store, k stream.Key) {
-	sp.recent[k] = struct{}{}
-	if _, ok := sp.spilled[k]; ok {
+	sp.recent.put(k)
+	if sp.spilled.get(k) != nil {
 		sp.loadLocked(s, KeyRange{Lo: k, Hi: k})
 	}
 }
 
 // loadAllLocked materialises everything on disk.
 func (sp *storeSpill) loadAllLocked(s *Store) error {
-	if len(sp.spilled) == 0 {
+	if sp.spilled.size() == 0 {
 		return nil
 	}
 	return sp.loadLocked(s, FullRange)
@@ -263,7 +261,7 @@ func (sp *storeSpill) loadLocked(s *Store, r KeyRange) error {
 	runs, err := sp.sp.Materialize(r)
 	for _, run := range runs {
 		for k := range run.Keys() {
-			delete(sp.spilled, k)
+			sp.spilled.del(k)
 		}
 		if ierr := s.installLocked(run); ierr != nil && err == nil {
 			err = ierr
@@ -280,9 +278,9 @@ func (sp *storeSpill) loadLocked(s *Store, r KeyRange) error {
 // so incremental checkpoints rarely have to load a spilled key back;
 // every key is clean while the store tracks none),
 // capture and spill them in chunk-sized sorted runs until the target
-// footprint is reached, drop them from the cells, compact the cell maps
-// so the freed buckets return to the allocator, and reset the coldness
-// signal.
+// footprint is reached, drop them from the cells, compact the cell
+// tables so the freed slots return to the allocator, and reset the
+// coldness signal.
 func (sp *storeSpill) passLocked(s *Store, resident int64) {
 	target := sp.limit * spillLowWaterNum / spillLowWaterDen / sp.est
 	want := int(resident - target)
@@ -291,10 +289,10 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 	}
 	var clean, dirty []stream.Key // ascending, as keysLocked yields them
 	for _, k := range s.keysLocked() {
-		if _, hot := sp.recent[k]; hot {
+		if sp.recent.get(k) != nil {
 			continue
 		}
-		if _, d := s.touched[k]; d {
+		if s.touched != nil && s.touched.get(k) != nil {
 			dirty = append(dirty, k)
 		} else {
 			clean = append(clean, k)
@@ -303,7 +301,7 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 	// Everything is hot: reset the recency window so the next pass has
 	// candidates, and let the footprint overshoot until then.
 	if len(clean)+len(dirty) == 0 {
-		sp.recent = make(map[stream.Key]struct{})
+		sp.recent = keyTable[struct{}]{}
 		return
 	}
 
@@ -324,7 +322,7 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 				return
 			}
 			for k := range run.Keys() {
-				sp.spilled[k] = struct{}{}
+				sp.spilled.put(k)
 				s.deleteKeyLocked(k)
 			}
 			spilledKeys += int64(run.Len())
@@ -348,7 +346,7 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 	sp.est = (sp.est + observed) / 2
 	sp.passes++
 	sp.spilledTotal += uint64(spilledKeys)
-	sp.recent = make(map[stream.Key]struct{})
+	sp.recent = keyTable[struct{}]{}
 }
 
 // discardLocked drops everything on disk WITHOUT loading it back —
@@ -356,8 +354,8 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 // the old state must not resurrect.
 func (sp *storeSpill) discardLocked() {
 	sp.sp.Close()
-	sp.spilled = make(map[stream.Key]struct{})
-	sp.recent = make(map[stream.Key]struct{})
+	sp.spilled = keyTable[struct{}]{}
+	sp.recent = keyTable[struct{}]{}
 	sp.sinceCheck = 0
 }
 

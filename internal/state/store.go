@@ -40,7 +40,7 @@ type Store struct {
 	// TakeCheckpoint/TakeDelta — the raw material of Delta checkpoints.
 	// It is nil after a full checkpoint a runtime taking no deltas asked
 	// for (takeCheckpoint), so writes then skip it.
-	touched map[stream.Key]struct{}
+	touched *keyTable[struct{}]
 	// lastFullSize is the encoded size of the last full checkpoint: the
 	// baseline for DeltaPolicy's size fallback, and the room the next
 	// one starts with when values are not of fixed width.
@@ -59,7 +59,7 @@ type Store struct {
 func NewStore() *Store {
 	return &Store{
 		byName:  make(map[string]storeCell),
-		touched: make(map[stream.Key]struct{}),
+		touched: new(keyTable[struct{}]),
 	}
 }
 
@@ -73,10 +73,13 @@ type storeCell interface {
 	// lookupLocked returns the cell's fragSource for a capture of given
 	// keys, which looks each one up.
 	lookupLocked() fragSource
-	// sortedLocked walks the cell's map once and returns its keys,
+	// sortedLocked walks the cell's table once and returns its keys,
 	// ascending, with the fragSource of a full capture, which reads the
 	// walked entries in that order instead of looking keys up.
 	sortedLocked() ([]stream.Key, fragSource)
+	// reserveLocked makes room for n more keys, so a restore sizes the
+	// cell once rather than growing it key by key.
+	reserveLocked(n int)
 	// decodeLocked installs a fragment previously produced by a
 	// fragSource.
 	decodeLocked(k stream.Key, b []byte) error
@@ -87,8 +90,9 @@ type storeCell interface {
 	// deleteKeyLocked drops k without any dirty-key side effect (used by
 	// spilling, which is not a semantic delete).
 	deleteKeyLocked(k stream.Key)
-	// compactLocked reallocates the cell's backing map so buckets freed
-	// by a mass deletion (a spill pass) return to the allocator.
+	// compactLocked rebuilds the cell's table for the keys it holds, so
+	// slots freed by a mass deletion (a spill pass) return to the
+	// allocator.
 	compactLocked()
 }
 
@@ -121,7 +125,7 @@ func (s *Store) register(c storeCell) {
 // touchLocked records that the state under k changed (write or delete).
 func (s *Store) touchLocked(k stream.Key) {
 	if s.touched != nil {
-		s.touched[k] = struct{}{}
+		s.touched.put(k)
 	}
 	s.spillNoteWriteLocked()
 }
@@ -249,7 +253,7 @@ func (s *Store) takeCheckpoint(track bool) (Run, error) {
 	if err := s.materializeAllLocked(); err != nil {
 		return Run{}, err
 	}
-	// Each cell walks its map once and sorts what it walked; the capture
+	// Each cell walks its table once and sorts what it walked; the capture
 	// merges the cells' entries, so no key is sorted by comparison or
 	// looked up. Fixed-width values size the body exactly, so a backup
 	// that keeps the run keeps no slack; others are sized by the last
@@ -266,7 +270,7 @@ func (s *Store) takeCheckpoint(track bool) (Run, error) {
 	s.deltasSinceFull = 0
 	s.touched = nil
 	if track {
-		s.touched = make(map[stream.Key]struct{})
+		s.touched = new(keyTable[struct{}])
 	}
 	return run, nil
 }
@@ -285,17 +289,17 @@ func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) 
 	if s.touched == nil {
 		return nil, errors.New("state: no dirty keys tracked since the last full checkpoint")
 	}
-	for k := range s.touched {
+	_, keys := s.touched.sorted()
+	for _, k := range keys {
 		// A dirty key can have been spilled since it was written; deltas
 		// encode exactly the dirty set, so make it resident first.
 		s.residentLocked(k)
 	}
-	_, keys := sortedEntries(s.touched)
 	changed, deleted, err := s.captureKeysLocked(keys)
 	if err != nil {
 		return nil, err
 	}
-	s.touched = make(map[stream.Key]struct{})
+	s.touched = new(keyTable[struct{}])
 	s.deltasSinceFull++
 	return &Delta{Base: base, Seq: seq, Changed: changed, Deleted: deleted, TS: ts.Clone()}, nil
 }
@@ -329,14 +333,15 @@ func (s *Store) Restore(kv Run) error {
 	for _, c := range s.cells {
 		c.resetLocked()
 	}
-	s.touched = make(map[stream.Key]struct{})
+	s.touched = new(keyTable[struct{}])
 	s.lastFullSize = 0
 	s.deltasSinceFull = 0
 	return s.installLocked(kv)
 }
 
 // installLocked decodes every record of kv into the cells, mapping the
-// run's cell table to the store's once.
+// run's cell table to the store's once and making room in each for the
+// run's records before the first.
 func (s *Store) installLocked(kv Run) error {
 	if kv.Len() > 0 && len(kv.cells) == 0 {
 		return fmt.Errorf("state: restore: a run of %d records names no cells", kv.Len())
@@ -348,6 +353,7 @@ func (s *Store) installLocked(kv Run) error {
 			return fmt.Errorf("state: restore: unknown cell %q", name)
 		}
 		cells[i] = c
+		c.reserveLocked(kv.Len())
 	}
 	var k stream.Key
 	install := func(c int, val []byte) error {
@@ -370,7 +376,10 @@ func (s *Store) installLocked(kv Run) error {
 func (s *Store) DirtyCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.touched)
+	if s.touched == nil {
+		return 0
+	}
+	return s.touched.size()
 }
 
 // LastFullSize returns the serialised size of the last TakeCheckpoint
@@ -416,7 +425,7 @@ type Value[T any] struct {
 	codec Codec[T]
 	fast  appender[T] // codec's append fast path, nil when it has none
 	fixed int         // the codec's value width, -1 when not fixed
-	data  map[stream.Key]T
+	data  keyTable[T]
 }
 
 // NewValue registers a Value cell with the store. A nil codec defaults
@@ -426,7 +435,7 @@ func NewValue[T any](s *Store, name string, codec Codec[T]) *Value[T] {
 	if codec == nil {
 		codec = GobCodec[T]{}
 	}
-	v := &Value[T]{s: s, nm: name, codec: codec, fixed: -1, data: make(map[stream.Key]T)}
+	v := &Value[T]{s: s, nm: name, codec: codec, fixed: -1}
 	v.fast, _ = codec.(appender[T])
 	if f, ok := codec.(fixedWidth); ok {
 		v.fixed = f.width()
@@ -442,8 +451,11 @@ func (v *Value[T]) Get(k stream.Key) (T, bool) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.residentLocked(k)
-	val, ok := v.data[k]
-	return val, ok
+	if p := v.data.get(k); p != nil {
+		return *p, true
+	}
+	var zero T
+	return zero, false
 }
 
 // Set stores val under k.
@@ -451,7 +463,7 @@ func (v *Value[T]) Set(k stream.Key, val T) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.residentLocked(k)
-	v.data[k] = val
+	v.data.set(k, val)
 	v.s.touchLocked(k)
 }
 
@@ -462,8 +474,9 @@ func (v *Value[T]) Update(k stream.Key, f func(T) T) T {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.residentLocked(k)
-	nv := f(v.data[k])
-	v.data[k] = nv
+	p, _ := v.data.put(k)
+	nv := f(*p)
+	*p = nv
 	v.s.touchLocked(k)
 	return nv
 }
@@ -476,16 +489,20 @@ func (v *Value[T]) Transform(k stream.Key, f func(T) (nv T, keep bool)) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.residentLocked(k)
-	cur, had := v.data[k]
-	nv, keep := f(cur)
-	switch {
-	case keep:
-		v.data[k] = nv
-		v.s.touchLocked(k)
-	case had:
-		delete(v.data, k)
-		v.s.touchLocked(k)
+	p := v.data.get(k)
+	if p == nil {
+		var zero T
+		nv, keep := f(zero)
+		if !keep {
+			return
+		}
+		v.data.set(k, nv)
+	} else if nv, keep := f(*p); keep {
+		*p = nv
+	} else {
+		v.data.del(k)
 	}
+	v.s.touchLocked(k)
 }
 
 // Delete removes the value under k.
@@ -493,8 +510,7 @@ func (v *Value[T]) Delete(k stream.Key) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.residentLocked(k)
-	if _, ok := v.data[k]; ok {
-		delete(v.data, k)
+	if v.data.del(k) {
 		v.s.touchLocked(k)
 	}
 }
@@ -504,7 +520,7 @@ func (v *Value[T]) Len() int {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.materializeAllLocked()
-	return len(v.data)
+	return v.data.size()
 }
 
 // Keys returns the held keys, ascending.
@@ -512,7 +528,7 @@ func (v *Value[T]) Keys() []stream.Key {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.materializeAllLocked()
-	_, keys := sortedEntries(v.data)
+	_, keys := v.data.sorted()
 	return keys
 }
 
@@ -522,7 +538,7 @@ func (v *Value[T]) ForEach(f func(k stream.Key, val T)) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.materializeAllLocked()
-	es, _ := sortedEntries(v.data)
+	es, _ := v.data.sorted()
 	for _, e := range es {
 		f(e.k, e.v)
 	}
@@ -534,9 +550,11 @@ func (v *Value[T]) Drain() map[stream.Key]T {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.materializeAllLocked()
-	out := v.data
-	v.data = make(map[stream.Key]T)
-	for k := range out {
+	old := v.data
+	v.data = keyTable[T]{}
+	out := make(map[stream.Key]T, old.size())
+	for k, p := range old.all {
+		out[k] = *p
 		v.s.touchLocked(k)
 	}
 	return out
@@ -546,9 +564,9 @@ func (v *Value[T]) cellName() string { return v.nm }
 
 func (v *Value[T]) width() int { return v.fixed }
 
-func (v *Value[T]) lookupLocked() fragSource { return lookup(v.data, v.appendFrag) }
+func (v *Value[T]) lookupLocked() fragSource { return lookup(&v.data, v.appendFrag) }
 
-func (v *Value[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(v.data, v.appendFrag) }
+func (v *Value[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(&v.data, v.appendFrag) }
 
 // appendFrag appends val's encoding.
 func (v *Value[T]) appendFrag(dst []byte, val T) ([]byte, bool, error) {
@@ -561,23 +579,19 @@ func (v *Value[T]) decodeLocked(k stream.Key, b []byte) error {
 	if err != nil {
 		return err
 	}
-	v.data[k] = val
+	v.data.set(k, val)
 	return nil
 }
 
-func (v *Value[T]) resetLocked() { v.data = make(map[stream.Key]T) }
+func (v *Value[T]) reserveLocked(n int) { v.data.reserve(n) }
 
-func (v *Value[T]) lenLocked() int { return len(v.data) }
+func (v *Value[T]) resetLocked() { v.data = keyTable[T]{} }
 
-func (v *Value[T]) deleteKeyLocked(k stream.Key) { delete(v.data, k) }
+func (v *Value[T]) lenLocked() int { return v.data.size() }
 
-func (v *Value[T]) compactLocked() {
-	nd := make(map[stream.Key]T, len(v.data))
-	for k, val := range v.data {
-		nd[k] = val
-	}
-	v.data = nd
-}
+func (v *Value[T]) deleteKeyLocked(k stream.Key) { v.data.del(k) }
+
+func (v *Value[T]) compactLocked() { v.data.compact() }
 
 // Map is a keyed state cell holding a string-indexed map of T per tuple
 // key — the managed replacement for the map[Key]map[string]V dictionaries
@@ -587,7 +601,7 @@ type Map[T any] struct {
 	nm    string
 	codec Codec[T]
 	fast  appender[T] // codec's append fast path, nil when it has none
-	data  map[stream.Key]map[string]T
+	data  keyTable[map[string]T]
 	// fields is appendFrag's scratch for one key's sorted field names.
 	fields []string
 }
@@ -598,7 +612,7 @@ func NewMap[T any](s *Store, name string, codec Codec[T]) *Map[T] {
 	if codec == nil {
 		codec = GobCodec[T]{}
 	}
-	m := &Map[T]{s: s, nm: name, codec: codec, data: make(map[stream.Key]map[string]T)}
+	m := &Map[T]{s: s, nm: name, codec: codec}
 	m.fast, _ = codec.(appender[T])
 	s.register(m)
 	return m
@@ -609,7 +623,11 @@ func (m *Map[T]) Get(k stream.Key, field string) (T, bool) {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.residentLocked(k)
-	val, ok := m.data[k][field]
+	var inner map[string]T
+	if p := m.data.get(k); p != nil {
+		inner = *p
+	}
+	val, ok := inner[field]
 	return val, ok
 }
 
@@ -618,12 +636,7 @@ func (m *Map[T]) Put(k stream.Key, field string, val T) {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.residentLocked(k)
-	inner := m.data[k]
-	if inner == nil {
-		inner = make(map[string]T)
-		m.data[k] = inner
-	}
-	inner[field] = val
+	m.innerLocked(k)[field] = val
 	m.s.touchLocked(k)
 }
 
@@ -634,11 +647,7 @@ func (m *Map[T]) Update(k stream.Key, field string, f func(T) T) T {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.residentLocked(k)
-	inner := m.data[k]
-	if inner == nil {
-		inner = make(map[string]T)
-		m.data[k] = inner
-	}
+	inner := m.innerLocked(k)
 	nv := f(inner[field])
 	inner[field] = nv
 	m.s.touchLocked(k)
@@ -650,10 +659,19 @@ func (m *Map[T]) Delete(k stream.Key) {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.residentLocked(k)
-	if _, ok := m.data[k]; ok {
-		delete(m.data, k)
+	if m.data.del(k) {
 		m.s.touchLocked(k)
 	}
+}
+
+// innerLocked returns k's field map, inserting an empty one when k is
+// absent.
+func (m *Map[T]) innerLocked(k stream.Key) map[string]T {
+	p, _ := m.data.put(k)
+	if *p == nil {
+		*p = make(map[string]T)
+	}
+	return *p
 }
 
 // Len returns the number of keys held.
@@ -661,7 +679,7 @@ func (m *Map[T]) Len() int {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.materializeAllLocked()
-	return len(m.data)
+	return m.data.size()
 }
 
 // FieldCount returns the total number of (key, field) entries.
@@ -670,8 +688,8 @@ func (m *Map[T]) FieldCount() int {
 	defer m.s.mu.Unlock()
 	m.s.materializeAllLocked()
 	n := 0
-	for _, inner := range m.data {
-		n += len(inner)
+	for _, inner := range m.data.all {
+		n += len(*inner)
 	}
 	return n
 }
@@ -682,7 +700,7 @@ func (m *Map[T]) ForEach(f func(k stream.Key, field string, val T)) {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.materializeAllLocked()
-	es, _ := sortedEntries(m.data)
+	es, _ := m.data.sorted()
 	for _, e := range es {
 		k, inner := e.k, e.v
 		fields := make([]string, 0, len(inner))
@@ -702,9 +720,11 @@ func (m *Map[T]) Drain() map[stream.Key]map[string]T {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.materializeAllLocked()
-	out := m.data
-	m.data = make(map[stream.Key]map[string]T)
-	for k := range out {
+	old := m.data
+	m.data = keyTable[map[string]T]{}
+	out := make(map[stream.Key]map[string]T, old.size())
+	for k, inner := range old.all {
+		out[k] = *inner
 		m.s.touchLocked(k)
 	}
 	return out
@@ -714,9 +734,9 @@ func (m *Map[T]) cellName() string { return m.nm }
 
 func (m *Map[T]) width() int { return -1 }
 
-func (m *Map[T]) lookupLocked() fragSource { return lookup(m.data, m.appendFrag) }
+func (m *Map[T]) lookupLocked() fragSource { return lookup(&m.data, m.appendFrag) }
 
-func (m *Map[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(m.data, m.appendFrag) }
+func (m *Map[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(&m.data, m.appendFrag) }
 
 // appendFrag appends inner's encoding: the field count, then each field
 // in sorted order, its name and its value each behind a 32-bit length.
@@ -756,48 +776,29 @@ func (m *Map[T]) decodeLocked(k stream.Key, b []byte) error {
 		}
 		inner[field] = val
 	}
-	m.data[k] = inner
+	m.data.set(k, inner)
 	return nil
 }
 
-func (m *Map[T]) resetLocked() { m.data = make(map[stream.Key]map[string]T) }
+func (m *Map[T]) reserveLocked(n int) { m.data.reserve(n) }
 
-func (m *Map[T]) lenLocked() int { return len(m.data) }
+func (m *Map[T]) resetLocked() { m.data = keyTable[map[string]T]{} }
 
-func (m *Map[T]) deleteKeyLocked(k stream.Key) { delete(m.data, k) }
+func (m *Map[T]) lenLocked() int { return m.data.size() }
 
-func (m *Map[T]) compactLocked() {
-	nd := make(map[stream.Key]map[string]T, len(m.data))
-	for k, inner := range m.data {
-		nd[k] = inner
-	}
-	m.data = nd
-}
+func (m *Map[T]) deleteKeyLocked(k stream.Key) { m.data.del(k) }
 
-// sortedEntries walks data once into entries ordered by key, and returns
-// their keys beside them.
-func sortedEntries[V any](data map[stream.Key]V) ([]entry[V], []stream.Key) {
-	es := make([]entry[V], 0, len(data))
-	for k, v := range data {
-		es = append(es, entry[V]{v, k})
-	}
-	es = radixSort(es)
-	keys := make([]stream.Key, len(es))
-	for i, e := range es {
-		keys[i] = e.k
-	}
-	return es, keys
-}
+func (m *Map[T]) compactLocked() { m.data.compact() }
 
 // lookup is a cell's fragSource over data for a capture of given keys:
 // frag appends the fragment of the value it looks up.
-func lookup[V any](data map[stream.Key]V, frag func([]byte, V) ([]byte, bool, error)) fragSource {
+func lookup[V any](data *keyTable[V], frag func([]byte, V) ([]byte, bool, error)) fragSource {
 	return func(dst []byte, k stream.Key) ([]byte, bool, error) {
-		v, ok := data[k]
-		if !ok {
+		v := data.get(k)
+		if v == nil {
 			return dst, false, nil
 		}
-		return frag(dst, v)
+		return frag(dst, *v)
 	}
 }
 
@@ -805,8 +806,8 @@ func lookup[V any](data map[stream.Key]V, frag func([]byte, V) ([]byte, bool, er
 // the fragSource of a full capture over the sorted entries. A capture
 // asks for keys in ascending order, so only the next entry can match,
 // and no key is looked up.
-func inOrder[V any](data map[stream.Key]V, frag func([]byte, V) ([]byte, bool, error)) ([]stream.Key, fragSource) {
-	es, keys := sortedEntries(data)
+func inOrder[V any](data *keyTable[V], frag func([]byte, V) ([]byte, bool, error)) ([]stream.Key, fragSource) {
+	es, keys := data.sorted()
 	i := 0
 	return keys, func(dst []byte, k stream.Key) ([]byte, bool, error) {
 		if i == len(es) || es[i].k != k {

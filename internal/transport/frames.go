@@ -38,7 +38,7 @@ func decodeBatch(d *stream.Decoder, codec state.PayloadCodec) (Batch, error) {
 	b.From = decodeInstanceID(d)
 	b.To = decodeInstanceID(d)
 	b.Input = int(d.Int32())
-	tuples, err := wirecodec.DecodeTuples(d, codec)
+	tuples, err := wirecodec.DecodeTuples(d, codec, state.BatchTuples)
 	b.Tuples = tuples
 	return b, err
 }

@@ -26,9 +26,11 @@ func EncodeTuples(e *stream.Encoder, tuples []stream.Tuple, fallback PayloadCode
 	return r.Encode(e, tuples, fallback)
 }
 
-// DecodeTuples reads a run written by EncodeTuples. The count is checked
-// against the bytes left before anything is allocated.
-func DecodeTuples(d *stream.Decoder, fallback PayloadCodec) ([]stream.Tuple, error) {
+// DecodeTuples reads a run written by EncodeTuples into the empty slice
+// alloc returns for the run's count — a pooled one, so a receiver does
+// not allocate one per batch. The count is checked against the bytes
+// left before alloc is called.
+func DecodeTuples(d *stream.Decoder, fallback PayloadCodec, alloc func(n int) []stream.Tuple) ([]stream.Tuple, error) {
 	n := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -36,7 +38,7 @@ func DecodeTuples(d *stream.Decoder, fallback PayloadCodec) ([]stream.Tuple, err
 	if n > uint64(d.Remaining()/minTupleBytes) {
 		return nil, fmt.Errorf("wirecodec: run of %d tuples exceeds the %d bytes left", n, d.Remaining())
 	}
-	tuples := make([]stream.Tuple, n)
+	tuples := alloc(int(n))[:n]
 	var prevTS, prevBorn int64
 	for i := range tuples {
 		t := &tuples[i]
