@@ -479,17 +479,18 @@ func BenchmarkCheckpointFullVsIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		base := state.NewProcessing(1)
-		base.KV = kv
+		base := &state.Checkpoint{Seq: 1, Processing: &state.Processing{KV: kv, TS: stream.NewTSVector(1)}}
 		dirty(m, 0)
 		d, err := s.TakeDelta(stream.NewTSVector(1), 1, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
+		delta := &state.Checkpoint{Seq: 2, Base: 1, Deleted: d.Deleted,
+			Processing: &state.Processing{KV: d.Changed, TS: d.TS}, Buffer: state.NewBuffer()}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := d.Apply(base.Clone()); err != nil {
+			if _, err := delta.Fold(base); err != nil {
 				b.Fatal(err)
 			}
 		}

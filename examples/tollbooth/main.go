@@ -95,7 +95,7 @@ func main() {
 		seep.WithSeed(7),
 		seep.WithFTMode(seep.FTRSM),
 		seep.WithCheckpointInterval(5*time.Second),
-		seep.WithIncrementalCheckpoints(10, 0.5),
+		seep.WithIncrementalCheckpoints(),
 		seep.WithVMPool(seep.PoolConfig{Size: 3}),
 		seep.WithPolicy(seep.DefaultPolicy()),
 	).Deploy(topo)

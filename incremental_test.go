@@ -67,12 +67,12 @@ func TestIncrementalCheckpointsBothSubstrates(t *testing.T) {
 		{"live", seep.Live(
 			seep.WithCheckpointInterval(100*time.Millisecond),
 			seep.WithDetectDelay(200*time.Millisecond),
-			seep.WithIncrementalCheckpoints(10, 0.5),
+			seep.WithIncrementalCheckpoints(),
 		)},
 		{"sim", seep.Simulated(
 			seep.WithSeed(7),
 			seep.WithCheckpointInterval(500*time.Millisecond),
-			seep.WithIncrementalCheckpoints(10, 0.5),
+			seep.WithIncrementalCheckpoints(),
 		)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,21 +126,13 @@ func TestIncrementalCheckpointsBothSubstrates(t *testing.T) {
 	}
 }
 
-// TestIncrementalCheckpointOptionValidation: bad parameters and
-// unsupported FT-mode combinations are Deploy errors, never silent.
+// TestIncrementalCheckpointOptionValidation: an unsupported FT-mode
+// combination is a Deploy error, never silent.
 func TestIncrementalCheckpointOptionValidation(t *testing.T) {
 	topo := wordcountTopology()
-	if _, err := seep.Live(seep.WithIncrementalCheckpoints(1, 0.5)).Deploy(topo); err == nil ||
-		!strings.Contains(err.Error(), "fullEvery") {
-		t.Errorf("fullEvery=1 error = %v", err)
-	}
-	if _, err := seep.Live(seep.WithIncrementalCheckpoints(5, 1.5)).Deploy(topo); err == nil ||
-		!strings.Contains(err.Error(), "maxDeltaFraction") {
-		t.Errorf("fraction=1.5 error = %v", err)
-	}
 	if _, err := seep.Simulated(
 		seep.WithFTMode(seep.FTSourceReplay),
-		seep.WithIncrementalCheckpoints(5, 0.5),
+		seep.WithIncrementalCheckpoints(),
 	).Deploy(topo); err == nil || !strings.Contains(err.Error(), "FTRSM") {
 		t.Errorf("non-RSM mode error = %v", err)
 	}

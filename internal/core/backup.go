@@ -38,7 +38,8 @@ func ChooseBackup(o plan.InstanceID, upstreams []plan.InstanceID) (plan.Instance
 
 // entry is one stored backup. A checkpoint shipped over the wire stays
 // the bytes it arrived as until a transition or a delta fold first needs
-// its state (checkpoint); exactly one of cp and blob is set.
+// its state (checkpoint); exactly one of cp and blob is set. An entry is
+// always a full checkpoint: a delta is stored as its fold.
 type entry struct {
 	host plan.InstanceID
 	seq  uint64
@@ -70,11 +71,10 @@ type BackupStore struct {
 
 // ShipStats tallies checkpoint traffic into a backup store: how many
 // full checkpoints and deltas were accepted, and their bytes (encoded
-// length for checkpoints stored encoded, Checkpoint.Size or
-// DeltaCheckpoint.Size otherwise — the same count for the processing
-// state, with the buffers estimated). DeltaBytes versus the
-// full-checkpoint bytes they replaced is the measurable win of
-// incremental checkpointing (§3.2).
+// length for checkpoints stored encoded, Checkpoint.Size otherwise —
+// the same count for the processing state, with the buffers estimated).
+// DeltaBytes versus the full-checkpoint bytes they replaced is the
+// measurable win of incremental checkpointing (§3.2).
 type ShipStats struct {
 	Fulls      uint64
 	Deltas     uint64
@@ -90,15 +90,62 @@ func NewBackupStore() *BackupStore {
 	return &BackupStore{byOwner: make(map[plan.InstanceID]entry)}
 }
 
-// Store saves a checkpoint for cp.Instance at the given host, replacing
-// any older checkpoint (Algorithm 1 lines 3-7: if the backup operator
-// changed, the old backup is released). Stale checkpoints (lower Seq for
-// the same owner at the same host) are rejected.
+// Store saves a checkpoint for cp.Instance at the given host. A full
+// checkpoint replaces any older one (Algorithm 1 lines 3-7: if the
+// backup operator changed, the old backup is released); a stale one
+// (lower Seq for the same owner at the same host) is rejected. A delta
+// (cp.Base ≠ 0) is folded into the stored checkpoint, which must live at
+// host and be numbered cp.Base; otherwise ErrNoBase is returned and the
+// owner must ship a full checkpoint. The fold replaces the stored
+// checkpoint, which is never mutated: planners may hold it.
 func (s *BackupStore) Store(host plan.InstanceID, cp *state.Checkpoint) error {
+	return s.store(host, cp, nil)
+}
+
+// store is Store with a hook that sees the full checkpoint about to be
+// stored — cp itself, or the fold of a delta — and can refuse it, before
+// anything in memory changes; DurableStore persists there.
+func (s *BackupStore) store(host plan.InstanceID, cp *state.Checkpoint, persist func(*state.Checkpoint) error) error {
 	if err := cp.Validate(); err != nil {
 		return err
 	}
-	return s.put(cp.Instance, entry{host: host, seq: cp.Seq, size: cp.Size(), cp: cp})
+	if cp.Base == 0 {
+		if persist != nil {
+			if err := persist(cp); err != nil {
+				return err
+			}
+		}
+		return s.put(cp.Instance, entry{host: host, seq: cp.Seq, size: cp.Size(), cp: cp})
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.byOwner[cp.Instance]
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: no checkpoint stored for %s", ErrNoBase, cp.Instance)
+	case e.host != host:
+		return fmt.Errorf("%w: base for %s lives at %s, not %s", ErrNoBase, cp.Instance, e.host, host)
+	case e.seq != cp.Base:
+		return fmt.Errorf("%w: stored seq %d, delta base %d for %s", ErrNoBase, e.seq, cp.Base, cp.Instance)
+	}
+	if e, ok = s.checkpoint(cp.Instance); !ok {
+		return fmt.Errorf("%w: stored base for %s does not decode", ErrNoBase, cp.Instance)
+	}
+	folded, err := cp.Fold(e.cp)
+	if err != nil {
+		return err
+	}
+	if persist != nil {
+		if err := persist(folded); err != nil {
+			return err
+		}
+	}
+	size := folded.Size()
+	s.bytes += size - e.size
+	s.byOwner[cp.Instance] = entry{host: host, seq: folded.Seq, size: size, cp: folded}
+	s.ship.Deltas++
+	s.ship.DeltaBytes += uint64(cp.Size())
+	return nil
 }
 
 // StoreEncoded is Store for a checkpoint still in wire form: h is blob's
@@ -151,55 +198,10 @@ func (s *BackupStore) remove(owner plan.InstanceID, e entry) {
 	delete(s.byOwner, owner)
 }
 
-// ApplyDelta folds an incremental checkpoint into the stored base
-// checkpoint of its owner — the backup-host side of §3.2's incremental
-// checkpointing. The stored checkpoint must live at the given host and
-// its Seq must equal the delta's Base (consecutive chain); otherwise
-// ErrNoBase is returned and the caller falls back to a full checkpoint.
-// On success the stored checkpoint is replaced by a fresh fold (the old
-// one is never mutated: planners may hold references to it).
+// ApplyDelta is Store for a delta in the form bench/probes.go builds;
+// it remains only for that caller.
 func (s *BackupStore) ApplyDelta(host plan.InstanceID, dc *state.DeltaCheckpoint) error {
-	if dc == nil || dc.Delta == nil {
-		return fmt.Errorf("core: nil delta checkpoint")
-	}
-	if dc.Instance.Op == "" {
-		return fmt.Errorf("core: delta checkpoint with empty instance")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.byOwner[dc.Instance]
-	if !ok {
-		return fmt.Errorf("%w: no checkpoint stored for %s", ErrNoBase, dc.Instance)
-	}
-	if e.host != host {
-		return fmt.Errorf("%w: base for %s lives at %s, not %s", ErrNoBase, dc.Instance, e.host, host)
-	}
-	if e.seq != dc.Delta.Base {
-		return fmt.Errorf("%w: stored seq %d, delta base %d for %s", ErrNoBase, e.seq, dc.Delta.Base, dc.Instance)
-	}
-	if e, ok = s.checkpoint(dc.Instance); !ok {
-		return fmt.Errorf("%w: stored base for %s does not decode", ErrNoBase, dc.Instance)
-	}
-	folded := &state.Checkpoint{
-		Instance:   dc.Instance,
-		Seq:        dc.Delta.Seq,
-		Processing: e.cp.Processing.Clone(),
-		Buffer:     dc.Buffer.Clone(),
-		OutClock:   dc.OutClock,
-		Acks:       state.CloneAcks(dc.Acks),
-		// Deltas never re-ship legacy buffers: the base's copy stays
-		// authoritative until downstream acknowledgements retire it.
-		Legacy: state.CloneLegacy(e.cp.Legacy),
-	}
-	if err := dc.Delta.Apply(folded.Processing); err != nil {
-		return fmt.Errorf("core: fold delta for %s: %w", dc.Instance, err)
-	}
-	size := folded.Size()
-	s.bytes += size - e.size
-	s.byOwner[dc.Instance] = entry{host: host, seq: folded.Seq, size: size, cp: folded}
-	s.ship.Deltas++
-	s.ship.DeltaBytes += uint64(dc.Size())
-	return nil
+	return s.Store(host, dc.Checkpoint())
 }
 
 // ShipStats returns the checkpoint traffic tallies.

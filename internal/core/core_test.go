@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -600,9 +601,10 @@ func TestPlanRecoveryEmptyFallback(t *testing.T) {
 	}
 }
 
-// TestBackupStoreApplyDelta: deltas fold into the stored base exactly
-// once per sequence step; any mismatch (no base, moved host, sequence
-// gap) is ErrNoBase so the shipper falls back to a full checkpoint.
+// TestBackupStoreApplyDelta: a delta handed to Store folds into the
+// stored base exactly once per sequence step; any mismatch (no base,
+// moved host, sequence gap) is ErrNoBase so the shipper falls back to a
+// full checkpoint. ApplyDelta, the old form, is the same Store.
 func TestBackupStoreApplyDelta(t *testing.T) {
 	s := NewBackupStore()
 	owner := inst("count", 1)
@@ -626,24 +628,25 @@ func TestBackupStoreApplyDelta(t *testing.T) {
 			Acks:     map[plan.InstanceID]int64{host: int64(10 * seq)},
 		}
 	}
+	store := func(host plan.InstanceID, dc *state.DeltaCheckpoint) error { return s.Store(host, dc.Checkpoint()) }
 
 	// No base stored yet.
-	if err := s.ApplyDelta(host, mkDelta(1, 2)); err == nil || !strings.Contains(err.Error(), "no checkpoint stored") {
+	if err := store(host, mkDelta(1, 2)); !errors.Is(err, ErrNoBase) || !strings.Contains(err.Error(), "no checkpoint stored") {
 		t.Fatalf("apply without base: %v", err)
 	}
 	if err := s.Store(host, base); err != nil {
 		t.Fatal(err)
 	}
 	// Sequence gap.
-	if err := s.ApplyDelta(host, mkDelta(5, 6)); err == nil || !strings.Contains(err.Error(), "delta base") {
+	if err := store(host, mkDelta(5, 6)); !errors.Is(err, ErrNoBase) || !strings.Contains(err.Error(), "delta base") {
 		t.Fatalf("apply with gap: %v", err)
 	}
 	// Wrong host.
-	if err := s.ApplyDelta(inst("split", 2), mkDelta(1, 2)); err == nil || !strings.Contains(err.Error(), "lives at") {
+	if err := store(inst("split", 2), mkDelta(1, 2)); !errors.Is(err, ErrNoBase) || !strings.Contains(err.Error(), "lives at") {
 		t.Fatalf("apply at wrong host: %v", err)
 	}
 	// Consecutive applies fold.
-	if err := s.ApplyDelta(host, mkDelta(1, 2)); err != nil {
+	if err := store(host, mkDelta(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ApplyDelta(host, mkDelta(2, 3)); err != nil {

@@ -72,18 +72,17 @@ func sanitize(s string) string {
 	}, s)
 }
 
-// Store persists the checkpoint, then records it in memory. If the disk
-// write fails the in-memory store is not updated, so Latest never claims
-// durability it does not have.
+// Store persists the checkpoint — for a delta, its fold — then records
+// it in memory. If the disk write fails the in-memory store is not
+// updated, so Latest never claims durability it does not have.
 func (s *DurableStore) Store(host plan.InstanceID, cp *state.Checkpoint) error {
-	blob, err := state.MarshalCheckpoint(cp, s.codec)
-	if err != nil {
-		return err
-	}
-	if err := s.Persist(cp.Instance, blob); err != nil {
-		return err
-	}
-	return s.BackupStore.Store(host, cp)
+	return s.BackupStore.store(host, cp, func(full *state.Checkpoint) error {
+		blob, err := state.MarshalCheckpoint(full, s.codec)
+		if err != nil {
+			return err
+		}
+		return s.Persist(full.Instance, blob)
+	})
 }
 
 // StoreEncoded is Store for a checkpoint in wire form (see
@@ -98,7 +97,7 @@ func (s *DurableStore) StoreEncoded(host plan.InstanceID, h state.CheckpointHead
 
 // Persist writes owner's encoded checkpoint to disk without touching the
 // in-memory store. The coordinator uses this for checkpoints the manager
-// already holds in memory (plan-time replacement state, delta folds) so
+// already holds in memory (plan-time replacement state) so
 // the durable-file ordering invariant — files on disk before the plan is
 // journaled — holds.
 func (s *DurableStore) Persist(owner plan.InstanceID, blob []byte) error {

@@ -84,17 +84,14 @@ func TestBackupStoreKeepsBytesUntilAsked(t *testing.T) {
 
 	var changed state.RunBuilder
 	changed.Append(5, []byte{1})
-	dc := &state.DeltaCheckpoint{
-		Instance: owner,
-		Delta:    &state.Delta{Base: 3, Seq: 4, Changed: changed.Run(), TS: stream.TSVector{9}},
-		Buffer:   state.NewBuffer(),
-	}
+	dc := &state.Checkpoint{Instance: owner, Seq: 4, Base: 3, Buffer: state.NewBuffer(),
+		Processing: &state.Processing{KV: changed.Run(), TS: stream.TSVector{9}}}
 	h, blob, _ = shippedBlob(t, owner, 3)
 	fresh := NewBackupStore()
 	if err := fresh.StoreEncoded(host, h, blob, codec); err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.ApplyDelta(host, dc); err != nil {
+	if err := fresh.Store(host, dc); err != nil {
 		t.Fatalf("delta onto an encoded base: %v", err)
 	}
 	if folded, _, ok := fresh.Latest(owner); !ok || folded.Seq != 4 || !hasKey(folded.Processing.KV, 5) {

@@ -180,7 +180,7 @@ func TestStalledDeliveryHoldsNoWorkerLock(t *testing.T) {
 	}
 
 	fresh := state.NewInstance(nil, 1)
-	cp, _ := fresh.BeginCheckpoint(plan.InstanceID{Op: "cnt", Part: 2}).Checkpoint(state.DeltaPolicy{})
+	cp := fresh.BeginCheckpoint(plan.InstanceID{Op: "cnt", Part: 2}).Checkpoint(false)
 	blob, err := state.MarshalCheckpoint(cp, w.codec)
 	if err != nil {
 		t.Fatal(err)

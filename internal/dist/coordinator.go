@@ -2,6 +2,7 @@ package dist
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -875,16 +876,17 @@ func (c *Coordinator) onControl(ctl *Control) {
 // upstream instances. A full checkpoint is stored by its header alone:
 // the state behind it stays bytes until a transition restores from it,
 // so the event loop never spends a checkpoint's decode between two
-// control messages. A delta is decoded, checked (state.DeltaOf) and
-// folded into the stored base; with a durable control plane the fold is
-// what is persisted, so a recovered coordinator restores through the
-// delta, not just up to its base. A delta whose base is not the stored
-// checkpoint (one that raced a recovery) is dropped silently: the
-// worker's next full checkpoint re-anchors the chain, and until then
-// the stored base stays authoritative, so a lost delta costs replay
-// distance, never correctness. It reports the owner and whether a full
-// checkpoint was stored: a transition's awaitShips waits for fulls
-// only.
+// control messages. A delta is decoded, checked (state.Checkpoint.
+// Validate) and handed to the same Store as every checkpoint, which
+// folds it into the stored base — and, with a durable control plane,
+// persists the fold before installing it, so a recovered coordinator
+// restores through the delta, not just up to its base. A delta whose
+// base is not the stored checkpoint (one that raced a recovery) is
+// dropped silently: the worker's next full checkpoint re-anchors the
+// chain, and until then the stored base stays authoritative, so a lost
+// delta costs replay distance, never correctness. It reports the owner
+// and whether a full checkpoint was stored: a transition's awaitShips
+// waits for fulls only.
 func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 	if c.mgr == nil {
 		return plan.InstanceID{}, false
@@ -894,11 +896,12 @@ func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 		c.pushErr("dist: bad checkpoint from %s: %v", ctl.From, err)
 		return plan.InstanceID{}, false
 	}
-	var delta *state.DeltaCheckpoint
+	var delta *state.Checkpoint
 	if ctl.Base != 0 || len(ctl.Deleted) > 0 {
-		cp, err := state.DecodeCheckpoint(stream.NewDecoder(ctl.Checkpoint), c.codec)
+		delta, err = state.DecodeCheckpoint(stream.NewDecoder(ctl.Checkpoint), c.codec)
 		if err == nil {
-			delta, err = state.DeltaOf(cp, ctl.Base, ctl.Deleted)
+			delta.Base, delta.Deleted = ctl.Base, ctl.Deleted
+			err = delta.Validate()
 		}
 		if err != nil {
 			c.pushErr("dist: bad delta checkpoint from %s: %v", ctl.From, err)
@@ -915,30 +918,20 @@ func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 		return plan.InstanceID{}, false
 	}
 	switch {
+	case delta != nil && c.dstore != nil:
+		err = c.dstore.Store(host, delta)
 	case delta != nil:
-		if c.mgr.Backups().ApplyDelta(host, delta) != nil {
-			return plan.InstanceID{}, false
-		}
-		if c.dstore != nil {
-			folded, _, _ := c.mgr.Backups().Latest(h.Instance)
-			blob, err := state.MarshalCheckpoint(folded, c.codec)
-			if err == nil {
-				err = c.dstore.Persist(h.Instance, blob)
-			}
-			if err != nil {
-				c.pushErr("dist: persist folded checkpoint for %s: %v", h.Instance, err)
-				return plan.InstanceID{}, false
-			}
-		}
+		err = c.mgr.Backups().Store(host, delta)
 	case c.dstore != nil:
-		if err := c.dstore.StoreEncoded(host, h, ctl.Checkpoint); err != nil {
-			c.pushErr("dist: persist shipped checkpoint for %s: %v", h.Instance, err)
-			return plan.InstanceID{}, false
-		}
+		err = c.dstore.StoreEncoded(host, h, ctl.Checkpoint)
 	default:
-		if err := c.mgr.Backups().StoreEncoded(host, h, ctl.Checkpoint, c.codec); err != nil {
-			return plan.InstanceID{}, false
+		err = c.mgr.Backups().StoreEncoded(host, h, ctl.Checkpoint, c.codec)
+	}
+	if err != nil {
+		if c.dstore != nil && !errors.Is(err, core.ErrNoBase) {
+			c.pushErr("dist: store shipped checkpoint for %s: %v", h.Instance, err)
 		}
+		return plan.InstanceID{}, false
 	}
 	if c.dstore != nil {
 		if !c.journal(&controlplane.Record{Kind: controlplane.RecShip, Ship: &controlplane.ShipMark{Inst: h.Instance, Seq: h.Seq, Bytes: len(ctl.Checkpoint)}}) {

@@ -403,7 +403,7 @@ func TestDistributedScaleInGuards(t *testing.T) {
 func TestDistributedDeltaCheckpointRecoveryExactCounts(t *testing.T) {
 	reg := wordcountRegistry()
 	cl := startClusterWith(t, reg, 3, func(c *dist.Config) {
-		c.Engine.Delta = state.DeltaPolicy{FullEvery: 5, MaxDeltaFraction: 0.9}
+		c.Engine.Incremental = true
 	})
 	if err := cl.coord.StartJob(); err != nil {
 		t.Fatal(err)

@@ -196,11 +196,7 @@ func TestDistributedCoordinatorFailover(t *testing.T) {
 // worker kill neither loses nor duplicates a tuple.
 func TestDistributedDeltaCheckpointSurvivesCoordinatorFailover(t *testing.T) {
 	reg := wordcountRegistry()
-	dc := startDurableCluster(t, reg, 3, nil, func(c *dist.Config) {
-		// No full checkpoint falls due within the test, so once the
-		// stream is idle every checkpoint is a delta.
-		c.Engine.Delta = state.DeltaPolicy{FullEvery: 1000, MaxDeltaFraction: 0.9}
-	})
+	dc := startDurableCluster(t, reg, 3, nil, func(c *dist.Config) { c.Engine.Incremental = true })
 	if err := dc.coord.StartJob(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +212,37 @@ func TestDistributedDeltaCheckpointSurvivesCoordinatorFailover(t *testing.T) {
 	inject()
 	counter := dc.coord.Manager().Instances("count")[0]
 	store := dc.coord.Manager().Backups()
-	for deltas, deadline := store.ShipStats().Deltas, time.Now().Add(10*time.Second); store.ShipStats().Deltas < deltas+2; {
+	// Wait until the stored checkpoint is a fold, of the second delta
+	// since the stream went idle or a later one. The counter is the one
+	// managed-state instance, so ShipStats().Deltas counts its folds
+	// alone: a look that finds its stored seq one past the last look's
+	// and exactly one more delta stored finds a fold. Every tenth
+	// checkpoint is full, so a full can be stored between two looks;
+	// the looks go on past it.
+	look := func() (seq, deltas uint64) {
+		for {
+			before := store.ShipStats()
+			cp, _, ok := store.Latest(counter)
+			if !ok {
+				t.Fatal("no checkpoint stored for the counter")
+			}
+			if store.ShipStats() == before {
+				return cp.Seq, before.Deltas
+			}
+		}
+	}
+	first := store.ShipStats().Deltas
+	seq, deltas := look()
+	for deadline := time.Now().Add(10 * time.Second); ; {
 		if time.Now().After(deadline) {
 			t.Fatalf("no delta folded on an idle stream: %+v", store.ShipStats())
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
+		s, d := look()
+		if d >= first+2 && s == seq+1 && d == deltas+1 {
+			break
+		}
+		seq, deltas = s, d
 	}
 
 	dc.coord.Close()

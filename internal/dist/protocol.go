@@ -167,10 +167,11 @@ type Control struct {
 	// everything the instance ever processed and emitted, leaving no
 	// post-checkpoint window for scale-out/scale-in transitions.
 	Final bool
-	// Base and Deleted, on MsgShip, make Checkpoint a delta
-	// (state.DeltaOf): its processing state is the keys changed since the
-	// stored checkpoint numbered Base, and Deleted lists, ascending, the
-	// keys removed since. A ship with neither is a full checkpoint.
+	// Base and Deleted, on MsgShip, are the shipped checkpoint's own
+	// (state.Checkpoint.Base): with either set it is a delta, whose
+	// processing state is the keys changed since the stored checkpoint
+	// numbered Base, and Deleted lists, ascending, the keys removed since.
+	// A ship with neither is a full checkpoint.
 	Base    uint64
 	Deleted []stream.Key
 

@@ -28,7 +28,7 @@ func TestManagerBooksAssignRoundTrip(t *testing.T) {
 		BatchLinger:        3 * time.Millisecond,
 		QueueBound:         512,
 		MemoryLimit:        1 << 20,
-		Delta:              state.DeltaPolicy{FullEvery: 5, MaxDeltaFraction: 0.4},
+		Incremental:        true,
 	}
 	// Every setting is set above, so a field added to engine.Config fails
 	// here until it is covered too.

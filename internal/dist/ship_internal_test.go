@@ -3,8 +3,11 @@ package dist
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -45,7 +48,7 @@ func TestShipOversizeIsAnError(t *testing.T) {
 	kv.Append(1, make([]byte, 17<<20))
 	cp := &state.Checkpoint{Instance: orphanInst(0), Seq: 5, Processing: &state.Processing{KV: kv.Run()}}
 	var tooBig *transport.FrameSizeError
-	if err := (&shipSink{w: w}).Ship(cp, nil); !errors.As(err, &tooBig) {
+	if err := (&shipSink{w: w}).Ship(cp); !errors.As(err, &tooBig) {
 		t.Fatalf("Ship of a %d-byte checkpoint = %v, want a *FrameSizeError", kv.Run().Size(), err)
 	}
 	if len(w.buffered) != 0 || w.bufferedBytes != 0 {
@@ -62,7 +65,7 @@ func TestShipOversizeIsAnError(t *testing.T) {
 	q.Connect("src", "big").Connect("big", "sink")
 	var op *bigState
 	ships := &shipLog{next: &shipSink{w: w}}
-	eng, err := engine.New(engine.Config{CheckpointInterval: time.Hour, Delta: state.DeltaPolicy{FullEvery: 10}, Backup: ships}, q,
+	eng, err := engine.New(engine.Config{CheckpointInterval: time.Hour, Incremental: true, Backup: ships}, q,
 		map[plan.OpID]operator.Factory{"big": func() operator.Operator { op = newBigState(17 << 20); return op }})
 	if err != nil {
 		t.Fatal(err)
@@ -113,9 +116,9 @@ type shipLog struct {
 	fulls []bool
 }
 
-func (s *shipLog) Ship(full *state.Checkpoint, delta *state.DeltaCheckpoint) error {
-	s.fulls = append(s.fulls, full != nil)
-	return s.next.Ship(full, delta)
+func (s *shipLog) Ship(cp *state.Checkpoint) error {
+	s.fulls = append(s.fulls, cp.Base == 0)
+	return s.next.Ship(cp)
 }
 
 // TestShipEncodesOnce: a ship marshals its checkpoint straight behind the
@@ -168,18 +171,136 @@ func TestShipEncodesOnce(t *testing.T) {
 	}
 
 	sink := &shipSink{w: w}
-	if err := sink.Ship(cp, nil); err != nil { // warms gob's type cache
+	if err := sink.Ship(cp); err != nil { // warms gob's type cache
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := sink.Ship(cp, nil); err != nil {
+	if err := sink.Ship(cp); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.2*float64(len(body)) {
 		t.Errorf("one Ship allocated %d bytes for a %d-byte frame body, want ≤ 1.2×", alloc, len(body))
 	}
+}
+
+// shipHarness is a coordinator with a manager and no event loop, whose
+// storeShip a test calls directly. The query is src (two instances) →
+// count → sink, and both src instances are placed on one worker, a
+// listener that collects the MsgTrims the coordinator sends it.
+type shipHarness struct {
+	c     *Coordinator
+	mgr   *core.Manager
+	srcs  []plan.InstanceID
+	count plan.InstanceID
+	trims chan *Control
+}
+
+func newShipHarness(t *testing.T) *shipHarness {
+	t.Helper()
+	codec := state.GobPayloadCodec{}
+	q := plan.NewQuery()
+	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource, InitialParallelism: 2})
+	q.AddOp(plan.OpSpec{ID: "count", Role: plan.RoleStateful})
+	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
+	q.Connect("src", "count").Connect("count", "sink")
+	mgr, err := core.NewManager(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &shipHarness{mgr: mgr, srcs: mgr.Instances("src"), count: mgr.Instances("count")[0], trims: make(chan *Control, 16)}
+	l, err := transport.ListenWith("127.0.0.1:0", codec, transport.Handlers{OnControl: func(body []byte) {
+		if c, err := decodeControl(body); err == nil && c.Kind == MsgTrim {
+			h.trims <- c
+		}
+	}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	peer, err := transport.Dial(l.Addr(), codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	h.c = &Coordinator{
+		codec:     codec,
+		mgr:       mgr,
+		workers:   map[string]*workerRef{l.Addr(): {addr: l.Addr(), peer: peer, alive: true}},
+		placement: map[plan.InstanceID]string{h.srcs[0]: l.Addr(), h.srcs[1]: l.Addr()},
+	}
+	return h
+}
+
+// acked acknowledges both src instances, at ts and ts+1.
+func (h *shipHarness) acked(ts int64) map[plan.InstanceID]int64 {
+	return map[plan.InstanceID]int64{h.srcs[0]: ts, h.srcs[1]: ts + 1}
+}
+
+// nextTrim returns what the worker's next MsgTrim acknowledges.
+func (h *shipHarness) nextTrim(t *testing.T) map[plan.InstanceID]int64 {
+	t.Helper()
+	select {
+	case c := <-h.trims:
+		got := make(map[plan.InstanceID]int64, len(c.TrimAcks))
+		for _, tr := range c.TrimAcks {
+			if tr.Owner != h.count {
+				t.Errorf("trim %+v names owner %v, want %v", tr, tr.Owner, h.count)
+			}
+			got[tr.Up] = tr.TS
+		}
+		return got
+	case <-time.After(5 * time.Second):
+		t.Fatal("no MsgTrim arrived")
+		return nil
+	}
+}
+
+// ship is the MsgShip a worker sends for cp, a delta from base when
+// base is non-zero.
+func (h *shipHarness) ship(t *testing.T, cp *state.Checkpoint, base uint64, deleted ...stream.Key) *Control {
+	t.Helper()
+	blob, err := state.MarshalCheckpoint(cp, h.c.codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Control{Kind: MsgShip, From: "w", Checkpoint: blob, Base: base, Deleted: deleted}
+}
+
+// stored returns the seq of count's stored checkpoint and the store's
+// ship tallies.
+func (h *shipHarness) stored(t *testing.T) (uint64, core.ShipStats) {
+	t.Helper()
+	cp, _, ok := h.mgr.Backups().Latest(h.count)
+	if !ok {
+		t.Fatal("no stored checkpoint")
+	}
+	return cp.Seq, h.mgr.Backups().ShipStats()
+}
+
+// full is count's full checkpoint at seq, acknowledging acked(ts), over
+// keys 1, 2 and 3.
+func (h *shipHarness) full(seq uint64, ts int64) *state.Checkpoint {
+	return &state.Checkpoint{Instance: h.count, Seq: seq, Buffer: state.NewBuffer(), Acks: h.acked(ts),
+		Processing: &state.Processing{KV: shipRun(map[stream.Key]string{1: "a", 2: "b", 3: "c"}), TS: stream.TSVector{ts}}}
+}
+
+// view is the checkpoint a delta at seq that sets key 2 travels as.
+func (h *shipHarness) view(seq uint64) *state.Checkpoint {
+	return &state.Checkpoint{Instance: h.count, Seq: seq, Buffer: state.NewBuffer(), Acks: h.acked(40),
+		Processing: &state.Processing{KV: shipRun(map[stream.Key]string{2: "x"}), TS: stream.TSVector{40}}}
+}
+
+// shipRun is the run of kv's entries among keys 1, 2 and 3.
+func shipRun(kv map[stream.Key]string) state.Run {
+	var b state.RunBuilder
+	for _, k := range []stream.Key{1, 2, 3} {
+		if v, ok := kv[k]; ok {
+			b.Append(k, []byte(v))
+		}
+	}
+	return b.Run()
 }
 
 // TestStoreShipRejectsBadDeltas: a delta the coordinator cannot read as
@@ -191,118 +312,30 @@ func TestShipEncodesOnce(t *testing.T) {
 // good ship acknowledges two upstream instances hosted on one worker,
 // and trims them with one MsgTrim carrying both.
 func TestStoreShipRejectsBadDeltas(t *testing.T) {
-	codec := state.GobPayloadCodec{}
-	q := plan.NewQuery()
-	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource, InitialParallelism: 2})
-	q.AddOp(plan.OpSpec{ID: "count", Role: plan.RoleStateful})
-	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
-	q.Connect("src", "count").Connect("count", "sink")
-	mgr, err := core.NewManager(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs, count := mgr.Instances("src"), mgr.Instances("count")[0]
-	acked := func(ts int64) map[plan.InstanceID]int64 {
-		return map[plan.InstanceID]int64{srcs[0]: ts, srcs[1]: ts + 1}
-	}
-
-	trims := make(chan *Control, 16)
-	l, err := transport.ListenWith("127.0.0.1:0", codec, transport.Handlers{OnControl: func(body []byte) {
-		if c, err := decodeControl(body); err == nil && c.Kind == MsgTrim {
-			trims <- c
-		}
-	}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// nextTrim returns what the worker's next MsgTrim acknowledges.
-	nextTrim := func() map[plan.InstanceID]int64 {
-		t.Helper()
-		select {
-		case c := <-trims:
-			got := make(map[plan.InstanceID]int64, len(c.TrimAcks))
-			for _, tr := range c.TrimAcks {
-				if tr.Owner != count {
-					t.Errorf("trim %+v names owner %v, want %v", tr, tr.Owner, count)
-				}
-				got[tr.Up] = tr.TS
-			}
-			return got
-		case <-time.After(5 * time.Second):
-			t.Fatal("no MsgTrim arrived")
-			return nil
-		}
-	}
-	defer l.Close()
-	peer, err := transport.Dial(l.Addr(), codec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	c := &Coordinator{
-		codec:     codec,
-		mgr:       mgr,
-		workers:   map[string]*workerRef{l.Addr(): {addr: l.Addr(), peer: peer, alive: true}},
-		placement: map[plan.InstanceID]string{srcs[0]: l.Addr(), srcs[1]: l.Addr()},
-	}
-	ship := func(cp *state.Checkpoint, base uint64, deleted ...stream.Key) *Control {
-		t.Helper()
-		blob, err := state.MarshalCheckpoint(cp, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Control{Kind: MsgShip, From: "w", Checkpoint: blob, Base: base, Deleted: deleted}
-	}
-	run := func(kv map[stream.Key]string) state.Run {
-		var b state.RunBuilder
-		for _, k := range []stream.Key{1, 2, 3} {
-			if v, ok := kv[k]; ok {
-				b.Append(k, []byte(v))
-			}
-		}
-		return b.Run()
-	}
-	// view is the checkpoint a delta on top of seq 3 travels as.
-	view := func(seq uint64) *state.Checkpoint {
-		return (&state.DeltaCheckpoint{
-			Instance: count,
-			Delta:    &state.Delta{Seq: seq, Changed: run(map[stream.Key]string{2: "x"}), TS: stream.TSVector{40}},
-			Buffer:   state.NewBuffer(),
-			Acks:     acked(40),
-		}).Checkpoint()
-	}
-
-	full := &state.Checkpoint{Instance: count, Seq: 3, Buffer: state.NewBuffer(), Acks: acked(30),
-		Processing: &state.Processing{KV: run(map[stream.Key]string{1: "a", 2: "b", 3: "c"}), TS: stream.TSVector{30}}}
-	if inst, ok := c.storeShip(ship(full, 0)); !ok || inst != count {
+	h := newShipHarness(t)
+	c, count := h.c, h.count
+	if inst, ok := c.storeShip(h.ship(t, h.full(3, 30), 0)); !ok || inst != count {
 		t.Fatalf("full checkpoint not stored: %v, %v (errors %v)", inst, ok, c.Errors())
 	}
-	if got := nextTrim(); !reflect.DeepEqual(got, acked(30)) {
-		t.Fatalf("the full checkpoint's MsgTrim acknowledges %v, want %v", got, acked(30))
+	if got := h.nextTrim(t); !reflect.DeepEqual(got, h.acked(30)) {
+		t.Fatalf("the full checkpoint's MsgTrim acknowledges %v, want %v", got, h.acked(30))
 	}
-	stored := func() (uint64, core.ShipStats) {
-		cp, _, ok := mgr.Backups().Latest(count)
-		if !ok {
-			t.Fatal("no stored checkpoint")
-		}
-		return cp.Seq, mgr.Backups().ShipStats()
-	}
-	seq0, stats0 := stored()
+	seq0, stats0 := h.stored(t)
 
 	merged := state.NewBuffer()
 	merged.Append(plan.InstanceID{Op: "sink", Part: 1}, stream.Tuple{TS: 1, Payload: "old"})
-	legacy := view(4)
+	legacy := h.view(4)
 	legacy.Legacy = map[plan.InstanceID]*state.Buffer{{Op: "count", Part: 9}: merged}
 	cases := []struct {
 		name string
 		ctl  *Control
 	}{
-		{"base 0", ship(view(4), 0, 1)},
-		{"base at seq", ship(view(4), 4)},
-		{"base past seq", ship(view(4), 5)},
-		{"unsorted deleted", ship(view(4), 3, 3, 1)},
-		{"duplicate deleted", ship(view(4), 3, 1, 1)},
-		{"legacy buffers", ship(legacy, 3)},
+		{"base 0", h.ship(t, h.view(4), 0, 1)},
+		{"base at seq", h.ship(t, h.view(4), 4)},
+		{"base past seq", h.ship(t, h.view(4), 5)},
+		{"unsorted deleted", h.ship(t, h.view(4), 3, 3, 1)},
+		{"duplicate deleted", h.ship(t, h.view(4), 3, 1, 1)},
+		{"legacy buffers", h.ship(t, legacy, 3)},
 	}
 	for _, tc := range cases {
 		errs := len(c.Errors())
@@ -312,45 +345,218 @@ func TestStoreShipRejectsBadDeltas(t *testing.T) {
 		if got := len(c.Errors()); got != errs+1 {
 			t.Errorf("%s: %d errors reported, want 1", tc.name, got-errs)
 		}
-		if seq, stats := stored(); seq != seq0 || stats != stats0 {
+		if seq, stats := h.stored(t); seq != seq0 || stats != stats0 {
 			t.Errorf("%s: store moved to seq %d, %+v; want %d, %+v", tc.name, seq, stats, seq0, stats0)
 		}
 	}
 
 	errs := len(c.Errors())
-	if _, ok := c.storeShip(ship(view(6), 5)); ok || len(c.Errors()) != errs {
+	if _, ok := c.storeShip(h.ship(t, h.view(6), 5)); ok || len(c.Errors()) != errs {
 		t.Errorf("stale base: stored %v, errors %v", ok, c.Errors()[errs:])
 	}
-	if seq, stats := stored(); seq != seq0 || stats != stats0 {
+	if seq, stats := h.stored(t); seq != seq0 || stats != stats0 {
 		t.Errorf("stale base: store moved to seq %d, %+v", seq, stats)
 	}
 
-	if _, ok := c.storeShip(ship(view(4), 3, 1)); ok {
+	if _, ok := c.storeShip(h.ship(t, h.view(4), 3, 1)); ok {
 		t.Error("a delta satisfied a wait for a full checkpoint")
 	}
-	cp, _, _ := mgr.Backups().Latest(count)
+	cp, _, _ := h.mgr.Backups().Latest(count)
 	_, has1 := cp.Processing.KV.Get(1)
 	two, _ := cp.Processing.KV.Get(2)
-	if cp.Seq != 4 || has1 || string(two) != "x" || mgr.Backups().ShipStats().Deltas != stats0.Deltas+1 {
+	if cp.Seq != 4 || has1 || string(two) != "x" || h.mgr.Backups().ShipStats().Deltas != stats0.Deltas+1 {
 		t.Errorf("good delta folded to seq %d, key 1 present %v, key 2 %q", cp.Seq, has1, two)
 	}
 	// One connection delivers in order: had the full ship trimmed with a
 	// second MsgTrim, or any rejected delta trimmed, it would arrive
 	// before this one.
-	if got := nextTrim(); !reflect.DeepEqual(got, acked(40)) {
-		t.Errorf("first MsgTrim after the full one acknowledges %v, want the good delta's %v", got, acked(40))
+	if got := h.nextTrim(t); !reflect.DeepEqual(got, h.acked(40)) {
+		t.Errorf("first MsgTrim after the full one acknowledges %v, want the good delta's %v", got, h.acked(40))
 	}
 	if len(c.Errors()) != errs {
 		t.Errorf("errors after the good delta: %v", c.Errors()[errs:])
 	}
 }
 
+// TestDeltaFoldPersistsBeforeInstall: with a durable control plane a
+// delta's fold reaches disk before memory. When the write fails, the
+// stored checkpoint stays the base, the delta is not counted, nothing is
+// trimmed, and the failure is reported — memory never claims a
+// durability it does not have.
+func TestDeltaFoldPersistsBeforeInstall(t *testing.T) {
+	h := newShipHarness(t)
+	c, count := h.c, h.count
+	dir := t.TempDir()
+	ds, err := core.NewDurableStoreOver(h.mgr.Backups(), dir, c.codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.dstore = ds
+	if _, ok := c.storeShip(h.ship(t, h.full(3, 30), 0)); !ok {
+		t.Fatalf("full checkpoint not stored (errors %v)", c.Errors())
+	}
+	if got := h.nextTrim(t); !reflect.DeepEqual(got, h.acked(30)) {
+		t.Fatalf("the full checkpoint's MsgTrim acknowledges %v, want %v", got, h.acked(30))
+	}
+	seq0, stats0 := h.stored(t)
+
+	// A directory where the write's temporary file goes fails the write;
+	// a read-only mode would not stop a process running as root.
+	tmp := filepath.Join(dir, fmt.Sprintf("%s-%d.ckpt.tmp", count.Op, count.Part))
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	errs := len(c.Errors())
+	if _, ok := c.storeShip(h.ship(t, h.view(4), 3, 1)); ok {
+		t.Error("a delta satisfied a wait for a full checkpoint")
+	}
+	if seq, stats := h.stored(t); seq != seq0 || stats.Deltas != stats0.Deltas {
+		t.Errorf("after a failed persist the store holds seq %d with %d deltas; want the base's seq %d and %d deltas",
+			seq, stats.Deltas, seq0, stats0.Deltas)
+	}
+	if got := len(c.Errors()); got != errs+1 {
+		t.Errorf("%d errors reported for the failed persist, want 1", got-errs)
+	}
+
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.storeShip(h.ship(t, h.full(5, 50), 0)); !ok {
+		t.Fatalf("full checkpoint not stored (errors %v)", c.Errors())
+	}
+	// One connection delivers in order: had the failed delta trimmed, its
+	// MsgTrim would arrive before the full's.
+	if got := h.nextTrim(t); !reflect.DeepEqual(got, h.acked(50)) {
+		t.Errorf("first MsgTrim after the failed delta acknowledges %v, want the next full's %v", got, h.acked(50))
+	}
+}
+
+// TestStorePathsAgree feeds one capture sequence through every path a
+// checkpoint takes to a backup store: the engine's in-process sink,
+// shipSink into storeShip with the manager's store, and storeShip with a
+// durable store. After every step each holds the same checkpoint, byte
+// for byte. The sequence: a full; a delta with changed and deleted keys;
+// a full no store takes, as when the coordinator's write fails and the
+// worker never hears of it; a delta from that full, which every path
+// refuses; and a full.
+func TestStorePathsAgree(t *testing.T) {
+	codec := state.GobPayloadCodec{}
+	q := plan.NewQuery()
+	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
+	q.AddOp(plan.OpSpec{ID: "count", Role: plan.RoleStateful})
+	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
+	q.Connect("src", "count").Connect("count", "sink")
+	eng, err := engine.New(engine.Config{}, q, map[plan.OpID]operator.Factory{
+		"count": func() operator.Operator { return operator.NewWordCounter(0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := eng.Manager().Instances("count")[0]
+
+	// shipSink's worker sends to a listener that hands every ship over.
+	ships := make(chan *Control, 1)
+	l, err := transport.ListenWith("127.0.0.1:0", codec, transport.Handlers{OnControl: func(body []byte) {
+		if c, err := decodeControl(body); err == nil && c.Kind == MsgShip {
+			ships <- c
+		}
+	}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	peer, err := transport.Dial(l.Addr(), codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	sink := &shipSink{w: &Worker{codec: codec, coord: peer, self: "w"}}
+	coordinator := func() *Coordinator {
+		mgr, err := core.NewManager(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Coordinator{codec: codec, mgr: mgr, placement: map[plan.InstanceID]string{}}
+	}
+	mem, durable := coordinator(), coordinator()
+	if durable.dstore, err = core.NewDurableStoreOver(durable.mgr.Backups(), t.TempDir(), codec); err != nil {
+		t.Fatal(err)
+	}
+
+	st := state.NewStore()
+	v := state.NewValue[string](st, "v", state.StringCodec{})
+	in := state.NewInstance(st, 1)
+	for k := range 100 {
+		v.Set(stream.Key(k), fmt.Sprint("v", k))
+	}
+	step := func(name string, deliver bool, wantSeq uint64) *state.Checkpoint {
+		t.Helper()
+		cp := in.BeginCheckpoint(count).Checkpoint(true)
+		if deliver {
+			if err := eng.Backup().Ship(cp); (err == nil) != (cp.Seq == wantSeq) {
+				t.Fatalf("%s: the engine's sink returned %v", name, err)
+			}
+			if err := sink.Ship(cp); err != nil {
+				t.Fatalf("%s: shipSink: %v", name, err)
+			}
+			select {
+			case ctl := <-ships:
+				mem.storeShip(ctl)
+				durable.storeShip(ctl)
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: no MsgShip arrived", name)
+			}
+		}
+		var blobs [][]byte
+		for _, bs := range []*core.BackupStore{eng.Manager().Backups(), mem.mgr.Backups(), durable.mgr.Backups()} {
+			got, _, ok := bs.Latest(count)
+			if !ok || got.Seq != wantSeq {
+				t.Fatalf("%s: stored %+v, want seq %d", name, got, wantSeq)
+			}
+			blob, err := state.MarshalCheckpoint(got, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs = append(blobs, blob)
+		}
+		if !bytes.Equal(blobs[0], blobs[1]) || !bytes.Equal(blobs[0], blobs[2]) {
+			t.Fatalf("%s: the stores disagree: engine %d B, shipSink→storeShip %d B, durable storeShip %d B",
+				name, len(blobs[0]), len(blobs[1]), len(blobs[2]))
+		}
+		if errs := append(mem.Errors(), durable.Errors()...); len(errs) != 0 {
+			t.Fatalf("%s: errors %v", name, errs)
+		}
+		return cp
+	}
+
+	step("full", true, 1)
+	v.Set(1, "changed")
+	v.Set(100, "new")
+	v.Delete(2)
+	v.Delete(4)
+	if cp := step("delta", true, 2); cp.Base != 1 || len(cp.Deleted) != 2 {
+		t.Fatalf("the delta step captured base %d with deleted keys %v, want base 1 and two", cp.Base, cp.Deleted)
+	}
+	if cp, _, _ := eng.Manager().Backups().Latest(count); cp.Processing.Len() != 99 {
+		t.Fatalf("the fold holds %d keys, want 99", cp.Processing.Len())
+	}
+	in.NeedFull = true
+	v.Set(3, "lost")
+	step("refused full", false, 2)
+	v.Delete(5)
+	if cp := step("delta from the refused full", true, 2); cp.Base != 3 {
+		t.Fatalf("the step after the refused full captured base %d, want a delta from 3", cp.Base)
+	}
+	in.NeedFull = true
+	step("full", true, 5)
+}
+
 // retainedSink reports the retained-output size of every checkpoint
 // shipped to it.
 type retainedSink chan int
 
-func (s retainedSink) Ship(full *state.Checkpoint, _ *state.DeltaCheckpoint) error {
-	s <- full.Buffer.Len()
+func (s retainedSink) Ship(cp *state.Checkpoint) error {
+	s <- cp.Buffer.Len()
 	return nil
 }
 
@@ -423,7 +629,7 @@ func TestTrimBypassesControlQueue(t *testing.T) {
 		}
 	}
 	fresh := state.NewInstance(nil, 1)
-	cp, _ := fresh.BeginCheckpoint(plan.InstanceID{Op: "count", Part: 2}).Checkpoint(state.DeltaPolicy{})
+	cp := fresh.BeginCheckpoint(plan.InstanceID{Op: "count", Part: 2}).Checkpoint(false)
 	blob, err := state.MarshalCheckpoint(cp, w.codec)
 	if err != nil {
 		t.Fatal(err)

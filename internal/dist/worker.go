@@ -554,7 +554,7 @@ func (w *Worker) handleRetire(c *Control) error {
 		if err != nil {
 			return err
 		}
-		if err := (&shipSink{w: w}).Ship(cp, nil); err != nil {
+		if err := (&shipSink{w: w}).Ship(cp); err != nil {
 			return err
 		}
 	}
@@ -563,28 +563,22 @@ func (w *Worker) handleRetire(c *Control) error {
 
 // ---- outbound paths ----
 
-// shipSink forwards checkpoints to the coordinator's store, a delta as
-// the checkpoint it views with its base and deleted keys beside it.
-// With the coordinator dead (orphan mode, or a send failure racing its
-// death) the latest full checkpoint per instance is buffered locally
-// and flushed when a reborn coordinator adopts this worker —
-// checkpointing never blocks or fails the data path on coordinator
-// loss. A delta is never buffered: its error makes the engine capture a
-// full checkpoint instead. Barrier inventories (noteBarrier) track fulls
-// only, so a reattaching coordinator always folds from a full it holds,
-// never from a delta it may have missed.
+// shipSink forwards checkpoints to the coordinator's store, a delta with
+// its base and deleted keys beside it. With the coordinator dead (orphan
+// mode, or a send failure racing its death) the latest full checkpoint
+// per instance is buffered locally and flushed when a reborn coordinator
+// adopts this worker — checkpointing never blocks or fails the data path
+// on coordinator loss. A delta is never buffered: its error makes the
+// engine capture a full checkpoint instead. Barrier inventories
+// (noteBarrier) track fulls only, so a reattaching coordinator always
+// folds from a full it holds, never from a delta it may have missed.
 type shipSink struct{ w *Worker }
 
 // Ship implements engine.BackupSink. A body too large for one frame is
 // returned as the error it is: the coordinator is alive, and buffering
 // the body as if it were not would only hide that nothing was stored.
-func (s *shipSink) Ship(full *state.Checkpoint, delta *state.DeltaCheckpoint) error {
-	ctl := &Control{Kind: MsgShip, From: s.w.self}
-	cp := full
-	if delta != nil {
-		cp = delta.Checkpoint()
-		ctl.Base, ctl.Deleted = delta.Delta.Base, delta.Delta.Deleted
-	}
+func (s *shipSink) Ship(cp *state.Checkpoint) error {
+	ctl := &Control{Kind: MsgShip, From: s.w.self, Base: cp.Base, Deleted: cp.Deleted}
 	body, err := encodeShip(ctl, cp, s.w.codec)
 	if err != nil {
 		return err
@@ -599,13 +593,13 @@ func (s *shipSink) Ship(full *state.Checkpoint, delta *state.DeltaCheckpoint) er
 		err = coord.SendControl(body)
 	}
 	var tooBig *transport.FrameSizeError
-	if err != nil && (delta != nil || errors.As(err, &tooBig)) {
+	if err != nil && (cp.Base != 0 || errors.As(err, &tooBig)) {
 		return err
 	}
 	if err != nil {
 		s.w.bufferShip(cp.Instance, body)
 	}
-	if delta == nil {
+	if cp.Base == 0 {
 		s.w.noteBarrier(cp.Seq)
 	}
 	return nil

@@ -81,10 +81,10 @@ type Config struct {
 	// scratch directory and materialises them transparently on access
 	// (state spilling, §3.3). 0 keeps all state in memory.
 	MemoryLimit int64
-	// Delta enables incremental checkpoints for managed-state operators
-	// (§3.2): between full checkpoints only the dirtied keys are shipped
-	// and folded into the backup. Zero value disables.
-	Delta state.DeltaPolicy
+	// Incremental enables incremental checkpoints for managed-state
+	// operators (§3.2): between full checkpoints only the dirtied keys are
+	// shipped and folded into the backup (state.Capture.Checkpoint).
+	Incremental bool
 	// Hosted restricts which instances this engine hosts (nil = all).
 	// The distributed runtime gives every worker the full query but a
 	// disjoint hosted subset; emissions to instances hosted elsewhere go
@@ -93,20 +93,19 @@ type Config struct {
 	// Backup, when set, receives checkpoint captures instead of the
 	// in-process backup store: the distributed runtime ships them to the
 	// coordinator, which owns the authoritative store and sends
-	// acknowledgement trims back (TrimUpstream). Under an active Delta
-	// policy, the coordinator folds incremental captures into the stored
-	// base.
+	// acknowledgement trims back (TrimUpstream). With Incremental set,
+	// the coordinator folds incremental captures into the stored base.
 	Backup BackupSink
 }
 
-// BackupSink receives checkpoint captures in place of the in-process
-// backup store.
+// BackupSink receives checkpoint captures: the engine's own backup store
+// (localSink), or a distributed worker's link to the coordinator.
 type BackupSink interface {
-	// Ship stores one capture: exactly one of full and delta is set. A
-	// non-nil error keeps the node's previous backup authoritative and
-	// owes a full checkpoint; a refused delta is re-captured and shipped
-	// as one at once, so a delta is never load-bearing.
-	Ship(full *state.Checkpoint, delta *state.DeltaCheckpoint) error
+	// Ship stores one capture, a full checkpoint or a delta (cp.Base ≠
+	// 0). A non-nil error keeps the node's previous backup authoritative
+	// and owes a full checkpoint; a refused delta is re-captured and
+	// shipped as one at once, so a delta is never load-bearing.
+	Ship(cp *state.Checkpoint) error
 }
 
 // Remote delivers batches to instances hosted by other processes — the
@@ -176,8 +175,8 @@ const (
 
 type ctrlMsg struct {
 	kind  ctrlKind
-	now   int64         // ctrlTick: current time in millis
-	reply chan *capture // ctrlBarrier: receives the captured state
+	now   int64                  // ctrlTick: current time in millis
+	reply chan *state.Checkpoint // ctrlBarrier: receives the captured state
 }
 
 // routeTable is an immutable snapshot of a node's downstream fan-out.
@@ -288,6 +287,8 @@ type Engine struct {
 	cfg       Config
 	mgr       *core.Manager
 	factories map[plan.OpID]operator.Factory
+	// backup receives every checkpoint capture: cfg.Backup, or localSink.
+	backup BackupSink
 
 	// mu guards nodes (and each node's failedAt), routings and topology
 	// rebuilds. The data path never takes it: hot-path readers go through
@@ -370,6 +371,9 @@ func New(cfg Config, q *plan.Query, factories map[plan.OpID]operator.Factory) (*
 		routings:  make(map[plan.OpID]*state.Routing),
 		stopAll:   make(chan struct{}),
 		Latency:   &metrics.Histogram{},
+	}
+	if e.backup = cfg.Backup; e.backup == nil {
+		e.backup = localSink{e}
 	}
 	for _, opID := range q.Ops() {
 		e.routings[opID] = mgr.Routing(opID)
@@ -484,6 +488,10 @@ func (e *Engine) buildRoutes(n *node) *routeTable {
 
 // Manager exposes the query manager.
 func (e *Engine) Manager() *core.Manager { return e.mgr }
+
+// Backup returns the sink every capture is shipped to: Config.Backup, or
+// the engine's own backup store.
+func (e *Engine) Backup() BackupSink { return e.backup }
 
 // NowMillis returns milliseconds since Start, shifted by the configured
 // clock offset (zero outside the distributed runtime).

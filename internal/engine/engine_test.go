@@ -8,7 +8,6 @@ import (
 
 	"seep/internal/operator"
 	"seep/internal/plan"
-	"seep/internal/state"
 	"seep/internal/stream"
 	"seep/internal/wordcount"
 )
@@ -331,13 +330,13 @@ func TestEngineConcurrentSafety(t *testing.T) {
 }
 
 // TestEngineIncrementalCheckpointRecovery drives the live engine with
-// manual checkpoints under an incremental policy: a full base, then
+// manual checkpoints with incremental checkpoints on: a full base, then
 // deltas for small churn, then recovery from the folded backup — which
 // must reconstruct exactly the same counts as full checkpointing would.
 func TestEngineIncrementalCheckpointRecovery(t *testing.T) {
 	e := wordEngine(t, Config{
 		CheckpointInterval: time.Hour, // manual checkpoints only
-		Delta:              state.DeltaPolicy{FullEvery: 8, MaxDeltaFraction: 0.5},
+		Incremental:        true,
 	})
 	e.Start()
 	defer e.Stop()

@@ -24,15 +24,6 @@ import (
 // and trimming acknowledged tuples from upstream buffers stay on the
 // checkpoint loop, so the node stalls only for the capture itself.
 
-// capture is the node-side result of a checkpoint barrier: exactly one
-// of full/delta is set. A nil capture means the node stopped or its
-// state failed to encode; the checkpoint round is skipped (the previous
-// backup is kept rather than shipping partial state).
-type capture struct {
-	full  *state.Checkpoint
-	delta *state.DeltaCheckpoint
-}
-
 // checkpointAll runs backup-state for every non-source, non-sink node,
 // reusing the node-set snapshot rather than rebuilding a slice under
 // the engine lock every interval.
@@ -50,67 +41,45 @@ func (e *Engine) checkpointAll() {
 }
 
 // checkpointNode takes a consistent checkpoint of one node via a
-// barrier, stores it at its backup host and trims acknowledged tuples
-// from upstream buffers (Algorithm 1). Whether the capture is a full or
-// an incremental checkpoint is state.Capture's decision; a capture the
-// backup host could not take (missing base, moved host, coordinator
-// unreachable) leaves the node owing a full checkpoint, and a refused
-// delta is re-captured as one at once — so a delta is never
-// load-bearing, and callers that need a fresh usable backup (ScaleOut)
-// are not left behind a stale one. A refused full is counted in
-// CheckpointsRefused.
+// barrier and hands it to the engine's backup sink, which stores it at
+// its backup host and trims acknowledged tuples from upstream buffers
+// (Algorithm 1). Whether the capture is a full or an incremental
+// checkpoint is state.Capture's decision; a capture the sink refused
+// (missing base, moved host, coordinator unreachable) leaves the node
+// owing a full checkpoint, and a refused delta is re-captured as one at
+// once — so a delta is never load-bearing, and callers that need a fresh
+// usable backup (ScaleOut) are not left behind a stale one. A refused
+// full is counted in CheckpointsRefused. A nil capture means the node
+// stopped or its state failed to encode; the round is skipped, keeping
+// the previous backup rather than shipping partial state.
 func (e *Engine) checkpointNode(n *node) {
-	// In distributed mode captures ship to the coordinator's authoritative
-	// store: acknowledgement trims come back over the wire (TrimUpstream)
-	// and the coordinator picks the backup host, so the engine's
-	// (possibly stale) local graph is never consulted.
-	sink := e.cfg.Backup
-	var host plan.InstanceID
-	if sink == nil {
-		var err error
-		if host, err = e.mgr.BackupTarget(n.inst); err != nil {
-			return
-		}
-	}
 	for range 2 {
-		cap := e.requestCapture(n)
-		if cap == nil {
-			return
-		}
-		var err error
-		switch {
-		case sink != nil:
-			err = sink.Ship(cap.full, cap.delta)
-		case cap.delta != nil:
-			if err = e.mgr.Backups().ApplyDelta(host, cap.delta); err == nil {
-				e.trimAcked(n.inst, cap.delta.Acks)
-			}
-		default:
-			err = e.storeFull(cap.full)
-		}
-		if err == nil {
+		cp := e.requestCapture(n)
+		if cp == nil || e.backup.Ship(cp) == nil {
 			return
 		}
 		n.mu.Lock()
 		n.NeedFull = true
 		n.mu.Unlock()
-		if cap.full != nil {
+		if cp.Base == 0 {
 			e.CheckpointsRefused.Inc()
 			return
 		}
 	}
 }
 
-// storeFull stores a full checkpoint at its backup host in the
-// in-process backup store and trims the upstream buffers it
-// acknowledges.
-func (e *Engine) storeFull(cp *state.Checkpoint) error {
-	host, err := e.mgr.BackupTarget(cp.Instance)
+// localSink is the backup sink of an engine that is not a distributed
+// worker: it stores captures in the engine's own backup store and trims
+// the upstream buffers they acknowledge.
+type localSink struct{ e *Engine }
+
+func (s localSink) Ship(cp *state.Checkpoint) error {
+	host, err := s.e.mgr.BackupTarget(cp.Instance)
 	if err == nil {
-		err = e.mgr.Backups().Store(host, cp)
+		err = s.e.mgr.Backups().Store(host, cp)
 	}
 	if err == nil {
-		e.trimAcked(cp.Instance, cp.Acks)
+		s.e.trimAcked(cp.Instance, cp.Acks)
 	}
 	return err
 }
@@ -119,11 +88,11 @@ func (e *Engine) storeFull(cp *state.Checkpoint) error {
 // running engine it inserts a barrier into the node's control queue and
 // waits for the node goroutine to process it between batches; before
 // Start (single-threaded setup) it captures inline.
-func (e *Engine) requestCapture(n *node) *capture {
+func (e *Engine) requestCapture(n *node) *state.Checkpoint {
 	if !e.started.Load() {
 		return n.captureCheckpoint()
 	}
-	reply := make(chan *capture, 1)
+	reply := make(chan *state.Checkpoint, 1)
 	select {
 	case n.ctrl <- ctrlMsg{kind: ctrlBarrier, reply: reply}:
 	case <-n.done:
@@ -146,15 +115,11 @@ func (e *Engine) requestCapture(n *node) *capture {
 // never against processing, which is this same goroutine — and then
 // extracts operator state with no node lock held. Nil when the state
 // failed to encode.
-func (n *node) captureCheckpoint() *capture {
+func (n *node) captureCheckpoint() *state.Checkpoint {
 	n.mu.Lock()
 	c := n.BeginCheckpoint(n.inst)
 	n.mu.Unlock()
-	full, delta := c.Checkpoint(n.e.cfg.Delta)
-	if full == nil && delta == nil {
-		return nil
-	}
-	return &capture{full: full, delta: delta}
+	return c.Checkpoint(n.e.cfg.Incremental)
 }
 
 // trimAcked trims acknowledged tuples from upstream buffers after a
@@ -351,7 +316,7 @@ func (e *Engine) Checkpoint(inst plan.InstanceID) error {
 }
 
 // CheckpointFull forces an immediate full (non-incremental) checkpoint
-// of one instance, regardless of the delta policy. The coordinator's
+// of one instance, incremental checkpoints or not. The coordinator's
 // scale-out barriers use it: a transition waits for a full checkpoint
 // ship to plan against, so a barrier answered with a delta would stall
 // the stage.

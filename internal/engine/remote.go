@@ -172,15 +172,15 @@ func (e *Engine) RetireFinal(inst plan.InstanceID) (*state.Checkpoint, error) {
 	n.mu.Lock()
 	n.NeedFull = true // a delta cannot seed a transition
 	n.mu.Unlock()
-	cap := n.captureCheckpoint()
+	cp := n.captureCheckpoint()
 	e.mu.Lock()
 	delete(e.nodes, inst)
 	e.rebuildTopology()
 	e.mu.Unlock()
-	if cap == nil || cap.full == nil {
+	if cp == nil {
 		return nil, fmt.Errorf("engine: %s retired but its final state failed to encode", inst)
 	}
-	return cap.full, nil
+	return cp, nil
 }
 
 // TotalProcessed returns the total number of tuples processed by all

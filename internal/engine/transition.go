@@ -76,7 +76,7 @@ func (e *Engine) run(sq *core.Sequencer) error {
 			for _, v := range a.Insts {
 				cp, err := e.RetireFinal(v)
 				if err == nil {
-					err = e.storeFull(cp)
+					err = e.backup.Ship(cp)
 				}
 				ev.Err = cmp.Or(ev.Err, err)
 			}

@@ -126,7 +126,7 @@ func runLRBLive(t *testing.T, fail bool) (map[int32]int64, seep.Metrics) {
 	}
 	job, err := seep.Live(
 		seep.WithCheckpointInterval(20*time.Millisecond),
-		seep.WithIncrementalCheckpoints(8, 0.9),
+		seep.WithIncrementalCheckpoints(),
 		seep.WithDetectDelay(50*time.Millisecond),
 	).Deploy(topo)
 	if err != nil {

@@ -210,7 +210,7 @@ func runtimeFor(s *Scenario, cfg RunConfig, seed int64) (seep.Runtime, error) {
 		opts = append(opts, seep.WithMemoryLimit(o.MemoryLimitBytes))
 	}
 	if o.DeltaCheckpoints {
-		opts = append(opts, seep.WithIncrementalCheckpoints(10, 0.5))
+		opts = append(opts, seep.WithIncrementalCheckpoints())
 	}
 	if o.VMPool != nil && cfg.Substrate == "sim" {
 		opts = append(opts, seep.WithVMPool(seep.PoolConfig{

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -512,4 +514,32 @@ func TestGeneratorMatchesOracle(t *testing.T) {
 			t.Errorf("%s: generated %d, oracle %d", k, got[k], v)
 		}
 	}
+}
+
+// FuzzScenarioParse: the hand-rolled YAML parser never panics, whatever
+// it is given, and neither does Validate on whatever Parse accepts. The
+// seeds are every committed scenario, whole and cut in half.
+func FuzzScenarioParse(f *testing.F) {
+	paths, err := filepath.Glob("../../scenarios/*.yaml")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed scenarios (%v)", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(b))
+		f.Add(string(b[:len(b)/2]))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := Parse(src)
+		if err != nil {
+			if s != nil {
+				t.Fatalf("error %v with a scenario returned", err)
+			}
+			return
+		}
+		Validate(s)
+	})
 }

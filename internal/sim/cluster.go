@@ -96,11 +96,11 @@ type Config struct {
 	// RecoveryParallelism is π used when recovering failed operators
 	// (1 = serial recovery; ≥2 = parallel recovery, §4.2). Default 1.
 	RecoveryParallelism int
-	// Delta enables incremental checkpoints for managed-state operators
-	// (§3.2): between full checkpoints only the dirtied keys are shipped
-	// and folded into the backup at the backup host. Zero value
-	// disables. Only meaningful in FTRSM mode.
-	Delta state.DeltaPolicy
+	// Incremental enables incremental checkpoints for managed-state
+	// operators (§3.2): between full checkpoints only the dirtied keys
+	// are shipped and folded into the backup at the backup host. Only
+	// meaningful in FTRSM mode.
+	Incremental bool
 }
 
 func (c Config) withDefaults() Config {
@@ -466,12 +466,12 @@ func (c *Cluster) checkpointAll() {
 	}
 }
 
-// checkpointNode implements backup-state(o) for one node. Under an
-// active DeltaPolicy, stateful nodes ship incremental checkpoints
-// between full ones; the serialisation cost scales with the shipped
-// bytes, so deltas also shrink the checkpoint overhead of Fig. 14. A
-// delta the backup host cannot apply forces a full checkpoint at the
-// next interval — deltas are never load-bearing.
+// checkpointNode implements backup-state(o) for one node. With
+// incremental checkpoints on, stateful nodes ship deltas between full
+// ones; the serialisation cost scales with the shipped bytes, so deltas
+// also shrink the checkpoint overhead of Fig. 14. A delta the backup
+// host cannot apply forces a full checkpoint at the next interval —
+// deltas are never load-bearing.
 func (c *Cluster) checkpointNode(n *Node) { c.checkpointNodeThen(n, nil) }
 
 // checkpointNodeThen is checkpointNode with a completion callback,
@@ -499,46 +499,34 @@ func (c *Cluster) checkpointNodeThen(n *Node, done func()) {
 		finish()
 		return
 	}
-	ship := func(costUnits float64, store func()) {
-		doneAt := n.vm.Exec(costUnits, func() {
-			c.sim.After(c.cfg.NetDelayMillis, func() {
-				store()
-				finish()
-			})
-		})
-		if doneAt < 0 {
-			finish()
-			return
-		}
-		c.sim.At(doneAt+c.cfg.NetDelayMillis+1, finish)
-	}
-	// A checkpoint the backup host cannot take leaves the node owing a
-	// full one.
-	stored := func(err error, acks map[plan.InstanceID]int64) {
-		if err != nil {
-			n.NeedFull = true
-			return
-		}
-		c.trimAcked(n, acks)
-	}
 	// checkpoint-state runs at the current virtual instant, so the copy is
 	// consistent by construction. The sequence chain is optimistic: if an
 	// earlier ship was lost, the backup host rejects the delta (sequence
 	// gap) and the node owes a full checkpoint.
-	switch cp, dc := n.BeginCheckpoint(n.inst).Checkpoint(c.cfg.Delta); {
-	case dc != nil:
-		ship(c.cfg.CheckpointCostPerMB*float64(dc.Size())/(1<<20), func() {
-			stored(c.mgr.Backups().ApplyDelta(host, dc), dc.Acks)
-		})
-	case cp != nil:
-		ship(c.cfg.CheckpointCostPerMB*float64(cp.Size())/(1<<20), func() {
-			stored(c.mgr.Backups().Store(host, cp), cp.Acks)
-		})
-	default:
+	cp := n.BeginCheckpoint(n.inst).Checkpoint(c.cfg.Incremental)
+	if cp == nil {
 		// State encode failure: keep the previous backup rather than
 		// shipping partial state.
 		finish()
+		return
 	}
+	doneAt := n.vm.Exec(c.cfg.CheckpointCostPerMB*float64(cp.Size())/(1<<20), func() {
+		c.sim.After(c.cfg.NetDelayMillis, func() {
+			// A checkpoint the backup host cannot take leaves the node
+			// owing a full one.
+			if c.mgr.Backups().Store(host, cp) != nil {
+				n.NeedFull = true
+			} else {
+				c.trimAcked(n, cp.Acks)
+			}
+			finish()
+		})
+	})
+	if doneAt < 0 {
+		finish()
+		return
+	}
+	c.sim.At(doneAt+c.cfg.NetDelayMillis+1, finish)
 }
 
 // trimAcked trims upstream output buffers up to the acknowledged

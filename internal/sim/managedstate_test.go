@@ -6,7 +6,6 @@ import (
 
 	"seep/internal/operator"
 	"seep/internal/plan"
-	"seep/internal/state"
 	"seep/internal/stream"
 )
 
@@ -158,11 +157,11 @@ func TestManagedStateScaleInIntegrity(t *testing.T) {
 // checkpoints on: deltas must actually ship (and be cheaper than fulls),
 // and recovery from the folded backup must reconstruct exact state.
 func TestSimIncrementalCheckpointRecovery(t *testing.T) {
-	run := func(delta state.DeltaPolicy, fail bool) (map[stream.Key]float64, *Cluster) {
+	run := func(incremental, fail bool) (map[stream.Key]float64, *Cluster) {
 		c, err := NewCluster(Config{
 			Seed: 31, Mode: FTRSM,
 			CheckpointIntervalMillis: 2_000,
-			Delta:                    delta,
+			Incremental:              incremental,
 		}, sumQuery(), sumFactories())
 		if err != nil {
 			t.Fatal(err)
@@ -191,9 +190,8 @@ func TestSimIncrementalCheckpointRecovery(t *testing.T) {
 		c.RunUntil(60_000)
 		return perKeySums(c), c
 	}
-	policy := state.DeltaPolicy{FullEvery: 5, MaxDeltaFraction: 0.5}
-	want, _ := run(state.DeltaPolicy{}, true)
-	got, c := run(policy, true)
+	want, _ := run(false, true)
+	got, c := run(true, true)
 
 	ship := c.Manager().Backups().ShipStats()
 	if ship.Deltas == 0 {

@@ -19,6 +19,15 @@ type Checkpoint struct {
 	// Seq is a per-instance checkpoint sequence number; newer checkpoints
 	// of the same instance supersede older ones.
 	Seq uint64
+	// Base, when non-zero, makes the checkpoint a delta from the
+	// checkpoint numbered Base (§3.2's incremental checkpointing): its
+	// processing state holds only the keys changed since then, Deleted
+	// lists the keys removed since, ascending, and the backup host folds
+	// it into the base it stores (Fold). A delta never carries Legacy
+	// buffers: the base's stay authoritative. Neither field is in the
+	// encoded checkpoint; a ship carries them beside it.
+	Base    uint64
+	Deleted []stream.Key
 	// Processing is θo at checkpoint time (a deep copy).
 	Processing *Processing
 	// Buffer is βo at checkpoint time: the operator's own output buffers,
@@ -117,12 +126,12 @@ func (c *Checkpoint) TS() stream.TSVector {
 // Size returns the checkpoint's footprint in bytes: what its processing
 // state encodes to (Processing.Size) plus an estimate of 16 bytes per
 // buffered tuple, own and legacy, not the buffer sections' encoded
-// length.
+// length, plus 8 bytes per deleted key a delta carries beside it.
 func (c *Checkpoint) Size() int {
 	if c == nil {
 		return 0
 	}
-	return c.Processing.Size() + c.bufferSize()
+	return c.Processing.Size() + c.bufferSize() + 8*len(c.Deleted)
 }
 
 // bufferSize is the buffers' part of Size: 16 bytes of header per
@@ -151,7 +160,45 @@ func (c *Checkpoint) Validate() error {
 	if c.Processing == nil {
 		return fmt.Errorf("state: checkpoint %s without processing state", c.Instance)
 	}
+	if c.Base == 0 && len(c.Deleted) == 0 {
+		return nil
+	}
+	// A delta: what came off the wire must be one a sender ships.
+	if c.Base == 0 || c.Base >= c.Seq {
+		return fmt.Errorf("state: delta base %d for %s at seq %d", c.Base, c.Instance, c.Seq)
+	}
+	for i := 1; i < len(c.Deleted); i++ {
+		if c.Deleted[i] <= c.Deleted[i-1] {
+			return fmt.Errorf("state: deleted key %d after %d: keys must strictly ascend", c.Deleted[i], c.Deleted[i-1])
+		}
+	}
+	if len(c.Legacy) > 0 {
+		return fmt.Errorf("state: delta for %s carries legacy buffers", c.Instance)
+	}
 	return nil
+}
+
+// Fold returns the full checkpoint the delta c makes of base, the
+// checkpoint numbered c.Base: base's processing state with c's keys laid
+// over it and c's deleted keys removed, and c's timestamp vector and
+// bookkeeping. Base's legacy buffers carry over, since a delta never
+// re-ships them. The fold is fresh: base and c stay intact, so whoever
+// holds them keeps them as they were. A delta whose run names other
+// cells than base's is an error.
+func (c *Checkpoint) Fold(base *Checkpoint) (*Checkpoint, error) {
+	kv, err := overlay(base.Processing.KV, c.Processing.KV, c.Deleted)
+	if err != nil {
+		return nil, fmt.Errorf("state: fold delta for %s: %w", c.Instance, err)
+	}
+	return &Checkpoint{
+		Instance:   c.Instance,
+		Seq:        c.Seq,
+		Processing: &Processing{KV: kv, TS: c.Processing.TS.Clone()},
+		Buffer:     c.Buffer.Clone(),
+		OutClock:   c.OutClock,
+		Acks:       CloneAcks(c.Acks),
+		Legacy:     CloneLegacy(base.Legacy),
+	}, nil
 }
 
 // PartitionCheckpoint implements partition-processing-state (Algorithm 2

@@ -91,42 +91,37 @@ func (in *Instance) BeginCheckpoint(id plan.InstanceID) *Capture {
 }
 
 // Checkpoint is the second half of checkpoint-state: it extracts the
-// processing state and returns exactly one of a full or an incremental
-// checkpoint. A delta is taken when the policy is enabled, no full
-// checkpoint is owed, the chain since the last full one is shorter than
-// FullEvery-1 and the delta is small enough against that base; anything
-// else — including a delta the store cannot produce — yields a full
-// checkpoint under the same sequence number, so a delta is never
-// load-bearing. Under a disabled policy the store stops tracking dirty
-// keys, which only a delta reads. Both results are nil when the state
-// fails to encode (the previous backup then stays authoritative).
-func (c *Capture) Checkpoint(p DeltaPolicy) (*Checkpoint, *DeltaCheckpoint) {
+// processing state. The result is a delta — a Checkpoint whose Base is
+// the checkpoint before it — when incremental is set, no full checkpoint
+// is owed, fewer than fullEvery-1 deltas followed the last full one and
+// the delta is small enough against it (maxDeltaFraction). Anything else,
+// including a delta the store cannot produce, is a full checkpoint under
+// the same sequence number, so a delta is never load-bearing. Without
+// incremental the store stops tracking dirty keys, which only a delta
+// reads. Nil when the state fails to encode (the previous backup then
+// stays authoritative).
+func (c *Capture) Checkpoint(incremental bool) *Checkpoint {
+	cp := &Checkpoint{Instance: c.inst, Seq: c.seq, Processing: &Processing{TS: c.ts}, Buffer: c.buffer, OutClock: c.outClock, Acks: c.acks}
 	s := c.store
-	if s != nil && p.Enabled() && !c.forceFull && s.DeltasSinceFull() < p.FullEvery-1 {
-		d, err := s.TakeDelta(c.ts, c.base, c.seq)
-		if err == nil && p.DeltaAllowed(d.Size(), s.LastFullSize()) {
-			return nil, &DeltaCheckpoint{Instance: c.inst, Delta: d, Buffer: c.buffer, OutClock: c.outClock, Acks: c.acks}
+	if s != nil && incremental && !c.forceFull && c.base > 0 && s.DeltasSinceFull() < fullEvery-1 {
+		kv, deleted, err := s.takeDelta()
+		cp.Processing.KV = kv
+		if err == nil && float64(cp.Processing.Size()+8*len(deleted)) <= maxDeltaFraction*float64(s.LastFullSize()) {
+			cp.Base, cp.Deleted = c.base, deleted
+			return cp
 		}
 		// The dirty set is consumed (or was never kept), but the full
 		// snapshot below supersedes everything the delta held and
 		// tracks again.
 	}
-	proc := &Processing{TS: c.ts}
 	if s != nil {
 		var err error
-		if proc.KV, err = s.takeCheckpoint(p.Enabled()); err != nil {
-			return nil, nil
+		if cp.Processing.KV, err = s.takeCheckpoint(incremental); err != nil {
+			return nil
 		}
 	}
-	return &Checkpoint{
-		Instance:   c.inst,
-		Seq:        c.seq,
-		Processing: proc,
-		Buffer:     c.buffer,
-		OutClock:   c.outClock,
-		Acks:       c.acks,
-		Legacy:     c.legacy,
-	}, nil
+	cp.Legacy = c.legacy
+	return cp
 }
 
 // Restore installs a checkpoint on the bundle (restore-state,

@@ -64,7 +64,7 @@ func TestCaptureSequenceProperty(t *testing.T) {
 	var refused, deltas, fulls int
 	for seed := int64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		p := DeltaPolicy{FullEvery: r.Intn(6), MaxDeltaFraction: []float64{0.05, 0.3, 1}[r.Intn(3)]}
+		incremental := r.Intn(4) != 0
 		stateful := r.Intn(8) != 0
 		eng, sim := newTestInstance(stateful), newTestInstance(stateful)
 		id := plan.InstanceID{Op: "op", Part: 1}
@@ -84,26 +84,28 @@ func TestCaptureSequenceProperty(t *testing.T) {
 			mu.Lock()
 			c := eng.BeginCheckpoint(id)
 			mu.Unlock()
-			eFull, eDelta := c.Checkpoint(p)
-			sFull, sDelta := sim.BeginCheckpoint(id).Checkpoint(p)
+			eCp := c.Checkpoint(incremental)
+			sCp := sim.BeginCheckpoint(id).Checkpoint(incremental)
 
-			if !reflect.DeepEqual(eFull, sFull) || !reflect.DeepEqual(eDelta, sDelta) {
-				t.Fatalf("seed %d round %d: engine-style and sim-style captures differ:\n%+v %+v\n%+v %+v",
-					seed, round, eFull, eDelta, sFull, sDelta)
+			if !reflect.DeepEqual(eCp, sCp) {
+				t.Fatalf("seed %d round %d: engine-style and sim-style captures differ:\n%+v\n%+v", seed, round, eCp, sCp)
 			}
-			if (eFull == nil) == (eDelta == nil) {
-				t.Fatalf("seed %d round %d: want exactly one of full/delta, got %v %v", seed, round, eFull, eDelta)
+			if eCp == nil {
+				t.Fatalf("seed %d round %d: no capture", seed, round)
 			}
 			want := uint64(round + 1)
-			tried := stateful && p.Enabled() && !owed && chain < p.FullEvery-1
+			tried := stateful && incremental && !owed && chain < fullEvery-1
 			switch {
-			case eDelta != nil:
+			case eCp.Base != 0:
 				deltas++
 				if !tried {
-					t.Fatalf("seed %d round %d: delta although a full checkpoint was due (owed=%v chain=%d policy=%+v)", seed, round, owed, chain, p)
+					t.Fatalf("seed %d round %d: delta although a full checkpoint was due (owed=%v chain=%d incremental=%v)", seed, round, owed, chain, incremental)
 				}
-				if eDelta.Delta.Base != want-1 || eDelta.Delta.Seq != want {
-					t.Fatalf("seed %d round %d: delta chains %d→%d, want %d→%d", seed, round, eDelta.Delta.Base, eDelta.Delta.Seq, want-1, want)
+				if eCp.Base != want-1 || eCp.Seq != want {
+					t.Fatalf("seed %d round %d: delta chains %d→%d, want %d→%d", seed, round, eCp.Base, eCp.Seq, want-1, want)
+				}
+				if err := eCp.Validate(); err != nil {
+					t.Fatalf("seed %d round %d: %v", seed, round, err)
 				}
 				chain++
 			default:
@@ -113,8 +115,8 @@ func TestCaptureSequenceProperty(t *testing.T) {
 					// checkpoint, and it does so under the same number.
 					refused++
 				}
-				if eFull.Seq != want {
-					t.Fatalf("seed %d round %d: full checkpoint Seq = %d, want %d (one bump per capture; delta tried: %v)", seed, round, eFull.Seq, want, tried)
+				if eCp.Seq != want {
+					t.Fatalf("seed %d round %d: full checkpoint Seq = %d, want %d (one bump per capture; delta tried: %v)", seed, round, eCp.Seq, want, tried)
 				}
 				owed, chain = false, 0
 			}
@@ -141,7 +143,7 @@ func TestRestoreOfCaptureIsIdentity(t *testing.T) {
 		for i := 0; i < 1+r.Intn(20); i++ {
 			x.step(r, false)
 			if r.Intn(3) == 0 {
-				x.BeginCheckpoint(id).Checkpoint(DeltaPolicy{FullEvery: 4, MaxDeltaFraction: 1})
+				x.BeginCheckpoint(id).Checkpoint(true)
 			}
 		}
 		if r.Intn(2) == 0 {
@@ -151,7 +153,7 @@ func TestRestoreOfCaptureIsIdentity(t *testing.T) {
 			x.Legacy = map[plan.InstanceID]*Buffer{victim: lb, {Op: "op", Part: 8}: NewBuffer()}
 		}
 		x.NeedFull = true
-		cp, _ := x.BeginCheckpoint(id).Checkpoint(DeltaPolicy{})
+		cp := x.BeginCheckpoint(id).Checkpoint(false)
 		if cp == nil {
 			t.Fatalf("seed %d: no full checkpoint", seed)
 		}
@@ -170,7 +172,7 @@ func TestRestoreOfCaptureIsIdentity(t *testing.T) {
 		y.TS = y.TS[:2]
 		// Recapturing the restored bundle must give the checkpoint it was
 		// restored from, one sequence number later.
-		again, _ := y.BeginCheckpoint(id).Checkpoint(DeltaPolicy{})
+		again := y.BeginCheckpoint(id).Checkpoint(false)
 		if again == nil || again.Seq != cp.Seq+1 {
 			t.Fatalf("seed %d: recapture = %+v, want Seq %d", seed, again, cp.Seq+1)
 		}

@@ -206,11 +206,11 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 	}
 }
 
-// shipDelta is a delta's trip over the wire: the checkpoint it views,
-// encoded and decoded, read back as a delta with its base and deleted
-// keys beside it.
-func shipDelta(dc *DeltaCheckpoint, codec PayloadCodec) (*DeltaCheckpoint, []byte, error) {
-	blob, err := MarshalCheckpoint(dc.Checkpoint(), codec)
+// shipDelta is a delta's trip over the wire: the checkpoint encoded and
+// decoded, its base and deleted keys travelling beside it, and checked
+// as what came off the wire is.
+func shipDelta(dc *Checkpoint, codec PayloadCodec) (*Checkpoint, []byte, error) {
+	blob, err := MarshalCheckpoint(dc, codec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -218,39 +218,39 @@ func shipDelta(dc *DeltaCheckpoint, codec PayloadCodec) (*DeltaCheckpoint, []byt
 	if err != nil {
 		return nil, blob, err
 	}
-	got, err := DeltaOf(cp, dc.Delta.Base, dc.Delta.Deleted)
-	return got, blob, err
+	cp.Base, cp.Deleted = dc.Base, dc.Deleted
+	return cp, blob, cp.Validate()
 }
 
-func deltaEqual(t *testing.T, got, want *DeltaCheckpoint) {
+func deltaEqual(t *testing.T, got, want *Checkpoint) {
 	t.Helper()
 	if got.Instance != want.Instance || got.OutClock != want.OutClock || !reflect.DeepEqual(got.Acks, want.Acks) {
 		t.Fatalf("bookkeeping %v/%d/%v, want %v/%d/%v", got.Instance, got.OutClock, got.Acks, want.Instance, want.OutClock, want.Acks)
 	}
-	g, w := got.Delta, want.Delta
-	if g.Base != w.Base || g.Seq != w.Seq || !g.TS.Equal(w.TS) {
-		t.Fatalf("base/seq/ts %d/%d/%v, want %d/%d/%v", g.Base, g.Seq, g.TS, w.Base, w.Seq, w.TS)
+	if got.Base != want.Base || got.Seq != want.Seq || !got.TS().Equal(want.TS()) {
+		t.Fatalf("base/seq/ts %d/%d/%v, want %d/%d/%v", got.Base, got.Seq, got.TS(), want.Base, want.Seq, want.TS())
 	}
-	if !g.Changed.Equal(w.Changed) || !slices.Equal(g.Deleted, w.Deleted) {
-		t.Fatalf("%d changed, deleted %v; want %d, %v", g.Changed.Len(), g.Deleted, w.Changed.Len(), w.Deleted)
+	g, w := got.Processing.KV, want.Processing.KV
+	if !g.Equal(w) || !slices.Equal(got.Deleted, want.Deleted) {
+		t.Fatalf("%d changed, deleted %v; want %d, %v", g.Len(), got.Deleted, w.Len(), want.Deleted)
 	}
 	if !buffersEqual(got.Buffer, want.Buffer) {
 		t.Fatal("buffer state changed")
 	}
 }
 
-func testDeltaCheckpoint() *DeltaCheckpoint {
+func testDeltaCheckpoint() *Checkpoint {
 	buf := NewBuffer()
 	buf.Append(plan.InstanceID{Op: "sink", Part: 0},
 		stream.Tuple{TS: 9, Key: 3, Born: 1, Payload: "retained"})
-	return &DeltaCheckpoint{
+	return &Checkpoint{
 		Instance: plan.InstanceID{Op: "count", Part: 1},
-		Delta: &Delta{
-			Base:    4,
-			Seq:     5,
-			Changed: runOf(map[stream.Key][]byte{7: []byte("seven"), 2: []byte("two"), 900: {}}),
-			Deleted: []stream.Key{1, 11},
-			TS:      stream.TSVector{42, 40},
+		Seq:      5,
+		Base:     4,
+		Deleted:  []stream.Key{1, 11},
+		Processing: &Processing{
+			KV: runOf(map[stream.Key][]byte{7: []byte("seven"), 2: []byte("two"), 900: {}}),
+			TS: stream.TSVector{42, 40},
 		},
 		Buffer:   buf,
 		OutClock: 42,
@@ -258,8 +258,8 @@ func testDeltaCheckpoint() *DeltaCheckpoint {
 	}
 }
 
-// TestDeltaCheckpointRoundTrip: a delta ships as the checkpoint it views
-// and comes back whole.
+// TestDeltaCheckpointRoundTrip: a delta ships as a checkpoint and comes
+// back whole.
 func TestDeltaCheckpointRoundTrip(t *testing.T) {
 	want := testDeltaCheckpoint()
 	got, _, err := shipDelta(want, StringPayloadCodec{})
@@ -270,8 +270,8 @@ func TestDeltaCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestDeltaCheckpointRoundTripProperty: any delta — every payload class
-// in its buffer, any changed and deleted keys — survives view → encode →
-// decode → DeltaOf.
+// in its buffer, any changed and deleted keys — survives encode →
+// decode → Validate.
 func TestDeltaCheckpointRoundTripProperty(t *testing.T) {
 	codec := GobPayloadCodec{}
 	for seed := int64(0); seed < 100; seed++ {
@@ -282,13 +282,8 @@ func TestDeltaCheckpointRoundTripProperty(t *testing.T) {
 		for k, n := stream.Key(r.Intn(5)), r.Intn(6); len(deleted) < n; k += stream.Key(1 + r.Intn(1<<20)) {
 			deleted = append(deleted, k)
 		}
-		want := &DeltaCheckpoint{
-			Instance: cp.Instance,
-			Delta:    &Delta{Base: base, Seq: base + 1 + r.Uint64()%1000, Changed: cp.Processing.KV, Deleted: deleted, TS: cp.Processing.TS},
-			Buffer:   cp.Buffer,
-			OutClock: cp.OutClock,
-			Acks:     cp.Acks,
-		}
+		want := cp
+		want.Seq, want.Base, want.Deleted, want.Legacy = base+1+r.Uint64()%1000, base, deleted, nil
 		got, _, err := shipDelta(want, codec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -301,12 +296,12 @@ func TestDeltaCheckpointRoundTripProperty(t *testing.T) {
 // into the checkpoint a delta travels as.
 func TestDeltaCheckpointDeterministic(t *testing.T) {
 	dc := testDeltaCheckpoint()
-	first, err := MarshalCheckpoint(dc.Checkpoint(), StringPayloadCodec{})
+	first, err := MarshalCheckpoint(dc, StringPayloadCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		again, err := MarshalCheckpoint(dc.Checkpoint(), StringPayloadCodec{})
+		again, err := MarshalCheckpoint(dc, StringPayloadCodec{})
 		if err != nil || !bytes.Equal(again, first) {
 			t.Fatalf("encode %d differs from the first (%v)", i, err)
 		}
@@ -332,7 +327,7 @@ func TestDeltaCheckpointBadMagic(t *testing.T) {
 // TestDecodeDeltaRejectsMalformedChanged: a delta's changed keys are a
 // checkpoint's processing section, so they must strictly ascend like
 // every run; a ship that breaks that, or stops mid-record, decodes to
-// nothing DeltaOf could read.
+// nothing a delta could be read from.
 func TestDecodeDeltaRejectsMalformedChanged(t *testing.T) {
 	for name, section := range malformedProcessingSections() {
 		blob := checkpointAround(section)
@@ -342,32 +337,36 @@ func TestDecodeDeltaRejectsMalformedChanged(t *testing.T) {
 	}
 }
 
-// TestDeltaOfRejectsWhatNoSenderShips: a base that does not precede the
-// checkpoint, deleted keys out of order or repeated, and legacy buffers
-// are refused with no delta.
+// TestDeltaOfRejectsWhatNoSenderShips: Validate refuses a delta whose
+// base does not precede it, whose deleted keys are out of order or
+// repeated, that carries legacy buffers, or that has no processing
+// state, and deleted keys without a base.
 func TestDeltaOfRejectsWhatNoSenderShips(t *testing.T) {
-	legacy := testDeltaCheckpoint().Checkpoint()
+	with := func(base uint64, deleted ...stream.Key) *Checkpoint {
+		cp := testDeltaCheckpoint()
+		cp.Base, cp.Deleted = base, deleted
+		return cp
+	}
+	legacy := with(4)
 	legacy.Legacy = map[plan.InstanceID]*Buffer{{Op: "count", Part: 9}: randomBuffer(rand.New(rand.NewSource(1)), 1)}
 	cases := []struct {
-		name    string
-		cp      *Checkpoint
-		base    uint64
-		deleted []stream.Key
+		name string
+		cp   *Checkpoint
 	}{
-		{"base 0", testDeltaCheckpoint().Checkpoint(), 0, nil},
-		{"base at seq", testDeltaCheckpoint().Checkpoint(), 5, nil},
-		{"base past seq", testDeltaCheckpoint().Checkpoint(), 6, nil},
-		{"unsorted deleted", testDeltaCheckpoint().Checkpoint(), 4, []stream.Key{11, 1}},
-		{"duplicate deleted", testDeltaCheckpoint().Checkpoint(), 4, []stream.Key{1, 1}},
-		{"legacy buffers", legacy, 4, nil},
-		{"no processing state", &Checkpoint{Instance: legacy.Instance, Seq: 5}, 4, nil},
+		{"base 0", with(0, 1)},
+		{"base at seq", with(5)},
+		{"base past seq", with(6)},
+		{"unsorted deleted", with(4, 11, 1)},
+		{"duplicate deleted", with(4, 1, 1)},
+		{"legacy buffers", legacy},
+		{"no processing state", &Checkpoint{Instance: legacy.Instance, Seq: 5, Base: 4}},
 	}
 	for _, c := range cases {
-		if dc, err := DeltaOf(c.cp, c.base, c.deleted); err == nil || dc != nil {
-			t.Errorf("%s: DeltaOf = %v, %v; want an error and no delta", c.name, dc, err)
+		if err := c.cp.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the delta", c.name)
 		}
 	}
-	if _, err := DeltaOf(testDeltaCheckpoint().Checkpoint(), 4, []stream.Key{1, 11}); err != nil {
+	if err := with(4, 1, 11).Validate(); err != nil {
 		t.Fatalf("a valid delta was refused: %v", err)
 	}
 }
@@ -549,7 +548,7 @@ var fuzzBase = runOf(map[stream.Key][]byte{0: {1}, 2: []byte("two"), 7: {}, 1 <<
 // its processing section byte for byte; a run that names cells restores
 // into a store of those cells and re-captures as the same run; and, read
 // as a delta with a base and deleted keys drawn from the input, it is
-// refused by DeltaOf or folds onto fuzzBase into a run whose keys
+// refused by Validate or folds onto fuzzBase into a run whose keys
 // strictly ascend and that holds none of the deleted keys.
 func fuzzCheckpoint(t *testing.T, b []byte) {
 	codec := GobPayloadCodec{}
@@ -604,28 +603,25 @@ func fuzzCheckpoint(t *testing.T, b []byte) {
 		k += stream.Key(step)
 		deleted = append(deleted, k)
 	}
-	dc, err := DeltaOf(cp, base, deleted)
-	if err != nil {
-		if dc != nil {
-			t.Fatalf("error %v with a delta returned", err)
-		}
+	cp.Base, cp.Deleted = base, deleted
+	if base == 0 || cp.Validate() != nil {
 		return
 	}
-	folded := &Processing{KV: fuzzBase}
-	if err := dc.Delta.Apply(folded); err != nil {
+	folded, err := cp.Fold(&Checkpoint{Processing: &Processing{KV: fuzzBase}})
+	if err != nil {
 		if cp.Processing.KV.Len() > 0 && slices.Equal(cp.Processing.KV.cells, fuzzBase.cells) {
 			t.Fatalf("a delta over the base's cells did not fold: %v", err)
 		}
 		return
 	}
-	keys := slices.Collect(folded.KV.Keys())
+	keys := slices.Collect(folded.Processing.KV.Keys())
 	for i := 1; i < len(keys); i++ {
 		if keys[i] <= keys[i-1] {
 			t.Fatalf("folded run has key %d after %d", keys[i], keys[i-1])
 		}
 	}
 	for _, d := range deleted {
-		if _, ok := folded.KV.Get(d); ok {
+		if _, ok := folded.Processing.KV.Get(d); ok {
 			t.Fatalf("deleted key %d survived the fold", d)
 		}
 	}

@@ -41,7 +41,7 @@ func TestProcessingCloneIsolation(t *testing.T) {
 	}
 	// The run is immutable and shared; what a holder can change is which
 	// run it holds (a delta fold) and its timestamp vector.
-	if err := (&Delta{Deleted: slices.Collect(c.KV.Keys())[:1], TS: c.TS}).Apply(c); err != nil {
+	if err := apply(&Delta{Deleted: slices.Collect(c.KV.Keys())[:1], TS: c.TS}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != p.Len()-1 || p.Len() != 10 {

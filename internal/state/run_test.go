@@ -198,7 +198,7 @@ func (md *runModel) step(r *rand.Rand) {
 		}
 		before := md.backup.KV
 		beforeRef := maps.Collect(before.All())
-		if err := d.Apply(md.backup); err != nil {
+		if err := apply(d, md.backup); err != nil {
 			t.Fatal(err)
 		}
 		md.expectRun("Apply", md.backup.KV, md.refBackup)
@@ -531,7 +531,7 @@ func TestCaptureOverBodyLimitIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Apply(&Processing{KV: full}); err == nil {
+	if err := apply(d, &Processing{KV: full}); err == nil {
 		t.Error("a fold past the body limit succeeded")
 	}
 	if _, err := MergeProcessing(&Processing{KV: full}, &Processing{KV: d.Changed}); err == nil {
@@ -636,7 +636,7 @@ func TestCellTableMismatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	backup := &Processing{KV: runA, TS: stream.TSVector{1}}
-	if err := d.Apply(backup); err == nil || !backup.KV.Equal(runA) || backup.TS[0] != 1 {
+	if err := apply(d, backup); err == nil || !backup.KV.Equal(runA) || backup.TS[0] != 1 {
 		t.Errorf("a fold across cell tables: err %v, backup moved: %v", err, !backup.KV.Equal(runA))
 	}
 	merged, err := MergeProcessing(&Processing{KV: runA}, &Processing{KV: Run{}}, &Processing{KV: runA.Range(KeyRange{Lo: 5, Hi: 6})})

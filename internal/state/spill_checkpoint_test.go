@@ -331,7 +331,7 @@ func TestSpillStoreDeltaMaterialisesDirtyKeys(t *testing.T) {
 
 	// Base + delta must equal a full observation of the live store.
 	p := &Processing{KV: base, TS: stream.NewTSVector(1)}
-	if err := d.Apply(p); err != nil {
+	if err := apply(d, p); err != nil {
 		t.Fatal(err)
 	}
 	want, err := s.TakeCheckpoint()

@@ -36,18 +36,17 @@ type Store struct {
 	// names is the cells' names in registration order: the cell table
 	// of every run the store captures.
 	names []string
-	// touched holds the keys written or deleted since the last
-	// TakeCheckpoint/TakeDelta — the raw material of Delta checkpoints.
-	// It is nil after a full checkpoint a runtime taking no deltas asked
-	// for (takeCheckpoint), so writes then skip it.
+	// touched holds the keys written or deleted since the last full
+	// checkpoint or delta — the raw material of a delta. It is nil after
+	// a full checkpoint a runtime taking no deltas asked for
+	// (takeCheckpoint), so writes then skip it.
 	touched *keyTable[struct{}]
 	// lastFullSize is the encoded size of the last full checkpoint: the
-	// baseline for DeltaPolicy's size fallback, and the room the next
-	// one starts with when values are not of fixed width.
+	// baseline for maxDeltaFraction, and the room the next one starts
+	// with when values are not of fixed width.
 	lastFullSize int
-	// deltasSinceFull counts the TakeDelta calls since the last
-	// TakeCheckpoint/Restore — the length of the delta chain a backup
-	// host has to fold, which DeltaPolicy.FullEvery bounds.
+	// deltasSinceFull counts the deltas taken since the last full
+	// checkpoint or Restore, which fullEvery bounds.
 	deltasSinceFull int
 	// spill, when armed (EnableSpill), moves cold key ranges to disk
 	// under a memory ceiling; nil when disarmed, so the steady-state
@@ -237,8 +236,8 @@ func (s *Store) captureLocked(keys []stream.Key, srcs []fragSource, bodyHint int
 // get-processing-state function of §3.1, implemented once by the system
 // instead of by every operator. It resets dirty-key tracking (subsequent
 // deltas are relative to this checkpoint) and records the run's
-// serialised size as the baseline for DeltaPolicy. On error the tracking
-// state is untouched, so a failed checkpoint loses nothing.
+// serialised size as the baseline for maxDeltaFraction. On error the
+// tracking state is untouched, so a failed checkpoint loses nothing.
 func (s *Store) TakeCheckpoint() (Run, error) { return s.takeCheckpoint(true) }
 
 // takeCheckpoint is TakeCheckpoint; track=false stops dirty-key tracking
@@ -275,19 +274,16 @@ func (s *Store) takeCheckpoint(track bool) (Run, error) {
 	return run, nil
 }
 
-// TakeDelta extracts an incremental checkpoint: the serialised fragments
-// of every key touched since the last TakeCheckpoint/TakeDelta, plus the
-// touched keys no longer held by any cell (deletions), both ascending.
-// Base and seq are the checkpoint sequence numbers the delta chains
-// between; ts is the operator's input timestamp vector at extraction
-// time. On success the dirty-key tracking resets; on error it is
-// untouched. A store that stopped tracking at its last full checkpoint
-// has no delta to give.
-func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) {
+// takeDelta extracts a delta's processing state: the records of every
+// key touched since the last full checkpoint or delta, and the touched
+// keys no cell holds any more (deletions), both ascending. On success
+// the dirty-key tracking resets; on error it is untouched. A store that
+// stopped tracking at its last full checkpoint has no delta to give.
+func (s *Store) takeDelta() (changed Run, deleted []stream.Key, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.touched == nil {
-		return nil, errors.New("state: no dirty keys tracked since the last full checkpoint")
+		return Run{}, nil, errors.New("state: no dirty keys tracked since the last full checkpoint")
 	}
 	_, keys := s.touched.sorted()
 	for _, k := range keys {
@@ -295,12 +291,21 @@ func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) 
 		// encode exactly the dirty set, so make it resident first.
 		s.residentLocked(k)
 	}
-	changed, deleted, err := s.captureKeysLocked(keys)
-	if err != nil {
-		return nil, err
+	if changed, deleted, err = s.captureKeysLocked(keys); err != nil {
+		return Run{}, nil, err
 	}
 	s.touched = new(keyTable[struct{}])
 	s.deltasSinceFull++
+	return changed, deleted, nil
+}
+
+// TakeDelta is takeDelta as a Delta chaining base to seq at ts. It
+// remains only for the callers Delta names.
+func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) {
+	changed, deleted, err := s.takeDelta()
+	if err != nil {
+		return nil, err
+	}
 	return &Delta{Base: base, Seq: seq, Changed: changed, Deleted: deleted, TS: ts.Clone()}, nil
 }
 
@@ -371,8 +376,8 @@ func (s *Store) installLocked(kv Run) error {
 	return nil
 }
 
-// DirtyCount returns the number of keys touched since the last
-// TakeCheckpoint/TakeDelta (0 while tracking is stopped).
+// DirtyCount returns the number of keys touched since the last full
+// checkpoint or delta (0 while tracking is stopped).
 func (s *Store) DirtyCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -247,7 +247,7 @@ func TestDeltaChainReconstructsFullSnapshot(t *testing.T) {
 		if s.DirtyCount() != 0 {
 			t.Error("TakeDelta did not reset tracking")
 		}
-		if err := d.Apply(folded); err != nil {
+		if err := apply(d, folded); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,9 +287,19 @@ func TestDeltaSmallerThanFull(t *testing.T) {
 	if d.Size() >= fullSize/10 {
 		t.Errorf("delta %d bytes not ≪ full %d bytes", d.Size(), fullSize)
 	}
-	if !(DeltaPolicy{FullEvery: 10}).DeltaAllowed(d.Size(), fullSize) {
-		t.Error("policy rejected a 1%% delta")
+	if float64(d.Size()) > maxDeltaFraction*float64(fullSize) {
+		t.Error("maxDeltaFraction rejected a 1% delta")
 	}
+}
+
+// apply folds d into p, as a backup host folds a delta into the
+// checkpoint it stores; on error p is left as it was.
+func apply(d *Delta, p *Processing) error {
+	f, err := (&DeltaCheckpoint{Delta: d, Buffer: NewBuffer()}).Checkpoint().Fold(&Checkpoint{Processing: p})
+	if err == nil {
+		p.KV, p.TS = f.Processing.KV, f.Processing.TS
+	}
+	return err
 }
 
 func TestStoreDuplicateCellPanics(t *testing.T) {
@@ -303,11 +313,11 @@ func TestStoreDuplicateCellPanics(t *testing.T) {
 	NewValue[float64](s, "x", Float64Codec{})
 }
 
-// TestFullCheckpointsKeepNoDirtySet: under a disabled delta policy a
+// TestFullCheckpointsKeepNoDirtySet: with incremental checkpoints off a
 // capture's full checkpoint stops dirty-key tracking, so writes pay for
-// no set nothing reads; enabling the policy costs one more full
-// checkpoint (the delta the untracked store cannot give), after which
-// deltas carry exactly the keys written.
+// no set nothing reads; turning them on costs one more full checkpoint
+// (the delta the untracked store cannot give), after which deltas carry
+// exactly the keys written.
 func TestFullCheckpointsKeepNoDirtySet(t *testing.T) {
 	s := NewStore()
 	v := NewValue[int64](s, "n", Int64Codec{})
@@ -316,29 +326,27 @@ func TestFullCheckpointsKeepNoDirtySet(t *testing.T) {
 	for k := range 100 {
 		v.Set(stream.Key(k), int64(k))
 	}
-	if cp, dc := in.BeginCheckpoint(id).Checkpoint(DeltaPolicy{}); cp == nil || dc != nil {
-		t.Fatalf("default policy: full %v, delta %v", cp != nil, dc != nil)
+	if cp := in.BeginCheckpoint(id).Checkpoint(false); cp == nil || cp.Base != 0 {
+		t.Fatalf("incremental off: capture %+v, want a full checkpoint", cp)
 	}
 	for k := range 100 {
 		v.Update(stream.Key(k), func(x int64) int64 { return x + 1 })
 	}
 	if n := s.DirtyCount(); n != 0 {
-		t.Fatalf("after a full checkpoint under the default policy, 100 updates left %d dirty keys", n)
+		t.Fatalf("after a full checkpoint with incremental off, 100 updates left %d dirty keys", n)
 	}
 	if _, err := s.TakeDelta(in.TS, 1, 2); err == nil {
 		t.Fatal("an untracked store gave a delta")
 	}
 
-	policy := DeltaPolicy{FullEvery: 4}
-	if cp, dc := in.BeginCheckpoint(id).Checkpoint(policy); cp == nil || dc != nil {
-		t.Fatalf("first capture under a delta policy: full %v, delta %v", cp != nil, dc != nil)
+	if cp := in.BeginCheckpoint(id).Checkpoint(true); cp == nil || cp.Base != 0 {
+		t.Fatalf("first capture with incremental on: %+v, want a full checkpoint", cp)
 	}
 	v.Set(7, 70)
 	if n := s.DirtyCount(); n != 1 {
 		t.Fatalf("tracking did not resume: %d dirty keys, want 1", n)
 	}
-	cp, dc := in.BeginCheckpoint(id).Checkpoint(policy)
-	if cp != nil || dc == nil || dc.Delta.Changed.Len() != 1 {
-		t.Fatalf("second capture under a delta policy: full %v, delta %v", cp != nil, dc)
+	if cp := in.BeginCheckpoint(id).Checkpoint(true); cp == nil || cp.Base == 0 || cp.Processing.KV.Len() != 1 {
+		t.Fatalf("second capture with incremental on: %+v, want a delta of one key", cp)
 	}
 }

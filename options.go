@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"seep/internal/engine"
-	"seep/internal/state"
 )
 
 // Option configures a Runtime built by Live, Simulated or Distributed.
@@ -20,13 +19,12 @@ type Option func(*runtimeConfig)
 // substrate default".
 type runtimeConfig struct {
 	// engine holds every engine setting (checkpoint and timer intervals,
-	// batching, queue bound, memory limit, delta policy) as the options
-	// made it: the Live engine and every Distributed worker run it
-	// (engineConfig); the simulator reads the three it shares. The *Set
-	// flags record which options ran, for validation and defaults.
+	// batching, queue bound, memory limit, incremental checkpoints) as
+	// the options made it: the Live engine and every Distributed worker
+	// run it (engineConfig); the simulator reads the three it shares. The
+	// *Set flags record which options ran, for validation and defaults.
 	engine         engine.Config
 	checkpointSet  bool
-	deltaSet       bool
 	batchSet       bool
 	queueBoundSet  bool
 	memoryLimitSet bool
@@ -154,14 +152,6 @@ func (c *runtimeConfig) validate() error {
 	if c.checkpointSet && c.engine.CheckpointInterval < 0 {
 		return fmt.Errorf("seep: WithCheckpointInterval requires a non-negative duration, got %v", c.engine.CheckpointInterval)
 	}
-	if c.deltaSet {
-		if c.engine.Delta.FullEvery < 2 {
-			return fmt.Errorf("seep: WithIncrementalCheckpoints requires fullEvery >= 2, got %d", c.engine.Delta.FullEvery)
-		}
-		if f := c.engine.Delta.MaxDeltaFraction; f <= 0 || f > 1 {
-			return fmt.Errorf("seep: WithIncrementalCheckpoints requires 0 < maxDeltaFraction <= 1, got %v", f)
-		}
-	}
 	if c.workersSet && c.workers < 1 {
 		return fmt.Errorf("seep: WithWorkers requires n >= 1, got %d", c.workers)
 	}
@@ -219,23 +209,21 @@ func WithCheckpointInterval(d time.Duration) Option {
 
 // WithIncrementalCheckpoints enables §3.2's incremental checkpoints for
 // operators on the managed keyed-state API: between full checkpoints the
-// runtime ships only the keys dirtied since the previous checkpoint (a
-// state.Delta) and the backup host folds them into the stored base. A
-// full checkpoint is forced every fullEvery-th checkpoint, and whenever
-// a delta's size would exceed maxDeltaFraction of the last full
-// snapshot — both guards bound recovery-time fold work. Applies to all
+// runtime ships only the keys dirtied since the previous checkpoint, and
+// the backup host folds them into the stored base when it stores them,
+// so recovery restores one full checkpoint and folds nothing. Every
+// tenth checkpoint is full, as is any whose delta would exceed half the
+// last full one. Those are fixed, and what they bound is staleness, not
+// recovery work: on the Distributed runtime a delta ships to the
+// coordinator like a full checkpoint, with its base and deleted keys
+// beside it, and a delta whose base the coordinator lacks is dropped
+// without telling the worker, so its backup stays stale until the next
+// full one, at most nine checkpoint intervals later. Applies to all
 // three substrates (Simulated: FTRSM mode only; combining with another
-// FT mode is a Deploy error). On the Distributed runtime a delta ships
-// to the coordinator like a full checkpoint — as the checkpoint of its
-// changed keys, with its base and deleted keys beside it — and the
-// coordinator folds it into its authoritative store; fullEvery is the
-// epoch boundary that bounds every delta chain. Observe the effect via
+// FT mode is a Deploy error). Observe the effect via
 // Metrics.Checkpoints.
-func WithIncrementalCheckpoints(fullEvery int, maxDeltaFraction float64) Option {
-	return func(c *runtimeConfig) {
-		c.engine.Delta = state.DeltaPolicy{FullEvery: fullEvery, MaxDeltaFraction: maxDeltaFraction}
-		c.deltaSet = true
-	}
+func WithIncrementalCheckpoints() Option {
+	return func(c *runtimeConfig) { c.engine.Incremental = true }
 }
 
 // WithBatching sets the live engine's micro-batch parameters: up to

@@ -14,7 +14,7 @@ func TestUniversalOptions(t *testing.T) {
 		"WithBatching":               WithBatching(8, time.Millisecond),
 		"WithCheckpointInterval":     WithCheckpointInterval(time.Second),
 		"WithDetectDelay":            WithDetectDelay(time.Second),
-		"WithIncrementalCheckpoints": WithIncrementalCheckpoints(4, 0.5),
+		"WithIncrementalCheckpoints": WithIncrementalCheckpoints(),
 		"WithPolicy":                 WithPolicy(DefaultPolicy()),
 		"WithRecoveryParallelism":    WithRecoveryParallelism(2),
 		"WithScaleIn":                WithScaleIn(ScaleInPolicy{LowWatermark: 0.1}),

@@ -452,7 +452,7 @@ func (r *simRuntime) Deploy(t *Topology) (Job, error) {
 	// Incremental checkpoints are part of the R+SM protocol; under the
 	// baselines there are no checkpoints to make incremental, so the
 	// combination is an error, never a silent no-op.
-	if r.cfg.deltaSet && mode != FTRSM {
+	if r.cfg.engine.Incremental && mode != FTRSM {
 		return nil, fmt.Errorf("seep: WithIncrementalCheckpoints requires FTRSM (got %v)", mode)
 	}
 	cfg := sim.Config{
@@ -462,7 +462,7 @@ func (r *simRuntime) Deploy(t *Topology) (Job, error) {
 		TimerMillis:              r.cfg.engine.TimerInterval.Milliseconds(),
 		DetectDelayMillis:        r.cfg.detect.Milliseconds(),
 		RecoveryParallelism:      r.cfg.recoveryPi,
-		Delta:                    r.cfg.engine.Delta,
+		Incremental:              r.cfg.engine.Incremental,
 	}
 	if r.cfg.pool != nil {
 		cfg.Pool = *r.cfg.pool

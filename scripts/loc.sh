@@ -3,8 +3,8 @@
 # versus the working tree: non-test Go lines that are neither blank nor
 # comment, per internal/* package, for the root package (`root`) and for
 # cmd/ (`cmd`), then the exported-symbol count of package seep
-# (`go doc -short .`). Informational: prints a table, never fails on a
-# delta.
+# (`go doc -short .`) and how many of those are With* options.
+# Informational: prints a table, never fails on a delta.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref=${1:-HEAD}
@@ -60,6 +60,12 @@ line cmd
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 git archive "$ref" | tar -x -C "$tmp"
-sym_ref=$(cd "$tmp" && go doc -short . | wc -l)
-sym_tree=$(go doc -short . | wc -l)
+(cd "$tmp" && go doc -short .) > "$tmp/doc.ref"
+go doc -short . > "$tmp/doc.tree"
+sym_ref=$(wc -l < "$tmp/doc.ref")
+sym_tree=$(wc -l < "$tmp/doc.tree")
 printf '%-14s %8d %8d %+7d\n' "seep exported" "$sym_ref" "$sym_tree" $((sym_tree - sym_ref))
+# Options are the part of that surface a user sets: the With* functions.
+with_ref=$(grep -cE '^[[:space:]]*func With' "$tmp/doc.ref" || true)
+with_tree=$(grep -cE '^[[:space:]]*func With' "$tmp/doc.tree" || true)
+printf '%-14s %8d %8d %+7d\n' "With*" "$with_ref" "$with_tree" $((with_tree - with_ref))
