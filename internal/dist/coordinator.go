@@ -30,7 +30,7 @@ type Config struct {
 
 	// Engine is the engine configuration every worker runs, forwarded
 	// whole with the assignment; Hosted and Backup are each worker's own
-	// wiring and stay nil here. An enabled Delta policy makes workers ship
+	// wiring and stay nil here. With Incremental set, workers ship
 	// incremental checkpoints between full snapshots, which the
 	// coordinator folds into its authoritative store.
 	Engine engine.Config
@@ -210,7 +210,6 @@ type Coordinator struct {
 }
 
 type workerRef struct {
-	addr  string
 	peer  *transport.Peer
 	alive bool
 }
@@ -675,7 +674,7 @@ func (c *Coordinator) startDeploy(q *plan.Query, addrs []string, done chan error
 			done <- fmt.Errorf("dist: worker %s: %w", addr, err)
 			return
 		}
-		c.workers[addr] = &workerRef{addr: addr, peer: peer, alive: true}
+		c.workers[addr] = &workerRef{peer: peer, alive: true}
 		c.order = append(c.order, addr)
 	}
 	// Deterministic placement: operators in declaration order round-robin

@@ -137,10 +137,10 @@ func (c *Coordinator) startRecover(rep *controlplane.Replayed, q *plan.Query, be
 		if err != nil {
 			// The worker died while the coordinator was down; reconcile
 			// hands its journaled instances to the recovery path.
-			c.workers[addr] = &workerRef{addr: addr}
+			c.workers[addr] = &workerRef{}
 			continue
 		}
-		c.workers[addr] = &workerRef{addr: addr, peer: peer, alive: true}
+		c.workers[addr] = &workerRef{peer: peer, alive: true}
 	}
 	c.beginReattach(rep, began, done)
 }
@@ -198,7 +198,7 @@ func (c *Coordinator) onReattach(ctl *Control) {
 	if ref == nil {
 		c.order = append(c.order, ctl.From)
 	}
-	c.workers[ctl.From] = &workerRef{addr: ctl.From, peer: peer, alive: true}
+	c.workers[ctl.From] = &workerRef{peer: peer, alive: true}
 	c.sendTo(ctl.From, &Control{
 		Kind:         MsgResume,
 		Seq:          0,

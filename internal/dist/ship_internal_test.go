@@ -227,7 +227,7 @@ func newShipHarness(t *testing.T) *shipHarness {
 	h.c = &Coordinator{
 		codec:     codec,
 		mgr:       mgr,
-		workers:   map[string]*workerRef{l.Addr(): {addr: l.Addr(), peer: peer, alive: true}},
+		workers:   map[string]*workerRef{l.Addr(): {peer: peer, alive: true}},
 		placement: map[plan.InstanceID]string{h.srcs[0]: l.Addr(), h.srcs[1]: l.Addr()},
 	}
 	return h

@@ -278,8 +278,10 @@ func (w *Worker) onControl(body []byte) {
 		if eng := w.Engine(); eng != nil {
 			// Checkpoint synchronously ships through the sink: off the
 			// connection loop. Barriers always force a FULL checkpoint:
-			// the coordinator's transitions wait for a ship to plan
-			// against, and a delta answered here would leave them waiting.
+			// the store entry a barrier refreshes — one reloaded after a
+			// coordinator failover, or a merge product's plan-time entry —
+			// need not hold this worker's last sequence, so a delta could
+			// be dropped for lack of its base.
 			go func() {
 				for _, inst := range c.Victims {
 					_ = eng.CheckpointFull(inst)

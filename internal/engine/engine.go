@@ -185,8 +185,7 @@ type ctrlMsg struct {
 // node's own mutex, which serialises it against buffer repartitioning
 // during a replacement.
 type routeTable struct {
-	epoch uint64
-	hops  []state.Hop
+	hops []state.Hop
 	// nodes[h][i] is the local node of hops[h].Targets[i], nil where the
 	// instance is hosted by another process.
 	nodes [][]*node
@@ -476,7 +475,7 @@ func (e *Engine) rebuildTopology() {
 func (e *Engine) buildRoutes(n *node) *routeTable {
 	hops := n.Hops(e.mgr.Query(), n.inst.Op, e.cfg.CheckpointInterval > 0,
 		func(op plan.OpID) *state.Routing { return e.routings[op] })
-	rt := &routeTable{epoch: e.epoch, hops: hops, nodes: make([][]*node, len(hops)), remote: e.remote}
+	rt := &routeTable{hops: hops, nodes: make([][]*node, len(hops)), remote: e.remote}
 	for i, h := range hops {
 		rt.nodes[i] = make([]*node, len(h.Targets))
 		for j, t := range h.Targets {

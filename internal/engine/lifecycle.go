@@ -317,9 +317,10 @@ func (e *Engine) Checkpoint(inst plan.InstanceID) error {
 
 // CheckpointFull forces an immediate full (non-incremental) checkpoint
 // of one instance, incremental checkpoints or not. The coordinator's
-// scale-out barriers use it: a transition waits for a full checkpoint
-// ship to plan against, so a barrier answered with a delta would stall
-// the stage.
+// barriers use it: the store entry a barrier refreshes — one reloaded
+// after a coordinator failover, or a merge product's plan-time entry —
+// need not hold the instance's last sequence, so a delta could be
+// dropped for lack of its base.
 func (e *Engine) CheckpointFull(inst plan.InstanceID) error {
 	e.mu.RLock()
 	n := e.nodes[inst]

@@ -38,8 +38,8 @@ type OpConfig struct {
 	Initial int
 	// Max caps scale out (0 = unbounded).
 	Max int
-	// StateBytesPerTupleRate approximates operator state growth; only
-	// used to scale the restore delay of stateful operators.
+	// Stateful delays a new instance's activation by
+	// Config.RestoreDelayStatefulMillis, for its state's restore.
 	Stateful bool
 }
 
@@ -140,9 +140,6 @@ func (c Config) withDefaults() Config {
 type instance struct {
 	id      plan.InstanceID
 	backlog float64 // queued tuples
-	// replayPenalty is extra backlog added at activation (checkpoint
-	// replay), separated for observability.
-	util float64
 	// activatedAt allows a grace period before reporting utilisation.
 	activatedAt int64
 }
@@ -377,7 +374,6 @@ func (r *Runner) tick() {
 					u = 1 + ins.backlog/(serviceRate*10)
 				}
 			}
-			ins.util = u
 			r.utilAccum[ins.id] += u
 			// Queue wait for a tuple arriving now: transient backlog plus
 			// the steady-state queueing delay ρ/(1-ρ) scheduling quanta,

@@ -58,9 +58,6 @@ type OpSpec struct {
 	// cost units; the simulator divides by VM capacity to obtain service
 	// time. Zero means negligible.
 	CostPerTuple float64
-	// StateBytesPerKey estimates the processing-state footprint per
-	// distinct key, used by the simulator to model checkpoint cost.
-	StateBytesPerKey int
 	// MaxParallelism caps scale out (0 = unlimited). Sources and sinks
 	// are pinned to their declared parallelism.
 	MaxParallelism int

@@ -103,9 +103,6 @@ func buildTopology(s *Scenario) (*seep.Topology, error) {
 		if op.Cost > 0 {
 			opts = append(opts, seep.Cost(op.Cost))
 		}
-		if op.StateBytesPerKey > 0 {
-			opts = append(opts, seep.StateBytesPerKey(op.StateBytesPerKey))
-		}
 		switch op.Kind {
 		case "source":
 			t.Source(op.ID, opts...)

@@ -77,11 +77,10 @@ type OpSpec struct {
 	ID   string
 	Kind string // factory name: source, sink, word-splitter, ...
 
-	WindowMillis     int64 // word-counter, keyed-sum
-	Parallelism      int
-	MaxParallelism   int
-	Cost             float64
-	StateBytesPerKey int
+	WindowMillis   int64 // word-counter, keyed-sum
+	Parallelism    int
+	MaxParallelism int
+	Cost           float64
 }
 
 // Options maps onto the seep.With* option set (substrate-aware: the
@@ -305,13 +304,12 @@ func Parse(src string) (*Scenario, error) {
 		for i, v := range topo.list("ops") {
 			om := d.mapAt(v, fmt.Sprintf("topology.ops[%d]", i))
 			op := OpSpec{
-				ID:               om.str("id"),
-				Kind:             om.str("kind"),
-				WindowMillis:     om.int("window-millis"),
-				Parallelism:      int(om.int("parallelism")),
-				MaxParallelism:   int(om.int("max-parallelism")),
-				Cost:             om.float("cost"),
-				StateBytesPerKey: int(om.int("state-bytes-per-key")),
+				ID:             om.str("id"),
+				Kind:           om.str("kind"),
+				WindowMillis:   om.int("window-millis"),
+				Parallelism:    int(om.int("parallelism")),
+				MaxParallelism: int(om.int("max-parallelism")),
+				Cost:           om.float("cost"),
 			}
 			om.done()
 			s.Ops = append(s.Ops, op)

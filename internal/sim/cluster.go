@@ -658,8 +658,8 @@ func (c *Cluster) exec(sq *core.Sequencer, actions []core.Action) {
 				c.recoveryFailures = append(c.recoveryFailures, a.Err.Error())
 			}
 			for _, inst := range stranded {
-				// A scale-out victim keeps running (see retire): it is
-				// stranded in name only.
+				// A victim retired without checkpoints keeps running
+				// (see retire): it is stranded in name only.
 				if n := c.nodes[inst]; n == nil || n.removed {
 					_ = c.begin(core.Fallback, []plan.InstanceID{inst}, c.cfg.RecoveryParallelism, c.sim.Now())
 				}
@@ -668,16 +668,16 @@ func (c *Cluster) exec(sq *core.Sequencer, actions []core.Action) {
 	}
 }
 
-// retire is the Retire action. A merge victim stops first: deliveries
-// from here on drop at it and stay retained upstream, and its capture,
-// taken at this event, is final. A scale-out victim is captured but
-// keeps processing until the switch-over — the paper's §4.3 staging, the
-// one step where the simulator departs from the live runtimes, which
-// stop every victim first; with it the simulator reproduces Figs 11–13.
-// The plan chains on the backups landing: serialisation cost is
-// load-dependent, so a fixed delay could plan against a stale checkpoint
-// whose gap the (since-trimmed) upstream buffers no longer cover.
-// Without checkpoints the plan follows one network round trip.
+// retire is the Retire action. A victim of a merge, or of a scale-out
+// under FTRSM, stops first, as on every substrate: deliveries from here
+// on drop at it and stay retained upstream, and its capture, taken at
+// this event, is final. The plan chains on the backups landing:
+// serialisation cost is load-dependent, so a fixed delay could plan
+// against a stale checkpoint whose gap the (since-trimmed) upstream
+// buffers no longer cover. Without checkpoints there is no capture to
+// plan from, so a scale-out victim keeps running, lest a refused
+// scale-out lose its state, and the plan follows one network round
+// trip.
 func (c *Cluster) retire(sq *core.Sequencer, victims []plan.InstanceID) {
 	pending := len(victims)
 	report := func() {
@@ -686,13 +686,10 @@ func (c *Cluster) retire(sq *core.Sequencer, victims []plan.InstanceID) {
 		}
 	}
 	for _, v := range victims {
-		switch n := c.nodes[v]; {
-		case sq.Kind() == core.ScaleIn:
+		if n := c.nodes[v]; sq.Kind() == core.ScaleIn || c.cfg.Mode == FTRSM {
 			n.removed = true
 			c.checkpointNodeThen(n, report)
-		case c.cfg.Mode == FTRSM:
-			c.checkpointNodeThen(n, report)
-		default:
+		} else {
 			c.sim.After(c.cfg.NetDelayMillis+1, report)
 		}
 	}

@@ -30,14 +30,16 @@ type appender[T any] interface {
 // bytes long, which lets a capture size its body exactly.
 type fixedWidth interface{ width() int }
 
-// appendValue appends v's encoding to dst through fast when the codec
-// has one (nil otherwise), else through Encode.
-func appendValue[T any](c Codec[T], fast appender[T], dst []byte, v T) ([]byte, error) {
-	if fast != nil {
-		return fast.appendTo(dst, v), nil
+// encoder returns c's append encoder: its appender fast path when it
+// has one, else Encode and an append.
+func encoder[T any](c Codec[T]) func(dst []byte, v T) ([]byte, error) {
+	if fast, ok := c.(appender[T]); ok {
+		return func(dst []byte, v T) ([]byte, error) { return fast.appendTo(dst, v), nil }
 	}
-	b, err := c.Encode(v)
-	return append(dst, b...), err
+	return func(dst []byte, v T) ([]byte, error) {
+		b, err := c.Encode(v)
+		return append(dst, b...), err
+	}
 }
 
 // GobCodec serialises values with encoding/gob — the default codec for

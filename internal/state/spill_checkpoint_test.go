@@ -1,6 +1,7 @@
 package state
 
 import (
+	"os"
 	"sync"
 	"testing"
 
@@ -355,5 +356,79 @@ func TestSpillStoreDeltaMaterialisesDirtyKeys(t *testing.T) {
 	}
 	if got, ok := rm.Get(stream.Key(n+5), "f"); !ok || got != int64(n+5) {
 		t.Fatalf("restored counts[%d] = %d, %v; want %d, true", n+5, got, ok, n+5)
+	}
+}
+
+// chunkFiles returns how many chunk files dir holds.
+func chunkFiles(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ents)
+}
+
+func TestSpillStorePointGetLoadsOneChunk(t *testing.T) {
+	const n = 20000
+	s, m, v := spillStore(t, n, 8<<10)
+	sp := s.spill.Load()
+	before := s.SpillStats()
+	files := chunkFiles(t, sp.dir)
+	if files < 2 || before.Loads != 0 {
+		t.Fatalf("want several chunks on disk and none loaded: %d files, %+v", files, before)
+	}
+	var k stream.Key
+	for k = range sp.spilled.all {
+		if k%2 == 0 { // a key both cells hold
+			break
+		}
+	}
+	verifyKeys(t, m, v, int(k), int(k)+1)
+
+	after := s.SpillStats()
+	if after.Loads == 0 || after.Loads >= after.SpilledTotal || after.Loads > spillChunkKeys {
+		t.Errorf("one Get loaded %d of %d spilled keys; want one chunk's, at most %d", after.Loads, after.SpilledTotal, spillChunkKeys)
+	}
+	if got := chunkFiles(t, sp.dir); got != files-1 {
+		t.Errorf("chunk files %d → %d; want one removed", files, got)
+	}
+	if after.SpilledKeys != before.SpilledKeys-after.Loads {
+		t.Errorf("spilled keys %d → %d after loading %d", before.SpilledKeys, after.SpilledKeys, after.Loads)
+	}
+}
+
+func TestSpillStoreCloseRemovesFiles(t *testing.T) {
+	const n = 5000
+	for _, own := range []bool{true, false} {
+		s := NewStore()
+		v := NewValue[int64](s, "totals", Int64Codec{})
+		dir := ""
+		if !own {
+			dir = t.TempDir()
+		}
+		if err := s.EnableSpill(dir, 8<<10); err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			v.Set(stream.Key(i), int64(i))
+		}
+		dir = s.spill.Load().dir
+		if chunkFiles(t, dir) == 0 {
+			t.Fatalf("own=%v: nothing spilled", own)
+		}
+		if err := s.CloseSpill(); err != nil {
+			t.Fatal(err)
+		}
+		if own {
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("the store's own spill dir survives CloseSpill: %v", err)
+			}
+		} else if got := chunkFiles(t, dir); got != 0 {
+			t.Errorf("%d chunk files survive CloseSpill", got)
+		}
+		if v.Len() != n {
+			t.Errorf("own=%v: %d keys after CloseSpill, want %d", own, v.Len(), n)
+		}
 	}
 }

@@ -1,24 +1,28 @@
 package state
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 
 	"seep/internal/stream"
 )
 
-// Out-of-core managed state: wiring the §3.3 spill operation into the
+// Out-of-core managed state: the spill operation of §3.3 ("a spill
+// operation can temporarily store state on disk"), wired into the
 // Store. When a memory ceiling is armed (EnableSpill), the store tracks
 // an approximate resident footprint and, on crossing the ceiling, moves
 // cold key ranges — resident keys not accessed since the previous spill
-// pass — to disk through the Spiller, in chunks so a later point access
-// materialises one small range rather than everything. Spilled keys are
-// transparent: any cell access to a spilled key loads its chunk back
-// first, full-state operations (snapshot, checkpoint, restore, drains,
-// iteration) materialise everything, and delta extraction materialises
-// exactly the dirty keys it encodes. The disarmed cost on every cell
-// access is one atomic pointer load.
+// pass — to disk, in chunk files of one sorted run each, so a later
+// point access materialises one small range rather than everything.
+// Spilled keys are transparent: any cell access to a spilled key loads
+// its chunk back first, full-state operations (snapshot, checkpoint,
+// restore, drains, iteration) materialise everything, and delta
+// extraction materialises exactly the dirty keys it encodes. The
+// disarmed cost on every cell access is one atomic pointer load.
 //
 // Failure semantics: a failed spill write leaves the keys resident (the
 // pass is abandoned, nothing is lost); a failed materialise read records
@@ -66,9 +70,13 @@ func (s *SpillStats) Add(o SpillStats) {
 // storeSpill is the armed spill state, reachable from the store through
 // one atomic pointer. All fields are guarded by the store lock.
 type storeSpill struct {
-	sp     *Spiller
+	// dir holds the chunk files; the store created it when ownDir.
 	dir    string
 	ownDir bool
+	// chunks maps each chunk file's name to the key range it holds;
+	// next numbers the next file.
+	chunks map[string]KeyRange
+	next   int
 	limit  int64
 	// est is the approximate in-memory bytes per resident key, refined
 	// from the encoded sizes each pass observes.
@@ -97,34 +105,25 @@ func (s *Store) EnableSpill(dir string, limitBytes int64) error {
 	if limitBytes <= 0 {
 		return fmt.Errorf("state: EnableSpill requires a positive byte limit, got %d", limitBytes)
 	}
-	ownDir := false
-	if dir == "" {
-		d, err := os.MkdirTemp("", "seep-spill-")
-		if err != nil {
-			return fmt.Errorf("state: create spill dir: %w", err)
-		}
-		dir, ownDir = d, true
-	}
-	sp, err := NewSpiller(dir)
-	if err != nil {
-		if ownDir {
-			os.RemoveAll(dir)
-		}
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.spill.Load() != nil {
-		sp.Close()
-		if ownDir {
-			os.RemoveAll(dir)
-		}
-		return fmt.Errorf("state: spill already enabled")
+		return errors.New("state: spill already enabled")
+	}
+	ownDir := dir == ""
+	var err error
+	if ownDir {
+		dir, err = os.MkdirTemp("", "seep-spill-")
+	} else {
+		err = os.MkdirAll(dir, 0o755)
+	}
+	if err != nil {
+		return fmt.Errorf("state: create spill dir: %w", err)
 	}
 	s.spill.Store(&storeSpill{
-		sp:     sp,
 		dir:    dir,
 		ownDir: ownDir,
+		chunks: make(map[string]KeyRange),
 		limit:  limitBytes,
 		est:    spillOverhead * spillEstFloor,
 	})
@@ -143,13 +142,9 @@ func (s *Store) CloseSpill() error {
 	}
 	err := sp.loadAllLocked(s)
 	s.spill.Store(nil)
-	if cerr := sp.sp.Close(); err == nil {
-		err = cerr
-	}
+	err = cmp.Or(err, sp.removeChunksLocked())
 	if sp.ownDir {
-		if rerr := os.RemoveAll(sp.dir); err == nil {
-			err = rerr
-		}
+		err = cmp.Or(err, os.RemoveAll(sp.dir))
 	}
 	return err
 }
@@ -254,23 +249,73 @@ func (sp *storeSpill) loadAllLocked(s *Store) error {
 	return sp.loadLocked(s, FullRange)
 }
 
-// loadLocked reads the chunks overlapping r back and installs their
-// records in the cells. Whatever was read is installed even when a later
-// chunk fails; the first error is recorded and returned.
+// loadLocked reads the chunks overlapping r back, installs their
+// records in the cells and removes their files. A chunk that cannot be
+// read or decoded stops the load; what was read before it stays
+// installed. The first error is recorded and returned.
 func (sp *storeSpill) loadLocked(s *Store, r KeyRange) error {
-	runs, err := sp.sp.Materialize(r)
-	for _, run := range runs {
+	var err error
+	for name, cr := range sp.chunks {
+		if cr.Lo > r.Hi || cr.Hi < r.Lo {
+			continue // no overlap
+		}
+		run, rerr := sp.readLocked(name)
+		if rerr != nil {
+			err = cmp.Or(err, rerr)
+			break
+		}
+		delete(sp.chunks, name)
 		for k := range run.Keys() {
 			sp.spilled.del(k)
 		}
-		if ierr := s.installLocked(run); ierr != nil && err == nil {
-			err = ierr
-		}
+		err = cmp.Or(err, s.installLocked(run))
 		sp.loadedTotal += uint64(run.Len())
+		if rerr := os.Remove(filepath.Join(sp.dir, name)); rerr != nil {
+			err = cmp.Or(err, fmt.Errorf("state: remove spill file: %w", rerr))
+		}
 	}
 	if err != nil {
 		sp.lastErr = err
 	}
+	return err
+}
+
+// writeLocked writes run to a new chunk file — the run as a processing
+// section carries it: its cell table, its entry count, then its records
+// as they are — indexed under r, the key range a load finds it by.
+func (sp *storeSpill) writeLocked(run Run, r KeyRange) error {
+	e := stream.NewEncoder(run.Size())
+	run.encode(e)
+	sp.next++
+	name := fmt.Sprintf("spill-%06d.bin", sp.next)
+	if err := os.WriteFile(filepath.Join(sp.dir, name), e.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("state: write spill file: %w", err)
+	}
+	sp.chunks[name] = r
+	return nil
+}
+
+// readLocked reads and decodes chunk file name.
+func (sp *storeSpill) readLocked(name string) (Run, error) {
+	b, err := os.ReadFile(filepath.Join(sp.dir, name))
+	if err != nil {
+		return Run{}, fmt.Errorf("state: read spill file: %w", err)
+	}
+	run, err := decodeRun(stream.NewDecoder(b))
+	if err != nil {
+		return Run{}, fmt.Errorf("state: corrupt spill file %s: %w", name, err)
+	}
+	return run, nil
+}
+
+// removeChunksLocked removes every chunk file, returning the first
+// error.
+func (sp *storeSpill) removeChunksLocked() error {
+	var err error
+	for name := range sp.chunks {
+		err = cmp.Or(err, os.Remove(filepath.Join(sp.dir, name)))
+	}
+	clear(sp.chunks)
 	return err
 }
 
@@ -313,7 +358,7 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 			r := KeyRange{Lo: chunk[0], Hi: chunk[len(chunk)-1]}
 			run, _, err := s.captureKeysLocked(chunk)
 			if err == nil {
-				err = sp.sp.Spill(run, r)
+				err = sp.writeLocked(run, r)
 			}
 			if err != nil {
 				// Failed encode or write: abandon the pass, keys stay
@@ -353,7 +398,7 @@ func (sp *storeSpill) passLocked(s *Store, resident int64) {
 // Restore replaces the whole store contents, so spilled fragments of
 // the old state must not resurrect.
 func (sp *storeSpill) discardLocked() {
-	sp.sp.Close()
+	sp.removeChunksLocked()
 	sp.spilled = keyTable[struct{}]{}
 	sp.recent = keyTable[struct{}]{}
 	sp.sinceCheck = 0

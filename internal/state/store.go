@@ -422,16 +422,109 @@ func (s *Store) Keys() []stream.Key {
 
 // --- typed cells ---
 
-// Value is a keyed state cell holding one T per tuple key — the managed
-// replacement for an operator's map[Key]V plus mutex plus codec.
-type Value[T any] struct {
+// cell is one registered state cell: a V per tuple key in one key
+// table, and the value's encoding. It is the one storeCell; Value and
+// Map are cells that add their accessors.
+type cell[V any] struct {
 	s     *Store
 	nm    string
-	codec Codec[T]
-	fast  appender[T] // codec's append fast path, nil when it has none
-	fixed int         // the codec's value width, -1 when not fixed
-	data  keyTable[T]
+	data  keyTable[V]
+	fixed int // every encoded value's width, -1 when not fixed
+	// enc appends a value's encoding to dst; dec decodes one.
+	enc func(dst []byte, v V) ([]byte, error)
+	dec func(b []byte) (V, error)
 }
+
+// Len returns the number of keys held.
+func (c *cell[V]) Len() int {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	c.s.materializeAllLocked()
+	return c.data.size()
+}
+
+// Delete removes the value under k.
+func (c *cell[V]) Delete(k stream.Key) {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	c.s.residentLocked(k)
+	if c.data.del(k) {
+		c.s.touchLocked(k)
+	}
+}
+
+// Drain atomically removes and returns the whole cell contents — the
+// tumbling-window flush primitive.
+func (c *cell[V]) Drain() map[stream.Key]V {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	c.s.materializeAllLocked()
+	old := c.data
+	c.data = keyTable[V]{}
+	out := make(map[stream.Key]V, old.size())
+	for k, p := range old.all {
+		out[k] = *p
+		c.s.touchLocked(k)
+	}
+	return out
+}
+
+func (c *cell[V]) cellName() string { return c.nm }
+
+func (c *cell[V]) width() int { return c.fixed }
+
+// lookupLocked is the fragSource of a capture of given keys: it looks
+// each one up.
+func (c *cell[V]) lookupLocked() fragSource {
+	return func(dst []byte, k stream.Key) ([]byte, bool, error) {
+		p := c.data.get(k)
+		if p == nil {
+			return dst, false, nil
+		}
+		dst, err := c.enc(dst, *p)
+		return dst, true, err
+	}
+}
+
+// sortedLocked returns the table's keys, sorted, and the fragSource of
+// a full capture over the sorted entries. A capture asks for keys in
+// ascending order, so only the next entry can match, and no key is
+// looked up.
+func (c *cell[V]) sortedLocked() ([]stream.Key, fragSource) {
+	es, keys := c.data.sorted()
+	i := 0
+	return keys, func(dst []byte, k stream.Key) ([]byte, bool, error) {
+		if i == len(es) || es[i].k != k {
+			return dst, false, nil
+		}
+		i++
+		dst, err := c.enc(dst, es[i-1].v)
+		return dst, true, err
+	}
+}
+
+func (c *cell[V]) decodeLocked(k stream.Key, b []byte) error {
+	v, err := c.dec(b)
+	if err != nil {
+		return err
+	}
+	c.data.set(k, v)
+	return nil
+}
+
+func (c *cell[V]) reserveLocked(n int) { c.data.reserve(n) }
+
+func (c *cell[V]) resetLocked() { c.data = keyTable[V]{} }
+
+func (c *cell[V]) lenLocked() int { return c.data.size() }
+
+func (c *cell[V]) deleteKeyLocked(k stream.Key) { c.data.del(k) }
+
+func (c *cell[V]) compactLocked() { c.data.compact() }
+
+// Value is a keyed state cell holding one T per tuple key — the managed
+// replacement for an operator's map[Key]V plus mutex plus codec.
+type Value[T any] struct{ cell[T] }
 
 // NewValue registers a Value cell with the store. A nil codec defaults
 // to gob. Cell names identify fragments in snapshots and must be unique
@@ -440,12 +533,11 @@ func NewValue[T any](s *Store, name string, codec Codec[T]) *Value[T] {
 	if codec == nil {
 		codec = GobCodec[T]{}
 	}
-	v := &Value[T]{s: s, nm: name, codec: codec, fixed: -1}
-	v.fast, _ = codec.(appender[T])
+	v := &Value[T]{cell[T]{s: s, nm: name, fixed: -1, enc: encoder(codec), dec: codec.Decode}}
 	if f, ok := codec.(fixedWidth); ok {
 		v.fixed = f.width()
 	}
-	s.register(v)
+	s.register(&v.cell)
 	return v
 }
 
@@ -510,24 +602,6 @@ func (v *Value[T]) Transform(k stream.Key, f func(T) (nv T, keep bool)) {
 	v.s.touchLocked(k)
 }
 
-// Delete removes the value under k.
-func (v *Value[T]) Delete(k stream.Key) {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	v.s.residentLocked(k)
-	if v.data.del(k) {
-		v.s.touchLocked(k)
-	}
-}
-
-// Len returns the number of keys held.
-func (v *Value[T]) Len() int {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	v.s.materializeAllLocked()
-	return v.data.size()
-}
-
 // Keys returns the held keys, ascending.
 func (v *Value[T]) Keys() []stream.Key {
 	v.s.mu.Lock()
@@ -549,65 +623,14 @@ func (v *Value[T]) ForEach(f func(k stream.Key, val T)) {
 	}
 }
 
-// Drain atomically removes and returns the whole cell contents — the
-// tumbling-window flush primitive.
-func (v *Value[T]) Drain() map[stream.Key]T {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	v.s.materializeAllLocked()
-	old := v.data
-	v.data = keyTable[T]{}
-	out := make(map[stream.Key]T, old.size())
-	for k, p := range old.all {
-		out[k] = *p
-		v.s.touchLocked(k)
-	}
-	return out
-}
-
-func (v *Value[T]) cellName() string { return v.nm }
-
-func (v *Value[T]) width() int { return v.fixed }
-
-func (v *Value[T]) lookupLocked() fragSource { return lookup(&v.data, v.appendFrag) }
-
-func (v *Value[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(&v.data, v.appendFrag) }
-
-// appendFrag appends val's encoding.
-func (v *Value[T]) appendFrag(dst []byte, val T) ([]byte, bool, error) {
-	dst, err := appendValue(v.codec, v.fast, dst, val)
-	return dst, true, err
-}
-
-func (v *Value[T]) decodeLocked(k stream.Key, b []byte) error {
-	val, err := v.codec.Decode(b)
-	if err != nil {
-		return err
-	}
-	v.data.set(k, val)
-	return nil
-}
-
-func (v *Value[T]) reserveLocked(n int) { v.data.reserve(n) }
-
-func (v *Value[T]) resetLocked() { v.data = keyTable[T]{} }
-
-func (v *Value[T]) lenLocked() int { return v.data.size() }
-
-func (v *Value[T]) deleteKeyLocked(k stream.Key) { v.data.del(k) }
-
-func (v *Value[T]) compactLocked() { v.data.compact() }
-
 // Map is a keyed state cell holding a string-indexed map of T per tuple
 // key — the managed replacement for the map[Key]map[string]V dictionaries
 // of counting operators.
 type Map[T any] struct {
-	s     *Store
-	nm    string
-	codec Codec[T]
-	fast  appender[T] // codec's append fast path, nil when it has none
-	data  keyTable[map[string]T]
-	// fields is appendFrag's scratch for one key's sorted field names.
+	cell[map[string]T]
+	codec    Codec[T]
+	encField func(dst []byte, v T) ([]byte, error) // codec's append encoder
+	// fields is encodeFields' scratch for one key's sorted field names.
 	fields []string
 }
 
@@ -617,9 +640,9 @@ func NewMap[T any](s *Store, name string, codec Codec[T]) *Map[T] {
 	if codec == nil {
 		codec = GobCodec[T]{}
 	}
-	m := &Map[T]{s: s, nm: name, codec: codec}
-	m.fast, _ = codec.(appender[T])
-	s.register(m)
+	m := &Map[T]{codec: codec, encField: encoder(codec)}
+	m.cell = cell[map[string]T]{s: s, nm: name, fixed: -1, enc: m.encodeFields, dec: m.decodeFields}
+	s.register(&m.cell)
 	return m
 }
 
@@ -659,16 +682,6 @@ func (m *Map[T]) Update(k stream.Key, field string, f func(T) T) T {
 	return nv
 }
 
-// Delete removes every field under k.
-func (m *Map[T]) Delete(k stream.Key) {
-	m.s.mu.Lock()
-	defer m.s.mu.Unlock()
-	m.s.residentLocked(k)
-	if m.data.del(k) {
-		m.s.touchLocked(k)
-	}
-}
-
 // innerLocked returns k's field map, inserting an empty one when k is
 // absent.
 func (m *Map[T]) innerLocked(k stream.Key) map[string]T {
@@ -677,14 +690,6 @@ func (m *Map[T]) innerLocked(k stream.Key) map[string]T {
 		*p = make(map[string]T)
 	}
 	return *p
-}
-
-// Len returns the number of keys held.
-func (m *Map[T]) Len() int {
-	m.s.mu.Lock()
-	defer m.s.mu.Unlock()
-	m.s.materializeAllLocked()
-	return m.data.size()
 }
 
 // FieldCount returns the total number of (key, field) entries.
@@ -719,33 +724,10 @@ func (m *Map[T]) ForEach(f func(k stream.Key, field string, val T)) {
 	}
 }
 
-// Drain atomically removes and returns the whole cell contents — the
-// tumbling-window flush primitive.
-func (m *Map[T]) Drain() map[stream.Key]map[string]T {
-	m.s.mu.Lock()
-	defer m.s.mu.Unlock()
-	m.s.materializeAllLocked()
-	old := m.data
-	m.data = keyTable[map[string]T]{}
-	out := make(map[stream.Key]map[string]T, old.size())
-	for k, inner := range old.all {
-		out[k] = *inner
-		m.s.touchLocked(k)
-	}
-	return out
-}
-
-func (m *Map[T]) cellName() string { return m.nm }
-
-func (m *Map[T]) width() int { return -1 }
-
-func (m *Map[T]) lookupLocked() fragSource { return lookup(&m.data, m.appendFrag) }
-
-func (m *Map[T]) sortedLocked() ([]stream.Key, fragSource) { return inOrder(&m.data, m.appendFrag) }
-
-// appendFrag appends inner's encoding: the field count, then each field
-// in sorted order, its name and its value each behind a 32-bit length.
-func (m *Map[T]) appendFrag(dst []byte, inner map[string]T) ([]byte, bool, error) {
+// encodeFields appends inner's encoding: the field count, then each
+// field in sorted order, its name and its value each behind a 32-bit
+// length.
+func (m *Map[T]) encodeFields(dst []byte, inner map[string]T) ([]byte, error) {
 	fields := m.fields[:0]
 	for field := range inner {
 		fields = append(fields, field)
@@ -757,15 +739,16 @@ func (m *Map[T]) appendFrag(dst []byte, inner map[string]T) ([]byte, bool, error
 		var fmark int
 		var err error
 		dst, fmark = beginFrag(dst, field)
-		if dst, err = appendValue(m.codec, m.fast, dst, inner[field]); err != nil {
-			return dst, false, err
+		if dst, err = m.encField(dst, inner[field]); err != nil {
+			return dst, err
 		}
 		endFrag(dst, fmark)
 	}
-	return dst, true, nil
+	return dst, nil
 }
 
-func (m *Map[T]) decodeLocked(k stream.Key, b []byte) error {
+// decodeFields decodes what encodeFields appends.
+func (m *Map[T]) decodeFields(b []byte) (map[string]T, error) {
 	d := stream.NewDecoder(b)
 	n := int(d.Uint32())
 	inner := make(map[string]T, n)
@@ -773,52 +756,13 @@ func (m *Map[T]) decodeLocked(k stream.Key, b []byte) error {
 		field := d.String32()
 		frag := d.Bytes32()
 		if err := d.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		val, err := m.codec.Decode(frag)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		inner[field] = val
 	}
-	m.data.set(k, inner)
-	return nil
-}
-
-func (m *Map[T]) reserveLocked(n int) { m.data.reserve(n) }
-
-func (m *Map[T]) resetLocked() { m.data = keyTable[map[string]T]{} }
-
-func (m *Map[T]) lenLocked() int { return m.data.size() }
-
-func (m *Map[T]) deleteKeyLocked(k stream.Key) { m.data.del(k) }
-
-func (m *Map[T]) compactLocked() { m.data.compact() }
-
-// lookup is a cell's fragSource over data for a capture of given keys:
-// frag appends the fragment of the value it looks up.
-func lookup[V any](data *keyTable[V], frag func([]byte, V) ([]byte, bool, error)) fragSource {
-	return func(dst []byte, k stream.Key) ([]byte, bool, error) {
-		v := data.get(k)
-		if v == nil {
-			return dst, false, nil
-		}
-		return frag(dst, *v)
-	}
-}
-
-// inOrder is a cell's sortedLocked over data: data's keys, sorted, and
-// the fragSource of a full capture over the sorted entries. A capture
-// asks for keys in ascending order, so only the next entry can match,
-// and no key is looked up.
-func inOrder[V any](data *keyTable[V], frag func([]byte, V) ([]byte, bool, error)) ([]stream.Key, fragSource) {
-	es, keys := data.sorted()
-	i := 0
-	return keys, func(dst []byte, k stream.Key) ([]byte, bool, error) {
-		if i == len(es) || es[i].k != k {
-			return dst, false, nil
-		}
-		i++
-		return frag(dst, es[i-1].v)
-	}
+	return inner, nil
 }

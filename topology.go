@@ -80,12 +80,6 @@ func Parallelism(n int) OpOption {
 	return func(s *plan.OpSpec) { s.InitialParallelism = n }
 }
 
-// StateBytesPerKey estimates the processing-state footprint per distinct
-// key, used by the simulated runtime to model checkpoint cost.
-func StateBytesPerKey(n int) OpOption {
-	return func(s *plan.OpSpec) { s.StateBytesPerKey = n }
-}
-
 // Source declares a tuple-injecting operator. Sources are assumed
 // reliable and host no user code; tuples are supplied through
 // Job.AddSource or Job.InjectBatch.
