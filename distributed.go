@@ -155,7 +155,7 @@ func (j *distJob) killWorkers() {
 
 // KillCoordinator crash-stops the coordinator — kill -9, no goodbye:
 // workers keep streaming worker-to-worker, go orphan on heartbeat loss
-// and buffer their checkpoint ships until a coordinator resumes them.
+// and refuse their checkpoint ships until a coordinator resumes them.
 func (j *distJob) KillCoordinator() error {
 	if j.coordCfg.ControlPlaneDir == "" {
 		return fmt.Errorf("seep: KillCoordinator requires WithControlPlaneDir (without a journal the coordinator cannot be restarted)")
@@ -424,7 +424,6 @@ func (j *distJob) MetricsSnapshot() Metrics {
 		m.DuplicatesDropped += s.DupDropped
 		m.Transport = m.Transport.Add(s.Transport)
 		m.Backpressure.Add(s.Backpressure)
-		m.OrphanCheckpointsDropped += s.OrphanDropped
 		m.CheckpointsRefused += s.CheckpointsRefused
 	}
 	if len(j.workers) == 0 {

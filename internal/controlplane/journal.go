@@ -72,7 +72,10 @@ const (
 	RecCommit
 	// RecAbort closes a transition that failed and was rolled back.
 	RecAbort
-	// RecShip records checkpoint-ship metadata (instance, seq, bytes).
+	// RecShip is checkpoint-ship metadata (instance, seq, bytes). No
+	// coordinator writes it: the durable store holds what a reborn
+	// coordinator reads of a ship, and Fold skips the record. It keeps
+	// its value, so RecSnapshot's does not move.
 	RecShip
 	// RecSnapshot is a rotation record: one self-contained State that
 	// replaces the whole journal prefix.

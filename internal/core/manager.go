@@ -16,15 +16,6 @@ import (
 // PlanRecovery may answer with the empty-state fallback.
 var ErrNoCheckpoint = errors.New("no checkpoint available")
 
-// Splitter chooses how a key interval is divided across π new partitions.
-// The default is even hash partitioning; a frequency-guided splitter can
-// be substituted (§3.2: "the key distribution can be used to guide the
-// split").
-type Splitter func(r state.KeyRange, pi int) []state.KeyRange
-
-// EvenSplitter is the default hash-partitioning splitter.
-func EvenSplitter(r state.KeyRange, pi int) []state.KeyRange { return r.SplitEven(pi) }
-
 // Trim is one per-victim trim watermark of a transition: victim Owner's
 // final checkpoint reflects everything upstream instance Up sent it
 // through TS, so Up's retained output for Owner is trimmed through TS
@@ -100,8 +91,6 @@ type Manager struct {
 	// the scale-ins among them.
 	records []Record
 	merges  uint64
-	// Split is the key-split strategy (EvenSplitter by default).
-	Split Splitter
 }
 
 // Record documents one completed transition: failure recovery, scale out
@@ -139,7 +128,6 @@ func NewManager(q *plan.Query) (*Manager, error) {
 		backups:     NewBackupStore(),
 		routing:     make(map[plan.OpID]*state.Routing),
 		legacyOwner: make(map[plan.InstanceID]plan.InstanceID),
-		Split:       EvenSplitter,
 	}
 	for _, id := range q.Ops() {
 		insts := m.graph.Instances(id)
@@ -396,14 +384,7 @@ func (m *Manager) Plan(victims []plan.InstanceID, pi int, recovery bool) (*Trans
 		}
 		cps[i] = cp
 	}
-	split := m.Split
-	if split == nil {
-		split = EvenSplitter
-	}
-	ranges := split(union, pi)
-	if len(ranges) != pi {
-		return nil, fmt.Errorf("core: splitter returned %d ranges for pi=%d", len(ranges), pi)
-	}
+	ranges := union.SplitEven(pi)
 	base := cps[0]
 	if len(cps) > 1 {
 		if base, err = state.MergeCheckpoints(plan.InstanceID{Op: op}, cps...); err != nil {

@@ -19,8 +19,10 @@ const (
 	// ScaleIn merges live sibling partitions into one (§3.3).
 	ScaleIn
 	// Fallback recovers an instance another transition stranded (a
-	// Recover action). It reports its own strands in its Done and never
-	// recovers them again.
+	// Recover action), always at π = 1: its replacement inherits the
+	// stranded identity (Inherit), and an operator a scale out left at
+	// its max parallelism is recovered, not refused. It reports its own
+	// strands in its Done and never recovers them again.
 	Fallback
 )
 
@@ -187,13 +189,15 @@ type Sequencer struct {
 }
 
 // NewSequencer prepares the transition of victims to pi replacements;
-// startedAt is the job-clock time its record starts from. A live victim
-// set is validated here (ValidateMerge for a merge), so a bad one is
-// refused before anything retires; a refused scale out unmutes its
-// victim.
+// startedAt is the job-clock time its record starts from. A Fallback
+// runs at π = 1 whatever pi is. A live victim set is validated here
+// (ValidateMerge for a merge), so a bad one is refused before anything
+// retires; a refused scale out unmutes its victim.
 func NewSequencer(m *Manager, policy Policy, kind Kind, victims []plan.InstanceID, pi int, startedAt int64) (*Sequencer, error) {
 	var err error
 	switch kind {
+	case Fallback:
+		pi = 1
 	case ScaleOut:
 		if err = m.validate(victims); err != nil {
 			policy.Unmute(victims[0])

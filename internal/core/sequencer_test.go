@@ -238,6 +238,33 @@ func TestSequencerShapes(t *testing.T) {
 	}
 }
 
+// TestSequencerFallbackAtPiOne: a Fallback recovers its stranded
+// instance at π = 1 whatever π it is handed, so the replacement inherits
+// the instance's identity instead of re-emitting under fresh ones, and
+// an operator already at its max parallelism is still recovered.
+func TestSequencerFallbackAtPiOne(t *testing.T) {
+	for _, max := range []int{0, 1} {
+		m := seqRig(t, 1)
+		m.query.Op("count").MaxParallelism = max
+		victim := inst("count", 1)
+		sq, err := NewSequencer(m, &policyLog{}, Fallback, []plan.InstanceID{victim}, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acts := sq.Start()
+		if len(acts) != 1 || acts[0].Kind != Place {
+			t.Fatalf("max parallelism %d: Start = %v, want one place", max, acts)
+		}
+		tp := acts[0].Plan
+		if len(tp.NewInstances) != 1 {
+			t.Errorf("max parallelism %d: fallback handed π = 2 placed %v, want one replacement", max, tp.NewInstances)
+		}
+		if len(tp.Inherit) != 1 || tp.Inherit[0].Old != victim {
+			t.Errorf("max parallelism %d: fallback Inherit = %v, want %s renamed", max, tp.Inherit, victim)
+		}
+	}
+}
+
 // TestSequencerRefusesBadVictims: a bad live victim set is refused
 // before anything retires, and a refused scale out unmutes its victim.
 func TestSequencerRefusesBadVictims(t *testing.T) {

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -12,70 +11,6 @@ import (
 	"seep/internal/stream"
 	"seep/internal/transport"
 )
-
-func orphanInst(part int) plan.InstanceID {
-	return plan.InstanceID{Op: "count", Part: part}
-}
-
-// Checkpoint sequences are monotonic per instance, so a newer ship for
-// the same instance replaces the old one instead of accumulating.
-func TestOrphanBufferKeepsNewestPerInstance(t *testing.T) {
-	w := &Worker{}
-	w.bufferShip(orphanInst(1), bytes.Repeat([]byte{1}, 100))
-	w.bufferShip(orphanInst(1), bytes.Repeat([]byte{2}, 300))
-	if len(w.buffered) != 1 {
-		t.Fatalf("buffered %d entries for one instance, want 1", len(w.buffered))
-	}
-	if w.bufferedBytes != 300 {
-		t.Fatalf("bufferedBytes = %d, want 300 (newest ship only)", w.bufferedBytes)
-	}
-	if got := w.Stats().OrphanDropped; got != 0 {
-		t.Fatalf("overwrite counted %d drops, want 0", got)
-	}
-}
-
-// The byte cap evicts least-recently-updated instances first and counts
-// every eviction, so an orphaned worker's memory stays bounded no
-// matter how long the coordinator stays dead.
-func TestOrphanBufferByteCapEvictsOldest(t *testing.T) {
-	const shipBytes = 8 << 20 // 8 entries fill maxOrphanBufBytes exactly
-	w := &Worker{}
-	body := bytes.Repeat([]byte{7}, shipBytes)
-	for i := 0; i < 10; i++ {
-		w.bufferShip(orphanInst(i), body)
-	}
-	if w.bufferedBytes > maxOrphanBufBytes {
-		t.Fatalf("buffer holds %d bytes, cap is %d", w.bufferedBytes, maxOrphanBufBytes)
-	}
-	if got := w.Stats().OrphanDropped; got != 2 {
-		t.Fatalf("OrphanDropped = %d, want 2", got)
-	}
-	for i := 0; i < 2; i++ {
-		if _, ok := w.buffered[orphanInst(i)]; ok {
-			t.Errorf("oldest instance %d survived eviction", i)
-		}
-	}
-	for i := 2; i < 10; i++ {
-		if _, ok := w.buffered[orphanInst(i)]; !ok {
-			t.Errorf("newer instance %d was evicted", i)
-		}
-	}
-}
-
-// A single ship larger than the whole cap is still kept (the cap
-// bounds accumulation across instances, not one instance's state): the
-// reborn coordinator would rather re-collect at the next barrier than
-// lose the only copy.
-func TestOrphanBufferRetainsSingleOversizedShip(t *testing.T) {
-	w := &Worker{}
-	w.bufferShip(orphanInst(0), bytes.Repeat([]byte{9}, maxOrphanBufBytes+1))
-	if len(w.buffered) != 1 {
-		t.Fatalf("oversized ship evicted; buffered = %d entries", len(w.buffered))
-	}
-	if got := w.Stats().OrphanDropped; got != 0 {
-		t.Fatalf("OrphanDropped = %d, want 0", got)
-	}
-}
 
 // Teardown ends a link through its done channel — the queue stays open,
 // so a sender racing the end of the job drops its message instead of

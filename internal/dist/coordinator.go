@@ -40,7 +40,8 @@ type Config struct {
 	// 500 ms).
 	DetectDelay time.Duration
 	// RecoveryPi is π for failure recovery (default 1; π=1 inherits
-	// duplicate-detection watermarks for exact replay).
+	// duplicate-detection watermarks for exact replay). A fallback
+	// recovery of a stranded instance always runs at π = 1.
 	RecoveryPi int
 	// Policy, when set, enables detector-driven scale out from worker
 	// utilisation reports.
@@ -932,12 +933,6 @@ func (c *Coordinator) storeShip(ctl *Control) (plan.InstanceID, bool) {
 		}
 		return plan.InstanceID{}, false
 	}
-	if c.dstore != nil {
-		if !c.journal(&controlplane.Record{Kind: controlplane.RecShip, Ship: &controlplane.ShipMark{Inst: h.Instance, Seq: h.Seq, Bytes: len(ctl.Checkpoint)}}) {
-			return plan.InstanceID{}, false
-		}
-		c.maybeRotate()
-	}
 	c.sendTrims(h.Instance, h.Acks)
 	return h.Instance, delta == nil
 }
@@ -1172,7 +1167,7 @@ func (c *Coordinator) recoverStranded(stranded []plan.InstanceID) {
 		if addr := c.placement[inst]; c.workers[addr] != nil && c.workers[addr].alive {
 			ops = append(ops, func() {
 				c.sendTo(addr, &Control{Kind: MsgRetire, Victims: []plan.InstanceID{inst}})
-				c.begin(core.Fallback, []plan.InstanceID{inst}, c.cfg.RecoveryPi, startedAt, nil)
+				c.begin(core.Fallback, []plan.InstanceID{inst}, 1, startedAt, nil)
 			})
 		}
 	}

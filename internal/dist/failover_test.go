@@ -141,7 +141,7 @@ func TestDistributedCoordinatorFailover(t *testing.T) {
 	}
 
 	// kill -9: no stop messages, no goodbye. Workers keep streaming
-	// worker-to-worker, buffering checkpoints while orphaned.
+	// worker-to-worker, refusing checkpoint ships while orphaned.
 	dc.coord.Close()
 	if err := srcWorker.Engine().InjectBatch(src, 300, parityGen); err != nil {
 		t.Fatal(err)
@@ -186,6 +186,70 @@ func TestDistributedCoordinatorFailover(t *testing.T) {
 	rec := dc.coord.Manager().Records()[0]
 	if !rec.Failure || rec.Victim != victim {
 		t.Errorf("post-failover recovery record = %+v", rec)
+	}
+}
+
+// TestRebirthRefreshesSurvivorCheckpoints: a reborn coordinator collects
+// the survivors' state one way, through reconcile's barrier. With the
+// periodic checkpoint an hour away, every surviving stateful instance's
+// stored checkpoint after the rebirth is newer than the one the dead
+// coordinator left in the durable store.
+func TestRebirthRefreshesSurvivorCheckpoints(t *testing.T) {
+	reg := wordcountRegistry()
+	reg.q.Op("count").InitialParallelism = 2
+	dc := startDurableCluster(t, reg, 3, nil, func(c *dist.Config) { c.Engine.CheckpointInterval = time.Hour })
+	if err := dc.coord.StartJob(); err != nil {
+		t.Fatal(err)
+	}
+	src := plan.InstanceID{Op: "src", Part: 1}
+	if err := dc.hostOf(t, src).Engine().InjectBatch(src, 300, parityGen); err != nil {
+		t.Fatal(err)
+	}
+	dc.quiesce(t, 300*time.Millisecond, 10*time.Second)
+	counters := dc.coord.Manager().Instances("count")
+	store := dc.coord.Manager().Backups()
+	for _, inst := range counters {
+		if err := dc.hostOf(t, inst).Engine().CheckpointFull(inst); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if _, _, ok := store.Latest(inst); ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no checkpoint stored for %s", inst)
+			}
+		}
+	}
+
+	dc.coord.Close()
+	disk, err := core.NewDurableStore(dc.cfg.ControlPlaneDir, state.GobPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make(map[plan.InstanceID]uint64)
+	for _, inst := range counters {
+		cp, err := disk.Load(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[inst] = cp.Seq
+	}
+	dc.rebirth(t)
+	reborn := dc.coord.Manager().Backups()
+	for _, inst := range counters {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if cp, _, ok := reborn.Latest(inst); ok && cp.Seq > before[inst] {
+				break
+			}
+			if time.Now().After(deadline) {
+				cp, _, _ := reborn.Latest(inst)
+				t.Fatalf("reborn coordinator holds %v for %s, want a seq above %d", cp, inst, before[inst])
+			}
+		}
+	}
+	if errs := dc.coord.Errors(); len(errs) != 0 {
+		t.Errorf("Errors = %v", errs)
 	}
 }
 

@@ -77,13 +77,13 @@ const (
 	// bottleneck detector, piggybacking worker-level counters.
 	MsgReport
 	// MsgReattach (worker → coordinator): the worker's actual inventory —
-	// hosted instances, running flag, last shipped barrier — sent in reply
-	// to MsgResume (Seq-correlated) or unsolicited (Seq 0) when an
-	// orphaned worker dials a standby coordinator.
+	// hosted instances and running flag — sent in reply to MsgResume
+	// (Seq-correlated) or unsolicited (Seq 0) when an orphaned worker
+	// dials a standby coordinator.
 	MsgReattach
 	// MsgResume (coordinator → worker): a reborn coordinator announces
-	// itself; the worker replies with MsgReattach, re-homes its control
-	// link and flushes checkpoints buffered while orphaned.
+	// itself; the worker re-homes its control link and replies with
+	// MsgReattach.
 	MsgResume
 	// MsgTrim (coordinator → worker): a stored checkpoint's acknowledgement
 	// trims for the upstream instances this worker hosts (Algorithm 1 line
@@ -104,9 +104,6 @@ type WorkerStats struct {
 	// Backpressure snapshots the hosted engine's credit-stall, queue-depth
 	// and state-spill gauges.
 	Backpressure engine.BackpressureStats
-	// OrphanDropped counts checkpoint ships evicted from the bounded
-	// orphan-mode buffer (drop-oldest under the byte cap).
-	OrphanDropped uint64
 	// CheckpointsRefused counts the hosted engine's full checkpoints
 	// that were captured but never stored (engine.CheckpointsRefused).
 	CheckpointsRefused uint64
@@ -181,9 +178,8 @@ type Control struct {
 
 	// MsgReattach: the worker's actual inventory, reconciled against the
 	// replayed journal.
-	Hosted      []plan.InstanceID
-	Running     bool
-	LastBarrier uint64
+	Hosted  []plan.InstanceID
+	Running bool
 
 	// MsgReport.
 	Reports []control.Report

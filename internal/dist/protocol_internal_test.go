@@ -96,7 +96,7 @@ func FuzzDecodeControl(f *testing.F) {
 		{Kind: MsgDie},
 		{Kind: MsgAck, Seq: 7, Err: "refused", Replayed: 12},
 		{Kind: MsgReport, From: "w1", Reports: []control.Report{{Inst: a, Util: 0.75}}, Stats: WorkerStats{SinkTuples: 10, Processed: 20}},
-		{Kind: MsgReattach, Seq: 8, From: "w1", Hosted: []plan.InstanceID{a}, Running: true, LastBarrier: 3},
+		{Kind: MsgReattach, Seq: 8, From: "w1", Hosted: []plan.InstanceID{a}, Running: true},
 		{Kind: MsgResume, Seq: 9, StandbyAddr: "127.0.0.1:7100", DetectMillis: 500},
 		{Kind: MsgTrim, TrimAcks: []core.Trim{{Up: a, Owner: b, TS: 40}}},
 		{Kind: MsgBarrier, Seq: 10, Victims: []plan.InstanceID{b}},

@@ -295,9 +295,11 @@ func (c *Coordinator) reconcile(t *transition, rep *controlplane.Replayed, began
 			c.gatherLost(addr)
 		}
 	}
-	// Fresh barriers refresh the reloaded store with each survivor's
-	// current state, one MsgBarrier per worker (fire-and-forget; the
-	// periodic loop covers misses).
+	// Fresh barriers are how a reborn coordinator collects the state
+	// that moved on while it was dead: each survivor ships a full
+	// checkpoint into the reloaded store, one MsgBarrier per worker
+	// (fire-and-forget; the periodic loop covers misses and workers
+	// adopted later through the standby redial).
 	for addr, inv := range c.invByWorker {
 		var survivors []plan.InstanceID
 		for _, inst := range inv.Hosted {

@@ -24,13 +24,17 @@ import (
 	"seep/internal/transport"
 )
 
+func countInst(part int) plan.InstanceID {
+	return plan.InstanceID{Op: "count", Part: part}
+}
+
 // TestShipOversizeIsAnError: a checkpoint too large for one frame is the
-// sender's error, not an orphan. The coordinator is alive, so buffering
-// the body would store nothing and trim nothing while reporting success;
-// the error instead keeps the engine owing a full checkpoint and aborts
-// a final retire to recovery at once. The engine counts the refused full
-// once, the worker's stats carry the count, and the next checkpoint is a
-// full one, not a delta from the full that was never stored.
+// sender's error, like every failed ship: nothing was stored and nothing
+// trimmed, so the error keeps the engine owing a full checkpoint and
+// aborts a final retire to recovery at once. The engine counts the
+// refused full once, the worker's stats carry the count, and the next
+// checkpoint is a full one, not a delta from the full that was never
+// stored.
 func TestShipOversizeIsAnError(t *testing.T) {
 	codec := state.GobPayloadCodec{}
 	l, err := transport.ListenWith("127.0.0.1:0", codec, transport.Handlers{}, nil)
@@ -46,18 +50,89 @@ func TestShipOversizeIsAnError(t *testing.T) {
 	w := &Worker{codec: codec, coord: coord}
 	var kv state.RunBuilder
 	kv.Append(1, make([]byte, 17<<20))
-	cp := &state.Checkpoint{Instance: orphanInst(0), Seq: 5, Processing: &state.Processing{KV: kv.Run()}}
+	cp := &state.Checkpoint{Instance: countInst(0), Seq: 5, Processing: &state.Processing{KV: kv.Run()}}
 	var tooBig *transport.FrameSizeError
 	if err := (&shipSink{w: w}).Ship(cp); !errors.As(err, &tooBig) {
 		t.Fatalf("Ship of a %d-byte checkpoint = %v, want a *FrameSizeError", kv.Run().Size(), err)
 	}
-	if len(w.buffered) != 0 || w.bufferedBytes != 0 {
-		t.Errorf("orphan buffer holds %d ships, %d bytes; want none", len(w.buffered), w.bufferedBytes)
+
+	eng, op, ships := bigEngine(t, w)
+	big := plan.InstanceID{Op: "big", Part: 1}
+	if err := eng.Checkpoint(big); err != nil {
+		t.Fatal(err)
 	}
-	if got := w.lastBarrier.Load(); got != 0 {
-		t.Errorf("lastBarrier = %d after a ship that never left, want 0", got)
+	if got := engineStats(eng).CheckpointsRefused; got != 1 {
+		t.Errorf("CheckpointsRefused = %d after one oversize full, want 1", got)
+	}
+	op.v.Set(1, "small")
+	if err := eng.Checkpoint(big); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ships.fulls, []bool{true, true}) {
+		t.Errorf("ships after a refused full (true = full): %v, want [true true] — the node must still owe a full", ships.fulls)
+	}
+	if got := engineStats(eng).CheckpointsRefused; got != 1 {
+		t.Errorf("CheckpointsRefused = %d after a stored full, want 1", got)
+	}
+}
+
+// TestOrphanShipIsRefused: with the coordinator link gone a ship is
+// refused before its checkpoint is encoded, so the engine counts the
+// refused full once and owes a full checkpoint; once a coordinator
+// adopts the worker, the next capture ships as that full.
+func TestOrphanShipIsRefused(t *testing.T) {
+	codec := state.GobPayloadCodec{}
+	w := &Worker{codec: codec, orphan: true}
+	var kv state.RunBuilder
+	kv.Append(1, make([]byte, 1<<20))
+	cp := &state.Checkpoint{Instance: countInst(0), Seq: 5, Processing: &state.Processing{KV: kv.Run()}}
+	sink := &shipSink{w: w}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if sink.Ship(cp) == nil {
+			t.Fatal("an orphaned worker's ship reported stored")
+		}
+	}); allocs > 1 {
+		t.Errorf("an orphaned ship allocates %.0f times; it must refuse before encoding", allocs)
 	}
 
+	eng, op, ships := bigEngine(t, w)
+	big := plan.InstanceID{Op: "big", Part: 1}
+	if err := eng.Checkpoint(big); err != nil {
+		t.Fatal(err)
+	}
+	if got := engineStats(eng).CheckpointsRefused; got != 1 {
+		t.Errorf("CheckpointsRefused = %d after one orphaned full, want 1", got)
+	}
+
+	l, err := transport.ListenWith("127.0.0.1:0", codec, transport.Handlers{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	coord, err := transport.Dial(l.Addr(), codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	w.mu.Lock()
+	w.coord, w.orphan = coord, false
+	w.mu.Unlock()
+	op.v.Set(1, "small")
+	if err := eng.Checkpoint(big); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ships.fulls, []bool{true, true}) {
+		t.Errorf("ships after an orphaned full (true = full): %v, want [true true] — the node must still owe a full", ships.fulls)
+	}
+	if got := engineStats(eng).CheckpointsRefused; got != 1 {
+		t.Errorf("CheckpointsRefused = %d after a stored full, want 1", got)
+	}
+}
+
+// bigEngine is src → big → sink, whose incremental checkpoints ship
+// through w's sink; big's one cell starts at 17 MiB, past a frame.
+func bigEngine(t *testing.T, w *Worker) (*engine.Engine, *bigState, *shipLog) {
+	t.Helper()
 	q := plan.NewQuery()
 	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
 	q.AddOp(plan.OpSpec{ID: "big", Role: plan.RoleStateful})
@@ -70,26 +145,7 @@ func TestShipOversizeIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := plan.InstanceID{Op: "big", Part: 1}
-	if err := eng.Checkpoint(big); err != nil {
-		t.Fatal(err)
-	}
-	if got := engineStats(eng).CheckpointsRefused; got != 1 {
-		t.Errorf("CheckpointsRefused = %d after one oversize full, want 1", got)
-	}
-	if len(w.buffered) != 0 || w.lastBarrier.Load() != 0 {
-		t.Errorf("an oversize full was kept: %d buffered ships, lastBarrier %d", len(w.buffered), w.lastBarrier.Load())
-	}
-	op.v.Set(1, "small")
-	if err := eng.Checkpoint(big); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(ships.fulls, []bool{true, true}) {
-		t.Errorf("ships after a refused full (true = full): %v, want [true true] — the node must still owe a full", ships.fulls)
-	}
-	if got := engineStats(eng).CheckpointsRefused; got != 1 {
-		t.Errorf("CheckpointsRefused = %d after a stored full, want 1", got)
-	}
+	return eng, op, ships
 }
 
 // bigState is a managed operator whose one cell holds a value of a
@@ -152,7 +208,7 @@ func TestShipEncodesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := &state.Checkpoint{Instance: orphanInst(0), Seq: 1, Processing: &state.Processing{KV: kv, TS: stream.TSVector{1}}, Buffer: state.NewBuffer()}
+	cp := &state.Checkpoint{Instance: countInst(0), Seq: 1, Processing: &state.Processing{KV: kv, TS: stream.TSVector{1}}, Buffer: state.NewBuffer()}
 
 	w := &Worker{codec: codec, coord: coord, self: "w"}
 	body, err := encodeShip(&Control{Kind: MsgShip, From: w.self}, cp, codec)

@@ -58,23 +58,12 @@ type Worker struct {
 	final WorkerStats
 	// Orphan mode: the coordinator link died. The data path is
 	// untouched — batches keep flowing worker-to-worker — while
-	// checkpoint ships are buffered locally (newest per instance) and,
-	// when a standby address was advertised, a redial loop announces
-	// this worker until a reborn coordinator adopts it.
-	orphan        bool
-	standby       string
-	buffered      map[plan.InstanceID]orphanEntry
-	bufferedBytes int
-	bufferSeq     uint64
-	redialStop    chan struct{}
-
-	// orphanDropped counts checkpoint ships evicted from the orphan
-	// buffer when the byte cap forces drop-oldest.
-	orphanDropped atomic.Uint64
-
-	// lastBarrier is the highest checkpoint sequence this worker ever
-	// shipped (or buffered) — reported in MsgReattach inventories.
-	lastBarrier atomic.Uint64
+	// checkpoint ships are refused (the engine keeps owing a full one)
+	// and, when a standby address was advertised, a redial loop
+	// announces this worker until a reborn coordinator adopts it.
+	orphan     bool
+	standby    string
+	redialStop chan struct{}
 
 	// engPtr mirrors w.eng for the lock-free inbound data path; written
 	// under w.mu wherever w.eng changes.
@@ -206,7 +195,6 @@ func (w *Worker) Stats() WorkerStats {
 		s = engineStats(eng)
 	}
 	s.Transport = w.tm.Snapshot()
-	s.OrphanDropped = w.orphanDropped.Load()
 	return s
 }
 
@@ -454,8 +442,6 @@ func (w *Worker) handleStop() {
 	w.retired = make(map[plan.InstanceID]bool)
 	w.orphan = false
 	w.standby = ""
-	w.buffered = nil
-	w.bufferedBytes = 0
 	rdl := w.redialStop
 	w.redialStop = nil
 	w.mu.Unlock()
@@ -566,105 +552,30 @@ func (w *Worker) handleRetire(c *Control) error {
 // ---- outbound paths ----
 
 // shipSink forwards checkpoints to the coordinator's store, a delta with
-// its base and deleted keys beside it. With the coordinator dead (orphan
-// mode, or a send failure racing its death) the latest full checkpoint
-// per instance is buffered locally and flushed when a reborn coordinator
-// adopts this worker — checkpointing never blocks or fails the data path
-// on coordinator loss. A delta is never buffered: its error makes the
-// engine capture a full checkpoint instead. Barrier inventories
-// (noteBarrier) track fulls only, so a reattaching coordinator always
-// folds from a full it holds, never from a delta it may have missed.
+// its base and deleted keys beside it. With no coordinator link (orphan
+// mode) a ship is refused before anything is encoded, as is one whose
+// send fails: the engine keeps owing a full checkpoint, and a reborn
+// coordinator collects the survivors' state through reconcile's barrier
+// or, for a worker adopted by redial, the next periodic checkpoint.
 type shipSink struct{ w *Worker }
 
 // Ship implements engine.BackupSink. A body too large for one frame is
-// returned as the error it is: the coordinator is alive, and buffering
-// the body as if it were not would only hide that nothing was stored.
+// returned as the error it is, like every other failed send.
 func (s *shipSink) Ship(cp *state.Checkpoint) error {
-	ctl := &Control{Kind: MsgShip, From: s.w.self, Base: cp.Base, Deleted: cp.Deleted}
-	body, err := encodeShip(ctl, cp, s.w.codec)
-	if err != nil {
-		return err
-	}
 	s.w.mu.Lock()
-	coord := s.w.coord
-	orphan := s.w.orphan
+	coord, orphan := s.w.coord, s.w.orphan
 	s.w.mu.Unlock()
 	if coord == nil || orphan {
-		err = fmt.Errorf("dist: no coordinator link")
-	} else {
-		err = coord.SendControl(body)
+		return errors.New("dist: no coordinator link")
 	}
-	var tooBig *transport.FrameSizeError
-	if err != nil && (cp.Base != 0 || errors.As(err, &tooBig)) {
+	body, err := encodeShip(&Control{Kind: MsgShip, From: s.w.self, Base: cp.Base, Deleted: cp.Deleted}, cp, s.w.codec)
+	if err != nil {
 		return err
 	}
-	if err != nil {
-		s.w.bufferShip(cp.Instance, body)
-	}
-	if cp.Base == 0 {
-		s.w.noteBarrier(cp.Seq)
-	}
-	return nil
+	return coord.SendControl(body)
 }
 
 // ---- coordinator failover (worker side) ----
-
-// noteBarrier records the highest checkpoint sequence ever shipped or
-// buffered.
-func (w *Worker) noteBarrier(seq uint64) {
-	for {
-		cur := w.lastBarrier.Load()
-		if seq <= cur || w.lastBarrier.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
-// orphanEntry is one buffered checkpoint ship; seq orders entries for
-// drop-oldest eviction.
-type orphanEntry struct {
-	body []byte
-	seq  uint64
-}
-
-// maxOrphanBufBytes caps the orphan-mode checkpoint buffer. Keeping the
-// newest ship per instance bounds the entry count, but a wide topology
-// with large state could still accumulate gigabytes while the
-// coordinator stays dead — the byte cap keeps the worker's memory
-// bounded no matter how long the orphanhood lasts.
-const maxOrphanBufBytes = 64 << 20
-
-// bufferShip keeps the newest encoded ship per instance (checkpoint
-// sequences are monotonic per instance, so overwrite wins) under a byte
-// cap: when the buffer would exceed maxOrphanBufBytes, the
-// least-recently-updated instances' ships are evicted first and counted
-// in orphanDropped — a reborn coordinator re-collects those instances'
-// state from the next barrier instead.
-func (w *Worker) bufferShip(inst plan.InstanceID, body []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.buffered == nil {
-		w.buffered = make(map[plan.InstanceID]orphanEntry)
-	}
-	if old, ok := w.buffered[inst]; ok {
-		w.bufferedBytes -= len(old.body)
-	}
-	w.bufferSeq++
-	w.buffered[inst] = orphanEntry{body: body, seq: w.bufferSeq}
-	w.bufferedBytes += len(body)
-	for w.bufferedBytes > maxOrphanBufBytes && len(w.buffered) > 1 {
-		var victim plan.InstanceID
-		var oldest uint64
-		for k, e := range w.buffered {
-			if oldest == 0 || e.seq < oldest {
-				oldest, victim = e.seq, k
-			}
-		}
-		w.bufferedBytes -= len(w.buffered[victim].body)
-		delete(w.buffered, victim)
-		w.orphanDropped.Add(1)
-	}
-}
 
 // armCoordHeartbeat heartbeats the coordinator link at the same cadence
 // the coordinator heartbeats workers, so both sides detect a dead peer
@@ -684,7 +595,7 @@ func (w *Worker) armCoordHeartbeat(peer *transport.Peer, detectMs int64) {
 }
 
 // onCoordDown puts the worker in orphan mode: the engine keeps running
-// and batches keep flowing — only checkpoint ships buffer locally. With
+// and batches keep flowing — only checkpoint ships are refused. With
 // a standby address, a redial loop announces this worker until a
 // coordinator adopts it.
 func (w *Worker) onCoordDown(peer *transport.Peer) {
@@ -736,10 +647,9 @@ func (w *Worker) redialLoop(addr string, stop chan struct{}) {
 }
 
 // inventory assembles this worker's MsgReattach: what it actually
-// hosts, whether its engine is running, and the last barrier it
-// shipped.
+// hosts and whether its engine is running.
 func (w *Worker) inventory(seq uint64) *Control {
-	ctl := &Control{Kind: MsgReattach, Seq: seq, From: w.self, LastBarrier: w.lastBarrier.Load()}
+	ctl := &Control{Kind: MsgReattach, Seq: seq, From: w.self}
 	w.mu.Lock()
 	eng := w.eng
 	ctl.Running = w.started
@@ -751,14 +661,13 @@ func (w *Worker) inventory(seq uint64) *Control {
 }
 
 // handleResume processes a (reborn) coordinator's announcement: re-home
-// the control link, flush checkpoints buffered while orphaned, and reply
-// with this worker's actual inventory so the coordinator can reconcile
-// its journal against reality. MsgResume only ever comes from a
-// coordinator that just (re)started at CoordAddr, so any existing link —
-// even one pointing at that same address — is stale by definition: a
-// write into the dead coordinator's half-closed socket can report
-// success before the RST arrives, silently losing the reply. Always
-// dial fresh. The engine is never restarted — streaming continues
+// the control link and reply with this worker's actual inventory so the
+// coordinator can reconcile its journal against reality. MsgResume only
+// ever comes from a coordinator that just (re)started at CoordAddr, so
+// any existing link — even one pointing at that same address — is stale
+// by definition: a write into the dead coordinator's half-closed socket
+// can report success before the RST arrives, silently losing the reply.
+// Always dial fresh. The engine is never restarted — streaming continues
 // through the whole exchange.
 func (w *Worker) handleResume(c *Control) {
 	w.mu.Lock()
@@ -789,18 +698,12 @@ func (w *Worker) handleResume(c *Control) {
 	}
 	rdl := w.redialStop
 	w.redialStop = nil
-	buffered := w.buffered
-	w.buffered = nil
-	w.bufferedBytes = 0
 	w.mu.Unlock()
 	if rdl != nil {
 		close(rdl)
 	}
 	if old != nil && old != peer {
 		old.Close()
-	}
-	for _, e := range buffered {
-		_ = peer.SendControl(e.body)
 	}
 	w.sendToCoord(w.inventory(c.Seq))
 }

@@ -165,6 +165,41 @@ func (g *gate) OnTuple(_ operator.Context, t stream.Tuple, emit operator.Emitter
 	emit(t.Key, t.Payload)
 }
 
+// A tuple born at job time 0 keeps Born 0 through every hop, however
+// late an operator emits its lineage: 0 is a time, not a missing stamp.
+func TestBornZeroIsATime(t *testing.T) {
+	q := plan.NewQuery()
+	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
+	q.AddOp(plan.OpSpec{ID: "cnt", Role: plan.RoleStateless})
+	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
+	q.Connect("src", "cnt").Connect("cnt", "sink")
+	g := &gate{tokens: make(chan struct{})}
+	e, err := New(Config{BatchSize: 1}, q, map[plan.OpID]operator.Factory{"cnt": func() operator.Operator { return g }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	born := make(chan int64, 1)
+	e.OnSink = func(t stream.Tuple) { born <- t.Born }
+	e.Start()
+	defer e.Stop()
+	b := state.Batch{From: inst("src", 1), To: inst("cnt", 1), Tuples: []stream.Tuple{{TS: 1, Key: 1, Born: 0}}}
+	if !e.DeliverLocal(b) {
+		t.Fatal("DeliverLocal refused a batch for a hosted instance")
+	}
+	for e.NowMillis() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	g.tokens <- struct{}{}
+	select {
+	case got := <-born:
+		if got != 0 {
+			t.Errorf("sink saw Born = %d, want 0", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the tuple never reached the sink")
+	}
+}
+
 // One ledger for both kinds of sender: a batch off the wire takes the
 // destination's credit in DeliverLocal and gives it back once processed,
 // exactly as a local emitter's does, so the two together never hold more

@@ -715,9 +715,6 @@ func (n *node) handleBatch(b state.Batch) {
 // a full batch has accumulated (expansive operators can emit many
 // tuples per input).
 func (n *node) stage(key stream.Key, payload any, born int64) {
-	if born == 0 {
-		born = n.e.NowMillis()
-	}
 	n.pend = append(n.pend, state.Staged{Key: key, Payload: payload, Born: born})
 	if len(n.pend) >= n.e.cfg.BatchSize {
 		n.flushPending()

@@ -94,7 +94,8 @@ type Config struct {
 	// Default 1.0.
 	VMCapacity float64
 	// RecoveryParallelism is π used when recovering failed operators
-	// (1 = serial recovery; ≥2 = parallel recovery, §4.2). Default 1.
+	// (1 = serial recovery; ≥2 = parallel recovery, §4.2). Default 1. A
+	// fallback recovery of a stranded instance always runs at π = 1.
 	RecoveryParallelism int
 	// Incremental enables incremental checkpoints for managed-state
 	// operators (§3.2): between full checkpoints only the dirtied keys
@@ -661,7 +662,7 @@ func (c *Cluster) exec(sq *core.Sequencer, actions []core.Action) {
 				// A victim retired without checkpoints keeps running
 				// (see retire): it is stranded in name only.
 				if n := c.nodes[inst]; n == nil || n.removed {
-					_ = c.begin(core.Fallback, []plan.InstanceID{inst}, c.cfg.RecoveryParallelism, c.sim.Now())
+					_ = c.begin(core.Fallback, []plan.InstanceID{inst}, 1, c.sim.Now())
 				}
 			}
 		}

@@ -163,11 +163,7 @@ func (n *Node) process(d delivery) {
 // one batch per downstream operator — and sends each batch across the
 // network.
 func (n *Node) emit(key stream.Key, payload any) {
-	born := n.curBorn
-	if born == 0 {
-		born = n.c.sim.Now()
-	}
-	n.outs = n.Emit(n.outs[:0], n.inst, []state.Staged{{Key: key, Payload: payload, Born: born}}, n.hops)
+	n.outs = n.Emit(n.outs[:0], n.inst, []state.Staged{{Key: key, Payload: payload, Born: n.curBorn}}, n.hops)
 	for _, o := range n.outs {
 		n.c.deliver(delivery{Batch: o.Batch})
 	}

@@ -271,7 +271,8 @@ func WithDetectDelay(d time.Duration) Option {
 }
 
 // WithRecoveryParallelism sets π used when recovering failed operators
-// (1 = serial recovery; ≥2 = parallel recovery, §4.2).
+// (1 = serial recovery; ≥2 = parallel recovery, §4.2). An instance a
+// failed transition stranded is always recovered at π = 1.
 func WithRecoveryParallelism(pi int) Option {
 	return func(c *runtimeConfig) { c.recoveryPi = pi; c.recoveryPiSet = true }
 }

@@ -115,7 +115,8 @@ type LinkFaulter interface {
 //
 //   - Distributed implements it when deployed with WithControlPlaneDir:
 //     KillCoordinator models kill -9 (no goodbye to workers — they go
-//     orphan on heartbeat loss and buffer checkpoint ships locally);
+//     orphan on heartbeat loss and refuse checkpoint ships, owing a
+//     full checkpoint each);
 //     RestartCoordinator replays the journal into a fresh coordinator on
 //     the dead one's address, reattaches the still-running workers via
 //     the MsgResume/MsgReattach handshake, and rolls back any journaled
@@ -195,16 +196,12 @@ type Metrics struct {
 	// activity (WithQueueBound / WithMemoryLimit); aggregated across all
 	// workers on the Distributed runtime.
 	Backpressure BackpressureStats
-	// OrphanCheckpointsDropped counts checkpoint ships a Distributed
-	// worker evicted from its bounded orphan-mode buffer while its
-	// coordinator was dead (always zero elsewhere).
-	OrphanCheckpointsDropped uint64
 	// CheckpointsRefused counts full checkpoints captured but never
-	// stored — refused as too large for one frame, as stale, or for want
-	// of a backup host. The instance keeps owing a full checkpoint and
-	// its previous backup stays authoritative. A ship a Distributed
-	// worker buffers while its coordinator is dead is not refused (see
-	// OrphanCheckpointsDropped). Always zero on Simulated.
+	// stored — refused as too large for one frame, as stale, for want
+	// of a backup host, or, on Distributed, while the worker's
+	// coordinator is unreachable. The instance keeps owing a full
+	// checkpoint and its previous backup stays authoritative. Always
+	// zero on Simulated.
 	CheckpointsRefused uint64
 	// ControlPlane tallies the Distributed coordinator's journal and
 	// failover activity (zero without WithControlPlaneDir).
