@@ -268,6 +268,60 @@ func BenchmarkValueUpdate(b *testing.B) {
 	}
 }
 
+// hashedStore returns a store whose one int64 cell holds keys hashed
+// keys, and the cell.
+func hashedStore(keys int) (*state.Store, *state.Value[int64]) {
+	s := state.NewStore()
+	v := state.NewValue[int64](s, "n", state.Int64Codec{})
+	for i := range keys {
+		v.Set(stream.Key(stream.Mix64(uint64(i))), int64(i))
+	}
+	return s, v
+}
+
+// BenchmarkTakeCheckpoint measures a full capture of an int64 cell
+// holding 100 k and 1 M hashed keys, after one update so the store is
+// never clean: the key-table walk and the record writes, with no
+// encode or ship. ns/op is per capture.
+func BenchmarkTakeCheckpoint(b *testing.B) {
+	for _, keys := range []int{100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			s, v := hashedStore(keys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.Update(stream.Key(stream.Mix64(uint64(i%keys))), func(x int64) int64 { return x + 1 })
+				if _, err := s.TakeCheckpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestore measures set-processing-state on a recovery's
+// critical path: Store.Restore of a captured run of 100 k and 1 M
+// hashed int64 keys, which replaces the store's contents. ns/op is per
+// restore.
+func BenchmarkRestore(b *testing.B) {
+	for _, keys := range []int{100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			s, _ := hashedStore(keys)
+			run, err := s.TakeCheckpoint()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Restore(run); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRoutingLookup measures the per-tuple routing decision at
 // realistic partition counts.
 func BenchmarkRoutingLookup(b *testing.B) {

@@ -132,6 +132,10 @@ type transition struct {
 	encoded map[plan.InstanceID][]byte
 
 	next func()
+	// timer times the current stage out (armTimeout); it is stopped when
+	// the stage advances, the transition finishes or the coordinator
+	// closes, so no closed coordinator stays reachable through it.
+	timer *time.Timer
 	// reattach marks the reborn coordinator's reconciliation handshake:
 	// waiting counts MsgReattach inventories rather than MsgAck replies.
 	reattach bool
@@ -637,6 +641,10 @@ func (c *Coordinator) Close() {
 	}
 	close(c.quit)
 	c.loopWG.Wait()
+	// The loop is gone, so its transition is this goroutine's to read.
+	if c.trans != nil {
+		c.trans.stopTimer()
+	}
 	c.ln.Close()
 	for _, ref := range c.workers {
 		if ref.peer != nil {
@@ -789,9 +797,12 @@ func (c *Coordinator) advance(t *transition) {
 	}
 }
 
+// armTimeout times the transition's current stage out, replacing the
+// previous stage's timer.
 func (c *Coordinator) armTimeout(t *transition) {
 	stage := t.stage
-	time.AfterFunc(c.cfg.TransitionTimeout, func() {
+	t.stopTimer()
+	t.timer = time.AfterFunc(c.cfg.TransitionTimeout, func() {
 		c.post(event{kind: evCall, fn: func() {
 			switch {
 			case c.trans != t || t.stage != stage:
@@ -804,13 +815,20 @@ func (c *Coordinator) armTimeout(t *transition) {
 	})
 }
 
+// stopTimer stops the current stage's timer, if any.
+func (t *transition) stopTimer() {
+	if t.timer != nil {
+		t.timer.Stop()
+		t.timer = nil
+	}
+}
+
 func (c *Coordinator) finish(t *transition, err error) {
 	if c.trans != t {
 		return
 	}
-	// The stage timers hold t until they fire: drop the plan and its
-	// encoded checkpoints now.
-	c.trans, t.sq, t.encoded = nil, nil, nil
+	t.stopTimer()
+	c.trans = nil
 	// The closing record lands before a rollback runs (a Recover queues
 	// it first in line): a coordinator that dies right after the abort
 	// record replays with the transition closed, and its rollback happens

@@ -3,9 +3,11 @@ package dist_test
 import (
 	"encoding/gob"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"seep/internal/dist"
 	"seep/internal/engine"
@@ -92,6 +94,47 @@ func startClusterWith(t *testing.T, reg testRegistry, n int, mutate func(*dist.C
 		}
 	})
 	return cl
+}
+
+// TestClosedCoordinatorIsCollected: a closed coordinator leaves nothing
+// that keeps it reachable, so the collector frees it, its peers' write
+// buffers and its store at once. Each stage of a deploy or start arms a
+// TransitionTimeout timer, and one left armed past its stage held the
+// whole coordinator for 10 s after Close.
+func TestClosedCoordinatorIsCollected(t *testing.T) {
+	reg := wordcountRegistry()
+	codec := state.GobPayloadCodec{}
+	addrs := make([]string, 3)
+	for i := range addrs {
+		w, err := dist.NewWorker("127.0.0.1:0", reg, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Kill()
+		addrs[i] = w.Addr()
+	}
+	closed := func() weak.Pointer[dist.Coordinator] {
+		coord, err := dist.NewCoordinator(dist.Config{Addr: "127.0.0.1:0", Codec: codec, Topology: "wordcount",
+			Engine: engine.Config{CheckpointInterval: 100 * time.Millisecond}, DetectDelay: 200 * time.Millisecond, RecoveryPi: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Deploy(reg.q, addrs); err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.StartJob(); err != nil {
+			t.Fatal(err)
+		}
+		coord.StopJob()
+		coord.Close()
+		return weak.Make(coord)
+	}()
+	for deadline := time.Now().Add(2 * time.Second); closed.Value() != nil; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a closed coordinator is still reachable 2 s after Close")
+		}
+		runtime.GC()
+	}
 }
 
 // hostOf returns the in-process worker currently hosting inst.

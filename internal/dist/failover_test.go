@@ -253,6 +253,69 @@ func TestRebirthRefreshesSurvivorCheckpoints(t *testing.T) {
 	}
 }
 
+// TestOrphanRoundsCaptureNothing: while its coordinator is down a
+// worker's periodic checkpoint rounds capture nothing, so no full is
+// captured only to be refused (at 100 ms rounds that was ten a second
+// per instance), and the reborn coordinator still collects a newer
+// checkpoint of every counter than the one its store reloaded.
+func TestOrphanRoundsCaptureNothing(t *testing.T) {
+	reg := wordcountRegistry()
+	reg.q.Op("count").InitialParallelism = 2
+	dc := startDurableCluster(t, reg, 3, nil)
+	if err := dc.coord.StartJob(); err != nil {
+		t.Fatal(err)
+	}
+	src := plan.InstanceID{Op: "src", Part: 1}
+	if err := dc.hostOf(t, src).Engine().InjectBatch(src, 300, parityGen); err != nil {
+		t.Fatal(err)
+	}
+	dc.quiesce(t, 300*time.Millisecond, 10*time.Second)
+	counters := dc.coord.Manager().Instances("count")
+	refused := func() (n uint64) {
+		for _, w := range dc.workers {
+			n += w.Stats().CheckpointsRefused
+		}
+		return n
+	}
+
+	dc.coord.Close()
+	// Past the 200 ms detection every worker is orphaned; then ten rounds.
+	time.Sleep(600 * time.Millisecond)
+	before := refused()
+	time.Sleep(time.Second)
+	if got := refused(); got != before {
+		t.Errorf("orphaned workers refused %d full checkpoints in ten rounds, want none captured", got-before)
+	}
+
+	disk, err := core.NewDurableStore(dc.cfg.ControlPlaneDir, state.GobPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := make(map[plan.InstanceID]uint64)
+	for _, inst := range counters {
+		cp, err := disk.Load(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored[inst] = cp.Seq
+	}
+	dc.rebirth(t)
+	reborn := dc.coord.Manager().Backups()
+	for _, inst := range counters {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if cp, _, ok := reborn.Latest(inst); ok && cp.Seq > stored[inst] {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("reborn coordinator holds no checkpoint of %s past seq %d", inst, stored[inst])
+			}
+		}
+	}
+	if errs := dc.coord.Errors(); len(errs) != 0 {
+		t.Errorf("Errors = %v", errs)
+	}
+}
+
 // TestDistributedDeltaCheckpointSurvivesCoordinatorFailover: with a
 // durable control plane the coordinator persists what it folds a delta
 // into, so the one reborn from the directory holds the counter's last

@@ -177,6 +177,8 @@ func (s *shipLog) Ship(cp *state.Checkpoint) error {
 	return s.next.Ship(cp)
 }
 
+func (s *shipLog) Accepts() bool { return s.next.Accepts() }
+
 // TestShipEncodesOnce: a ship marshals its checkpoint straight behind the
 // message head, into the buffer the frame is written from. One Ship of a
 // 100k-key checkpoint allocates little more than that frame body, and
@@ -615,6 +617,8 @@ func (s retainedSink) Ship(cp *state.Checkpoint) error {
 	s <- cp.Buffer.Len()
 	return nil
 }
+
+func (s retainedSink) Accepts() bool { return true }
 
 // TestTrimBypassesControlQueue: a MsgTrim is applied on the connection
 // goroutine, never queued behind other control messages. With the

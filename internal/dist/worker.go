@@ -553,19 +553,31 @@ func (w *Worker) handleRetire(c *Control) error {
 
 // shipSink forwards checkpoints to the coordinator's store, a delta with
 // its base and deleted keys beside it. With no coordinator link (orphan
-// mode) a ship is refused before anything is encoded, as is one whose
-// send fails: the engine keeps owing a full checkpoint, and a reborn
-// coordinator collects the survivors' state through reconcile's barrier
-// or, for a worker adopted by redial, the next periodic checkpoint.
+// mode) it accepts no periodic round, so nothing is captured, and a ship
+// is refused before anything is encoded, as is one whose send fails: the
+// engine keeps owing a full checkpoint, and a reborn coordinator
+// collects the survivors' state through reconcile's barrier or, for a
+// worker adopted by redial, the next periodic checkpoint.
 type shipSink struct{ w *Worker }
+
+// link returns the coordinator link, nil in orphan mode.
+func (s *shipSink) link() *transport.Peer {
+	s.w.mu.Lock()
+	defer s.w.mu.Unlock()
+	if s.w.orphan {
+		return nil
+	}
+	return s.w.coord
+}
+
+// Accepts implements engine.BackupSink.
+func (s *shipSink) Accepts() bool { return s.link() != nil }
 
 // Ship implements engine.BackupSink. A body too large for one frame is
 // returned as the error it is, like every other failed send.
 func (s *shipSink) Ship(cp *state.Checkpoint) error {
-	s.w.mu.Lock()
-	coord, orphan := s.w.coord, s.w.orphan
-	s.w.mu.Unlock()
-	if coord == nil || orphan {
+	coord := s.link()
+	if coord == nil {
 		return errors.New("dist: no coordinator link")
 	}
 	body, err := encodeShip(&Control{Kind: MsgShip, From: s.w.self, Base: cp.Base, Deleted: cp.Deleted}, cp, s.w.codec)

@@ -106,6 +106,10 @@ type BackupSink interface {
 	// and owes a full checkpoint; a refused delta is re-captured and
 	// shipped as one at once, so a delta is never load-bearing.
 	Ship(cp *state.Checkpoint) error
+	// Accepts reports, cheaply and before anything is captured, whether
+	// Ship could store a capture now. A periodic round it refuses
+	// captures nothing, and every node keeps owing a full checkpoint.
+	Accepts() bool
 }
 
 // Remote delivers batches to instances hosted by other processes — the
@@ -686,17 +690,21 @@ func (n *node) handleBatch(b state.Batch) {
 	n.processed.Add(uint64(len(kept)))
 
 	if n.spec.Role == plan.RoleSink {
+		// One histogram update per run of equal latency: a batch's tuples
+		// mostly share their birth millisecond.
 		now := n.e.NowMillis()
+		lat, run := int64(0), uint64(0)
 		for _, t := range kept {
-			lat := now - t.Born
-			if lat < 0 {
-				lat = 0
+			if l := max(now-t.Born, 0); l != lat {
+				n.e.Latency.ObserveN(lat, run)
+				lat, run = l, 0
 			}
-			n.e.Latency.Observe(lat)
+			run++
 			if n.e.OnSink != nil {
 				n.e.OnSink(t)
 			}
 		}
+		n.e.Latency.ObserveN(lat, run)
 		n.e.SinkCount.Add(uint64(len(kept)))
 		return
 	}

@@ -26,17 +26,25 @@ import (
 
 // checkpointAll runs backup-state for every non-source, non-sink node,
 // reusing the node-set snapshot rather than rebuilding a slice under
-// the engine lock every interval.
+// the engine lock every interval. A round the sink would refuse (a
+// distributed worker without a coordinator) captures nothing: each node
+// owes a full checkpoint instead.
 func (e *Engine) checkpointAll() {
 	set := e.set.Load()
 	if set == nil {
 		return
 	}
+	accepts := e.backup.Accepts()
 	for _, n := range set.stateful {
-		if n.failed.Load() {
-			continue
+		switch {
+		case n.failed.Load():
+		case accepts:
+			e.checkpointNode(n)
+		default:
+			n.mu.Lock()
+			n.NeedFull = true
+			n.mu.Unlock()
 		}
-		e.checkpointNode(n)
 	}
 }
 
@@ -83,6 +91,8 @@ func (s localSink) Ship(cp *state.Checkpoint) error {
 	}
 	return err
 }
+
+func (localSink) Accepts() bool { return true }
 
 // requestCapture obtains a checkpoint capture from the node. On a
 // running engine it inserts a barrier into the node's control queue and

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,7 +42,7 @@ func bucketIndex(v int64) int {
 		return int(v)
 	}
 	// Exponent of the highest set bit beyond the sub-bucket range.
-	exp := 63 - leadingZeros(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	shift := exp - subBucketBits
 	sub := int(v>>uint(shift)) & (subBucketCount - 1)
 	return (shift+1)*subBucketCount + sub
@@ -58,20 +59,15 @@ func bucketLow(i int) int64 {
 	return (int64(subBucketCount) + int64(sub)) << uint(shift)
 }
 
-func leadingZeros(v uint64) int {
-	n := 0
-	if v == 0 {
-		return 64
-	}
-	for v&(1<<63) == 0 {
-		v <<= 1
-		n++
-	}
-	return n
-}
-
 // Observe records one sample.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v under one lock acquisition: a
+// run of equal samples costs what one does.
+func (h *Histogram) ObserveN(v int64, n uint64) {
+	if n == 0 {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
@@ -82,9 +78,9 @@ func (h *Histogram) Observe(v int64) {
 		copy(grown, h.counts)
 		h.counts = grown
 	}
-	h.counts[i]++
-	h.total++
-	h.sum += float64(v)
+	h.counts[i] += n
+	h.total += n
+	h.sum += float64(v) * float64(n)
 	if v > h.max {
 		h.max = v
 	}

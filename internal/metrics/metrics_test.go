@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -99,6 +100,37 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Errorf("Count = %d, want 8000", h.Count())
+	}
+}
+
+// TestObserveNMatchesObserve: recording a run of equal samples with one
+// ObserveN leaves the histogram exactly as recording them one by one —
+// the sink's per-batch path against its per-tuple one — so every
+// percentile, the mean, the extremes and each bucket agree.
+func TestObserveNMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var each, runs Histogram
+	for range 2000 {
+		v := rng.Int63n(1 << uint(rng.Intn(20)))
+		if rng.Intn(10) == 0 {
+			v = -v
+		}
+		n := uint64(rng.Intn(300))
+		for range n {
+			each.Observe(v)
+		}
+		runs.ObserveN(v, n)
+	}
+	if !slices.Equal(each.counts, runs.counts) {
+		t.Fatal("the buckets differ")
+	}
+	if each.Summarize() != runs.Summarize() {
+		t.Fatalf("one by one %+v, by runs %+v", each.Summarize(), runs.Summarize())
+	}
+	for q := 0.0; q <= 1; q += 0.001 {
+		if a, b := each.Percentile(q), runs.Percentile(q); a != b {
+			t.Fatalf("percentile %.3f: %d one by one, %d by runs", q, a, b)
+		}
 	}
 }
 

@@ -8,12 +8,21 @@ import (
 
 // keyTable is the one representation of key-indexed data in this
 // package — every cell's values, the dirty-key set, the spill sets: an
-// open-addressing hash table from stream.Key to V. Keys and values sit
-// side by side in one slot array, the value first as in entry[V], so a
-// set (V = struct{}) costs 8 bytes a slot. A key probes linearly from
-// its home slot, and a delete shifts the probe run behind it back
-// rather than leaving a tombstone. Key 0 marks an empty slot, so its
-// value is kept beside the array.
+// open-addressing table from stream.Key to V whose slots ascend with
+// their keys, so walking the array walks the keys in order and a capture
+// sorts nothing (Amble and Knuth's ordered hash table, Comput. J. 1974).
+// Keys and values sit side by side in one slot array, the value first as
+// in entry[V], so a set (V = struct{}) costs 8 bytes a slot. Key 0 marks
+// an empty slot, so its value is kept beside the array.
+//
+// A key's home slot rises with its rank, and a run of keys past their
+// homes stays in rank order: an insert goes before the first larger rank
+// of its run and shifts the rest of the run right, a lookup stops at an
+// empty slot or a larger rank, a delete shifts the run behind it back.
+// Probes never wrap: the last slots are no key's home, a tail for the
+// last run, which an insert that reaches the end lengthens. The rank is
+// the key itself until the keys cluster (clustered); the table then
+// ranks them by a Fibonacci hash, and sorted sorts.
 //
 // The table grows by half when more than 7/8 of its slots would be
 // full, so an int64 cell costs 18–28 bytes a key at every size; a
@@ -25,23 +34,52 @@ type keyTable[V any] struct {
 	n       int // keys held in slots
 	zero    V   // key 0's value, when hasZero
 	hasZero bool
+	tail    int // the last slots, no key's home
+	// mul is 0 while a key's rank is the key, fibonacci once the keys
+	// clustered: rank(k) = k·(mul|1).
+	mul uint64
+	// debt is what inserts probed since the last rebuild beyond
+	// insertProbes each, never below 0.
+	debt int
 }
 
-// keyTableMinSlots is the array a table's first insert allocates.
-const keyTableMinSlots = 8
+const (
+	// keyTableMinSlots is the array a table's first insert allocates.
+	keyTableMinSlots = 8
+	// fibonacci is 2^64/φ, odd: the hashed rank's multiplier.
+	fibonacci = 0x9e3779b97f4a7c15
+	// insertProbes bounds what an insert of spread keys probes on
+	// average up to 7/8 load, Knuth's (1+1/(1-α)²)/2 ≈ 33.
+	insertProbes = 64
+)
 
-// home is k's home slot among n: the high word of a multiplicative
-// (Fibonacci) hash of k times n, so homes ascend with the hash.
-func home(k stream.Key, n int) int {
-	hi, _ := bits.Mul64(uint64(k)*0x9e3779b97f4a7c15, uint64(n))
+// home is k's home slot: the high word of its rank times the homes, so
+// homes ascend with the rank.
+func (t *keyTable[V]) home(k stream.Key) int {
+	hi, _ := bits.Mul64(uint64(k)*(t.mul|1), uint64(len(t.slots)-t.tail))
 	return int(hi)
 }
 
-// slotsFor is the fewest slots that hold n keys at no more than 7/8
-// load.
-func slotsFor(n int) int {
-	return max(keyTableMinSlots, (8*n+6)/7)
+// clustered reports that an ordered table's keys pile up on a few
+// homes: probes, by a rebuild or owed by inserts, pass 16 a key. Keys
+// spread over the key space probe about 5 a key at 7/8 load; sequential
+// keys, keys sharing their top bits, or a split instance's part of the
+// key space land on a fraction of the homes, and would make each insert
+// a scan.
+func (t *keyTable[V]) clustered(probes int) bool {
+	return t.mul == 0 && probes > 16*t.n+4096
 }
+
+// slotsFor is the fewest slots whose homes hold n keys at no more than
+// 7/8 load.
+func slotsFor(n int) int {
+	h := max(keyTableMinSlots, (8*n+6)/7)
+	return h + tailFor(h)
+}
+
+// tailFor is the tail of an array of n slots, or of n homes: a
+// thirty-second of it, at most 64.
+func tailFor(n int) int { return min(n/32, 64) }
 
 // size returns the number of keys held.
 func (t *keyTable[V]) size() int {
@@ -51,22 +89,35 @@ func (t *keyTable[V]) size() int {
 	return t.n
 }
 
-// find returns k's slot, or the empty slot that ends its probe run
-// when k is absent (slot 0 of a table without slots). k is not 0.
+// find returns k's slot, or, when k is absent, where it would go: the
+// first slot from its home that is empty or holds a larger rank
+// (len(slots) when the run reaches the end). k is not 0.
 func (t *keyTable[V]) find(k stream.Key) (i int, found bool) {
-	s := t.slots
-	if len(s) == 0 {
-		return 0, false
-	}
-	for i = home(k, len(s)); s[i].k != k; {
-		if s[i].k == 0 {
-			return i, false
+	s, m := t.slots, t.mul|1
+	// Ranks less one: an empty slot's comes out largest.
+	r := uint64(k)*m - 1
+	i = t.home(k)
+	// Most keys sit within 3 slots of their homes: test the 4 with one
+	// branch before the scan.
+	if i+3 < len(s) {
+		if at := eq(s[i].k, k) | eq(s[i+1].k, k)<<1 | eq(s[i+2].k, k)<<2 | eq(s[i+3].k, k)<<3; at != 0 {
+			return i + bits.TrailingZeros8(at), true
 		}
-		if i++; i == len(s) {
-			i = 0
+	}
+	for ; i < len(s); i++ {
+		if uint64(s[i].k)*m-1 >= r {
+			return i, s[i].k == k
 		}
 	}
-	return i, true
+	return i, false
+}
+
+// eq is 1 when a == b, else 0.
+func eq(a, b stream.Key) uint8 {
+	if a == b {
+		return 1
+	}
+	return 0
 }
 
 // get returns k's value slot, nil when k is absent.
@@ -94,12 +145,16 @@ func (t *keyTable[V]) put(k stream.Key) (v *V, had bool) {
 	if ok {
 		return &t.slots[i].v, true
 	}
-	if 8*(t.n+1) > 7*len(t.slots) {
+	if 8*(t.n+1) > 7*(len(t.slots)-t.tail) {
 		t.reserve(1)
 		i, _ = t.find(k)
 	}
-	t.slots[i].k = k
+	i, p := t.shiftIn(k, i)
 	t.n++
+	if t.debt = max(0, t.debt+p-insertProbes); t.clustered(t.debt) {
+		t.rebuild(len(t.slots), fibonacci)
+		i, _ = t.find(k)
+	}
 	return &t.slots[i].v, false
 }
 
@@ -109,8 +164,9 @@ func (t *keyTable[V]) set(k stream.Key, v V) {
 	*p = v
 }
 
-// del removes k, reporting whether it was present. The probe run behind
-// k shifts back over the hole, so no lookup ever passes a tombstone.
+// del removes k, reporting whether it was present. The keys behind k
+// that sit past their homes shift back one slot each, so no lookup ever
+// passes a tombstone and the run stays in order.
 func (t *keyTable[V]) del(k stream.Key) bool {
 	if k == 0 {
 		had := t.hasZero
@@ -121,51 +177,73 @@ func (t *keyTable[V]) del(k stream.Key) bool {
 	if !ok {
 		return false
 	}
-	// i is the hole. A later key of the run moves into it unless its
-	// home lies cyclically in (i, j], past the hole.
 	s := t.slots
-	for j := i; ; {
-		if j++; j == len(s) {
-			j = 0
-		}
-		if s[j].k == 0 {
-			break
-		}
-		h := home(s[j].k, len(s))
-		if i < j && (h <= i || h > j) || j < i && h <= i && h > j {
-			s[i], i = s[j], j
-		}
+	j := i + 1
+	for j < len(s) && s[j].k != 0 && t.home(s[j].k) < j {
+		j++
 	}
-	s[i] = entry[V]{}
+	copy(s[i:], s[i+1:j])
+	s[j-1] = entry[V]{}
 	t.n--
 	return true
 }
 
-// place puts k, absent, in the first free slot from its home, returning
-// the slot and the slots it probed. The table must have room.
+// place puts k, absent, where find says it goes (shiftIn), returning
+// its slot and the slots it probed.
 func (t *keyTable[V]) place(k stream.Key) (i, probes int) {
-	s := t.slots
-	for i = home(k, len(s)); s[i].k != 0; probes++ {
-		if i++; i == len(s) {
-			i = 0
-		}
-	}
-	s[i].k = k
-	return i, probes + 1
+	i, _ = t.find(k)
+	return t.shiftIn(k, i)
 }
 
-// resize moves every key into a fresh array of n slots, returning the
-// slots the moves probed. Homes ascend with the hash at every size, so
-// moving keys in slot order fills the new array front to back: each
-// move probes about as far as a fresh insert would.
-func (t *keyTable[V]) resize(n int) (probes int) {
-	old := t.slots
-	t.slots = make([]entry[V], n)
-	for _, e := range old {
-		if e.k != 0 {
-			i, p := t.place(e.k)
+// shiftIn puts k, absent, in slot i — the one find returned — shifting
+// the rest of its run right by one, and returns i and the slots probed
+// from k's home to the end of the run. A run that reaches the end of the
+// array doubles the tail first.
+func (t *keyTable[V]) shiftIn(k stream.Key, i int) (int, int) {
+	s := t.slots
+	e := i
+	for e < len(s) && s[e].k != 0 {
+		e++
+	}
+	if e == len(s) {
+		grow := max(t.tail, 4)
+		t.slots = append(make([]entry[V], 0, len(s)+grow), s...)[:len(s)+grow]
+		t.tail += grow
+		s = t.slots
+	}
+	if e > i {
+		copy(s[i+1:e+1], s[i:e])
+	}
+	s[i] = entry[V]{k: k}
+	return i, e - t.home(k) + 1
+}
+
+// rebuild moves every key into a fresh array of n slots, the last
+// thirty-second of them, at most 64, a tail, and ranks them by
+// k·(mul|1); it returns the slots the moves probed. Keys that come in
+// rank order each land at their home or just past the key before, so
+// the moves probe what the keys' displacements add up to. Keys ranked by
+// themselves that turn out clustered are hashed instead: each growth
+// gives a table that fell back its order again.
+func (t *keyTable[V]) rebuild(n int, mul uint64) (probes int) {
+	old := *t
+	t.slots, t.tail, t.mul, t.debt = make([]entry[V], n), tailFor(n), mul, 0
+	next := 0 // the slot after the last key placed
+	for _, e := range old.slots {
+		if e.k == 0 {
+			continue
+		}
+		h := t.home(e.k)
+		i, p := max(next, h), 0
+		if old.mul == mul && i < len(t.slots) {
+			t.slots[i], p = e, i-h+1
+		} else {
+			i, p = t.place(e.k)
 			t.slots[i].v = e.v
-			probes += p
+		}
+		if next, probes = i+1, probes+p; t.clustered(probes) {
+			*t = old
+			return t.rebuild(n, fibonacci)
 		}
 	}
 	return probes
@@ -174,8 +252,8 @@ func (t *keyTable[V]) resize(n int) (probes int) {
 // reserve makes room for n more keys, growing by at least half so a
 // sequence of reserves stays linear.
 func (t *keyTable[V]) reserve(n int) {
-	if want := slotsFor(t.n + n); want > len(t.slots) {
-		t.resize(max(want, len(t.slots)+len(t.slots)/2))
+	if 8*(t.n+n) > 7*(len(t.slots)-t.tail) {
+		t.rebuild(max(slotsFor(t.n+n), len(t.slots)+len(t.slots)/2), 0)
 	}
 }
 
@@ -184,36 +262,54 @@ func (t *keyTable[V]) reserve(n int) {
 // rebuild probed.
 func (t *keyTable[V]) compact() (probes int) {
 	if t.n == 0 {
-		t.slots = nil
+		t.slots, t.tail = nil, 0
 		return 0
 	}
-	return t.resize(slotsFor(t.n))
+	return t.rebuild(slotsFor(t.n), 0)
 }
 
-// all yields every key with its value slot, in slot order — key 0
-// first. The table must not change during the walk.
+// inOrder returns the table's entries in key order: its own slots, empty
+// ones (key 0) among them, while the rank is the key, else a sorted copy.
+// Key 0's value is not among them.
+func (t *keyTable[V]) inOrder() []entry[V] {
+	if t.mul == 0 {
+		return t.slots
+	}
+	es := make([]entry[V], 0, t.n)
+	for _, e := range t.slots {
+		if e.k != 0 {
+			es = append(es, e)
+		}
+	}
+	return radixSort(es)
+}
+
+// all yields every key with its value slot, keys ascending: the table's
+// own slots, or a sorted copy's once its keys clustered. The table must
+// not change during the walk.
 func (t *keyTable[V]) all(yield func(stream.Key, *V) bool) {
+	es := t.inOrder()
 	if t.hasZero && !yield(0, &t.zero) {
 		return
 	}
-	for i := range t.slots {
-		if e := &t.slots[i]; e.k != 0 && !yield(e.k, &e.v) {
+	for i := range es {
+		if e := &es[i]; e.k != 0 && !yield(e.k, &e.v) {
 			return
 		}
 	}
 }
 
-// sorted returns the table's entries ordered by key, and their keys
-// beside them.
+// sorted returns inOrder's entries and the keys held, ascending.
 func (t *keyTable[V]) sorted() ([]entry[V], []stream.Key) {
-	es := make([]entry[V], 0, t.size())
-	for k, v := range t.all {
-		es = append(es, entry[V]{*v, k})
+	es := t.inOrder()
+	keys := make([]stream.Key, 0, t.size())
+	if t.hasZero {
+		keys = append(keys, 0)
 	}
-	es = radixSort(es)
-	keys := make([]stream.Key, len(es))
-	for i, e := range es {
-		keys[i] = e.k
+	for _, e := range es {
+		if e.k != 0 {
+			keys = append(keys, e.k)
+		}
 	}
 	return es, keys
 }

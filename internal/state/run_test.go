@@ -374,14 +374,16 @@ func TestRadixSort(t *testing.T) {
 				p, _ := tab.put(k)
 				*p = i
 			}
-			es, keys := tab.sorted()
+			_, keys := tab.sorted()
 			if !slices.Equal(keys, slices.Compact(want)) {
 				t.Fatalf("%s, n=%d: a table's sorted keys disagree with slices.Sort", name, n)
 			}
-			for i, e := range es {
-				if e.k != keys[i] || set[e.k] != e.v {
-					t.Fatalf("%s, n=%d: sorted entry %d is (%d, %d)", name, n, i, e.k, e.v)
+			i := 0
+			for k, p := range tab.all {
+				if k != keys[i] || set[k] != *p {
+					t.Fatalf("%s, n=%d: ascending entry %d is (%d, %d)", name, n, i, k, *p)
 				}
+				i++
 			}
 		}
 	}

@@ -487,18 +487,25 @@ func (c *cell[V]) lookupLocked() fragSource {
 }
 
 // sortedLocked returns the table's keys, sorted, and the fragSource of
-// a full capture over the sorted entries. A capture asks for keys in
-// ascending order, so only the next entry can match, and no key is
-// looked up.
+// a full capture over the entries in key order. A capture asks for keys
+// in ascending order, so only the next entry can match — the entries
+// before it are empty slots — and no key is looked up.
 func (c *cell[V]) sortedLocked() ([]stream.Key, fragSource) {
 	es, keys := c.data.sorted()
 	i := 0
 	return keys, func(dst []byte, k stream.Key) ([]byte, bool, error) {
-		if i == len(es) || es[i].k != k {
+		p := c.data.get(0)
+		if k != 0 {
+			for p = nil; i < len(es) && es[i].k <= k; i++ {
+				if es[i].k == k {
+					p = &es[i].v
+				}
+			}
+		}
+		if p == nil {
 			return dst, false, nil
 		}
-		i++
-		dst, err := c.enc(dst, es[i-1].v)
+		dst, err := c.enc(dst, *p)
 		return dst, true, err
 	}
 }
@@ -617,9 +624,8 @@ func (v *Value[T]) ForEach(f func(k stream.Key, val T)) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.materializeAllLocked()
-	es, _ := v.data.sorted()
-	for _, e := range es {
-		f(e.k, e.v)
+	for k, p := range v.data.all {
+		f(k, *p)
 	}
 }
 
@@ -710,9 +716,8 @@ func (m *Map[T]) ForEach(f func(k stream.Key, field string, val T)) {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.materializeAllLocked()
-	es, _ := m.data.sorted()
-	for _, e := range es {
-		k, inner := e.k, e.v
+	for k, p := range m.data.all {
+		inner := *p
 		fields := make([]string, 0, len(inner))
 		for field := range inner {
 			fields = append(fields, field)

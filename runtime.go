@@ -199,9 +199,10 @@ type Metrics struct {
 	// CheckpointsRefused counts full checkpoints captured but never
 	// stored — refused as too large for one frame, as stale, for want
 	// of a backup host, or, on Distributed, while the worker's
-	// coordinator is unreachable. The instance keeps owing a full
-	// checkpoint and its previous backup stays authoritative. Always
-	// zero on Simulated.
+	// coordinator is unreachable (an orphaned worker's periodic rounds
+	// capture nothing, so they count nothing). The instance keeps owing
+	// a full checkpoint and its previous backup stays authoritative.
+	// Always zero on Simulated.
 	CheckpointsRefused uint64
 	// ControlPlane tallies the Distributed coordinator's journal and
 	// failover activity (zero without WithControlPlaneDir).
