@@ -71,15 +71,11 @@ func (t *keyTable[V]) clustered(probes int) bool {
 }
 
 // slotsFor is the fewest slots whose homes hold n keys at no more than
-// 7/8 load.
+// 7/8 load, with their tail.
 func slotsFor(n int) int {
 	h := max(keyTableMinSlots, (8*n+6)/7)
-	return h + tailFor(h)
+	return h + min(h/32, 64)
 }
-
-// tailFor is the tail of an array of n slots, or of n homes: a
-// thirty-second of it, at most 64.
-func tailFor(n int) int { return min(n/32, 64) }
 
 // size returns the number of keys held.
 func (t *keyTable[V]) size() int {
@@ -177,8 +173,7 @@ func (t *keyTable[V]) del(k stream.Key) bool {
 	if !ok {
 		return false
 	}
-	s := t.slots
-	j := i + 1
+	s, j := t.slots, i+1
 	for j < len(s) && s[j].k != 0 && t.home(s[j].k) < j {
 		j++
 	}
@@ -200,8 +195,7 @@ func (t *keyTable[V]) place(k stream.Key) (i, probes int) {
 // from k's home to the end of the run. A run that reaches the end of the
 // array doubles the tail first.
 func (t *keyTable[V]) shiftIn(k stream.Key, i int) (int, int) {
-	s := t.slots
-	e := i
+	s, e := t.slots, i
 	for e < len(s) && s[e].k != 0 {
 		e++
 	}
@@ -227,7 +221,7 @@ func (t *keyTable[V]) shiftIn(k stream.Key, i int) (int, int) {
 // gives a table that fell back its order again.
 func (t *keyTable[V]) rebuild(n int, mul uint64) (probes int) {
 	old := *t
-	t.slots, t.tail, t.mul, t.debt = make([]entry[V], n), tailFor(n), mul, 0
+	t.slots, t.tail, t.mul, t.debt = make([]entry[V], n), min(n/32, 64), mul, 0
 	next := 0 // the slot after the last key placed
 	for _, e := range old.slots {
 		if e.k == 0 {
@@ -302,14 +296,12 @@ func (t *keyTable[V]) all(yield func(stream.Key, *V) bool) {
 // sorted returns inOrder's entries and the keys held, ascending.
 func (t *keyTable[V]) sorted() ([]entry[V], []stream.Key) {
 	es := t.inOrder()
-	keys := make([]stream.Key, 0, t.size())
-	if t.hasZero {
-		keys = append(keys, 0)
-	}
+	// Key 0, when held, leads: keys[0] is 0 already. The walk is free of
+	// branches: an empty slot's key is written over by the next key.
+	keys, j := make([]stream.Key, t.size()+1), t.size()-t.n
 	for _, e := range es {
-		if e.k != 0 {
-			keys = append(keys, e.k)
-		}
+		keys[j] = e.k
+		j += int(1 - eq(e.k, 0))
 	}
-	return es, keys
+	return es, keys[:j:j]
 }

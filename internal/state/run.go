@@ -355,12 +355,17 @@ func (b *RunBuilder) copyRecord(src *Run, i int) {
 }
 
 // putUvarint writes v into the one byte reserved for it at b[at],
-// moving what follows to make room when v needs more.
+// moving what follows to make room when v needs more (widenUvarint).
+// It inlines, so the common one-byte write costs no call.
 func putUvarint(b []byte, at int, v uint64) []byte {
 	if v < 0x80 {
 		b[at] = byte(v)
 		return b
 	}
+	return widenUvarint(b, at, v)
+}
+
+func widenUvarint(b []byte, at int, v uint64) []byte {
 	var buf [binary.MaxVarintLen64]byte
 	w := binary.PutUvarint(buf[:], v)
 	b = append(b, buf[1:w]...)

@@ -494,12 +494,13 @@ func (c *cell[V]) sortedLocked() ([]stream.Key, fragSource) {
 	es, keys := c.data.sorted()
 	i := 0
 	return keys, func(dst []byte, k stream.Key) ([]byte, bool, error) {
-		p := c.data.get(0)
-		if k != 0 {
-			for p = nil; i < len(es) && es[i].k <= k; i++ {
-				if es[i].k == k {
-					p = &es[i].v
-				}
+		var p *V
+		if k == 0 {
+			p = c.data.get(0)
+		}
+		for ; k != 0 && i < len(es) && es[i].k <= k; i++ {
+			if es[i].k == k {
+				p = &es[i].v
 			}
 		}
 		if p == nil {
