@@ -24,7 +24,7 @@ import (
 // the key itself until the keys cluster (clustered); the table then
 // ranks them by a Fibonacci hash, and sorted sorts.
 //
-// The table grows by half when more than 7/8 of its slots would be
+// The table grows by half when more than 7/8 of its homes would be
 // full, so an int64 cell costs 18–28 bytes a key at every size; a
 // resize briefly holds both arrays, 2.5× the old one. A pointer a
 // method returns stays valid until the next insert or delete. The zero
@@ -35,6 +35,10 @@ type keyTable[V any] struct {
 	zero    V   // key 0's value, when hasZero
 	hasZero bool
 	tail    int // the last slots, no key's home
+	// ext is how many of them an insert appended since the last rebuild;
+	// a growth sizes from the array without them, so an early one does
+	// not inflate every later size.
+	ext int
 	// mul is 0 while a key's rank is the key, fibonacci once the keys
 	// clustered: rank(k) = k·(mul|1).
 	mul uint64
@@ -202,7 +206,7 @@ func (t *keyTable[V]) shiftIn(k stream.Key, i int) (int, int) {
 	if e == len(s) {
 		grow := max(t.tail, 4)
 		t.slots = append(make([]entry[V], 0, len(s)+grow), s...)[:len(s)+grow]
-		t.tail += grow
+		t.tail, t.ext = t.tail+grow, t.ext+grow
 		s = t.slots
 	}
 	if e > i {
@@ -221,7 +225,7 @@ func (t *keyTable[V]) shiftIn(k stream.Key, i int) (int, int) {
 // gives a table that fell back its order again.
 func (t *keyTable[V]) rebuild(n int, mul uint64) (probes int) {
 	old := *t
-	t.slots, t.tail, t.mul, t.debt = make([]entry[V], n), min(n/32, 64), mul, 0
+	t.slots, t.tail, t.ext, t.mul, t.debt = make([]entry[V], n), min(n/32, 64), 0, mul, 0
 	next := 0 // the slot after the last key placed
 	for _, e := range old.slots {
 		if e.k == 0 {
@@ -247,7 +251,8 @@ func (t *keyTable[V]) rebuild(n int, mul uint64) (probes int) {
 // sequence of reserves stays linear.
 func (t *keyTable[V]) reserve(n int) {
 	if 8*(t.n+n) > 7*(len(t.slots)-t.tail) {
-		t.rebuild(max(slotsFor(t.n+n), len(t.slots)+len(t.slots)/2), 0)
+		size := len(t.slots) - t.ext
+		t.rebuild(max(slotsFor(t.n+n), size+size/2), 0)
 	}
 }
 
@@ -256,7 +261,7 @@ func (t *keyTable[V]) reserve(n int) {
 // rebuild probed.
 func (t *keyTable[V]) compact() (probes int) {
 	if t.n == 0 {
-		t.slots, t.tail = nil, 0
+		t.slots, t.tail, t.ext = nil, 0, 0
 		return 0
 	}
 	return t.rebuild(slotsFor(t.n), 0)

@@ -172,6 +172,29 @@ func TestKeyTableBytesPerKey(t *testing.T) {
 	}
 }
 
+// TestKeyTableGrowthIgnoresTailExtensions: the slots an insert appends
+// to a tail its run reached do not move the later growth steps, so every
+// table of n hashed keys grows through the same sizes whatever its keys.
+// Sized from the extended array, an early extension would inflate each
+// later step, a 200 k-key table by 14 %.
+func TestKeyTableGrowthIgnoresTailExtensions(t *testing.T) {
+	sizes, extended := map[int]int{}, 0
+	for c := range 100 {
+		var tab keyTable[int64]
+		for i := range 20_000 {
+			n := len(tab.slots)
+			tab.set(stream.Key(stream.Mix64(uint64(c)<<32|uint64(i))), 1)
+			if len(tab.slots) > n && tab.ext > 0 {
+				extended++
+			}
+		}
+		sizes[len(tab.slots)-tab.ext]++
+	}
+	if len(sizes) != 1 || extended == 0 {
+		t.Errorf("100 tables of 20 000 keys, %d tail extensions: sizes %v, want one", extended, sizes)
+	}
+}
+
 // TestKeyTableRebuildIsLinear: compacting a 1 M-key table after half its
 // keys are deleted probes no more than 3× what inserting the survivors
 // into a fresh table does. A rebuild that inserted in slot order into a
