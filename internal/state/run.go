@@ -424,7 +424,8 @@ type entry[V any] struct {
 // radixSort orders es by key: an LSD radix sort on 8-bit digits that
 // skips every digit all keys share. Each pass moves the entries between
 // es and one scratch slice, so the result comes back in whichever holds
-// it. It is internal/state's one key sort.
+// it. It is internal/state's one key sort, for the walk of a key table
+// whose keys clustered.
 func radixSort[V any](es []entry[V]) []entry[V] {
 	if len(es) < 2 {
 		return es

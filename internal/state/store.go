@@ -252,11 +252,12 @@ func (s *Store) takeCheckpoint(track bool) (Run, error) {
 	if err := s.materializeAllLocked(); err != nil {
 		return Run{}, err
 	}
-	// Each cell walks its table once and sorts what it walked; the capture
-	// merges the cells' entries, so no key is sorted by comparison or
-	// looked up. Fixed-width values size the body exactly, so a backup
-	// that keeps the run keeps no slack; others are sized by the last
-	// checkpoint's body, plus a sixteenth for growth.
+	// Each cell walks its table once, in key order (a table whose keys
+	// clustered sorts what it walked); the capture merges the cells'
+	// entries, so no key is sorted by comparison or looked up. Fixed-width
+	// values size the body exactly, so a backup that keeps the run keeps
+	// no slack; others are sized by the last checkpoint's body, plus a
+	// sixteenth for growth.
 	keys, srcs, body, exact := s.sortedLocked()
 	if !exact {
 		body = max(body, s.lastFullSize+s.lastFullSize/16)
