@@ -279,12 +279,18 @@ func TestOrphanRoundsCaptureNothing(t *testing.T) {
 	}
 
 	dc.coord.Close()
-	// Past the 200 ms detection every worker is orphaned; then ten rounds.
-	time.Sleep(600 * time.Millisecond)
-	before := refused()
-	time.Sleep(time.Second)
-	if got := refused(); got != before {
-		t.Errorf("orphaned workers refused %d full checkpoints in ten rounds, want none captured", got-before)
+	// Ships fail until the 200 ms detection orphans every worker; from
+	// then on a second of rounds (ten) must refuse nothing.
+	for deadline, before := time.Now().Add(5*time.Second), refused(); ; {
+		time.Sleep(time.Second)
+		got := refused()
+		if got == before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("orphaned workers still refuse full checkpoints 5 s after Close (%d in the last second), want none captured", got-before)
+		}
+		before = got
 	}
 
 	disk, err := core.NewDurableStore(dc.cfg.ControlPlaneDir, state.GobPayloadCodec{})
