@@ -271,10 +271,19 @@ func BenchmarkValueUpdate(b *testing.B) {
 // hashedStore returns a store whose one int64 cell holds keys hashed
 // keys, and the cell.
 func hashedStore(keys int) (*state.Store, *state.Value[int64]) {
+	return rangeStore(keys, state.FullRange)
+}
+
+// rangeStore is hashedStore with only the hashed keys in r, the part of
+// the key space a split instance holds.
+func rangeStore(keys int, r state.KeyRange) (*state.Store, *state.Value[int64]) {
 	s := state.NewStore()
 	v := state.NewValue[int64](s, "n", state.Int64Codec{})
-	for i := range keys {
-		v.Set(stream.Key(stream.Mix64(uint64(i))), int64(i))
+	for i, n := uint64(0), 0; n < keys; i++ {
+		if k := stream.Key(stream.Mix64(i)); r.Contains(k) {
+			v.Set(k, int64(i))
+			n++
+		}
 	}
 	return s, v
 }
@@ -301,12 +310,21 @@ func BenchmarkTakeCheckpoint(b *testing.B) {
 
 // BenchmarkRestore measures set-processing-state on a recovery's
 // critical path: Store.Restore of a captured run of 100 k and 1 M
-// hashed int64 keys, which replaces the store's contents. ns/op is per
-// restore.
+// hashed int64 keys, and of 200 k keys of the upper half of the key
+// space (a scale-out's new instance), which replaces the store's
+// contents. ns/op is per restore.
 func BenchmarkRestore(b *testing.B) {
-	for _, keys := range []int{100_000, 1_000_000} {
-		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			s, _ := hashedStore(keys)
+	for _, c := range []struct {
+		name string
+		keys int
+		r    state.KeyRange
+	}{
+		{"keys=100000", 100_000, state.FullRange},
+		{"keys=1000000", 1_000_000, state.FullRange},
+		{"keys=200000/upper-half", 200_000, state.FullRange.SplitEven(2)[1]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, _ := rangeStore(c.keys, c.r)
 			run, err := s.TakeCheckpoint()
 			if err != nil {
 				b.Fatal(err)

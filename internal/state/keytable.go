@@ -21,27 +21,32 @@ import (
 // empty slot or a larger rank, a delete shifts the run behind it back.
 // Probes never wrap: the last slots are no key's home, a tail for the
 // last run, which an insert that reaches the end lengthens. The rank is
-// the key itself until the keys cluster (clustered); the table then
-// ranks them by a Fibonacci hash, and sorted sorts.
+// the key itself, and each rebuild spreads the homes over the range from
+// the least key held to the largest, so a split instance's part of the
+// key space fills every home. Keys that cluster even so (clustered) are
+// ranked by a Fibonacci hash over the whole key space until the table is
+// emptied, and sorted sorts.
 //
-// The table grows by half when more than 7/8 of its homes would be
-// full, so an int64 cell costs 18–28 bytes a key at every size; a
+// The table grows to half again the keys it holds when more than 7/8 of
+// its homes would be full, so an int64 cell costs 18–28 bytes a key at every size; a
 // resize briefly holds both arrays, 2.5× the old one. A pointer a
 // method returns stays valid until the next insert or delete. The zero
-// table is empty and ready to use.
+// table is empty, spreads its homes over the whole key space, and is
+// ready to use.
 type keyTable[V any] struct {
 	slots   []entry[V]
 	n       int // keys held in slots
 	zero    V   // key 0's value, when hasZero
 	hasZero bool
 	tail    int // the last slots, no key's home
-	// ext is how many of them an insert appended since the last rebuild;
-	// a growth sizes from the array without them, so an early one does
-	// not inflate every later size.
-	ext int
 	// mul is 0 while a key's rank is the key, fibonacci once the keys
 	// clustered: rank(k) = k·(mul|1).
 	mul uint64
+	// A rank r's home is the high word of (r−lo, held to 0…^cut) times
+	// the homes plus c, mod 2^64: each rebuild sets them so the ranks its
+	// keys span fill every home. The zero values spread the whole key
+	// space.
+	lo, cut, c uint64
 	// debt is what inserts probed since the last rebuild beyond
 	// insertProbes each, never below 0.
 	debt int
@@ -57,19 +62,20 @@ const (
 	insertProbes = 64
 )
 
-// home is k's home slot: the high word of its rank times the homes, so
-// homes ascend with the rank.
+// home is k's home slot: the high word of its rank's offset into the
+// spread range times the multiplier, so homes ascend with the rank.
 func (t *keyTable[V]) home(k stream.Key) int {
-	hi, _ := bits.Mul64(uint64(k)*(t.mul|1), uint64(len(t.slots)-t.tail))
+	r := uint64(k) * (t.mul | 1)
+	hi, _ := bits.Mul64(min(max(r, t.lo)-t.lo, ^t.cut), uint64(len(t.slots)-t.tail)+t.c)
 	return int(hi)
 }
 
 // clustered reports that an ordered table's keys pile up on a few
 // homes: probes, by a rebuild or owed by inserts, pass 16 a key. Keys
-// spread over the key space probe about 5 a key at 7/8 load; sequential
-// keys, keys sharing their top bits, or a split instance's part of the
-// key space land on a fraction of the homes, and would make each insert
-// a scan.
+// spread over their range probe about 5 a key at 7/8 load; keys sharing
+// their top bits, or new keys past the range in ascending order
+// (sequential ids), land on a few homes and would make each insert a
+// scan.
 func (t *keyTable[V]) clustered(probes int) bool {
 	return t.mul == 0 && probes > 16*t.n+4096
 }
@@ -146,13 +152,13 @@ func (t *keyTable[V]) put(k stream.Key) (v *V, had bool) {
 		return &t.slots[i].v, true
 	}
 	if 8*(t.n+1) > 7*(len(t.slots)-t.tail) {
-		t.reserve(1)
+		t.reserve(1, k, k)
 		i, _ = t.find(k)
 	}
 	i, p := t.shiftIn(k, i)
 	t.n++
 	if t.debt = max(0, t.debt+p-insertProbes); t.clustered(t.debt) {
-		t.rebuild(len(t.slots), fibonacci)
+		t.rebuild(len(t.slots), fibonacci, 0, 0)
 		i, _ = t.find(k)
 	}
 	return &t.slots[i].v, false
@@ -203,68 +209,74 @@ func (t *keyTable[V]) shiftIn(k stream.Key, i int) (int, int) {
 	for e < len(s) && s[e].k != 0 {
 		e++
 	}
-	if e == len(s) {
-		grow := max(t.tail, 4)
-		t.slots = append(make([]entry[V], 0, len(s)+grow), s...)[:len(s)+grow]
-		t.tail, t.ext = t.tail+grow, t.ext+grow
+	if grow := max(t.tail, 4); e == len(s) {
+		t.slots, t.tail = append(make([]entry[V], 0, len(s)+grow), s...)[:len(s)+grow], t.tail+grow
 		s = t.slots
 	}
-	if e > i {
-		copy(s[i+1:e+1], s[i:e])
-	}
+	copy(s[i+1:e+1], s[i:e])
 	s[i] = entry[V]{k: k}
 	return i, e - t.home(k) + 1
 }
 
 // rebuild moves every key into a fresh array of n slots, the last
 // thirty-second of them, at most 64, a tail, and ranks them by
-// k·(mul|1); it returns the slots the moves probed. Keys that come in
-// rank order each land at their home or just past the key before, so
-// the moves probe what the keys' displacements add up to. Keys ranked by
-// themselves that turn out clustered are hashed instead: each growth
-// gives a table that fell back its order again.
-func (t *keyTable[V]) rebuild(n int, mul uint64) (probes int) {
+// k·(mul|1); it returns the slots the moves probed. Ranked by
+// themselves, the keys spread their homes over the range from the least
+// of them and lo to the largest of them and hi: the multiplier is the
+// largest that puts the range's top at the last home, or, for a range
+// narrower than the homes, 2^64−1, a home a rank. Keys that come in rank order
+// each land at their home or just past the key before, so the moves
+// probe what the keys' displacements add up to. Keys ranked by
+// themselves that turn out clustered are hashed instead.
+func (t *keyTable[V]) rebuild(n int, mul, lo, hi uint64) (probes int) {
 	old := *t
-	t.slots, t.tail, t.ext, t.mul, t.debt = make([]entry[V], n), min(n/32, 64), 0, mul, 0
+	*t = keyTable[V]{slots: make([]entry[V], n), zero: old.zero, hasZero: old.hasZero, tail: min(n/32, 64), mul: mul}
+	for _, e := range old.slots {
+		if e.k != 0 {
+			lo, hi = min(lo, uint64(e.k)), max(hi, uint64(e.k))
+		}
+	}
+	if homes := uint64(n - t.tail); mul == 0 && lo <= hi {
+		m, _ := bits.Div64(homes-1, ^uint64(0), max(hi-lo, homes))
+		t.lo, t.cut, t.c = lo, ^(hi - lo), m-homes
+	}
 	next := 0 // the slot after the last key placed
 	for _, e := range old.slots {
 		if e.k == 0 {
 			continue
 		}
 		h := t.home(e.k)
-		i, p := max(next, h), 0
-		if old.mul == mul && i < len(t.slots) {
-			t.slots[i], p = e, i-h+1
-		} else {
-			i, p = t.place(e.k)
-			t.slots[i].v = e.v
+		i := max(next, h)
+		if old.mul != mul || i == len(t.slots) { // out of rank order, or past the tail
+			i, _ = t.place(e.k)
 		}
-		if next, probes = i+1, probes+p; t.clustered(probes) {
+		t.slots[i] = e
+		if next, t.n, probes = i+1, t.n+1, probes+i-h+1; t.clustered(probes) {
 			*t = old
-			return t.rebuild(n, fibonacci)
+			return t.rebuild(n, fibonacci, 0, 0)
 		}
 	}
 	return probes
 }
 
-// reserve makes room for n more keys, growing by at least half so a
-// sequence of reserves stays linear.
-func (t *keyTable[V]) reserve(n int) {
+// reserve makes room for n more keys, among them lo and hi, growing by
+// at least half so a sequence of reserves stays linear.
+func (t *keyTable[V]) reserve(n int, lo, hi stream.Key) {
 	if 8*(t.n+n) > 7*(len(t.slots)-t.tail) {
-		size := len(t.slots) - t.ext
-		t.rebuild(max(slotsFor(t.n+n), size+size/2), 0)
+		t.rebuild(slotsFor(t.n+max(n, t.n/2)), t.mul, uint64(lo), uint64(hi))
 	}
 }
 
 // compact rebuilds the array sized for the keys held, so the slots a
 // mass deletion freed return to the allocator; it returns the slots the
-// rebuild probed.
+// rebuild probed. An emptied table is the zero table, its keys ranked by
+// themselves again.
 func (t *keyTable[V]) compact() (probes int) {
 	if t.n == 0 {
-		t.slots, t.tail, t.ext = nil, 0, 0
+		*t = keyTable[V]{zero: t.zero, hasZero: t.hasZero}
 		return 0
 	}
-	return t.rebuild(slotsFor(t.n), 0)
+	return t.rebuild(slotsFor(t.n), t.mul, ^uint64(0), 0)
 }
 
 // inOrder returns the table's entries in key order: its own slots, empty
@@ -283,11 +295,15 @@ func (t *keyTable[V]) inOrder() []entry[V] {
 	return radixSort(es)
 }
 
-// all yields every key with its value slot, keys ascending: the table's
-// own slots, or a sorted copy's once its keys clustered. The table must
-// not change during the walk.
-func (t *keyTable[V]) all(yield func(stream.Key, *V) bool) {
-	es := t.inOrder()
+// all yields every key with its value slot in slot order, keys ascending
+// while the rank is the key. The table must not change during the walk.
+func (t *keyTable[V]) all(yield func(stream.Key, *V) bool) { t.walk(t.slots, yield) }
+
+// ascending is all with the keys ascending: a table whose keys clustered
+// walks a sorted copy.
+func (t *keyTable[V]) ascending(yield func(stream.Key, *V) bool) { t.walk(t.inOrder(), yield) }
+
+func (t *keyTable[V]) walk(es []entry[V], yield func(stream.Key, *V) bool) {
 	if t.hasZero && !yield(0, &t.zero) {
 		return
 	}

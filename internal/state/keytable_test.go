@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"seep/internal/stream"
 )
@@ -57,7 +56,7 @@ func checkTable(t *testing.T, what string, tab *keyTable[int64], ref map[stream.
 		t.Fatalf("%s: sorted keys disagree with the model", what)
 	}
 	var walk []stream.Key
-	for k, p := range tab.all {
+	for k, p := range tab.ascending {
 		if ref[k] != *p {
 			t.Fatalf("%s: ascending yields (%d, %d), model holds %d", what, k, *p, ref[k])
 		}
@@ -112,7 +111,7 @@ func TestKeyTableModel(t *testing.T) {
 					case 0:
 						tab.compact()
 					case 1:
-						tab.reserve(r.Intn(n))
+						tab.reserve(r.Intn(n), k, k)
 					default:
 						tab = keyTable[int64]{}
 						clear(ref)
@@ -174,24 +173,24 @@ func TestKeyTableBytesPerKey(t *testing.T) {
 
 // TestKeyTableGrowthIgnoresTailExtensions: the slots an insert appends
 // to a tail its run reached do not move the later growth steps, so every
-// table of n hashed keys grows through the same sizes whatever its keys.
-// Sized from the extended array, an early extension would inflate each
-// later step, a 200 k-key table by 14 %.
+// table of n hashed keys grows through the same numbers of homes whatever
+// its keys. Sized from the extended array, an early extension would
+// inflate each later step, a 200 k-key table by 14 %.
 func TestKeyTableGrowthIgnoresTailExtensions(t *testing.T) {
 	sizes, extended := map[int]int{}, 0
 	for c := range 100 {
 		var tab keyTable[int64]
 		for i := range 20_000 {
-			n := len(tab.slots)
+			homes, tail := len(tab.slots)-tab.tail, tab.tail
 			tab.set(stream.Key(stream.Mix64(uint64(c)<<32|uint64(i))), 1)
-			if len(tab.slots) > n && tab.ext > 0 {
+			if len(tab.slots)-tab.tail == homes && tab.tail > tail {
 				extended++
 			}
 		}
-		sizes[len(tab.slots)-tab.ext]++
+		sizes[len(tab.slots)-tab.tail]++
 	}
 	if len(sizes) != 1 || extended == 0 {
-		t.Errorf("100 tables of 20 000 keys, %d tail extensions: sizes %v, want one", extended, sizes)
+		t.Errorf("100 tables of 20 000 keys, %d tail extensions: homes %v, want one size", extended, sizes)
 	}
 }
 
@@ -328,19 +327,16 @@ func TestKeyTableMissStopsAtLargerRank(t *testing.T) {
 	}
 }
 
-// TestKeyTableClusteredKeysFallBack: keys that pile onto a few homes —
-// every structured shape of keyShapes, and the upper half of the key
-// space, which a split instance holds — trip the fallback to the hashed
-// rank, and still come out sorted. Their inserts stay linear: 1 M
-// sequential keys fill a table in no more than 10× the time 1 M hashed
-// keys take, where an insert that scanned its pile would take hours.
+// TestKeyTableClusteredKeysFallBack: keys that pile onto a few homes
+// — every structured shape of keyShapes inserted in order — trip the
+// fallback to the hashed rank, and still come out sorted. Their inserts
+// stay linear: 1 M sequential keys, each past the range the last rebuild
+// spread, fill a table in no more than 8 probes a key, where an insert
+// that scanned its pile would probe n/2.
 func TestKeyTableClusteredKeysFallBack(t *testing.T) {
 	const n = 100_000
 	pools := keyShapes(n)
 	delete(pools, "mix64")
-	for i := range n {
-		pools["upper half"] = append(pools["upper half"], stream.Key(stream.Mix64(uint64(i)))|1<<63)
-	}
 	for name, pool := range pools {
 		var tab keyTable[int64]
 		for i, k := range pool {
@@ -353,18 +349,78 @@ func TestKeyTableClusteredKeysFallBack(t *testing.T) {
 			t.Errorf("%s: sorted disagrees with slices.Sort", name)
 		}
 	}
-	fill := func(key func(i int) stream.Key) (time.Duration, *keyTable[int64]) {
-		var tab keyTable[int64]
-		start := time.Now()
-		for i := range 1_000_000 {
-			tab.set(key(i), 1)
+	// An insert probes from its key's home to the end of its run, a
+	// rebuild (or a tail extension, counted as one) from each key's home
+	// to its slot.
+	var tab keyTable[int64]
+	probes, size, mul := 0, 0, uint64(0)
+	for i := range 1_000_000 {
+		k := stream.Key(i + 1)
+		tab.set(k, 1)
+		s := tab.slots
+		if len(s) == size && tab.mul == mul {
+			e, _ := tab.find(k)
+			for e < len(s) && s[e].k != 0 {
+				e++
+			}
+			probes += e - tab.home(k)
+			continue
 		}
-		return time.Since(start), &tab
+		for j, e := range s {
+			if e.k != 0 {
+				probes += j - tab.home(e.k) + 1
+			}
+		}
+		size, mul = len(s), tab.mul
 	}
-	hashed, _ := fill(func(i int) stream.Key { return stream.Key(stream.Mix64(uint64(i))) })
-	sequential, tab := fill(func(i int) stream.Key { return stream.Key(i + 1) })
-	t.Logf("1 M keys: hashed %v, sequential %v", hashed, sequential)
-	if tab.mul == 0 || sequential > 10*hashed {
-		t.Errorf("1 M sequential keys took %v (hashed %v), fell back: %v", sequential, hashed, tab.mul != 0)
+	t.Logf("1 M sequential keys: %d probes, %.2f a key", probes, float64(probes)/float64(tab.n))
+	if tab.mul == 0 || probes > 8*tab.n {
+		t.Errorf("1 M sequential keys probed %d slots, over 8 a key; fell back: %v", probes, tab.mul != 0)
+	}
+}
+
+// TestKeyTableSplitInstanceKeepsKeyOrder: a split instance holds one
+// contiguous part of the key space (KeyRange.SplitEven) — here the upper
+// half, the middle third, the first and the last eighth. Its hashed keys
+// keep the ordered rank — filled key by key in any order, churned at
+// 7/8 load, and installed from a run by Store.Restore — because each
+// rebuild spreads the homes over the keys' range; so its capture copies
+// and sorts nothing.
+func TestKeyTableSplitInstanceKeepsKeyOrder(t *testing.T) {
+	const n = 200_000
+	for _, part := range [][2]int{{2, 2}, {2, 3}, {1, 8}, {8, 8}} {
+		r, keys := FullRange.SplitEven(part[1])[part[0]-1], []stream.Key(nil)
+		for i := uint64(0); len(keys) < n; i++ {
+			if k := stream.Key(stream.Mix64(i)); r.Contains(k) && k != 0 {
+				keys = append(keys, k)
+			}
+		}
+		var tab keyTable[int64]
+		for i, k := range keys[:n/2] {
+			tab.set(k, int64(i))
+		}
+		for i := n / 2; i < n; i++ { // swap keys out and in
+			tab.del(keys[i-n/2])
+			tab.set(keys[i], int64(i))
+		}
+		s := NewStore()
+		v := NewValue[int64](s, "v", Int64Codec{})
+		for _, k := range keys {
+			v.Set(k, 1)
+		}
+		run, err := s.TakeCheckpoint()
+		if err == nil {
+			err = s.Restore(run)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, tab := range map[string]*keyTable[int64]{"filled": &tab, "restored": &v.data} {
+			if tab.mul != 0 {
+				t.Errorf("part %d of %d, %s: %d keys fell back to the hashed rank", part[0], part[1], what, tab.n)
+			} else if es, _ := tab.sorted(); &es[0] != &tab.slots[0] {
+				t.Errorf("part %d of %d, %s: sorted copied the slots", part[0], part[1], what)
+			}
+		}
 	}
 }

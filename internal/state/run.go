@@ -432,14 +432,9 @@ func radixSort[V any](es []entry[V]) []entry[V] {
 	}
 	var counts [8][256]int
 	for _, e := range es {
-		counts[0][byte(e.k)]++
-		counts[1][byte(e.k>>8)]++
-		counts[2][byte(e.k>>16)]++
-		counts[3][byte(e.k>>24)]++
-		counts[4][byte(e.k>>32)]++
-		counts[5][byte(e.k>>40)]++
-		counts[6][byte(e.k>>48)]++
-		counts[7][byte(e.k>>56)]++
+		for d := range counts {
+			counts[d][byte(e.k>>(8*d))]++
+		}
 	}
 	tmp := make([]entry[V], len(es))
 	for d := range counts {

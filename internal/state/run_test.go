@@ -379,7 +379,7 @@ func TestRadixSort(t *testing.T) {
 				t.Fatalf("%s, n=%d: a table's sorted keys disagree with slices.Sort", name, n)
 			}
 			i := 0
-			for k, p := range tab.all {
+			for k, p := range tab.ascending {
 				if k != keys[i] || set[k] != *p {
 					t.Fatalf("%s, n=%d: ascending entry %d is (%d, %d)", name, n, i, k, *p)
 				}

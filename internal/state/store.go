@@ -76,9 +76,10 @@ type storeCell interface {
 	// ascending, with the fragSource of a full capture, which reads the
 	// walked entries in that order instead of looking keys up.
 	sortedLocked() ([]stream.Key, fragSource)
-	// reserveLocked makes room for n more keys, so a restore sizes the
-	// cell once rather than growing it key by key.
-	reserveLocked(n int)
+	// reserveLocked makes room for n more keys from lo to hi, so a
+	// restore sizes the cell once, its homes spread over the run's keys,
+	// rather than growing it key by key.
+	reserveLocked(n int, lo, hi stream.Key)
 	// decodeLocked installs a fragment previously produced by a
 	// fragSource.
 	decodeLocked(k stream.Key, b []byte) error
@@ -352,6 +353,10 @@ func (s *Store) installLocked(kv Run) error {
 	if kv.Len() > 0 && len(kv.cells) == 0 {
 		return fmt.Errorf("state: restore: a run of %d records names no cells", kv.Len())
 	}
+	var lo, hi stream.Key // the run's keys ascend
+	if n := kv.Len(); n > 0 {
+		lo, hi = kv.key(0), kv.key(n-1)
+	}
 	cells := make([]storeCell, len(kv.cells))
 	for i, name := range kv.cells {
 		c, ok := s.byName[name]
@@ -359,7 +364,7 @@ func (s *Store) installLocked(kv Run) error {
 			return fmt.Errorf("state: restore: unknown cell %q", name)
 		}
 		cells[i] = c
-		c.reserveLocked(kv.Len())
+		c.reserveLocked(kv.Len(), lo, hi)
 	}
 	var k stream.Key
 	install := func(c int, val []byte) error {
@@ -521,7 +526,7 @@ func (c *cell[V]) decodeLocked(k stream.Key, b []byte) error {
 	return nil
 }
 
-func (c *cell[V]) reserveLocked(n int) { c.data.reserve(n) }
+func (c *cell[V]) reserveLocked(n int, lo, hi stream.Key) { c.data.reserve(n, lo, hi) }
 
 func (c *cell[V]) resetLocked() { c.data = keyTable[V]{} }
 
@@ -626,7 +631,7 @@ func (v *Value[T]) ForEach(f func(k stream.Key, val T)) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.s.materializeAllLocked()
-	for k, p := range v.data.all {
+	for k, p := range v.data.ascending {
 		f(k, *p)
 	}
 }
@@ -718,7 +723,7 @@ func (m *Map[T]) ForEach(f func(k stream.Key, field string, val T)) {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	m.s.materializeAllLocked()
-	for k, p := range m.data.all {
+	for k, p := range m.data.ascending {
 		inner := *p
 		fields := make([]string, 0, len(inner))
 		for field := range inner {
