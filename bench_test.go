@@ -198,7 +198,7 @@ func BenchmarkBoundedMemoryKeyedSum(b *testing.B) {
 
 // --- micro-benchmarks of the state management primitives ---
 
-func mkProcessing(keys, valueBytes int) *state.Processing {
+func mkProcessing(keys, valueBytes int) state.Run {
 	ks := make([]stream.Key, keys)
 	for i := range ks {
 		ks[i] = stream.Key(stream.Mix64(uint64(i)))
@@ -208,24 +208,7 @@ func mkProcessing(keys, valueBytes int) *state.Processing {
 	for _, k := range ks {
 		kv.Append(k, make([]byte, valueBytes))
 	}
-	p := state.NewProcessing(1)
-	p.KV = kv.Run()
-	return p
-}
-
-// BenchmarkCheckpointClone measures checkpoint-state's consistent-copy
-// cost across state sizes (the CPU cost modelled in Fig. 14).
-func BenchmarkCheckpointClone(b *testing.B) {
-	for _, keys := range []int{100, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			p := mkProcessing(keys, 20)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = p.Clone()
-			}
-		})
-	}
+	return kv.Run()
 }
 
 // BenchmarkPartitionState measures partition-processing-state
@@ -238,7 +221,9 @@ func BenchmarkPartitionState(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = p.Partition(ranges)
+				for _, r := range ranges {
+					_ = p.Range(r)
+				}
 			}
 		})
 	}
@@ -418,14 +403,19 @@ func BenchmarkBufferTrimIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeDecodeProcessing measures checkpoint serialisation.
+// BenchmarkEncodeDecodeProcessing measures checkpoint serialisation of
+// a checkpoint that is all processing state.
 func BenchmarkEncodeDecodeProcessing(b *testing.B) {
-	p := mkProcessing(10_000, 20)
+	cp := &state.Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1,
+		Processing: &state.Processing{KV: mkProcessing(10_000, 20)}}
+	codec := state.GobPayloadCodec{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := stream.NewEncoder(p.Size())
-		p.Encode(e)
-		if _, err := state.DecodeProcessing(stream.NewDecoder(e.Bytes())); err != nil {
+		blob, err := state.MarshalCheckpoint(cp, codec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := state.DecodeCheckpoint(stream.NewDecoder(blob), codec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -442,7 +432,6 @@ func BenchmarkDeltaCheckpoint(b *testing.B) {
 	if _, err := s.TakeCheckpoint(); err != nil {
 		b.Fatal(err)
 	}
-	ts := stream.NewTSVector(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -451,7 +440,7 @@ func BenchmarkDeltaCheckpoint(b *testing.B) {
 			m.Update(k, "f", func(c int64) int64 { return c + 1 })
 		}
 		b.StartTimer()
-		if _, err := s.TakeDelta(ts, uint64(i+1), uint64(i+2)); err != nil {
+		if _, err := s.TakeDelta(nil, uint64(i+1), uint64(i+2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -529,14 +518,12 @@ func BenchmarkCheckpointFullVsIncremental(b *testing.B) {
 		if _, err := s.TakeCheckpoint(); err != nil {
 			b.Fatal(err)
 		}
-		ts := stream.NewTSVector(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		bytes := 0
 		for i := 0; i < b.N; i++ {
 			dirty(m, i)
-			ts.Advance(0, int64(i+1))
-			d, err := s.TakeDelta(ts, uint64(i+1), uint64(i+2))
+			d, err := s.TakeDelta(nil, uint64(i+1), uint64(i+2))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -551,14 +538,14 @@ func BenchmarkCheckpointFullVsIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		base := &state.Checkpoint{Seq: 1, Processing: &state.Processing{KV: kv, TS: stream.NewTSVector(1)}}
+		base := &state.Checkpoint{Seq: 1, Processing: &state.Processing{KV: kv}}
 		dirty(m, 0)
-		d, err := s.TakeDelta(stream.NewTSVector(1), 1, 2)
+		d, err := s.TakeDelta(nil, 1, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
 		delta := &state.Checkpoint{Seq: 2, Base: 1, Deleted: d.Deleted,
-			Processing: &state.Processing{KV: d.Changed, TS: d.TS}, Buffer: state.NewBuffer()}
+			Processing: &state.Processing{KV: d.Changed}, Buffer: state.NewBuffer()}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -591,10 +578,8 @@ func BenchmarkWireCheckpointBytes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proc := state.NewProcessing(1)
-	proc.KV = kv
 	full := &state.Checkpoint{
-		Instance: inst, Seq: 1, Processing: proc,
+		Instance: inst, Seq: 1, Processing: &state.Processing{KV: kv},
 		Buffer: state.NewBuffer(), OutClock: int64(keys),
 		Acks: map[plan.InstanceID]int64{{Op: "src", Part: 1}: int64(keys)},
 	}
@@ -602,7 +587,7 @@ func BenchmarkWireCheckpointBytes(b *testing.B) {
 		k := stream.Key(stream.Mix64(uint64(j * 97 % keys)))
 		m.Update(k, "f", func(c int64) int64 { return c + 1 })
 	}
-	d, err := s.TakeDelta(stream.NewTSVector(1), 1, 2)
+	d, err := s.TakeDelta(nil, 1, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -651,7 +636,7 @@ func BenchmarkCheckpointShip(b *testing.B) {
 	for i := 0; i < keys; i++ {
 		v.Set(stream.Key(stream.Mix64(uint64(i))), int64(i))
 	}
-	cp := &state.Checkpoint{Instance: inst, Processing: state.NewProcessing(1), Buffer: state.NewBuffer(),
+	cp := &state.Checkpoint{Instance: inst, Processing: &state.Processing{}, Buffer: state.NewBuffer(),
 		OutClock: buffered, Acks: map[plan.InstanceID]int64{host: buffered}}
 	h := cp.Buffer.Handle(plan.InstanceID{Op: "sink", Part: 1})
 	for i := 0; i < buffered; i++ {
@@ -682,7 +667,7 @@ func BenchmarkCheckpointShip(b *testing.B) {
 			b.Fatal(err)
 		}
 		got, _, ok := store.Latest(inst)
-		if !ok || got.Buffer.Len() != buffered || got.Processing.Len() != keys {
+		if !ok || got.Buffer.Len() != buffered || got.Processing.KV.Len() != keys {
 			b.Fatalf("stored checkpoint did not decode: %v", ok)
 		}
 		bytes = len(blob)

@@ -27,19 +27,16 @@ func wordQuery() *plan.Query {
 }
 
 func mkCheckpoint(owner plan.InstanceID, nkeys int) *state.Checkpoint {
-	p := state.NewProcessing(1)
 	var kv state.RunBuilder
 	for i := 0; i < nkeys; i++ {
 		// Spread keys over the space deterministically.
 		k := stream.Key(uint64(i) * (^uint64(0) / uint64(nkeys)))
 		kv.Append(k, []byte{byte(i)})
 	}
-	p.KV = kv.Run()
-	p.TS[0] = int64(nkeys)
 	return &state.Checkpoint{
 		Instance:   owner,
 		Seq:        1,
-		Processing: p,
+		Processing: &state.Processing{KV: kv.Run()},
 		Buffer:     state.NewBuffer(),
 		OutClock:   int64(nkeys),
 	}
@@ -231,7 +228,7 @@ func TestPlanShapes(t *testing.T) {
 			cp := &state.Checkpoint{
 				Instance:   v,
 				Seq:        1,
-				Processing: state.NewProcessing(1),
+				Processing: &state.Processing{},
 				Buffer:     state.NewBuffer(),
 				OutClock:   int64(100 * (i + 1)),
 				Acks:       map[plan.InstanceID]int64{up: int64(10 + i)},
@@ -410,7 +407,7 @@ func TestPlanReplaceStatelessNoBackupNeeded(t *testing.T) {
 		t.Fatalf("plan = %+v", p)
 	}
 	for _, cp := range p.Checkpoints {
-		if cp.Processing.Len() != 0 {
+		if cp.Processing.KV.Len() != 0 {
 			t.Error("stateless replacement carries state")
 		}
 	}
@@ -428,7 +425,7 @@ func TestPlanReplaceStoresEncodedBytes(t *testing.T) {
 	victim := inst("count", 1)
 	st := state.NewStore()
 	counts := state.NewValue[int64](st, "counts", state.Int64Codec{})
-	cp := &state.Checkpoint{Instance: victim, Seq: 1, Processing: state.NewProcessing(1), Buffer: state.NewBuffer()}
+	cp := &state.Checkpoint{Instance: victim, Seq: 1, Processing: &state.Processing{}, Buffer: state.NewBuffer()}
 	for i := range 1000 {
 		k := stream.Key(stream.Mix64(uint64(i)))
 		counts.Set(k, int64(i))
@@ -449,12 +446,11 @@ func TestPlanReplaceStoresEncodedBytes(t *testing.T) {
 	}
 	want := 0
 	for _, part := range tp.Checkpoints {
-		if part.Processing.Len() == 0 {
+		if part.Processing.KV.Len() == 0 {
 			t.Fatalf("part %v holds no keys", part.Instance)
 		}
-		e := stream.NewEncoder(0)
-		part.Processing.Encode(e)
-		want += e.Len() + 16*part.Buffer.Len()
+		// The run's Size is its encoded length (state's TestProcessingSize).
+		want += part.Processing.KV.Size() + 16*part.Buffer.Len()
 		for _, b := range part.Legacy {
 			want += 16 * b.Len()
 		}
@@ -579,7 +575,7 @@ func TestPlanRecoveryFallbackGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rp.Checkpoints[0].Processing.Len(); got != 4 {
+	if got := rp.Checkpoints[0].Processing.KV.Len(); got != 4 {
 		t.Errorf("recovered checkpoint has %d keys, want 4 (real state)", got)
 	}
 }
@@ -596,7 +592,7 @@ func TestPlanRecoveryEmptyFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rp.Checkpoints[0].Processing.Len(); got != 0 {
+	if got := rp.Checkpoints[0].Processing.KV.Len(); got != 0 {
 		t.Errorf("empty-state recovery has %d keys", got)
 	}
 }
@@ -621,7 +617,6 @@ func TestBackupStoreApplyDelta(t *testing.T) {
 				Seq:     seq,
 				Changed: changed.Run(),
 				Deleted: []stream.Key{0},
-				TS:      stream.TSVector{int64(seq)},
 			},
 			Buffer:   state.NewBuffer(),
 			OutClock: int64(10 * seq),

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"seep/internal/plan"
@@ -33,7 +35,7 @@ func TestEncodeDecodeCheckpoint(t *testing.T) {
 	if got.Instance != cp.Instance || got.Seq != cp.Seq || got.OutClock != 77 {
 		t.Errorf("header mismatch: %+v", got)
 	}
-	if !got.Processing.Equal(cp.Processing) {
+	if !got.Processing.KV.Equal(cp.Processing.KV) {
 		t.Error("processing state mismatch")
 	}
 	if got.Buffer.Len() != 2 {
@@ -104,7 +106,7 @@ func TestDurableStoreRoundTrip(t *testing.T) {
 		t.Fatalf("recovered = %v", recovered)
 	}
 	got2, _, ok := s2.Latest(owner)
-	if !ok || !got2.Processing.Equal(cp.Processing) || got2.Buffer.Len() != 2 {
+	if !ok || !got2.Processing.KV.Equal(cp.Processing.KV) || got2.Buffer.Len() != 2 {
 		t.Error("recovered checkpoint differs")
 	}
 }
@@ -202,6 +204,52 @@ func TestDurableStoreTruncatedFile(t *testing.T) {
 	}
 	if got, _, ok := s2.Latest(good); !ok || got.Buffer.Len() != 2 {
 		t.Error("surviving checkpoint did not load intact")
+	}
+}
+
+// TestDurableStoreSkipsOldLayout: a directory a binary of the previous
+// layout (v3, "SEP3") wrote into still recovers. Its file is reported
+// as a corrupt checkpoint, not loaded as if this build could read it,
+// and a current-layout file beside it loads.
+func TestDurableStoreSkipsOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDurableStore(dir, state.GobPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, current := inst("split", 1), inst("count", 1)
+	if err := s.Store(host, mkBufferedCheckpoint(current)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "state", "testdata", "v3_int64_full.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cnt-2.ckpt"), v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewDurableStore(dir, state.GobPayloadCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners, skipped, err := s2.LoadAll(func(plan.InstanceID) (plan.InstanceID, error) { return host, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(owners) != 1 || owners[0] != current {
+		t.Fatalf("owners = %v, want only %v", owners, current)
+	}
+	var ce *CorruptCheckpointError
+	if len(skipped) != 1 || skipped[0].File != "cnt-2.ckpt" || !errors.As(error(skipped[0]), &ce) {
+		t.Fatalf("skipped = %v, want the v3 file as a CorruptCheckpointError", skipped)
+	}
+	if got, _, ok := s2.Latest(current); !ok || got.Buffer.Len() != 2 {
+		t.Error("the current-layout checkpoint did not load intact")
 	}
 }
 

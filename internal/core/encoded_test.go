@@ -72,7 +72,7 @@ func TestBackupStoreKeepsBytesUntilAsked(t *testing.T) {
 	}
 
 	got, gotHost, ok := s.Latest(owner)
-	if !ok || gotHost != host || got.Seq != 3 || !got.Processing.Equal(want.Processing) || got.Buffer.Len() != 3 {
+	if !ok || gotHost != host || got.Seq != 3 || !got.Processing.KV.Equal(want.Processing.KV) || got.Buffer.Len() != 3 {
 		t.Fatalf("Latest = %+v %v %v", got, gotHost, ok)
 	}
 	if codec.decodes != 1 {
@@ -85,7 +85,7 @@ func TestBackupStoreKeepsBytesUntilAsked(t *testing.T) {
 	var changed state.RunBuilder
 	changed.Append(5, []byte{1})
 	dc := &state.Checkpoint{Instance: owner, Seq: 4, Base: 3, Buffer: state.NewBuffer(),
-		Processing: &state.Processing{KV: changed.Run(), TS: stream.TSVector{9}}}
+		Processing: &state.Processing{KV: changed.Run()}}
 	h, blob, _ = shippedBlob(t, owner, 3)
 	fresh := NewBackupStore()
 	if err := fresh.StoreEncoded(host, h, blob, codec); err != nil {
@@ -118,17 +118,17 @@ func TestCorruptBodyIsAMissingCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, blob, _ := shippedBlob(t, owner, 1)
-	// The processing section opens with its one-entry timestamp vector
-	// ([1][20]), its empty cell table ([0]) and its entry count (20
-	// keys); claim more entries than there are bytes.
-	opening := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, 1), 20)
+	h, blob, cp := shippedBlob(t, owner, 1)
+	// The processing section opens with its length, its empty cell table
+	// ([0]) and its entry count (20 keys); claim more entries than there
+	// are bytes.
+	opening := binary.LittleEndian.AppendUint64(nil, uint64(cp.Processing.KV.Size()))
 	opening = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(opening, 0), 20)
 	at := bytes.Index(blob, opening)
 	if at < 0 {
 		t.Fatal("processing section not found")
 	}
-	binary.LittleEndian.PutUint32(blob[at+16:], 1<<30)
+	binary.LittleEndian.PutUint32(blob[at+12:], 1<<30)
 	if _, err := state.DecodeCheckpointHeader(blob); err != nil {
 		t.Fatalf("header of the garbled blob must still read: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestCorruptBodyIsAMissingCheckpoint(t *testing.T) {
 		t.Errorf("after the failed decode: %+v, %d entries, %d bytes", ship, s.Len(), s.Bytes())
 	}
 	tp, err := m.PlanRecovery(owner, 1)
-	if err != nil || tp.Checkpoints[0].Processing.Len() != 0 {
+	if err != nil || tp.Checkpoints[0].Processing.KV.Len() != 0 {
 		t.Errorf("recovery without a usable backup: %v, want the empty-state fallback", err)
 	}
 }
@@ -189,7 +189,7 @@ func TestDurableStoreWritesTheShippedBytes(t *testing.T) {
 		t.Errorf("LoadAll decoded %d payloads; it should read headers", codec.decodes)
 	}
 	got, _, ok := s2.Latest(owner)
-	if !ok || got.Seq != 5 || !got.Processing.Equal(want.Processing) || got.Buffer.Len() != 3 || codec.decodes != 1 {
+	if !ok || got.Seq != 5 || !got.Processing.KV.Equal(want.Processing.KV) || got.Buffer.Len() != 3 || codec.decodes != 1 {
 		t.Errorf("reloaded checkpoint = %+v %v after %d payload decodes", got, ok, codec.decodes)
 	}
 	if fromDisk, err := s2.Load(owner); err != nil || fromDisk.Seq != 5 {

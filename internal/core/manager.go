@@ -370,7 +370,6 @@ func (m *Manager) Plan(victims []plan.InstanceID, pi int, recovery bool) (*Trans
 		return nil, fmt.Errorf("core: scale out of %v to %d exceeds max parallelism %d", victims, pi, max)
 	}
 	routing := m.routing[op]
-	inputs := len(m.query.Upstream(op))
 	cps := make([]*state.Checkpoint, len(victims))
 	for i, v := range victims {
 		cp, _, ok := m.backups.Latest(v)
@@ -380,7 +379,7 @@ func (m *Manager) Plan(victims []plan.InstanceID, pi int, recovery bool) (*Trans
 			}
 			// Stateless victim, or the recovery fallback: empty state,
 			// fresh clocks.
-			cp = &state.Checkpoint{Instance: v, Seq: 1, Processing: state.NewProcessing(inputs), Buffer: state.NewBuffer()}
+			cp = &state.Checkpoint{Instance: v, Seq: 1, Processing: &state.Processing{}, Buffer: state.NewBuffer()}
 		}
 		cps[i] = cp
 	}

@@ -114,7 +114,7 @@ func TestStalledDeliveryHoldsNoWorkerLock(t *testing.T) {
 		}
 	}
 
-	fresh := state.NewInstance(nil, 1)
+	fresh := state.NewInstance(nil)
 	cp := fresh.BeginCheckpoint(plan.InstanceID{Op: "cnt", Part: 2}).Checkpoint(false)
 	blob, err := state.MarshalCheckpoint(cp, w.codec)
 	if err != nil {

@@ -391,7 +391,7 @@ func TestDistributedDeltaCheckpointSurvivesCoordinatorFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if onDisk.Seq != folded.Seq || !onDisk.Processing.Equal(folded.Processing) {
+	if onDisk.Seq != folded.Seq || !onDisk.Processing.KV.Equal(folded.Processing.KV) {
 		t.Fatalf("persisted checkpoint is seq %d, the last fold seq %d", onDisk.Seq, folded.Seq)
 	}
 	dc.rebirth(t)

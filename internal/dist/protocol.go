@@ -99,7 +99,6 @@ const (
 type WorkerStats struct {
 	SinkTuples uint64
 	DupDropped uint64
-	Processed  uint64
 	Transport  transport.Stats
 	// Backpressure snapshots the hosted engine's credit-stall, queue-depth
 	// and state-spill gauges.

@@ -95,7 +95,7 @@ func FuzzDecodeControl(f *testing.F) {
 		{Kind: MsgRetire, Seq: 6, Victims: []plan.InstanceID{a, b}, Final: true},
 		{Kind: MsgDie},
 		{Kind: MsgAck, Seq: 7, Err: "refused", Replayed: 12},
-		{Kind: MsgReport, From: "w1", Reports: []control.Report{{Inst: a, Util: 0.75}}, Stats: WorkerStats{SinkTuples: 10, Processed: 20}},
+		{Kind: MsgReport, From: "w1", Reports: []control.Report{{Inst: a, Util: 0.75}}, Stats: WorkerStats{SinkTuples: 10, DupDropped: 20}},
 		{Kind: MsgReattach, Seq: 8, From: "w1", Hosted: []plan.InstanceID{a}, Running: true},
 		{Kind: MsgResume, Seq: 9, StandbyAddr: "127.0.0.1:7100", DetectMillis: 500},
 		{Kind: MsgTrim, TrimAcks: []core.Trim{{Up: a, Owner: b, TS: 40}}},
@@ -113,7 +113,7 @@ func FuzzDecodeControl(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cp := &state.Checkpoint{Instance: a, Seq: 1, Processing: &state.Processing{KV: kv, TS: stream.TSVector{1}}, Buffer: state.NewBuffer()}
+	cp := &state.Checkpoint{Instance: a, Seq: 1, Processing: &state.Processing{KV: kv}, Buffer: state.NewBuffer()}
 	cp.Buffer.Append(b, stream.Tuple{TS: 1, Key: 7, Born: 1, Payload: int64(5)})
 	ship, err := encodeShip(&Control{Kind: MsgShip, From: "w1", Base: 1, Deleted: []stream.Key{3, 4}}, cp, state.GobPayloadCodec{})
 	if err != nil {

@@ -210,7 +210,7 @@ func TestShipEncodesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := &state.Checkpoint{Instance: countInst(0), Seq: 1, Processing: &state.Processing{KV: kv, TS: stream.TSVector{1}}, Buffer: state.NewBuffer()}
+	cp := &state.Checkpoint{Instance: countInst(0), Seq: 1, Processing: &state.Processing{KV: kv}, Buffer: state.NewBuffer()}
 
 	w := &Worker{codec: codec, coord: coord, self: "w"}
 	body, err := encodeShip(&Control{Kind: MsgShip, From: w.self}, cp, codec)
@@ -341,13 +341,13 @@ func (h *shipHarness) stored(t *testing.T) (uint64, core.ShipStats) {
 // keys 1, 2 and 3.
 func (h *shipHarness) full(seq uint64, ts int64) *state.Checkpoint {
 	return &state.Checkpoint{Instance: h.count, Seq: seq, Buffer: state.NewBuffer(), Acks: h.acked(ts),
-		Processing: &state.Processing{KV: shipRun(map[stream.Key]string{1: "a", 2: "b", 3: "c"}), TS: stream.TSVector{ts}}}
+		Processing: &state.Processing{KV: shipRun(map[stream.Key]string{1: "a", 2: "b", 3: "c"})}}
 }
 
 // view is the checkpoint a delta at seq that sets key 2 travels as.
 func (h *shipHarness) view(seq uint64) *state.Checkpoint {
 	return &state.Checkpoint{Instance: h.count, Seq: seq, Buffer: state.NewBuffer(), Acks: h.acked(40),
-		Processing: &state.Processing{KV: shipRun(map[stream.Key]string{2: "x"}), TS: stream.TSVector{40}}}
+		Processing: &state.Processing{KV: shipRun(map[stream.Key]string{2: "x"})}}
 }
 
 // shipRun is the run of kv's entries among keys 1, 2 and 3.
@@ -543,7 +543,7 @@ func TestStorePathsAgree(t *testing.T) {
 
 	st := state.NewStore()
 	v := state.NewValue[string](st, "v", state.StringCodec{})
-	in := state.NewInstance(st, 1)
+	in := state.NewInstance(st)
 	for k := range 100 {
 		v.Set(stream.Key(k), fmt.Sprint("v", k))
 	}
@@ -595,8 +595,8 @@ func TestStorePathsAgree(t *testing.T) {
 	if cp := step("delta", true, 2); cp.Base != 1 || len(cp.Deleted) != 2 {
 		t.Fatalf("the delta step captured base %d with deleted keys %v, want base 1 and two", cp.Base, cp.Deleted)
 	}
-	if cp, _, _ := eng.Manager().Backups().Latest(count); cp.Processing.Len() != 99 {
-		t.Fatalf("the fold holds %d keys, want 99", cp.Processing.Len())
+	if cp, _, _ := eng.Manager().Backups().Latest(count); cp.Processing.KV.Len() != 99 {
+		t.Fatalf("the fold holds %d keys, want 99", cp.Processing.KV.Len())
 	}
 	in.NeedFull = true
 	v.Set(3, "lost")
@@ -688,7 +688,7 @@ func TestTrimBypassesControlQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh := state.NewInstance(nil, 1)
+	fresh := state.NewInstance(nil)
 	cp := fresh.BeginCheckpoint(plan.InstanceID{Op: "count", Part: 2}).Checkpoint(false)
 	blob, err := state.MarshalCheckpoint(cp, w.codec)
 	if err != nil {

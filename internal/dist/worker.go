@@ -203,7 +203,6 @@ func engineStats(eng *engine.Engine) WorkerStats {
 	return WorkerStats{
 		SinkTuples:         eng.SinkCount.Value(),
 		DupDropped:         eng.DupDropped.Value(),
-		Processed:          eng.TotalProcessed(),
 		Backpressure:       eng.BackpressureSnapshot(),
 		CheckpointsRefused: eng.CheckpointsRefused.Value(),
 	}

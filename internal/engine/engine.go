@@ -247,7 +247,7 @@ type node struct {
 	// mu guards the embedded state bundle, which other goroutines reach:
 	// Acks (inherited during replacement), Buffer and Legacy (trimmed by
 	// downstream checkpoints, repartitioned during scale out),
-	// TS/OutClock (captured during restore), and Seq/NeedFull (shared
+	// OutClock (captured during restore), and Seq/NeedFull (shared
 	// between the node goroutine's barrier capture and the checkpoint
 	// loop's ship outcome). Store is nil on a stateless node. The data
 	// path takes mu once per batch: one acquisition to dup-filter and
@@ -412,7 +412,7 @@ func (e *Engine) newNode(inst plan.InstanceID, spec *plan.OpSpec) (*node, error)
 		inst:     inst,
 		spec:     spec,
 		op:       op,
-		Instance: state.NewInstance(operator.StoreOf(op), len(e.mgr.Query().Upstream(inst.Op))),
+		Instance: state.NewInstance(operator.StoreOf(op)),
 		in:       make(chan state.Batch, e.cfg.channelSlots()),
 		ctrl:     make(chan ctrlMsg, 2),
 		stopped:  make(chan struct{}),

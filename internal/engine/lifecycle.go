@@ -12,7 +12,7 @@ import (
 // Checkpoint barrier protocol. A checkpoint is captured ON the node
 // goroutine: the checkpoint loop sends a barrier control message, the
 // node processes it between input batches, clones its bookkeeping (ack
-// watermarks, timestamp vector, output buffer, output clock) and
+// watermarks, output buffer, output clock) and
 // extracts operator state (full snapshot or incremental delta), and
 // replies with the capture. Because a batch advances ack watermarks and
 // applies operator mutations on the same goroutine, a barrier can never

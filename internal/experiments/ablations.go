@@ -39,7 +39,7 @@ func AblationBackupPlacement() (*Table, error) {
 		return &state.Checkpoint{
 			Instance:   plan.InstanceID{Op: "count", Part: part},
 			Seq:        1,
-			Processing: &state.Processing{KV: kv.Run(), TS: stream.NewTSVector(1)},
+			Processing: &state.Processing{KV: kv.Run()},
 			Buffer:     state.NewBuffer(),
 		}
 	}
@@ -184,7 +184,7 @@ func AblationIncrementalCheckpoint() (*Table, error) {
 			k := allKeys[rng.Intn(len(allKeys))]
 			blobs.Update(k, func(b []byte) []byte { b[0]++; return b })
 		}
-		delta, err := st.TakeDelta(stream.NewTSVector(1), seq, seq+1)
+		delta, err := st.TakeDelta(nil, seq, seq+1)
 		if err != nil {
 			return nil, err
 		}

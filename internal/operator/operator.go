@@ -10,9 +10,9 @@
 // the hosting node can checkpoint, back up, partition and merge operator
 // state — fully or incrementally — without the operator's involvement
 // (the get/set-processing-state functions of §3.1, implemented once).
-// The hosting node composes the key/value pairs with the timestamp
-// vector it tracks into a state.Processing checkpoint, so operators
-// never deal with timestamps, buffering, routing or replay.
+// The hosting node composes the key/value pairs with the acknowledgement
+// map it tracks into a state.Checkpoint, so operators never deal with
+// timestamps, buffering, routing or replay.
 package operator
 
 import (

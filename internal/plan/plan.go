@@ -171,8 +171,8 @@ func (q *Query) Downstream(id OpID) []OpID {
 }
 
 // InputIndex returns the position of stream (from → to) among to's inputs.
-// Operators with several input streams see tuples tagged with this index,
-// and their timestamp vectors are indexed by it. Returns -1 if absent.
+// Operators with several input streams see tuples tagged with this index.
+// Returns -1 if absent.
 func (q *Query) InputIndex(from, to OpID) int {
 	for i, u := range q.up[to] {
 		if u == from {

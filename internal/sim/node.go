@@ -60,7 +60,7 @@ type Node struct {
 	vm   *VM
 	op   operator.Operator
 	// Instance is the externalised state the management primitives
-	// operate on (processing store, acks, τo, βo, output clock, inherited
+	// operate on (processing store, acks τo, βo, output clock, inherited
 	// legacy buffers, checkpoint numbering). Store is nil on a stateless
 	// node.
 	state.Instance
@@ -93,7 +93,7 @@ func newNode(c *Cluster, inst plan.InstanceID, spec *plan.OpSpec, vm *VM, op ope
 		spec:     spec,
 		vm:       vm,
 		op:       op,
-		Instance: state.NewInstance(operator.StoreOf(op), len(c.mgr.Query().Upstream(inst.Op))),
+		Instance: state.NewInstance(operator.StoreOf(op)),
 	}
 }
 

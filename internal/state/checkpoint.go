@@ -10,9 +10,10 @@ import (
 
 // Checkpoint is the unit produced by checkpoint-state(o) and shipped by
 // backup-state(o): a consistent copy of the operator's processing state
-// and buffer state, tagged with the instance it belongs to, the timestamp
-// vector of input tuples reflected in the processing state, and the
-// operator's output logical clock at checkpoint time (§3.2).
+// and buffer state, tagged with the instance it belongs to, τo — the
+// timestamps of the input tuples reflected in the processing state, one
+// per upstream instance (Acks) — and the operator's output logical clock
+// at checkpoint time (§3.2).
 type Checkpoint struct {
 	// Instance identifies the checkpointed operator instance.
 	Instance plan.InstanceID
@@ -37,12 +38,12 @@ type Checkpoint struct {
 	// a restored operator resets its clock here so downstream duplicate
 	// detection works (§3.2, restore-state).
 	OutClock int64
-	// Acks records, per upstream instance, the timestamp of the newest
-	// tuple from that instance reflected in Processing. This is the
-	// instance-granular form of τo used when upstream operators are
-	// partitioned: each upstream instance stamps tuples with its own
-	// logical clock, so duplicate detection and buffer trimming operate
-	// per upstream instance.
+	// Acks is τo: per upstream instance, the timestamp of the newest
+	// tuple from that instance reflected in Processing. τo is kept per
+	// upstream instance, not per input stream, because upstream
+	// operators are partitioned: each upstream instance stamps tuples
+	// with its own logical clock, so duplicate detection and buffer
+	// trimming operate per upstream instance.
 	Acks map[plan.InstanceID]int64
 	// Legacy holds output buffers inherited from merge victims (§3.3
 	// scale in), keyed by the ORIGINAL emitting instance. A merged
@@ -115,23 +116,15 @@ func CloneAcks(acks map[plan.InstanceID]int64) map[plan.InstanceID]int64 {
 	return out
 }
 
-// TS returns the input timestamp vector reflected in the checkpoint.
-func (c *Checkpoint) TS() stream.TSVector {
-	if c == nil || c.Processing == nil {
-		return nil
-	}
-	return c.Processing.TS
-}
-
 // Size returns the checkpoint's footprint in bytes: what its processing
-// state encodes to (Processing.Size) plus an estimate of 16 bytes per
+// state encodes to (Run.Size) plus an estimate of 16 bytes per
 // buffered tuple, own and legacy, not the buffer sections' encoded
 // length, plus 8 bytes per deleted key a delta carries beside it.
 func (c *Checkpoint) Size() int {
 	if c == nil {
 		return 0
 	}
-	return c.Processing.Size() + c.bufferSize() + 8*len(c.Deleted)
+	return c.Processing.KV.Size() + c.bufferSize() + 8*len(c.Deleted)
 }
 
 // bufferSize is the buffers' part of Size: 16 bytes of header per
@@ -180,11 +173,11 @@ func (c *Checkpoint) Validate() error {
 
 // Fold returns the full checkpoint the delta c makes of base, the
 // checkpoint numbered c.Base: base's processing state with c's keys laid
-// over it and c's deleted keys removed, and c's timestamp vector and
-// bookkeeping. Base's legacy buffers carry over, since a delta never
-// re-ships them. The fold is fresh: base and c stay intact, so whoever
-// holds them keeps them as they were. A delta whose run names other
-// cells than base's is an error.
+// over it and c's deleted keys removed, and c's bookkeeping. Base's
+// legacy buffers carry over, since a delta never re-ships them. The fold
+// is fresh: base and c stay intact, so whoever holds them keeps them as
+// they were. A delta whose run names other cells than base's is an
+// error.
 func (c *Checkpoint) Fold(base *Checkpoint) (*Checkpoint, error) {
 	kv, err := overlay(base.Processing.KV, c.Processing.KV, c.Deleted)
 	if err != nil {
@@ -193,7 +186,7 @@ func (c *Checkpoint) Fold(base *Checkpoint) (*Checkpoint, error) {
 	return &Checkpoint{
 		Instance:   c.Instance,
 		Seq:        c.Seq,
-		Processing: &Processing{KV: kv, TS: c.Processing.TS.Clone()},
+		Processing: &Processing{KV: kv},
 		Buffer:     c.Buffer.Clone(),
 		OutClock:   c.OutClock,
 		Acks:       CloneAcks(c.Acks),
@@ -203,10 +196,10 @@ func (c *Checkpoint) Fold(base *Checkpoint) (*Checkpoint, error) {
 
 // PartitionCheckpoint implements partition-processing-state (Algorithm 2
 // lines 3-8) on a backed-up checkpoint: the processing state is split by
-// the given key ranges, timestamps are copied to every part, and the
-// buffer state is assigned to the FIRST partition (line 7) — buffered
-// output tuples precede the split and any instance may replay them; the
-// first partition is chosen by convention.
+// the given key ranges, acknowledgements are copied to every part, and
+// the buffer state is assigned to the FIRST partition (line 7) —
+// buffered output tuples precede the split and any instance may replay
+// them; the first partition is chosen by convention.
 //
 // A lone part takes the buffer as its own: it inherits the checkpoint's
 // identity downstream (core.Inherit). Several parts are fresh
@@ -224,13 +217,12 @@ func PartitionCheckpoint(c *Checkpoint, newInstances []plan.InstanceID, ranges [
 	if len(newInstances) != len(ranges) {
 		return nil, fmt.Errorf("state: %d instances for %d ranges", len(newInstances), len(ranges))
 	}
-	parts := c.Processing.Partition(ranges)
 	out := make([]*Checkpoint, len(ranges))
-	for i := range ranges {
+	for i, r := range ranges {
 		out[i] = &Checkpoint{
 			Instance:   newInstances[i],
 			Seq:        1,
-			Processing: parts[i],
+			Processing: &Processing{KV: c.Processing.KV.Range(r)},
 			Buffer:     NewBuffer(),
 			OutClock:   c.OutClock,
 			Acks:       CloneAcks(c.Acks),
@@ -269,7 +261,7 @@ func MergeCheckpoints(target plan.InstanceID, cs ...*Checkpoint) (*Checkpoint, e
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("state: merge of zero checkpoints")
 	}
-	procs := make([]*Processing, 0, len(cs))
+	runs := make([]Run, 0, len(cs))
 	var legacy []map[plan.InstanceID]*Buffer
 	out := &Checkpoint{Instance: target, Seq: 1, Buffer: NewBuffer()}
 	seen := make(map[plan.InstanceID]int)
@@ -280,7 +272,7 @@ func MergeCheckpoints(target plan.InstanceID, cs ...*Checkpoint) (*Checkpoint, e
 		if c.Instance.Op != target.Op {
 			return nil, fmt.Errorf("state: merging %s into %s across operators", c.Instance, target)
 		}
-		procs = append(procs, c.Processing)
+		runs = append(runs, c.Processing.KV)
 		legacy = append(legacy, c.retained()...)
 		if c.OutClock > out.OutClock {
 			out.OutClock = c.OutClock
@@ -304,10 +296,10 @@ func MergeCheckpoints(target plan.InstanceID, cs ...*Checkpoint) (*Checkpoint, e
 		}
 	}
 	out.Legacy = CloneLegacy(legacy...)
-	merged, err := MergeProcessing(procs...)
+	kv, err := mergeRuns(runs)
 	if err != nil {
 		return nil, err
 	}
-	out.Processing = merged
+	out.Processing = &Processing{KV: kv}
 	return out, nil
 }

@@ -34,17 +34,16 @@ func TestCheckpointValidate(t *testing.T) {
 	}
 }
 
-func TestCheckpointSizeAndTS(t *testing.T) {
+// TestCheckpointSize: a checkpoint's size is its processing section's
+// encoded length plus 16 bytes per buffered tuple.
+func TestCheckpointSize(t *testing.T) {
 	c := mkCheckpoint(5, 2)
-	if c.Size() <= c.Processing.Size() {
-		t.Error("size should include buffered tuples")
-	}
-	if got := c.TS(); !got.Equal(c.Processing.TS) {
-		t.Errorf("TS() = %v", got)
+	if got, want := c.Size(), c.Processing.KV.Size()+16*2; got != want {
+		t.Errorf("Size() = %d, want %d", got, want)
 	}
 	var nilC *Checkpoint
-	if nilC.Size() != 0 || nilC.TS() != nil {
-		t.Error("nil checkpoint should have zero size and nil TS")
+	if nilC.Size() != 0 {
+		t.Error("nil checkpoint should have zero size")
 	}
 }
 
@@ -67,18 +66,15 @@ func TestPartitionCheckpoint(t *testing.T) {
 		if p.OutClock != c.OutClock {
 			t.Errorf("part %d OutClock = %d, want %d", i, p.OutClock, c.OutClock)
 		}
-		if !p.Processing.TS.Equal(c.Processing.TS) {
-			t.Errorf("part %d TS = %v", i, p.Processing.TS)
-		}
 		for k := range p.Processing.KV.All() {
 			if !ranges[i].Contains(k) {
 				t.Errorf("part %d holds key %d outside %v", i, k, ranges[i])
 			}
 		}
-		totalKeys += p.Processing.Len()
+		totalKeys += p.Processing.KV.Len()
 	}
-	if totalKeys != c.Processing.Len() {
-		t.Errorf("parts hold %d keys, original %d", totalKeys, c.Processing.Len())
+	if totalKeys != c.Processing.KV.Len() {
+		t.Errorf("parts hold %d keys, original %d", totalKeys, c.Processing.KV.Len())
 	}
 	// Algorithm 2 line 7: buffer state goes to the first partition only,
 	// as a legacy buffer under the victim's identity — the parts are
@@ -130,7 +126,7 @@ func TestMergeCheckpoints(t *testing.T) {
 	if merged.Instance != inst("count", 9) {
 		t.Errorf("merged instance = %v", merged.Instance)
 	}
-	if !merged.Processing.Equal(c.Processing) {
+	if !merged.Processing.KV.Equal(c.Processing.KV) {
 		t.Error("merge(partition(c)) processing state differs from original")
 	}
 	// The retained output keeps its original sender identity: the split

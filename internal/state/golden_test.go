@@ -85,8 +85,8 @@ var goldenStores = []goldenStore{
 
 // TestGoldenCheckpointBytes pins the wire layout: the full checkpoints
 // of three fixed stores must equal, byte for byte, the hex files
-// generated when the layout last changed (v3, whose processing section
-// names its cells once) — so DurableStore files, journals and deploy
+// generated when the layout last changed (v4, whose processing section
+// is the run alone) — so DurableStore files, journals and deploy
 // blobs written by older binaries of this layout still load — and so
 // must the checkpoint each store's delta travels as.
 func TestGoldenCheckpointBytes(t *testing.T) {
@@ -106,10 +106,7 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			proc := NewProcessing(1)
-			proc.KV = kv
-			proc.TS[0] = 17
-			cp := &Checkpoint{Instance: inst, Seq: 3, Processing: proc, Buffer: buf, OutClock: 110,
+			cp := &Checkpoint{Instance: inst, Seq: 3, Processing: &Processing{KV: kv}, Buffer: buf, OutClock: 110,
 				Acks: map[plan.InstanceID]int64{up: 17}}
 			full, err := MarshalCheckpoint(cp, GobPayloadCodec{})
 			if err != nil {
@@ -118,7 +115,7 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 			checkGolden(t, g.name+"_full", full)
 
 			churn()
-			d, err := s.TakeDelta(stream.TSVector{21}, 3, 4)
+			d, err := s.TakeDelta(nil, 3, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

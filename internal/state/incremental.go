@@ -28,7 +28,6 @@ type Delta struct {
 	Base, Seq uint64
 	Changed   Run
 	Deleted   []stream.Key
-	TS        stream.TSVector
 }
 
 // Size is the Size of the delta's checkpoint without bookkeeping.
@@ -49,5 +48,5 @@ type DeltaCheckpoint struct {
 func (dc *DeltaCheckpoint) Checkpoint() *Checkpoint {
 	d := dc.Delta
 	return &Checkpoint{Instance: dc.Instance, Seq: d.Seq, Base: d.Base, Deleted: d.Deleted,
-		Processing: &Processing{KV: d.Changed, TS: d.TS}, Buffer: dc.Buffer, OutClock: dc.OutClock, Acks: dc.Acks}
+		Processing: &Processing{KV: d.Changed}, Buffer: dc.Buffer, OutClock: dc.OutClock, Acks: dc.Acks}
 }

@@ -18,11 +18,9 @@ type Instance struct {
 	// Store is the operator's managed processing state θo; nil on a
 	// stateless instance.
 	Store *Store
-	// Acks[u] is the timestamp of the newest tuple from upstream
-	// instance u reflected in the processing state.
+	// Acks is τo: Acks[u] is the timestamp of the newest tuple from
+	// upstream instance u reflected in the processing state.
 	Acks map[plan.InstanceID]int64
-	// TS mirrors Acks at logical input-stream granularity (τo).
-	TS stream.TSVector
 	// OutClock stamps emitted tuples.
 	OutClock stream.Clock
 	// Buffer is the buffer state βo.
@@ -39,13 +37,11 @@ type Instance struct {
 	NeedFull bool
 }
 
-// NewInstance returns the bundle of a freshly deployed instance with the
-// given number of logical input streams.
-func NewInstance(store *Store, inputs int) Instance {
+// NewInstance returns the bundle of a freshly deployed instance.
+func NewInstance(store *Store) Instance {
 	return Instance{
 		Store:    store,
 		Acks:     make(map[plan.InstanceID]int64),
-		TS:       stream.NewTSVector(inputs),
 		Buffer:   NewBuffer(),
 		NeedFull: true,
 	}
@@ -58,7 +54,6 @@ type Capture struct {
 	store     *Store
 	forceFull bool
 	base, seq uint64
-	ts        stream.TSVector
 	buffer    *Buffer
 	outClock  int64
 	acks      map[plan.InstanceID]int64
@@ -74,7 +69,6 @@ func (in *Instance) BeginCheckpoint(id plan.InstanceID) *Capture {
 	in.Seq++
 	in.NeedFull = false
 	c.seq = in.Seq
-	c.ts = in.TS.Clone()
 	c.buffer = in.Buffer.Clone()
 	c.outClock = in.OutClock.Last()
 	c.acks = CloneAcks(in.Acks)
@@ -101,12 +95,12 @@ func (in *Instance) BeginCheckpoint(id plan.InstanceID) *Capture {
 // reads. Nil when the state fails to encode (the previous backup then
 // stays authoritative).
 func (c *Capture) Checkpoint(incremental bool) *Checkpoint {
-	cp := &Checkpoint{Instance: c.inst, Seq: c.seq, Processing: &Processing{TS: c.ts}, Buffer: c.buffer, OutClock: c.outClock, Acks: c.acks}
+	cp := &Checkpoint{Instance: c.inst, Seq: c.seq, Processing: &Processing{}, Buffer: c.buffer, OutClock: c.outClock, Acks: c.acks}
 	s := c.store
 	if s != nil && incremental && !c.forceFull && c.base > 0 && s.DeltasSinceFull() < fullEvery-1 {
 		kv, deleted, err := s.takeDelta()
 		cp.Processing.KV = kv
-		if err == nil && float64(cp.Processing.Size()+8*len(deleted)) <= maxDeltaFraction*float64(s.LastFullSize()) {
+		if err == nil && float64(kv.Size()+8*len(deleted)) <= maxDeltaFraction*float64(s.LastFullSize()) {
 			cp.Base, cp.Deleted = c.base, deleted
 			return cp
 		}
@@ -126,19 +120,13 @@ func (c *Capture) Checkpoint(incremental bool) *Checkpoint {
 
 // Restore installs a checkpoint on the bundle (restore-state,
 // Algorithm 1): processing state, buffer state, the output clock and the
-// acknowledgement map duplicate detection uses during replay. The
-// timestamp vector keeps at least the bundle's own number of input
-// streams, and the next checkpoint is a full one.
+// acknowledgement map duplicate detection uses during replay. The next
+// checkpoint is a full one.
 func (in *Instance) Restore(cp *Checkpoint) error {
 	if in.Store != nil {
 		if err := in.Store.Restore(cp.Processing.KV); err != nil {
 			return fmt.Errorf("state: restore %s: %w", cp.Instance, err)
 		}
-	}
-	inputs := len(in.TS)
-	in.TS = cp.Processing.TS.Clone()
-	for len(in.TS) < inputs {
-		in.TS = append(in.TS, 0)
 	}
 	in.Buffer = cp.Buffer.Clone()
 	in.Legacy = CloneLegacy(cp.Legacy)

@@ -24,14 +24,14 @@ func newTestInstance(stateful bool) *testInstance {
 		s = NewStore()
 		ti.cell = NewValue[int64](s, "n", Int64Codec{})
 	}
-	ti.Instance = NewInstance(s, 2)
+	ti.Instance = NewInstance(s)
 	return ti
 }
 
 // step applies one round of processing to the bundle: operator-state
-// writes and deletes, advancing acknowledgements and the timestamp
-// vector, and buffered output. heavy rounds rewrite most of the key
-// space, so the delta they produce is too large for the policy.
+// writes and deletes, advancing acknowledgements, and buffered output.
+// heavy rounds rewrite most of the key space, so the delta they produce
+// is too large for the policy.
 func (ti *testInstance) step(r *rand.Rand, heavy bool) {
 	up := plan.InstanceID{Op: "up", Part: 1 + r.Intn(2)}
 	down := plan.InstanceID{Op: "down", Part: 1 + r.Intn(2)}
@@ -49,7 +49,6 @@ func (ti *testInstance) step(r *rand.Rand, heavy bool) {
 			}
 		}
 		ti.Acks[up]++
-		ti.TS.Advance(up.Part-1, ti.Acks[up])
 		ti.Buffer.Append(down, stream.Tuple{TS: ti.OutClock.Next(), Key: k, Payload: "p"})
 	}
 }
@@ -159,17 +158,12 @@ func TestRestoreOfCaptureIsIdentity(t *testing.T) {
 		}
 
 		y := newTestInstance(true)
-		y.TS = append(y.TS, 0) // a third input stream the checkpoint predates
 		if err := y.Restore(cp); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !y.NeedFull || y.Store.DeltasSinceFull() != 0 {
 			t.Errorf("seed %d: restored bundle does not owe a full checkpoint", seed)
 		}
-		if len(y.TS) != 3 || !reflect.DeepEqual(y.TS[:2], x.TS) {
-			t.Errorf("seed %d: TS %v, want %v padded to 3 inputs", seed, y.TS, x.TS)
-		}
-		y.TS = y.TS[:2]
 		// Recapturing the restored bundle must give the checkpoint it was
 		// restored from, one sequence number later.
 		again := y.BeginCheckpoint(id).Checkpoint(false)

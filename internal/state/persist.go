@@ -150,11 +150,11 @@ func DecodeBuffer(d *stream.Decoder, codec PayloadCodec) (*Buffer, error) {
 }
 
 // checkpointMagic guards encoded checkpoints against foreign input and
-// names the layout; "SEP3" is the one whose processing section names
-// its cells once (its predecessors — "SEP2", which named a cell in every
-// record, and "SEEP", which interleaved state and bookkeeping — have no
-// reader).
-const checkpointMagic = uint32(0x53455033)
+// names the layout; "SEP4" is the one whose processing section is the
+// run alone (its predecessors — "SEP3", which put a per-stream timestamp
+// vector ahead of the run, "SEP2", which named a cell in every record,
+// and "SEEP", which interleaved state and bookkeeping — have no reader).
+const checkpointMagic = uint32(0x53455034)
 
 // CheckpointHeader is the part of an encoded checkpoint a backup host
 // acts on — who it belongs to, whether it is newer, which upstream
@@ -175,7 +175,7 @@ func EncodeCheckpoint(e *stream.Encoder, cp *Checkpoint, codec PayloadCodec) err
 		return err
 	}
 	encodeCheckpointHeader(e, cp)
-	encodeProcessingSection(e, cp.Processing)
+	encodeProcessingSection(e, cp.Processing.KV)
 	return encodeBufferSections(e, cp, codec)
 }
 
@@ -187,9 +187,9 @@ func encodeCheckpointHeader(e *stream.Encoder, cp *Checkpoint) {
 	encodeAcks(e, cp.Acks)
 }
 
-func encodeProcessingSection(e *stream.Encoder, p *Processing) {
+func encodeProcessingSection(e *stream.Encoder, kv Run) {
 	mark := e.BeginSection()
-	p.Encode(e)
+	kv.encode(e)
 	e.EndSection(mark)
 }
 
@@ -236,17 +236,17 @@ func MarshalCheckpointAfter(head []byte, cp *Checkpoint, codec PayloadCodec) ([]
 	if err := cp.Validate(); err != nil {
 		return nil, err
 	}
-	p := cp.Processing
+	kv := cp.Processing.KV
 	aside := stream.NewEncoder(256 + cp.bufferSize())
 	encodeCheckpointHeader(aside, cp)
 	header := aside.Len()
 	if err := encodeBufferSections(aside, cp, codec); err != nil {
 		return nil, err
 	}
-	e := stream.NewEncoder(len(head) + aside.Len() + 8 + p.Size()) // 8: the section's length prefix
+	e := stream.NewEncoder(len(head) + aside.Len() + 8 + kv.Size()) // 8: the section's length prefix
 	e.Raw(head)
 	e.Raw(aside.Bytes()[:header])
-	encodeProcessingSection(e, p)
+	encodeProcessingSection(e, kv)
 	e.Raw(aside.Bytes()[header:])
 	return e.Bytes(), nil
 }
@@ -295,7 +295,7 @@ func DecodeCheckpointHeader(b []byte) (CheckpointHeader, error) {
 
 // DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint. On
 // any error no checkpoint is returned. The processing state indexes d's
-// buffer where it lies (DecodeProcessing), so the caller must own that
+// buffer where it lies (decodeRun), so the caller must own that
 // buffer and leave it alone while the checkpoint lives — as every caller
 // does: a backup host decodes the blob it stored, a worker the control
 // body its transport read into a buffer of its own, the durable store
@@ -305,8 +305,8 @@ func DecodeCheckpoint(d *stream.Decoder, codec PayloadCodec) (*Checkpoint, error
 	if err != nil {
 		return nil, err
 	}
-	cp := &Checkpoint{Instance: h.Instance, Seq: h.Seq, OutClock: h.OutClock, Acks: h.Acks}
-	if cp.Processing, err = DecodeProcessing(d.Section()); err != nil {
+	cp := &Checkpoint{Instance: h.Instance, Seq: h.Seq, OutClock: h.OutClock, Acks: h.Acks, Processing: &Processing{}}
+	if cp.Processing.KV, err = decodeRun(d.Section()); err != nil {
 		return nil, err
 	}
 	if cp.Buffer, err = DecodeBuffer(d.Section(), codec); err != nil {

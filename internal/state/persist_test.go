@@ -82,11 +82,8 @@ func randomCheckpoint(r *rand.Rand) *Checkpoint {
 	cp := &Checkpoint{
 		Instance:   plan.InstanceID{Op: "cnt", Part: 1 + r.Intn(9)},
 		Seq:        r.Uint64(),
-		Processing: NewProcessing(1 + r.Intn(3)),
+		Processing: &Processing{},
 		OutClock:   r.Int63(),
-	}
-	for i := range cp.Processing.TS {
-		cp.Processing.TS[i] = r.Int63()
 	}
 	if r.Intn(2) == 0 { // a store's run, over its cell table
 		s := NewStore()
@@ -197,7 +194,7 @@ func TestCheckpointRoundTripProperty(t *testing.T) {
 		if got.Instance != cp.Instance || got.Seq != cp.Seq || got.OutClock != cp.OutClock || !reflect.DeepEqual(got.Acks, cp.Acks) {
 			t.Fatalf("seed %d: bookkeeping changed: %+v", seed, got)
 		}
-		if !got.Processing.Equal(cp.Processing) {
+		if !got.Processing.KV.Equal(cp.Processing.KV) {
 			t.Fatalf("seed %d: processing state changed", seed)
 		}
 		if !buffersEqual(got.Buffer, cp.Buffer) || !legacyEqual(got.Legacy, cp.Legacy) {
@@ -227,8 +224,8 @@ func deltaEqual(t *testing.T, got, want *Checkpoint) {
 	if got.Instance != want.Instance || got.OutClock != want.OutClock || !reflect.DeepEqual(got.Acks, want.Acks) {
 		t.Fatalf("bookkeeping %v/%d/%v, want %v/%d/%v", got.Instance, got.OutClock, got.Acks, want.Instance, want.OutClock, want.Acks)
 	}
-	if got.Base != want.Base || got.Seq != want.Seq || !got.TS().Equal(want.TS()) {
-		t.Fatalf("base/seq/ts %d/%d/%v, want %d/%d/%v", got.Base, got.Seq, got.TS(), want.Base, want.Seq, want.TS())
+	if got.Base != want.Base || got.Seq != want.Seq {
+		t.Fatalf("base/seq %d/%d, want %d/%d", got.Base, got.Seq, want.Base, want.Seq)
 	}
 	g, w := got.Processing.KV, want.Processing.KV
 	if !g.Equal(w) || !slices.Equal(got.Deleted, want.Deleted) {
@@ -250,7 +247,6 @@ func testDeltaCheckpoint() *Checkpoint {
 		Deleted:  []stream.Key{1, 11},
 		Processing: &Processing{
 			KV: runOf(map[stream.Key][]byte{7: []byte("seven"), 2: []byte("two"), 900: {}}),
-			TS: stream.TSVector{42, 40},
 		},
 		Buffer:   buf,
 		OutClock: 42,
@@ -375,7 +371,7 @@ func TestDeltaOfRejectsWhatNoSenderShips(t *testing.T) {
 // touch the PayloadCodec, so swapping it (all WithPayloadCodec can do)
 // changes only tag-0 blobs — in checkpoints as on the wire.
 func TestFallbackCodecOnlySeesUntaggedPayloads(t *testing.T) {
-	cp := &Checkpoint{Instance: plan.InstanceID{Op: "map", Part: 1}, Seq: 1, Processing: NewProcessing(1), Buffer: NewBuffer()}
+	cp := &Checkpoint{Instance: plan.InstanceID{Op: "map", Part: 1}, Seq: 1, Processing: &Processing{}, Buffer: NewBuffer()}
 	to := plan.InstanceID{Op: "cnt", Part: 1}
 	for i, p := range []any{int64(7), "x", nil, persistTagged{A: 1}, 3.5, true, []byte{1}, 9} {
 		cp.Buffer.Append(to, stream.Tuple{TS: int64(i + 1), Key: stream.Key(i), Payload: p})
@@ -417,15 +413,16 @@ func (c *countingCodec) DecodePayload(b []byte) (any, error) {
 
 // TestOldCheckpointLayoutIsRejected: the previous layouts are foreign
 // input now, to the header reader and the decoder alike — a blob under
-// the first magic ("SEEP"), and a v2 blob ("SEP2", a cell name in every
-// record) as the previous binary wrote it.
+// the first magic ("SEEP"), a v2 blob ("SEP2", a cell name in every
+// record) and a v3 blob ("SEP3", a timestamp vector ahead of the run),
+// each as a binary of its layout wrote it.
 func TestOldCheckpointLayoutIsRejected(t *testing.T) {
 	blob, err := MarshalCheckpoint(randomCheckpoint(rand.New(rand.NewSource(1))), GobPayloadCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(blob, 0x53454550) // "SEEP"
-	for name, blob := range map[string][]byte{"SEEP": blob, "SEP2": readHex(t, "v2_int64_full.hex")} {
+	for name, blob := range map[string][]byte{"SEEP": blob, "SEP2": readHex(t, "v2_int64_full.hex"), "SEP3": readHex(t, "v3_int64_full.hex")} {
 		if _, err := DecodeCheckpointHeader(blob); err == nil {
 			t.Errorf("header reader accepted a %s blob", name)
 		}
@@ -441,7 +438,7 @@ func bufferedInt64Checkpoint(keys, buffered int) *Checkpoint {
 	cp := &Checkpoint{
 		Instance:   plan.InstanceID{Op: "cnt", Part: 1},
 		Seq:        1,
-		Processing: NewProcessing(1),
+		Processing: &Processing{},
 		Buffer:     NewBuffer(),
 		Acks:       map[plan.InstanceID]int64{{Op: "map", Part: 1}: int64(buffered)},
 	}
@@ -482,10 +479,10 @@ var goldens = append([]string{"int64_full", "value_map_full", "spilled_full"}, g
 // FuzzDecodeCheckpoint: truncated or garbled input is an error — never a
 // panic, never a partly filled checkpoint — from both readers, what does
 // decode re-encodes, restores and folds as a delta (fuzzCheckpoint). The
-// corpus starts from the pinned v3 goldens, random checkpoints, the
+// corpus starts from the pinned v4 goldens, random checkpoints, the
 // malformed processing sections (overlong uvarints, a mask bit past the
 // table, a value overrunning its record, keys out of order among them)
-// and a v2 blob.
+// and a v2 and a v3 blob.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		blob, err := MarshalCheckpoint(randomCheckpoint(rand.New(rand.NewSource(seed))), GobPayloadCodec{})
@@ -504,8 +501,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Add(readGolden(f, name))
 	}
 	f.Add(readHex(f, "v2_int64_full.hex"))
+	f.Add(readHex(f, "v3_int64_full.hex"))
 	// A buffer section whose one target spans three chunks.
-	spans := &Checkpoint{Instance: inst("cnt", 1), Seq: 1, Processing: NewProcessing(1), Buffer: NewBuffer()}
+	spans := &Checkpoint{Instance: inst("cnt", 1), Seq: 1, Processing: &Processing{}, Buffer: NewBuffer()}
 	for ts := int64(1); ts <= 2*chunkTuples+5; ts++ {
 		spans.Buffer.Append(inst("sink", 1), stream.Tuple{TS: ts, Key: stream.Key(ts), Born: ts, Payload: ts})
 	}
@@ -573,7 +571,7 @@ func fuzzCheckpoint(t *testing.T, b []byte) {
 	decodeCheckpointHeader(d)
 	section := d.Section()
 	e := stream.NewEncoder(section.Remaining())
-	cp.Processing.Encode(e)
+	cp.Processing.KV.encode(e)
 	if !bytes.Equal(e.Bytes(), section.Raw(section.Remaining())) {
 		t.Fatal("the processing section does not re-encode to the bytes it decoded from")
 	}

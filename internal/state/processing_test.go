@@ -30,35 +30,30 @@ func mkProcessing(n int, seed int64) *Processing {
 		rng.Read(v)
 		kv[k] = v
 	}
-	return &Processing{KV: runOf(kv), TS: stream.TSVector{int64(n), int64(2 * n)}}
+	return &Processing{KV: runOf(kv)}
 }
 
+// TestProcessingCloneIsolation: the run is immutable and shared, so a
+// copy of the processing state is a copy of the struct; what a holder
+// can change is which run it holds (a delta fold), which leaves every
+// other holder's state as it was.
 func TestProcessingCloneIsolation(t *testing.T) {
 	p := mkProcessing(10, 1)
-	c := p.Clone()
-	if !p.Equal(c) {
-		t.Fatal("clone differs from original")
-	}
-	// The run is immutable and shared; what a holder can change is which
-	// run it holds (a delta fold) and its timestamp vector.
-	if err := apply(&Delta{Deleted: slices.Collect(c.KV.Keys())[:1], TS: c.TS}, c); err != nil {
+	c := &Processing{KV: p.KV}
+	if err := apply(&Delta{Deleted: slices.Collect(c.KV.Keys())[:1]}, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != p.Len()-1 || p.Len() != 10 {
-		t.Errorf("folding into the clone: clone %d keys, original %d", c.Len(), p.Len())
+	if c.KV.Len() != p.KV.Len()-1 || p.KV.Len() != 10 {
+		t.Errorf("folding into the copy: copy %d keys, original %d", c.KV.Len(), p.KV.Len())
 	}
-	c.TS[0] = 999
-	if p.TS[0] == 999 {
-		t.Error("clone shares TS vector")
-	}
-	if p.Equal(c) {
-		t.Error("mutating clone should diverge from original")
+	if p.KV.Equal(c.KV) {
+		t.Error("mutating the copy should diverge from the original")
 	}
 }
 
-// TestProcessingSize: Size is the length Encode writes — the timestamp
-// vector's length and entries, then the run's cell count, entry count
-// and records — for states with and without a cell table.
+// TestProcessingSize: the processing section is the run alone, and Size
+// is the length encode writes — the run's cell count, entry count and
+// records — for states with and without a cell table.
 func TestProcessingSize(t *testing.T) {
 	named := NewStore()
 	NewValue[int64](named, "counts", Int64Codec{}).Set(1, 1)
@@ -71,32 +66,27 @@ func TestProcessingSize(t *testing.T) {
 		kv   Run
 		want int
 	}{
-		{"empty", Run{}, 4 + 8 + 4 + 4},
-		{"one built record", runOf(map[stream.Key][]byte{1: {1, 2, 3, 4}}), 4 + 8 + 4 + 4 + 8 + 1 + 4},
-		{"one captured record", captured, 4 + 8 + 4 + 4 + len("counts") + 4 + 8 + 1 + 1 + 1 + 8},
+		{"empty", Run{}, 4 + 4},
+		{"one built record", runOf(map[stream.Key][]byte{1: {1, 2, 3, 4}}), 4 + 4 + 8 + 1 + 4},
+		{"one captured record", captured, 4 + 4 + len("counts") + 4 + 8 + 1 + 1 + 1 + 8},
 	} {
-		p := &Processing{KV: c.kv, TS: stream.NewTSVector(1)}
 		e := stream.NewEncoder(0)
-		p.Encode(e)
-		if p.Size() != c.want || e.Len() != c.want {
-			t.Errorf("%s: Size() = %d, Encode wrote %d, want %d", c.name, p.Size(), e.Len(), c.want)
+		c.kv.encode(e)
+		if c.kv.Size() != c.want || e.Len() != c.want {
+			t.Errorf("%s: Size() = %d, encode wrote %d, want %d", c.name, c.kv.Size(), e.Len(), c.want)
 		}
-	}
-	var nilP *Processing
-	if nilP.Size() != 0 || nilP.Len() != 0 {
-		t.Error("nil state should have zero size and length")
 	}
 }
 
 func TestProcessingEncodeDecode(t *testing.T) {
 	p := mkProcessing(50, 2)
 	e := stream.NewEncoder(0)
-	p.Encode(e)
-	got, err := DecodeProcessing(stream.NewDecoder(e.Bytes()))
+	p.KV.encode(e)
+	got, err := decodeRun(stream.NewDecoder(e.Bytes()))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !p.Equal(got) {
+	if !p.KV.Equal(got) {
 		t.Error("round trip changed processing state")
 	}
 }
@@ -104,9 +94,9 @@ func TestProcessingEncodeDecode(t *testing.T) {
 func TestDecodeProcessingCorrupt(t *testing.T) {
 	p := mkProcessing(5, 3)
 	e := stream.NewEncoder(0)
-	p.Encode(e)
+	p.KV.encode(e)
 	b := e.Bytes()
-	if _, err := DecodeProcessing(stream.NewDecoder(b[:len(b)/2])); err == nil {
+	if _, err := decodeRun(stream.NewDecoder(b[:len(b)/2])); err == nil {
 		t.Error("expected error decoding truncated state")
 	}
 }
@@ -118,30 +108,25 @@ func TestPartitionDisjointUnion(t *testing.T) {
 	for _, pi := range []int{1, 2, 3, 5, 8} {
 		p := mkProcessing(200, int64(pi))
 		ranges := FullRange.SplitEven(pi)
-		parts := p.Partition(ranges)
-		if len(parts) != pi {
-			t.Fatalf("pi=%d: got %d parts", pi, len(parts))
-		}
+		parts := make([]Run, len(ranges))
 		total := 0
-		for i, part := range parts {
-			total += part.Len()
-			if !part.TS.Equal(p.TS) {
-				t.Errorf("pi=%d part=%d: TS = %v, want %v", pi, i, part.TS, p.TS)
-			}
-			for k := range part.KV.All() {
-				if !ranges[i].Contains(k) {
-					t.Errorf("pi=%d part=%d: key %d outside range %v", pi, i, k, ranges[i])
+		for i, r := range ranges {
+			parts[i] = p.KV.Range(r)
+			total += parts[i].Len()
+			for k := range parts[i].All() {
+				if !r.Contains(k) {
+					t.Errorf("pi=%d part=%d: key %d outside range %v", pi, i, k, r)
 				}
 			}
 		}
-		if total != p.Len() {
-			t.Errorf("pi=%d: parts hold %d keys, original %d", pi, total, p.Len())
+		if total != p.KV.Len() {
+			t.Errorf("pi=%d: parts hold %d keys, original %d", pi, total, p.KV.Len())
 		}
-		merged, err := MergeProcessing(parts...)
+		merged, err := mergeRuns(parts)
 		if err != nil {
 			t.Fatalf("pi=%d: merge: %v", pi, err)
 		}
-		if !merged.Equal(p) {
+		if !merged.Equal(p.KV) {
 			t.Errorf("pi=%d: merge(partition(p)) != p", pi)
 		}
 	}
@@ -151,12 +136,12 @@ func TestPartitionMergeQuick(t *testing.T) {
 	f := func(seed int64, piRaw uint8) bool {
 		pi := 1 + int(piRaw%7)
 		p := mkProcessing(64, seed)
-		parts := p.Partition(FullRange.SplitEven(pi))
-		merged, err := MergeProcessing(parts...)
-		if err != nil {
-			return false
+		var parts []Run
+		for _, r := range FullRange.SplitEven(pi) {
+			parts = append(parts, p.KV.Range(r))
 		}
-		return merged.Equal(p)
+		merged, err := mergeRuns(parts)
+		return err == nil && merged.Equal(p.KV)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -164,24 +149,23 @@ func TestPartitionMergeQuick(t *testing.T) {
 }
 
 func TestMergeProcessingOverlapFails(t *testing.T) {
-	a := NewProcessing(1)
-	a.KV = runOf(map[stream.Key][]byte{7: {1}})
-	b := NewProcessing(1)
-	b.KV = runOf(map[stream.Key][]byte{7: {2}})
-	if _, err := MergeProcessing(a, b); err == nil {
+	a := runOf(map[stream.Key][]byte{7: {1}})
+	b := runOf(map[stream.Key][]byte{7: {2}})
+	if _, err := mergeRuns([]Run{a, b}); err == nil {
 		t.Error("expected overlap error")
 	}
 }
 
+// TestMergeProcessingNilInputs: a zero run — a stateless victim's — merges
+// into nothing.
 func TestMergeProcessingNilInputs(t *testing.T) {
-	a := NewProcessing(1)
-	a.KV = runOf(map[stream.Key][]byte{1: {1}})
-	got, err := MergeProcessing(a, nil)
+	a := runOf(map[stream.Key][]byte{1: {1}})
+	got, err := mergeRuns([]Run{a, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 1 {
-		t.Errorf("merge with nil input lost keys: %d", got.Len())
+		t.Errorf("merge with a zero run lost keys: %d", got.Len())
 	}
 }
 
@@ -193,38 +177,32 @@ func TestProcessingKeysSorted(t *testing.T) {
 			t.Fatalf("keys not strictly sorted at %d", i)
 		}
 	}
-	if len(keys) != p.Len() {
-		t.Errorf("Keys() returned %d, want %d", len(keys), p.Len())
+	if len(keys) != p.KV.Len() {
+		t.Errorf("Keys() returned %d, want %d", len(keys), p.KV.Len())
 	}
 }
 
 func TestProcessingEqualEdgeCases(t *testing.T) {
-	var nilP *Processing
-	empty := NewProcessing(0)
-	if !nilP.Equal(empty) {
-		t.Error("nil and empty processing state should be Equal")
+	var b RunBuilder
+	if !(Run{}).Equal(b.Run()) {
+		t.Error("a zero run and an empty built run should be Equal")
 	}
-	a := NewProcessing(1)
-	a.KV = runOf(map[stream.Key][]byte{1: {1}})
-	b := NewProcessing(1)
-	b.KV = runOf(map[stream.Key][]byte{1: {2}})
-	if a.Equal(b) {
+	one := runOf(map[stream.Key][]byte{1: {1}})
+	if one.Equal(runOf(map[stream.Key][]byte{1: {2}})) {
 		t.Error("different values should not be Equal")
 	}
-	c := NewProcessing(2)
-	c.KV = a.KV
-	if a.Equal(c) {
-		t.Error("different TS lengths should not be Equal")
+	named := one
+	named.cells = []string{"n"}
+	if one.Equal(named) {
+		t.Error("different cell tables should not be Equal")
 	}
 }
 
-func ExampleProcessing_Partition() {
-	p := NewProcessing(1)
+func ExampleRun_Range() {
 	var kv RunBuilder
 	kv.Append(10, []byte("a"))
 	kv.Append(stream.MaxKey-5, []byte("b"))
-	p.KV = kv.Run()
-	parts := p.Partition(FullRange.SplitEven(2))
-	fmt.Println(parts[0].Len(), parts[1].Len())
+	run, halves := kv.Run(), FullRange.SplitEven(2)
+	fmt.Println(run.Range(halves[0]).Len(), run.Range(halves[1]).Len())
 	// Output: 1 1
 }

@@ -52,7 +52,7 @@ func newRunModel(t *testing.T, key, wkey func() stream.Key) *runModel {
 		t: t, store: s, key: key, wkey: wkey,
 		refV: map[stream.Key]int64{}, refW: map[stream.Key]int64{}, refM: map[stream.Key]map[string]int64{},
 		dirty:  map[stream.Key]bool{},
-		backup: NewProcessing(1), refBackup: map[stream.Key][]byte{},
+		backup: &Processing{}, refBackup: map[stream.Key][]byte{},
 	}
 	md.v, md.w, md.m = modelCells(s)
 	return md
@@ -172,10 +172,10 @@ func (md *runModel) step(r *rand.Rand) {
 		}
 		md.refBackup = md.refState()
 		md.expectRun("TakeCheckpoint", run, md.refBackup)
-		md.backup = &Processing{KV: run, TS: stream.TSVector{int64(md.seq)}}
+		md.backup = &Processing{KV: run}
 		md.dirty = map[stream.Key]bool{}
 	case op == 8: // delta folds into the backup
-		d, err := md.store.TakeDelta(stream.TSVector{int64(md.seq)}, md.seq, md.seq+1)
+		d, err := md.store.TakeDelta(nil, md.seq, md.seq+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,24 +210,25 @@ func (md *runModel) step(r *rand.Rand) {
 		if cut < stream.MaxKey {
 			ranges = append(ranges, KeyRange{Lo: cut + 1, Hi: stream.MaxKey})
 		}
-		parts := md.backup.Partition(ranges)
-		for i, part := range parts {
+		parts := make([]Run, len(ranges))
+		for i, kr := range ranges {
+			parts[i] = md.backup.KV.Range(kr)
 			want := map[stream.Key][]byte{}
 			for k, v := range md.refBackup {
-				if ranges[i].Contains(k) {
+				if kr.Contains(k) {
 					want[k] = v
 				}
 			}
-			md.expectRun("Partition", part.KV, want)
+			md.expectRun("Range", parts[i], want)
 		}
 		slices.Reverse(parts) // merge must not depend on argument order
-		merged, err := MergeProcessing(parts...)
+		merged, err := mergeRuns(parts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		md.expectRun("MergeProcessing", merged.KV, md.refBackup)
-		if md.backup.Len() > 0 {
-			if _, err := MergeProcessing(append(parts, md.backup.Partition([]KeyRange{{Lo: 0, Hi: md.backup.KV.key(0)}})...)...); err == nil {
+		md.expectRun("mergeRuns", merged, md.refBackup)
+		if md.backup.KV.Len() > 0 {
+			if _, err := mergeRuns(append(parts, md.backup.KV.Range(KeyRange{Lo: 0, Hi: md.backup.KV.key(0)}))); err == nil {
 				t.Fatal("merge of overlapping parts succeeded")
 			}
 		}
@@ -404,7 +405,7 @@ func int64Store(n int) (*Store, *Value[int64]) {
 func TestRunAllocations(t *testing.T) {
 	const keys = 100_000
 	s, v := int64Store(keys)
-	cp := &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1, Processing: NewProcessing(1), Buffer: NewBuffer()}
+	cp := &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1, Processing: &Processing{}, Buffer: NewBuffer()}
 	var blob []byte
 	capture := testing.AllocsPerRun(3, func() {
 		v.Update(0, func(x int64) int64 { return x + 1 })
@@ -430,8 +431,8 @@ func TestRunAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if decode > 12 || got.Processing.Len() < keys {
-		t.Errorf("decode of %d keys: %.0f allocations for %d keys, want ≤ 12", keys, decode, got.Processing.Len())
+	if decode > 12 || got.Processing.KV.Len() < keys {
+		t.Errorf("decode of %d keys: %.0f allocations for %d keys, want ≤ 12", keys, decode, got.Processing.KV.Len())
 	}
 	halves := FullRange.SplitEven(2)
 	ids := []plan.InstanceID{{Op: "cnt", Part: 2}, {Op: "cnt", Part: 3}}
@@ -443,9 +444,9 @@ func TestRunAllocations(t *testing.T) {
 		})
 	}
 	small := *got
-	small.Processing = &Processing{KV: got.Processing.KV.Range(KeyRange{Lo: 0, Hi: 1 << 50}), TS: got.Processing.TS}
+	small.Processing = &Processing{KV: got.Processing.KV.Range(KeyRange{Lo: 0, Hi: 1 << 50})}
 	if big, few := partition(got), partition(&small); big != few {
-		t.Errorf("partition in two: %.0f allocations for %d keys, %.0f for %d — not O(1)", big, got.Processing.Len(), few, small.Processing.Len())
+		t.Errorf("partition in two: %.0f allocations for %d keys, %.0f for %d — not O(1)", big, got.Processing.KV.Len(), few, small.Processing.KV.Len())
 	}
 }
 
@@ -469,7 +470,7 @@ func TestRunBytesPerKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	cp := &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1, Processing: &Processing{KV: run, TS: stream.TSVector{1}}, Buffer: NewBuffer()}
+	cp := &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1, Processing: &Processing{KV: run}, Buffer: NewBuffer()}
 	blob, err := MarshalCheckpoint(cp, GobPayloadCodec{})
 	if err != nil {
 		t.Fatal(err)
@@ -480,8 +481,8 @@ func TestRunBytesPerKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got.Processing.Len() != keys || !got.Processing.KV.Equal(run) {
-		t.Fatalf("decoded %d keys, captured %d", got.Processing.Len(), run.Len())
+	if got.Processing.KV.Len() != keys || !got.Processing.KV.Equal(run) {
+		t.Fatalf("decoded %d keys, captured %d", got.Processing.KV.Len(), run.Len())
 	}
 	runtime.KeepAlive(s) // so the collector frees none of its cells inside the measured capture
 	for what, bytes := range map[string]int{"on the wire": len(blob), "retained captured": captured, "retained decoded": decoded} {
@@ -529,14 +530,14 @@ func TestCaptureOverBodyLimitIsAnError(t *testing.T) {
 	if s.DirtyCount() != 1 || s.LastFullSize() != size {
 		t.Errorf("a failed capture moved the tracking: %d dirty, last full %d (was %d)", s.DirtyCount(), s.LastFullSize(), size)
 	}
-	d, err := s.TakeDelta(stream.TSVector{1}, 1, 2)
+	d, err := s.TakeDelta(nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := apply(d, &Processing{KV: full}); err == nil {
 		t.Error("a fold past the body limit succeeded")
 	}
-	if _, err := MergeProcessing(&Processing{KV: full}, &Processing{KV: d.Changed}); err == nil {
+	if _, err := mergeRuns([]Run{full, d.Changed}); err == nil {
 		t.Error("a merge past the body limit succeeded")
 	}
 }
@@ -611,10 +612,10 @@ func TestCellTableMismatchRefused(t *testing.T) {
 	two, cells := cellStore([]string{"a", "b"}, 10, 11)
 	runA, runB := capture(t, one), capture(t, two)
 	cp := func(part int, run Run) *Checkpoint {
-		return &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: part}, Seq: 1, Processing: &Processing{KV: run, TS: stream.TSVector{1}}, Buffer: NewBuffer()}
+		return &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: part}, Seq: 1, Processing: &Processing{KV: run}, Buffer: NewBuffer()}
 	}
-	if _, err := MergeProcessing(&Processing{KV: runA}, &Processing{KV: runB}); err == nil {
-		t.Error("MergeProcessing across cell tables succeeded")
+	if _, err := mergeRuns([]Run{runA, runB}); err == nil {
+		t.Error("mergeRuns across cell tables succeeded")
 	}
 	if _, err := MergeCheckpoints(plan.InstanceID{Op: "cnt", Part: 9}, cp(1, runA), cp(2, runB)); err == nil {
 		t.Error("MergeCheckpoints across cell tables succeeded")
@@ -633,16 +634,16 @@ func TestCellTableMismatchRefused(t *testing.T) {
 		t.Error("merging a partition with a checkpoint over other cells succeeded")
 	}
 	cells[0].Set(10, 7)
-	d, err := two.TakeDelta(stream.TSVector{2}, 1, 2)
+	d, err := two.TakeDelta(nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backup := &Processing{KV: runA, TS: stream.TSVector{1}}
-	if err := apply(d, backup); err == nil || !backup.KV.Equal(runA) || backup.TS[0] != 1 {
+	backup := &Processing{KV: runA}
+	if err := apply(d, backup); err == nil || !backup.KV.Equal(runA) {
 		t.Errorf("a fold across cell tables: err %v, backup moved: %v", err, !backup.KV.Equal(runA))
 	}
-	merged, err := MergeProcessing(&Processing{KV: runA}, &Processing{KV: Run{}}, &Processing{KV: runA.Range(KeyRange{Lo: 5, Hi: 6})})
-	if err != nil || !merged.KV.Equal(runA) {
+	merged, err := mergeRuns([]Run{runA, {}, runA.Range(KeyRange{Lo: 5, Hi: 6})})
+	if err != nil || !merged.Equal(runA) {
 		t.Errorf("merging with empty runs: %v", err)
 	}
 }
@@ -686,8 +687,8 @@ func TestCellTableGoldenRoundTrips(t *testing.T) {
 // its last record is an error and yields no state.
 func TestDecodeProcessingRejectsMalformedRuns(t *testing.T) {
 	for name, section := range malformedProcessingSections() {
-		if p, err := DecodeProcessing(stream.NewDecoder(section)); err == nil || p != nil {
-			t.Errorf("%s: decoded %v, err %v", name, p, err)
+		if kv, err := decodeRun(stream.NewDecoder(section)); err == nil || kv.Len() != 0 {
+			t.Errorf("%s: decoded %d keys, err %v", name, kv.Len(), err)
 		}
 		blob := checkpointAround(section)
 		if _, err := DecodeCheckpointHeader(blob); err != nil {
@@ -702,7 +703,7 @@ func TestDecodeProcessingRejectsMalformedRuns(t *testing.T) {
 // checkpointAround frames a processing section as a checkpoint that is
 // otherwise valid and empty.
 func checkpointAround(section []byte) []byte {
-	cp := &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1, Processing: NewProcessing(1)}
+	cp := &Checkpoint{Instance: plan.InstanceID{Op: "cnt", Part: 1}, Seq: 1, Processing: &Processing{}}
 	e := stream.NewEncoder(256)
 	encodeCheckpointHeader(e, cp)
 	mark := e.BeginSection()
@@ -723,7 +724,6 @@ func checkpointAround(section []byte) []byte {
 func malformedProcessingSections() map[string][]byte {
 	section := func(cells []string, n int, records ...[]byte) []byte {
 		e := stream.NewEncoder(64)
-		e.TSVector(stream.TSVector{7})
 		e.Uint32(uint32(len(cells)))
 		for _, c := range cells {
 			e.String32(c)

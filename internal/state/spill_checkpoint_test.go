@@ -112,7 +112,7 @@ func TestSpillStorePartitionMergeParity(t *testing.T) {
 	parent := &Checkpoint{
 		Instance:   plan.InstanceID{Op: "count", Part: 0},
 		Seq:        1,
-		Processing: &Processing{KV: kv, TS: stream.NewTSVector(1)},
+		Processing: &Processing{KV: kv},
 		Buffer:     NewBuffer(),
 	}
 	newIDs := []plan.InstanceID{{Op: "count", Part: 0}, {Op: "count", Part: 1}}
@@ -128,7 +128,7 @@ func TestSpillStorePartitionMergeParity(t *testing.T) {
 				t.Fatalf("partition %d holds key %d outside %v", i, k, ranges[i])
 			}
 		}
-		total += part.Processing.Len()
+		total += part.Processing.KV.Len()
 	}
 	if total != n {
 		t.Fatalf("partitions hold %d keys, want %d", total, n)
@@ -171,7 +171,7 @@ func TestSpillStorePartitionMergeParity(t *testing.T) {
 		cps[i] = &Checkpoint{
 			Instance:   newIDs[i],
 			Seq:        2,
-			Processing: &Processing{KV: pkv, TS: stream.NewTSVector(1)},
+			Processing: &Processing{KV: pkv},
 			Buffer:     NewBuffer(),
 		}
 	}
@@ -179,8 +179,8 @@ func TestSpillStorePartitionMergeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Processing.Len() != n {
-		t.Fatalf("merged checkpoint has %d keys, want %d", merged.Processing.Len(), n)
+	if merged.Processing.KV.Len() != n {
+		t.Fatalf("merged checkpoint has %d keys, want %d", merged.Processing.KV.Len(), n)
 	}
 	s3 := NewStore()
 	m3 := NewMap[int64](s3, "counts", Int64Codec{})
@@ -316,7 +316,7 @@ func TestSpillStoreDeltaMaterialisesDirtyKeys(t *testing.T) {
 	for i := n; i < 2*n; i++ {
 		m.Put(stream.Key(i), "f", int64(i))
 	}
-	d, err := s.TakeDelta(stream.NewTSVector(1), 1, 2)
+	d, err := s.TakeDelta(nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestSpillStoreDeltaMaterialisesDirtyKeys(t *testing.T) {
 	}
 
 	// Base + delta must equal a full observation of the live store.
-	p := &Processing{KV: base, TS: stream.NewTSVector(1)}
+	p := &Processing{KV: base}
 	if err := apply(d, p); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestSpillStoreDeltaMaterialisesDirtyKeys(t *testing.T) {
 		t.Fatalf("live store holds %d keys, want %d", want.Len(), 2*n)
 	}
 	if !p.KV.Equal(want) {
-		t.Fatalf("base+delta holds %d keys, live store %d", p.Len(), want.Len())
+		t.Fatalf("base+delta holds %d keys, live store %d", p.KV.Len(), want.Len())
 	}
 	restored := NewStore()
 	rm := NewMap[int64](restored, "counts", Int64Codec{})

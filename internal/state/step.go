@@ -132,7 +132,7 @@ func (in *Instance) Emit(dst []Out, from plan.InstanceID, items []Staged, hops [
 // Admit is the receive rule: it drops every tuple of b the sender's
 // acknowledged timestamp already covers — a replay already reflected in
 // the state — or that is not newer than the tuple kept before it, then
-// advances the sender's ack and the input's TS to the newest kept tuple.
+// advances the sender's ack to the newest kept tuple.
 // It returns the kept tuples, filtered in place over b.Tuples; when none
 // is kept nothing changes.
 func (in *Instance) Admit(b Batch) []stream.Tuple {
@@ -147,7 +147,6 @@ func (in *Instance) Admit(b Batch) []stream.Tuple {
 	}
 	if last > wm {
 		in.Acks[b.From] = last
-		in.TS.Advance(b.Input, last)
 	}
 	return kept
 }

@@ -29,7 +29,7 @@ func run(from plan.InstanceID, input int, ts ...int64) Batch {
 
 // TestAdmit: the receive rule keeps exactly the tuples newer than both
 // the sender's ack and the tuple kept before them, and advances the ack
-// and the input's TS to the newest kept tuple — or changes nothing.
+// to the newest kept tuple — or changes nothing.
 func TestAdmit(t *testing.T) {
 	a, b := inst("map", 1), inst("map", 2)
 	for _, tc := range []struct {
@@ -38,47 +38,40 @@ func TestAdmit(t *testing.T) {
 		batches  []Batch
 		kept     [][]int64
 		wantAcks map[plan.InstanceID]int64
-		wantTS   stream.TSVector
 	}{{
 		name:     "fresh run",
 		batches:  []Batch{run(a, 0, 1, 2, 3)},
 		kept:     [][]int64{{1, 2, 3}},
 		wantAcks: map[plan.InstanceID]int64{a: 3},
-		wantTS:   stream.TSVector{3, 0},
 	}, {
 		name:     "duplicates across batches",
 		batches:  []Batch{run(a, 0, 1, 2, 3), run(a, 0, 2, 3, 4, 5)},
 		kept:     [][]int64{{1, 2, 3}, {4, 5}},
 		wantAcks: map[plan.InstanceID]int64{a: 5},
-		wantTS:   stream.TSVector{5, 0},
 	}, {
 		name:     "duplicates inside a batch",
 		batches:  []Batch{run(a, 0, 1, 1, 2, 2, 3)},
 		kept:     [][]int64{{1, 2, 3}},
 		wantAcks: map[plan.InstanceID]int64{a: 3},
-		wantTS:   stream.TSVector{3, 0},
 	}, {
 		name:     "non-monotone run inside a batch",
 		batches:  []Batch{run(a, 0, 5, 3, 6, 4, 7)},
 		kept:     [][]int64{{5, 6, 7}},
 		wantAcks: map[plan.InstanceID]int64{a: 7},
-		wantTS:   stream.TSVector{7, 0},
 	}, {
-		name:     "acks are per sender, TS per input",
+		name:     "acks are per sender",
 		batches:  []Batch{run(a, 0, 8), run(b, 0, 3), run(b, 1, 4)},
 		kept:     [][]int64{{8}, {3}, {4}},
 		wantAcks: map[plan.InstanceID]int64{a: 8, b: 4},
-		wantTS:   stream.TSVector{8, 4},
 	}, {
-		name:     "all duplicates leave acks and TS untouched",
+		name:     "all duplicates leave acks untouched",
 		acks:     map[plan.InstanceID]int64{a: 9},
 		batches:  []Batch{run(a, 0, 3, 9)},
 		kept:     [][]int64{{}},
 		wantAcks: map[plan.InstanceID]int64{a: 9},
-		wantTS:   stream.TSVector{0, 0},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			in := NewInstance(nil, 2)
+			in := NewInstance(nil)
 			for k, v := range tc.acks {
 				in.Acks[k] = v
 			}
@@ -87,8 +80,8 @@ func TestAdmit(t *testing.T) {
 					t.Errorf("batch %d kept %v, want %v", i, got, tc.kept[i])
 				}
 			}
-			if !reflect.DeepEqual(in.Acks, tc.wantAcks) || !in.TS.Equal(tc.wantTS) {
-				t.Errorf("acks %v TS %v, want %v %v", in.Acks, in.TS, tc.wantAcks, tc.wantTS)
+			if !reflect.DeepEqual(in.Acks, tc.wantAcks) {
+				t.Errorf("acks %v, want %v", in.Acks, tc.wantAcks)
 			}
 		})
 	}
@@ -183,7 +176,7 @@ func TestEmit(t *testing.T) {
 		retained: map[plan.InstanceID][]int64{c1: {}, c2: {}, sink: {}},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			in := NewInstance(nil, 1)
+			in := NewInstance(nil)
 			in.OutClock.Reset(10)
 			from := inst("map", 3)
 			var got []out
@@ -216,7 +209,7 @@ func TestEmitAllocations(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
 	}
 	const rounds = 50
-	in := NewInstance(nil, 1)
+	in := NewInstance(nil)
 	hops := emitHops(t, &in, true)
 	items := make([]Staged, 256)
 	for i := range items {
@@ -249,7 +242,7 @@ func TestInherit(t *testing.T) {
 		{"renamed", map[plan.InstanceID]int64{old: 40, other: 7}, map[plan.InstanceID]int64{repl: 40, other: 7}},
 		{"victim unknown", map[plan.InstanceID]int64{other: 7}, map[plan.InstanceID]int64{other: 7}},
 	} {
-		in := NewInstance(nil, 1)
+		in := NewInstance(nil)
 		in.Acks = tc.acks
 		in.Inherit(old, repl)
 		if !reflect.DeepEqual(in.Acks, tc.want) {
@@ -267,7 +260,7 @@ func TestReroute(t *testing.T) {
 	self, retired := inst("map", 1), inst("map", 2)
 	victim, sibling, n1, n2 := inst("count", 1), inst("count", 2), inst("count", 3), inst("count", 4)
 	audit := inst("audit", 1)
-	in := NewInstance(nil, 1)
+	in := NewInstance(nil)
 	in.Buffer.Append(victim, tuple(1, 10))
 	in.Buffer.Append(victim, tuple(2, 60))
 	in.Buffer.Append(sibling, tuple(3, 150))

@@ -301,14 +301,16 @@ func (s *Store) takeDelta() (changed Run, deleted []stream.Key, err error) {
 	return changed, deleted, nil
 }
 
-// TakeDelta is takeDelta as a Delta chaining base to seq at ts. It
-// remains only for the callers Delta names.
-func (s *Store) TakeDelta(ts stream.TSVector, base, seq uint64) (*Delta, error) {
+// TakeDelta is takeDelta as a Delta chaining base to seq. It remains
+// only for the callers Delta names; its first argument is ignored, a
+// timestamp vector kept for bench/probes.go until ROADMAP item 8 deletes
+// it.
+func (s *Store) TakeDelta(_ stream.TSVector, base, seq uint64) (*Delta, error) {
 	changed, deleted, err := s.takeDelta()
 	if err != nil {
 		return nil, err
 	}
-	return &Delta{Base: base, Seq: seq, Changed: changed, Deleted: deleted, TS: ts.Clone()}, nil
+	return &Delta{Base: base, Seq: seq, Changed: changed, Deleted: deleted}, nil
 }
 
 // captureKeysLocked captures the records of keys (ascending, distinct),

@@ -176,23 +176,22 @@ func TestStorePartitionMergeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProcessing(1)
-	p.KV = kv
-	parts := p.Partition(FullRange.SplitEven(3))
+	var parts []Run
 	total := 0
-	for _, part := range parts {
-		total += part.Len()
+	for _, r := range FullRange.SplitEven(3) {
+		parts = append(parts, kv.Range(r))
+		total += parts[len(parts)-1].Len()
 	}
 	if total != 257 {
 		t.Fatalf("partitioned keys = %d, want 257", total)
 	}
-	merged, err := MergeProcessing(parts...)
+	merged, err := mergeRuns(parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewStore()
 	m2 := NewMap[int64](s2, "counts", Int64Codec{})
-	if err := s2.Restore(merged.KV); err != nil {
+	if err := s2.Restore(merged); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Len() != 257 {
@@ -224,10 +223,7 @@ func TestDeltaChainReconstructsFullSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded := NewProcessing(1)
-	folded.KV = base
-
-	ts := stream.NewTSVector(1)
+	folded := &Processing{KV: base}
 	seq := uint64(1)
 	for round := 0; round < 4; round++ {
 		// Churn a small subset: update, insert, delete.
@@ -235,11 +231,10 @@ func TestDeltaChainReconstructsFullSnapshot(t *testing.T) {
 		v.Set(stream.Key(1000+round), 7)
 		v.Delete(stream.Key(50 + round))
 		m.Delete(stream.Key(3 * round))
-		ts.Advance(0, int64(round+1))
 		if s.DirtyCount() == 0 {
 			t.Fatal("no dirty keys tracked")
 		}
-		d, err := s.TakeDelta(ts, seq, seq+1)
+		d, err := s.TakeDelta(nil, seq, seq+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,11 +251,8 @@ func TestDeltaChainReconstructsFullSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := NewProcessing(1)
-	want.KV = full
-	want.TS = ts.Clone()
-	if !folded.Equal(want) {
-		t.Fatalf("delta chain diverged: folded %d keys, full %d keys", folded.Len(), want.Len())
+	if !folded.KV.Equal(full) {
+		t.Fatalf("delta chain diverged: folded %d keys, full %d keys", folded.KV.Len(), full.Len())
 	}
 }
 
@@ -280,7 +272,7 @@ func TestDeltaSmallerThanFull(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Update(stream.Key(stream.Mix64(uint64(i))), "f", func(c int64) int64 { return c + 1 })
 	}
-	d, err := s.TakeDelta(stream.NewTSVector(1), 1, 2)
+	d, err := s.TakeDelta(nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +289,7 @@ func TestDeltaSmallerThanFull(t *testing.T) {
 func apply(d *Delta, p *Processing) error {
 	f, err := (&DeltaCheckpoint{Delta: d, Buffer: NewBuffer()}).Checkpoint().Fold(&Checkpoint{Processing: p})
 	if err == nil {
-		p.KV, p.TS = f.Processing.KV, f.Processing.TS
+		p.KV = f.Processing.KV
 	}
 	return err
 }
@@ -321,7 +313,7 @@ func TestStoreDuplicateCellPanics(t *testing.T) {
 func TestFullCheckpointsKeepNoDirtySet(t *testing.T) {
 	s := NewStore()
 	v := NewValue[int64](s, "n", Int64Codec{})
-	in := NewInstance(s, 1)
+	in := NewInstance(s)
 	id := inst("count", 1)
 	for k := range 100 {
 		v.Set(stream.Key(k), int64(k))
@@ -335,7 +327,7 @@ func TestFullCheckpointsKeepNoDirtySet(t *testing.T) {
 	if n := s.DirtyCount(); n != 0 {
 		t.Fatalf("after a full checkpoint with incremental off, 100 updates left %d dirty keys", n)
 	}
-	if _, err := s.TakeDelta(in.TS, 1, 2); err == nil {
+	if _, err := s.TakeDelta(nil, 1, 2); err == nil {
 		t.Fatal("an untracked store gave a delta")
 	}
 

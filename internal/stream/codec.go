@@ -136,14 +136,6 @@ func (e *Encoder) EndSection(mark int) {
 // Key appends a partitioning key.
 func (e *Encoder) Key(k Key) { e.Uint64(uint64(k)) }
 
-// TSVector appends a timestamp vector with a 32-bit length prefix.
-func (e *Encoder) TSVector(v TSVector) {
-	e.Uint32(uint32(len(v)))
-	for _, ts := range v {
-		e.Int64(ts)
-	}
-}
-
 // ErrShortBuffer is returned by Decoder methods when the underlying buffer
 // does not contain enough bytes for the requested value.
 var ErrShortBuffer = errors.New("stream: decode past end of buffer")
@@ -324,21 +316,3 @@ func (d *Decoder) StringV() string {
 
 // Key reads a partitioning key.
 func (d *Decoder) Key() Key { return Key(d.Uint64()) }
-
-// TSVector reads a timestamp vector written by Encoder.TSVector.
-func (d *Decoder) TSVector() TSVector {
-	n := int(d.Uint32())
-	if d.err != nil || n < 0 {
-		return nil
-	}
-	const maxReasonable = 1 << 20
-	if n > maxReasonable || n*8 > d.Remaining() {
-		d.err = fmt.Errorf("%w: ts vector of length %d", ErrShortBuffer, n)
-		return nil
-	}
-	v := make(TSVector, n)
-	for i := range v {
-		v[i] = d.Int64()
-	}
-	return v
-}

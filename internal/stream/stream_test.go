@@ -51,100 +51,6 @@ func TestClockReset(t *testing.T) {
 	}
 }
 
-func TestTSVectorAdvance(t *testing.T) {
-	v := NewTSVector(2)
-	if !v.Advance(0, 5) {
-		t.Error("Advance(0, 5) on zero vector should report fresh")
-	}
-	if v.Advance(0, 5) {
-		t.Error("Advance(0, 5) twice should report duplicate")
-	}
-	if v.Advance(0, 3) {
-		t.Error("Advance(0, 3) after 5 should report duplicate")
-	}
-	if !v.Advance(1, 1) {
-		t.Error("Advance(1, 1) should be fresh")
-	}
-	if v.Advance(7, 1) {
-		t.Error("Advance out of range should report false")
-	}
-	if got := v.Get(0); got != 5 {
-		t.Errorf("Get(0) = %d, want 5", got)
-	}
-	if got := v.Get(9); got != 0 {
-		t.Errorf("Get out of range = %d, want 0", got)
-	}
-}
-
-func TestTSVectorDominatedBy(t *testing.T) {
-	cases := []struct {
-		v, w TSVector
-		want bool
-	}{
-		{TSVector{1, 2}, TSVector{1, 2}, true},
-		{TSVector{1, 2}, TSVector{2, 2}, true},
-		{TSVector{3, 2}, TSVector{2, 2}, false},
-		{TSVector{1}, TSVector{1, 2}, false}, // length mismatch
-		{nil, nil, true},
-	}
-	for _, c := range cases {
-		if got := c.v.DominatedBy(c.w); got != c.want {
-			t.Errorf("%v.DominatedBy(%v) = %v, want %v", c.v, c.w, got, c.want)
-		}
-	}
-}
-
-func TestTSVectorMerge(t *testing.T) {
-	v := TSVector{1, 5}
-	w := TSVector{3, 2, 7}
-	got := v.Merge(w)
-	want := TSVector{3, 5, 7}
-	if !got.Equal(want) {
-		t.Errorf("Merge = %v, want %v", got, want)
-	}
-}
-
-func TestTSVectorMergeDominates(t *testing.T) {
-	f := func(a, b []int64) bool {
-		v := TSVector(a).Clone()
-		w := TSVector(b)
-		m := v.Merge(w)
-		// The merge must dominate both inputs component-wise.
-		for i := range a {
-			if m[i] < a[i] {
-				return false
-			}
-		}
-		for i := range b {
-			if m[i] < b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTSVectorClone(t *testing.T) {
-	v := TSVector{1, 2, 3}
-	c := v.Clone()
-	c[0] = 99
-	if v[0] != 1 {
-		t.Error("Clone aliases the original")
-	}
-	if TSVector(nil).Clone() != nil {
-		t.Error("Clone(nil) should be nil")
-	}
-}
-
-func TestTSVectorString(t *testing.T) {
-	if got := (TSVector{1, 4}).String(); got != "(1, 4)" {
-		t.Errorf("String() = %q, want %q", got, "(1, 4)")
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	e := NewEncoder(64)
 	e.Uint64(math.MaxUint64)
@@ -158,7 +64,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.Bytes32([]byte{1, 2, 3})
 	e.String32("hello")
 	e.Key(Key(12345))
-	e.TSVector(TSVector{9, 8, 7})
 
 	d := NewDecoder(e.Bytes())
 	if got := d.Uint64(); got != math.MaxUint64 {
@@ -193,9 +98,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if got := d.Key(); got != Key(12345) {
 		t.Errorf("Key = %d", got)
-	}
-	if got := d.TSVector(); !got.Equal(TSVector{9, 8, 7}) {
-		t.Errorf("TSVector = %v", got)
 	}
 	if err := d.Err(); err != nil {
 		t.Errorf("Err = %v", err)
@@ -252,18 +154,6 @@ func TestDecoderShortBuffer(t *testing.T) {
 	// After an error, further reads are no-ops returning zeros.
 	if got := d.Uint32(); got != 0 {
 		t.Errorf("read after error = %d, want 0", got)
-	}
-}
-
-func TestDecoderCorruptTSVector(t *testing.T) {
-	e := NewEncoder(8)
-	e.Uint32(1 << 30) // absurd length
-	d := NewDecoder(e.Bytes())
-	if v := d.TSVector(); v != nil {
-		t.Errorf("TSVector on corrupt input = %v, want nil", v)
-	}
-	if d.Err() == nil {
-		t.Error("expected error on corrupt ts vector length")
 	}
 }
 

@@ -1,105 +1,11 @@
 package stream
 
-import (
-	"fmt"
-	"strings"
-)
-
-// TSVector holds one logical timestamp per input stream of an operator.
-// τo in the paper: the timestamps of the most recent tuples from each
-// input stream that are reflected in the operator's processing state.
+// TSVector is a per-input-stream timestamp vector that nothing reads:
+// operator state keeps τo per upstream instance (state.Checkpoint.Acks).
+// It remains only because bench/probes.go passes one to
+// state.Store.TakeDelta, which ignores it; ROADMAP item 8 deletes it.
 type TSVector []int64
 
-// NewTSVector returns a zeroed vector for n input streams.
+// NewTSVector returns a zeroed vector of length n, for bench/probes.go
+// alone (see TSVector).
 func NewTSVector(n int) TSVector { return make(TSVector, n) }
-
-// Clone returns an independent copy.
-func (v TSVector) Clone() TSVector {
-	if v == nil {
-		return nil
-	}
-	out := make(TSVector, len(v))
-	copy(out, v)
-	return out
-}
-
-// Advance raises the timestamp for input stream i to ts if ts is newer.
-// It reports whether the vector changed, i.e. whether ts was fresh. A
-// stale ts (≤ current) indicates a duplicate tuple seen during replay.
-func (v TSVector) Advance(i int, ts int64) bool {
-	if i < 0 || i >= len(v) {
-		return false
-	}
-	if ts <= v[i] {
-		return false
-	}
-	v[i] = ts
-	return true
-}
-
-// Get returns the timestamp for input stream i (0 when out of range, which
-// is the "nothing processed" value).
-func (v TSVector) Get(i int) int64 {
-	if i < 0 || i >= len(v) {
-		return 0
-	}
-	return v[i]
-}
-
-// DominatedBy reports whether every component of v is ≤ the matching
-// component of w. A checkpoint with vector v supersedes buffered tuples
-// up to v; a newer checkpoint w dominates an older one v.
-func (v TSVector) DominatedBy(w TSVector) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if v[i] > w[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge raises every component of v to at least the matching component of
-// w, growing v if needed, and returns the result. Used when unioning the
-// state of two partitions during scale-in.
-func (v TSVector) Merge(w TSVector) TSVector {
-	out := v
-	for len(out) < len(w) {
-		out = append(out, 0)
-	}
-	for i := range w {
-		if w[i] > out[i] {
-			out[i] = w[i]
-		}
-	}
-	return out
-}
-
-// Equal reports component-wise equality.
-func (v TSVector) Equal(w TSVector) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if v[i] != w[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the vector as (τ1, τ2, ...).
-func (v TSVector) String() string {
-	var sb strings.Builder
-	sb.WriteByte('(')
-	for i, ts := range v {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%d", ts)
-	}
-	sb.WriteByte(')')
-	return sb.String()
-}
