@@ -10,7 +10,7 @@ import (
 )
 
 // pacedCounter is a per-key counter that pauses after every `every`
-// tuples, so a flood outruns it and its input edge runs out of credits.
+// tuples, so a flood outruns it and its input edge fills.
 type pacedCounter struct {
 	store *seep.StateStore
 	n     *seep.ValueState[int64]
@@ -111,10 +111,10 @@ func exactCounts(t *testing.T, job seep.Job, keys uint64, total int64) {
 
 // TestDistributedFloodBackpressure floods a three-worker pipeline whose
 // counter cannot keep up, as fast as InjectBatch returns. The receiving
-// node's credit ledger is the only flow control on the way: the
-// connection that feeds cnt stops being read while cnt is out of
-// credits, map's link and then map itself fill, and the source waits —
-// so queues stay inside the ledger, no call waits long, nothing is lost,
+// node's bounded input is the only flow control on the way: the
+// connection that feeds cnt stops being read while cnt's input is full,
+// map's link and then map itself fill, and the source waits — so queues
+// stay inside the bound, no call waits long, nothing is lost,
 // duplicated, corrupted or re-dialled.
 func TestDistributedFloodBackpressure(t *testing.T) {
 	const (
@@ -155,7 +155,7 @@ func TestDistributedFloodBackpressure(t *testing.T) {
 		t.Error("no credit stalls: the flood never outran the counter")
 	}
 	if m.Backpressure.PeakQueueDepth > slots {
-		t.Errorf("peak queue depth %d batches, want at most the ledger's %d slots (edges: %+v)", m.Backpressure.PeakQueueDepth, slots, m.Backpressure.Edges)
+		t.Errorf("peak queue depth %d batches, want at most the queue's %d slots (edges: %+v)", m.Backpressure.PeakQueueDepth, slots, m.Backpressure.Edges)
 	}
 	if m.DuplicatesDropped != 0 {
 		t.Errorf("%d duplicates dropped on a failure-free run", m.DuplicatesDropped)
@@ -169,7 +169,7 @@ func TestDistributedFloodBackpressure(t *testing.T) {
 }
 
 // TestDistributedMetricsSurviveWorkerDeath: a killed worker's counters
-// stay in the job's sums. cnt's worker dies having counted credit stalls
+// stay in the job's sums. cnt's worker dies having counted send stalls
 // and the deepest queue of the job; no counter of a later snapshot may
 // read lower than an earlier one's.
 func TestDistributedMetricsSurviveWorkerDeath(t *testing.T) {

@@ -26,8 +26,8 @@
 //	    (e.g. "e.mu", "n.mu"). Checked by the heldlock analyzer.
 //
 //	seep:blocking
-//	    On a function or method: it may block on flow control (credit
-//	    ledgers, backpressure waits). heldlock flags calls to blocking
+//	    On a function or method: it may block on flow control (a full
+//	    input queue, backpressure waits). heldlock flags calls to blocking
 //	    functions made while an annotated mutex is held.
 //
 //	seep:journaled

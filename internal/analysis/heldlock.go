@@ -27,7 +27,7 @@ on entry. The analyzer checks, lexically within each caller:
     .RLock() with no intervening .Unlock()/.RUnlock();
   - an annotated function never re-locks a lock it declares held;
   - while any annotated mutex is held, no blocking channel send and no
-    call to a // seep:blocking function (credit-ledger waits) occurs.
+    call to a // seep:blocking function (full-queue waits) occurs.
     Sends inside a select with a default or an alternative case are
     exempt: the author wrote an escape path, which is exactly what the
     deadlocking bare send lacked.

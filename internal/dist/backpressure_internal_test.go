@@ -64,9 +64,9 @@ func (g gate) OnTuple(_ operator.Context, t stream.Tuple, emit operator.Emitter)
 	emit(t.Key, t.Payload)
 }
 
-// A delivery waiting for a stalled instance's credit holds no worker
-// lock: the control plane — here a MsgDeploy, which adopts under w.mu
-// and acknowledges through it — proceeds around it.
+// A delivery waiting for room in a stalled instance's input holds no
+// worker lock: the control plane — here a MsgDeploy, which adopts under
+// w.mu and acknowledges through it — proceeds around it.
 func TestStalledDeliveryHoldsNoWorkerLock(t *testing.T) {
 	acks := make(chan *Control, 1)
 	coordLn, err := transport.ListenWith("127.0.0.1:0", nil, transport.Handlers{OnControl: func(body []byte) {
@@ -110,7 +110,7 @@ func TestStalledDeliveryHoldsNoWorkerLock(t *testing.T) {
 	}()
 	for deadline := time.Now().Add(5 * time.Second); eng.BackpressureSnapshot().CreditStalls == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the delivery never stalled on cnt's one-slot ledger")
+			t.Fatal("the delivery never stalled on cnt's one-slot queue")
 		}
 	}
 

@@ -554,7 +554,7 @@ func TestCoordinatorStoresShipsWithoutDecoding(t *testing.T) {
 	src := plan.InstanceID{Op: "src", Part: 1}
 	eng := cl.hostOf(t, src).Engine()
 	stop, stopped := make(chan struct{}), make(chan struct{})
-	go func() { // 10k tuples/s; blocks on credits when sum falls behind
+	go func() { // 10k tuples/s; blocks on a full input when sum falls behind
 		defer close(stopped)
 		for {
 			select {

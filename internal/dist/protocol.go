@@ -100,7 +100,7 @@ type WorkerStats struct {
 	SinkTuples uint64
 	DupDropped uint64
 	Transport  transport.Stats
-	// Backpressure snapshots the hosted engine's credit-stall, queue-depth
+	// Backpressure snapshots the hosted engine's send-stall, queue-depth
 	// and state-spill gauges.
 	Backpressure engine.BackpressureStats
 	// CheckpointsRefused counts the hosted engine's full checkpoints

@@ -23,7 +23,6 @@ func TestManagerBooksAssignRoundTrip(t *testing.T) {
 	sent := engine.Config{
 		CheckpointInterval: 250 * time.Millisecond,
 		TimerInterval:      75 * time.Millisecond,
-		ChannelBuffer:      2048,
 		BatchSize:          64,
 		BatchLinger:        3 * time.Millisecond,
 		QueueBound:         512,

@@ -169,7 +169,9 @@ func (c *Coordinator) beginReattach(rep *controlplane.Replayed, began time.Time,
 
 // onReattach handles a worker inventory: either the Seq-correlated
 // reply to the reattach handshake, or an unsolicited announcement from
-// an orphaned worker that re-dialed the standby address.
+// an orphaned worker that re-dialed the standby address. An unsolicited
+// one that lands before startRecover has restored the books is dropped:
+// the reborn coordinator dials every journaled worker itself.
 //
 // seep:replay
 func (c *Coordinator) onReattach(ctl *Control) {
@@ -179,6 +181,9 @@ func (c *Coordinator) onReattach(ctl *Control) {
 		if t.ready() {
 			c.advance(t)
 		}
+		return
+	}
+	if c.mgr == nil {
 		return
 	}
 	ref := c.workers[ctl.From]

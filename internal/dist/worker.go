@@ -212,9 +212,9 @@ func engineStats(eng *engine.Engine) WorkerStats {
 
 // deliver queues a batch — off the wire, or emitted here toward an
 // instance placed on this worker — on the hosted instance, waiting in
-// DeliverLocal for that node's credit: the connection (or emitter) that
-// brought the batch stalls there, which is all the flow control the link
-// needs. A batch for an instance that is planned here but not yet
+// DeliverLocal for room in that node's input: the connection (or
+// emitter) that brought the batch stalls there, which is all the flow
+// control the link needs. A batch for an instance that is planned here but not yet
 // deployed (replays and rerouted tuples racing a MsgDeploy) is stashed
 // until it arrives; one for a retired instance is dropped — its tuples
 // are retained upstream and replayed to the replacements.
@@ -747,8 +747,8 @@ func (r *linkRouter) Deliver(b state.Batch) {
 // peerLink is one outbound data connection with an async writer, so the
 // emitting node goroutine never blocks on the network — it blocks on
 // the bounded queue, which drains at the speed the receiving worker
-// reads its end of the connection: a receiver whose node is out of
-// credits stops reading, the writer stalls in its send, the queue fills
+// reads its end of the connection: a receiver whose node's input is
+// full stops reading, the writer stalls in its send, the queue fills
 // and the emitter waits. Teardown closes done and never q: engine and
 // listener goroutines may still be enqueueing, and a send racing the
 // end of the link is a dropped batch (retained upstream), not a send on

@@ -14,8 +14,8 @@ import (
 )
 
 // slowWordEngine builds a word-count engine whose counter has a real
-// per-tuple cost, so bounded queues fill and senders hit the credit
-// ledger.
+// per-tuple cost, so bounded queues fill and senders wait on full
+// inputs.
 func slowWordEngine(t *testing.T, cfg Config, delay time.Duration) *Engine {
 	t.Helper()
 	q := wordcount.Query(wordcount.Options{WindowMillis: 0})
@@ -47,11 +47,10 @@ func slowTotal(e *Engine) int64 {
 	return total
 }
 
-// A bounded queue holds senders at the credit budget: the queue never
-// grows past the credit slots, stalls are counted, and no tuple is
-// lost while senders wait.
-func TestEngineCreditLedgerBoundsQueues(t *testing.T) {
-	const queueBound, batchSize = 128, 32 // 4 credit slots per edge
+// A bounded queue holds senders at its slots: the queue never grows past
+// them, stalls are counted, and no tuple is lost while senders wait.
+func TestEngineQueueBoundHoldsSenders(t *testing.T) {
+	const queueBound, batchSize = 128, 32 // 4 slots per edge
 	e := slowWordEngine(t, Config{
 		CheckpointInterval: time.Hour,
 		QueueBound:         queueBound,
@@ -72,7 +71,7 @@ func TestEngineCreditLedgerBoundsQueues(t *testing.T) {
 	}
 	slots := queueBound / batchSize
 	if bp.PeakQueueDepth > slots {
-		t.Errorf("peak queue depth %d batches exceeds the %d-slot credit budget", bp.PeakQueueDepth, slots)
+		t.Errorf("peak queue depth %d batches exceeds the %d-slot queue bound", bp.PeakQueueDepth, slots)
 	}
 	if got := slowTotal(e); got != 3000 {
 		t.Errorf("state total = %d, want 3000 (backpressure must not shed tuples)", got)
@@ -80,7 +79,7 @@ func TestEngineCreditLedgerBoundsQueues(t *testing.T) {
 }
 
 // Deadlock freedom: checkpoint barriers, a scale-out, recovery replay
-// and a spill ceiling all race against credit-starved edges; the
+// and a spill ceiling all race against full edges; the
 // engine must keep draining and quiesce (run with -race).
 func TestEngineBackpressureDeadlockFreedom(t *testing.T) {
 	e := slowWordEngine(t, Config{
@@ -126,8 +125,8 @@ func TestEngineBackpressureDeadlockFreedom(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	// Fail and recover a partition while its edges are credit-starved:
-	// replay holds priority credits, so recovery must complete. The
+	// Fail and recover a partition while its edges are full: replay
+	// waits for room like any sender, so recovery must complete. The
 	// scale-out renumbered the partitions, so pick a live one.
 	victim := e.Manager().Instances("count")[0]
 	if err := e.Fail(victim); err != nil {
@@ -140,7 +139,7 @@ func TestEngineBackpressureDeadlockFreedom(t *testing.T) {
 	wg.Wait()
 
 	if !e.Quiesce(150*time.Millisecond, 30*time.Second) {
-		t.Fatal("deadlock: engine did not quiesce with barriers + scale-out + recovery racing credit-starved edges")
+		t.Fatal("deadlock: engine did not quiesce with barriers + scale-out + recovery racing full edges")
 	}
 	bp := e.BackpressureSnapshot()
 	if bp.CreditStalls == 0 {
@@ -157,7 +156,7 @@ func TestEngineBackpressureDeadlockFreedom(t *testing.T) {
 }
 
 // gate is a stateless operator that passes one tuple per token, so a
-// test decides exactly when a batch's credit comes back.
+// test decides exactly when a batch leaves the node's hands.
 type gate struct{ tokens chan struct{} }
 
 func (g *gate) OnTuple(_ operator.Context, t stream.Tuple, emit operator.Emitter) {
@@ -168,13 +167,9 @@ func (g *gate) OnTuple(_ operator.Context, t stream.Tuple, emit operator.Emitter
 // A tuple born at job time 0 keeps Born 0 through every hop, however
 // late an operator emits its lineage: 0 is a time, not a missing stamp.
 func TestBornZeroIsATime(t *testing.T) {
-	q := plan.NewQuery()
-	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
-	q.AddOp(plan.OpSpec{ID: "cnt", Role: plan.RoleStateless})
-	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
-	q.Connect("src", "cnt").Connect("cnt", "sink")
 	g := &gate{tokens: make(chan struct{})}
-	e, err := New(Config{BatchSize: 1}, q, map[plan.OpID]operator.Factory{"cnt": func() operator.Operator { return g }})
+	q, factories := gatedQuery(g)
+	e, err := New(Config{BatchSize: 1}, q, factories)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,36 +195,54 @@ func TestBornZeroIsATime(t *testing.T) {
 	}
 }
 
-// One ledger for both kinds of sender: a batch off the wire takes the
-// destination's credit in DeliverLocal and gives it back once processed,
-// exactly as a local emitter's does, so the two together never hold more
-// than the ledger's slots in flight and neither is released on the
-// other's account.
-func TestLedgerCountsWireAndLocalSendersAlike(t *testing.T) {
-	const slots = 2
+// gatedQuery is src → cnt → sink with a stateless cnt behind g.
+func gatedQuery(g *gate) (*plan.Query, map[plan.OpID]operator.Factory) {
 	q := plan.NewQuery()
 	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
 	q.AddOp(plan.OpSpec{ID: "cnt", Role: plan.RoleStateless})
 	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
 	q.Connect("src", "cnt").Connect("cnt", "sink")
+	return q, map[plan.OpID]operator.Factory{"cnt": func() operator.Operator { return g }}
+}
+
+// settle waits for admitted to reach want and checks it stays there.
+func settle(t *testing.T, admitted *atomic.Int64, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); admitted.Load() < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d senders admitted, want %d", admitted.Load(), want)
+		}
+	}
+	time.Sleep(30 * time.Millisecond)
+	if got := admitted.Load(); got != want {
+		t.Fatalf("%d senders admitted, want %d", got, want)
+	}
+}
+
+// One queue for both kinds of sender: a batch off the wire waits for
+// room in the destination's input in DeliverLocal exactly as a local
+// emitter's does, so the two together never hold more than the queue's
+// slots queued or in hand.
+func TestQueueCountsWireAndLocalSendersAlike(t *testing.T) {
+	const slots = 2
 	g := &gate{tokens: make(chan struct{})}
-	// The channel is deeper than the ledger: only the ledger can be what
-	// holds a sender.
-	e, err := New(Config{BatchSize: 1, QueueBound: slots, ChannelBuffer: 8}, q,
-		map[plan.OpID]operator.Factory{"cnt": func() operator.Operator { return g }})
+	q, factories := gatedQuery(g)
+	e, err := New(Config{BatchSize: 1, QueueBound: slots}, q, factories)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.cfg.creditSlots(); got != slots {
-		t.Fatalf("creditSlots() = %d, want QueueBound/BatchSize = %d", got, slots)
+	if got := e.cfg.slots(); got != slots {
+		t.Fatalf("slots() = %d, want QueueBound/BatchSize = %d", got, slots)
 	}
-	if got := (Config{}).withDefaults().creditSlots(); got != 4096/128 {
-		t.Fatalf("zero config creditSlots() = %d, want the defaults' 4096/128", got)
+	if got := (Config{}).withDefaults().slots(); got != 4096/128 {
+		t.Fatalf("zero config slots() = %d, want the defaults' 4096/128", got)
 	}
 	e.Start()
 	defer e.Stop()
+	openGate := sync.OnceFunc(func() { close(g.tokens) })
+	defer openGate() // before Stop, which waits for cnt's goroutine
 	cnt := inst("cnt", 1)
-	ledger := &e.set.Load().byInst[cnt].credits
+	n := e.set.Load().byInst[cnt]
 
 	// admitted counts senders — wire and local — whose batch was taken.
 	var admitted atomic.Int64
@@ -256,30 +269,22 @@ func TestLedgerCountsWireAndLocalSendersAlike(t *testing.T) {
 			admitted.Add(1)
 		}
 	}()
-	// settled waits for admitted to reach want and checks it stays there.
-	settled := func(want int64) {
+	// With the operator shut, exactly one batch per slot is queued or in
+	// hand — whoever sent it — and every processed batch admits exactly
+	// one more.
+	check := func(want int64) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); admitted.Load() < want; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d senders admitted, want %d", admitted.Load(), want)
-			}
-		}
-		time.Sleep(30 * time.Millisecond)
-		if got := admitted.Load(); got != want {
-			t.Fatalf("%d senders admitted with %d credit slots and %d batches processed, want %d", got, slots, want-slots, want)
-		}
-		if a := ledger.avail.Load(); a != 0 {
-			t.Fatalf("ledger has %d credits free while senders wait", a)
+		settle(t, &admitted, want)
+		if got := n.held(); got != slots {
+			t.Fatalf("cnt holds %d batches while senders wait, want all %d slots", got, slots)
 		}
 	}
-	// With the operator shut, exactly one batch per slot is in flight —
-	// whoever sent it — and every processed batch admits exactly one more.
-	settled(slots)
+	check(slots)
 	for done := int64(1); done <= wire+local-slots; done++ {
 		g.tokens <- struct{}{}
-		settled(slots + done)
+		check(slots + done)
 	}
-	close(g.tokens)
+	openGate()
 	wg.Wait()
 	if !e.Quiesce(50*time.Millisecond, 5*time.Second) {
 		t.Fatal("engine did not drain")
@@ -287,18 +292,86 @@ func TestLedgerCountsWireAndLocalSendersAlike(t *testing.T) {
 	if got := e.SinkCount.Value(); got != wire+local {
 		t.Errorf("sink saw %d tuples, want %d", got, wire+local)
 	}
-	if a := ledger.avail.Load(); a != slots {
-		t.Errorf("idle ledger holds %d credits, want all %d back and no more", a, slots)
+	if got := n.held(); got != 0 {
+		t.Errorf("idle cnt holds %d batches, want 0", got)
 	}
 	if bp := e.BackpressureSnapshot(); bp.PeakQueueDepth > slots {
-		t.Errorf("peak queue depth %d exceeds the %d-slot ledger", bp.PeakQueueDepth, slots)
+		t.Errorf("peak queue depth %d exceeds the %d-slot queue", bp.PeakQueueDepth, slots)
+	}
+}
+
+// A replayed batch counts toward the queue bound like any other: once
+// the replay's tuple has passed, a sender that waited behind it gets one
+// batch in, not one for the replay's slot as well.
+func TestQueueBoundHoldsAcrossReplay(t *testing.T) {
+	const slots = 2
+	g := &gate{tokens: make(chan struct{})}
+	q, factories := gatedQuery(g)
+	e, err := New(Config{BatchSize: 1, QueueBound: slots}, q, factories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+	openGate := sync.OnceFunc(func() { close(g.tokens) })
+	defer openGate() // before Stop, which waits for cnt's goroutine
+	cnt := inst("cnt", 1)
+	n := e.set.Load().byInst[cnt]
+
+	// The replay goes onto the input the way adoptLocked sends one.
+	replay := state.Batch{From: inst("src", 2), To: cnt, Tuples: []stream.Tuple{{TS: 1, Key: 1}}}
+	select {
+	case n.in <- replay:
+	case <-n.stopped:
+		t.Fatal("cnt stopped")
+	}
+	var admitted, refused atomic.Int64
+	const sent = 6
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ts := int64(1); ts <= sent; ts++ {
+			b := state.Batch{From: inst("src", 1), To: cnt, Tuples: []stream.Tuple{{TS: ts, Key: stream.Key(ts)}}}
+			if !e.DeliverLocal(b) {
+				refused.Add(1)
+			}
+			admitted.Add(1)
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); n.stalls.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the sender never waited behind the replay")
+		}
+	}
+	g.tokens <- struct{}{}
+	for deadline := time.Now().Add(5 * time.Second); e.SinkCount.Value() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the replay's tuple never reached the sink")
+		}
+	}
+	// No sent batch has passed the gate, so every admitted one is queued
+	// or in hand.
+	settle(t, &admitted, slots)
+	if got := n.held(); got > slots {
+		t.Errorf("cnt holds %d batches after the replay passed, want at most %d", got, slots)
+	}
+	openGate()
+	<-done
+	if r := refused.Load(); r > 0 {
+		t.Fatalf("DeliverLocal refused %d batches for a hosted instance", r)
+	}
+	if !e.Quiesce(50*time.Millisecond, 5*time.Second) {
+		t.Fatal("engine did not drain")
+	}
+	if got := e.SinkCount.Value(); got != sent+1 {
+		t.Errorf("sink saw %d tuples, want %d", got, sent+1)
 	}
 }
 
 // Emitting one chunk toward a local node allocates nothing once the
 // tuple pool is warm: the node step builds its batches into the node's
-// reused output slice, and the send path takes a credit and queues the
-// batch without a per-chunk scratch of its own.
+// reused output slice, and the send path queues the batch without a
+// per-chunk scratch of its own.
 func TestEmitChunkAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries at random")
@@ -327,7 +400,6 @@ func TestEmitChunkAllocations(t *testing.T) {
 		if b := <-sink.in; len(b.Tuples) != chunk {
 			t.Fatalf("sink queued %d tuples, want %d", len(b.Tuples), chunk)
 		}
-		sink.releaseCredit()
 	})
 	if allocs != 0 {
 		t.Errorf("emitting a %d-tuple chunk allocates %.0f times, want 0", chunk, allocs)

@@ -54,10 +54,6 @@ type Config struct {
 	CheckpointInterval time.Duration
 	// TimerInterval drives TimeDriven operators (default 250 ms).
 	TimerInterval time.Duration
-	// ChannelBuffer is the per-node input channel capacity in tuples
-	// (default 4096). The channel itself carries batches, so its slot
-	// count is ChannelBuffer/BatchSize.
-	ChannelBuffer int
 	// BatchSize is the maximum number of tuples coalesced into one
 	// channel delivery (default 128; 1 disables batching and restores
 	// per-tuple sends).
@@ -65,15 +61,14 @@ type Config struct {
 	// BatchLinger bounds how long sources hold a partial batch before
 	// flushing (default 10 ms, the legacy source tick). Operator nodes
 	// never linger: staged output flushes at the end of each input
-	// batch. Under credit stalls a source adaptively stretches its
+	// batch. Under send stalls a source adaptively stretches its
 	// effective linger (up to maxLingerStretch ticks), trading latency
 	// for batch fullness instead of piling batches onto a starved edge.
 	BatchLinger time.Duration
-	// QueueBound is the per-node credit ledger size in tuples: the
-	// bound on in-flight work (queued plus being-processed batches)
-	// toward any one node. 0 defaults to ChannelBuffer, which makes the
-	// credit gate — where stalls are counted — the binding constraint
-	// and channel sends non-blocking. See backpressure.go.
+	// QueueBound bounds, in tuples, the work toward any one node: its
+	// input channel holds QueueBound/BatchSize batches (at least one)
+	// counting the one the node goroutine has in hand, so senders past
+	// it wait (default 4096). See backpressure.go.
 	QueueBound int
 	// MemoryLimit, when positive, arms the managed-state memory ceiling
 	// on every stateful instance: a store whose approximate resident
@@ -125,8 +120,8 @@ func (c Config) withDefaults() Config {
 	if c.TimerInterval == 0 {
 		c.TimerInterval = 250 * time.Millisecond
 	}
-	if c.ChannelBuffer == 0 {
-		c.ChannelBuffer = 4096
+	if c.QueueBound <= 0 {
+		c.QueueBound = 4096
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 128
@@ -140,29 +135,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// channelSlots converts the tuple-denominated ChannelBuffer into batch
-// slots.
-func (c Config) channelSlots() int {
-	slots := c.ChannelBuffer / c.BatchSize
-	if slots < 1 {
-		slots = 1
-	}
-	return slots
-}
-
-// creditSlots converts the tuple-denominated QueueBound into batch
-// credits: the budget of one node's input ledger.
-func (c Config) creditSlots() int {
-	qb := c.QueueBound
-	if qb <= 0 {
-		qb = c.ChannelBuffer
-	}
-	slots := qb / c.BatchSize
-	if slots < 1 {
-		slots = 1
-	}
-	return slots
-}
+// slots converts the tuple-denominated QueueBound into batches: the
+// most one node holds queued or in hand.
+func (c Config) slots() int { return max(c.QueueBound/c.BatchSize, 1) }
 
 // ctrlKind discriminates control messages processed on the node
 // goroutine between data batches.
@@ -234,11 +209,11 @@ type node struct {
 	// emitMu serialises whole emit passes (timestamp run + channel
 	// sends) when several goroutines emit through the same node — the
 	// source driver and concurrent InjectBatch callers. Stamping under
-	// mu alone is not enough: once sends can BLOCK on the credit ledger
+	// mu alone is not enough: once sends can BLOCK on a full input
 	// after mu is released, two concurrent emitters can deliver their
 	// batches out of timestamp order on the same edge, and the
 	// receiver's per-sender watermark then discards the late lower run
-	// as a duplicate. Held across acquire+send; stalls under it resolve
+	// as a duplicate. Held across the sends; stalls under it resolve
 	// via the receiver's stop or engine shutdown, and no control-plane
 	// path takes it, so barriers and reroutes still proceed around a
 	// stalled holder.
@@ -266,15 +241,13 @@ type node struct {
 	curBorn int64
 	emitFn  operator.Emitter
 
-	// credits is the input credit ledger (backpressure.go): senders take
-	// one credit per batch before the channel send and handleBatch
-	// returns it after processing, bounding in-flight work toward this
-	// node.
-	credits creditLedger
-	// creditStalls counts sender waits on this node's ledger; peakDepth
+	// busy is set while the node goroutine handles a batch taken from
+	// in, the in-hand part of UtilReports' queue fill.
+	busy atomic.Bool
+	// stalls counts sender waits on this node's full input; peakDepth
 	// tracks the deepest input queue observed (batches).
-	creditStalls metrics.Counter
-	peakDepth    atomic.Int64
+	stalls    metrics.Counter
+	peakDepth atomic.Int64
 
 	stopped   chan struct{} // closed to stop the goroutine
 	done      chan struct{} // closed when the goroutine exits
@@ -322,8 +295,8 @@ type Engine struct {
 	// observations across workers share one frame.
 	clockOffset atomic.Int64
 
-	// creditStalls counts sender waits on any node's credit ledger.
-	creditStalls metrics.Counter
+	// stalls counts sender waits on any node's full input.
+	stalls metrics.Counter
 
 	// spillMu guards spillStores: every store armed with a memory
 	// ceiling, including stores of since-replaced nodes, closed (spill
@@ -413,13 +386,12 @@ func (e *Engine) newNode(inst plan.InstanceID, spec *plan.OpSpec) (*node, error)
 		spec:     spec,
 		op:       op,
 		Instance: state.NewInstance(operator.StoreOf(op)),
-		in:       make(chan state.Batch, e.cfg.channelSlots()),
+		in:       make(chan state.Batch, e.cfg.slots()-1),
 		ctrl:     make(chan ctrlMsg, 2),
 		stopped:  make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	n.emitFn = func(k stream.Key, p any) { n.stage(k, p, n.curBorn) }
-	n.credits.init(e.cfg.creditSlots())
 	if e.cfg.MemoryLimit > 0 && n.Store != nil {
 		if err := n.Store.EnableSpill("", e.cfg.MemoryLimit); err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", inst, err)
@@ -611,7 +583,6 @@ func (e *Engine) startNode(n *node) {
 	go func() {
 		defer e.wg.Done()
 		defer close(n.done)
-		// Replayed batches never took a credit, so none is given back.
 		for _, b := range n.replayQueue {
 			n.handleBatch(b)
 		}
@@ -631,10 +602,9 @@ func (e *Engine) startNode(n *node) {
 			case c := <-n.ctrl:
 				n.handleCtrl(c)
 			case b := <-n.in:
+				n.busy.Store(true)
 				n.handleBatch(b)
-				// The batch's credit is held until processing completes,
-				// so the ledger bounds in-flight work, not just the queue.
-				n.releaseCredit()
+				n.busy.Store(false)
 			}
 		}
 	}()
@@ -768,7 +738,7 @@ func (n *node) emitAll(items []state.Staged) {
 func (n *node) emitChunk(chunk []state.Staged) {
 	// Per-sender FIFO: hold emitMu from timestamp assignment through the
 	// last send, so concurrent emitters (driver + InjectBatch) cannot
-	// deliver their runs out of order on a credit-starved edge.
+	// deliver their runs out of order on a full edge.
 	n.emitMu.Lock()
 	defer n.emitMu.Unlock()
 	n.mu.Lock()

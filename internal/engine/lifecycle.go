@@ -216,7 +216,7 @@ func (e *Engine) startSource(s *sourceDriver) {
 		var emitted uint64
 		carry := 0.0
 		var pend []state.Staged
-		// Adaptive linger: when the previous flush hit credit stalls the
+		// Adaptive linger: when the previous flush hit send stalls the
 		// source holds its accrued tuples for extra ticks (up to
 		// maxLingerStretch), emitting fewer, fuller batches instead of
 		// piling onto a starved edge; the stretch decays one tick per
@@ -253,11 +253,11 @@ func (e *Engine) startSource(s *sourceDriver) {
 					skip--
 					continue
 				}
-				before := e.creditStalls.Value()
+				before := e.stalls.Value()
 				n.emitAll(pend)
 				clear(pend)
 				pend = pend[:0]
-				if e.creditStalls.Value() > before {
+				if e.stalls.Value() > before {
 					if stretch < maxLingerStretch {
 						stretch++
 					}

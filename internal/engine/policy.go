@@ -7,30 +7,22 @@ import (
 	"seep/internal/plan"
 )
 
-// UtilReports estimates, for the scaling policy, the load in [0, ∞) of
+// UtilReports estimates, for the scaling policy, the load in [0, 1] of
 // every hosted instance that is neither source nor sink. The live engine
 // cannot read simulated CPU budgets, so the signal is backpressure: a
 // queue that stays near capacity means the operator cannot keep up with
 // its input — the live equivalent of the paper's CPU utilisation reports
-// crossing δ. The input channel carries micro-batches, so its fill
-// fraction is measured in batch slots. With credit-based flow control the
-// ledger, not the channel, is the binding constraint — senders stall
-// before the channel fills — so each report takes whichever signal is
-// stronger: channel occupancy or the fraction of the node's credits
-// currently consumed by queued and in-flight batches.
+// crossing δ. The fill is measured in batch slots: the batches queued on
+// the input channel plus the one the node goroutine has in hand, over
+// the slots a full input holds.
 func (e *Engine) UtilReports() []control.Report {
 	var reports []control.Report
+	slots := float64(e.cfg.slots())
 	for _, n := range e.set.Load().stateful {
 		if n.failed.Load() {
 			continue
 		}
-		util := float64(len(n.in)) / float64(cap(n.in))
-		if c := n.credits.cap; c > 0 {
-			if held := float64(c-n.credits.avail.Load()) / float64(c); held > util {
-				util = held
-			}
-		}
-		reports = append(reports, control.Report{Inst: n.inst, Util: util})
+		reports = append(reports, control.Report{Inst: n.inst, Util: float64(n.held()) / slots})
 	}
 	return reports
 }

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"seep/internal/control"
 	"seep/internal/operator"
 	"seep/internal/plan"
+	"seep/internal/state"
 	"seep/internal/stream"
 	"seep/internal/wordcount"
 )
@@ -34,7 +36,7 @@ func TestEnginePolicyScalesOutUnderBackpressure(t *testing.T) {
 	}
 	e, err := New(Config{
 		CheckpointInterval: 100 * time.Millisecond,
-		ChannelBuffer:      256, // small channel so backpressure is visible
+		QueueBound:         256, // small queue so backpressure is visible
 	}, q, factories)
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +63,15 @@ func TestEnginePolicyScalesOutUnderBackpressure(t *testing.T) {
 	if got := e.Manager().Parallelism("count"); got < 2 {
 		t.Fatalf("parallelism = %d; policy did not scale out under backpressure", got)
 	}
-	// The query still produces results afterwards.
+	// The query still produces results afterwards. A counter flushes its
+	// output once per input batch, and a 128-tuple batch takes 256 ms at
+	// 2 ms a tuple (more behind a replay), so progress is polled for, not
+	// sampled over one fixed window.
 	before := e.SinkCount.Value()
-	time.Sleep(300 * time.Millisecond)
-	if e.SinkCount.Value() <= before {
-		t.Error("no progress after policy-driven scale out")
+	for deadline := time.Now().Add(5 * time.Second); e.SinkCount.Value() <= before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no progress after policy-driven scale out")
+		}
 	}
 }
 
@@ -79,5 +85,44 @@ func TestUtilReports(t *testing.T) {
 		if r.Inst.Op == "src" || r.Inst.Op == "sink" || r.Util != 0 {
 			t.Errorf("idle engine reported %+v", r)
 		}
+	}
+	// A node whose operator is shut and whose input is full reports 1:
+	// every slot is queued or in hand, the unbuffered channel included.
+	for _, slots := range []int{1, 16} {
+		t.Run(fmt.Sprintf("saturated/%d slots", slots), func(t *testing.T) {
+			g := &gate{tokens: make(chan struct{})}
+			q, factories := gatedQuery(g)
+			e, err := New(Config{BatchSize: 1, QueueBound: slots}, q, factories)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Start()
+			defer e.Stop()
+			defer close(g.tokens)
+			cnt := inst("cnt", 1)
+			go func() {
+				for ts := int64(1); ts <= int64(slots)+1; ts++ {
+					e.DeliverLocal(state.Batch{From: inst("src", 1), To: cnt, Tuples: []stream.Tuple{{TS: ts, Key: 1}}})
+				}
+			}()
+			util := func() float64 {
+				for _, r := range e.UtilReports() {
+					if r.Inst == cnt {
+						return r.Util
+					}
+				}
+				t.Fatal("no report for cnt")
+				return 0
+			}
+			for deadline := time.Now().Add(5 * time.Second); util() < 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("util = %v with the input full, want 1", util())
+				}
+			}
+			time.Sleep(20 * time.Millisecond)
+			if u := util(); u != 1 {
+				t.Errorf("util = %v with the input full, want 1", u)
+			}
+		})
 	}
 }

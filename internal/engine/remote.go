@@ -26,8 +26,8 @@ func (e *Engine) SetRemote(r Remote) {
 }
 
 // DeliverLocal queues a batch received from the wire on the hosted
-// instance b.To, waiting for that node's credit exactly like a local
-// sender. On true the engine owns b (it is recycled after processing).
+// instance b.To, waiting for room in that node's input exactly like a
+// local sender. On true the engine owns b (it is recycled after processing).
 // It returns false, with b still the caller's, when the instance is not
 // hosted here or stopped while the caller waited.
 //

@@ -38,7 +38,7 @@ const ProtocolVersion = uint8(2)
 // frame), 3 (a batch of per-tuple gob blobs), 4 (an acknowledgement
 // trim, now a control message), 6 (a checkpoint barrier, now a control
 // message), 7 (a flow-control credit grant; the receiving node's own
-// ledger, felt through the socket, is the flow control) and 9 (an
+// bounded input, felt through the socket, is the flow control) and 9 (an
 // incremental checkpoint in a codec of its own; a delta now ships as the
 // checkpoint it views, in a control frame). A listener treats them like
 // any unknown type and drops the connection.
@@ -59,7 +59,7 @@ const (
 // writeStallAfter is how long a single frame write (including any
 // injected slow-link delay) may take before it is counted as a credit
 // stall: the receiver has stopped reading — its handler is waiting on a
-// node's credit ledger — or the link is slow.
+// node's full input — or the link is slow.
 const writeStallAfter = 50 * time.Millisecond
 
 // maxFrameBytes bounds a single frame (16 MiB) so a corrupt length
@@ -186,7 +186,7 @@ type Stats struct {
 	RejectedFrames uint64
 	// CreditStalls counts frame writes that ran past writeStallAfter: a
 	// slow or faulted link, or a receiver holding the connection unread
-	// while its node's credit ledger is empty.
+	// while its node's input is full.
 	CreditStalls uint64
 }
 

@@ -277,14 +277,14 @@ func WithRecoveryParallelism(pi int) Option {
 	return func(c *runtimeConfig) { c.recoveryPi = pi; c.recoveryPiSet = true }
 }
 
-// WithQueueBound bounds every operator node's input queue to n tuples
-// and sizes the credit ledgers of the end-to-end flow control: a sender
-// whose downstream node is out of credits waits instead of growing the
-// queue — a local emitter at the ledger, a remote one on its socket,
-// because the receiving worker stops reading the connection until the
-// node has a credit for the batch — and sources adaptively stretch their
-// batch linger while credits are scarce. Unset, the ledgers are sized
-// from the engine's channel buffer.
+// WithQueueBound bounds the work toward every operator node to n tuples,
+// n/batch size batches (at least one) queued on its input channel or in
+// its hands — the end-to-end flow control: a sender whose downstream
+// node's input is full waits instead of growing the queue — a local
+// emitter on the channel, a remote one on its socket, because the
+// receiving worker stops reading the connection until the node has room
+// for the batch — and sources adaptively stretch their batch linger
+// while inputs are full. Unset, the bound is 4096 tuples.
 // Stalls surface in Metrics.Backpressure. Live and Distributed runtimes;
 // the simulator's virtual time has no queues to bound.
 func WithQueueBound(n int) Option {

@@ -149,8 +149,8 @@ type (
 	// directions, reconnects, heartbeat misses, corrupt frames. Always
 	// zero on the in-process runtimes.
 	TransportStats = transport.Stats
-	// BackpressureStats tallies the credit-based flow control and state
-	// spilling: per-edge queue depth and credit-stall gauges plus
+	// BackpressureStats tallies the bounded-queue flow control and state
+	// spilling: per-edge queue depth and send-stall gauges plus
 	// spill/load counters from memory-limited stores. Zero on the
 	// Simulated runtime (virtual time has no queues to bound).
 	BackpressureStats = engine.BackpressureStats
@@ -192,7 +192,7 @@ type Metrics struct {
 	// Transport tallies the Distributed runtime's network activity
 	// across the coordinator and all workers (zero on Live/Simulated).
 	Transport TransportStats
-	// Backpressure tallies credit stalls, queue depths and state-spill
+	// Backpressure tallies send stalls, queue depths and state-spill
 	// activity (WithQueueBound / WithMemoryLimit); aggregated across all
 	// workers on the Distributed runtime.
 	Backpressure BackpressureStats
