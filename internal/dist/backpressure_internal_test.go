@@ -45,16 +45,20 @@ func TestLinkTeardown(t *testing.T) {
 	}
 }
 
-// gateQuery is src → cnt → sink with a stateless cnt that passes one
-// tuple per token received on the returned channel.
+// gateQuery is src → pass → cnt → sink with a stateless cnt that
+// passes one tuple per token received on the returned channel.
 func gateQuery() (*plan.Query, map[plan.OpID]operator.Factory, chan struct{}) {
 	q := plan.NewQuery()
 	q.AddOp(plan.OpSpec{ID: "src", Role: plan.RoleSource})
+	q.AddOp(plan.OpSpec{ID: "pass", Role: plan.RoleStateless})
 	q.AddOp(plan.OpSpec{ID: "cnt", Role: plan.RoleStateless})
 	q.AddOp(plan.OpSpec{ID: "sink", Role: plan.RoleSink})
-	q.Connect("src", "cnt").Connect("cnt", "sink")
+	q.Connect("src", "pass").Connect("pass", "cnt").Connect("cnt", "sink")
 	tokens := make(chan struct{})
-	return q, map[plan.OpID]operator.Factory{"cnt": func() operator.Operator { return gate(tokens) }}, tokens
+	return q, map[plan.OpID]operator.Factory{
+		"pass": operator.Passthrough,
+		"cnt":  func() operator.Operator { return gate(tokens) },
+	}, tokens
 }
 
 type gate chan struct{}
@@ -64,32 +68,35 @@ func (g gate) OnTuple(_ operator.Context, t stream.Tuple, emit operator.Emitter)
 	emit(t.Key, t.Payload)
 }
 
-// A delivery waiting for room in a stalled instance's input holds no
-// worker lock: the control plane — here a MsgDeploy, which adopts under
-// w.mu and acknowledges through it — proceeds around it.
-func TestStalledDeliveryHoldsNoWorkerLock(t *testing.T) {
-	acks := make(chan *Control, 1)
+// stalledWorker runs gateQuery on a worker with one-slot queues and
+// three deliveries toward cnt#1 — one in hand, one waiting for the
+// handoff, one behind it — and returns once a delivery has stalled. The
+// MsgAck controls the worker sends reach the returned channel;
+// delivered closes once the deliveries complete.
+func stalledWorker(t *testing.T) (w *Worker, eng *engine.Engine, tokens chan struct{}, acks <-chan *Control, delivered <-chan struct{}) {
+	t.Helper()
+	ackc := make(chan *Control, 1)
 	coordLn, err := transport.ListenWith("127.0.0.1:0", nil, transport.Handlers{OnControl: func(body []byte) {
 		if c, err := decodeControl(body); err == nil && c.Kind == MsgAck {
-			acks <- c
+			ackc <- c
 		}
 	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coordLn.Close()
+	t.Cleanup(func() { coordLn.Close() })
 	coord, err := transport.Dial(coordLn.Addr(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorker("127.0.0.1:0", nil, nil)
+	w, err = NewWorker("127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Kill()
+	t.Cleanup(w.Kill)
 	q, factories, tokens := gateQuery()
-	defer close(tokens)
-	eng, err := engine.New(engine.Config{BatchSize: 1, QueueBound: 1}, q, factories)
+	t.Cleanup(func() { close(tokens) }) // before Kill, which stops the engine
+	eng, err = engine.New(engine.Config{BatchSize: 1, QueueBound: 1}, q, factories)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +107,11 @@ func TestStalledDeliveryHoldsNoWorkerLock(t *testing.T) {
 	w.mu.Unlock()
 	eng.Start()
 
-	cnt := plan.InstanceID{Op: "cnt", Part: 1}
-	delivered := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
-		defer close(delivered)
+		defer close(done)
 		for ts := int64(1); ts <= 3; ts++ {
-			w.deliver(state.Batch{From: plan.InstanceID{Op: "src", Part: 1}, To: cnt, Tuples: []stream.Tuple{{TS: ts, Key: 1}}})
+			w.deliver(state.Batch{From: plan.InstanceID{Op: "pass", Part: 1}, To: cnt1, Tuples: []stream.Tuple{{TS: ts, Key: 1}}})
 		}
 	}()
 	for deadline := time.Now().Add(5 * time.Second); eng.BackpressureSnapshot().CreditStalls == 0; time.Sleep(time.Millisecond) {
@@ -113,34 +119,72 @@ func TestStalledDeliveryHoldsNoWorkerLock(t *testing.T) {
 			t.Fatal("the delivery never stalled on cnt's one-slot queue")
 		}
 	}
+	return w, eng, tokens, ackc, done
+}
 
-	fresh := state.NewInstance(nil)
-	cp := fresh.BeginCheckpoint(plan.InstanceID{Op: "cnt", Part: 2}).Checkpoint(false)
+var cnt1 = plan.InstanceID{Op: "cnt", Part: 1}
+
+// deploy dispatches a MsgDeploy of cp and waits for its acknowledgement.
+func deploy(t *testing.T, w *Worker, acks <-chan *Control, cp *state.Checkpoint) {
+	t.Helper()
 	blob, err := state.MarshalCheckpoint(cp, w.codec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go w.dispatch(&Control{Kind: MsgDeploy, Seq: 7, Checkpoint: blob, Routing: state.MarshalRouting(state.NewRouting(cnt))})
+	go w.dispatch(&Control{Kind: MsgDeploy, Seq: 7, Checkpoint: blob, Routing: state.MarshalRouting(state.NewRouting(cp.Instance))})
 	select {
 	case ack := <-acks:
 		if ack.Seq != 7 || ack.Err != "" {
 			t.Errorf("deploy acknowledged as %+v", ack)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("MsgDeploy not acknowledged within 2 s while a delivery waits on a stalled instance")
+		t.Fatalf("MsgDeploy of %s not acknowledged within 2 s while cnt's input is full", cp.Instance)
 	}
+}
+
+// release passes n tuples through cnt and waits for the deliveries.
+func release(t *testing.T, tokens chan struct{}, n int, delivered <-chan struct{}) {
+	t.Helper()
 	select {
 	case <-delivered:
 		t.Fatal("the stalled delivery completed before the instance was released")
 	default:
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		tokens <- struct{}{}
 	}
 	select {
 	case <-delivered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("deliveries did not complete once the instance drained")
+	}
+}
+
+// A delivery waiting for room in a stalled instance's input holds no
+// worker lock: the control plane — here a MsgDeploy, which adopts under
+// w.mu and acknowledges through it — proceeds around it.
+func TestStalledDeliveryHoldsNoWorkerLock(t *testing.T) {
+	w, _, tokens, acks, delivered := stalledWorker(t)
+	fresh := state.NewInstance(nil)
+	deploy(t, w, acks, fresh.BeginCheckpoint(plan.InstanceID{Op: "cnt", Part: 2}).Checkpoint(false))
+	release(t, tokens, 3, delivered)
+}
+
+// A replacement's downstream replay waits for room on its own
+// goroutine, not in the adopt step: a MsgDeploy whose checkpoint retains
+// output for the stalled cnt#1 is acknowledged, and the replay arrives
+// once cnt drains.
+func TestDeployReplayTowardStalledInstanceHoldsNoWorkerLock(t *testing.T) {
+	w, eng, tokens, acks, delivered := stalledWorker(t)
+	fresh := state.NewInstance(nil)
+	cp := fresh.BeginCheckpoint(plan.InstanceID{Op: "pass", Part: 2}).Checkpoint(false)
+	cp.Buffer.Append(cnt1, stream.Tuple{TS: 1, Key: 1, Born: 1, Payload: int64(5)})
+	deploy(t, w, acks, cp)
+	release(t, tokens, 4, delivered)
+	for deadline := time.Now().Add(5 * time.Second); eng.SinkCount.Value() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("sink saw %d tuples, want the 3 deliveries and the replayed one", eng.SinkCount.Value())
+		}
 	}
 }
 

@@ -69,9 +69,10 @@ func TestEngineQueueBoundHoldsSenders(t *testing.T) {
 	if bp.CreditStalls == 0 {
 		t.Error("no credit stalls recorded; the edge was never starved")
 	}
+	// The input holds slots−1 batches; the batch in hand is the last slot.
 	slots := queueBound / batchSize
-	if bp.PeakQueueDepth > slots {
-		t.Errorf("peak queue depth %d batches exceeds the %d-slot queue bound", bp.PeakQueueDepth, slots)
+	if bp.PeakQueueDepth > slots-1 {
+		t.Errorf("peak queue depth %d batches exceeds the %d-slot queue bound less the batch in hand", bp.PeakQueueDepth, slots)
 	}
 	if got := slowTotal(e); got != 3000 {
 		t.Errorf("state total = %d, want 3000 (backpressure must not shed tuples)", got)
@@ -295,8 +296,8 @@ func TestQueueCountsWireAndLocalSendersAlike(t *testing.T) {
 	if got := n.held(); got != 0 {
 		t.Errorf("idle cnt holds %d batches, want 0", got)
 	}
-	if bp := e.BackpressureSnapshot(); bp.PeakQueueDepth > slots {
-		t.Errorf("peak queue depth %d exceeds the %d-slot queue", bp.PeakQueueDepth, slots)
+	if bp := e.BackpressureSnapshot(); bp.PeakQueueDepth > slots-1 {
+		t.Errorf("peak queue depth %d exceeds the %d-slot queue less the batch in hand", bp.PeakQueueDepth, slots)
 	}
 }
 
@@ -318,12 +319,19 @@ func TestQueueBoundHoldsAcrossReplay(t *testing.T) {
 	cnt := inst("cnt", 1)
 	n := e.set.Load().byInst[cnt]
 
-	// The replay goes onto the input the way adoptLocked sends one.
-	replay := state.Batch{From: inst("src", 2), To: cnt, Tuples: []stream.Tuple{{TS: 1, Key: 1}}}
-	select {
-	case n.in <- replay:
-	case <-n.stopped:
-		t.Fatal("cnt stopped")
+	// The replay comes from an adopted replacement whose checkpoint
+	// retains one tuple for cnt, and is in cnt's hands before the sender
+	// starts.
+	fresh := state.NewInstance(nil)
+	cp := fresh.BeginCheckpoint(inst("src", 2)).Checkpoint(false)
+	cp.Buffer.Append(cnt, stream.Tuple{TS: 1, Key: 1})
+	if _, err := e.AdoptInstance(cp, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); n.held() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the replay never reached cnt")
+		}
 	}
 	var admitted, refused atomic.Int64
 	const sent = 6

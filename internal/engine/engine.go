@@ -201,6 +201,11 @@ type node struct {
 	// replayQueue is consumed before the channels on (re)start, so
 	// replayed tuples precede newly routed ones.
 	replayQueue []state.Batch
+	// replayOut is a replacement's downstream replay — the retained
+	// output its checkpoint carries — which the node goroutine sends
+	// before it handles anything, so the replay precedes every tuple the
+	// instance emits itself and no lock is held while it waits for room.
+	replayOut []state.Batch
 
 	// routes is the current route-table snapshot, loaded by the emit
 	// path without any engine lock.
@@ -241,8 +246,8 @@ type node struct {
 	curBorn int64
 	emitFn  operator.Emitter
 
-	// busy is set while the node goroutine handles a batch taken from
-	// in, the in-hand part of UtilReports' queue fill.
+	// busy is set while the node goroutine handles a batch — from in or
+	// from replayQueue — the in-hand part of UtilReports' queue fill.
 	busy atomic.Bool
 	// stalls counts sender waits on this node's full input; peakDepth
 	// tracks the deepest input queue observed (batches).
@@ -583,8 +588,12 @@ func (e *Engine) startNode(n *node) {
 	go func() {
 		defer e.wg.Done()
 		defer close(n.done)
+		for _, b := range n.replayOut {
+			e.sendReplay(b)
+		}
+		n.replayOut = nil
 		for _, b := range n.replayQueue {
-			n.handleBatch(b)
+			n.take(b)
 		}
 		n.replayQueue = nil
 		for {
@@ -602,12 +611,30 @@ func (e *Engine) startNode(n *node) {
 			case c := <-n.ctrl:
 				n.handleCtrl(c)
 			case b := <-n.in:
-				n.busy.Store(true)
-				n.handleBatch(b)
-				n.busy.Store(false)
+				n.take(b)
 			}
 		}
 	}()
+}
+
+// take handles one batch with it counted as in hand.
+func (n *node) take(b state.Batch) {
+	n.busy.Store(true)
+	n.handleBatch(b)
+	n.busy.Store(false)
+}
+
+// sendReplay sends one replayed batch toward its destination: onto a
+// hosted node's input, waiting for room like any sender, or over the
+// remote link.
+//
+// seep:blocking
+func (e *Engine) sendReplay(b state.Batch) {
+	if tn := e.set.Load().byInst[b.To]; tn != nil {
+		tn.send(b)
+	} else if e.remote != nil {
+		e.remote.Deliver(b)
+	}
 }
 
 func (n *node) stop() {

@@ -63,15 +63,11 @@ func TestEnginePolicyScalesOutUnderBackpressure(t *testing.T) {
 	if got := e.Manager().Parallelism("count"); got < 2 {
 		t.Fatalf("parallelism = %d; policy did not scale out under backpressure", got)
 	}
-	// The query still produces results afterwards. A counter flushes its
-	// output once per input batch, and a 128-tuple batch takes 256 ms at
-	// 2 ms a tuple (more behind a replay), so progress is polled for, not
-	// sampled over one fixed window.
+	// The query still produces results afterwards.
 	before := e.SinkCount.Value()
-	for deadline := time.Now().Add(5 * time.Second); e.SinkCount.Value() <= before; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no progress after policy-driven scale out")
-		}
+	time.Sleep(300 * time.Millisecond)
+	if e.SinkCount.Value() <= before {
+		t.Error("no progress after policy-driven scale out")
 	}
 }
 

@@ -215,24 +215,17 @@ func (e *Engine) rerouteLocked(op plan.OpID, routing *state.Routing, newInsts []
 }
 
 // adoptLocked is the adopt step for a registered, restored, not yet
-// running replacement: the retained output its checkpoint carries
-// replays downstream under the current routing — enqueued before the
-// node starts, so it precedes anything the instance emits itself — and
-// the node starts, consuming its replay queue first. Returns the number
-// of tuples replayed downstream.
+// running replacement: the retained output its checkpoint carries is
+// split under the current routing into the node's downstream replay,
+// which the node goroutine sends before anything the instance emits
+// itself, and the node starts, consuming its replay queue next. Returns
+// the number of tuples replayed downstream.
 //
 // seep:locks e.mu
 func (e *Engine) adoptLocked(nn *node, cp *state.Checkpoint) int {
 	routing := func(op plan.OpID) *state.Routing { return e.routings[op] }
 	replayed := e.dispatchReplay(state.DownstreamReplay(cp, routing), nn.inst.Op, func(b state.Batch) {
-		if tn := e.nodes[b.To]; tn != nil {
-			select {
-			case tn.in <- b:
-			case <-tn.stopped:
-			}
-		} else if e.remote != nil {
-			e.remote.Deliver(b)
-		}
+		nn.replayOut = append(nn.replayOut, b)
 	})
 	if e.started.Load() {
 		e.startNode(nn)
