@@ -161,8 +161,8 @@ func echoControlPlane(res *scenario.Result) {
 	if cp.JournalAppends == 0 && cp.ReplayRecords == 0 {
 		return
 	}
-	fmt.Printf("  control-plane: appends=%d bytes=%d rotations=%d fsync-max=%dµs replay=%d recs/%dms reattached=%d failover=%dms\n",
-		cp.JournalAppends, cp.JournalBytes, cp.Rotations, cp.FsyncMaxMicros,
+	fmt.Printf("  control-plane: appends=%d bytes=%d fsync-max=%dµs replay=%d recs/%dms reattached=%d failover=%dms\n",
+		cp.JournalAppends, cp.JournalBytes, cp.FsyncMaxMicros,
 		cp.ReplayRecords, cp.ReplayMillis, cp.Reattached, cp.FailoverMillis)
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"seep/internal/dist"
+	"seep/internal/engine"
 	"seep/internal/operator"
 	"seep/internal/plan"
 	"seep/internal/transport"
@@ -261,15 +262,26 @@ func (j *distJob) totalProcessed() uint64 {
 	return n
 }
 
-// workerHosting returns the in-process worker currently hosting inst.
-func (j *distJob) workerHosting(inst InstanceID) *dist.Worker {
+// engineHosting returns the engine of the in-process worker hosting
+// inst, or an error naming why there is none: inst has no published
+// placement (it is not live, or the coordinator declared its worker down
+// and, being a source or sink, it was not recovered), its in-process
+// worker was killed, or it is hosted by a worker outside this process.
+func (j *distJob) engineHosting(inst InstanceID) (*engine.Engine, error) {
 	addr := j.co().PlacementOf(inst)
-	for _, w := range j.workers {
-		if w.Addr() == addr {
-			return w
-		}
+	if addr == "" {
+		return nil, fmt.Errorf("seep: %s has no placement: it is not live, or its worker was declared down and sources and sinks are not recovered", inst)
 	}
-	return nil
+	for _, w := range j.workers {
+		if w.Addr() != addr {
+			continue
+		}
+		if eng := w.Engine(); eng != nil {
+			return eng, nil
+		}
+		return nil, fmt.Errorf("seep: %s is hosted by in-process worker %s, which was killed", inst, addr)
+	}
+	return nil, fmt.Errorf("seep: %s is hosted by external worker %s; bind sources in its registry (WorkerRegistry.RegisterSource)", inst, addr)
 }
 
 func (j *distJob) AddSource(op OpID, rate RateFunc, gen Generator) error {
@@ -277,11 +289,11 @@ func (j *distJob) AddSource(op OpID, rate RateFunc, gen Generator) error {
 	if err != nil {
 		return err
 	}
-	w := j.workerHosting(inst)
-	if w == nil || w.Engine() == nil {
-		return fmt.Errorf("seep: %s is hosted by an external worker; bind sources in its registry (WorkerRegistry.RegisterSource)", inst)
+	eng, err := j.engineHosting(inst)
+	if err != nil {
+		return err
 	}
-	return w.Engine().AddSourceFunc(inst, rate, gen)
+	return eng.AddSourceFunc(inst, rate, gen)
 }
 
 func (j *distJob) InjectBatch(op OpID, count int, gen Generator) error {
@@ -289,11 +301,11 @@ func (j *distJob) InjectBatch(op OpID, count int, gen Generator) error {
 	if err != nil {
 		return err
 	}
-	w := j.workerHosting(inst)
-	if w == nil || w.Engine() == nil {
-		return fmt.Errorf("seep: %s is hosted by an external worker; bind sources in its registry (WorkerRegistry.RegisterSource)", inst)
+	eng, err := j.engineHosting(inst)
+	if err != nil {
+		return err
 	}
-	return w.Engine().InjectBatch(inst, count, gen)
+	return eng.InjectBatch(inst, count, gen)
 }
 
 func (j *distJob) Fail(inst InstanceID) error { return j.co().Fail(inst) }
@@ -380,13 +392,11 @@ func (j *distJob) ScaleIn(victims []InstanceID) error {
 
 func (j *distJob) Instances(op OpID) []InstanceID { return j.co().Manager().Instances(op) }
 
+// OperatorOf is nil for an instance no in-process engine hosts, for
+// any of engineHosting's causes.
 func (j *distJob) OperatorOf(inst InstanceID) any {
-	w := j.workerHosting(inst)
-	if w == nil {
-		return nil
-	}
-	eng := w.Engine()
-	if eng == nil {
+	eng, err := j.engineHosting(inst)
+	if err != nil {
 		return nil
 	}
 	return eng.OperatorOf(inst)

@@ -32,7 +32,7 @@
 //
 //	seep:journaled
 //	    On a Coordinator struct field: the field is authoritative
-//	    control-plane state reconstructed from the write-ahead journal.
+//	    control-plane state reconstructed from the journal.
 //	    Checked by the journalfirst analyzer.
 //
 //	seep:replay

@@ -18,13 +18,13 @@ var Journalfirst = &Analyzer{
 	Doc: `flag worker-visible sends that precede the journal append
 
 Coordinator struct fields marked // seep:journaled are authoritative
-control-plane state, reconstructed from the write-ahead journal on
-failover. In any Coordinator method (or function literal) that mutates
+control-plane state, reconstructed from the journal on failover. In
+any Coordinator method (or function literal) that mutates
 one of those fields, every worker-visible send — c.broadcast, c.sendTo,
 peer.SendControl — must come lexically after a
 c.journal(...) call in the same scope: the record has to be durable
 before workers can observe the new state, or a replayed coordinator
-knows less than its fleet ("the deployment snapshot goes to the WAL
+knows less than its fleet ("the deployment snapshot is journaled
 before any worker sees the plan"). Functions marked // seep:replay are
 exempt: they apply journal-derived state during recovery, where the
 journal itself is the source.`,

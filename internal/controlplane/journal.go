@@ -1,24 +1,28 @@
 // Package controlplane is the durable control plane of the distributed
-// runtime: a write-ahead journal recording every control-plane mutation
-// — deploy, placement change, recovery, scale-out/in stage boundaries,
-// checkpoint-ship metadata — so a restarted (or cold-standby)
-// coordinator can rebuild its plan, placement and backup store from
-// disk and resume a running job.
+// runtime: a journal of every control-plane mutation — deploy,
+// placement change, recovery, scale-out/in stage boundaries — so a
+// restarted (or cold-standby) coordinator can rebuild its plan,
+// placement and backup store from disk and resume a running job.
 //
-// The journal is append-only and CRC-framed exactly like the v2 wire
-// format (internal/transport): each record is
+// The journal is one snapshot file, not a log. Journal keeps the fold
+// of every record appended so far (Replayed: the last State, the
+// in-doubt transitions, the last sequence number and the record count),
+// and each Append folds its record and replaces the file with the new
+// fold, one CRC-framed frame
 //
-//	[version:1][kind:1][len:4 LE][crc32:4 LE][gob body]
+//	[version:1][len:4 LE][crc32:4 LE][gob body]
 //
-// and a torn or corrupt frame marks the clean end of the journal (WAL
-// discipline): everything before it replays, everything after it is
-// discarded, and Open truncates the tail so new appends never follow
-// garbage. A journal whose version byte is not this binary's is refused
-// whole, by Open and Replay alike. State payloads (operator checkpoints)
-// do NOT live here — they go through core.DurableStore; the journal
-// holds only the control metadata that makes those files interpretable
-// after a restart: placement, the query manager's own books (core.Books)
-// and trims (core.Trim), in the types their owners use.
+// through core.ReplaceFile: written beside the old file, synced, renamed
+// over it, and the directory synced. A crash leaves the old snapshot or
+// the new one, never a mix, so there is no tail to scan or truncate. A
+// snapshot that fails its length or CRC check is an error, never an
+// older state, and so is a file whose version byte is not this binary's
+// — an older write-ahead log at the same path included. State payloads
+// (operator checkpoints) do NOT live here — they go through
+// core.DurableStore; the journal holds only the control metadata that
+// makes those files interpretable after a restart: placement, the query
+// manager's own books (core.Books) and trims (core.Trim), in the types
+// their owners use.
 //
 // Record discipline mirrors the coordinator's staged transitions:
 //
@@ -42,10 +46,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,12 +80,8 @@ const (
 	RecAbort
 	// RecShip is checkpoint-ship metadata (instance, seq, bytes). No
 	// coordinator writes it: the durable store holds what a reborn
-	// coordinator reads of a ship, and Fold skips the record. It keeps
-	// its value, so RecSnapshot's does not move.
+	// coordinator reads of a ship, and the fold only counts the record.
 	RecShip
-	// RecSnapshot is a rotation record: one self-contained State that
-	// replaces the whole journal prefix.
-	RecSnapshot
 )
 
 func (k Kind) String() string {
@@ -98,8 +100,6 @@ func (k Kind) String() string {
 		return "abort"
 	case RecShip:
 		return "ship"
-	case RecSnapshot:
-		return "snapshot"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -139,9 +139,9 @@ type ShipMark struct {
 type Record struct {
 	Kind Kind
 	// Seq is the transition sequence number (intent/planned/commit/abort)
-	// or the snapshotting coordinator's current sequence.
+	// or the deploying coordinator's current sequence.
 	Seq uint64
-	// State rides RecDeploy, RecPlanned and RecSnapshot.
+	// State rides RecDeploy and RecPlanned.
 	State *State
 	// StartUnixMillis rides RecStart.
 	StartUnixMillis int64
@@ -163,20 +163,21 @@ type Record struct {
 	Reason string
 }
 
-// Stats counts control-plane work: journal traffic and fsync latency
+// Stats counts control-plane work: journal traffic and write latency
 // from the journal, replay/reattach/failover timings filled in by the
 // recovering coordinator.
 type Stats struct {
-	// JournalAppends and JournalBytes count records and framed bytes
-	// appended (including rotation snapshots).
+	// JournalAppends counts records appended; JournalBytes counts the
+	// snapshot bytes written for them (each append rewrites the whole
+	// snapshot).
 	JournalAppends uint64
 	JournalBytes   uint64
-	// Rotations counts atomic journal rotations.
-	Rotations uint64
-	// FsyncTotalMicros and FsyncMaxMicros time the per-append fsync.
+	// FsyncTotalMicros and FsyncMaxMicros time each append's synced
+	// replace: write, file sync, rename and directory sync.
 	FsyncTotalMicros uint64
 	FsyncMaxMicros   uint64
-	// ReplayRecords and ReplayMillis describe the last journal replay.
+	// ReplayRecords and ReplayMillis describe the last journal replay:
+	// the records folded into the snapshot, and the replay's duration.
 	ReplayRecords int
 	ReplayMillis  int64
 	// Reattached counts workers reconciled by the last reattach
@@ -187,240 +188,163 @@ type Stats struct {
 }
 
 const (
-	// journalVersion is every record's first byte. A journal another
-	// version wrote is refused (checkVersion), never misread or truncated.
-	journalVersion = 2
-	headerLen      = 10
-	// maxRecordBytes mirrors the transport's frame cap: a length field
-	// past it means a corrupt header, not a huge record.
-	maxRecordBytes = 16 << 20
-	journalFile    = "journal.wal"
+	// journalVersion is the snapshot's first byte. A journal another
+	// version wrote — version 2 was an append-only log of records — is
+	// refused, never misread.
+	journalVersion = 3
+	headerLen      = 9
+	// maxSnapshotBytes mirrors the transport's frame cap: a length field
+	// past it means a corrupt header, not a huge snapshot.
+	maxSnapshotBytes = 16 << 20
+	// journalFile keeps the log's old name, so that a journal an older
+	// version wrote is found and refused rather than silently ignored.
+	journalFile = "journal.wal"
 )
 
 func journalPath(dir string) string { return filepath.Join(dir, journalFile) }
 
-// encodeRecord frames one record like a v2 wire frame.
-func encodeRecord(rec *Record) ([]byte, error) {
+// encodeSnapshot frames one fold.
+func encodeSnapshot(r *Replayed) ([]byte, error) {
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		return nil, fmt.Errorf("controlplane: encode %s record: %w", rec.Kind, err)
+	if err := gob.NewEncoder(&body).Encode(r); err != nil {
+		return nil, fmt.Errorf("controlplane: encode snapshot: %w", err)
 	}
-	b := body.Bytes()
-	if len(b) > maxRecordBytes {
-		return nil, fmt.Errorf("controlplane: %s record of %d bytes exceeds %d", rec.Kind, len(b), maxRecordBytes)
+	if body.Len() > maxSnapshotBytes {
+		return nil, fmt.Errorf("controlplane: snapshot of %d bytes exceeds %d", body.Len(), maxSnapshotBytes)
 	}
-	out := make([]byte, headerLen+len(b))
-	out[0] = journalVersion
-	out[1] = byte(rec.Kind)
-	binary.LittleEndian.PutUint32(out[2:6], uint32(len(b)))
-	binary.LittleEndian.PutUint32(out[6:10], crc32.ChecksumIEEE(b))
-	copy(out[headerLen:], b)
-	return out, nil
+	return frame(body.Bytes()), nil
 }
 
-// decodeBody gob-decodes one record body, converting any decoder panic
-// on malformed input into a failure (the fuzz target feeds arbitrary
-// bytes through here).
-func decodeBody(body []byte) (rec Record, ok bool) {
+// frame puts the snapshot header in front of body.
+func frame(body []byte) []byte {
+	out := make([]byte, headerLen, headerLen+len(body))
+	out[0] = journalVersion
+	binary.LittleEndian.PutUint32(out[1:5], uint32(len(body)))
+	binary.LittleEndian.PutUint32(out[5:9], crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
+// decodeSnapshot decodes one snapshot file: exactly one frame of this
+// version whose CRC matches. Never panics, whatever the input.
+func decodeSnapshot(data []byte) (r *Replayed, err error) {
+	if len(data) > 0 && data[0] != journalVersion {
+		return nil, fmt.Errorf("controlplane: journal version %d, want %d", data[0], journalVersion)
+	}
+	if len(data) < headerLen {
+		return nil, fmt.Errorf("controlplane: snapshot of %d bytes is shorter than its header", len(data))
+	}
+	n := binary.LittleEndian.Uint32(data[1:5])
+	if n > maxSnapshotBytes || int(n) != len(data)-headerLen {
+		return nil, fmt.Errorf("controlplane: snapshot body of %d bytes, header says %d", len(data)-headerLen, n)
+	}
+	body := data[headerLen:]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[5:9]) {
+		return nil, errors.New("controlplane: snapshot CRC mismatch")
+	}
+	// The gob decoder can panic on malformed input that a colliding CRC
+	// lets through; the fuzz target feeds arbitrary bytes here.
 	defer func() {
-		if recover() != nil {
-			ok = false
+		if p := recover(); p != nil {
+			r, err = nil, fmt.Errorf("controlplane: decode snapshot: %v", p)
 		}
 	}()
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-		return Record{}, false
+	r = new(Replayed)
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(r); err != nil {
+		return nil, fmt.Errorf("controlplane: decode snapshot: %w", err)
 	}
-	return rec, true
+	return r, nil
 }
 
-// DecodeRecords decodes the longest valid prefix of a journal byte
-// stream, returning the records and how many bytes they span. The first
-// torn, truncated or corrupt frame ends the journal — everything after
-// it is ignored (WAL discipline: an interrupted append must cost only
-// the record being written). Never panics, whatever the input.
-func DecodeRecords(data []byte) ([]Record, int) {
-	var out []Record
-	off := 0
-	for {
-		rest := len(data) - off
-		if rest < headerLen {
-			return out, off
-		}
-		if data[off] != journalVersion {
-			return out, off
-		}
-		kind := Kind(data[off+1])
-		n := binary.LittleEndian.Uint32(data[off+2 : off+6])
-		sum := binary.LittleEndian.Uint32(data[off+6 : off+10])
-		if n > maxRecordBytes || rest-headerLen < int(n) {
-			return out, off
-		}
-		body := data[off+headerLen : off+headerLen+int(n)]
-		if crc32.ChecksumIEEE(body) != sum {
-			return out, off
-		}
-		rec, ok := decodeBody(body)
-		if !ok || rec.Kind != kind {
-			return out, off
-		}
-		out = append(out, rec)
-		off += headerLen + int(n)
+// readSnapshot reads and decodes the snapshot in dir.
+func readSnapshot(dir string) (*Replayed, error) {
+	data, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		return nil, fmt.Errorf("controlplane: read journal: %w", err)
 	}
+	return decodeSnapshot(data)
 }
 
-// checkVersion refuses a journal whose first record another version
-// wrote: its records would decode into the wrong shapes, and truncating
-// it as a torn tail would destroy it.
-func checkVersion(data []byte) error {
-	if len(data) > 0 && data[0] != journalVersion {
-		return fmt.Errorf("controlplane: journal version %d, want %d", data[0], journalVersion)
-	}
-	return nil
-}
-
-// Journal is the append-only control-plane WAL. Every Append is fsynced
-// before it returns: a record the coordinator acted on is on disk.
+// Journal is the control-plane journal: the fold of every record
+// appended, kept in memory and on disk. Every Append is synced before it
+// returns: a record the coordinator acted on is on disk.
 type Journal struct {
-	mu   sync.Mutex
-	dir  string
-	f    *os.File
-	size int64
+	mu     sync.Mutex
+	path   string
+	r      Replayed
+	closed bool
 
 	appends    uint64
 	bytes      uint64
-	rotations  uint64
 	fsyncTotal uint64
 	fsyncMax   uint64
 }
 
-// Open creates (or reuses) the directory and opens the journal for
-// appending. An existing journal is scanned and its torn tail — bytes
-// after the last valid record — truncated away, so appends never follow
-// garbage that replay would stop at.
+// Open creates (or reuses) the directory and loads the snapshot in it,
+// if any: appends fold onto it. A snapshot that does not decode is an
+// error.
 func Open(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("controlplane: create journal dir: %w", err)
 	}
-	path := journalPath(dir)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("controlplane: read journal: %w", err)
-	}
-	if err := checkVersion(data); err != nil {
+	j := &Journal{path: journalPath(dir)}
+	r, err := readSnapshot(dir)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+	case err != nil:
 		return nil, err
+	default:
+		j.r = *r
 	}
-	_, valid := DecodeRecords(data)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: open journal: %w", err)
-	}
-	if valid < len(data) {
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("controlplane: truncate torn journal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("controlplane: seek journal: %w", err)
-	}
-	return &Journal{dir: dir, f: f, size: int64(valid)}, nil
+	return j, nil
 }
 
-// Append frames, writes and fsyncs one record.
+// Append folds one record into the journal and replaces the snapshot
+// file with the fold. When the write fails the record stays folded in
+// memory, and the next Append that succeeds writes it too.
 func (j *Journal) Append(rec *Record) error {
-	frame, err := encodeRecord(rec)
-	if err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("controlplane: journal closed")
+	if j.closed {
+		return errors.New("controlplane: journal closed")
 	}
-	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("controlplane: append %s record: %w", rec.Kind, err)
+	j.r.fold(rec)
+	snap, err := encodeSnapshot(&j.r)
+	if err != nil {
+		return err
 	}
 	start := time.Now()
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("controlplane: fsync journal: %w", err)
+	if err := core.ReplaceFile(j.path, snap); err != nil {
+		return fmt.Errorf("controlplane: write snapshot after %s record: %w", rec.Kind, err)
 	}
 	us := uint64(time.Since(start).Microseconds())
-	j.size += int64(len(frame))
 	j.appends++
-	j.bytes += uint64(len(frame))
+	j.bytes += uint64(len(snap))
 	j.fsyncTotal += us
-	if us > j.fsyncMax {
-		j.fsyncMax = us
-	}
+	j.fsyncMax = max(j.fsyncMax, us)
 	return nil
 }
 
-// Size returns the journal's current byte length (the rotation
-// trigger's input).
-func (j *Journal) Size() int64 {
+// Replayed returns the fold of every record appended, those of the
+// snapshot Open loaded included: what a reborn coordinator resumes
+// from. A journal without a deployment snapshot is an error — there is
+// nothing to resume.
+func (j *Journal) Replayed() (*Replayed, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.size
+	if err := j.r.check(); err != nil {
+		return nil, err
+	}
+	r := j.r
+	r.InDoubt = slices.Clone(r.InDoubt)
+	return &r, nil
 }
 
-// Rotate atomically replaces the journal with a single self-contained
-// snapshot record: the new file is written beside the old one, fsynced,
-// and renamed over it — a crash at any point leaves either the full old
-// journal or the full new one, never a mix.
-func (j *Journal) Rotate(snap *State, seq uint64) error {
-	frame, err := encodeRecord(&Record{Kind: RecSnapshot, Seq: seq, State: snap})
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("controlplane: journal closed")
-	}
-	path := journalPath(j.dir)
-	tmp := path + ".tmp"
-	nf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("controlplane: rotate journal: %w", err)
-	}
-	if _, err := nf.Write(frame); err == nil {
-		err = nf.Sync()
-	}
-	if cerr := nf.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("controlplane: rotate journal: %w", err)
-	}
-	j.f.Close()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.f = nil
-		return fmt.Errorf("controlplane: reopen rotated journal: %w", err)
-	}
-	j.f = f
-	j.size = int64(len(frame))
-	j.rotations++
-	j.appends++
-	j.bytes += uint64(len(frame))
-	return nil
-}
-
-// Close closes the journal file. Append after Close errors.
+// Close closes the journal. Append after Close errors.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	j.closed = true
+	return nil
 }
 
 // Stats snapshots the journal-side counters.
@@ -430,7 +354,6 @@ func (j *Journal) Stats() Stats {
 	return Stats{
 		JournalAppends:   j.appends,
 		JournalBytes:     j.bytes,
-		Rotations:        j.rotations,
 		FsyncTotalMicros: j.fsyncTotal,
 		FsyncMaxMicros:   j.fsyncMax,
 	}

@@ -1,6 +1,10 @@
 package controlplane
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -51,8 +55,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st.JournalAppends != uint64(len(recs)) {
 		t.Fatalf("appends = %d, want %d", st.JournalAppends, len(recs))
 	}
-	if st.JournalBytes == 0 || j.Size() != int64(st.JournalBytes) {
-		t.Fatalf("bytes = %d, size = %d", st.JournalBytes, j.Size())
+	fi, err := os.Stat(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each append rewrites the whole snapshot; the last write is the file.
+	if fi.Size() == 0 || st.JournalBytes <= uint64(fi.Size()) {
+		t.Fatalf("bytes = %d for %d appends, the snapshot file holds %d", st.JournalBytes, len(recs), fi.Size())
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -124,125 +133,197 @@ func TestJournalInDoubtTransitions(t *testing.T) {
 	}
 }
 
-// TestJournalTornTail proves the WAL discipline: a crash mid-append
-// costs exactly the record being written, and reopening truncates the
-// garbage so later appends replay cleanly.
-func TestJournalTornTail(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Open(dir)
-	if err != nil {
+// plant puts data at path; ReplaceFile is the one writer, so a planted
+// file lands whole.
+func plant(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := core.ReplaceFile(path, data); err != nil {
 		t.Fatal(err)
-	}
-	if err := j.Append(&Record{Kind: RecDeploy, Seq: 1, State: testState(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(&Record{Kind: RecStart, Seq: 2, StartUnixMillis: 99}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	// Tear the tail: chop the last record mid-frame.
-	path := filepath.Join(dir, "journal.wal")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Records != 1 || rep.State.Started {
-		t.Fatalf("torn tail should drop only the torn record: %+v", rep)
-	}
-
-	// Reopen, append, replay: the torn bytes must not shadow the new
-	// record.
-	j2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Append(&Record{Kind: RecStart, Seq: 2, StartUnixMillis: 77}); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	rep, err = Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Records != 2 || !rep.State.Started || rep.State.StartUnixMillis != 77 {
-		t.Fatalf("append after torn-tail truncation lost: %+v", rep.State)
 	}
 }
 
-func TestJournalRotate(t *testing.T) {
+// writeJournal appends recs to a fresh journal in a temporary directory
+// and returns the directory.
+func writeJournal(t *testing.T, recs ...*Record) string {
+	t.Helper()
 	dir := t.TempDir()
 	j, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(&Record{Kind: RecDeploy, Seq: 1, State: testState(1)}); err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(2); seq < 10; seq++ {
-		if err := j.Append(&Record{Kind: RecCommit, Seq: seq}); err != nil {
+	for _, r := range recs {
+		if err := j.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := j.Size()
-	if err := j.Rotate(testState(10), 10); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if j.Size() >= before {
-		t.Fatalf("rotation did not shrink the journal: %d -> %d", before, j.Size())
-	}
-	// Appends continue after rotation and replay sees snapshot + tail.
-	if err := j.Append(&Record{Kind: RecIntent, Seq: 11, Action: "recover", Victims: []plan.InstanceID{{Op: "count", Part: 3}}, Pi: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if j.Stats().Rotations != 1 {
-		t.Fatalf("rotations = %d", j.Stats().Rotations)
-	}
-	j.Close()
-	rep, err := Replay(dir)
+	return dir
+}
+
+// TestJournalInterruptedWriteKeepsPreviousSnapshot: a write interrupted
+// before its rename leaves a stray or truncated temporary file beside
+// the snapshot. Replay reads the previous snapshot, and the next Append
+// replaces both.
+func TestJournalInterruptedWriteKeepsPreviousSnapshot(t *testing.T) {
+	dir := writeJournal(t,
+		&Record{Kind: RecDeploy, Seq: 1, State: testState(1)},
+		&Record{Kind: RecStart, Seq: 2, StartUnixMillis: 99})
+	path := filepath.Join(dir, journalFile)
+	snap, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Records != 2 || rep.State.NextSeq != 10 {
-		t.Fatalf("post-rotation replay = %+v", rep)
-	}
-	if len(rep.InDoubt) != 1 || rep.InDoubt[0].Seq != 11 {
-		t.Fatalf("in doubt after rotation = %+v", rep.InDoubt)
-	}
-	if rep.LastSeq != 11 {
-		t.Fatalf("last seq = %d", rep.LastSeq)
+	for name, tmp := range map[string][]byte{"stray": snap, "truncated": snap[:len(snap)/2], "empty": nil} {
+		t.Run(name, func(t *testing.T) {
+			plant(t, path+".tmp", tmp)
+			rep, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Records != 2 || !rep.State.Started || rep.State.StartUnixMillis != 99 {
+				t.Fatalf("replay beside a %s temporary file = %+v, want the previous snapshot", name, rep)
+			}
+			j, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if err := j.Append(&Record{Kind: RecIntent, Seq: 3, Action: "recover", Pi: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+				t.Errorf("the temporary file survived the next append: %v", err)
+			}
+			rep, err = Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Records != 3 || len(rep.InDoubt) != 1 || rep.InDoubt[0].Seq != 3 || rep.State.StartUnixMillis != 99 {
+				t.Fatalf("replay after the next append = %+v", rep)
+			}
+			plant(t, path, snap) // the next subtest starts from the same snapshot
+		})
 	}
 }
 
-// TestJournalRefusesOtherVersion: a journal another version wrote is an
-// error on replay and on open — never misread, and never truncated away
-// as if it were a torn tail.
-func TestJournalRefusesOtherVersion(t *testing.T) {
-	dir := t.TempDir()
-	frame, err := encodeRecord(&Record{Kind: RecDeploy, Seq: 1, State: testState(1)})
+// TestJournalCorruptSnapshotIsAnError: a snapshot that fails its checks
+// is an error from Replay and Open, never an older or an empty state.
+func TestJournalCorruptSnapshotIsAnError(t *testing.T) {
+	dir := writeJournal(t, &Record{Kind: RecDeploy, Seq: 1, State: testState(1)})
+	path := filepath.Join(dir, journalFile)
+	snap, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame[0] = journalVersion - 1
-	path := filepath.Join(dir, "journal.wal")
-	if err := os.WriteFile(path, frame, 0o644); err != nil {
+	flipped := append([]byte{}, snap...)
+	flipped[len(flipped)-1] ^= 0x40
+	crc := append([]byte{}, snap...)
+	crc[6] ^= 0xff
+	for name, data := range map[string][]byte{
+		"flipped body": flipped,
+		"flipped CRC":  crc,
+		"truncated":    snap[:len(snap)-1],
+		"trailing":     append(append([]byte{}, snap...), 0),
+		"header only":  snap[:headerLen-1],
+	} {
+		plant(t, path, data)
+		if _, err := Replay(dir); err == nil {
+			t.Errorf("Replay of a %s snapshot succeeded", name)
+		}
+		if _, err := Open(dir); err == nil {
+			t.Errorf("Open of a %s snapshot succeeded", name)
+		}
+	}
+}
+
+// TestJournalInDoubtSurvivesLaterRecords: an intent stays in doubt
+// however many records follow it, until its own commit or abort; and a
+// fold handed out by Replayed does not change under later appends.
+func TestJournalInDoubtSurvivesLaterRecords(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
+	must := func(r *Record) {
+		t.Helper()
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := plan.InstanceID{Op: "count", Part: 1}
+	must(&Record{Kind: RecDeploy, Seq: 1, State: testState(1)})
+	must(&Record{Kind: RecIntent, Seq: 2, Action: "scale-out", Victims: []plan.InstanceID{victim}, Pi: 2})
+	first, err := j.Replayed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 50
+	const later = 1 + 4*rounds
+	must(&Record{Kind: RecStart, StartUnixMillis: 5})
+	for seq := uint64(3); seq < 3+rounds; seq++ {
+		must(&Record{Kind: RecIntent, Seq: seq, Action: "recover", Pi: 1})
+		must(&Record{Kind: RecPlanned, Seq: seq, State: testState(seq)})
+		must(&Record{Kind: RecCommit, Seq: seq})
+		must(&Record{Kind: RecShip, Ship: &ShipMark{Inst: victim, Seq: seq}})
+	}
+	for _, reopen := range []bool{false, true} {
+		rep, err := j.Replayed()
+		if reopen {
+			rep, err = Replay(dir)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.InDoubt) != 1 || rep.InDoubt[0].Seq != 2 || rep.InDoubt[0].Action != "scale-out" || rep.InDoubt[0].Planned {
+			t.Fatalf("in doubt after %d later records = %+v, want the unplanned scale-out 2", later, rep.InDoubt)
+		}
+		if rep.Records != 2+later || rep.LastSeq != 2+rounds || rep.State.StartUnixMillis != 5 {
+			t.Fatalf("records = %d, last seq = %d, state = %+v", rep.Records, rep.LastSeq, rep.State)
+		}
+	}
+	if first.Records != 2 || first.State.Started || first.State.NextSeq != 1 || len(first.InDoubt) != 1 || first.InDoubt[0].Seq != 2 {
+		t.Errorf("a fold handed out before the later records changed: %+v, state %+v", first, first.State)
+	}
+	must(&Record{Kind: RecAbort, Seq: 2, Reason: "test"})
+	if rep, err := Replay(dir); err != nil || len(rep.InDoubt) != 0 {
+		t.Fatalf("in doubt after the abort = %+v (%v)", rep, err)
+	}
+}
+
+// v2Frame is a record framed as the version 2 write-ahead log framed
+// it: [2][kind][len:4][crc32:4][gob Record].
+func v2Frame(t testing.TB, rec *Record) []byte {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
+		t.Fatal(err)
+	}
+	b := body.Bytes()
+	out := make([]byte, 10, 10+len(b))
+	out[0], out[1] = 2, byte(rec.Kind)
+	binary.LittleEndian.PutUint32(out[2:6], uint32(len(b)))
+	binary.LittleEndian.PutUint32(out[6:10], crc32.ChecksumIEEE(b))
+	return append(out, b...)
+}
+
+// TestJournalRefusesOtherVersion: a journal another version wrote — the
+// version 2 write-ahead log at the same path — is an error on replay
+// and on open, never misread and never overwritten.
+func TestJournalRefusesOtherVersion(t *testing.T) {
+	dir := t.TempDir()
+	frame := v2Frame(t, &Record{Kind: RecDeploy, Seq: 1, State: testState(1)})
+	path := filepath.Join(dir, journalFile)
+	plant(t, path, frame)
 	if _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("Replay of an older journal = %v, want a version error", err)
 	}
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("Open of an older journal = %v, want a version error", err)
 	}
-	if data, err := os.ReadFile(path); err != nil || len(data) != len(frame) {
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, frame) {
 		t.Errorf("the older journal was changed: %d of %d bytes left (%v)", len(data), len(frame), err)
 	}
 }
@@ -254,33 +335,41 @@ func TestReplayEmptyDirErrors(t *testing.T) {
 }
 
 // FuzzJournalReplay mirrors the transport's FuzzDecodeBatchFrame: any
-// byte stream must decode without panicking, and whatever prefix
-// decodes must re-fold without panicking.
+// byte string must decode as a snapshot or be refused, without
+// panicking, both as a whole file and as the body of a well-framed one
+// (so the gob decoder sees arbitrary bytes too), and a snapshot that
+// decodes must take another record and encode again.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{journalVersion, byte(RecDeploy), 0, 0, 0, 0, 0, 0, 0, 0})
-	if frame, err := encodeRecord(&Record{Kind: RecDeploy, Seq: 1, State: testState(1)}); err == nil {
-		f.Add(frame)
-		if start, err := encodeRecord(&Record{Kind: RecStart, Seq: 2, StartUnixMillis: 5}); err == nil {
-			f.Add(append(append([]byte{}, frame...), start...))
-		}
-		// A torn frame and a bit-flipped CRC.
-		f.Add(frame[:len(frame)-2])
-		flipped := append([]byte{}, frame...)
-		flipped[7] ^= 0xff
+	f.Add([]byte{journalVersion, 0, 0, 0, 0, 0, 0, 0, 0})
+	var r Replayed
+	r.fold(&Record{Kind: RecDeploy, Seq: 1, State: testState(1)})
+	r.fold(&Record{Kind: RecIntent, Seq: 2, Action: "scale-in", Victims: []plan.InstanceID{{Op: "count", Part: 1}}})
+	if snap, err := encodeSnapshot(&r); err == nil {
+		f.Add(snap)
+		f.Add(snap[:len(snap)-2]) // truncated
+		flipped := append([]byte{}, snap...)
+		flipped[6] ^= 0xff // the CRC
 		f.Add(flipped)
-		// A frame an older journal version wrote.
-		older := append([]byte{}, frame...)
-		older[0] = journalVersion - 1
-		f.Add(older)
+	}
+	f.Add(v2Frame(f, &Record{Kind: RecDeploy, Seq: 1, State: testState(1)}))
+	// A snapshot with no deployment yet, as a journal of ship records
+	// alone leaves.
+	var ships Replayed
+	ships.fold(&Record{Kind: RecShip, Ship: &ShipMark{Inst: plan.InstanceID{Op: "count", Part: 1}, Seq: 1, Bytes: 1 << 20}})
+	if snap, err := encodeSnapshot(&ships); err == nil {
+		f.Add(snap)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, n := DecodeRecords(data)
-		if n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		for _, file := range [][]byte{data, frame(data)} {
+			r, err := decodeSnapshot(file)
+			if err != nil {
+				continue
+			}
+			r.fold(&Record{Kind: RecCommit, Seq: r.LastSeq})
+			if _, err := encodeSnapshot(r); err != nil && !strings.Contains(err.Error(), "exceeds") {
+				t.Fatalf("a decoded snapshot does not encode: %v", err)
+			}
 		}
-		// Folding whatever decoded must not panic either; the only
-		// acceptable error is the no-deployment-snapshot case.
-		_, _ = Fold(recs)
 	})
 }

@@ -1,9 +1,9 @@
 package controlplane
 
 import (
+	"cmp"
 	"fmt"
-	"os"
-	"sort"
+	"slices"
 
 	"seep/internal/core"
 	"seep/internal/plan"
@@ -28,11 +28,12 @@ type InDoubt struct {
 	Trims []core.Trim
 }
 
-// Replayed is the outcome of folding a journal: the last snapshot
-// State with start metadata applied, the in-doubt transitions, and the
-// highest sequence number any record used (the successor coordinator
-// numbers its transitions from LastSeq+1, so journal sequences stay
-// monotonic across restarts).
+// Replayed is the fold of a journal's records, and what its snapshot
+// file holds: the last State with start metadata applied, the in-doubt
+// transitions in sequence order, the highest sequence number any record
+// used (the successor coordinator numbers its transitions from
+// LastSeq+1, so journal sequences stay monotonic across restarts), and
+// how many records were folded.
 type Replayed struct {
 	State   *State
 	InDoubt []InDoubt
@@ -40,78 +41,74 @@ type Replayed struct {
 	Records int
 }
 
-// Replay reads and folds the journal in dir. A torn tail is tolerated
-// (the WAL discipline: an interrupted append costs only the record
-// being written); a journal with no deployment snapshot is an error —
-// there is nothing to resume.
+// Replay reads the journal snapshot in dir. A snapshot that fails its
+// checks, or one with no deployment snapshot, is an error — there is
+// nothing to resume.
 func Replay(dir string) (*Replayed, error) {
-	data, err := os.ReadFile(journalPath(dir))
+	r, err := readSnapshot(dir)
 	if err != nil {
-		return nil, fmt.Errorf("controlplane: read journal: %w", err)
-	}
-	if err := checkVersion(data); err != nil {
 		return nil, err
 	}
-	recs, _ := DecodeRecords(data)
-	return Fold(recs)
-}
-
-// Fold replays a record sequence into the final control-plane state.
-func Fold(recs []Record) (*Replayed, error) {
-	r := &Replayed{Records: len(recs)}
-	open := make(map[uint64]*InDoubt)
-	var openOrder []uint64
-	for i := range recs {
-		rec := &recs[i]
-		if rec.Seq > r.LastSeq {
-			r.LastSeq = rec.Seq
-		}
-		switch rec.Kind {
-		case RecDeploy, RecSnapshot, RecPlanned:
-			if rec.State != nil {
-				// A start cannot be undone within one job: a snapshot
-				// assembled before the RecStart landed must not unmark it.
-				if prev := r.State; prev != nil && prev.Started && !rec.State.Started {
-					rec.State.Started = true
-					rec.State.StartUnixMillis = prev.StartUnixMillis
-				}
-				r.State = rec.State
-				if rec.State.NextSeq > r.LastSeq {
-					r.LastSeq = rec.State.NextSeq
-				}
-			}
-			if rec.Kind == RecPlanned {
-				if d := open[rec.Seq]; d != nil {
-					d.Planned = true
-					d.Trims = rec.Trims
-				}
-			}
-		case RecStart:
-			if r.State != nil {
-				r.State.Started = true
-				r.State.StartUnixMillis = rec.StartUnixMillis
-			}
-		case RecIntent:
-			d := &InDoubt{Seq: rec.Seq, Action: rec.Action, Pi: rec.Pi}
-			d.Victims = append(d.Victims, rec.Victims...)
-			if _, dup := open[rec.Seq]; !dup {
-				openOrder = append(openOrder, rec.Seq)
-			}
-			open[rec.Seq] = d
-		case RecCommit, RecAbort:
-			delete(open, rec.Seq)
-		case RecShip:
-			// Metadata only: the payload lives in the durable store.
-		}
-	}
-	if r.State == nil {
-		return nil, fmt.Errorf("controlplane: journal has no deployment snapshot (%d records)", len(recs))
-	}
-	sort.Slice(openOrder, func(i, j int) bool { return openOrder[i] < openOrder[j] })
-	for _, seq := range openOrder {
-		if d := open[seq]; d != nil {
-			r.InDoubt = append(r.InDoubt, *d)
-		}
+	if err := r.check(); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// check refuses a fold with nothing to resume.
+func (r *Replayed) check() error {
+	if r.State == nil {
+		return fmt.Errorf("controlplane: journal has no deployment snapshot (%d records)", r.Records)
+	}
+	return nil
+}
+
+// fold applies one record. It never writes through rec or through a
+// State it shares: a State is replaced, not changed in place, so a
+// Replayed handed out earlier stays as it was.
+func (r *Replayed) fold(rec *Record) {
+	r.Records++
+	r.LastSeq = max(r.LastSeq, rec.Seq)
+	switch rec.Kind {
+	case RecDeploy, RecPlanned:
+		if rec.State != nil {
+			st := *rec.State
+			// A start cannot be undone within one job: a snapshot
+			// assembled before the RecStart landed must not unmark it.
+			if prev := r.State; prev != nil && prev.Started && !st.Started {
+				st.Started, st.StartUnixMillis = true, prev.StartUnixMillis
+			}
+			r.State = &st
+			r.LastSeq = max(r.LastSeq, st.NextSeq)
+		}
+		if i, ok := r.inDoubt(rec.Seq); rec.Kind == RecPlanned && ok {
+			r.InDoubt[i].Planned = true
+			r.InDoubt[i].Trims = rec.Trims
+		}
+	case RecStart:
+		if r.State != nil {
+			st := *r.State
+			st.Started, st.StartUnixMillis = true, rec.StartUnixMillis
+			r.State = &st
+		}
+	case RecIntent:
+		d := InDoubt{Seq: rec.Seq, Action: rec.Action, Victims: slices.Clone(rec.Victims), Pi: rec.Pi}
+		if i, ok := r.inDoubt(rec.Seq); ok {
+			r.InDoubt[i] = d
+		} else {
+			r.InDoubt = slices.Insert(r.InDoubt, i, d)
+		}
+	case RecCommit, RecAbort:
+		if i, ok := r.inDoubt(rec.Seq); ok {
+			r.InDoubt = slices.Delete(r.InDoubt, i, i+1)
+		}
+	case RecShip:
+		// Metadata only: the payload lives in the durable store.
+	}
+}
+
+// inDoubt returns where the open transition seq is, or would go, in
+// InDoubt's sequence order, and whether it is there.
+func (r *Replayed) inDoubt(seq uint64) (int, bool) {
+	return slices.BinarySearchFunc(r.InDoubt, seq, func(d InDoubt, seq uint64) int { return cmp.Compare(d.Seq, seq) })
 }

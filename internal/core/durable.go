@@ -18,8 +18,11 @@ import (
 // operation"). Backups survive a full process restart: a recovering
 // deployment calls LoadAll to repopulate its backup store.
 //
-// Files are written atomically (temp file + rename) so a crash mid-write
-// never corrupts the previous checkpoint.
+// Every file goes through ReplaceFile and RemoveFile, as the control
+// plane's journal snapshot does: a checkpoint is synced before it is
+// renamed into place, and the directory is synced after every rename and
+// remove, so a crash leaves the previous checkpoint or the new one, and
+// a Persist that returned is on disk.
 type DurableStore struct {
 	*BackupStore
 	mu    sync.Mutex
@@ -102,12 +105,7 @@ func (s *DurableStore) StoreEncoded(host plan.InstanceID, h state.CheckpointHead
 // journaled — holds.
 func (s *DurableStore) Persist(owner plan.InstanceID, blob []byte) error {
 	s.mu.Lock()
-	path := s.fileFor(owner)
-	tmp := path + ".tmp"
-	err := os.WriteFile(tmp, blob, 0o644)
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
+	err := ReplaceFile(s.fileFor(owner), blob)
 	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("core: persist checkpoint: %w", err)
@@ -119,8 +117,58 @@ func (s *DurableStore) Persist(owner plan.InstanceID, blob []byte) error {
 func (s *DurableStore) Delete(owner plan.InstanceID) {
 	s.BackupStore.Delete(owner)
 	s.mu.Lock()
-	_ = os.Remove(s.fileFor(owner))
+	_ = RemoveFile(s.fileFor(owner))
 	s.mu.Unlock()
+}
+
+// ReplaceFile makes data the content of path so that a crash leaves the
+// old file or the new one: it writes path.tmp, syncs it, renames it over
+// path and syncs the directory. With RemoveFile it is the one writer of
+// the control-plane directory. A failed write leaves path as it was; a
+// stray path.tmp is harmless, since the next write truncates it.
+func ReplaceFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// RemoveFile removes path and syncs its directory, so that the removal
+// survives a crash.
+func RemoveFile(path string) error {
+	if err := os.Remove(path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes the directory's entries — creates, renames and removes
+// — durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load reads one persisted checkpoint from disk (without touching the

@@ -269,3 +269,41 @@ func TestDurableStoreSanitizesNames(t *testing.T) {
 		t.Errorf("load with sanitised name: %v", err)
 	}
 }
+
+// TestReplaceFile: a replace leaves the new content and no temporary
+// file; a replace that cannot write its temporary file fails and leaves
+// the old content; RemoveFile removes, and a missing file is an error.
+func TestReplaceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	for _, data := range []string{"old", "new"} {
+		if err := ReplaceFile(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != data {
+			t.Fatalf("after replacing with %q the file reads %q (%v)", data, got, err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("the temporary file outlived the replace: %v", err)
+		}
+	}
+	// A directory where the temporary file goes fails the write; a
+	// read-only mode would not stop a process running as root.
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplaceFile(path, []byte("lost")); err == nil {
+		t.Fatal("a replace through an unwritable temporary file succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("a failed replace left %q (%v), want the old content", got, err)
+	}
+	if err := RemoveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("the file outlived RemoveFile: %v", err)
+	}
+	if err := RemoveFile(path); err == nil {
+		t.Fatal("RemoveFile of a missing file succeeded")
+	}
+}

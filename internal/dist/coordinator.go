@@ -56,8 +56,8 @@ type Config struct {
 	TransitionTimeout time.Duration
 
 	// ControlPlaneDir, when set, makes the control plane durable: every
-	// control-plane mutation is journaled to an fsynced write-ahead log
-	// in this directory, shipped checkpoints are persisted beside it
+	// control-plane mutation is journaled to a synced snapshot file in
+	// this directory, shipped checkpoints are persisted beside it
 	// through core.DurableStore, and RecoverCoordinator can rebuild a
 	// dead coordinator from the directory alone.
 	ControlPlaneDir string
@@ -174,9 +174,9 @@ type Coordinator struct {
 	// Loop-owned state (no locks: only the loop goroutine touches it).
 	// Fields marked seep:journaled are authoritative control-plane
 	// state captured by snapshotState and reconstructed from the
-	// write-ahead journal on failover; the journalfirst analyzer checks
-	// that methods mutating them append a journal record before any
-	// worker-visible send.
+	// journal on failover; the journalfirst analyzer checks that methods
+	// mutating them append a journal record before any worker-visible
+	// send.
 	q          *plan.Query   // seep:journaled
 	mgr        *core.Manager // seep:journaled
 	workers    map[string]*workerRef
@@ -350,11 +350,12 @@ func (c *Coordinator) nowMillis() int64 {
 	return time.Since(c.startAt).Milliseconds()
 }
 
-// journal appends one record to the WAL (a no-op without a control-plane
-// dir) and reports whether the coordinator survived the append: the
-// JournalHook crash point models coordinator death at exactly that
-// record, and every caller must stop dead on false — nothing after a
-// crash point may execute, like a kill -9 between two statements.
+// journal appends one record to the journal (a no-op without a
+// control-plane dir) and reports whether the coordinator survived the
+// append: the JournalHook crash point models coordinator death at
+// exactly that record, and every caller must stop dead on false —
+// nothing after a crash point may execute, like a kill -9 between two
+// statements.
 func (c *Coordinator) journal(rec *controlplane.Record) bool {
 	if c.dead {
 		return false
@@ -423,21 +424,6 @@ func (c *Coordinator) placements() []controlplane.Placement {
 	}
 	slices.SortFunc(out, func(a, b controlplane.Placement) int { return a.Inst.Compare(b.Inst) })
 	return out
-}
-
-// maybeRotate compacts the journal to one snapshot record when it has
-// grown past a megabyte and the control plane is quiescent (no
-// transition in flight whose intent record a rotation would erase).
-func (c *Coordinator) maybeRotate() {
-	if c.jn == nil || c.dead || c.trans != nil || len(c.queue) > 0 || c.mgr == nil {
-		return
-	}
-	if c.jn.Size() <= 1<<20 {
-		return
-	}
-	if err := c.jn.Rotate(c.snapshotState(), c.seq); err != nil {
-		c.pushErr("dist: rotate journal: %v", err)
-	}
 }
 
 // standbyAddr is where orphaned workers re-dial after coordinator death.
@@ -697,7 +683,7 @@ func (c *Coordinator) startDeploy(q *plan.Query, addrs []string, done chan error
 	}
 	t := &transition{seq: c.nextSeq(), done: done}
 	c.trans = t
-	// The deployment snapshot goes to the WAL before any worker sees the
+	// The deployment snapshot is journaled before any worker sees the
 	// plan: a coordinator that dies past this point replays a placement
 	// that is a superset of what workers know, never the reverse.
 	if !c.journal(&controlplane.Record{Kind: controlplane.RecDeploy, Seq: t.seq, State: c.snapshotState()}) {
@@ -850,7 +836,6 @@ func (c *Coordinator) finish(t *transition, err error) {
 		c.queue = c.queue[1:]
 		next()
 	}
-	c.maybeRotate()
 }
 
 func (c *Coordinator) onControl(ctl *Control) {
@@ -1130,9 +1115,12 @@ func (c *Coordinator) run(t *transition, actions []core.Action) {
 // checkpoint encoded once — the bytes of its durable file are the bytes
 // of its MsgDeploy — and the plan journaled before any worker sees it.
 // Replacement files are on disk before the planned record (replay
-// recovers them from those files); victim files are deleted only after
-// it, so a crash in between leaves stale files that replay's liveness
-// sweep removes. False when the coordinator died at the record.
+// recovers them from those files); a replacement whose file cannot be
+// persisted fails the Place before the record, so the transition aborts
+// to recovery and the journal never names state that is not on disk.
+// Victim files are deleted only after the record, so a crash in between
+// leaves stale files that replay's liveness sweep removes. False when
+// the coordinator died at the record.
 func (c *Coordinator) place(t *transition, tp *core.Transition) bool {
 	for _, ni := range tp.NewInstances {
 		addr := c.pickWorker()
@@ -1155,7 +1143,8 @@ func (c *Coordinator) place(t *transition, tp *core.Transition) bool {
 		}
 		if c.dstore != nil {
 			if err := c.dstore.Persist(cp.Instance, blob); err != nil {
-				c.pushErr("dist: persist checkpoint for %s: %v", cp.Instance, err)
+				t.report = &core.Event{Kind: core.Failed, Err: fmt.Errorf("dist: persist checkpoint for %s: %w", cp.Instance, err)}
+				return true
 			}
 		}
 		t.encoded[cp.Instance] = blob

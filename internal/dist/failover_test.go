@@ -2,7 +2,11 @@ package dist_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -553,6 +557,82 @@ func TestCoordinatorCrashAtIntentIsNoOp(t *testing.T) {
 	}
 	if recs := dc.coord.Manager().Records(); len(recs) != 0 {
 		t.Errorf("no-op rollback produced records: %v", recs)
+	}
+	if err := srcWorker.Engine().InjectBatch(src, 300, parityGen); err != nil {
+		t.Fatal(err)
+	}
+	dc.quiesce(t, 300*time.Millisecond, 10*time.Second)
+	dc.assertCounts(t, 60)
+}
+
+// TestFailedPersistAbortsScaleOut: a replacement checkpoint that cannot
+// be persisted fails the Place before the planned record, so the journal
+// never names state that is not on disk. The scale out aborts to
+// recovery: each stranded replacement is stopped on its worker and
+// recovered from the manager's store, and the counts stay exact.
+func TestFailedPersistAbortsScaleOut(t *testing.T) {
+	reg := wordcountRegistry()
+	var (
+		mu    sync.Mutex
+		armed bool
+		kinds []controlplane.Kind
+	)
+	dc := startDurableCluster(t, reg, 3, func(k controlplane.Kind) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if armed {
+			kinds = append(kinds, k)
+		}
+		return false
+	})
+	if err := dc.coord.StartJob(); err != nil {
+		t.Fatal(err)
+	}
+	src := plan.InstanceID{Op: "src", Part: 1}
+	srcWorker := dc.hostOf(t, src)
+	if err := srcWorker.Engine().InjectBatch(src, 300, parityGen); err != nil {
+		t.Fatal(err)
+	}
+	dc.quiesce(t, 300*time.Millisecond, 10*time.Second)
+
+	victim := dc.coord.Manager().Instances("count")[0]
+	// A directory where a replacement's temporary file goes fails its
+	// write; a read-only mode would not stop a process running as root.
+	// The scale out names its two replacements from the next parts.
+	failing := []plan.InstanceID{{Op: "count", Part: victim.Part + 1}, {Op: "count", Part: victim.Part + 2}}
+	for _, r := range failing {
+		if err := os.Mkdir(filepath.Join(dc.cfg.ControlPlaneDir, fmt.Sprintf("%s-%d.ckpt.tmp", r.Op, r.Part)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	armed = true
+	mu.Unlock()
+	err := dc.coord.ScaleOut(victim, 2)
+	if err == nil || !strings.Contains(err.Error(), "persist checkpoint") {
+		t.Fatalf("ScaleOut with an unwritable replacement file returned %v, want a persist error", err)
+	}
+	dc.settle(t, 2, 15*time.Second)
+	mu.Lock()
+	got := slices.Clone(kinds)
+	mu.Unlock()
+	if len(got) < 2 || got[0] != controlplane.RecIntent || got[1] != controlplane.RecAbort {
+		t.Fatalf("journal after the failed persist = %v, want the scale out's intent closed by its abort with no planned record", got)
+	}
+
+	insts := dc.coord.Manager().Instances("count")
+	if len(insts) != 2 {
+		t.Fatalf("Instances(count) after the fallback = %v, want 2 partitions", insts)
+	}
+	for _, inst := range insts {
+		if inst == victim || slices.Contains(failing, inst) {
+			t.Errorf("Instances(count) = %v still holds %s", insts, inst)
+		}
+	}
+	for _, rec := range dc.coord.Manager().Records() {
+		if !rec.Failure {
+			t.Errorf("fallback record not a recovery: %+v", rec)
+		}
 	}
 	if err := srcWorker.Engine().InjectBatch(src, 300, parityGen); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 )
 
 // RecoverCoordinator rebuilds a coordinator from its control-plane
-// journal: replay the WAL into plan + placement, reload the durable
+// journal: read the snapshot into plan + placement, reload the durable
 // backup store, re-dial the journaled workers and reconcile the
 // replayed state against each worker's actual inventory through the
 // MsgResume/MsgReattach handshake. Workers are NOT restarted — they
@@ -28,15 +28,14 @@ func RecoverCoordinator(cfg Config, q *plan.Query) (*Coordinator, error) {
 		return nil, fmt.Errorf("dist: recovery requires Config.ControlPlaneDir")
 	}
 	began := time.Now()
-	rep, err := controlplane.Replay(cfg.ControlPlaneDir)
-	if err != nil {
-		return nil, err
-	}
 	// Restart-in-place races the dying coordinator releasing its socket:
 	// callers unblock when its loop stops, fractionally before its
 	// listener closes. Retry the bind briefly rather than surface the
 	// race.
-	var c *Coordinator
+	var (
+		c   *Coordinator
+		err error
+	)
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		c, err = newCoordinator(cfg)
 		if err == nil {
@@ -46,6 +45,13 @@ func RecoverCoordinator(cfg Config, q *plan.Query) (*Coordinator, error) {
 			return nil, err
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	// The journal the coordinator opened is the replay: one read of the
+	// snapshot.
+	rep, err := c.jn.Replayed()
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
 	if err := c.call(2*cfg.TransitionTimeout, func(done chan error) { c.startRecover(rep, q, began, done) }); err != nil {
 		c.Close()

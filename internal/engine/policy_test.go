@@ -26,12 +26,13 @@ func (s *slowCounter) OnTuple(ctx operator.Context, t stream.Tuple, emit operato
 }
 
 func TestEnginePolicyScalesOutUnderBackpressure(t *testing.T) {
+	const delay = 2 * time.Millisecond
 	opts := wordcount.Options{WindowMillis: 0}
 	q := wordcount.Query(opts)
 	factories := map[plan.OpID]operator.Factory{
 		"split": func() operator.Operator { return operator.WordSplitter() },
 		"count": func() operator.Operator {
-			return &slowCounter{WordCounter: operator.NewWordCounter(0), delay: 2 * time.Millisecond}
+			return &slowCounter{WordCounter: operator.NewWordCounter(0), delay: delay}
 		},
 	}
 	e, err := New(Config{
@@ -63,11 +64,17 @@ func TestEnginePolicyScalesOutUnderBackpressure(t *testing.T) {
 	if got := e.Manager().Parallelism("count"); got < 2 {
 		t.Fatalf("parallelism = %d; policy did not scale out under backpressure", got)
 	}
-	// The query still produces results afterwards.
+	// The query still produces results afterwards. A counter's output
+	// reaches the sink once per input batch, so the first sign of
+	// progress can be a batch time away (BatchSize tuples at delay each),
+	// behind a batch in hand, the queued ones and a replay: wait ten
+	// batch times before calling it stuck.
 	before := e.SinkCount.Value()
-	time.Sleep(300 * time.Millisecond)
-	if e.SinkCount.Value() <= before {
-		t.Error("no progress after policy-driven scale out")
+	wait := 10 * time.Duration(e.cfg.BatchSize) * delay
+	for deadline := time.Now().Add(wait); e.SinkCount.Value() <= before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no progress in %v after policy-driven scale out", wait)
+		}
 	}
 }
 

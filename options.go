@@ -407,7 +407,7 @@ func WithCoordinatorAddr(addr string) Option {
 // WithControlPlaneDir makes the coordinator's control plane durable:
 // every control-plane mutation (deploy, start, placement change,
 // scale-out/in and recovery stage boundaries, checkpoint-ship metadata)
-// is journaled to an fsynced write-ahead log in dir, and shipped
+// is journaled to a synced snapshot file in dir, and shipped
 // checkpoints are persisted beside it. A coordinator killed mid-job can
 // then be rebuilt from dir — replaying the journal, reattaching the
 // still-running workers without restarting them, and rolling back any

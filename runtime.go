@@ -155,8 +155,7 @@ type (
 	// Simulated runtime (virtual time has no queues to bound).
 	BackpressureStats = engine.BackpressureStats
 	// ControlPlaneStats tallies the Distributed coordinator's durable
-	// control plane: journal appends and bytes, fsync latency, rotations,
-	// and — after a coordinator restart — replay size/duration, how many
+	// control plane: journal appends and bytes, synced-write latency, and — after a coordinator restart — replay size/duration, how many
 	// workers reattached and the failover wall-clock. Always zero without
 	// WithControlPlaneDir.
 	ControlPlaneStats = controlplane.Stats
